@@ -8,20 +8,15 @@
  *
  * The binary first asserts that the trace layer costs nothing when
  * disabled (< 2% on the candidate-evaluation hot loop, reported on
- * stderr; a failure makes the process exit non-zero), then sweeps the
- * evaluation-engine thread count over the circuits/ corpus and emits
- * a CSV (per-circuit wall clock at 1, 2, 4, and hardware threads,
- * speedup vs serial, and a check that every thread count produced
- * bit-identical versions), then runs the google-benchmark scaling
- * study. One instrumented run leaves `bench_overhead.trace.json` and
- * `bench_overhead.metrics.csv` in the working directory.
+ * stderr; a failure makes the process exit non-zero), then runs the
+ * google-benchmark scaling study. One instrumented run leaves
+ * `bench_overhead.trace.json` and `bench_overhead.metrics.csv` in the
+ * working directory.
  */
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "apps/benchmarks.h"
@@ -29,107 +24,25 @@
 #include "core/qs_caqr.h"
 #include "core/sr_caqr.h"
 #include "graph/generators.h"
-#include "qasm/parser.h"
-#include "qasm/printer.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace {
 
 using namespace caqr;
 
-// ---------------------------------------------------------------------
-// Thread-count sweep over the circuits/ corpus
-// ---------------------------------------------------------------------
-
-/// Serialized fingerprint of a full result: any divergence between
-/// thread counts — chosen pairs, wire layout, emitted gates — shows up.
-std::string
-result_fingerprint(const core::QsCaqrResult& result)
-{
-    std::string fp;
-    for (const auto& version : result.versions) {
-        fp += std::to_string(version.qubits) + ":" +
-              std::to_string(version.depth) + ":" +
-              std::to_string(version.duration_dt) + "\n";
-        for (const auto& pair : version.applied) {
-            fp += std::to_string(pair.source) + ">" +
-                  std::to_string(pair.target) + ";";
-        }
-        fp += qasm::to_qasm(version.circuit);
-    }
-    return fp;
-}
-
-/// Best-of-@p reps wall-clock milliseconds for one full qs_caqr run.
+/// Wall-clock milliseconds for @p runs back-to-back qs_caqr runs.
 double
-time_qs_caqr_ms(const circuit::Circuit& circuit, int threads, int reps)
+time_qs_caqr_ms(const circuit::Circuit& circuit, int runs)
 {
-    core::QsCaqrOptions options;
-    options.num_threads = threads;
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        auto result = core::qs_caqr_or(circuit, options).value();
-        const auto stop = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
+    for (int run = 0; run < runs; ++run) {
+        auto result = core::qs_caqr_or(circuit).value();
         benchmark::DoNotOptimize(result.versions.size());
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count();
-        if (rep == 0 || ms < best) best = ms;
     }
-    return best;
-}
-
-void
-run_thread_sweep()
-{
-    const std::vector<std::string> corpus = {
-        "4mod5", "rd32",  "xor_5",       "system_9",
-        "cc_10", "bv_10", "multiply_13", "bv_64",
-    };
-    const int hardware = util::ThreadPool::resolve_threads(0);
-    std::vector<int> thread_counts = {1, 2, 4, hardware};
-    std::sort(thread_counts.begin(), thread_counts.end());
-    thread_counts.erase(
-        std::unique(thread_counts.begin(), thread_counts.end()),
-        thread_counts.end());
-
-    std::printf("circuit,qubits,gates,threads,best_ms,speedup,identical\n");
-    for (const auto& name : corpus) {
-        const std::string path =
-            std::string(CAQR_CIRCUITS_DIR) + "/" + name + ".qasm";
-        const auto parsed = qasm::parse_circuit_file(path);
-        if (!parsed.ok()) {
-            std::fprintf(stderr, "skipping %s: %s\n", path.c_str(),
-                         parsed.status().to_string().c_str());
-            continue;
-        }
-        const auto& circuit = *parsed;
-
-        core::QsCaqrOptions serial;
-        serial.num_threads = 1;
-        const std::string baseline_fp =
-            result_fingerprint(core::qs_caqr_or(circuit, serial).value());
-
-        double serial_ms = 0.0;
-        for (int threads : thread_counts) {
-            const double ms = time_qs_caqr_ms(circuit, threads, 3);
-            if (threads == 1) serial_ms = ms;
-
-            core::QsCaqrOptions options;
-            options.num_threads = threads;
-            const bool identical =
-                result_fingerprint(core::qs_caqr_or(circuit, options).value()) ==
-                baseline_fp;
-            std::printf("%s,%d,%zu,%d,%.3f,%.2f,%s\n", name.c_str(),
-                        circuit.num_qubits(), circuit.size(), threads, ms,
-                        serial_ms > 0.0 ? serial_ms / ms : 1.0,
-                        identical ? "yes" : "NO");
-        }
-    }
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
 // ---------------------------------------------------------------------
@@ -144,29 +57,34 @@ run_thread_sweep()
 /// work — clock reads, counter tallies, span records) beyond a 2%
 /// noise margin. Medians (not single best-of samples) keep the gate
 /// stable on loaded CI machines, where one descheduled run used to
-/// flip the verdict.
+/// flip the verdict. One BV_32 search takes only a few milliseconds,
+/// so each sample times a batch of runs to stay well above timer and
+/// scheduler noise.
 bool
 run_overhead_check()
 {
     const auto circuit = apps::bv_circuit(32);
     const int reps = 7;
+    const int runs_per_sample = 16;
     std::vector<double> disabled_ms;
     std::vector<double> enabled_ms;
     disabled_ms.reserve(reps);
     enabled_ms.reserve(reps);
     for (int rep = 0; rep < reps; ++rep) {
-        util::trace::set_enabled(false);
-        disabled_ms.push_back(time_qs_caqr_ms(circuit, 1, 1));
-
-        util::trace::set_enabled(true);
-        enabled_ms.push_back(time_qs_caqr_ms(circuit, 1, 1));
+        // Alternate which mode goes first so neither one systematically
+        // runs on the other's warmed caches.
+        for (const bool enabled : {rep % 2 == 1, rep % 2 == 0}) {
+            util::trace::set_enabled(enabled);
+            (enabled ? enabled_ms : disabled_ms)
+                .push_back(time_qs_caqr_ms(circuit, runs_per_sample));
+        }
         util::trace::reset();
     }
     const double median_disabled = util::median(disabled_ms);
     const double median_enabled = util::median(enabled_ms);
 
     // One final instrumented run so the bench leaves its own per-run
-    // observability record next to the CSV on stdout.
+    // observability record.
     util::trace::set_enabled(true);
     {
         auto result = core::qs_caqr_or(circuit).value();
@@ -179,8 +97,9 @@ run_overhead_check()
     const bool ok = median_disabled <= median_enabled * 1.02;
     std::fprintf(stderr,
                  "trace overhead check: disabled %.3f ms, enabled %.3f ms"
-                 " (median of %d, disabled/enabled = %.4f) -> %s\n",
-                 median_disabled, median_enabled, reps,
+                 " (median of %d samples of %d runs, disabled/enabled ="
+                 " %.4f) -> %s\n",
+                 median_disabled, median_enabled, reps, runs_per_sample,
                  median_enabled > 0.0 ? median_disabled / median_enabled
                                       : 0.0,
                  ok ? "PASS" : "FAIL");
@@ -204,21 +123,6 @@ BM_QsCaqrBv(benchmark::State& state)
 }
 BENCHMARK(BM_QsCaqrBv)->Arg(4)->Arg(6)->Arg(8)->Arg(12)->Arg(16)
     ->Complexity(benchmark::oAuto)->Unit(benchmark::kMillisecond);
-
-void
-BM_QsCaqrBvThreads(benchmark::State& state)
-{
-    // Same search at a fixed size, sweeping the engine thread count.
-    const auto circuit = apps::bv_circuit(32);
-    core::QsCaqrOptions options;
-    options.num_threads = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        auto result = core::qs_caqr_or(circuit, options).value();
-        benchmark::DoNotOptimize(result.versions.size());
-    }
-}
-BENCHMARK(BM_QsCaqrBvThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SrCaqrBv(benchmark::State& state)
@@ -274,7 +178,6 @@ int
 main(int argc, char** argv)
 {
     const bool overhead_ok = run_overhead_check();
-    run_thread_sweep();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

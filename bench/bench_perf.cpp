@@ -3,7 +3,7 @@
  * Machine-readable performance + quality baseline for the compile
  * pipeline.
  *
- * Runs a fixed corpus — every circuits/*.qasm under the baseline,
+ * Runs a fixed corpus — every `.qasm` in circuits/ under the baseline,
  * QS-CaQR, and SR-CaQR strategies, two synthetic QAOA commuting
  * workloads under QS-CaQR-commuting, and two simulator-backed entries
  * (single-threaded and shot-parallel) —

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "arch/heavy_hex.h"
 #include "circuit/dag.h"
@@ -35,8 +36,10 @@ Backend::scaled_heavy_hex(int min_qubits, unsigned seed)
 {
     auto topology = arch::scaled_heavy_hex(min_qubits);
     auto calibration = Calibration::synthesize(topology, seed);
-    return Backend("HeavyHex" + std::to_string(topology.num_nodes()),
-                   std::move(topology), std::move(calibration));
+    // Named before the move: argument evaluation order is unspecified.
+    std::string name = "HeavyHex" + std::to_string(topology.num_nodes());
+    return Backend(std::move(name), std::move(topology),
+                   std::move(calibration));
 }
 
 int

@@ -2,7 +2,6 @@
 #include "circuit/dag.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/logging.h"
 
@@ -102,100 +101,65 @@ CircuitDag::nodes_on_qubit(int q) const
     return per_qubit_[q];
 }
 
-const std::vector<std::vector<std::uint64_t>>&
-CircuitDag::closure() const
-{
-    if (closure_.empty() && graph_.num_nodes() > 0) {
-        closure_ = graph_.transitive_closure();
-    }
-    return closure_;
-}
-
-std::vector<std::vector<std::uint64_t>>
-CircuitDag::take_closure()
-{
-    closure();  // force computation
-    return std::move(closure_);
-}
-
 void
-CircuitDag::seed_closure(
-    const std::vector<std::vector<std::uint64_t>>& prev_closure,
-    const std::vector<int>& node_map)
+CircuitDag::compute_reach() const
 {
-    CAQR_CHECK(closure_.empty(),
-               "seed_closure called on an already-computed closure");
-    const int n = graph_.num_nodes();
-    CAQR_CHECK(prev_closure.size() == node_map.size(),
-               "node_map does not match the previous closure");
-    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-    closure_.assign(static_cast<std::size_t>(n),
-                    std::vector<std::uint64_t>(words, 0));
+    const int num_qubits = circuit_->num_qubits();
+    const int num_wires = num_qubits + circuit_->num_clbits();
+    const std::size_t words =
+        (static_cast<std::size_t>(num_qubits) + 63) / 64;
+    // Wires 0..num_qubits-1 are the qubits, the rest the clbits.
+    std::vector<std::vector<std::uint64_t>> wire_sets(
+        static_cast<std::size_t>(num_wires),
+        std::vector<std::uint64_t>(words, 0));
+    reach_.assign(static_cast<std::size_t>(num_qubits),
+                  std::vector<std::uint64_t>(words, 0));
+    std::vector<std::uint64_t> joined(words);
+    std::vector<int> wires;
 
-    std::vector<bool> inserted(static_cast<std::size_t>(n), true);
-    for (int mapped : node_map) {
-        CAQR_CHECK(mapped >= 0 && mapped < n, "node_map entry out of range");
-        inserted[static_cast<std::size_t>(mapped)] = false;
-    }
-
-    // Surviving instructions keep their mutual reachability.
-    for (std::size_t old_u = 0; old_u < node_map.size(); ++old_u) {
-        auto& row = closure_[static_cast<std::size_t>(node_map[old_u])];
-        const auto& prev_row = prev_closure[old_u];
-        for (std::size_t w = 0; w < prev_row.size(); ++w) {
-            std::uint64_t bits = prev_row[w];
-            while (bits != 0) {
-                const int old_v = static_cast<int>(w) * 64 +
-                                  std::countr_zero(bits);
-                bits &= bits - 1;
-                const int new_v = node_map[static_cast<std::size_t>(old_v)];
-                row[static_cast<std::size_t>(new_v) >> 6] |=
-                    1ULL << (static_cast<std::size_t>(new_v) & 63);
+    const auto& instrs = circuit_->instructions();
+    for (int i = 0; i < static_cast<int>(instrs.size()); ++i) {
+        const Instruction& instr = instrs[i];
+        const bool barrier = instr.kind == GateKind::kBarrier;
+        wires.clear();
+        if (barrier) {
+            for (int w = 0; w < num_wires; ++w) wires.push_back(w);
+        } else {
+            wires = instr.qubits;
+            if (instr.clbit >= 0) wires.push_back(num_qubits + instr.clbit);
+            if (instr.condition_bit >= 0) {
+                wires.push_back(num_qubits + instr.condition_bit);
             }
         }
-    }
 
-    // The spliced measure/reset nodes only add dependencies through
-    // their own incident edges; replay those incrementally.
-    for (int v = 0; v < n; ++v) {
-        if (!inserted[static_cast<std::size_t>(v)]) continue;
-        for (int p : graph_.predecessors(v)) {
-            graph::Digraph::closure_add_edge(closure_, p, v);
+        std::fill(joined.begin(), joined.end(), 0);
+        for (int w : wires) {
+            const auto& set = wire_sets[static_cast<std::size_t>(w)];
+            for (std::size_t k = 0; k < words; ++k) joined[k] |= set[k];
         }
-        for (int s : graph_.successors(v)) {
-            graph::Digraph::closure_add_edge(closure_, v, s);
+        if (!barrier) {
+            for (int q : instr.qubits) {
+                joined[static_cast<std::size_t>(q) >> 6] |=
+                    1ULL << (static_cast<std::size_t>(q) & 63);
+            }
         }
-    }
-}
-
-const std::vector<std::uint64_t>&
-CircuitDag::closure_row(int node) const
-{
-    return closure()[static_cast<std::size_t>(node)];
-}
-
-bool
-CircuitDag::qubit_depends_on(int qi, int qj) const
-{
-    // Does any node on qi sit downstream of any node on qj?
-    for (int src : per_qubit_[qj]) {
-        const auto& row = closure_row(src);
-        for (int dst : per_qubit_[qi]) {
-            if (graph::Digraph::closure_bit(row, dst)) return true;
+        for (int w : wires) wire_sets[static_cast<std::size_t>(w)] = joined;
+        if (barrier) continue;
+        for (int q : instr.qubits) {
+            if (per_qubit_[q].back() == i) reach_[q] = joined;
         }
     }
-    return false;
 }
 
 bool
-CircuitDag::qubits_share_gate(int qi, int qj) const
+CircuitDag::qubit_reaches(int from, int to) const
 {
-    for (int node : per_qubit_[qi]) {
-        if (circuit_->at(static_cast<std::size_t>(node)).uses_qubit(qj)) {
-            return true;
-        }
-    }
-    return false;
+    CAQR_CHECK(from >= 0 && from < circuit_->num_qubits() && to >= 0 &&
+                   to < circuit_->num_qubits(),
+               "qubit out of range");
+    if (reach_.empty()) compute_reach();
+    return graph::Digraph::closure_bit(reach_[static_cast<std::size_t>(to)],
+                                       from);
 }
 
 std::vector<bool>
@@ -210,22 +174,6 @@ CircuitDag::critical_nodes(const DurationModel& model) const
         result[u] = std::abs(earliest[u] - latest[u]) < 1e-9;
     }
     return result;
-}
-
-double
-CircuitDag::reuse_critical_path(int qi, int qj, const DurationModel& model,
-                                double dummy_weight) const
-{
-    graph::Digraph extended = graph_;
-    const int dummy = extended.add_node();
-    for (int node : per_qubit_[qi]) extended.add_edge(node, dummy);
-    for (int node : per_qubit_[qj]) extended.add_edge(dummy, node);
-
-    auto weights = node_weights(*circuit_, model);
-    weights.push_back(dummy_weight);
-    CAQR_CHECK(!extended.has_cycle(),
-               "reuse_critical_path called on an invalid reuse pair");
-    return extended.critical_path(weights);
 }
 
 }  // namespace caqr::circuit

@@ -6,8 +6,8 @@
  * program order (a barrier orders everything before it against
  * everything after it). The DAG answers the queries the CaQR passes
  * need: depth / duration via weighted critical path, per-qubit gate
- * groups, qubit-level dependence (Condition 2), and critical-path
- * membership (used by SR-CaQR's gate delaying).
+ * groups, qubit-level reachability (reuse Conditions 1 and 2), and
+ * critical-path membership (used by SR-CaQR's gate delaying).
  */
 #ifndef CAQR_CIRCUIT_DAG_H
 #define CAQR_CIRCUIT_DAG_H
@@ -44,16 +44,19 @@ class CircuitDag
     const std::vector<int>& nodes_on_qubit(int q) const;
 
     /**
-     * True if some operation on @p qi transitively depends on some
-     * operation on @p qj — i.e. reuse pair (qi -> qj) violates
-     * Condition 2 because gates on qi cannot all finish before gates on
-     * qj start. The transitive closure is computed lazily and cached.
+     * True if some gate on qubit @p from is, or transitively precedes,
+     * a gate on qubit @p to. Reuse pair (qi -> qj) is legal iff both
+     * qubits are active, qi != qj and `!qubit_reaches(qj, qi)`: a gate
+     * shared by the two (Condition 1) and a dependence of qi on qj
+     * (Condition 2) both put qj in qi's past.
+     *
+     * Backed by per-wire reachability sets over qubits, built lazily in
+     * one forward sweep: qubits and clbits are wires, a gate's wires
+     * all take the union of their sets plus the gate's qubits, and a
+     * barrier joins every wire. Each qubit's set is read as of its
+     * *last gate* — a later barrier adds nothing to that qubit's past.
      */
-    bool qubit_depends_on(int qi, int qj) const;
-
-    /// True if qubits qi and qj share at least one gate (Condition 1
-    /// violation for the reuse pair).
-    bool qubits_share_gate(int qi, int qj) const;
+    bool qubit_reaches(int from, int to) const;
 
     /**
      * Critical-path membership per instruction under @p model: node u is
@@ -62,50 +65,14 @@ class CircuitDag
      */
     std::vector<bool> critical_nodes(const DurationModel& model) const;
 
-    /**
-     * Critical path length if a measurement/reset dummy node is spliced
-     * between the gates on @p qi and the gates on @p qj (the tentative
-     * reuse evaluation of §3.2.1). @p dummy_weight is the dummy node's
-     * duration (measure + conditioned reset under the model in use).
-     * Returns the resulting weighted critical path; the circuit itself
-     * is not modified.
-     */
-    double reuse_critical_path(int qi, int qj, const DurationModel& model,
-                               double dummy_weight) const;
-
-    /// Full transitive closure over the instruction DAG (computed
-    /// lazily on first use, then cached).
-    const std::vector<std::vector<std::uint64_t>>& closure() const;
-
-    /// Moves the cached closure out (forcing computation first). Used
-    /// to carry reachability across a committed reuse splice; the cache
-    /// reverts to lazy from-scratch computation afterwards.
-    std::vector<std::vector<std::uint64_t>> take_closure();
-
-    /**
-     * Pre-seeds the lazy closure cache from the closure of the circuit
-     * a committed reuse splice was applied to, instead of recomputing
-     * it wholesale. @p node_map is apply_reuse's instruction index map
-     * (old index -> index in this DAG's circuit, every entry >= 0).
-     *
-     * A splice only *adds* dependencies: surviving instructions keep
-     * their mutual reachability, and the spliced measure/reset
-     * instructions (the indices absent from @p node_map) contribute
-     * exactly the edges incident to them, which are replayed through
-     * Digraph::closure_add_edge. The seeded matrix is identical to a
-     * from-scratch transitive closure of this DAG.
-     */
-    void seed_closure(
-        const std::vector<std::vector<std::uint64_t>>& prev_closure,
-        const std::vector<int>& node_map);
-
   private:
-    const std::vector<std::uint64_t>& closure_row(int node) const;
+    void compute_reach() const;
 
     const Circuit* circuit_;
     graph::Digraph graph_;
     std::vector<std::vector<int>> per_qubit_;
-    mutable std::vector<std::vector<std::uint64_t>> closure_;  // lazy
+    /// Lazy: reach_[q] is the bitset of qubits that reach qubit q.
+    mutable std::vector<std::vector<std::uint64_t>> reach_;
 };
 
 }  // namespace caqr::circuit

@@ -1,7 +1,6 @@
 #include "core/qs_caqr.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <map>
@@ -12,7 +11,6 @@
 #include "circuit/timing.h"
 #include "core/reuse_transform.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -31,9 +29,9 @@ fill_version_metrics(QsVersion* version)
     version->duration_dt = dag.duration(durations);
 }
 
-/// Lazily-constructed thread pool shared by the sweeps of one search.
-/// The pool is only spun up once a step actually has enough parallel
-/// work to amortize it (tiny circuits stay serial end to end).
+/// Lazily-constructed thread pool shared by the commuting sweeps of one
+/// search. The pool is only spun up once a step actually has enough
+/// parallel work to amortize it (tiny searches stay serial end to end).
 struct EvalContext
 {
     int threads = 1;
@@ -48,37 +46,6 @@ struct EvalContext
         return pool.get();
     }
 };
-
-/// Below these thresholds a batch runs inline: the per-task overhead of
-/// the pool would exceed the work (tasks ~ candidates, work ~ tasks x
-/// instructions walked per tentative splice).
-constexpr std::size_t kMinParallelTasks = 8;
-constexpr std::size_t kMinParallelWork = 1024;
-
-/// Publishes the gauges derived from the accumulated qs_caqr counters
-/// (memo-cache hit rate, fraction of candidate evaluations that ran
-/// under the pool). Counters aggregate across runs; so do the rates.
-void
-publish_qs_gauges()
-{
-    const auto metrics = util::trace::collect();
-    auto counter = [&](const char* name) {
-        const auto it = metrics.counters.find(name);
-        return it == metrics.counters.end() ? 0.0 : it->second;
-    };
-    const double hits = counter("qs_caqr.memo_hits");
-    const double misses = counter("qs_caqr.memo_misses");
-    if (hits + misses > 0.0) {
-        util::trace::gauge_set("qs_caqr.memo_hit_rate",
-                               hits / (hits + misses));
-    }
-    const double pooled = counter("qs_caqr.pool_tasks");
-    const double serial = counter("qs_caqr.serial_tasks");
-    if (pooled + serial > 0.0) {
-        util::trace::gauge_set("qs_caqr.pool_utilization",
-                               pooled / (pooled + serial));
-    }
-}
 
 }  // namespace
 
@@ -118,32 +85,17 @@ enum class SweepPolicy {
 };
 
 /**
- * Memoized tentative-splice result for one candidate, keyed by the
- * *original* qubit ids so entries survive wire renumbering. A splice
- * of (qi -> qj) only creates paths through the dummy node, so its cost
- * is max(critical_path, qf[qi] + dummy + qt[qj]) where qf/qt are the
- * qubits' latest ASAP finish / longest suffix. The entry is therefore
- * exactly reusable whenever qf and qt are unchanged by the previously
- * committed pair — only the global critical path term needs refreshing.
- */
-struct CandidateMemo
-{
-    double qubit_finish = 0.0;  ///< qf at evaluation time
-    double qubit_tail = 0.0;    ///< qt at evaluation time
-    double through = 0.0;       ///< qf + dummy_weight + qt
-};
-
-/**
- * One greedy sweep, instrumented through @p sink. The sweep — and with
- * it the candidate classification / evaluation hot path — is templated
- * on the sink type: when tracing is disabled the caller instantiates it
- * with trace::NullSink (statically checked to be empty), so disabled
- * mode compiles to exactly the uninstrumented code.
+ * One greedy sweep: each step prices every valid pair in closed form
+ * (splice_timing) and commits the best one under @p policy. The sweep
+ * is instrumented through @p sink and templated on the sink type: when
+ * tracing is disabled the caller instantiates it with trace::NullSink
+ * (statically checked to be empty), so disabled mode compiles to
+ * exactly the uninstrumented code.
  */
 template <class Sink>
 std::vector<QsVersion>
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
-          SweepPolicy policy, EvalContext* ctx, Sink& sink)
+          SweepPolicy policy, Sink& sink)
 {
     std::vector<QsVersion> versions;
 
@@ -167,124 +119,25 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
         by_duration ? static_cast<const circuit::DurationModel&>(durations)
                     : static_cast<const circuit::DurationModel&>(unit);
 
-    // Reachability carried across committed splices (incremental
-    // transitive-closure maintenance) and the per-candidate memo.
-    std::vector<std::vector<std::uint64_t>> carried_closure;
-    std::vector<int> carried_map;
-    std::map<std::pair<int, int>, CandidateMemo> memo;
-
     while (options.target_qubits < 0 ||
            versions.back().qubits > options.target_qubits) {
         const auto& current = versions.back();
         circuit::CircuitDag dag(current.circuit);
-        if (!carried_closure.empty()) {
-            if constexpr (Sink::kActive) {
-                const auto t0 = std::chrono::steady_clock::now();
-                dag.seed_closure(carried_closure, carried_map);
-                sink.count("qs_caqr.closure_reseed_ms",
-                           std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-            } else {
-                dag.seed_closure(carried_closure, carried_map);
-            }
-        }
         const auto pairs = find_reuse_pairs(dag);
         if (pairs.empty()) break;
         sink.count("qs_caqr.steps", 1.0);
         sink.count("qs_caqr.candidates",
                    static_cast<double>(pairs.size()));
+        const auto timing = splice_timing(dag, model);
 
-        std::vector<double> weights;
-        weights.reserve(current.circuit.size());
-        for (const auto& instr : current.circuit.instructions()) {
-            weights.push_back(model.duration(instr));
-        }
-        const auto finish = dag.graph().earliest_completion(weights);
-        const auto tail = dag.graph().longest_from(weights);
-        double critical = 0.0;
-        for (double f : finish) critical = std::max(critical, f);
-
-        const int num_qubits = current.circuit.num_qubits();
-        std::vector<double> qubit_finish(
-            static_cast<std::size_t>(num_qubits), 0.0);
-        std::vector<double> qubit_tail(
-            static_cast<std::size_t>(num_qubits), 0.0);
-        for (int q = 0; q < num_qubits; ++q) {
-            for (int node : dag.nodes_on_qubit(q)) {
-                qubit_finish[q] = std::max(qubit_finish[q], finish[node]);
-                qubit_tail[q] = std::max(qubit_tail[q], tail[node]);
-            }
-        }
-        auto memo_key = [&](const ReusePair& pair) {
-            return std::make_pair(
-                current.orig_of[static_cast<std::size_t>(pair.source)],
-                current.orig_of[static_cast<std::size_t>(pair.target)]);
-        };
-
-        // Split candidates into memo hits and the batch that needs a
-        // real tentative-splice evaluation.
-        std::vector<double> costs(pairs.size(), 0.0);
-        std::vector<std::size_t> misses;
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-            const auto& pair = pairs[i];
-            const auto it = memo.find(memo_key(pair));
-            if (it != memo.end() &&
-                it->second.qubit_finish == qubit_finish[pair.source] &&
-                it->second.qubit_tail == qubit_tail[pair.target]) {
-                costs[i] = std::max(critical, it->second.through);
-            } else {
-                misses.push_back(i);
-            }
-        }
-
-        auto evaluate = [&](std::size_t m) {
-            const auto& pair = pairs[misses[m]];
-            return dag.reuse_critical_path(pair.source, pair.target, model,
-                                           dummy_weight);
-        };
-        sink.count("qs_caqr.memo_hits",
-                   static_cast<double>(pairs.size() - misses.size()));
-        sink.count("qs_caqr.memo_misses",
-                   static_cast<double>(misses.size()));
-        std::vector<double> miss_costs;
-        util::ThreadPool* pool =
-            (ctx != nullptr && misses.size() >= kMinParallelTasks &&
-             misses.size() * current.circuit.size() >= kMinParallelWork)
-                ? ctx->acquire()
-                : nullptr;
-        if (pool != nullptr) {
-            sink.count("qs_caqr.pool_batches", 1.0);
-            sink.count("qs_caqr.pool_tasks",
-                       static_cast<double>(misses.size()));
-            miss_costs = pool->map(misses.size(), evaluate);
-        } else {
-            sink.count("qs_caqr.serial_tasks",
-                       static_cast<double>(misses.size()));
-            miss_costs.resize(misses.size());
-            for (std::size_t m = 0; m < misses.size(); ++m) {
-                miss_costs[m] = evaluate(m);
-            }
-        }
-        for (std::size_t m = 0; m < misses.size(); ++m) {
-            const std::size_t i = misses[m];
-            const auto& pair = pairs[i];
-            costs[i] = miss_costs[m];
-            memo[memo_key(pair)] = CandidateMemo{
-                qubit_finish[pair.source], qubit_tail[pair.target],
-                qubit_finish[pair.source] + dummy_weight +
-                    qubit_tail[pair.target]};
-        }
-
-        // Sequential selection in candidate order: the winner does not
-        // depend on thread count or evaluation interleaving.
+        // Ties go to the first candidate in (source, target) order.
         double best_primary = std::numeric_limits<double>::infinity();
         double best_secondary = std::numeric_limits<double>::infinity();
         ReusePair best{};
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-            const auto& pair = pairs[i];
-            double primary = costs[i];
-            double secondary = qubit_finish[pair.target];
+        for (const auto& pair : pairs) {
+            double primary =
+                timing.spliced_critical_path(pair, dummy_weight);
+            double secondary = timing.qubit_finish[pair.target];
             if (policy == SweepPolicy::kOrderFirst) {
                 std::swap(primary, secondary);
             }
@@ -303,8 +156,6 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
             ReusePair{current.orig_of[static_cast<std::size_t>(best.source)],
                       current.orig_of[static_cast<std::size_t>(best.target)]});
         auto transformed = apply_reuse(dag, best, current.orig_of);
-        carried_closure = dag.take_closure();
-        carried_map = std::move(transformed.node_map);
         next.circuit = std::move(transformed.circuit);
         next.orig_of = std::move(transformed.orig_of);
         fill_version_metrics(&next);
@@ -322,18 +173,15 @@ QsCaqrResult
 qs_caqr_impl(const circuit::Circuit& circuit, const QsCaqrOptions& options,
              Sink& sink)
 {
-    EvalContext ctx;
-    ctx.threads = util::ThreadPool::resolve_threads(options.num_threads);
-
     // Two sweeps explore complementary regions of the search space
     // (paper: "we explore the search space of qubit reuse ... and
     // choose the best reuse strategy"): the cost-greedy sweep finds
     // efficient shallow savings, the order-preserving sweep reaches
     // deep savings. Merge by qubit count, best metric wins.
     const auto metric_sweep =
-        run_sweep(circuit, options, SweepPolicy::kMetricFirst, &ctx, sink);
+        run_sweep(circuit, options, SweepPolicy::kMetricFirst, sink);
     const auto order_sweep =
-        run_sweep(circuit, options, SweepPolicy::kOrderFirst, &ctx, sink);
+        run_sweep(circuit, options, SweepPolicy::kOrderFirst, sink);
 
     const bool by_duration = options.metric == ReuseMetric::kDuration;
     auto metric_of = [by_duration](const QsVersion& version) {
@@ -371,17 +219,7 @@ run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
         util::trace::Span span("qs_caqr");
         util::trace::TallySink sink;
         auto result = qs_caqr_impl(circuit, options, sink);
-        // This run's memo hit rate goes into the metrics registry as
-        // one histogram sample — per-run distribution, not the
-        // lifetime average the trace gauge reports.
-        const double hits = sink.value("qs_caqr.memo_hits");
-        const double misses = sink.value("qs_caqr.memo_misses");
-        if (hits + misses > 0.0) {
-            util::metrics::global().observe("qs_caqr.memo_hit_rate",
-                                            hits / (hits + misses));
-        }
         sink.flush();
-        publish_qs_gauges();
         return result;
     }
     util::trace::NullSink sink;

@@ -41,10 +41,11 @@ struct QsVersion
     double duration_dt = 0.0;
 };
 
-/// QS-CaQR options for regular circuits. The embedded CommonOptions
-/// supply `num_threads` for the tentative-splice engine (the chosen
-/// pairs — and every generated version — are bit-identical for any
-/// value) and the per-request trace opt-out.
+/// QS-CaQR options for regular circuits. The search itself is serial:
+/// each step prices every candidate in closed form. The embedded
+/// CommonOptions supply the per-request trace opt-out; `num_threads`
+/// only sizes callers' fan-out over the generated versions (e.g.
+/// select_best_by_esp).
 struct QsCaqrOptions : CommonOptions
 {
     /// Stop once this many qubits is reached; -1 = squeeze to minimum.

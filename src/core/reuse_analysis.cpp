@@ -1,6 +1,5 @@
 #include "core/reuse_analysis.h"
 
-#include "circuit/timing.h"
 #include "core/qs_caqr.h"
 #include "core/reuse_transform.h"
 #include "util/logging.h"
@@ -18,26 +17,57 @@ is_valid_reuse_pair(const circuit::CircuitDag& dag, int source, int target)
         dag.nodes_on_qubit(target).empty()) {
         return false;
     }
-    // Condition 1: no shared gate.
-    if (dag.qubits_share_gate(source, target)) return false;
-    // Condition 2: nothing on `source` may depend on anything on
-    // `target`.
-    return !dag.qubit_depends_on(source, target);
+    // Conditions 1 and 2: no gate on `target` is shared with, or
+    // precedes, a gate on `source`.
+    return !dag.qubit_reaches(target, source);
 }
 
 std::vector<ReusePair>
 find_reuse_pairs(const circuit::CircuitDag& dag)
 {
+    std::vector<int> active;
+    for (int q = 0; q < dag.circuit().num_qubits(); ++q) {
+        if (!dag.nodes_on_qubit(q).empty()) active.push_back(q);
+    }
     std::vector<ReusePair> pairs;
-    const int k = dag.circuit().num_qubits();
-    for (int source = 0; source < k; ++source) {
-        for (int target = 0; target < k; ++target) {
-            if (is_valid_reuse_pair(dag, source, target)) {
+    for (int source : active) {
+        for (int target : active) {
+            if (source != target && !dag.qubit_reaches(target, source)) {
                 pairs.push_back(ReusePair{source, target});
             }
         }
     }
     return pairs;
+}
+
+SpliceTiming
+splice_timing(const circuit::CircuitDag& dag,
+              const circuit::DurationModel& model)
+{
+    const auto& circuit = dag.circuit();
+    std::vector<double> weights;
+    weights.reserve(circuit.size());
+    for (const auto& instr : circuit.instructions()) {
+        weights.push_back(model.duration(instr));
+    }
+    const auto finish = dag.graph().earliest_completion(weights);
+    const auto tail = dag.graph().longest_from(weights);
+
+    SpliceTiming timing;
+    const auto num_qubits = static_cast<std::size_t>(circuit.num_qubits());
+    timing.qubit_finish.assign(num_qubits, 0.0);
+    timing.qubit_tail.assign(num_qubits, 0.0);
+    for (double f : finish) {
+        timing.critical_path = std::max(timing.critical_path, f);
+    }
+    for (std::size_t q = 0; q < num_qubits; ++q) {
+        for (int node : dag.nodes_on_qubit(static_cast<int>(q))) {
+            timing.qubit_finish[q] = std::max(timing.qubit_finish[q],
+                                              finish[node]);
+            timing.qubit_tail[q] = std::max(timing.qubit_tail[q], tail[node]);
+        }
+    }
+    return timing;
 }
 
 ReuseAdvice

@@ -14,9 +14,12 @@
 #ifndef CAQR_CORE_REUSE_ANALYSIS_H
 #define CAQR_CORE_REUSE_ANALYSIS_H
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "circuit/dag.h"
+#include "circuit/timing.h"
 
 namespace caqr::core {
 
@@ -39,9 +42,40 @@ struct ReusePair
 bool is_valid_reuse_pair(const circuit::CircuitDag& dag, int source,
                          int target);
 
-/// All valid reuse pairs of @p dag (O(k^2) legality checks over the
-/// cached transitive closure).
+/// All valid reuse pairs of @p dag in (source, target) order: O(k^2)
+/// bit tests against the DAG's per-wire reachability.
 std::vector<ReusePair> find_reuse_pairs(const circuit::CircuitDag& dag);
+
+/**
+ * Per-qubit timing of a DAG, enough to price any reuse splice in closed
+ * form (paper §3.2.1). Splicing the measure/reset dummy node between
+ * the gates on qi and the gates on qj only adds paths through the
+ * dummy, so the spliced critical path is
+ * max(critical_path, qubit_finish[qi] + dummy_weight + qubit_tail[qj]).
+ */
+struct SpliceTiming
+{
+    /// Latest ASAP completion of a gate on each qubit (0 if idle).
+    std::vector<double> qubit_finish;
+    /// Longest weighted path starting at a gate on each qubit.
+    std::vector<double> qubit_tail;
+    double critical_path = 0.0;
+
+    /// Critical path after splicing @p pair through a dummy node of
+    /// weight @p dummy_weight; @p pair must be valid.
+    double
+    spliced_critical_path(ReusePair pair, double dummy_weight) const
+    {
+        return std::max(critical_path,
+                        qubit_finish[static_cast<std::size_t>(pair.source)] +
+                            dummy_weight +
+                            qubit_tail[static_cast<std::size_t>(pair.target)]);
+    }
+};
+
+/// Timing table of @p dag under @p model.
+SpliceTiming splice_timing(const circuit::CircuitDag& dag,
+                           const circuit::DurationModel& model);
 
 /**
  * Quick benefit probe (paper §1: "a method for identifying whether

@@ -93,7 +93,6 @@ apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
 
     Circuit output(input.num_qubits() - 1, input.num_clbits());
     output.copy_params_from(input);
-    std::vector<int> node_map(input.size(), -1);
     for (int node : order) {
         if (node == dummy) {
             int clbit = source_measure_clbit;
@@ -110,14 +109,11 @@ apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
         for (auto& q : instr.qubits) {
             q = (q == pair.target) ? source_wire : new_wire(q);
         }
-        node_map[static_cast<std::size_t>(node)] =
-            static_cast<int>(output.size());
         output.append(std::move(instr));
     }
 
     TransformResult result;
     result.circuit = std::move(output);
-    result.node_map = std::move(node_map);
     result.orig_of.resize(static_cast<std::size_t>(input.num_qubits() - 1));
     for (int q = 0; q < input.num_qubits(); ++q) {
         if (q == pair.target) continue;

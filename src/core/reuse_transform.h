@@ -23,11 +23,6 @@ struct TransformResult
     /// orig_of[new wire] = caller-provided identity of that wire (see
     /// apply_reuse's @p orig_of parameter).
     std::vector<int> orig_of;
-    /// node_map[i] = index in `circuit` of input instruction i (every
-    /// input instruction survives the splice). Output indices absent
-    /// from the map are the inserted measure/reset instructions. Feeds
-    /// CircuitDag::seed_closure for incremental reachability.
-    std::vector<int> node_map;
 };
 
 /**

@@ -122,39 +122,6 @@ Digraph::transitive_closure() const
     return closure;
 }
 
-void
-Digraph::closure_add_edge(std::vector<std::vector<std::uint64_t>>& closure,
-                          int u, int v)
-{
-    const int n = static_cast<int>(closure.size());
-    CAQR_CHECK(u >= 0 && u < n, "closure edge source out of range");
-    CAQR_CHECK(v >= 0 && v < n, "closure edge target out of range");
-    CAQR_CHECK(u != v, "closure edge must not be a self-loop");
-    CAQR_CHECK(!closure_bit(closure[static_cast<std::size_t>(v)], u),
-               "closure_add_edge would create a cycle");
-
-    // Everything u newly reaches: v plus v's reachable set.
-    std::vector<std::uint64_t> addition = closure[static_cast<std::size_t>(v)];
-    addition[static_cast<std::size_t>(v) >> 6] |=
-        1ULL << (static_cast<std::size_t>(v) & 63);
-
-    auto merge = [&addition](std::vector<std::uint64_t>& row) {
-        bool changed = false;
-        for (std::size_t w = 0; w < row.size(); ++w) {
-            const std::uint64_t merged = row[w] | addition[w];
-            changed |= merged != row[w];
-            row[w] = merged;
-        }
-        return changed;
-    };
-
-    if (!merge(closure[static_cast<std::size_t>(u)])) return;
-    for (std::size_t x = 0; x < closure.size(); ++x) {
-        if (static_cast<int>(x) == u) continue;
-        if (closure_bit(closure[x], u)) merge(closure[x]);
-    }
-}
-
 std::vector<double>
 Digraph::earliest_completion(const std::vector<double>& node_weight) const
 {

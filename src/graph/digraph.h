@@ -78,20 +78,6 @@ class Digraph
     }
 
     /**
-     * Updates a closure matrix (as produced by transitive_closure()) in
-     * place for a newly added edge u -> v: u and every node that
-     * reaches u additionally reach v and everything v reaches. This is
-     * how the CaQR passes keep reachability warm across a committed
-     * splice instead of recomputing it wholesale.
-     *
-     * @pre @p closure is the exact closure of the graph without the
-     * edge, and v does not already reach u (the edge keeps the graph
-     * acyclic).
-     */
-    static void closure_add_edge(
-        std::vector<std::vector<std::uint64_t>>& closure, int u, int v);
-
-    /**
      * Weighted longest path (critical path) where each node carries
      * weight @p node_weight[id]. Returns the maximum over all paths of
      * the sum of node weights; 0 for an empty graph.

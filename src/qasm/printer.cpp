@@ -43,10 +43,6 @@ to_qasm_impl(const circuit::Circuit& circuit, bool symbolic_names)
             os << "creg c[" << circuit.num_clbits() << "];\n";
         }
     }
-    auto clbit_ref = [split_cregs](int bit) {
-        return split_cregs ? "c" + std::to_string(bit) + "[0]"
-                           : "c[" + std::to_string(bit) + "]";
-    };
 
     os << std::setprecision(17);
     for (const auto& instr : circuit.instructions()) {
@@ -61,8 +57,12 @@ to_qasm_impl(const circuit::Circuit& circuit, bool symbolic_names)
                << " == " << instr.condition_value << ") ";
         }
         if (instr.kind == circuit::GateKind::kMeasure) {
-            os << "measure q[" << instr.qubits[0] << "] -> "
-               << clbit_ref(instr.clbit) << ";\n";
+            os << "measure q[" << instr.qubits[0] << "] -> ";
+            if (split_cregs) {
+                os << "c" << instr.clbit << "[0];\n";
+            } else {
+                os << "c[" << instr.clbit << "];\n";
+            }
             continue;
         }
         os << circuit::gate_name(instr.kind);

@@ -66,6 +66,8 @@
 
 namespace caqr::serve {
 
+/// Front-end configuration. Every member has a default initializer, so
+/// partial designated initializers are complete.
 struct ServerOptions
 {
     /// Listen address; loopback by default (the tool is a compile
@@ -104,9 +106,9 @@ struct ServerOptions
     /// rejections, cache hits, drain transitions — see
     /// docs/observability.md for the schema). Empty = disabled.
     /// `start()` fails with kIoError when the path cannot be opened.
-    std::string event_log_path;
+    std::string event_log_path{};
     /// Protocol defaults for new sessions.
-    SessionOptions session;
+    SessionOptions session{};
 };
 
 /// Lifetime transport counters (monotonic; also mirrored as

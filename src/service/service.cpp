@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "circuit/dag.h"
 #include "circuit/timing.h"
@@ -866,12 +867,18 @@ requests_from_path(const std::string& path, const CompileRequest& prototype)
         }
         const fs::path base = fs::path(path).parent_path();
         std::string line;
+        bool first_line = true;
         while (std::getline(manifest, line)) {
             const auto begin = line.find_first_not_of(" \t\r");
             if (begin == std::string::npos) continue;
             const auto end = line.find_last_not_of(" \t\r");
             line = line.substr(begin, end - begin + 1);
-            if (line.empty() || line.front() == '#') continue;
+            if (std::exchange(first_line, false) &&
+                line.starts_with("OPENQASM")) {
+                files.push_back(path);  // a QASM file, not a manifest
+                break;
+            }
+            if (line.front() == '#') continue;
             fs::path entry(line);
             if (entry.is_relative()) entry = base / entry;
             files.push_back(entry.string());

@@ -244,7 +244,9 @@ struct TemplateInfo
 std::string batch_csv_header();
 std::string batch_csv_row(const CompileReport& report);
 
-/// Service-level configuration.
+/// Service-level configuration. Every member has a default initializer,
+/// so partial designated initializers (`{.num_threads = 1}`) are
+/// complete.
 struct ServiceOptions
 {
     /// Threads compiling batch entries concurrently: 1 = serial,
@@ -270,7 +272,7 @@ struct ServiceOptions
     double slow_request_ms = 0.0;
 
     /// Directory slow-request artifacts are written into ("" = CWD).
-    std::string slow_trace_dir;
+    std::string slow_trace_dir{};
 
     /// Lifetime ceiling on slow-request artifacts (rate limit — a
     /// pathologically slow workload must not fill the disk; suppressed
@@ -422,9 +424,11 @@ class Service
 /**
  * Expands @p path into one request per .qasm file, cloning
  * @p prototype for everything but name/input. A directory contributes
- * every `*.qasm` inside (sorted by filename); a manifest file
- * contributes one path per line (blank lines and `#` comments
- * skipped, relative paths resolved against the manifest's directory).
+ * every `*.qasm` inside (sorted by filename); a file whose first
+ * non-blank line starts with `OPENQASM` is itself the one input; any
+ * other file is a manifest contributing one path per line (blank lines
+ * and `#` comments skipped, relative paths resolved against the
+ * manifest's directory).
  * An empty expansion reports kInvalidArgument, a missing path
  * kNotFound.
  */

@@ -174,7 +174,11 @@ http_response(int status, const std::string& content_type,
 }
 
 EventField::EventField(std::string key, const std::string& value)
-    : key(std::move(key)), rendered("\"" + json_escape(value) + "\"") {}
+    : key(std::move(key)), rendered(1, '"')
+{
+    rendered += json_escape(value);
+    rendered += '"';
+}
 
 EventField::EventField(std::string key, const char* value)
     : EventField(std::move(key), std::string(value)) {}

@@ -2,7 +2,8 @@
  * @file
  * Fixed-size thread pool with deterministic batch evaluation.
  *
- * The pool backs the QS-CaQR candidate-evaluation engine: `map()`
+ * The pool backs the parallel engines (commuting QS-CaQR candidate
+ * scheduling, raced routing trials, shot-parallel simulation): `map()`
  * evaluates a batch of independent tasks across the workers (the
  * calling thread participates) and returns the results ordered by task
  * index, so callers see the same result vector regardless of how many

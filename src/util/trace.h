@@ -267,15 +267,6 @@ class TallySink
     void count(const char* name, double delta) { counters_[name] += delta; }
     void gauge(const char* name, double value) { gauges_[name] = value; }
 
-    /// Buffered value of one counter (0 if never counted). Lets the
-    /// owning pass derive *per-run* rates — e.g. this run's memo hit
-    /// rate — before flush() folds the counts into lifetime totals.
-    double value(const char* name) const
-    {
-        const auto it = counters_.find(name);
-        return it == counters_.end() ? 0.0 : it->second;
-    }
-
     /// Publishes the buffered values to the global registry.
     void flush();
 

@@ -2,6 +2,8 @@
 /// backends, durations, ESP.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/backend.h"
 #include "arch/calibration.h"
 #include "arch/heavy_hex.h"
@@ -21,7 +23,7 @@ TEST(HeavyHex, MumbaiHas27QubitsAnd28Links)
 
 TEST(HeavyHex, LatticeIsConnectedDegreeBounded)
 {
-    for (const auto [rows, cols] : {std::pair{2, 5}, {3, 9}, {5, 13}}) {
+    for (const auto& [rows, cols] : {std::pair{2, 5}, {3, 9}, {5, 13}}) {
         const auto g = arch::heavy_hex_lattice(rows, cols);
         EXPECT_TRUE(g.is_connected()) << rows << "x" << cols;
         EXPECT_LE(g.max_degree(), 3) << rows << "x" << cols;
@@ -137,6 +139,16 @@ TEST(Backend, ScaledHeavyHexFactory)
     const auto backend = arch::Backend::scaled_heavy_hex(64);
     EXPECT_GE(backend.num_qubits(), 64);
     EXPECT_TRUE(backend.topology().is_connected());
+}
+
+TEST(Backend, ScaledHeavyHexNameMatchesQubitCount)
+{
+    for (int demand : {27, 64, 127, 433}) {
+        const auto backend = arch::Backend::scaled_heavy_hex(demand, 1);
+        EXPECT_EQ(backend.name(),
+                  "HeavyHex" + std::to_string(backend.num_qubits()))
+            << "demand " << demand;
+    }
 }
 
 }  // namespace

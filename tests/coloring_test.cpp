@@ -108,7 +108,9 @@ TEST_P(ColoringProperty, ProperAndOrdered)
     EXPECT_LE(exact.num_colors, greedy.num_colors);
     // Chromatic number is at least clique-ish lower bound: any edge
     // forces 2 colors.
-    if (g.num_edges() > 0) EXPECT_GE(exact.num_colors, 2);
+    if (g.num_edges() > 0) {
+        EXPECT_GE(exact.num_colors, 2);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, ColoringProperty,

@@ -1,10 +1,12 @@
 /// Tests for the gate-dependency DAG: structure, depth/duration,
-/// criticality, the reuse legality queries it backs, and the
-/// incremental transitive-closure maintenance used by the QS-CaQR
-/// evaluation engine.
+/// criticality, and the reuse legality and splice-cost fast paths it
+/// backs, checked against the transitive closure and an explicitly
+/// extended DAG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,7 +14,6 @@
 #include "circuit/dag.h"
 #include "circuit/timing.h"
 #include "core/reuse_analysis.h"
-#include "core/reuse_transform.h"
 #include "graph/digraph.h"
 #include "util/rng.h"
 
@@ -128,25 +129,38 @@ TEST(Dag, NodesOnQubit)
     EXPECT_EQ(dag.nodes_on_qubit(1), (std::vector<int>{1, 2}));
 }
 
-TEST(Dag, QubitsShareGate)
+TEST(Dag, SharedGateReachesBothWays)
 {
     Circuit c(3, 0);
     c.cx(0, 1);
     CircuitDag dag(c);
-    EXPECT_TRUE(dag.qubits_share_gate(0, 1));
-    EXPECT_TRUE(dag.qubits_share_gate(1, 0));
-    EXPECT_FALSE(dag.qubits_share_gate(0, 2));
+    EXPECT_TRUE(dag.qubit_reaches(0, 1));
+    EXPECT_TRUE(dag.qubit_reaches(1, 0));
+    EXPECT_FALSE(dag.qubit_reaches(0, 2));
+    EXPECT_FALSE(dag.qubit_reaches(2, 0));
 }
 
-TEST(Dag, QubitDependsOnTransitively)
+TEST(Dag, QubitReachesTransitively)
 {
     // Fig 7-style: g(q0,q1), g(q1,q2): ops on q2 depend on ops on q0.
     Circuit c(3, 0);
     c.cx(0, 1);
     c.cx(1, 2);
     CircuitDag dag(c);
-    EXPECT_TRUE(dag.qubit_depends_on(2, 0));
-    EXPECT_FALSE(dag.qubit_depends_on(0, 2));
+    EXPECT_TRUE(dag.qubit_reaches(0, 2));
+    EXPECT_FALSE(dag.qubit_reaches(2, 0));
+}
+
+TEST(Dag, QubitReachesThroughClbits)
+{
+    // measure q0 -> c0, then x_if(q1, c0): q1 depends on q0 without a
+    // shared gate.
+    Circuit c(2, 1);
+    c.measure(0, 0);
+    c.x_if(1, 0, 1);
+    CircuitDag dag(c);
+    EXPECT_TRUE(dag.qubit_reaches(0, 1));
+    EXPECT_FALSE(dag.qubit_reaches(1, 0));
 }
 
 TEST(Dag, CriticalNodes)
@@ -163,16 +177,17 @@ TEST(Dag, CriticalNodes)
     EXPECT_FALSE(critical[2]);
 }
 
-TEST(Dag, ReuseCriticalPathAddsDummy)
+TEST(SpliceTiming, ClosedFormAddsDummy)
 {
     // Two independent wires; reusing q0's wire for q1 serializes them.
     Circuit c(2, 0);
     c.h(0);
     c.h(1);
     CircuitDag dag(c);
-    UnitDepthModel unit;
-    EXPECT_DOUBLE_EQ(dag.reuse_critical_path(0, 1, unit, 1.0), 3.0);
-    EXPECT_DOUBLE_EQ(dag.reuse_critical_path(0, 1, unit, 0.0), 2.0);
+    const auto timing = core::splice_timing(dag, UnitDepthModel{});
+    EXPECT_DOUBLE_EQ(timing.critical_path, 1.0);
+    EXPECT_DOUBLE_EQ(timing.spliced_critical_path({0, 1}, 1.0), 3.0);
+    EXPECT_DOUBLE_EQ(timing.spliced_critical_path({0, 1}, 0.0), 2.0);
 }
 
 TEST(Dag, BvStructureMatchesPaper)
@@ -186,148 +201,171 @@ TEST(Dag, BvStructureMatchesPaper)
 }
 
 // ---------------------------------------------------------------------
-// Incremental reachability
+// Fast paths vs their slow oracles
 // ---------------------------------------------------------------------
 
-TEST(ClosureAddEdge, MatchesRecomputeOnRandomDags)
-{
-    // Grow random DAGs (edges only i -> j with i < j, so acyclic by
-    // construction) one edge at a time, updating the closure in place,
-    // and check it stays identical to a from-scratch recompute.
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        util::Rng rng(seed);
-        const int n = 20;
-        graph::Digraph graph(n);
-        auto closure = graph.transitive_closure();
+namespace oracle {
 
-        std::vector<std::pair<int, int>> edges;
-        for (int i = 0; i < n; ++i) {
-            for (int j = i + 1; j < n; ++j) {
-                if (rng.next_bool(0.15)) edges.push_back({i, j});
+/// Seeded random circuit over @p qubits qubits: 1q/2q gates, measures
+/// into a small shared clbit pool, x_if conditions and occasional
+/// barriers.
+Circuit
+random_circuit(util::Rng& rng, int qubits)
+{
+    const int clbits = std::max(1, qubits / 4);
+    Circuit c(qubits, clbits);
+    const int gates = rng.next_int(qubits, 5 * qubits);
+    for (int g = 0; g < gates; ++g) {
+        const int q = rng.next_int(0, qubits - 1);
+        const int kind = rng.next_int(0, 19);
+        if (kind < 6) {
+            c.h(q);
+        } else if (kind < 13 && qubits > 1) {
+            const int r = rng.next_int(0, qubits - 2);
+            c.cx(q, r >= q ? r + 1 : r);
+        } else if (kind < 16) {
+            c.measure(q, rng.next_int(0, clbits - 1));
+        } else if (kind < 19) {
+            c.x_if(q, rng.next_int(0, clbits - 1), 1);
+        } else {
+            c.barrier();
+        }
+    }
+    return c;
+}
+
+/// reaches[a][b] = some gate on qubit a is, or transitively precedes,
+/// a gate on qubit b — computed from the full node-level transitive
+/// closure.
+std::vector<std::vector<bool>>
+qubit_reachability(const CircuitDag& dag)
+{
+    const Circuit& c = dag.circuit();
+    const auto n = static_cast<std::size_t>(c.num_qubits());
+    const auto closure = dag.graph().transitive_closure();
+    std::vector<std::vector<bool>> reaches(n, std::vector<bool>(n, false));
+    for (std::size_t a = 0; a < c.size(); ++a) {
+        for (std::size_t b = 0; b < c.size(); ++b) {
+            if (a != b &&
+                !graph::Digraph::closure_bit(closure[a],
+                                             static_cast<int>(b))) {
+                continue;
+            }
+            if (c.at(a).kind == circuit::GateKind::kBarrier ||
+                c.at(b).kind == circuit::GateKind::kBarrier) {
+                continue;
+            }
+            for (int qa : c.at(a).qubits) {
+                for (int qb : c.at(b).qubits) reaches[qa][qb] = true;
             }
         }
-        rng.shuffle(edges);
-        for (const auto& [u, v] : edges) {
-            graph.add_edge(u, v);
-            graph::Digraph::closure_add_edge(closure, u, v);
-            ASSERT_EQ(closure, graph.transitive_closure())
-                << "seed " << seed << " after edge " << u << "->" << v;
+    }
+    return reaches;
+}
+
+void
+expect_matches_closure(const Circuit& c, const std::string& context)
+{
+    CircuitDag dag(c);
+    const auto reaches = qubit_reachability(dag);
+    std::vector<core::ReusePair> valid_pairs;
+    for (int a = 0; a < c.num_qubits(); ++a) {
+        for (int b = 0; b < c.num_qubits(); ++b) {
+            ASSERT_EQ(dag.qubit_reaches(a, b), reaches[a][b])
+                << context << " qubits " << a << " -> " << b;
+            const bool valid = a != b && !dag.nodes_on_qubit(a).empty() &&
+                               !dag.nodes_on_qubit(b).empty() &&
+                               !reaches[b][a];
+            ASSERT_EQ(core::is_valid_reuse_pair(dag, a, b), valid)
+                << context << " pair " << a << " -> " << b;
+            if (valid) valid_pairs.push_back(core::ReusePair{a, b});
         }
     }
+    EXPECT_EQ(core::find_reuse_pairs(dag), valid_pairs) << context;
 }
 
-TEST(ClosureAddEdge, PropagatesThroughChains)
+}  // namespace oracle
+
+TEST(WireReachability, MatchesClosureOnSmallRandomCircuits)
 {
-    // 0 -> 1 and 2 -> 3 exist; adding 1 -> 2 must connect all four.
-    graph::Digraph graph(4);
-    graph.add_edge(0, 1);
-    graph.add_edge(2, 3);
-    auto closure = graph.transitive_closure();
-    graph.add_edge(1, 2);
-    graph::Digraph::closure_add_edge(closure, 1, 2);
-    EXPECT_TRUE(graph::Digraph::closure_bit(closure[0], 3));
-    EXPECT_TRUE(graph::Digraph::closure_bit(closure[0], 2));
-    EXPECT_TRUE(graph::Digraph::closure_bit(closure[1], 3));
-    EXPECT_FALSE(graph::Digraph::closure_bit(closure[3], 0));
-    EXPECT_EQ(closure, graph.transitive_closure());
-}
-
-namespace incremental {
-
-/// Applies @p pair to @p dag, carrying the closure across the splice,
-/// and checks the seeded closure of the transformed circuit equals a
-/// from-scratch recompute. Returns the transformed circuit.
-Circuit
-check_seeded_splice(CircuitDag& dag, core::ReusePair pair)
-{
-    auto transformed = core::apply_reuse(dag, pair);
-    auto carried = dag.take_closure();
-
-    Circuit next = transformed.circuit;
-    CircuitDag seeded(next);
-    seeded.seed_closure(carried, transformed.node_map);
-    EXPECT_EQ(seeded.closure(), seeded.graph().transitive_closure());
-    return next;
-}
-
-}  // namespace incremental
-
-TEST(SeedClosure, MatchesFreshOnMeasuredSource)
-{
-    // Source wire ends in a measurement: the splice inserts only the
-    // conditional-X reset.
-    Circuit c(2, 2);
-    c.h(0);
-    c.measure(0, 0);
-    c.h(1);
-    c.measure(1, 1);
-    CircuitDag dag(c);
-    const auto pairs = core::find_reuse_pairs(dag);
-    ASSERT_FALSE(pairs.empty());
-    incremental::check_seeded_splice(dag, pairs.front());
-}
-
-TEST(SeedClosure, MatchesFreshOnScratchClbitSource)
-{
-    // Source wire never measured: the splice adds a scratch clbit and a
-    // measurement before the reset.
-    Circuit c(2, 1);
-    c.h(0);
-    c.z(0);
-    c.h(1);
-    c.measure(1, 0);
-    CircuitDag dag(c);
-    bool checked = false;
-    for (const auto& pair : core::find_reuse_pairs(dag)) {
-        CircuitDag fresh(c);
-        incremental::check_seeded_splice(fresh, pair);
-        checked = true;
-    }
-    ASSERT_TRUE(checked);
-}
-
-TEST(SeedClosure, MatchesFreshAcrossChainedSplices)
-{
-    // BV reduces all the way down; verify the carried closure at every
-    // step of the chain, mimicking the QS-CaQR sweep loop.
-    Circuit current = apps::bv_circuit(6);
-    for (int step = 0; step < 4; ++step) {
-        CircuitDag dag(current);
-        const auto pairs = core::find_reuse_pairs(dag);
-        ASSERT_FALSE(pairs.empty()) << "step " << step;
-        current = incremental::check_seeded_splice(dag, pairs.front());
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        util::Rng rng(seed);
+        const Circuit c = oracle::random_circuit(rng, rng.next_int(2, 12));
+        oracle::expect_matches_closure(c, "seed " + std::to_string(seed));
     }
 }
 
-TEST(SeedClosure, MatchesFreshOnRandomCircuits)
+TEST(WireReachability, MatchesClosureOnLargeRandomCircuits)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        util::Rng rng(1000 + seed);
+        const Circuit c =
+            oracle::random_circuit(rng, rng.next_int(100, 140));
+        oracle::expect_matches_closure(c, "seed " + std::to_string(seed));
+    }
+}
+
+TEST(WireReachability, TrailingBarrierDoesNotJoinFinishedQubits)
+{
+    // q0's only gate precedes the barrier, so nothing after it joins
+    // q0's past: reading q0's set at the end of the circuit instead of
+    // at its last gate would wrongly reject (q0 -> q1).
+    Circuit c(3, 0);
+    c.h(0);
+    c.h(1);
+    c.h(2);
+    c.barrier();
+    c.x(1);
+    c.barrier();
+    CircuitDag dag(c);
+    EXPECT_FALSE(dag.qubit_reaches(1, 0));
+    EXPECT_TRUE(dag.qubit_reaches(0, 1));
+    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 2, 1));
+    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 1, 0));
+    // Both untouched by the second barrier: either order is legal.
+    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 2));
+    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 2, 0));
+    oracle::expect_matches_closure(c, "trailing barrier");
+}
+
+TEST(SpliceTiming, MatchesExtendedDagLongestPath)
+{
+    // For every valid pair, the closed form equals the critical path of
+    // the DAG extended with an explicit measure/reset dummy node.
+    const LogicalDurations durations;
+    const UnitDepthModel unit;
+    const double dummy_duration =
+        LogicalDurations::kMeasure + LogicalDurations::kConditionedGate;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
         util::Rng rng(seed);
-        const int qubits = rng.next_int(3, 5);
-        Circuit c(qubits, qubits);
-        const int gates = rng.next_int(8, 20);
-        for (int g = 0; g < gates; ++g) {
-            const int q = rng.next_int(0, qubits - 1);
-            switch (rng.next_int(0, 3)) {
-            case 0: c.h(q); break;
-            case 1: c.x(q); break;
-            case 2: c.z(q); break;
-            default: {
-                const int r = rng.next_int(0, qubits - 2);
-                c.cx(q, r >= q ? r + 1 : r);
-                break;
-            }
-            }
-        }
-        // Measure a random subset so some wires end in a measurement
-        // (existing-clbit splice) and some do not (scratch-clbit splice).
-        for (int q = 0; q < qubits; ++q) {
-            if (rng.next_bool(0.6)) c.measure(q, q);
-        }
+        const Circuit c = oracle::random_circuit(rng, rng.next_int(2, 12));
         CircuitDag dag(c);
-        for (const auto& pair : core::find_reuse_pairs(dag)) {
-            CircuitDag fresh(c);
-            incremental::check_seeded_splice(fresh, pair);
+        for (const auto& [model, dummy_weight] :
+             {std::pair<const circuit::DurationModel*, double>{&unit, 1.0},
+              {&durations, dummy_duration}}) {
+            const auto timing = core::splice_timing(dag, *model);
+            std::vector<double> weights;
+            for (const auto& instr : c.instructions()) {
+                weights.push_back(model->duration(instr));
+            }
+            weights.push_back(dummy_weight);
+            for (const auto& pair : core::find_reuse_pairs(dag)) {
+                graph::Digraph extended = dag.graph();
+                const int dummy = extended.add_node();
+                for (int node : dag.nodes_on_qubit(pair.source)) {
+                    extended.add_edge(node, dummy);
+                }
+                for (int node : dag.nodes_on_qubit(pair.target)) {
+                    extended.add_edge(dummy, node);
+                }
+                ASSERT_FALSE(extended.has_cycle());
+                EXPECT_DOUBLE_EQ(
+                    timing.spliced_critical_path(pair, dummy_weight),
+                    extended.critical_path(weights))
+                    << "seed " << seed << " pair " << pair.source << " -> "
+                    << pair.target;
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 /// Tests for QS-CaQR: regular budget sweeps, the commuting (QAOA)
 /// variant with coloring bound, scheduling, and semantics checks, and
-/// thread-count independence of the parallel evaluation engine.
+/// thread-count independence of the commuting evaluation engine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +10,6 @@
 #include "core/commuting.h"
 #include "core/qs_caqr.h"
 #include "graph/generators.h"
-#include "qasm/parser.h"
 #include "qasm/printer.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -221,7 +220,9 @@ TEST(CommutingSchedule, ReusedQaoaKeepsEnergy)
     const double plain_energy =
         apps::maxcut_expectation(plain_counts, spec.interaction);
 
-    auto qs = core::qs_caqr_commuting_or(spec, {.target_qubits = 4}).value();
+    core::QsCommutingOptions options;
+    options.target_qubits = 4;
+    auto qs = core::qs_caqr_commuting_or(spec, options).value();
     const auto& reused = qs.versions.back();
     ASSERT_LT(reused.qubits, 7);
     const auto reused_counts = sim::simulate(reused.schedule.circuit,
@@ -259,8 +260,9 @@ TEST(QsCommuting, VersionsShrinkMonotonically)
 TEST(QsCommuting, TargetRespected)
 {
     CommutingSpec spec = make_spec(10, 0.3, 5);
-    const auto result =
-        core::qs_caqr_commuting_or(spec, {.target_qubits = 6}).value();
+    core::QsCommutingOptions options;
+    options.target_qubits = 6;
+    const auto result = core::qs_caqr_commuting_or(spec, options).value();
     EXPECT_TRUE(result.reached_target);
     EXPECT_EQ(result.versions.back().qubits, 6);
 }
@@ -279,77 +281,8 @@ TEST(QsCommuting, EveryVersionSchedulesAllGates)
 }
 
 // ---------------------------------------------------------------------
-// Thread-count independence of the evaluation engine
+// Thread-count independence of the commuting evaluation engine
 // ---------------------------------------------------------------------
-
-/// Asserts two qs_caqr results are bit-identical: same version
-/// sequence, same chosen pairs, same emitted circuits.
-void
-expect_identical_results(const core::QsCaqrResult& a,
-                         const core::QsCaqrResult& b,
-                         const std::string& context)
-{
-    ASSERT_EQ(a.versions.size(), b.versions.size()) << context;
-    EXPECT_EQ(a.reached_target, b.reached_target) << context;
-    for (std::size_t i = 0; i < a.versions.size(); ++i) {
-        const auto& va = a.versions[i];
-        const auto& vb = b.versions[i];
-        EXPECT_EQ(va.qubits, vb.qubits) << context << " version " << i;
-        EXPECT_EQ(va.depth, vb.depth) << context << " version " << i;
-        EXPECT_EQ(va.duration_dt, vb.duration_dt)
-            << context << " version " << i;
-        EXPECT_EQ(va.orig_of, vb.orig_of) << context << " version " << i;
-        ASSERT_EQ(va.applied.size(), vb.applied.size())
-            << context << " version " << i;
-        for (std::size_t p = 0; p < va.applied.size(); ++p) {
-            EXPECT_EQ(va.applied[p].source, vb.applied[p].source)
-                << context << " version " << i << " pair " << p;
-            EXPECT_EQ(va.applied[p].target, vb.applied[p].target)
-                << context << " version " << i << " pair " << p;
-        }
-        EXPECT_EQ(qasm::to_qasm(va.circuit), qasm::to_qasm(vb.circuit))
-            << context << " version " << i;
-    }
-}
-
-TEST(QsCaqrDeterminism, ThreadCountDoesNotChangeCorpusResults)
-{
-    // The engine's contract: identical version sequences for any thread
-    // count (serial, fixed, and one-per-hardware-thread).
-    for (const auto& name : apps::regular_benchmark_names()) {
-        const std::string path =
-            std::string(CAQR_CIRCUITS_DIR) + "/" + name + ".qasm";
-        const auto parsed = qasm::parse_file(path);
-        ASSERT_TRUE(parsed.ok()) << path << ": " << parsed.error;
-
-        core::QsCaqrOptions serial;
-        serial.num_threads = 1;
-        const auto baseline = core::qs_caqr_or(*parsed.circuit, serial).value();
-
-        for (int threads : {2, 4, 0}) {
-            core::QsCaqrOptions options;
-            options.num_threads = threads;
-            const auto result = core::qs_caqr_or(*parsed.circuit, options).value();
-            expect_identical_results(
-                baseline, result,
-                name + " threads=" + std::to_string(threads));
-        }
-    }
-}
-
-TEST(QsCaqrDeterminism, ThreadCountDoesNotChangeDepthMetricResults)
-{
-    core::QsCaqrOptions serial;
-    serial.metric = core::ReuseMetric::kDepth;
-    serial.num_threads = 1;
-    const auto circuit = apps::bv_circuit(10);
-    const auto baseline = core::qs_caqr_or(circuit, serial).value();
-
-    core::QsCaqrOptions parallel = serial;
-    parallel.num_threads = 4;
-    expect_identical_results(baseline, core::qs_caqr_or(circuit, parallel).value(),
-                             "bv_10 depth metric");
-}
 
 TEST(QsCommutingDeterminism, ThreadCountDoesNotChangeResults)
 {

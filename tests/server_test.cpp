@@ -210,7 +210,7 @@ TEST(ServerFaults, MalformedFramesKeepServing)
     TestServer ts;
     auto client = ts.client();
 
-    for (const std::string bad :
+    for (const std::string& bad :
          {std::string("bogus command"), std::string("compile"),
           std::string("set banana split"),
           std::string("\x01\x02\x7f binary"),

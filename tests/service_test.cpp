@@ -4,8 +4,8 @@
  * the status envelope, golden QASM-in -> report-out compilation,
  * batch determinism across thread counts, backend-cache reuse
  * (asserted via the service.cache_* trace counters), manifest
- * expansion, and the qasm_tool exit-code regression for unreadable
- * input.
+ * expansion, and the qasm_tool exit-code regressions for unreadable
+ * input and single-file batches.
  */
 #include <gtest/gtest.h>
 
@@ -259,6 +259,16 @@ TEST(RequestsFromPath, DirectoryIsSortedAndManifestFiltersComments)
     const auto missing = requests_from_path("/nonexistent/nowhere", {});
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
+}
+
+TEST(RequestsFromPath, QasmFileIsOneInput)
+{
+    // A QASM file is not a manifest: its source lines are not paths.
+    const std::string path = circuits_dir() + "/bv_10.qasm";
+    const auto requests = requests_from_path(path, {});
+    ASSERT_TRUE(requests.ok()) << requests.status().to_string();
+    ASSERT_EQ(requests->size(), 1u);
+    EXPECT_EQ((*requests)[0].qasm_file, path);
 }
 
 /// Drives `qasm_tool --serve` through a pipe: serve a small batch,
@@ -539,6 +549,25 @@ TEST(QasmTool, UnreadableInputExitsNonzero)
     EXPECT_NE(run(fs::temp_directory_path().string()), 0);  // directory
     EXPECT_NE(run("--batch /nonexistent/nowhere"), 0);
     EXPECT_EQ(run(circuits_dir() + "/bv_10.qasm"), 0);
+}
+
+TEST(QasmTool, BatchOfOneQasmFileCompiles)
+{
+    const fs::path dir = fs::temp_directory_path() / "caqr_batch_one_test";
+    fs::create_directories(dir);
+    const std::string out = (dir / "one").string();
+    const std::string command = std::string(CAQR_QASM_TOOL_BIN) +
+                                " --batch " + circuits_dir() +
+                                "/bv_10.qasm --out " + out +
+                                " >/dev/null 2>&1";
+    EXPECT_EQ(std::system(command.c_str()), 0);
+
+    std::ifstream csv(out + ".csv");
+    std::string line;
+    int rows = 0;
+    while (std::getline(csv, line)) ++rows;
+    EXPECT_EQ(rows, 2);  // header + bv_10
+    fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-/// Tests for the fixed-size thread pool behind the QS-CaQR
-/// candidate-evaluation engine: task execution, deterministic result
+/// Tests for the fixed-size thread pool behind the parallel engines:
+/// task execution, deterministic result
 /// ordering, exception propagation, batch reuse, and clean shutdown.
 #include <gtest/gtest.h>
 
