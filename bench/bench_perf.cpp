@@ -5,8 +5,9 @@
  *
  * Runs a fixed corpus — every `.qasm` in circuits/ under the baseline,
  * QS-CaQR, and SR-CaQR strategies, two synthetic QAOA commuting
- * workloads under QS-CaQR-commuting, and two simulator-backed entries
- * (single-threaded and shot-parallel) —
+ * workloads under QS-CaQR-commuting, two simulator-backed entries
+ * (single-threaded and shot-parallel), and a device-scale tier of
+ * generated BV circuits on heavy-hex 127/433 —
  * through one `caqr::Service` with warmup + repeat sampling, and
  * emits a schema-versioned `BENCH_caqr.json`:
  *
@@ -37,8 +38,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "apps/benchmarks.h"
 #include "core/commuting.h"
 #include "graph/generators.h"
 #include "service/service.h"
@@ -130,8 +133,9 @@ simulate_stage_ms(const CompileReport& report)
 
 /// The fixed corpus: every circuits/*.qasm x {baseline, qs_caqr,
 /// sr_caqr}, two synthetic QAOA interaction graphs under
-/// qs_commuting, and bv_10 with the shot simulator attached at one
-/// and eight threads.
+/// qs_commuting, bv_10 with the shot simulator attached at one and
+/// eight threads, multiply_13 routed with 32 trials at one and eight
+/// threads, and generated BV-127/BV-400 on scaled heavy-hex.
 std::vector<BenchCase>
 build_corpus(const std::string& corpus_dir, const std::string& backend)
 {
@@ -217,6 +221,31 @@ build_corpus(const std::string& corpus_dir, const std::string& backend)
         entry.request.qasm_file = corpus_dir + "/multiply_13.qasm";
         entry.request.transpile.trials = 32;
         entry.request.transpile.num_threads = threads;
+        cases.push_back(std::move(entry));
+    }
+
+    // Device-scale tier: generated BV circuits on scaled heavy-hex,
+    // where layout seeding and SR-CaQR placement grow with the device.
+    // The secret sets every third bit, so most data qubits share no
+    // gate and each one is placed as a fresh seed.
+    for (const auto& [qubits, strategy, device] :
+         {std::tuple<int, Strategy, const char*>{127, Strategy::kBaseline,
+                                                 "heavy_hex:127"},
+          std::tuple<int, Strategy, const char*>{127, Strategy::kSrCaqr,
+                                                 "heavy_hex:127"},
+          std::tuple<int, Strategy, const char*>{400, Strategy::kBaseline,
+                                                 "heavy_hex:433"}}) {
+        std::vector<int> secret(static_cast<std::size_t>(qubits - 1));
+        for (std::size_t i = 0; i < secret.size(); ++i) {
+            secret[i] = i % 3 == 0 ? 1 : 0;
+        }
+        BenchCase entry;
+        entry.name = "bv_" + std::to_string(qubits);
+        entry.request = prototype;
+        entry.request.name = entry.name;
+        entry.request.strategy = strategy;
+        entry.request.backend = device;
+        entry.request.circuit = apps::bv_circuit(qubits, secret);
         cases.push_back(std::move(entry));
     }
 

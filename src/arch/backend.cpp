@@ -20,6 +20,20 @@ Backend::Backend(std::string name, graph::UndirectedGraph topology,
 {
     CAQR_CHECK(calibration_.num_qubits() == topology_.num_nodes(),
                "calibration does not cover the topology");
+    const int n = num_qubits();
+    total_distance_.assign(static_cast<std::size_t>(n), 0);
+    best_cx_error_.assign(static_cast<std::size_t>(n), 1.0);
+    for (int q = 0; q < n; ++q) {
+        for (int d : distances_[static_cast<std::size_t>(q)]) {
+            total_distance_[q] += d < 0 ? n : d;
+        }
+        for (int nb : topology_.neighbors(q)) {
+            if (calibration_.has_link(q, nb)) {
+                best_cx_error_[q] = std::min(
+                    best_cx_error_[q], calibration_.link(q, nb).cx_error);
+            }
+        }
+    }
 }
 
 Backend
@@ -49,6 +63,20 @@ Backend::distance(int a, int b) const
                "physical qubit id out of range");
     return distances_[static_cast<std::size_t>(a)]
                      [static_cast<std::size_t>(b)];
+}
+
+long long
+Backend::total_distance(int q) const
+{
+    CAQR_CHECK(q >= 0 && q < num_qubits(), "physical qubit id out of range");
+    return total_distance_[static_cast<std::size_t>(q)];
+}
+
+double
+Backend::best_incident_cx_error(int q) const
+{
+    CAQR_CHECK(q >= 0 && q < num_qubits(), "physical qubit id out of range");
+    return best_cx_error_[static_cast<std::size_t>(q)];
 }
 
 double

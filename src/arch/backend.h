@@ -17,7 +17,10 @@
 
 namespace caqr::arch {
 
-/// A quantum device model: coupling graph + calibration + distances.
+/// A quantum device model: coupling graph + calibration + distances,
+/// plus per-qubit placement tables derived from them at construction.
+/// The calibration is exposed only as `const`, so the tables never go
+/// stale.
 class Backend
 {
   public:
@@ -38,6 +41,16 @@ class Backend
     /// Hop distance between physical qubits (precomputed APSP).
     int distance(int a, int b) const;
 
+    /// Sum of hop distances from @p q to every qubit, an unreachable
+    /// one counting as num_qubits(). Lower = more central; layout and
+    /// SR-CaQR seed placement read it instead of summing a row of the
+    /// distance matrix per candidate.
+    long long total_distance(int q) const;
+
+    /// Lowest CX error among the calibrated links incident to @p q;
+    /// 1.0 if it has none.
+    double best_incident_cx_error(int q) const;
+
     /// True if @p a and @p b share a physical link.
     bool
     are_adjacent(int a, int b) const
@@ -50,6 +63,8 @@ class Backend
     graph::UndirectedGraph topology_;
     Calibration calibration_;
     std::vector<std::vector<int>> distances_;
+    std::vector<long long> total_distance_;
+    std::vector<double> best_cx_error_;
 };
 
 /**

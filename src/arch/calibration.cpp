@@ -168,15 +168,4 @@ Calibration::load_file(const std::string& path, std::string* error)
     return deserialize(buffer.str(), error);
 }
 
-double
-Calibration::best_incident_cx_error(const graph::UndirectedGraph& topology,
-                                    int q) const
-{
-    double best = 1.0;
-    for (int nb : topology.neighbors(q)) {
-        if (has_link(q, nb)) best = std::min(best, link(q, nb).cx_error);
-    }
-    return best;
-}
-
 }  // namespace caqr::arch

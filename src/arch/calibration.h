@@ -63,10 +63,6 @@ class Calibration
     void set_qubit(int q, QubitCalibration cal);
     void set_link(int a, int b, LinkCalibration cal);
 
-    /// Best (lowest) CX error among links incident to @p q; 1.0 if none.
-    double best_incident_cx_error(const graph::UndirectedGraph& topology,
-                                  int q) const;
-
     /// @name Calibration snapshot I/O
     /// The paper consumes "real calibration data exported from the IBM
     /// systems"; these serialize the same fields in a line-oriented

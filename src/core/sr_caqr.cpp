@@ -23,10 +23,59 @@ using circuit::Circuit;
 using circuit::GateKind;
 using circuit::Instruction;
 
+/// Read-only analysis of one request's circuit, built once and shared
+/// by every trial (serial or raced): the CCX-lowered circuit, its DAG
+/// and earliest/latest completion times, and per-qubit gate counts and
+/// two-qubit partners.
+struct SrPlan
+{
+    explicit SrPlan(const Circuit& input);
+    SrPlan(const SrPlan&) = delete;
+    SrPlan& operator=(const SrPlan&) = delete;
+
+    const Circuit logical;
+    const circuit::CircuitDag dag;  // over `logical`
+    std::vector<double> earliest;
+    std::vector<double> latest;
+    /// Total operation count per logical qubit (for "map the qubit with
+    /// more gates first", paper §3.3.1 Step 2).
+    std::vector<int> ops_per_qubit;
+    /// partners[q]: the other operand of every two-qubit gate on q, in
+    /// program order — one entry per gate, so repeated gates weigh
+    /// more.
+    std::vector<std::vector<int>> partners;
+};
+
+SrPlan::SrPlan(const Circuit& input)
+    : logical(transpile::decompose_ccx(input)), dag(logical)
+{
+    circuit::LogicalDurations durations;
+    std::vector<double> weights;
+    weights.reserve(logical.size());
+    for (const auto& instr : logical.instructions()) {
+        weights.push_back(durations.duration(instr));
+    }
+    earliest = dag.graph().earliest_completion(weights);
+    latest = dag.graph().latest_completion(weights);
+
+    const auto nq = static_cast<std::size_t>(logical.num_qubits());
+    ops_per_qubit.assign(nq, 0);
+    partners.resize(nq);
+    for (const auto& instr : logical.instructions()) {
+        for (int q : instr.qubits) ++ops_per_qubit[q];
+        if (!circuit::is_two_qubit(instr.kind)) continue;
+        for (int q : instr.qubits) {
+            for (int other : instr.qubits) {
+                if (other != q) partners[q].push_back(other);
+            }
+        }
+    }
+}
+
 /// Mutable compilation state for the SR-CaQR engine.
 struct SrState
 {
-    const Circuit* logical;
+    const SrPlan* plan;
     const arch::Backend* backend;
     const SrCaqrOptions* options;
 
@@ -46,19 +95,6 @@ jitter_of(const SrState& state)
 {
     if (state.jitter_rng == nullptr) return 0.0;
     return state.options->jitter * state.jitter_rng->next_double();
-}
-
-/// Total operation count per logical qubit (for "map the qubit with
-/// more gates first", paper §3.3.1 Step 2).
-std::vector<int>
-ops_per_qubit(const Circuit& circuit)
-{
-    std::vector<int> count(static_cast<std::size_t>(circuit.num_qubits()),
-                           0);
-    for (const auto& instr : circuit.instructions()) {
-        for (int q : instr.qubits) ++count[q];
-    }
-    return count;
 }
 
 /// Free physical qubits = not currently hosting a logical qubit.
@@ -82,13 +118,9 @@ pick_seed_phys(const SrState& state, int logical_q)
 
     // Future partners of logical_q that are already mapped.
     std::vector<int> partners;
-    for (const auto& instr : state.logical->instructions()) {
-        if (!circuit::is_two_qubit(instr.kind)) continue;
-        if (!instr.uses_qubit(logical_q)) continue;
-        for (int other : instr.qubits) {
-            if (other != logical_q && state.phys_of[other] >= 0) {
-                partners.push_back(state.phys_of[other]);
-            }
+    for (int other : state.plan->partners[logical_q]) {
+        if (state.phys_of[other] >= 0) {
+            partners.push_back(state.phys_of[other]);
         }
     }
 
@@ -99,13 +131,9 @@ pick_seed_phys(const SrState& state, int logical_q)
         double score;
         if (partners.empty()) {
             // No placed partner: well-connected central qubit.
-            long long total_dist = 0;
-            for (int other = 0; other < np; ++other) {
-                const int d = backend.distance(p, other);
-                total_dist += d < 0 ? np : d;
-            }
             score = topology.degree(p) -
-                    static_cast<double>(total_dist) / (np * np);
+                    static_cast<double>(backend.total_distance(p)) /
+                        (np * np);
         } else {
             // Placed partners dominate: sit as close to them as
             // possible, with connectivity as a mild tie-break.
@@ -119,8 +147,7 @@ pick_seed_phys(const SrState& state, int logical_q)
         }
         if (state.options->error_aware) {
             score -= backend.calibration().qubit(p).readout_error;
-            score -= backend.calibration().best_incident_cx_error(
-                topology, p);
+            score -= backend.best_incident_cx_error(p);
         }
         score -= jitter_of(state);
         if (score > best_score) {
@@ -144,14 +171,10 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
 
     std::vector<int> future_partners;
     if (state.options->placement_pull > 0.0) {
-        for (const auto& instr : state.logical->instructions()) {
-            if (!circuit::is_two_qubit(instr.kind)) continue;
-            if (!instr.uses_qubit(logical_q)) continue;
-            for (int other : instr.qubits) {
-                if (other != logical_q && state.phys_of[other] >= 0 &&
-                    state.phys_of[other] != partner_phys) {
-                    future_partners.push_back(state.phys_of[other]);
-                }
+        for (int other : state.plan->partners[logical_q]) {
+            if (state.phys_of[other] >= 0 &&
+                state.phys_of[other] != partner_phys) {
+                future_partners.push_back(state.phys_of[other]);
             }
         }
     }
@@ -273,7 +296,7 @@ reclaim_finished(SrState& state, const Instruction& executed,
 
 namespace {
 
-SrCaqrResult sr_caqr_single(const Circuit& input,
+SrCaqrResult sr_caqr_single(const SrPlan& plan,
                             const arch::Backend& backend,
                             const SrCaqrOptions& options);
 
@@ -316,6 +339,9 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     static constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
 
     const int trials = std::max(1, options.trials);
+    const SrPlan plan(input);
+    CAQR_CHECK(plan.logical.num_qubits() <= backend.num_qubits(),
+               "circuit does not fit the backend");
 
     // A trial's result plus its estimated success probability — ESP is
     // part of the winner selection below, so it is computed inside the
@@ -355,7 +381,7 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             variant.jitter_stream = j / 4;
         }
         TrialResult out;
-        out.result = sr_caqr_single(input, backend, variant);
+        out.result = sr_caqr_single(plan, backend, variant);
         out.esp = arch::estimated_success_probability(out.result.circuit,
                                                       backend);
         return out;
@@ -454,27 +480,18 @@ sr_caqr_or(const Circuit& logical, const arch::Backend& backend,
 namespace {
 
 SrCaqrResult
-sr_caqr_single(const Circuit& input, const arch::Backend& backend,
+sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
                const SrCaqrOptions& options)
 {
-    const Circuit logical = transpile::decompose_ccx(input);
-    CAQR_CHECK(logical.num_qubits() <= backend.num_qubits(),
-               "circuit does not fit the backend");
-
-    circuit::CircuitDag dag(logical);
-    circuit::LogicalDurations durations;
-    std::vector<double> weights;
-    weights.reserve(logical.size());
-    for (const auto& instr : logical.instructions()) {
-        weights.push_back(durations.duration(instr));
-    }
-    const auto earliest = dag.graph().earliest_completion(weights);
-    const auto latest = dag.graph().latest_completion(weights);
+    const Circuit& logical = plan.logical;
+    const circuit::CircuitDag& dag = plan.dag;
+    const auto& earliest = plan.earliest;
+    const auto& latest = plan.latest;
 
     util::Rng jitter_rng(options.seed, options.jitter_stream);
 
     SrState state;
-    state.logical = &logical;
+    state.plan = &plan;
     state.backend = &backend;
     state.options = &options;
     if (options.jitter > 0.0) state.jitter_rng = &jitter_rng;
@@ -486,7 +503,7 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
         static_cast<std::size_t>(backend.num_qubits()), -1);
     state.ever_used.assign(
         static_cast<std::size_t>(backend.num_qubits()), false);
-    state.remaining_ops = ops_per_qubit(logical);
+    state.remaining_ops = plan.ops_per_qubit;
 
     const int num_nodes = dag.graph().num_nodes();
     std::vector<int> preds_left(static_cast<std::size_t>(num_nodes));

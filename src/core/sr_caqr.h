@@ -25,10 +25,11 @@
 namespace caqr::core {
 
 /// SR-CaQR options. The embedded CommonOptions supply the per-request
-/// trace opt-out and the variant-trial thread count / borrowed pool
-/// (the pass itself is deterministic — its trials are fixed heuristic
-/// variants, not seeded perturbations, and the winner never depends on
-/// thread count).
+/// trace opt-out, the variant-trial thread count / borrowed pool, and
+/// the seed of the jitter trials. The pass is deterministic: the first
+/// 8 trials are fixed heuristic variants, trials 9 and up are jitter
+/// runs seeded from `seed` (see `trials`), and the winner never depends
+/// on thread count.
 struct SrCaqrOptions : CommonOptions
 {
     /// Break placement/SWAP ties toward lower readout / CX error.

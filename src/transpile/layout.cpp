@@ -38,17 +38,6 @@ greedy_layout(const circuit::Circuit& circuit, const arch::Backend& backend)
     Layout layout(static_cast<std::size_t>(nl), -1);
     std::vector<bool> used(static_cast<std::size_t>(np), false);
 
-    // Centrality of a physical qubit: negative total distance to all
-    // others (higher = more central).
-    auto centrality = [&](int p) {
-        long long total = 0;
-        for (int other = 0; other < np; ++other) {
-            const int d = backend.distance(p, other);
-            total += d < 0 ? np : d;
-        }
-        return -total;
-    };
-
     for (int logical : order) {
         // Collect already-placed interaction partners.
         std::vector<int> partners;
@@ -62,9 +51,11 @@ greedy_layout(const circuit::Circuit& circuit, const arch::Backend& backend)
             if (used[p]) continue;
             double score;
             if (partners.empty()) {
-                // Seed: well-connected central qubit.
+                // Seed: well-connected central qubit (lower total
+                // distance to the rest of the device).
                 score = 1000.0 * topology.degree(p) +
-                        static_cast<double>(centrality(p)) / np;
+                        static_cast<double>(-backend.total_distance(p)) /
+                            np;
             } else {
                 long long dist = 0;
                 for (int partner : partners) {

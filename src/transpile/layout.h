@@ -5,7 +5,9 @@
  * Qiskit's dense/Sabre layouts achieve — high-degree logical qubits go
  * to well-connected physical qubits near the device center, subsequent
  * qubits minimize distance to their already-placed interaction
- * partners, with calibration-aware tie-breaking.
+ * partners, with calibration-aware tie-breaking. Centrality comes
+ * from the backend's precomputed per-qubit total distance, so placing
+ * a seed costs O(device qubits), not O(device qubits²).
  */
 #ifndef CAQR_TRANSPILE_LAYOUT_H
 #define CAQR_TRANSPILE_LAYOUT_H

@@ -2,6 +2,7 @@
 /// backends, durations, ESP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "arch/backend.h"
@@ -149,6 +150,57 @@ TEST(Backend, ScaledHeavyHexNameMatchesQubitCount)
                   "HeavyHex" + std::to_string(backend.num_qubits()))
             << "demand " << demand;
     }
+}
+
+/// Checks both per-qubit placement tables against brute-force loops
+/// over the distance matrix and the link calibration.
+void
+expect_tables_match_brute_force(const arch::Backend& backend)
+{
+    const int n = backend.num_qubits();
+    const auto& cal = backend.calibration();
+    for (int q = 0; q < n; ++q) {
+        long long total = 0;
+        double best = 1.0;
+        for (int other = 0; other < n; ++other) {
+            const int d = backend.distance(q, other);
+            total += d < 0 ? n : d;
+            if (backend.are_adjacent(q, other) && cal.has_link(q, other)) {
+                best = std::min(best, cal.link(q, other).cx_error);
+            }
+        }
+        EXPECT_EQ(backend.total_distance(q), total)
+            << backend.name() << " qubit " << q;
+        EXPECT_EQ(backend.best_incident_cx_error(q), best)
+            << backend.name() << " qubit " << q;
+    }
+}
+
+TEST(Backend, PlacementTablesMatchBruteForce)
+{
+    expect_tables_match_brute_force(arch::Backend::fake_mumbai());
+    expect_tables_match_brute_force(arch::Backend::scaled_heavy_hex(127));
+}
+
+TEST(Backend, PlacementTablesOnDisconnectedTopology)
+{
+    // Two islands and an isolated qubit 4; the 2-3 link is left out of
+    // the calibration, so qubits 2 and 3 have an edge but no link.
+    graph::UndirectedGraph topology(5);
+    topology.add_edge(0, 1);
+    topology.add_edge(2, 3);
+    graph::UndirectedGraph calibrated(5);
+    calibrated.add_edge(0, 1);
+    const arch::Backend backend("split", topology,
+                                arch::Calibration::synthesize(calibrated));
+    expect_tables_match_brute_force(backend);
+    // Qubit 0 reaches qubit 1 in one hop; the other three count as 5.
+    EXPECT_EQ(backend.total_distance(0), 1 + 3 * 5);
+    EXPECT_EQ(backend.total_distance(4), 4 * 5);
+    EXPECT_EQ(backend.best_incident_cx_error(0),
+              backend.calibration().link(0, 1).cx_error);
+    EXPECT_EQ(backend.best_incident_cx_error(2), 1.0);
+    EXPECT_EQ(backend.best_incident_cx_error(4), 1.0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 /// behavior, and semantics preservation.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
 #include "arch/backend.h"
@@ -158,6 +161,71 @@ TEST(SrCaqr, WiderTrialPortfolioNeverTradesTrackedMetrics)
         const double esp_b =
             arch::estimated_success_probability(b.circuit, backend);
         EXPECT_GE(esp_b, esp_a) << name;
+    }
+}
+
+TEST(SrCaqr, DeviceScaleResultsArePinned)
+{
+    // The default 24 trials, seeded jitter trials included, on a
+    // 127-qubit device. The expected values were recorded before
+    // placement read the backend's per-qubit tables and the trials
+    // shared one analysis of the circuit; both changes must keep every
+    // decision, so these must not move.
+    const auto backend = arch::Backend::scaled_heavy_hex(127);
+
+    std::vector<int> secret(47);
+    for (std::size_t i = 0; i < secret.size(); ++i) {
+        secret[i] = i % 3 == 0 ? 1 : 0;
+    }
+    // QAOA max-cut on a ring plus 24 seeded chords.
+    constexpr int kNodes = 48;
+    graph::UndirectedGraph problem(kNodes);
+    for (int v = 0; v < kNodes; ++v) problem.add_edge(v, (v + 1) % kNodes);
+    util::Rng rng(11);
+    for (int added = 0; added < kNodes / 2;) {
+        const int u = rng.next_int(0, kNodes - 1);
+        const int v = rng.next_int(0, kNodes - 1);
+        if (u != v && problem.add_edge(u, v)) ++added;
+    }
+    apps::QaoaParams params;
+    params.gammas = {0.7};
+    params.betas = {0.3};
+    // Seeded CX gates, each repeated 1-3 times: placement must weigh a
+    // partner by its number of gates, not count it once.
+    util::Rng gate_rng(1);
+    Circuit repeated(11, 11);
+    for (int q = 0; q < 11; ++q) repeated.h(q);
+    for (int g = 0; g < 33; ++g) {
+        const int a = gate_rng.next_int(0, 10);
+        int b = gate_rng.next_int(0, 9);
+        if (b >= a) ++b;
+        const int reps = gate_rng.next_int(1, 3);
+        for (int r = 0; r < reps; ++r) repeated.cx(a, b);
+    }
+    for (int q = 0; q < 11; ++q) repeated.measure(q, q);
+
+    struct Expected
+    {
+        int swaps, qubits, depth, reuses;
+        double duration_dt;
+    };
+    const std::vector<std::tuple<const char*, Circuit, Expected>> cases = {
+        {"bv_48", apps::bv_circuit(48, secret),
+         {0, 2, 205, 46, 827638.96228607127}},
+        {"qaoa_48", apps::qaoa_circuit(problem, params),
+         {66, 18, 192, 31, 727202.5147038718}},
+        {"repeated_cx_11", repeated, {27, 9, 73, 2, 189401.27124999015}},
+    };
+    for (const auto& [name, circuit, expected] : cases) {
+        const auto result = core::sr_caqr_or(circuit, backend).value();
+        EXPECT_TRUE(
+            transpile::is_hardware_compliant(result.circuit, backend))
+            << name;
+        EXPECT_EQ(result.swaps_added, expected.swaps) << name;
+        EXPECT_EQ(result.physical_qubits_used, expected.qubits) << name;
+        EXPECT_EQ(result.depth, expected.depth) << name;
+        EXPECT_EQ(result.reuses, expected.reuses) << name;
+        EXPECT_DOUBLE_EQ(result.duration_dt, expected.duration_dt) << name;
     }
 }
 

@@ -10,6 +10,10 @@
 #include "sim/simulator.h"
 #include <atomic>
 #include <complex>
+#include <limits>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "sim/statevector.h"
 #include "transpile/decompose.h"
@@ -96,6 +100,104 @@ TEST(Layout, GreedyIsValidAndInteractionAware)
     EXPECT_TRUE(transpile::is_valid_layout(layout, bv, backend));
     // The BV ancilla (highest degree) should land on a degree-3 hub.
     EXPECT_EQ(backend.topology().degree(layout[4]), 3);
+}
+
+/// greedy_layout as it was before the backend's per-qubit tables: it
+/// recomputes each candidate's total distance over the whole device.
+transpile::Layout
+greedy_layout_brute_force(const Circuit& circuit,
+                          const arch::Backend& backend)
+{
+    const int nl = circuit.num_qubits();
+    const int np = backend.num_qubits();
+    const auto interaction = circuit.interaction_graph();
+    const auto& topology = backend.topology();
+
+    std::vector<int> order(static_cast<std::size_t>(nl));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return interaction.degree(a) > interaction.degree(b);
+    });
+
+    transpile::Layout layout(static_cast<std::size_t>(nl), -1);
+    std::vector<bool> used(static_cast<std::size_t>(np), false);
+    auto centrality = [&](int p) {
+        long long total = 0;
+        for (int other = 0; other < np; ++other) {
+            const int d = backend.distance(p, other);
+            total += d < 0 ? np : d;
+        }
+        return -total;
+    };
+    for (int logical : order) {
+        std::vector<int> partners;
+        for (int nb : interaction.neighbors(logical)) {
+            if (layout[nb] >= 0) partners.push_back(layout[nb]);
+        }
+        int best = -1;
+        double best_score = -std::numeric_limits<double>::infinity();
+        for (int p = 0; p < np; ++p) {
+            if (used[p]) continue;
+            double score;
+            if (partners.empty()) {
+                score = 1000.0 * topology.degree(p) +
+                        static_cast<double>(centrality(p)) / np;
+            } else {
+                long long dist = 0;
+                for (int partner : partners) {
+                    const int d = backend.distance(p, partner);
+                    dist += d < 0 ? np : d;
+                }
+                score = -static_cast<double>(dist) * 1000.0 +
+                        topology.degree(p);
+            }
+            score -= backend.calibration().qubit(p).readout_error;
+            if (score > best_score) {
+                best_score = score;
+                best = p;
+            }
+        }
+        layout[logical] = best;
+        used[best] = true;
+    }
+    return layout;
+}
+
+TEST(Layout, GreedyMatchesBruteForceCentrality)
+{
+    // Secrets with many 0 bits leave most data qubits without a
+    // partner, so nearly every placement is a seed scored by
+    // centrality.
+    auto sparse = [](int n) {
+        std::vector<int> bits(static_cast<std::size_t>(n - 1), 0);
+        for (std::size_t i = 0; i < bits.size(); i += 5) bits[i] = 1;
+        return bits;
+    };
+    // Two interacting groups and idle qubits: a disconnected
+    // interaction graph, so each component starts from a new seed.
+    Circuit split(12, 0);
+    split.cx(0, 1);
+    split.cx(1, 2);
+    split.cx(5, 6);
+    split.cx(6, 7);
+    split.cx(5, 7);
+
+    const auto mumbai = arch::Backend::fake_mumbai();
+    const auto large = arch::Backend::scaled_heavy_hex(433);
+    const std::vector<std::pair<Circuit, const arch::Backend*>> cases = {
+        {apps::bv_circuit(20, sparse(20)), &mumbai},
+        {apps::cc_circuit(24, sparse(24)), &mumbai},
+        {split, &mumbai},
+        {apps::bv_circuit(400, sparse(400)), &large},
+        {apps::cc_circuit(300, sparse(300)), &large},
+        {split, &large},
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const auto& [circuit, backend] = cases[i];
+        EXPECT_EQ(transpile::greedy_layout(circuit, *backend),
+                  greedy_layout_brute_force(circuit, *backend))
+            << "case " << i;
+    }
 }
 
 TEST(Router, AlreadyCompliantCircuitNeedsNoSwaps)
