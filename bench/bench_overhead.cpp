@@ -7,11 +7,11 @@
  * in practice.
  *
  * The binary first asserts that the trace layer costs nothing when
- * disabled (< 2% on the candidate-evaluation hot loop, reported on
- * stderr; a failure makes the process exit non-zero), then runs the
- * google-benchmark scaling study. One instrumented run leaves
- * `bench_overhead.trace.json` and `bench_overhead.metrics.csv` in the
- * working directory.
+ * disabled (< 2% on QS-CaQR compiles, reported on stderr; a failure
+ * makes the process exit non-zero), then runs the google-benchmark
+ * scaling study. One instrumented run leaves `bench_overhead.trace.json`
+ * (spans) and `bench_overhead.metrics.csv` (the metrics registry) in
+ * the working directory.
  */
 #include <benchmark/benchmark.h>
 
@@ -24,6 +24,7 @@
 #include "core/qs_caqr.h"
 #include "core/sr_caqr.h"
 #include "graph/generators.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/trace.h"
@@ -49,17 +50,16 @@ time_qs_caqr_ms(const circuit::Circuit& circuit, int runs)
 // Disabled-mode instrumentation overhead assertion
 // ---------------------------------------------------------------------
 
-/// The trace layer claims zero cost when disabled: the candidate-
-/// evaluation hot loop then runs the compile-time NullSink
-/// instantiation, which is the exact pre-instrumentation code. Checked
-/// empirically with interleaved median-of-k timings: the disabled path
-/// must not be slower than the enabled path (which does strictly more
-/// work — clock reads, counter tallies, span records) beyond a 2%
-/// noise margin. Medians (not single best-of samples) keep the gate
-/// stable on loaded CI machines, where one descheduled run used to
-/// flip the verdict. One BV_32 search takes only a few milliseconds,
-/// so each sample times a batch of runs to stay well above timer and
-/// scheduler noise.
+/// The trace layer claims zero cost when disabled: spans are inert (no
+/// clock reads) and the pass counters are tallied in local integers
+/// either way, published once per sweep. Checked empirically with
+/// interleaved median-of-k timings: the disabled path must not be
+/// slower than the enabled path (which does strictly more work — clock
+/// reads and span records) beyond a 2% noise margin. Medians (not
+/// single best-of samples) keep the gate stable on loaded CI machines,
+/// where one descheduled run used to flip the verdict. One BV_32
+/// search takes only a few milliseconds, so each sample times a batch
+/// of runs to stay well above timer and scheduler noise.
 bool
 run_overhead_check()
 {
@@ -90,7 +90,8 @@ run_overhead_check()
         auto result = core::qs_caqr_or(circuit).value();
         benchmark::DoNotOptimize(result.versions.size());
     }
-    util::trace::write_run_artifacts("bench_overhead");
+    util::trace::write_run_artifacts("bench_overhead",
+                                     util::metrics::global().snapshot());
     util::trace::set_enabled(false);
     util::trace::reset();
 

@@ -190,7 +190,8 @@ run_batch(const std::string& batch_path, const std::string& strategy_name,
     }
     table.print(std::cout);
 
-    if (!util::trace::write_run_artifacts(out)) {
+    const auto metrics = service.metrics_snapshot();
+    if (!util::trace::write_run_artifacts(out, metrics)) {
         std::cerr << "error: cannot write trace artifacts '" << out
                   << ".trace.json'\n";
         return 1;
@@ -199,10 +200,14 @@ run_batch(const std::string& batch_path, const std::string& strategy_name,
         std::cout << "timing columns: per-stage median of " << repeat
                   << " runs (1 warmup discarded)\n";
     }
+    const auto count = [&](const std::string& name) {
+        const auto it = metrics.counters.find(name);
+        return it == metrics.counters.end() ? 0.0 : it->second;
+    };
     std::cout << "\nwrote " << csv_path << ", " << out << ".trace.json, "
               << out << ".metrics.csv ("
-              << service.backend_cache_misses() << " backend build(s), "
-              << service.backend_cache_hits() << " cache hit(s))\n";
+              << count("service.backend_cache.miss") << " backend build(s), "
+              << count("service.backend_cache.hit") << " cache hit(s))\n";
     return failures == 0 ? 0 : 1;
 }
 
@@ -485,7 +490,8 @@ main(int argc, char** argv)
         }
         core::QsCaqrOptions options;
         const auto result = core::qs_caqr_or(*parsed, options).value();
-        util::trace::write_env_artifacts("qasm_tool");
+        util::trace::write_env_artifacts("qasm_tool",
+                                         util::metrics::global().snapshot());
         util::Table table({"qubits", "depth", "duration (dt)"});
         table.set_title("QS-CaQR sweep");
         for (const auto& version : result.versions) {
@@ -539,7 +545,7 @@ main(int argc, char** argv)
 
     // Opt-in observability: CAQR_TRACE=1 leaves
     // qasm_tool.trace.json / .metrics.csv next to the output.
-    util::trace::write_env_artifacts("qasm_tool");
+    util::trace::write_env_artifacts("qasm_tool", service.metrics_snapshot());
 
     if (!report.ok()) {
         std::cerr << "error: " << report.status.to_string() << "\n";

@@ -19,6 +19,7 @@
 #include "apps/benchmarks.h"
 #include "qasm/printer.h"
 #include "service/service.h"
+#include "util/metrics.h"
 #include "util/trace.h"
 
 int
@@ -93,7 +94,8 @@ main()
     // Chrome-trace JSON for chrome://tracing plus a flat CSV metrics
     // summary — honoring the CAQR_TRACE prefix convention instead of
     // unconditionally writing into the working directory.
-    if (util::trace::write_env_artifacts("quickstart")) {
+    if (util::trace::write_env_artifacts(
+            "quickstart", util::metrics::global().snapshot())) {
         std::cout << "\nTrace artifacts: quickstart.trace.json, "
                      "quickstart.metrics.csv\n";
     }

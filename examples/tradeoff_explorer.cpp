@@ -13,6 +13,7 @@
 #include "core/reuse_analysis.h"
 #include "core/tradeoff.h"
 #include "service/service.h"
+#include "util/metrics.h"
 #include "util/table.h"
 #include "util/trace.h"
 
@@ -109,6 +110,7 @@ main(int argc, char** argv)
 
     // Opt-in observability: CAQR_TRACE=1 (cwd) or CAQR_TRACE=<prefix>
     // leaves tradeoff_explorer.trace.json / .metrics.csv behind.
-    util::trace::write_env_artifacts("tradeoff_explorer");
+    util::trace::write_env_artifacts("tradeoff_explorer",
+                                     util::metrics::global().snapshot());
     return 0;
 }

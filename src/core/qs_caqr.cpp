@@ -11,6 +11,7 @@
 #include "circuit/timing.h"
 #include "core/reuse_transform.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -86,16 +87,12 @@ enum class SweepPolicy {
 
 /**
  * One greedy sweep: each step prices every valid pair in closed form
- * (splice_timing) and commits the best one under @p policy. The sweep
- * is instrumented through @p sink and templated on the sink type: when
- * tracing is disabled the caller instantiates it with trace::NullSink
- * (statically checked to be empty), so disabled mode compiles to
- * exactly the uninstrumented code.
+ * (splice_timing) and commits the best one under @p policy. The step
+ * and candidate totals reach the metrics registry once, at the end.
  */
-template <class Sink>
 std::vector<QsVersion>
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
-          SweepPolicy policy, Sink& sink)
+          SweepPolicy policy)
 {
     std::vector<QsVersion> versions;
 
@@ -119,15 +116,16 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
         by_duration ? static_cast<const circuit::DurationModel&>(durations)
                     : static_cast<const circuit::DurationModel&>(unit);
 
+    std::size_t steps = 0;
+    std::size_t candidates = 0;
     while (options.target_qubits < 0 ||
            versions.back().qubits > options.target_qubits) {
         const auto& current = versions.back();
         circuit::CircuitDag dag(current.circuit);
         const auto pairs = find_reuse_pairs(dag);
         if (pairs.empty()) break;
-        sink.count("qs_caqr.steps", 1.0);
-        sink.count("qs_caqr.candidates",
-                   static_cast<double>(pairs.size()));
+        ++steps;
+        candidates += pairs.size();
         const auto timing = splice_timing(dag, model);
 
         // Ties go to the first candidate in (source, target) order.
@@ -161,27 +159,27 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
         fill_version_metrics(&next);
         versions.push_back(std::move(next));
     }
+    auto& metrics = util::metrics::global();
+    metrics.add("qs_caqr.steps", static_cast<double>(steps));
+    metrics.add("qs_caqr.candidates", static_cast<double>(candidates));
     return versions;
 }
 
-}  // namespace
-
-namespace {
-
-template <class Sink>
+/// Best-effort run (no target validation): squeezes as far as the
+/// budget allows and records whether the target was reached.
 QsCaqrResult
-qs_caqr_impl(const circuit::Circuit& circuit, const QsCaqrOptions& options,
-             Sink& sink)
+run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
 {
+    util::trace::Span span("qs_caqr");
     // Two sweeps explore complementary regions of the search space
     // (paper: "we explore the search space of qubit reuse ... and
     // choose the best reuse strategy"): the cost-greedy sweep finds
     // efficient shallow savings, the order-preserving sweep reaches
     // deep savings. Merge by qubit count, best metric wins.
     const auto metric_sweep =
-        run_sweep(circuit, options, SweepPolicy::kMetricFirst, sink);
+        run_sweep(circuit, options, SweepPolicy::kMetricFirst);
     const auto order_sweep =
-        run_sweep(circuit, options, SweepPolicy::kOrderFirst, sink);
+        run_sweep(circuit, options, SweepPolicy::kOrderFirst);
 
     const bool by_duration = options.metric == ReuseMetric::kDuration;
     auto metric_of = [by_duration](const QsVersion& version) {
@@ -208,22 +206,6 @@ qs_caqr_impl(const circuit::Circuit& circuit, const QsCaqrOptions& options,
         options.target_qubits < 0 ||
         result.versions.back().qubits <= options.target_qubits;
     return result;
-}
-
-/// Best-effort run (no target validation): squeezes as far as the
-/// budget allows and records whether the target was reached.
-QsCaqrResult
-run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
-{
-    if (options.trace && util::trace::enabled()) {
-        util::trace::Span span("qs_caqr");
-        util::trace::TallySink sink;
-        auto result = qs_caqr_impl(circuit, options, sink);
-        sink.flush();
-        return result;
-    }
-    util::trace::NullSink sink;
-    return qs_caqr_impl(circuit, options, sink);
 }
 
 }  // namespace
@@ -257,12 +239,12 @@ namespace {
 /// target retiring latest — and the first valid one is committed.
 /// Temporal chaining never crosses the schedule's time arrow, so it
 /// reaches the deep-saving region (paper Fig 3: 64 -> ~5 qubits) that
-/// duration greed dead-ends before.
-template <class Sink>
+/// duration greed dead-ends before. The candidate and evaluation
+/// totals reach the metrics registry once, at the end.
 std::vector<QsCommutingVersion>
 run_commuting_sweep(const CommutingSpec& spec,
                     const QsCommutingOptions& options,
-                    bool evaluate_candidates, EvalContext* ctx, Sink& sink)
+                    bool evaluate_candidates, EvalContext* ctx)
 {
     const auto& interaction = spec.interaction;
     const int n = interaction.num_nodes();
@@ -276,6 +258,10 @@ run_commuting_sweep(const CommutingSpec& spec,
     std::vector<bool> is_source(static_cast<std::size_t>(n), false);
     std::vector<bool> is_target(static_cast<std::size_t>(n), false);
 
+    std::size_t candidates_seen = 0;
+    std::size_t schedules_evaluated = 0;
+    std::size_t pool_tasks = 0;
+    std::size_t serial_tasks = 0;
     while (options.target_qubits < 0 ||
            versions.back().qubits > options.target_qubits) {
         const auto& current = versions.back();
@@ -321,8 +307,7 @@ run_commuting_sweep(const CommutingSpec& spec,
             }
         }
         if (candidates.empty()) break;
-        sink.count("qs_commuting.candidates",
-                   static_cast<double>(candidates.size()));
+        candidates_seen += candidates.size();
         std::stable_sort(candidates.begin(), candidates.end(),
                          [](const Candidate& a, const Candidate& b) {
                              return a.heuristic < b.heuristic;
@@ -357,19 +342,16 @@ run_commuting_sweep(const CommutingSpec& spec,
                 return schedule_commuting(spec, pair_sets[i],
                                           options.scheduling);
             };
-            sink.count("qs_commuting.schedules_evaluated",
-                       static_cast<double>(valid.size()));
+            schedules_evaluated += valid.size();
             std::vector<CommutingSchedule> schedules;
             util::ThreadPool* pool =
                 (ctx != nullptr && valid.size() >= 4) ? ctx->acquire()
                                                       : nullptr;
             if (pool != nullptr) {
-                sink.count("qs_commuting.pool_tasks",
-                           static_cast<double>(valid.size()));
+                pool_tasks += valid.size();
                 schedules = pool->map(valid.size(), schedule_one);
             } else {
-                sink.count("qs_commuting.serial_tasks",
-                           static_cast<double>(valid.size()));
+                serial_tasks += valid.size();
                 schedules.reserve(valid.size());
                 for (std::size_t i = 0; i < valid.size(); ++i) {
                     schedules.push_back(schedule_one(i));
@@ -411,18 +393,23 @@ run_commuting_sweep(const CommutingSpec& spec,
         is_target[best->pair.target] = true;
         versions.push_back(std::move(next));
     }
+    auto& metrics = util::metrics::global();
+    metrics.add("qs_commuting.candidates",
+                static_cast<double>(candidates_seen));
+    metrics.add("qs_commuting.schedules_evaluated",
+                static_cast<double>(schedules_evaluated));
+    metrics.add("qs_commuting.pool_tasks", static_cast<double>(pool_tasks));
+    metrics.add("qs_commuting.serial_tasks",
+                static_cast<double>(serial_tasks));
     return versions;
 }
 
-}  // namespace
-
-namespace {
-
-template <class Sink>
+/// Best-effort commuting run; see run_qs_caqr.
 QsCommutingResult
-qs_caqr_commuting_impl(const CommutingSpec& spec,
-                       const QsCommutingOptions& options, Sink& sink)
+run_qs_caqr_commuting(const CommutingSpec& spec,
+                      const QsCommutingOptions& options)
 {
+    util::trace::Span span("qs_caqr_commuting");
     QsCommutingResult result;
     result.coloring_bound = min_qubits_by_coloring(spec.interaction);
 
@@ -430,9 +417,9 @@ qs_caqr_commuting_impl(const CommutingSpec& spec,
     ctx.threads = util::ThreadPool::resolve_threads(options.num_threads);
 
     const auto eval_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/true, &ctx, sink);
+        spec, options, /*evaluate_candidates=*/true, &ctx);
     const auto chain_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/false, &ctx, sink);
+        spec, options, /*evaluate_candidates=*/false, &ctx);
 
     // Budget-directed phase: the incremental sweeps dead-end once the
     // accumulated dependence graph makes every further pair cyclic;
@@ -456,13 +443,15 @@ qs_caqr_commuting_impl(const CommutingSpec& spec,
                                                  options.scheduling,
                                                  &pairs);
             if (!schedule.has_value()) break;  // infeasible below here
-            sink.count("qs_commuting.budget_schedules", 1.0);
             QsCommutingVersion version;
             version.pairs = std::move(pairs);
             version.schedule = std::move(*schedule);
             version.qubits = version.schedule.wires_used;
             budget_versions.push_back(std::move(version));
         }
+        util::metrics::global().add(
+            "qs_commuting.budget_schedules",
+            static_cast<double>(budget_versions.size()));
     }
 
     std::map<int, const QsCommutingVersion*> by_count;
@@ -486,22 +475,6 @@ qs_caqr_commuting_impl(const CommutingSpec& spec,
         options.target_qubits < 0 ||
         result.versions.back().qubits <= options.target_qubits;
     return result;
-}
-
-/// Best-effort commuting run; see run_qs_caqr.
-QsCommutingResult
-run_qs_caqr_commuting(const CommutingSpec& spec,
-                      const QsCommutingOptions& options)
-{
-    if (options.trace && util::trace::enabled()) {
-        util::trace::Span span("qs_caqr_commuting");
-        util::trace::TallySink sink;
-        auto result = qs_caqr_commuting_impl(spec, options, sink);
-        sink.flush();
-        return result;
-    }
-    util::trace::NullSink sink;
-    return qs_caqr_commuting_impl(spec, options, sink);
 }
 
 }  // namespace

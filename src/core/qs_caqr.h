@@ -43,9 +43,8 @@ struct QsVersion
 
 /// QS-CaQR options for regular circuits. The search itself is serial:
 /// each step prices every candidate in closed form. The embedded
-/// CommonOptions supply the per-request trace opt-out; `num_threads`
-/// only sizes callers' fan-out over the generated versions (e.g.
-/// select_best_by_esp).
+/// CommonOptions' `num_threads` only sizes callers' fan-out over the
+/// generated versions (e.g. select_best_by_esp).
 struct QsCaqrOptions : CommonOptions
 {
     /// Stop once this many qubits is reached; -1 = squeeze to minimum.
@@ -77,7 +76,7 @@ util::StatusOr<QsCaqrResult> qs_caqr_or(const circuit::Circuit& circuit,
 
 /// Options for the commuting-workload search. The embedded
 /// CommonOptions supply `num_threads` for candidate scheduling
-/// (results are bit-identical for any value) and the trace opt-out.
+/// (results are bit-identical for any value).
 struct QsCommutingOptions : CommonOptions
 {
     int target_qubits = -1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <set>
 #include <tuple>
 
@@ -11,6 +10,7 @@
 #include "transpile/decompose.h"
 #include "transpile/router.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -306,8 +306,7 @@ SrCaqrResult
 run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             const SrCaqrOptions& options)
 {
-    std::optional<util::trace::Span> span;
-    if (options.trace) span.emplace("sr_caqr");
+    util::trace::Span span("sr_caqr");
 
     // Heuristic-perturbation trials around the placement and SWAP
     // scoring weights. The first 4 variants are the historical
@@ -454,11 +453,10 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     }
     SrCaqrResult best = std::move(results[winner].result);
 
-    if (options.trace && util::trace::enabled()) {
-        util::trace::counter_add("sr_caqr.variant_trials", trials);
-        util::trace::counter_add("sr_caqr.swaps_added", best.swaps_added);
-        util::trace::counter_add("sr_caqr.reuses", best.reuses);
-    }
+    auto& metrics = util::metrics::global();
+    metrics.add("sr_caqr.variant_trials", trials);
+    metrics.add("sr_caqr.swaps_added", best.swaps_added);
+    metrics.add("sr_caqr.reuses", best.reuses);
     return best;
 }
 

@@ -24,9 +24,8 @@
 
 namespace caqr::core {
 
-/// SR-CaQR options. The embedded CommonOptions supply the per-request
-/// trace opt-out, the variant-trial thread count / borrowed pool, and
-/// the seed of the jitter trials. The pass is deterministic: the first
+/// SR-CaQR options. The embedded CommonOptions supply the variant-trial
+/// thread count / borrowed pool and the seed of the jitter trials. The pass is deterministic: the first
 /// 8 trials are fixed heuristic variants, trials 9 and up are jitter
 /// runs seeded from `seed` (see `trials`), and the winner never depends
 /// on thread count.

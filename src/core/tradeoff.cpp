@@ -1,8 +1,5 @@
 #include "core/tradeoff.h"
 
-#include <chrono>
-#include <numeric>
-
 #include "circuit/dag.h"
 #include "transpile/transpiler.h"
 #include "util/thread_pool.h"
@@ -29,48 +26,15 @@ fill_compiled_metrics(TradeoffPoint* point, const circuit::Circuit& circuit,
  * Evaluates fn(0..n-1) across an evaluation pool sized from
  * @p num_threads (1 = serial, 0/negative = one per hardware thread).
  * Results come back indexed by version, so downstream lowest-index
- * tie-breaks pick the same winner at any thread count. When tracing is
- * enabled the per-task wall clock is summed and published against the
- * batch wall clock as `tradeoff.parallel_speedup`.
+ * tie-breaks pick the same winner at any thread count.
  */
 template <typename Fn>
 auto
 map_versions(std::size_t n, int num_threads, Fn&& fn)
     -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
 {
-    const int threads = util::ThreadPool::resolve_threads(num_threads);
-    if (!util::trace::enabled()) {
-        util::ThreadPool pool(threads - 1);
-        return pool.map(n, fn);
-    }
-
-    std::vector<double> task_ms(n, 0.0);
-    auto timed = [&](std::size_t i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        auto result = fn(i);
-        task_ms[i] = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-        return result;
-    };
-    const auto batch_start = std::chrono::steady_clock::now();
-    util::ThreadPool pool(threads - 1);
-    auto results = pool.map(n, timed);
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - batch_start)
-            .count();
-    const double work_ms =
-        std::accumulate(task_ms.begin(), task_ms.end(), 0.0);
-    util::trace::counter_add("tradeoff.versions_transpiled",
-                             static_cast<double>(n));
-    util::trace::counter_add("tradeoff.transpile_work_ms", work_ms);
-    util::trace::counter_add("tradeoff.transpile_wall_ms", wall_ms);
-    if (wall_ms > 0.0) {
-        util::trace::gauge_set("tradeoff.parallel_speedup",
-                               work_ms / wall_ms);
-    }
-    return results;
+    util::ThreadPool pool(util::ThreadPool::resolve_threads(num_threads) - 1);
+    return pool.map(n, fn);
 }
 
 }  // namespace

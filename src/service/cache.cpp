@@ -48,8 +48,8 @@ void
 append_common(std::vector<std::string>& lines, const std::string& prefix,
               const CommonOptions& common)
 {
-    // num_threads and trace are execution knobs with a bit-identical
-    // result guarantee; only the heuristic seed reaches the output.
+    // num_threads is an execution knob with a bit-identical result
+    // guarantee; only the heuristic seed reaches the output.
     lines.push_back(opt(prefix + ".seed",
                         static_cast<long long>(common.seed)));
 }

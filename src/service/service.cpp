@@ -275,12 +275,10 @@ Service::backend(const std::string& name)
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = backends_.find(key->canonical);
     if (it != backends_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        util::trace::counter_add("service.cache_hits", 1);
+        metrics_.add("service.backend_cache.hit", 1.0);
         return it->second;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    util::trace::counter_add("service.cache_misses", 1);
+    metrics_.add("service.backend_cache.miss", 1.0);
     util::trace::Span span("service.backend_build");
     auto built = std::make_shared<const arch::Backend>(
         key->heavy_hex_qubits == 0

@@ -300,8 +300,9 @@ class Service
      * Resolves (and caches) a backend by registry key. The first
      * lookup of a key constructs the `arch::Backend` — coupling graph
      * plus APSP distance matrix — under the registry mutex; later
-     * lookups share the same immutable instance. Emits
-     * `service.cache_hits` / `service.cache_misses` trace counters.
+     * lookups share the same immutable instance. Counts
+     * `service.backend_cache.hit` / `service.backend_cache.miss` in
+     * this service's metrics registry (see `metrics_snapshot`).
      */
     util::StatusOr<std::shared_ptr<const arch::Backend>> backend(
         const std::string& name);
@@ -322,25 +323,22 @@ class Service
     std::vector<CompileReport> compile_batch(
         const std::vector<CompileRequest>& requests);
 
-    /// Lifetime backend-cache statistics (also mirrored as trace
-    /// counters when tracing is enabled).
-    std::size_t backend_cache_hits() const { return hits_.load(); }
-    std::size_t backend_cache_misses() const { return misses_.load(); }
-
     /**
      * Aggregated request metrics since construction (or the last
      * `reset_metrics`): latency histograms — `service.total_ms`,
      * `service.stage.<stage>_ms` — plus `service.swaps/depth/esp/
-     * qubits` distributions and `service.requests/failures` counters,
-     * merged with the process-wide `util::metrics::global()` registry
-     * (simulator shots/sec, reuse-pass memo hit rate). Every request
-     * contributes, not just the last one — percentiles are meaningful
-     * across a whole batch.
+     * qubits` distributions, `service.requests/failures` and
+     * `service.backend_cache.hit/miss` counters, merged with the
+     * process-wide `util::metrics::global()` registry (pass counters
+     * such as `qs_caqr.steps` and `router.swaps_added`, simulator
+     * shots/sec). Every request contributes, not just the last one —
+     * percentiles are meaningful across a whole batch.
      */
     util::metrics::Snapshot metrics_snapshot() const;
 
-    /// Clears this service's request metrics (the global registry is
-    /// left alone; other components own it).
+    /// Clears this service's request metrics, backend-cache counts
+    /// included (the global registry is left alone; other components
+    /// own it).
     void reset_metrics() { metrics_.reset(); }
 
     /// The service's metrics registry — the serving layer records its
@@ -403,8 +401,6 @@ class Service
     util::ThreadPool pool_;
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<const arch::Backend>> backends_;
-    std::atomic<std::size_t> hits_{0};
-    std::atomic<std::size_t> misses_{0};
     util::metrics::Registry metrics_;
     std::unique_ptr<CompileCache> cache_;  ///< null = caching disabled
 

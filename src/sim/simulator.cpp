@@ -444,15 +444,11 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
         kTickMs);
     const double shots_per_sec =
         static_cast<double>(options.shots) * 1000.0 / wall_ms;
-    util::metrics::global().observe("sim.shots_per_sec", shots_per_sec);
-    if (util::trace::enabled()) {
-        util::trace::counter_add("sim.shots",
-                                 static_cast<double>(options.shots));
-        util::trace::counter_add("sim.gates_fused",
-                                 static_cast<double>(gates_fused) *
-                                     static_cast<double>(options.shots));
-        util::trace::gauge_set("sim.shots_per_sec", shots_per_sec);
-    }
+    auto& metrics = util::metrics::global();
+    metrics.observe("sim.shots_per_sec", shots_per_sec);
+    metrics.add("sim.shots", static_cast<double>(options.shots));
+    metrics.add("sim.gates_fused", static_cast<double>(gates_fused) *
+                                       static_cast<double>(options.shots));
     return counts;
 }
 

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "circuit/dag.h"
+#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace caqr::transpile {
@@ -348,15 +349,13 @@ route_or(const Circuit& logical, const arch::Backend& backend,
         }
     }
 
-    if (util::trace::enabled()) {
-        util::trace::counter_add("router.swaps_added", swaps_added);
-        // Stall iterations = frontier passes that executed no gate and
-        // had to fall through to SWAP selection.
-        util::trace::counter_add("router.stall_iterations",
-                                 static_cast<double>(stall_iterations));
-        util::trace::counter_add("router.stall_escapes",
-                                 static_cast<double>(stall_escapes));
-    }
+    auto& metrics = util::metrics::global();
+    metrics.add("router.swaps_added", swaps_added);
+    // Stall iterations = frontier passes that executed no gate and had
+    // to fall through to SWAP selection.
+    metrics.add("router.stall_iterations",
+                static_cast<double>(stall_iterations));
+    metrics.add("router.stall_escapes", static_cast<double>(stall_escapes));
 
     RoutingResult result;
     result.circuit = std::move(output);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
-#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -83,8 +82,7 @@ util::StatusOr<TranspileResult>
 run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
               const TranspileOptions& options)
 {
-    std::optional<util::trace::Span> span;
-    if (options.trace) span.emplace("transpile");
+    util::trace::Span span("transpile");
 
     circuit::Circuit native = options.keep_rzz
                                   ? decompose_ccx(logical)
@@ -253,16 +251,12 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         return outcomes[anchor].status;
     }
 
-    if (options.trace && util::trace::enabled()) {
-        util::trace::counter_add("transpile.layout_trials", trials);
-        util::trace::counter_add(
-            "transpile.trial_swaps",
-            static_cast<double>(trial_swaps_total));
-        util::trace::counter_add(
-            "transpile.best_swaps",
-            outcomes[winner].routed.swaps_added);
-        util::trace::counter_add("transpile.trials_pruned", pruned_trials);
-    }
+    auto& metrics = util::metrics::global();
+    metrics.add("transpile.layout_trials", trials);
+    metrics.add("transpile.trial_swaps",
+                static_cast<double>(trial_swaps_total));
+    metrics.add("transpile.best_swaps", outcomes[winner].routed.swaps_added);
+    metrics.add("transpile.trials_pruned", pruned_trials);
 
     TranspileResult best;
     best.circuit = std::move(outcomes[winner].routed.circuit);

@@ -39,8 +39,7 @@ struct TranspileResult
 };
 
 /// Pipeline options. The embedded CommonOptions supply the layout-
-/// perturbation seed, the trial thread count / borrowed pool, and the
-/// per-request trace opt-out.
+/// perturbation seed and the trial thread count / borrowed pool.
 struct TranspileOptions : CommonOptions
 {
     RouterOptions router;

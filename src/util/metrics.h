@@ -1,13 +1,14 @@
 /**
  * @file
- * Aggregated run metrics: log-bucketed latency histograms and counters.
+ * Aggregated run metrics: log-bucketed histograms, counters and gauges.
  *
- * The trace layer (`util/trace.h`) answers "what happened inside this
- * run" — spans on a timeline, last-write-wins gauges. This module
- * answers the fleet question: "what is the *distribution* of a metric
- * across many requests" — per-request compile latency, per-stage
- * timings, simulator shots/sec, SWAP counts — without keeping one
- * record per request.
+ * The trace layer (`util/trace.h`) answers "where did the time go
+ * inside this run" — spans on a timeline. This module is the one
+ * counter system: pass counters (QS-CaQR steps, SWAPs a routing trial
+ * added, pruned layout trials) and the fleet question, "what is the
+ * *distribution* of a metric across many requests" — per-request
+ * compile latency, per-stage timings, simulator shots/sec, SWAP
+ * counts — without keeping one record per request.
  *
  *  - **Histogram** — a sparse logarithmically-bucketed histogram
  *    (`kBucketsPerOctave` buckets per power of two, relative bucket
@@ -19,11 +20,11 @@
  *    bucket-wise addition — associative and commutative — so per-shard
  *    histograms combine into fleet totals losslessly.
  *  - **Registry** — a mutex-guarded name → histogram/counter table.
- *    `global()` is the process-wide instance leaf instrumentation
- *    (simulator, reuse passes) records into; `caqr::Service` owns a
- *    private one per instance. Unlike tracing, recording is always on:
- *    one observation per *request* (not per gate) is noise next to a
- *    compile.
+ *    `global()` is the process-wide instance the compiler passes and
+ *    the simulator record into; `caqr::Service` owns a private one per
+ *    instance. Unlike tracing, recording is always on: a few
+ *    observations per pass, trial or request (never per gate) are
+ *    noise next to a compile.
  *  - **Snapshot** — a frozen copy of a registry with schema-versioned
  *    JSON export (`to_json`/`from_json` round-trip bucket-exactly) and
  *    a CSV summary. `BENCH_caqr.json` and the `--serve` `stats`
@@ -209,8 +210,8 @@ struct Snapshot
 /**
  * Thread-safe name → histogram/counter table. Recording is one mutex
  * acquisition plus a map lookup — meant for per-request and
- * per-invocation observations, not per-gate hot loops (those stay on
- * the trace layer's compile-time sinks).
+ * per-invocation observations. Hot loops tally in local integers and
+ * add the totals once when the loop ends.
  */
 class Registry
 {
@@ -240,8 +241,9 @@ class Registry
     std::map<std::string, double> gauges_;
 };
 
-/// Process-wide registry for leaf instrumentation (e.g. the simulator's
-/// `sim.shots_per_sec`). Always recording.
+/// Process-wide registry for pass and simulator instrumentation (e.g.
+/// `qs_caqr.steps`, `router.swaps_added`, `sim.shots_per_sec`). Always
+/// recording.
 Registry& global();
 
 }  // namespace caqr::util::metrics

@@ -5,9 +5,9 @@
  * The pass-specific option structs (`QsCaqrOptions`,
  * `QsCommutingOptions`, `SrCaqrOptions`, `TranspileOptions`) embed
  * `CommonOptions` as a base, so the knobs every pass understands —
- * evaluation threads, heuristic seed, trace opt-out — are declared
- * exactly once and cannot drift between passes. Call sites keep
- * writing `options.num_threads = 4;` as before.
+ * evaluation threads, heuristic seed, worker pool, request identity —
+ * are declared exactly once and cannot drift between passes. Call
+ * sites keep writing `options.num_threads = 4;` as before.
  */
 #ifndef CAQR_UTIL_OPTIONS_H
 #define CAQR_UTIL_OPTIONS_H
@@ -36,9 +36,6 @@ struct CommonOptions
     /// Seed for heuristic perturbations (e.g. layout-trial shuffles).
     /// The default reproduces the historical hard-coded behavior.
     std::uint64_t seed = 0xCA0Full;
-    /// When false, the pass records nothing into `util::trace` even if
-    /// tracing is globally enabled (per-request observability opt-out).
-    bool trace = true;
     /// Borrowed worker pool for the pass's parallel sections (raced
     /// routing/variant trials). Null = the pass spawns a transient
     /// pool sized by `num_threads` when it needs one. The service sets

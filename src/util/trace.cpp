@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/table.h"
+#include "util/metrics.h"
 
 namespace caqr::util::trace {
 
@@ -31,8 +31,8 @@ struct Event
 thread_local const RequestContext* tls_request_ctx = nullptr;
 thread_local RequestCapture* tls_request_capture = nullptr;
 
-/// Process-wide trace storage. Spans/counters from pool workers and
-/// the main thread interleave, so every mutation is mutex-guarded;
+/// Process-wide trace storage. Spans from pool workers and the main
+/// thread interleave, so every mutation is mutex-guarded;
 /// `enabled` is separate so guards stay lock-free.
 class Registry
 {
@@ -74,42 +74,21 @@ class Registry
     }
 
     void
-    add(const std::string& name, double delta)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        counters_[name] += delta;
-    }
-
-    void
-    set(const std::string& name, double value)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        gauges_[name] = value;
-    }
-
-    void
     clear()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         events_.clear();
-        counters_.clear();
-        gauges_.clear();
         dropped_ = 0;
     }
 
     /// Copies for export; taken under the lock so exporters see a
     /// consistent snapshot even while passes still run.
     void
-    snapshot(std::vector<Event>* events,
-             std::map<std::string, double>* counters,
-             std::map<std::string, double>* gauges,
-             std::size_t* dropped) const
+    snapshot(std::vector<Event>* events, std::size_t* dropped) const
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (events != nullptr) *events = events_;
-        if (counters != nullptr) *counters = counters_;
-        if (gauges != nullptr) *gauges = gauges_;
-        if (dropped != nullptr) *dropped = dropped_;
+        *events = events_;
+        *dropped = dropped_;
     }
 
   private:
@@ -130,14 +109,12 @@ class Registry
         return it->second;
     }
 
-    /// Backstop against unbounded growth from a looping caller; a
-    /// "trace.dropped_events" row in the summary flags truncation.
+    /// Backstop against unbounded growth from a looping caller; the
+    /// "caqr_trace" summary key of the export flags truncation.
     static constexpr std::size_t kMaxEvents = 1u << 20;
 
     mutable std::mutex mutex_;
     std::vector<Event> events_;
-    std::map<std::string, double> counters_;
-    std::map<std::string, double> gauges_;
     std::map<std::thread::id, int> tids_;
     std::size_t dropped_ = 0;
     const std::chrono::steady_clock::time_point epoch_ =
@@ -175,20 +152,6 @@ void
 set_enabled(bool on)
 {
     Registry::instance().enabled.store(on, std::memory_order_relaxed);
-}
-
-void
-counter_add(const std::string& name, double delta)
-{
-    if (!enabled()) return;
-    Registry::instance().add(name, delta);
-}
-
-void
-gauge_set(const std::string& name, double value)
-{
-    if (!enabled()) return;
-    Registry::instance().set(name, value);
 }
 
 void
@@ -327,36 +290,12 @@ Span::elapsed_ms() const
         .count();
 }
 
-PassMetrics
-collect()
-{
-    std::vector<Event> events;
-    PassMetrics metrics;
-    std::size_t dropped = 0;
-    Registry::instance().snapshot(&events, &metrics.counters,
-                                  &metrics.gauges, &dropped);
-    for (const auto& event : events) {
-        auto& stats = metrics.spans[event.name];
-        const double ms = event.dur_us / 1000.0;
-        if (stats.count == 0 || ms < stats.min_ms) stats.min_ms = ms;
-        if (stats.count == 0 || ms > stats.max_ms) stats.max_ms = ms;
-        stats.total_ms += ms;
-        ++stats.count;
-    }
-    if (dropped > 0) {
-        metrics.counters["trace.dropped_events"] =
-            static_cast<double>(dropped);
-    }
-    return metrics;
-}
-
 void
 write_chrome_trace(std::ostream& os)
 {
     std::vector<Event> events;
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    Registry::instance().snapshot(&events, &counters, &gauges, nullptr);
+    std::size_t dropped = 0;
+    Registry::instance().snapshot(&events, &dropped);
 
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
@@ -371,74 +310,32 @@ write_chrome_trace(std::ostream& os)
         }
         os << "}";
     }
-    os << "\n],\"caqr_metrics\":{";
-    first = true;
-    for (const auto* table : {&counters, &gauges}) {
-        for (const auto& [name, value] : *table) {
-            if (!first) os << ",";
-            first = false;
-            os << "\"" << json_escape(name) << "\":" << value;
-        }
-    }
-    os << "}}\n";
-}
-
-void
-write_summary_csv(std::ostream& os)
-{
-    const PassMetrics metrics = collect();
-    Table table({"kind", "name", "count", "total_ms", "mean_ms", "min_ms",
-                 "max_ms", "value"});
-    for (const auto& [name, stats] : metrics.spans) {
-        table.add_row({"span", name,
-                       Table::fmt(static_cast<long long>(stats.count)),
-                       Table::fmt(stats.total_ms, 3),
-                       Table::fmt(stats.total_ms /
-                                      static_cast<double>(stats.count),
-                                  3),
-                       Table::fmt(stats.min_ms, 3),
-                       Table::fmt(stats.max_ms, 3), ""});
-    }
-    for (const auto& [name, value] : metrics.counters) {
-        table.add_row(
-            {"counter", name, "", "", "", "", "", Table::fmt(value, 4)});
-    }
-    for (const auto& [name, value] : metrics.gauges) {
-        table.add_row(
-            {"gauge", name, "", "", "", "", "", Table::fmt(value, 4)});
-    }
-    table.print_csv(os);
+    os << "\n],\"caqr_trace\":{\"events\":" << events.size()
+       << ",\"dropped\":" << dropped << "}}\n";
 }
 
 bool
-write_run_artifacts(const std::string& prefix)
+write_run_artifacts(const std::string& prefix,
+                    const metrics::Snapshot& metrics)
 {
     std::ofstream json(prefix + ".trace.json");
     std::ofstream csv(prefix + ".metrics.csv");
     if (!json || !csv) return false;
     write_chrome_trace(json);
-    write_summary_csv(csv);
+    metrics.write_csv(csv);
     return json.good() && csv.good();
 }
 
 bool
-write_env_artifacts(const std::string& name)
+write_env_artifacts(const std::string& name,
+                    const metrics::Snapshot& metrics)
 {
     const char* env = std::getenv("CAQR_TRACE");
     if (env == nullptr) return false;
     const std::string value(env);
     if (value == "0") return false;
     const std::string prefix = value == "1" ? name : value + name;
-    return write_run_artifacts(prefix);
-}
-
-void
-TallySink::flush()
-{
-    for (const auto& [name, delta] : counters_) counter_add(name, delta);
-    for (const auto& [name, value] : gauges_) gauge_set(name, value);
-    counters_.clear();
-    gauges_.clear();
+    return write_run_artifacts(prefix, metrics);
 }
 
 }  // namespace caqr::util::trace

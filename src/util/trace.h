@@ -1,24 +1,18 @@
 /**
  * @file
- * Pipeline observability: pass-level tracing and metrics.
+ * Pipeline observability: pass-level spans.
  *
- * A process-wide, thread-safe registry collects three kinds of data
- * from the compiler passes and the simulator:
+ * A process-wide, thread-safe registry collects **spans** — RAII-scoped
+ * wall-clock intervals (`Span`), nested via lexical scope and tagged
+ * with the recording thread — from the compiler passes and the
+ * simulator. They export as Chrome-trace "complete" events loadable in
+ * `chrome://tracing` / Perfetto. Counters and gauges live in
+ * `util::metrics` (always on); this module only times.
  *
- *  - **Spans** — RAII-scoped wall-clock intervals (`Span`), nested via
- *    lexical scope and tagged with the recording thread. Exported as
- *    Chrome-trace "complete" events loadable in `chrome://tracing` /
- *    Perfetto.
- *  - **Counters** — monotonically accumulated named values
- *    (`counter_add`), e.g. candidates evaluated or SWAPs inserted.
- *  - **Gauges** — last-write-wins named values (`gauge_set`), e.g.
- *    memo-cache hit rate or simulator shots/sec.
- *
- * Tracing is disabled by default and costs one relaxed atomic load per
- * guard when off. Hot loops that cannot afford even a per-iteration
- * branch are instantiated against a compile-time *null sink*
- * (`NullSink`) whose operations are statically checked to be empty, so
- * the disabled path compiles to exactly the uninstrumented code.
+ * Global recording is disabled by default and costs one relaxed atomic
+ * load per span when off. A span still records into a bound
+ * `RequestCapture` with the global switch off, which is what makes
+ * slow-request capture always-on.
  *
  * Setting the environment variable `CAQR_TRACE` (to anything but "0")
  * enables tracing at startup; its value is used as the output-path
@@ -35,8 +29,11 @@
 #include <ostream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
+
+namespace caqr::util::metrics {
+struct Snapshot;
+}  // namespace caqr::util::metrics
 
 namespace caqr::util::trace {
 
@@ -46,13 +43,7 @@ bool enabled();
 /// Turns recording on/off. Already-recorded data is retained.
 void set_enabled(bool on);
 
-/// Adds @p delta to the named counter (created at 0). Thread-safe.
-void counter_add(const std::string& name, double delta);
-
-/// Sets the named gauge to @p value (last write wins). Thread-safe.
-void gauge_set(const std::string& name, double value);
-
-/// Discards all recorded spans, counters, and gauges.
+/// Discards all recorded spans.
 void reset();
 
 // ---------------------------------------------------------------------
@@ -184,96 +175,27 @@ class Span
     std::chrono::steady_clock::time_point start_;
 };
 
-/// Aggregated statistics of all spans sharing one name.
-struct SpanStats
-{
-    std::size_t count = 0;
-    double total_ms = 0.0;
-    double min_ms = 0.0;
-    double max_ms = 0.0;
-};
-
-/// Snapshot of everything the registry knows, aggregated per name —
-/// the sink format consumed by the exporters and by tests.
-struct PassMetrics
-{
-    std::map<std::string, SpanStats> spans;
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-};
-
-/// Aggregates the current registry contents.
-PassMetrics collect();
-
 /// Writes every recorded span as a Chrome-trace JSON document
-/// (`{"traceEvents": [...]}`) with final counter/gauge values attached
-/// under a top-level "caqr_metrics" key (ignored by trace viewers).
+/// (`{"traceEvents": [...]}`) with a top-level "caqr_trace" summary key
+/// (ignored by trace viewers) carrying the event and dropped-event
+/// counts, so a truncated trace says so.
 void write_chrome_trace(std::ostream& os);
 
-/// Writes the aggregated summary as CSV (one row per span name with
-/// count/total/mean/min/max, one row per counter and gauge).
-void write_summary_csv(std::ostream& os);
-
 /**
- * Writes `<prefix>.trace.json` and `<prefix>.metrics.csv`. Returns
- * false (without partial output) if either file cannot be opened.
+ * Writes `<prefix>.trace.json` and `<prefix>.metrics.csv` (the latter
+ * is @p metrics rendered by `Snapshot::write_csv`). Returns false
+ * (without partial output) if either file cannot be opened.
  */
-bool write_run_artifacts(const std::string& prefix);
+bool write_run_artifacts(const std::string& prefix,
+                         const metrics::Snapshot& metrics);
 
 /**
  * Env-driven variant for drivers: when `CAQR_TRACE` is set and not
  * "0", writes artifacts under `<env-prefix><name>` (an env value of
  * "1" means the current directory) and returns true. No-op otherwise.
  */
-bool write_env_artifacts(const std::string& name);
-
-// ---------------------------------------------------------------------
-// Compile-time sinks for hot loops
-// ---------------------------------------------------------------------
-
-/**
- * Null metrics sink: every operation is a no-op the optimizer erases.
- * Hot paths templated on a sink type are instantiated with NullSink
- * when tracing is disabled, so the disabled mode carries zero
- * instrumentation cost — not even a branch per iteration.
- */
-struct NullSink
-{
-    /// Instrumented code may `if constexpr (Sink::kActive)` around
-    /// work (e.g. clock reads) that has no side-effect-free no-op.
-    static constexpr bool kActive = false;
-
-    void count(const char* /*name*/, double /*delta*/) {}
-    void gauge(const char* /*name*/, double /*value*/) {}
-};
-
-// The zero-overhead contract: the null sink must carry no state, so
-// passing it through a hot loop cannot change codegen.
-static_assert(std::is_empty_v<NullSink>,
-              "NullSink must be stateless (zero-overhead contract)");
-static_assert(std::is_trivially_destructible_v<NullSink>,
-              "NullSink must be trivially destructible");
-
-/**
- * Buffering sink for instrumented hot-loop instantiations: operations
- * accumulate locally (no locks) and `flush()` publishes everything to
- * the registry in one shot. Use from a single thread.
- */
-class TallySink
-{
-  public:
-    static constexpr bool kActive = true;
-
-    void count(const char* name, double delta) { counters_[name] += delta; }
-    void gauge(const char* name, double value) { gauges_[name] = value; }
-
-    /// Publishes the buffered values to the global registry.
-    void flush();
-
-  private:
-    std::map<std::string, double> counters_;
-    std::map<std::string, double> gauges_;
-};
+bool write_env_artifacts(const std::string& name,
+                         const metrics::Snapshot& metrics);
 
 }  // namespace caqr::util::trace
 

@@ -568,6 +568,14 @@ TEST(ServerHttp, ScrapeEndpointsAnswerOnTheSameListener)
               std::string::npos);
     EXPECT_NE(metrics.find("caqr_server_active_sessions"),
               std::string::npos);
+    // Pass and backend-cache counters reach the scrape with global
+    // tracing off. The global registry accumulates across tests, so
+    // only the presence of each series is checked.
+    for (const char* series :
+         {"caqr_qs_caqr_steps", "caqr_router_swaps_added",
+          "caqr_service_backend_cache_miss"}) {
+        EXPECT_NE(metrics.find(series), std::string::npos) << series;
+    }
 
     const std::string healthz = scrape("/healthz");
     EXPECT_EQ(healthz.rfind("HTTP/1.0 200 OK\r\n", 0), 0u);

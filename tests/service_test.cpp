@@ -3,7 +3,7 @@
  * Tests for the batch compilation service: request validation through
  * the status envelope, golden QASM-in -> report-out compilation,
  * batch determinism across thread counts, backend-cache reuse
- * (asserted via the service.cache_* trace counters), manifest
+ * (asserted via the service.backend_cache.* counters), manifest
  * expansion, and the qasm_tool exit-code regressions for unreadable
  * input and single-file batches.
  */
@@ -33,25 +33,6 @@ circuits_dir()
 {
     return CAQR_CIRCUITS_DIR;
 }
-
-/// Restores the global trace-enabled flag and registry contents on
-/// scope exit so trace-twiddling tests cannot leak into each other.
-class TraceSandbox
-{
-  public:
-    TraceSandbox() : was_enabled_(util::trace::enabled())
-    {
-        util::trace::reset();
-    }
-    ~TraceSandbox()
-    {
-        util::trace::reset();
-        util::trace::set_enabled(was_enabled_);
-    }
-
-  private:
-    bool was_enabled_;
-};
 
 TEST(Strategy, NamesRoundTripThroughParser)
 {
@@ -193,9 +174,7 @@ TEST(ServiceBatch, DeterministicAcrossThreadCounts)
 
 TEST(ServiceBackendCache, DistanceMatrixBuiltOncePerBackend)
 {
-    TraceSandbox sandbox;
-    util::trace::set_enabled(true);
-
+    util::trace::set_enabled(false);
     Service service({.num_threads = 4});
     std::vector<CompileRequest> requests;
     for (int i = 0; i < 6; ++i) {
@@ -212,20 +191,19 @@ TEST(ServiceBackendCache, DistanceMatrixBuiltOncePerBackend)
         EXPECT_EQ(report.backend, "FakeMumbai");
     }
 
-    EXPECT_EQ(service.backend_cache_misses(), 1u);
-    EXPECT_EQ(service.backend_cache_hits(), 5u);
-
-    // The same facts flow out through the trace counters, so the
-    // cache behavior is visible in every run's metrics artifact.
-    const auto metrics = util::trace::collect();
-    EXPECT_EQ(metrics.counters.at("service.cache_misses"), 1.0);
-    EXPECT_EQ(metrics.counters.at("service.cache_hits"), 5.0);
+    // The counts live in the service's registry, recorded with global
+    // tracing off, so every metrics artifact and scrape shows them.
+    const auto counter = [&](const std::string& name) {
+        return service.metrics_snapshot().counters.at(name);
+    };
+    EXPECT_EQ(counter("service.backend_cache.miss"), 1.0);
+    EXPECT_EQ(counter("service.backend_cache.hit"), 5.0);
 
     // A second architecture is one more build, not a rebuild per call.
     ASSERT_TRUE(service.backend("heavy_hex:5").ok());
     ASSERT_TRUE(service.backend("heavy-hex:5").ok());
-    EXPECT_EQ(service.backend_cache_misses(), 2u);
-    EXPECT_EQ(service.backend_cache_hits(), 6u);
+    EXPECT_EQ(counter("service.backend_cache.miss"), 2.0);
+    EXPECT_EQ(counter("service.backend_cache.hit"), 6.0);
 }
 
 TEST(RequestsFromPath, DirectoryIsSortedAndManifestFiltersComments)
@@ -405,7 +383,6 @@ TEST(CompileCacheKey, SemanticallyIdenticalRequestsShareAKey)
     knobs.name = "renamed";
     knobs.tenant = "team-a";
     knobs.qs.num_threads = 7;
-    knobs.qs.trace = !knobs.qs.trace;
     EXPECT_EQ(*request_cache_key(knobs), *base);
 
     // Backend aliases collapse to the canonical backend key.

@@ -1,6 +1,5 @@
-/// Tests for the util::trace observability layer: span recording,
-/// counters/gauges, aggregation, exporter formats, and the
-/// zero-overhead null sink contract.
+/// Tests for the util::trace observability layer: span recording, the
+/// Chrome-trace exporter, and per-request capture.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/benchmarks.h"
+#include "core/qs_caqr.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -38,28 +39,34 @@ class TraceTest : public ::testing::Test
     }
 };
 
-TEST_F(TraceTest, SpanIsAggregatedByName)
+/// The global trace as exported by write_chrome_trace.
+std::string
+chrome_trace()
+{
+    std::ostringstream os;
+    trace::write_chrome_trace(os);
+    return os.str();
+}
+
+/// Number of exported events named @p name.
+std::size_t
+count_spans(const std::string& json, const std::string& name)
+{
+    const std::string needle = "\"name\":\"" + name + "\"";
+    std::size_t count = 0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size())) {
+        ++count;
+    }
+    return count;
+}
+
+TEST_F(TraceTest, SpanIsRecordedOncePerScope)
 {
     for (int i = 0; i < 3; ++i) {
         trace::Span span("unit.pass");
     }
-    const auto metrics = trace::collect();
-    ASSERT_EQ(metrics.spans.count("unit.pass"), 1u);
-    const auto& stats = metrics.spans.at("unit.pass");
-    EXPECT_EQ(stats.count, 3u);
-    EXPECT_GE(stats.total_ms, 0.0);
-    EXPECT_LE(stats.min_ms, stats.max_ms);
-}
-
-TEST_F(TraceTest, CountersAccumulateAndGaugesOverwrite)
-{
-    trace::counter_add("unit.count", 2.0);
-    trace::counter_add("unit.count", 3.0);
-    trace::gauge_set("unit.gauge", 1.0);
-    trace::gauge_set("unit.gauge", 7.5);
-    const auto metrics = trace::collect();
-    EXPECT_DOUBLE_EQ(metrics.counters.at("unit.count"), 5.0);
-    EXPECT_DOUBLE_EQ(metrics.gauges.at("unit.gauge"), 7.5);
+    EXPECT_EQ(count_spans(chrome_trace(), "unit.pass"), 3u);
 }
 
 TEST_F(TraceTest, DisabledRecordingIsInert)
@@ -69,12 +76,7 @@ TEST_F(TraceTest, DisabledRecordingIsInert)
         trace::Span span("unit.ignored");
         EXPECT_DOUBLE_EQ(span.elapsed_ms(), 0.0);
     }
-    trace::counter_add("unit.ignored", 1.0);
-    trace::gauge_set("unit.ignored", 1.0);
-    const auto metrics = trace::collect();
-    EXPECT_TRUE(metrics.spans.empty());
-    EXPECT_TRUE(metrics.counters.empty());
-    EXPECT_TRUE(metrics.gauges.empty());
+    EXPECT_EQ(count_spans(chrome_trace(), "unit.ignored"), 0u);
 }
 
 TEST_F(TraceTest, ChromeTraceExportIsWellFormed)
@@ -82,78 +84,33 @@ TEST_F(TraceTest, ChromeTraceExportIsWellFormed)
     {
         trace::Span span("unit.export");
     }
-    trace::counter_add("unit.value", 4.0);
-    std::ostringstream os;
-    trace::write_chrome_trace(os);
-    const std::string json = os.str();
+    const std::string json = chrome_trace();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"unit.export\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"caqr_metrics\""), std::string::npos);
-    EXPECT_NE(json.find("\"unit.value\":4"), std::string::npos);
+    // Truncation stays visible: the summary carries the dropped count.
+    EXPECT_NE(json.find("\"caqr_trace\":{\"events\":1,\"dropped\":0}"),
+              std::string::npos)
+        << json;
 }
 
-TEST_F(TraceTest, SummaryCsvHasSpanAndCounterRows)
-{
-    {
-        trace::Span span("unit.csv");
-    }
-    trace::counter_add("unit.csv_count", 9.0);
-    trace::gauge_set("unit.csv_gauge", 0.5);
-    std::ostringstream os;
-    trace::write_summary_csv(os);
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("kind,name,count"), std::string::npos);
-    EXPECT_NE(csv.find("span,unit.csv,1"), std::string::npos);
-    EXPECT_NE(csv.find("counter,unit.csv_count"), std::string::npos);
-    EXPECT_NE(csv.find("gauge,unit.csv_gauge"), std::string::npos);
-}
-
-TEST_F(TraceTest, ConcurrentSpansAndCountersAreAllRecorded)
+TEST_F(TraceTest, ConcurrentSpansAreAllRecorded)
 {
     util::ThreadPool pool(3);
     pool.map(64, [](std::size_t) {
         trace::Span span("unit.worker");
-        trace::counter_add("unit.tasks", 1.0);
         return 0;
     });
-    const auto metrics = trace::collect();
-    EXPECT_EQ(metrics.spans.at("unit.worker").count, 64u);
-    EXPECT_DOUBLE_EQ(metrics.counters.at("unit.tasks"), 64.0);
+    EXPECT_EQ(count_spans(chrome_trace(), "unit.worker"), 64u);
 }
 
 TEST_F(TraceTest, ResetDiscardsEverything)
 {
-    trace::counter_add("unit.gone", 1.0);
+    {
+        trace::Span span("unit.gone");
+    }
     trace::reset();
-    EXPECT_TRUE(trace::collect().counters.empty());
-}
-
-TEST_F(TraceTest, TallySinkBuffersUntilFlush)
-{
-    trace::TallySink sink;
-    sink.count("unit.buffered", 2.0);
-    sink.count("unit.buffered", 3.0);
-    sink.gauge("unit.buffered_gauge", 0.25);
-    EXPECT_TRUE(trace::collect().counters.empty());
-    sink.flush();
-    const auto metrics = trace::collect();
-    EXPECT_DOUBLE_EQ(metrics.counters.at("unit.buffered"), 5.0);
-    EXPECT_DOUBLE_EQ(metrics.gauges.at("unit.buffered_gauge"), 0.25);
-}
-
-// The null sink's zero-overhead contract is enforced at compile time
-// (static_asserts in trace.h); this pins the runtime half: calls are
-// accepted and publish nothing.
-TEST_F(TraceTest, NullSinkPublishesNothing)
-{
-    static_assert(!trace::NullSink::kActive);
-    static_assert(trace::TallySink::kActive);
-    trace::NullSink sink;
-    sink.count("unit.null", 1.0);
-    sink.gauge("unit.null", 1.0);
-    EXPECT_TRUE(trace::collect().counters.empty());
-    EXPECT_TRUE(trace::collect().gauges.empty());
+    EXPECT_EQ(count_spans(chrome_trace(), "unit.gone"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -206,7 +163,7 @@ TEST_F(TraceTest, CaptureRecordsWithGlobalTracingDisabled)
     EXPECT_EQ(capture.dropped(), 0u);
 
     // The global sink saw nothing.
-    EXPECT_TRUE(trace::collect().spans.empty());
+    EXPECT_EQ(count_spans(chrome_trace(), "unit.captured"), 0u);
 
     std::ostringstream os;
     capture.write_chrome_trace(os);
@@ -215,6 +172,22 @@ TEST_F(TraceTest, CaptureRecordsWithGlobalTracingDisabled)
               std::string::npos);
     EXPECT_NE(json.find("\"caqr_request\":{\"id\":3"),
               std::string::npos);
+}
+
+/// The QS-CaQR pass span reaches a bound capture with the global switch
+/// off, so a slow QS request's artifact names the pass that used the
+/// time.
+TEST_F(TraceTest, CaptureHoldsQsCaqrSpanWithGlobalTracingDisabled)
+{
+    trace::set_enabled(false);
+    trace::RequestContext ctx;
+    ctx.id = 5;
+    trace::RequestCapture capture(ctx.id);
+    {
+        trace::RequestScope scope(&ctx, &capture);
+        ASSERT_TRUE(core::qs_caqr_or(apps::bv_circuit(8)).ok());
+    }
+    EXPECT_TRUE(capture.has_span("qs_caqr"));
 }
 
 /// `sampled = false` opts the request out: the capture stays empty
