@@ -36,7 +36,7 @@ ablation_reset_idiom()
     // A: rebuild the max-reuse BV_10 with built-in resets in place of
     // the conditional-X idiom and compare durations.
     const auto sweep = core::qs_caqr_or(apps::bv_circuit(10)).value();
-    const auto& fast = sweep.max_reuse().circuit;
+    const auto fast = sweep.circuit(sweep.versions.size() - 1);
 
     circuit::Circuit slow(fast.num_qubits(), fast.num_clbits());
     for (const auto& instr : fast.instructions()) {

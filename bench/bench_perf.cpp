@@ -135,7 +135,8 @@ simulate_stage_ms(const CompileReport& report)
 /// sr_caqr}, two synthetic QAOA interaction graphs under
 /// qs_commuting, bv_10 with the shot simulator attached at one and
 /// eight threads, multiply_13 routed with 32 trials at one and eight
-/// threads, and generated BV-127/BV-400 on scaled heavy-hex.
+/// threads, and generated BV-127/BV-400 on scaled heavy-hex (baseline,
+/// QS-CaQR, and SR-CaQR at 127).
 std::vector<BenchCase>
 build_corpus(const std::string& corpus_dir, const std::string& backend)
 {
@@ -225,15 +226,19 @@ build_corpus(const std::string& corpus_dir, const std::string& backend)
     }
 
     // Device-scale tier: generated BV circuits on scaled heavy-hex,
-    // where layout seeding and SR-CaQR placement grow with the device.
-    // The secret sets every third bit, so most data qubits share no
-    // gate and each one is placed as a fresh seed.
+    // where layout seeding, SR-CaQR placement and the QS-CaQR sweeps
+    // grow with the device. The secret sets every third bit, so most
+    // data qubits share no gate and each one is placed as a fresh seed.
     for (const auto& [qubits, strategy, device] :
          {std::tuple<int, Strategy, const char*>{127, Strategy::kBaseline,
+                                                 "heavy_hex:127"},
+          std::tuple<int, Strategy, const char*>{127, Strategy::kQsCaqr,
                                                  "heavy_hex:127"},
           std::tuple<int, Strategy, const char*>{127, Strategy::kSrCaqr,
                                                  "heavy_hex:127"},
           std::tuple<int, Strategy, const char*>{400, Strategy::kBaseline,
+                                                 "heavy_hex:433"},
+          std::tuple<int, Strategy, const char*>{400, Strategy::kQsCaqr,
                                                  "heavy_hex:433"}}) {
         std::vector<int> secret(static_cast<std::size_t>(qubits - 1));
         for (std::size_t i = 0; i < secret.size(); ++i) {

@@ -1,15 +1,16 @@
 #include "core/qs_caqr.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 
-#include "circuit/dag.h"
 #include "circuit/timing.h"
-#include "core/reuse_transform.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -19,34 +20,314 @@ namespace caqr::core {
 
 namespace {
 
-/// Fills metrics of a version from its circuit.
-void
-fill_version_metrics(QsVersion* version)
+using circuit::GateKind;
+using circuit::Instruction;
+
+/**
+ * The program order of one QS-CaQR search over a fixed node pool
+ * (paper §3.2.1). Nodes 0..G-1 are the input's instructions; each
+ * commit appends its reset nodes. Operands keep their original qubit
+ * ids, and `wire_of(q)` names the wire qubit q runs on by that wire's
+ * head, the first original qubit on it, so live wires keep their
+ * relative order, as wire compaction does. The per-step passes number
+ * wires 0..num_qubits-1 by head and give clbit c wire num_qubits + c.
+ */
+class ReuseProgram
 {
-    circuit::CircuitDag dag(version->circuit);
-    version->qubits = version->circuit.active_qubit_count();
-    version->depth = dag.depth();
-    circuit::LogicalDurations durations;
-    version->duration_dt = dag.duration(durations);
+  public:
+    explicit ReuseProgram(const circuit::Circuit& input)
+        : input_(&input),
+          order_(input.size()),
+          wire_of_(static_cast<std::size_t>(input.num_qubits())),
+          num_clbits_(input.num_clbits())
+    {
+        std::iota(order_.begin(), order_.end(), 0);
+        std::iota(wire_of_.begin(), wire_of_.end(), 0);
+    }
+
+    int num_qubits() const { return input_->num_qubits(); }
+    int num_wires() const { return num_qubits() + num_clbits_; }
+    std::size_t num_nodes() const { return input_->size() + appended_.size(); }
+    const std::vector<int>& order() const { return order_; }
+    int wire_of(int q) const { return wire_of_[static_cast<std::size_t>(q)]; }
+
+    const Instruction&
+    node(int id) const
+    {
+        const auto index = static_cast<std::size_t>(id);
+        return index < input_->size() ? input_->at(index)
+                                      : appended_[index - input_->size()];
+    }
+
+    /// Calls @p fn on every wire of non-barrier @p instr: its qubits'
+    /// wires, then its clbit and condition bit.
+    template <typename Fn>
+    void
+    for_each_wire(const Instruction& instr, Fn&& fn) const
+    {
+        for (int q : instr.qubits) fn(wire_of(q));
+        if (instr.clbit >= 0) fn(num_qubits() + instr.clbit);
+        if (instr.condition_bit >= 0) {
+            fn(num_qubits() + instr.condition_bit);
+        }
+    }
+
+    void commit(ReusePair pair);
+    circuit::Circuit build() const;
+
+  private:
+    int
+    append(Instruction instr)
+    {
+        appended_.push_back(std::move(instr));
+        return static_cast<int>(input_->size() + appended_.size()) - 1;
+    }
+
+    const circuit::Circuit* input_;
+    std::vector<Instruction> appended_;
+    std::vector<int> order_;
+    std::vector<int> wire_of_;
+    int num_clbits_;
+};
+
+/**
+ * Commits @p pair, given by wire heads: splices the source wire's reset
+ * between its operations and the target wire's, then moves the target
+ * wire's operations onto the source wire. The new order is the one a
+ * smallest-index-first topological sort of the spliced DAG emits: the
+ * splice's non-descendants in current order, the reset (a measure
+ * unless the source wire already ends in one, then an x_if), then its
+ * descendants, everything the target wire reaches, in current order.
+ * A barrier joins every wire, as in CircuitDag.
+ */
+void
+ReuseProgram::commit(ReusePair pair)
+{
+    const int source = pair.source;
+    const int target = pair.target;
+    CAQR_CHECK(source != target && wire_of(source) == source &&
+                   wire_of(target) == target,
+               "commit needs two live wire heads");
+    std::vector<char> tainted(static_cast<std::size_t>(num_wires()), 0);
+    bool any_tainted = false;
+    bool all_tainted = false;  // a barrier descends from the target
+    std::vector<int> before;
+    std::vector<int> after;
+    before.reserve(order_.size() + 2);
+    int last_on_source = -1;
+    for (int id : order_) {
+        const Instruction& instr = node(id);
+        bool descendant = all_tainted;
+        if (instr.kind == GateKind::kBarrier) {
+            descendant = all_tainted = any_tainted;
+        } else {
+            bool on_source = false;
+            for_each_wire(instr, [&](int w) {
+                descendant = descendant || w == target ||
+                             tainted[static_cast<std::size_t>(w)] != 0;
+                on_source = on_source || w == source;
+            });
+            if (descendant) {
+                CAQR_CHECK(!on_source, "commit called with an invalid pair");
+                for_each_wire(instr, [&](int w) {
+                    tainted[static_cast<std::size_t>(w)] = 1;
+                });
+                any_tainted = true;
+            } else if (on_source) {
+                last_on_source = id;
+            }
+        }
+        (descendant ? after : before).push_back(id);
+    }
+    CAQR_CHECK(last_on_source >= 0, "commit called with an invalid pair");
+
+    int clbit = node(last_on_source).kind == GateKind::kMeasure
+                    ? node(last_on_source).clbit
+                    : -1;
+    if (clbit < 0) {
+        // Source wire never measured: measure into a scratch bit so the
+        // conditional reset has a condition to read.
+        clbit = num_clbits_++;
+        Instruction measure;
+        measure.kind = GateKind::kMeasure;
+        measure.qubits = {source};
+        measure.clbit = clbit;
+        before.push_back(append(std::move(measure)));
+    }
+    Instruction reset;
+    reset.kind = GateKind::kX;
+    reset.qubits = {source};
+    reset.condition_bit = clbit;
+    reset.condition_value = 1;
+    before.push_back(append(std::move(reset)));
+    before.insert(before.end(), after.begin(), after.end());
+    order_ = std::move(before);
+    for (int& wire : wire_of_) {
+        if (wire == target) wire = source;
+    }
 }
 
-/// Lazily-constructed thread pool shared by the commuting sweeps of one
-/// search. The pool is only spun up once a step actually has enough
-/// parallel work to amortize it (tiny searches stay serial end to end).
-struct EvalContext
+/// Materializes the current order: live wires are numbered densely in
+/// head order.
+circuit::Circuit
+ReuseProgram::build() const
 {
-    int threads = 1;
-    std::unique_ptr<util::ThreadPool> pool;
-
-    util::ThreadPool*
-    acquire()
-    {
-        if (threads > 1 && pool == nullptr) {
-            pool = std::make_unique<util::ThreadPool>(threads - 1);
-        }
-        return pool.get();
+    std::vector<int> index_of(wire_of_.size(), -1);
+    int live = 0;
+    for (int q = 0; q < num_qubits(); ++q) {
+        if (wire_of(q) == q) index_of[static_cast<std::size_t>(q)] = live++;
     }
+    circuit::Circuit output(live, num_clbits_);
+    output.copy_params_from(*input_);
+    for (int id : order_) {
+        Instruction instr = node(id);
+        for (int& q : instr.qubits) {
+            q = index_of[static_cast<std::size_t>(wire_of(q))];
+        }
+        output.append(std::move(instr));
+    }
+    return output;
+}
+
+/// What one step needs, from one forward and one backward pass over the
+/// current order.
+struct StepAnalysis
+{
+    int qubits = 0;  ///< wires any instruction touches
+    int depth = 0;
+    double duration_dt = 0.0;
+    /// Pricing table under the selection model, indexed by wire head.
+    SpliceTiming timing;
+    /// Heads of the wires with a non-barrier operation, ascending.
+    std::vector<int> active;
+    /// Bitset words per row of `reach`.
+    std::size_t words = 0;
+    /// Row h: heads of the wires whose gates are, or precede, the last
+    /// gate on wire h (CircuitDag::qubit_reaches, by head).
+    std::vector<std::uint64_t> reach;
 };
+
+/// A node's weight under the depth and the duration model.
+struct NodeWeights
+{
+    double unit = 0.0;
+    double duration = 0.0;
+};
+
+/**
+ * The step tables of @p program's current order. The forward pass keeps
+ * the last completion time and reachability set per wire; the backward
+ * pass the longest tail per wire. Only wire-order edges exist, which
+ * are CircuitDag's edges up to transitivity, so every time and set is
+ * bit-identical to the DAG's. @p weights caches each pool node's
+ * weights across steps; nodes appended since the last call are added.
+ */
+StepAnalysis
+analyze(const ReuseProgram& program, bool by_duration,
+        std::vector<NodeWeights>* weights)
+{
+    const circuit::UnitDepthModel unit;
+    const circuit::LogicalDurations durations;
+    while (weights->size() < program.num_nodes()) {
+        const Instruction& instr =
+            program.node(static_cast<int>(weights->size()));
+        weights->push_back({unit.duration(instr), durations.duration(instr)});
+    }
+    const auto num_qubits = static_cast<std::size_t>(program.num_qubits());
+    const auto num_wires = static_cast<std::size_t>(program.num_wires());
+    // Visits every wire of @p instr; a barrier joins every wire.
+    const auto visit_wires = [&](const Instruction& instr, auto&& fn) {
+        if (instr.kind == GateKind::kBarrier) {
+            for (std::size_t w = 0; w < num_wires; ++w) fn(w);
+        } else {
+            program.for_each_wire(
+                instr, [&](int w) { fn(static_cast<std::size_t>(w)); });
+        }
+    };
+
+    StepAnalysis step;
+    const std::size_t words = (num_qubits + 63) / 64;
+    step.words = words;
+    step.reach.assign(num_qubits * words, 0);
+    step.timing.qubit_finish.assign(num_qubits, 0.0);
+    step.timing.qubit_tail.assign(num_qubits, 0.0);
+
+    std::vector<NodeWeights> wire_finish(num_wires);
+    std::vector<std::uint64_t> wire_sets(num_wires * words, 0);
+    std::vector<std::uint64_t> joined(words);
+    std::vector<char> touched(num_qubits, 0);
+    std::vector<char> has_gate(num_qubits, 0);
+    NodeWeights critical;
+    for (int id : program.order()) {
+        const Instruction& instr = program.node(id);
+        NodeWeights start;
+        std::fill(joined.begin(), joined.end(), 0);
+        visit_wires(instr, [&](std::size_t wire) {
+            start.unit = std::max(start.unit, wire_finish[wire].unit);
+            start.duration =
+                std::max(start.duration, wire_finish[wire].duration);
+            const std::uint64_t* set = &wire_sets[wire * words];
+            for (std::size_t k = 0; k < words; ++k) joined[k] |= set[k];
+        });
+        const auto& weight = (*weights)[static_cast<std::size_t>(id)];
+        const NodeWeights finish{start.unit + weight.unit,
+                                 start.duration + weight.duration};
+        critical.unit = std::max(critical.unit, finish.unit);
+        critical.duration = std::max(critical.duration, finish.duration);
+        const bool barrier = instr.kind == GateKind::kBarrier;
+        for (int q : instr.qubits) {
+            const auto head = static_cast<std::size_t>(program.wire_of(q));
+            touched[head] = 1;
+            if (!barrier) joined[head >> 6] |= 1ULL << (head & 63);
+        }
+        visit_wires(instr, [&](std::size_t wire) {
+            wire_finish[wire] = finish;
+            std::copy(joined.begin(), joined.end(),
+                      wire_sets.begin() +
+                          static_cast<std::ptrdiff_t>(wire * words));
+        });
+        if (barrier) continue;
+        for (int q : instr.qubits) {
+            const auto head = static_cast<std::size_t>(program.wire_of(q));
+            has_gate[head] = 1;
+            step.timing.qubit_finish[head] =
+                std::max(step.timing.qubit_finish[head],
+                         by_duration ? finish.duration : finish.unit);
+            std::copy(joined.begin(), joined.end(),
+                      step.reach.begin() +
+                          static_cast<std::ptrdiff_t>(head * words));
+        }
+    }
+    step.depth = static_cast<int>(critical.unit + 0.5);
+    step.duration_dt = critical.duration;
+    step.timing.critical_path =
+        by_duration ? critical.duration : critical.unit;
+    for (std::size_t head = 0; head < num_qubits; ++head) {
+        if (touched[head] != 0) ++step.qubits;
+        if (has_gate[head] != 0) step.active.push_back(static_cast<int>(head));
+    }
+
+    std::vector<double> wire_tail(num_wires, 0.0);
+    const auto& order = program.order();
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const Instruction& instr = program.node(*it);
+        double best = 0.0;
+        visit_wires(instr, [&](std::size_t wire) {
+            best = std::max(best, wire_tail[wire]);
+        });
+        const auto& weight = (*weights)[static_cast<std::size_t>(*it)];
+        const double tail =
+            best + (by_duration ? weight.duration : weight.unit);
+        visit_wires(instr, [&](std::size_t wire) { wire_tail[wire] = tail; });
+        if (instr.kind == GateKind::kBarrier) continue;
+        for (int q : instr.qubits) {
+            const auto head = static_cast<std::size_t>(program.wire_of(q));
+            step.timing.qubit_tail[head] =
+                std::max(step.timing.qubit_tail[head], tail);
+        }
+    }
+    return step;
+}
 
 }  // namespace
 
@@ -72,6 +353,17 @@ QsCaqrResult::best_by_duration() const
     return *best;
 }
 
+circuit::Circuit
+QsCaqrResult::circuit(std::size_t index) const
+{
+    CAQR_CHECK(index < versions.size(), "version index out of range");
+    util::trace::Span span("qs_caqr.build_circuit");
+    ReuseProgram program(input);
+    for (const auto& pair : versions[index].applied) program.commit(pair);
+    util::metrics::global().add("qs_caqr.circuits_built", 1.0);
+    return program.build();
+}
+
 namespace {
 
 /// Pair-selection policy for one greedy sweep.
@@ -79,85 +371,131 @@ enum class SweepPolicy {
     /// Minimize the post-splice critical path (the paper's §3.2.1 rule).
     kMetricFirst,
     /// Prefer the earliest-finishing target, breaking ties by critical
-    /// path. This chains wires in temporal order and avoids the
-    /// "crossed merge" dead ends that pure cost greed can steer into,
-    /// reliably reaching the minimum qubit count (e.g. BV_n -> 2).
+    /// path. This chains wires in temporal order and avoids some of the
+    /// "crossed merge" dead ends that pure cost greed steers into, so
+    /// it usually saves more qubits than kMetricFirst (BV_10 -> 2). It
+    /// does not reach the minimum at device scale: sparse BV-64, BV-127
+    /// and BV-400 stop at 4 qubits, where SR-CaQR reaches 2 (ROADMAP.md
+    /// item 3).
     kOrderFirst,
 };
 
+/// The pair a step commits, and how many valid pairs it chose from.
+struct Selection
+{
+    ReusePair best;
+    std::size_t valid = 0;  ///< 0: no valid pair, the sweep ends
+};
+
 /**
- * One greedy sweep: each step prices every valid pair in closed form
- * (splice_timing) and commits the best one under @p policy. The step
- * and candidate totals reach the metrics registry once, at the end.
+ * Prices the valid pairs of @p step under @p policy. (source, target)
+ * is valid iff no gate on target is, or precedes, a gate on source.
+ * Ties go to the first candidate in (source, target) head order. A
+ * source whose bounds over all active targets cannot displace the
+ * incumbent is counted but not priced: no candidate it has could.
+ */
+Selection
+select_pair(const StepAnalysis& step, SweepPolicy policy, double dummy_weight)
+{
+    const auto& timing = step.timing;
+    const std::size_t words = step.words;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<std::uint64_t> active(words, 0);
+    double min_finish = kInf;
+    double min_tail = kInf;
+    for (int head : step.active) {
+        const auto h = static_cast<std::size_t>(head);
+        active[h >> 6] |= 1ULL << (h & 63);
+        min_finish = std::min(min_finish, timing.qubit_finish[h]);
+        min_tail = std::min(min_tail, timing.qubit_tail[h]);
+    }
+
+    Selection selection;
+    double best_primary = kInf;
+    double best_secondary = kInf;
+    for (int source : step.active) {
+        const auto s = static_cast<std::size_t>(source);
+        const std::uint64_t* row = &step.reach[s * words];
+        for (std::size_t k = 0; k < words; ++k) {
+            selection.valid +=
+                static_cast<std::size_t>(std::popcount(active[k] & ~row[k]));
+        }
+        double primary_bound =
+            std::max(timing.critical_path,
+                     timing.qubit_finish[s] + dummy_weight + min_tail);
+        double secondary_bound = min_finish;
+        if (policy == SweepPolicy::kOrderFirst) {
+            std::swap(primary_bound, secondary_bound);
+        }
+        if (primary_bound >= best_primary + 1e-9 ||
+            (primary_bound >= best_primary - 1e-9 &&
+             secondary_bound >= best_secondary - 1e-9)) {
+            continue;
+        }
+        for (std::size_t k = 0; k < words; ++k) {
+            for (std::uint64_t bits = active[k] & ~row[k]; bits != 0;
+                 bits &= bits - 1) {
+                const ReusePair pair{
+                    source, static_cast<int>(k * 64) + std::countr_zero(bits)};
+                double primary =
+                    timing.spliced_critical_path(pair, dummy_weight);
+                double secondary =
+                    timing.qubit_finish[static_cast<std::size_t>(pair.target)];
+                if (policy == SweepPolicy::kOrderFirst) {
+                    std::swap(primary, secondary);
+                }
+                if (primary < best_primary - 1e-9 ||
+                    (primary < best_primary + 1e-9 &&
+                     secondary < best_secondary - 1e-9)) {
+                    best_primary = primary;
+                    best_secondary = secondary;
+                    selection.best = pair;
+                }
+            }
+        }
+    }
+    return selection;
+}
+
+/**
+ * One greedy sweep (paper §3.2.1): each step prices the valid pairs in
+ * closed form (select_pair) and commits the best one under @p policy.
+ * A step is one analysis (a forward and a backward pass) and one commit
+ * over the same node pool; no version's circuit is built. The step and
+ * candidate totals reach the metrics registry once, at the end.
  */
 std::vector<QsVersion>
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
           SweepPolicy policy)
 {
-    std::vector<QsVersion> versions;
-
-    QsVersion original;
-    original.circuit = circuit;
-    original.orig_of.resize(static_cast<std::size_t>(circuit.num_qubits()));
-    for (int q = 0; q < circuit.num_qubits(); ++q) {
-        original.orig_of[static_cast<std::size_t>(q)] = q;
-    }
-    fill_version_metrics(&original);
-    versions.push_back(std::move(original));
-
-    circuit::LogicalDurations durations;
-    circuit::UnitDepthModel unit;
+    util::trace::Span span("qs_caqr.sweep");
     const bool by_duration = options.metric == ReuseMetric::kDuration;
     const double dummy_weight =
         by_duration ? circuit::LogicalDurations::kMeasure +
                           circuit::LogicalDurations::kConditionedGate
                     : 1.0;
-    const circuit::DurationModel& model =
-        by_duration ? static_cast<const circuit::DurationModel&>(durations)
-                    : static_cast<const circuit::DurationModel&>(unit);
 
+    ReuseProgram program(circuit);
+    std::vector<NodeWeights> weights;
+    std::vector<QsVersion> versions;
+    std::vector<ReusePair> applied;
     std::size_t steps = 0;
     std::size_t candidates = 0;
-    while (options.target_qubits < 0 ||
-           versions.back().qubits > options.target_qubits) {
-        const auto& current = versions.back();
-        circuit::CircuitDag dag(current.circuit);
-        const auto pairs = find_reuse_pairs(dag);
-        if (pairs.empty()) break;
-        ++steps;
-        candidates += pairs.size();
-        const auto timing = splice_timing(dag, model);
-
-        // Ties go to the first candidate in (source, target) order.
-        double best_primary = std::numeric_limits<double>::infinity();
-        double best_secondary = std::numeric_limits<double>::infinity();
-        ReusePair best{};
-        for (const auto& pair : pairs) {
-            double primary =
-                timing.spliced_critical_path(pair, dummy_weight);
-            double secondary = timing.qubit_finish[pair.target];
-            if (policy == SweepPolicy::kOrderFirst) {
-                std::swap(primary, secondary);
-            }
-            if (primary < best_primary - 1e-9 ||
-                (primary < best_primary + 1e-9 &&
-                 secondary < best_secondary - 1e-9)) {
-                best_primary = primary;
-                best_secondary = secondary;
-                best = pair;
-            }
+    for (;;) {
+        const auto step = analyze(program, by_duration, &weights);
+        versions.push_back(QsVersion{applied, step.qubits, step.depth,
+                                     step.duration_dt});
+        if (options.target_qubits >= 0 &&
+            step.qubits <= options.target_qubits) {
+            break;
         }
 
-        QsVersion next;
-        next.applied = current.applied;
-        next.applied.push_back(
-            ReusePair{current.orig_of[static_cast<std::size_t>(best.source)],
-                      current.orig_of[static_cast<std::size_t>(best.target)]});
-        auto transformed = apply_reuse(dag, best, current.orig_of);
-        next.circuit = std::move(transformed.circuit);
-        next.orig_of = std::move(transformed.orig_of);
-        fill_version_metrics(&next);
-        versions.push_back(std::move(next));
+        const auto selection = select_pair(step, policy, dummy_weight);
+        if (selection.valid == 0) break;
+        ++steps;
+        candidates += selection.valid;
+        applied.push_back(selection.best);
+        program.commit(selection.best);
     }
     auto& metrics = util::metrics::global();
     metrics.add("qs_caqr.steps", static_cast<double>(steps));
@@ -199,6 +537,7 @@ run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
     }
 
     QsCaqrResult result;
+    result.input = circuit;
     for (auto it = by_count.rbegin(); it != by_count.rend(); ++it) {
         result.versions.push_back(*it->second);
     }
@@ -229,6 +568,24 @@ qs_caqr_or(const circuit::Circuit& circuit, const QsCaqrOptions& options)
 }
 
 namespace {
+
+/// Lazily-constructed thread pool shared by the commuting sweeps of one
+/// search. The pool is only spun up once a step actually has enough
+/// parallel work to amortize it (tiny searches stay serial end to end).
+struct EvalContext
+{
+    int threads = 1;
+    std::unique_ptr<util::ThreadPool> pool;
+
+    util::ThreadPool*
+    acquire()
+    {
+        if (threads > 1 && pool == nullptr) {
+            pool = std::make_unique<util::ThreadPool>(threads - 1);
+        }
+        return pool.get();
+    }
+};
 
 /// One greedy commuting sweep. When @p evaluate_candidates is true
 /// every valid candidate (up to the budget) is scheduled — across the

@@ -17,6 +17,7 @@
 #ifndef CAQR_CORE_QS_CAQR_H
 #define CAQR_CORE_QS_CAQR_H
 
+#include <cstddef>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -30,12 +31,15 @@ namespace caqr::core {
 /// Optimization metric for pair selection.
 enum class ReuseMetric { kDepth, kDuration };
 
-/// One generated circuit version.
+/**
+ * One generated circuit version: what was committed and what it costs.
+ * The circuit itself is built on demand by QsCaqrResult::circuit.
+ */
 struct QsVersion
 {
-    circuit::Circuit circuit;
-    std::vector<int> orig_of;          ///< wire -> original qubit id
-    std::vector<ReusePair> applied;    ///< pairs in original qubit ids
+    /// Committed pairs in commit order. Each names a wire by its head:
+    /// the original qubit that first ran on it.
+    std::vector<ReusePair> applied;
     int qubits = 0;                    ///< active qubit count
     int depth = 0;
     double duration_dt = 0.0;
@@ -55,6 +59,8 @@ struct QsCaqrOptions : CommonOptions
 /// Result: versions[k] uses (original - k) qubits.
 struct QsCaqrResult
 {
+    /// The searched circuit; every version's commits replay onto it.
+    circuit::Circuit input;
     std::vector<QsVersion> versions;
     bool reached_target = false;
 
@@ -65,6 +71,16 @@ struct QsCaqrResult
     /// depth/duration_dt.
     const QsVersion& best_by_depth() const;
     const QsVersion& best_by_duration() const;
+
+    /**
+     * Builds version @p index's circuit by replaying its commits on
+     * `input`: O(commits x instructions). The circuit is the one the
+     * search priced: each commit splices the source wire's measure
+     * (unless it already ends in one) and conditional-X reset, moves
+     * the target wire's operations onto it, and compacts the freed
+     * wire away (see core::apply_reuse). Thread-safe.
+     */
+    circuit::Circuit circuit(std::size_t index) const;
 };
 
 /// Runs QS-CaQR on a regular (non-commuting) circuit. An unreachable

@@ -40,36 +40,6 @@ find_reuse_pairs(const circuit::CircuitDag& dag)
     return pairs;
 }
 
-SpliceTiming
-splice_timing(const circuit::CircuitDag& dag,
-              const circuit::DurationModel& model)
-{
-    const auto& circuit = dag.circuit();
-    std::vector<double> weights;
-    weights.reserve(circuit.size());
-    for (const auto& instr : circuit.instructions()) {
-        weights.push_back(model.duration(instr));
-    }
-    const auto finish = dag.graph().earliest_completion(weights);
-    const auto tail = dag.graph().longest_from(weights);
-
-    SpliceTiming timing;
-    const auto num_qubits = static_cast<std::size_t>(circuit.num_qubits());
-    timing.qubit_finish.assign(num_qubits, 0.0);
-    timing.qubit_tail.assign(num_qubits, 0.0);
-    for (double f : finish) {
-        timing.critical_path = std::max(timing.critical_path, f);
-    }
-    for (std::size_t q = 0; q < num_qubits; ++q) {
-        for (int node : dag.nodes_on_qubit(static_cast<int>(q))) {
-            timing.qubit_finish[q] = std::max(timing.qubit_finish[q],
-                                              finish[node]);
-            timing.qubit_tail[q] = std::max(timing.qubit_tail[q], tail[node]);
-        }
-    }
-    return timing;
-}
-
 ReuseAdvice
 advise_reuse(const circuit::Circuit& circuit)
 {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "circuit/dag.h"
-#include "circuit/timing.h"
 
 namespace caqr::core {
 
@@ -47,8 +46,8 @@ bool is_valid_reuse_pair(const circuit::CircuitDag& dag, int source,
 std::vector<ReusePair> find_reuse_pairs(const circuit::CircuitDag& dag);
 
 /**
- * Per-qubit timing of a DAG, enough to price any reuse splice in closed
- * form (paper §3.2.1). Splicing the measure/reset dummy node between
+ * Per-qubit timing of a circuit, enough to price any reuse splice in
+ * closed form (paper §3.2.1). Splicing the measure/reset dummy node between
  * the gates on qi and the gates on qj only adds paths through the
  * dummy, so the spliced critical path is
  * max(critical_path, qubit_finish[qi] + dummy_weight + qubit_tail[qj]).
@@ -72,10 +71,6 @@ struct SpliceTiming
                             qubit_tail[static_cast<std::size_t>(pair.target)]);
     }
 };
-
-/// Timing table of @p dag under @p model.
-SpliceTiming splice_timing(const circuit::CircuitDag& dag,
-                           const circuit::DurationModel& model);
 
 /**
  * Quick benefit probe (paper §1: "a method for identifying whether

@@ -44,15 +44,7 @@ stable_topological_order(const graph::Digraph& graph)
 TransformResult
 apply_reuse(const Circuit& input, ReusePair pair, std::vector<int> orig_of)
 {
-    circuit::CircuitDag dag(input);
-    return apply_reuse(dag, pair, std::move(orig_of));
-}
-
-TransformResult
-apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
-            std::vector<int> orig_of)
-{
-    const Circuit& input = dag.circuit();
+    const circuit::CircuitDag dag(input);
     CAQR_CHECK(is_valid_reuse_pair(dag, pair.source, pair.target),
                "apply_reuse called with an invalid pair");
     if (orig_of.empty()) {

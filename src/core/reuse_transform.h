@@ -38,12 +38,6 @@ struct TransformResult
 TransformResult apply_reuse(const circuit::Circuit& input, ReusePair pair,
                             std::vector<int> orig_of = {});
 
-/// Overload reusing a caller-owned DAG of the input circuit (avoids
-/// rebuilding it and its reachability cache). @p dag must be built over
-/// @p input's current state.
-TransformResult apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
-                            std::vector<int> orig_of = {});
-
 }  // namespace caqr::core
 
 #endif  // CAQR_CORE_REUSE_TRANSFORM_H

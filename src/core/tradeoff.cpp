@@ -57,8 +57,10 @@ explore_tradeoff(const circuit::Circuit& circuit,
             point.qubits = version.qubits;
             point.logical_depth = version.depth;
             point.logical_duration_dt = version.duration_dt;
-            fill_compiled_metrics(&point, version.circuit, backend,
-                                  /*keep_rzz=*/false);
+            if (backend != nullptr) {
+                fill_compiled_metrics(&point, result.circuit(index), backend,
+                                      /*keep_rzz=*/false);
+            }
             return point;
         });
 }
@@ -77,7 +79,7 @@ select_best_by_esp(const QsCaqrResult& result, const arch::Backend& backend,
     auto scored = map_versions(
         result.versions.size(), num_threads, [&](std::size_t index) {
             auto compiled = transpile::transpile_or(
-                result.versions[index].circuit, backend).value();
+                result.circuit(index), backend).value();
             Scored entry;
             entry.esp = arch::estimated_success_probability(
                 compiled.circuit, backend);

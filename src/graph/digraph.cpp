@@ -96,32 +96,6 @@ Digraph::has_path(int u, int v) const
     return reachable_from(u)[static_cast<std::size_t>(v)];
 }
 
-std::vector<std::vector<std::uint64_t>>
-Digraph::transitive_closure() const
-{
-    const int n = num_nodes();
-    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-    std::vector<std::vector<std::uint64_t>> closure(
-        static_cast<std::size_t>(n), std::vector<std::uint64_t>(words, 0));
-
-    auto order = topological_order();
-    CAQR_CHECK(order.has_value(), "transitive_closure requires a DAG");
-
-    // Process in reverse topological order so each successor's row is
-    // complete before it is merged.
-    for (auto it = order->rbegin(); it != order->rend(); ++it) {
-        const int u = *it;
-        auto& row = closure[static_cast<std::size_t>(u)];
-        for (int v : succ_[u]) {
-            row[static_cast<std::size_t>(v) >> 6] |=
-                1ULL << (static_cast<std::size_t>(v) & 63);
-            const auto& vrow = closure[static_cast<std::size_t>(v)];
-            for (std::size_t w = 0; w < words; ++w) row[w] |= vrow[w];
-        }
-    }
-    return closure;
-}
-
 std::vector<double>
 Digraph::earliest_completion(const std::vector<double>& node_weight) const
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Directed graph with the algorithms the CaQR passes rely on:
- * topological ordering, cycle detection, reachability / transitive
- * closure, and weighted longest path (critical path).
+ * topological ordering, cycle detection, reachability, and weighted
+ * longest path (critical path).
  *
  * Nodes are dense integer ids `0..num_nodes()-1`. Payloads live with the
  * callers (e.g. CircuitDag maps node ids to gate indices); this class is
@@ -60,16 +60,7 @@ class Digraph
     /// cycle).
     bool has_path(int u, int v) const;
 
-    /**
-     * Transitive closure as a bit matrix: closure[u][v] is true iff
-     * there is a directed path u -> ... -> v of length >= 1.
-     *
-     * Runs a DFS per node in reverse topological order with 64-bit word
-     * OR-merging, O(V*E/64) — fast enough for circuit-sized DAGs.
-     */
-    std::vector<std::vector<std::uint64_t>> transitive_closure() const;
-
-    /// Tests bit v in a closure row produced by transitive_closure().
+    /// Tests bit v of a bitset row (one 64-bit word per 64 node ids).
     static bool
     closure_bit(const std::vector<std::uint64_t>& row, int v)
     {

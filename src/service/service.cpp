@@ -535,7 +535,7 @@ Service::compile_uncached(const CompileRequest& request,
                 index = selection.version_index;
             }
             const auto& version = result->versions[index];
-            reuse_level = version.circuit;
+            reuse_level = result->circuit(index);
             report.qubits = version.qubits;
             report.reuses = static_cast<int>(version.applied.size());
             report.depth = version.depth;

@@ -208,7 +208,7 @@ TEST(EspSelection, PicksAVersionAndReportsEsp)
 
     // The chosen ESP must be >= the baseline version's ESP.
     auto baseline =
-        transpile::transpile_or(sweep.versions.front().circuit, backend).value();
+        transpile::transpile_or(sweep.circuit(0), backend).value();
     EXPECT_GE(pick.esp + 1e-12,
               arch::estimated_success_probability(baseline.circuit,
                                                   backend));

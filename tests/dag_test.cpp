@@ -15,6 +15,7 @@
 #include "circuit/timing.h"
 #include "core/reuse_analysis.h"
 #include "graph/digraph.h"
+#include "oracle.h"
 #include "util/rng.h"
 
 namespace caqr {
@@ -184,7 +185,7 @@ TEST(SpliceTiming, ClosedFormAddsDummy)
     c.h(0);
     c.h(1);
     CircuitDag dag(c);
-    const auto timing = core::splice_timing(dag, UnitDepthModel{});
+    const auto timing = oracle::splice_timing(dag, UnitDepthModel{});
     EXPECT_DOUBLE_EQ(timing.critical_path, 1.0);
     EXPECT_DOUBLE_EQ(timing.spliced_critical_path({0, 1}, 1.0), 3.0);
     EXPECT_DOUBLE_EQ(timing.spliced_critical_path({0, 1}, 0.0), 2.0);
@@ -204,36 +205,6 @@ TEST(Dag, BvStructureMatchesPaper)
 // Fast paths vs their slow oracles
 // ---------------------------------------------------------------------
 
-namespace oracle {
-
-/// Seeded random circuit over @p qubits qubits: 1q/2q gates, measures
-/// into a small shared clbit pool, x_if conditions and occasional
-/// barriers.
-Circuit
-random_circuit(util::Rng& rng, int qubits)
-{
-    const int clbits = std::max(1, qubits / 4);
-    Circuit c(qubits, clbits);
-    const int gates = rng.next_int(qubits, 5 * qubits);
-    for (int g = 0; g < gates; ++g) {
-        const int q = rng.next_int(0, qubits - 1);
-        const int kind = rng.next_int(0, 19);
-        if (kind < 6) {
-            c.h(q);
-        } else if (kind < 13 && qubits > 1) {
-            const int r = rng.next_int(0, qubits - 2);
-            c.cx(q, r >= q ? r + 1 : r);
-        } else if (kind < 16) {
-            c.measure(q, rng.next_int(0, clbits - 1));
-        } else if (kind < 19) {
-            c.x_if(q, rng.next_int(0, clbits - 1), 1);
-        } else {
-            c.barrier();
-        }
-    }
-    return c;
-}
-
 /// reaches[a][b] = some gate on qubit a is, or transitively precedes,
 /// a gate on qubit b — computed from the full node-level transitive
 /// closure.
@@ -242,7 +213,7 @@ qubit_reachability(const CircuitDag& dag)
 {
     const Circuit& c = dag.circuit();
     const auto n = static_cast<std::size_t>(c.num_qubits());
-    const auto closure = dag.graph().transitive_closure();
+    const auto closure = oracle::transitive_closure(dag.graph());
     std::vector<std::vector<bool>> reaches(n, std::vector<bool>(n, false));
     for (std::size_t a = 0; a < c.size(); ++a) {
         for (std::size_t b = 0; b < c.size(); ++b) {
@@ -284,14 +255,12 @@ expect_matches_closure(const Circuit& c, const std::string& context)
     EXPECT_EQ(core::find_reuse_pairs(dag), valid_pairs) << context;
 }
 
-}  // namespace oracle
-
 TEST(WireReachability, MatchesClosureOnSmallRandomCircuits)
 {
     for (std::uint64_t seed = 1; seed <= 300; ++seed) {
         util::Rng rng(seed);
         const Circuit c = oracle::random_circuit(rng, rng.next_int(2, 12));
-        oracle::expect_matches_closure(c, "seed " + std::to_string(seed));
+        expect_matches_closure(c, "seed " + std::to_string(seed));
     }
 }
 
@@ -301,7 +270,7 @@ TEST(WireReachability, MatchesClosureOnLargeRandomCircuits)
         util::Rng rng(1000 + seed);
         const Circuit c =
             oracle::random_circuit(rng, rng.next_int(100, 140));
-        oracle::expect_matches_closure(c, "seed " + std::to_string(seed));
+        expect_matches_closure(c, "seed " + std::to_string(seed));
     }
 }
 
@@ -326,7 +295,7 @@ TEST(WireReachability, TrailingBarrierDoesNotJoinFinishedQubits)
     // Both untouched by the second barrier: either order is legal.
     EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 2));
     EXPECT_TRUE(core::is_valid_reuse_pair(dag, 2, 0));
-    oracle::expect_matches_closure(c, "trailing barrier");
+    expect_matches_closure(c, "trailing barrier");
 }
 
 TEST(SpliceTiming, MatchesExtendedDagLongestPath)
@@ -344,7 +313,7 @@ TEST(SpliceTiming, MatchesExtendedDagLongestPath)
         for (const auto& [model, dummy_weight] :
              {std::pair<const circuit::DurationModel*, double>{&unit, 1.0},
               {&durations, dummy_duration}}) {
-            const auto timing = core::splice_timing(dag, *model);
+            const auto timing = oracle::splice_timing(dag, *model);
             std::vector<double> weights;
             for (const auto& instr : c.instructions()) {
                 weights.push_back(model->duration(instr));

@@ -67,7 +67,7 @@ TEST(Tradeoff, CommutingSweepReachesDeepSavings)
 TEST(QasmIntegration, TransformedDynamicCircuitRoundTrips)
 {
     const auto result = core::qs_caqr_or(apps::bv_circuit(6)).value();
-    const auto& reused = result.versions.back().circuit;
+    const auto reused = result.circuit(result.versions.size() - 1);
     const auto text = qasm::to_qasm(reused);
     const auto parsed = qasm::parse(text);
     ASSERT_TRUE(parsed.ok()) << parsed.error;
@@ -134,7 +134,8 @@ TEST(EndToEnd, QsThenBaselineMappingStaysCorrect)
     const auto qs = core::qs_caqr_or(apps::bv_circuit(6), options).value();
     ASSERT_TRUE(qs.reached_target);
     const auto mapped =
-        transpile::transpile_or(qs.versions.back().circuit, backend).value();
+        transpile::transpile_or(qs.circuit(qs.versions.size() - 1), backend)
+            .value();
     const auto counts =
         sim::simulate(mapped.circuit, {.shots = 64, .seed = 91});
     ASSERT_EQ(counts.size(), 1u);

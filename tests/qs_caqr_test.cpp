@@ -1,15 +1,26 @@
-/// Tests for QS-CaQR: regular budget sweeps, the commuting (QAOA)
-/// variant with coloring bound, scheduling, and semantics checks, and
-/// thread-count independence of the commuting evaluation engine.
+/// Tests for QS-CaQR: regular budget sweeps checked against the
+/// per-step rebuild they replaced, the commuting (QAOA) variant with
+/// coloring bound, scheduling, and semantics checks, and thread-count
+/// independence of the commuting evaluation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
+#include "circuit/dag.h"
+#include "circuit/timing.h"
 #include "core/commuting.h"
 #include "core/qs_caqr.h"
+#include "core/reuse_analysis.h"
+#include "core/reuse_transform.h"
 #include "graph/generators.h"
+#include "oracle.h"
 #include "qasm/printer.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -77,10 +88,11 @@ TEST(QsCaqr, AppliedPairsRecordedInOriginalIds)
 TEST(QsCaqr, TransformedVersionsPreserveBvOutcome)
 {
     const auto result = core::qs_caqr_or(apps::bv_circuit(6)).value();
-    for (const auto& version : result.versions) {
+    for (std::size_t i = 0; i < result.versions.size(); ++i) {
         const auto counts =
-            sim::simulate(version.circuit, {.shots = 128, .seed = 41});
-        ASSERT_EQ(counts.size(), 1u) << version.qubits << " qubits";
+            sim::simulate(result.circuit(i), {.shots = 128, .seed = 41});
+        ASSERT_EQ(counts.size(), 1u)
+            << result.versions[i].qubits << " qubits";
         EXPECT_EQ(counts.begin()->first, apps::bv_expected(6));
     }
 }
@@ -116,6 +128,244 @@ TEST(QsCaqr, NoOpportunityCircuitKeepsOneVersion)
     const auto result = core::qs_caqr_or(triangle).value();
     EXPECT_EQ(result.versions.size(), 1u);
     EXPECT_EQ(result.versions.front().qubits, 3);
+}
+
+// ---------------------------------------------------------------------
+// The sweep against the per-step rebuild it replaced: every step builds
+// a CircuitDag, enumerates and prices the pairs on it, and rewrites the
+// circuit with apply_reuse; every version is measured on a fresh DAG.
+// ---------------------------------------------------------------------
+
+struct ReferenceVersion
+{
+    circuit::Circuit circuit;
+    std::vector<int> orig_of;  ///< wire -> head (original qubit id)
+    std::vector<ReusePair> applied;
+    int qubits = 0;
+    int depth = 0;
+    double duration_dt = 0.0;
+};
+
+void
+measure_version(ReferenceVersion* version)
+{
+    circuit::CircuitDag dag(version->circuit);
+    version->qubits = version->circuit.active_qubit_count();
+    version->depth = dag.depth();
+    version->duration_dt = dag.duration(circuit::LogicalDurations{});
+}
+
+std::vector<ReferenceVersion>
+reference_sweep(const circuit::Circuit& input,
+                const core::QsCaqrOptions& options, bool order_first)
+{
+    const bool by_duration = options.metric == core::ReuseMetric::kDuration;
+    const double dummy_weight =
+        by_duration ? circuit::LogicalDurations::kMeasure +
+                          circuit::LogicalDurations::kConditionedGate
+                    : 1.0;
+    const circuit::LogicalDurations durations;
+    const circuit::UnitDepthModel unit;
+    const circuit::DurationModel& model =
+        by_duration ? static_cast<const circuit::DurationModel&>(durations)
+                    : static_cast<const circuit::DurationModel&>(unit);
+
+    std::vector<ReferenceVersion> versions(1);
+    versions[0].circuit = input;
+    for (int q = 0; q < input.num_qubits(); ++q) {
+        versions[0].orig_of.push_back(q);
+    }
+    measure_version(&versions[0]);
+    while (options.target_qubits < 0 ||
+           versions.back().qubits > options.target_qubits) {
+        const auto& current = versions.back();
+        circuit::CircuitDag dag(current.circuit);
+        const auto pairs = core::find_reuse_pairs(dag);
+        if (pairs.empty()) break;
+        const auto timing = oracle::splice_timing(dag, model);
+        double best_primary = std::numeric_limits<double>::infinity();
+        double best_secondary = std::numeric_limits<double>::infinity();
+        ReusePair best{};
+        for (const auto& pair : pairs) {
+            double primary = timing.spliced_critical_path(pair, dummy_weight);
+            double secondary = timing.qubit_finish[pair.target];
+            if (order_first) std::swap(primary, secondary);
+            if (primary < best_primary - 1e-9 ||
+                (primary < best_primary + 1e-9 &&
+                 secondary < best_secondary - 1e-9)) {
+                best_primary = primary;
+                best_secondary = secondary;
+                best = pair;
+            }
+        }
+        ReferenceVersion next;
+        next.applied = current.applied;
+        next.applied.push_back(
+            ReusePair{current.orig_of[best.source],
+                      current.orig_of[best.target]});
+        auto transformed =
+            core::apply_reuse(current.circuit, best, current.orig_of);
+        next.circuit = std::move(transformed.circuit);
+        next.orig_of = std::move(transformed.orig_of);
+        measure_version(&next);
+        versions.push_back(std::move(next));
+    }
+    return versions;
+}
+
+/// Both sweeps, merged by qubit count (the lower metric wins, ties to
+/// the metric-first sweep), fewest qubits last.
+std::vector<ReferenceVersion>
+reference_qs_caqr(const circuit::Circuit& input,
+                  const core::QsCaqrOptions& options)
+{
+    const auto metric_sweep = reference_sweep(input, options, false);
+    const auto order_sweep = reference_sweep(input, options, true);
+    const bool by_duration = options.metric == core::ReuseMetric::kDuration;
+    const auto metric_of = [by_duration](const ReferenceVersion& version) {
+        return by_duration ? version.duration_dt
+                           : static_cast<double>(version.depth);
+    };
+    std::map<int, const ReferenceVersion*> by_count;
+    for (const auto* sweep : {&metric_sweep, &order_sweep}) {
+        for (const auto& version : *sweep) {
+            auto [it, inserted] =
+                by_count.try_emplace(version.qubits, &version);
+            if (!inserted && metric_of(version) < metric_of(*it->second)) {
+                it->second = &version;
+            }
+        }
+    }
+    std::vector<ReferenceVersion> merged;
+    for (auto it = by_count.rbegin(); it != by_count.rend(); ++it) {
+        merged.push_back(*it->second);
+    }
+    return merged;
+}
+
+void
+expect_matches_reference(const circuit::Circuit& input,
+                         const core::QsCaqrOptions& options,
+                         const std::string& context)
+{
+    const auto expected = reference_qs_caqr(input, options);
+    const auto result = core::qs_caqr_or(input, options);
+    ASSERT_TRUE(result.ok()) << context << ": " << result.status().to_string();
+    ASSERT_EQ(result->versions.size(), expected.size()) << context;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const auto& version = result->versions[i];
+        ASSERT_TRUE(version.applied == expected[i].applied)
+            << context << " version " << i;
+        EXPECT_EQ(version.qubits, expected[i].qubits)
+            << context << " version " << i;
+        EXPECT_EQ(version.depth, expected[i].depth)
+            << context << " version " << i;
+        EXPECT_EQ(version.duration_dt, expected[i].duration_dt)
+            << context << " version " << i;
+        EXPECT_EQ(qasm::to_qasm(result->circuit(i)),
+                  qasm::to_qasm(expected[i].circuit))
+            << context << " version " << i;
+    }
+}
+
+core::QsCaqrOptions
+options_for(core::ReuseMetric metric, int target_qubits = -1)
+{
+    core::QsCaqrOptions options;
+    options.metric = metric;
+    options.target_qubits = target_qubits;
+    return options;
+}
+
+/// @p n bits, @p ones of them set, at seeded positions.
+std::vector<int>
+random_bits(int n, int ones, util::Rng& rng)
+{
+    std::vector<int> bits(static_cast<std::size_t>(n), 0);
+    std::fill(bits.begin(), bits.begin() + ones, 1);
+    rng.shuffle(bits);
+    return bits;
+}
+
+TEST(QsCaqrOracle, RandomCircuitsMatchPerStepRebuild)
+{
+    for (const auto metric :
+         {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
+        for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+            util::Rng rng(seed);
+            const auto c = oracle::random_circuit(rng, rng.next_int(2, 12));
+            expect_matches_reference(
+                c, options_for(metric),
+                "seed " + std::to_string(seed) + " metric " +
+                    std::to_string(static_cast<int>(metric)));
+        }
+    }
+}
+
+TEST(QsCaqrOracle, LargeRandomCircuitsMatchPerStepRebuild)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        util::Rng rng(2000 + seed);
+        const auto c = oracle::random_circuit(rng, rng.next_int(60, 80));
+        expect_matches_reference(c, options_for(core::ReuseMetric::kDuration),
+                                 "seed " + std::to_string(seed));
+    }
+}
+
+TEST(QsCaqrOracle, BvAndCoinAtReuseSweepWeightMatchPerStepRebuild)
+{
+    // The reuse_sweep benchmark's inputs: (n - 1) / 3 secret bits set.
+    util::Rng rng(1);
+    for (int n = 12; n <= 26; ++n) {
+        for (int copy = 0; copy < 3; ++copy) {
+            const auto bits = random_bits(n - 1, (n - 1) / 3, rng);
+            const auto tag =
+                std::to_string(n) + " copy " + std::to_string(copy);
+            expect_matches_reference(apps::bv_circuit(n, bits), {},
+                                     "bv" + tag);
+            expect_matches_reference(apps::cc_circuit(n, bits), {},
+                                     "cc" + tag);
+        }
+    }
+}
+
+TEST(QsCaqrOracle, SparseDeviceScaleBvMatchesPerStepRebuild)
+{
+    for (int n : {64, 127}) {
+        std::vector<int> secret(static_cast<std::size_t>(n - 1));
+        for (std::size_t i = 0; i < secret.size(); ++i) {
+            secret[i] = i % 3 == 0 ? 1 : 0;
+        }
+        expect_matches_reference(apps::bv_circuit(n, secret), {},
+                                 "sparse bv" + std::to_string(n));
+    }
+}
+
+TEST(QsCaqrOracle, PositiveTargetStopsWhereRebuildStops)
+{
+    for (const auto metric :
+         {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
+        expect_matches_reference(apps::bv_circuit(12),
+                                 options_for(metric, 5), "bv12 target 5");
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            util::Rng rng(seed);
+            const auto c = oracle::random_circuit(rng, rng.next_int(6, 12));
+            const int floor_qubits =
+                core::qs_caqr_or(c, options_for(metric))->max_reuse().qubits;
+            expect_matches_reference(
+                c, options_for(metric, floor_qubits + 1),
+                "seed " + std::to_string(seed));
+        }
+    }
+}
+
+TEST(QsCaqr, ReplayedCircuitIsTheSearchedInput)
+{
+    const auto input = apps::bv_circuit(6);
+    const auto result = core::qs_caqr_or(input).value();
+    EXPECT_EQ(qasm::to_qasm(result.circuit(0)), qasm::to_qasm(input));
+    EXPECT_EQ(result.circuit(result.versions.size() - 1).num_qubits(),
+              result.max_reuse().qubits);
 }
 
 // ---------------------------------------------------------------------

@@ -281,7 +281,8 @@ TEST(ReuseProperty, EngineAppliesOnlyValidPairsAndPreservesSemantics)
         const auto base_counts =
             sim::simulate(original, {.shots = 8192, .seed = 97});
         const auto reuse_counts =
-            sim::simulate(reused.circuit, {.shots = 8192, .seed = 131});
+            sim::simulate(result.circuit(result.versions.size() - 1),
+                          {.shots = 8192, .seed = 131});
         EXPECT_LT(util::total_variation_distance(base_counts,
                                                  reuse_counts),
                   0.12)

@@ -147,6 +147,26 @@ TEST(ServiceCompile, GoldenBv64Report)
                                                 "qs_caqr", "map", "esp"}));
 }
 
+/// A QS-CaQR compile materializes only the version it returns: one
+/// circuit, not one per step or per version.
+TEST(ServiceCompile, QsCaqrBuildsOneCircuitPerCompile)
+{
+    Service service({.num_threads = 1});
+    CompileRequest request;
+    request.circuit = apps::bv_circuit(12);
+    request.strategy = Strategy::kQsCaqr;
+    const auto built = [&] {
+        const auto counters = service.metrics_snapshot().counters;
+        const auto it = counters.find("qs_caqr.circuits_built");
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    const double before = built();
+    const auto report = service.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status.to_string();
+    EXPECT_EQ(report.qubits, 2);
+    EXPECT_EQ(built() - before, 1.0);
+}
+
 TEST(ServiceBatch, DeterministicAcrossThreadCounts)
 {
     CompileRequest prototype;
