@@ -7,7 +7,8 @@
  * QS-CaQR, and SR-CaQR strategies, two synthetic QAOA commuting
  * workloads under QS-CaQR-commuting, two simulator-backed entries
  * (single-threaded and shot-parallel), and a device-scale tier of
- * generated BV circuits on heavy-hex 127/433 —
+ * generated BV, counterfeit-coin and QAOA circuits on heavy-hex
+ * 127/433 —
  * through one `caqr::Service` with warmup + repeat sampling, and
  * emits a schema-versioned `BENCH_caqr.json`:
  *
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "apps/benchmarks.h"
+#include "apps/qaoa.h"
 #include "core/commuting.h"
 #include "graph/generators.h"
 #include "service/service.h"
@@ -135,8 +137,9 @@ simulate_stage_ms(const CompileReport& report)
 /// sr_caqr}, two synthetic QAOA interaction graphs under
 /// qs_commuting, bv_10 with the shot simulator attached at one and
 /// eight threads, multiply_13 routed with 32 trials at one and eight
-/// threads, and generated BV-127/BV-400 on scaled heavy-hex (baseline,
-/// QS-CaQR, and SR-CaQR at 127).
+/// threads, generated BV-127/BV-400 on scaled heavy-hex (baseline,
+/// QS-CaQR, and SR-CaQR at 127), and the baseline of a fixed-seed
+/// QAOA-256 and of CC-400 on heavy_hex:433.
 std::vector<BenchCase>
 build_corpus(const std::string& corpus_dir, const std::string& backend)
 {
@@ -252,6 +255,37 @@ build_corpus(const std::string& corpus_dir, const std::string& backend)
         entry.request.backend = device;
         entry.request.circuit = apps::bv_circuit(qubits, secret);
         cases.push_back(std::move(entry));
+    }
+
+    // Routing-dominated device rows: baseline mapping of a QAOA-256
+    // whose problem graph is a ring plus 128 seeded chords (connected,
+    // mean degree 3), and of CC-400 with every other coin fake.
+    {
+        util::Rng rng(256);
+        graph::UndirectedGraph problem(256);
+        for (int v = 0; v < 256; ++v) problem.add_edge(v, (v + 1) % 256);
+        for (int added = 0; added < 128;) {
+            const int u = rng.next_int(0, 255);
+            const int v = rng.next_int(0, 255);
+            if (u != v && problem.add_edge(u, v)) ++added;
+        }
+        apps::QaoaParams params;
+        params.gammas = {0.7};
+        params.betas = {0.3};
+        for (const auto& [name, logical] :
+             {std::pair<const char*, circuit::Circuit>{
+                  "qaoa_256", apps::qaoa_circuit(problem, params)},
+              std::pair<const char*, circuit::Circuit>{
+                  "cc_400", apps::cc_circuit(400)}}) {
+            BenchCase entry;
+            entry.name = name;
+            entry.request = prototype;
+            entry.request.name = entry.name;
+            entry.request.strategy = Strategy::kBaseline;
+            entry.request.backend = "heavy_hex:433";
+            entry.request.circuit = logical;
+            cases.push_back(std::move(entry));
+        }
     }
 
     return cases;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "arch/heavy_hex.h"
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "util/logging.h"
 
@@ -123,6 +122,16 @@ double
 estimated_success_probability(const circuit::Circuit& circuit,
                               const Backend& backend)
 {
+    CalibratedDurations model(backend);
+    return estimated_success_probability(
+        circuit, backend, circuit::Schedule(circuit, model));
+}
+
+double
+estimated_success_probability(const circuit::Circuit& circuit,
+                              const Backend& backend,
+                              const circuit::Schedule& schedule)
+{
     using circuit::GateKind;
     const Calibration& cal = backend.calibration();
 
@@ -151,9 +160,7 @@ estimated_success_probability(const circuit::Circuit& circuit,
         }
     }
 
-    // Idle decoherence from an ASAP schedule.
-    CalibratedDurations model(backend);
-    circuit::Schedule schedule(circuit, model);
+    // Idle decoherence from the ASAP schedule.
     for (int q = 0; q < circuit.num_qubits(); ++q) {
         const auto& act = schedule.activity(q);
         if (!act.touched) continue;

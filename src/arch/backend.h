@@ -12,6 +12,7 @@
 
 #include "arch/calibration.h"
 #include "circuit/circuit.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "graph/undirected_graph.h"
 
@@ -94,6 +95,13 @@ class CalibratedDurations : public circuit::DurationModel
  */
 double estimated_success_probability(const circuit::Circuit& circuit,
                                      const Backend& backend);
+
+/// The same estimate from a precomputed @p schedule of @p circuit under
+/// `CalibratedDurations(backend)`, for callers that also read its
+/// makespan.
+double estimated_success_probability(const circuit::Circuit& circuit,
+                                     const Backend& backend,
+                                     const circuit::Schedule& schedule);
 
 }  // namespace caqr::arch
 

@@ -10,11 +10,19 @@
 
 namespace caqr::arch {
 
-std::pair<int, int>
-Calibration::key(int a, int b)
+namespace {
+
+/// First entry of a sorted link row whose high endpoint is >= @p high.
+template <typename Row>
+auto
+row_position(Row& row, int high)
 {
-    return {std::min(a, b), std::max(a, b)};
+    return std::lower_bound(
+        row.begin(), row.end(), high,
+        [](const auto& entry, int h) { return entry.high < h; });
 }
+
+}  // namespace
 
 Calibration
 Calibration::synthesize(const graph::UndirectedGraph& topology, unsigned seed)
@@ -42,7 +50,7 @@ Calibration::synthesize(const graph::UndirectedGraph& topology, unsigned seed)
         LinkCalibration lc;
         lc.cx_error = 0.005 + 0.015 * rng.next_double();
         lc.cx_duration_dt = 800.0 + 1800.0 * rng.next_double();
-        cal.links_[key(a, b)] = lc;
+        cal.set_link(a, b, lc);
     }
     return cal;
 }
@@ -54,18 +62,29 @@ Calibration::qubit(int q) const
     return qubits_[static_cast<std::size_t>(q)];
 }
 
+const LinkCalibration*
+Calibration::find_link(int a, int b) const
+{
+    const int lo = std::min(a, b);
+    const int hi = std::max(a, b);
+    if (lo < 0 || lo >= static_cast<int>(links_.size())) return nullptr;
+    const auto& row = links_[static_cast<std::size_t>(lo)];
+    const auto it = row_position(row, hi);
+    return it != row.end() && it->high == hi ? &it->cal : nullptr;
+}
+
 const LinkCalibration&
 Calibration::link(int a, int b) const
 {
-    auto it = links_.find(key(a, b));
-    CAQR_CHECK(it != links_.end(), "no calibration for this link");
-    return it->second;
+    const LinkCalibration* cal = find_link(a, b);
+    CAQR_CHECK(cal != nullptr, "no calibration for this link");
+    return *cal;
 }
 
 bool
 Calibration::has_link(int a, int b) const
 {
-    return links_.count(key(a, b)) > 0;
+    return find_link(a, b) != nullptr;
 }
 
 void
@@ -80,7 +99,19 @@ Calibration::set_qubit(int q, QubitCalibration cal)
 void
 Calibration::set_link(int a, int b, LinkCalibration cal)
 {
-    links_[key(a, b)] = cal;
+    const int lo = std::min(a, b);
+    const int hi = std::max(a, b);
+    CAQR_CHECK(lo >= 0, "link endpoint out of range");
+    if (lo >= static_cast<int>(links_.size())) {
+        links_.resize(static_cast<std::size_t>(lo) + 1);
+    }
+    auto& row = links_[static_cast<std::size_t>(lo)];
+    const auto it = row_position(row, hi);
+    if (it != row.end() && it->high == hi) {
+        it->cal = cal;
+    } else {
+        row.insert(it, LinkEntry{hi, cal});
+    }
 }
 
 std::string
@@ -94,9 +125,11 @@ Calibration::serialize() const
         os << "qubit " << q << " " << qc.readout_error << " " << qc.t1_us
            << " " << qc.t2_us << " " << qc.sx_error << "\n";
     }
-    for (const auto& [key, lc] : links_) {
-        os << "link " << key.first << " " << key.second << " "
-           << lc.cx_error << " " << lc.cx_duration_dt << "\n";
+    for (std::size_t lo = 0; lo < links_.size(); ++lo) {
+        for (const auto& [hi, lc] : links_[lo]) {
+            os << "link " << lo << " " << hi << " " << lc.cx_error << " "
+               << lc.cx_duration_dt << "\n";
+        }
     }
     return os.str();
 }

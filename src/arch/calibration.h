@@ -12,10 +12,8 @@
 #ifndef CAQR_ARCH_CALIBRATION_H
 #define CAQR_ARCH_CALIBRATION_H
 
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/undirected_graph.h"
@@ -78,10 +76,20 @@ class Calibration
     /// @}
 
   private:
-    static std::pair<int, int> key(int a, int b);
+    /// A link stored in the row of its lower endpoint.
+    struct LinkEntry
+    {
+        int high;
+        LinkCalibration cal;
+    };
+
+    /// The record of link {a, b}, or null when it has none.
+    const LinkCalibration* find_link(int a, int b) const;
 
     std::vector<QubitCalibration> qubits_;
-    std::map<std::pair<int, int>, LinkCalibration> links_;
+    /// links_[lo] holds lo's links to higher ids, sorted by the high
+    /// endpoint: a lookup scans one short row (heavy-hex degree <= 3).
+    std::vector<std::vector<LinkEntry>> links_;
 };
 
 }  // namespace caqr::arch

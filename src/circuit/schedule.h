@@ -4,10 +4,19 @@
  * duration model, plus per-qubit busy/idle accounting. Shared by the
  * fidelity estimator (idle decoherence in ESP), the noisy simulator
  * (idle-gap noise), and analysis tooling.
+ *
+ * The schedule is computed in one program-order pass over per-wire
+ * clocks, with no dependency DAG: qubits and clbits are wires, an
+ * instruction starts when the last instruction on each of its wires has
+ * finished, and a barrier joins every wire, as in `CircuitDag`. For
+ * non-negative durations the finish times equal
+ * `CircuitDag(c).graph().earliest_completion` exactly — the same
+ * maxima of the same sums.
  */
 #ifndef CAQR_CIRCUIT_SCHEDULE_H
 #define CAQR_CIRCUIT_SCHEDULE_H
 
+#include <cstddef>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -61,13 +70,22 @@ class Schedule
     const Circuit* circuit_;
     std::vector<double> duration_;
     std::vector<double> finish_;
-    /// prev_finish_[i] holds, per operand slot of instruction i, the
-    /// finish time of the previous instruction on that operand's qubit
-    /// (or -1 when the qubit was untouched).
-    std::vector<std::vector<double>> prev_finish_;
+    /// prev_finish_[prev_offset_[i] + slot] holds, per operand slot of
+    /// instruction i, the finish time of the previous instruction on
+    /// that operand's qubit (or -1 when the qubit was untouched).
+    std::vector<double> prev_finish_;
+    std::vector<std::size_t> prev_offset_;
     std::vector<QubitActivity> activity_;
     double makespan_ = 0.0;
 };
+
+/// Makespan of the ASAP schedule of @p circuit under @p model, without
+/// storing one: equal to `CircuitDag(circuit).duration(model)`.
+double critical_path(const Circuit& circuit, const DurationModel& model);
+
+/// Circuit depth: the critical path under `UnitDepthModel`, rounded;
+/// equal to `CircuitDag(circuit).depth()`.
+int depth(const Circuit& circuit);
 
 }  // namespace caqr::circuit
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "graph/coloring.h"
 #include "graph/digraph.h"
@@ -346,10 +346,9 @@ schedule_commuting(const CommutingSpec& spec,
     result.wire_of = wire_of;
     result.wires_used = wires_used;
     result.rounds = rounds;
-    circuit::CircuitDag dag(circuit);
-    result.depth = dag.depth();
+    result.depth = circuit::depth(circuit);
     circuit::LogicalDurations durations;
-    result.duration_dt = dag.duration(durations);
+    result.duration_dt = circuit::critical_path(circuit, durations);
     result.circuit = std::move(circuit);
     return result;
 }
@@ -618,10 +617,9 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
     result.wire_of = wire_of;
     result.wires_used = wires_touched;
     result.rounds = rounds;
-    circuit::CircuitDag dag(circuit);
-    result.depth = dag.depth();
+    result.depth = circuit::depth(circuit);
     circuit::LogicalDurations durations;
-    result.duration_dt = dag.duration(durations);
+    result.duration_dt = circuit::critical_path(circuit, durations);
     result.circuit = std::move(circuit);
     return result;
 }

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "transpile/decompose.h"
 #include "transpile/router.h"
@@ -344,7 +345,8 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
 
     // A trial's result plus its estimated success probability — ESP is
     // part of the winner selection below, so it is computed inside the
-    // (possibly racing) trial rather than serially afterwards.
+    // (possibly racing) trial rather than serially afterwards, from the
+    // same calibrated schedule that gives the trial's duration.
     struct TrialResult
     {
         SrCaqrResult result;
@@ -381,8 +383,12 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
         }
         TrialResult out;
         out.result = sr_caqr_single(plan, backend, variant);
+        out.result.depth = circuit::depth(out.result.circuit);
+        arch::CalibratedDurations model(backend);
+        const circuit::Schedule schedule(out.result.circuit, model);
+        out.result.duration_dt = schedule.makespan();
         out.esp = arch::estimated_success_probability(out.result.circuit,
-                                                      backend);
+                                                      backend, schedule);
         return out;
     };
 
@@ -761,10 +767,6 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     result.reuses = state.reuses;
     result.physical_qubits_used = static_cast<int>(std::count(
         state.ever_used.begin(), state.ever_used.end(), true));
-    circuit::CircuitDag out_dag(state.output);
-    result.depth = out_dag.depth();
-    arch::CalibratedDurations model(backend);
-    result.duration_dt = out_dag.duration(model);
     result.circuit = std::move(state.output);
     return result;
 }

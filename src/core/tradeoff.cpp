@@ -1,6 +1,5 @@
 #include "core/tradeoff.h"
 
-#include "circuit/dag.h"
 #include "transpile/transpiler.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"

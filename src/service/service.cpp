@@ -8,7 +8,7 @@
 #include <sstream>
 #include <utility>
 
-#include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "qasm/parser.h"
 #include "qasm/printer.h"
@@ -512,10 +512,10 @@ Service::compile_uncached(const CompileRequest& request,
             reuse_level = std::move(input);
             report.qubits = report.logical_qubits;
             if (!request.map_to_backend) {
-                circuit::CircuitDag dag(reuse_level);
-                report.depth = dag.depth();
+                report.depth = circuit::depth(reuse_level);
                 circuit::LogicalDurations model;
-                report.duration_dt = dag.duration(model);
+                report.duration_dt =
+                    circuit::critical_path(reuse_level, model);
             }
             return {};
         });

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "sim/fuser.h"

@@ -61,11 +61,13 @@ prepare_scratch(RouterScratch& s, const Circuit& logical,
 
 /// Rebuilds the cached lookahead window: up to lookahead_size upcoming
 /// two-qubit gates reachable from the frontier (successor closure, BFS
-/// order). Called only when the frontier advanced — consecutive stall
-/// iterations reuse the cache, since SWAPs change the mapping but not
-/// the frontier or the DAG.
+/// order), and the stall scoring index over the frontier and the
+/// window. Called only when the frontier advanced — consecutive stall
+/// iterations reuse both, since SWAPs change the mapping but not the
+/// frontier or the DAG.
 void
-refresh_lookahead(RouterScratch& s, const circuit::CircuitDag& dag,
+refresh_lookahead(RouterScratch& s, const Circuit& logical,
+                  const circuit::CircuitDag& dag,
                   const RouterOptions& options)
 {
     s.lookahead.clear();
@@ -97,55 +99,30 @@ refresh_lookahead(RouterScratch& s, const circuit::CircuitDag& dag,
         }
     }
     s.lookahead_valid = true;
-}
 
-/// Heuristic score of applying SWAP on physical link (pa, pb); lower
-/// is better. The frontier (all blocked two-qubit gates during a
-/// stall) is the front layer; the cached window is the lookahead.
-double
-swap_score(const Circuit& logical, const arch::Backend& backend,
-           const RouterOptions& options, const RouterScratch& s, int pa,
-           int pb)
-{
-    // Apply the hypothetical swap to the mapping on the fly.
-    auto mapped = [&](int logical_q) {
-        const int p = s.phys_of[logical_q];
-        if (p == pa) return pb;
-        if (p == pb) return pa;
-        return p;
-    };
-
-    double front_cost = 0.0;
-    for (int node : s.frontier) {
-        const auto& instr = logical.at(static_cast<std::size_t>(node));
-        front_cost += safe_distance(backend, mapped(instr.qubits[0]),
-                                    mapped(instr.qubits[1]));
-    }
-    if (!s.frontier.empty()) {
-        front_cost /= static_cast<double>(s.frontier.size());
-    }
-
-    double look_cost = 0.0;
-    if (!s.lookahead.empty()) {
-        for (int node : s.lookahead) {
-            const auto& instr =
-                logical.at(static_cast<std::size_t>(node));
-            look_cost += safe_distance(backend, mapped(instr.qubits[0]),
-                                       mapped(instr.qubits[1]));
+    // Stall gates by logical qubit (counting sort into CSR rows).
+    s.stall_gates.clear();
+    for (const auto* nodes : {&s.frontier, &s.lookahead}) {
+        for (int node : *nodes) {
+            const auto& instr = logical.at(static_cast<std::size_t>(node));
+            s.stall_gates.push_back({instr.qubits[0], instr.qubits[1], 0});
         }
-        look_cost *= options.lookahead_weight /
-                     static_cast<double>(s.lookahead.size());
     }
-
-    double link_bias = 0.0;
-    if (options.error_aware && backend.calibration().has_link(pa, pb)) {
-        // Small bias toward reliable links; never dominates distance.
-        link_bias = backend.calibration().link(pa, pb).cx_error;
+    s.num_front = s.frontier.size();
+    s.qubit_start.assign(static_cast<std::size_t>(logical.num_qubits()) + 1,
+                         0);
+    for (const auto& gate : s.stall_gates) {
+        ++s.qubit_start[gate.q0];
+        ++s.qubit_start[gate.q1];
     }
-    const double decay_factor =
-        std::max(s.decay[pa], s.decay[pb]) + 1.0;
-    return combine_swap_score(front_cost, look_cost, decay_factor,
-                              link_bias);
+    for (std::size_t q = 1; q < s.qubit_start.size(); ++q) {
+        s.qubit_start[q] += s.qubit_start[q - 1];
+    }
+    s.qubit_gates.resize(2 * s.stall_gates.size());
+    for (int k = 0; k < static_cast<int>(s.stall_gates.size()); ++k) {
+        s.qubit_gates[--s.qubit_start[s.stall_gates[k].q0]] = k;
+        s.qubit_gates[--s.qubit_start[s.stall_gates[k].q1]] = k;
+    }
 }
 
 /// Applies a SWAP on physical link (pa, pb): emits the gate and
@@ -303,7 +280,7 @@ route_or(const Circuit& logical, const arch::Backend& backend,
             continue;
         }
 
-        if (!s.lookahead_valid) refresh_lookahead(s, dag, options);
+        if (!s.lookahead_valid) refresh_lookahead(s, logical, dag, options);
 
         // Candidate swaps: physical edges touching any involved qubit,
         // deduped and sorted so tie-breaking matches set iteration.
@@ -328,14 +305,68 @@ route_or(const Circuit& logical, const arch::Backend& backend,
                 "no candidate swaps available (isolated qubit?)");
         }
 
+        // Front and window distances under the current mapping.
+        int front_base = 0;
+        int look_base = 0;
+        for (std::size_t k = 0; k < s.stall_gates.size(); ++k) {
+            auto& gate = s.stall_gates[k];
+            gate.distance = safe_distance(backend, s.phys_of[gate.q0],
+                                          s.phys_of[gate.q1]);
+            (k < s.num_front ? front_base : look_base) += gate.distance;
+        }
+        const double look_scale =
+            s.lookahead.empty()
+                ? 0.0
+                : options.lookahead_weight /
+                      static_cast<double>(s.lookahead.size());
+
+        // Score SWAP (pa, pb): lower is better. Only the gates on the
+        // two logical qubits it moves change distance; a gate on both
+        // keeps its distance.
         double best_score = std::numeric_limits<double>::infinity();
         std::pair<int, int> best{-1, -1};
-        for (const auto& cand : s.candidates) {
-            const double score = swap_score(logical, backend, options,
-                                            s, cand.first, cand.second);
+        for (const auto& [pa, pb] : s.candidates) {
+            int front_delta = 0;
+            int look_delta = 0;
+            const int la = s.logical_of[pa];
+            const int lb = s.logical_of[pb];
+            const auto move = [&](int l, int other, int to) {
+                for (int i = s.qubit_start[l]; i < s.qubit_start[l + 1];
+                     ++i) {
+                    const int k = s.qubit_gates[i];
+                    const auto& gate = s.stall_gates[k];
+                    const int partner = gate.q0 == l ? gate.q1 : gate.q0;
+                    if (partner == other) continue;
+                    const int delta =
+                        safe_distance(backend, to, s.phys_of[partner]) -
+                        gate.distance;
+                    (static_cast<std::size_t>(k) < s.num_front
+                         ? front_delta
+                         : look_delta) += delta;
+                }
+            };
+            if (la >= 0) move(la, lb, pb);
+            if (lb >= 0) move(lb, la, pa);
+
+            const double front_cost =
+                static_cast<double>(front_base + front_delta) /
+                static_cast<double>(s.num_front);
+            const double look_cost =
+                static_cast<double>(look_base + look_delta) * look_scale;
+            double link_bias = 0.0;
+            if (options.error_aware &&
+                backend.calibration().has_link(pa, pb)) {
+                // Small bias toward reliable links; never dominates
+                // distance.
+                link_bias = backend.calibration().link(pa, pb).cx_error;
+            }
+            const double decay_factor =
+                std::max(s.decay[pa], s.decay[pb]) + 1.0;
+            const double score = combine_swap_score(
+                front_cost, look_cost, decay_factor, link_bias);
             if (score < best_score) {
                 best_score = score;
-                best = cand;
+                best = {pa, pb};
             }
         }
 

@@ -14,15 +14,21 @@
  *
  * The hot loop is allocation-free after warm-up: every worklist, the
  * BFS seen-set (generation-stamped), the candidate edge list, and the
- * cached lookahead window live in a reusable `RouterScratch`, and the
- * lookahead window is recomputed only when the frontier advances —
- * consecutive stall iterations reuse it, since SWAPs change the
- * mapping but never the frontier.
+ * cached lookahead window live in a reusable `RouterScratch`. SWAPs
+ * change the mapping but never the frontier, so the window — and an
+ * index of the front-layer and window gates by logical qubit — is
+ * rebuilt only when the frontier advances. Each stall iteration sums
+ * the front and window distances once; a candidate SWAP is then scored
+ * by the integer change of only the gates on the two logical qubits it
+ * moves. Integer sums make `double(sum) / |F|` and
+ * `double(sum) * (w / |L|)` equal to per-gate accumulation bit for bit,
+ * so the SWAP choice is exactly that of rescoring every gate.
  */
 #ifndef CAQR_TRANSPILE_ROUTER_H
 #define CAQR_TRANSPILE_ROUTER_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -89,6 +95,23 @@ struct RouterScratch
     std::vector<int> bfs_queue;
     std::vector<int> lookahead;
     bool lookahead_valid = false;
+    /// @}
+
+    /// @name Stall scoring index (rebuilt with the lookahead window)
+    /// @{
+    struct StallGate
+    {
+        int q0;
+        int q1;
+        int distance;  ///< under the current mapping, set per stall
+    };
+    /// Front-layer gates (the first `num_front`), then window gates.
+    std::vector<StallGate> stall_gates;
+    std::size_t num_front = 0;
+    /// Stall gates on logical qubit q: qubit_gates[qubit_start[q] ..
+    /// qubit_start[q + 1]).
+    std::vector<int> qubit_start;
+    std::vector<int> qubit_gates;
     /// @}
 
     /// Candidate SWAP edges, sorted + deduped in place per stall.

@@ -8,10 +8,9 @@
 #include <utility>
 #include <vector>
 
-#include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "transpile/decompose.h"
 #include "transpile/peephole.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -155,13 +154,16 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         }
         outcome.completed = true;
         outcome.routed = std::move(routed).value();
-        circuit::CircuitDag dag(outcome.routed.circuit);
-        outcome.depth = dag.depth();
-        arch::CalibratedDurations model(backend);
-        outcome.duration_dt = dag.duration(model);
-        outcome.esp =
-            arch::estimated_success_probability(outcome.routed.circuit,
-                                                backend);
+        {
+            util::trace::Span measure("transpile.metrics");
+            const circuit::Circuit& physical = outcome.routed.circuit;
+            outcome.depth = circuit::depth(physical);
+            arch::CalibratedDurations model(backend);
+            const circuit::Schedule schedule(physical, model);
+            outcome.duration_dt = schedule.makespan();
+            outcome.esp = arch::estimated_success_probability(
+                physical, backend, schedule);
+        }
         if (index == anchor) {
             incumbent.store(outcome.routed.swaps_added,
                             std::memory_order_relaxed);
@@ -263,7 +265,8 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     best.initial_layout = std::move(layouts[winner]);
     best.final_layout = std::move(outcomes[winner].routed.final_layout);
     best.swaps_added = outcomes[winner].routed.swaps_added;
-    fill_metrics(&best, backend);
+    best.depth = outcomes[winner].depth;
+    best.duration_dt = outcomes[winner].duration_dt;
     return best;
 }
 
@@ -280,16 +283,6 @@ transpile_or(const circuit::Circuit& logical, const arch::Backend& backend,
             std::to_string(backend.num_qubits()));
     }
     return run_transpile(logical, backend, options);
-}
-
-void
-fill_metrics(TranspileResult* result, const arch::Backend& backend)
-{
-    CAQR_CHECK(result != nullptr, "null result");
-    circuit::CircuitDag dag(result->circuit);
-    result->depth = dag.depth();
-    arch::CalibratedDurations model(backend);
-    result->duration_dt = dag.duration(model);
 }
 
 }  // namespace caqr::transpile

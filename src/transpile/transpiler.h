@@ -73,9 +73,6 @@ util::StatusOr<TranspileResult> transpile_or(
     const circuit::Circuit& logical, const arch::Backend& backend,
     const TranspileOptions& options = {});
 
-/// Computes depth / duration metrics for a physical circuit.
-void fill_metrics(TranspileResult* result, const arch::Backend& backend);
-
 }  // namespace caqr::transpile
 
 #endif  // CAQR_TRANSPILE_TRANSPILER_H

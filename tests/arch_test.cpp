@@ -80,6 +80,13 @@ TEST(Calibration, LinkLookupIsSymmetric)
     const auto topology = arch::mumbai_coupling();
     const auto cal = arch::Calibration::synthesize(topology);
     EXPECT_DOUBLE_EQ(cal.link(0, 1).cx_error, cal.link(1, 0).cx_error);
+    const auto hh127 = arch::scaled_heavy_hex(127);
+    const auto big = arch::Calibration::synthesize(hh127);
+    for (const auto& [a, b] : hh127.edges()) {
+        ASSERT_TRUE(big.has_link(b, a));
+        EXPECT_EQ(&big.link(a, b), &big.link(b, a));
+    }
+    EXPECT_FALSE(big.has_link(0, 100));
 }
 
 TEST(Backend, FakeMumbaiDistances)

@@ -1,14 +1,22 @@
-/// Tests for the ASAP Schedule artifact and calibration snapshot I/O.
+/// Tests for the ASAP Schedule artifact (against the dependency DAG),
+/// the flat calibration link table and calibration snapshot I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "arch/backend.h"
 #include "arch/calibration.h"
 #include "arch/heavy_hex.h"
 #include "circuit/circuit.h"
+#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
+#include "oracle.h"
+#include "util/rng.h"
 
 namespace caqr {
 namespace {
@@ -83,6 +91,152 @@ TEST(Schedule, UntouchedQubit)
     LogicalDurations model;
     Schedule schedule(c, model);
     EXPECT_FALSE(schedule.activity(2).touched);
+}
+
+/// Idle gap before instruction @p index on qubit @p q, from the DAG's
+/// finish times: the gap since the latest earlier instruction on q.
+double
+reference_idle_gap(const Circuit& c, const std::vector<double>& finish,
+                   const std::vector<double>& duration, std::size_t index,
+                   int q)
+{
+    const auto& operands = c.at(index).qubits;
+    if (std::find(operands.begin(), operands.end(), q) == operands.end()) {
+        return 0.0;
+    }
+    double prev = -1.0;
+    for (std::size_t j = 0; j < index; ++j) {
+        const auto& qubits = c.at(j).qubits;
+        if (std::find(qubits.begin(), qubits.end(), q) != qubits.end()) {
+            prev = std::max(prev, finish[j]);
+        }
+    }
+    if (prev < 0.0) return 0.0;
+    const double gap = finish[index] - duration[index] - prev;
+    return gap > 1e-9 ? gap : 0.0;
+}
+
+TEST(Schedule, MatchesDagOnRandomCircuits)
+{
+    // The per-wire-clock ASAP pass against the dependency DAG, exactly:
+    // barriers, shared clbits and x_if conditions included.
+    const auto backend = arch::Backend::fake_mumbai();
+    const LogicalDurations logical;
+    const circuit::UnitDepthModel unit;
+    const arch::CalibratedDurations calibrated(backend);
+    const circuit::DurationModel* models[] = {&logical, &unit, &calibrated};
+    for (int i = 0; i < 300; ++i) {
+        util::Rng rng(5000 + i);
+        const Circuit c = oracle::random_circuit(rng, 1 + i % 27);
+        const circuit::CircuitDag dag(c);
+        EXPECT_EQ(circuit::depth(c), dag.depth()) << "circuit " << i;
+        for (const auto* model : models) {
+            std::vector<double> duration;
+            for (const auto& instr : c.instructions()) {
+                duration.push_back(model->duration(instr));
+            }
+            const auto finish = dag.graph().earliest_completion(duration);
+            const Schedule schedule(c, *model);
+            double makespan = 0.0;
+            for (std::size_t k = 0; k < c.size(); ++k) {
+                ASSERT_EQ(schedule.finish(k), finish[k])
+                    << "circuit " << i << " instr " << k;
+                makespan = std::max(makespan, finish[k]);
+                for (int q = 0; q < c.num_qubits(); ++q) {
+                    ASSERT_EQ(schedule.idle_gap_before(k, q),
+                              reference_idle_gap(c, finish, duration, k, q))
+                        << "circuit " << i << " instr " << k << " q" << q;
+                }
+            }
+            EXPECT_EQ(schedule.makespan(), makespan) << "circuit " << i;
+            EXPECT_EQ(circuit::critical_path(c, *model),
+                      dag.duration(*model))
+                << "circuit " << i;
+        }
+    }
+}
+
+TEST(Schedule, BarrierJoinsEveryWire)
+{
+    // q1 waits at the barrier for q0's chain, and the measure on q2
+    // after it starts no earlier than the barrier.
+    Circuit c(3, 1);
+    c.h(0);
+    c.h(0);
+    c.h(1);
+    c.barrier();
+    c.h(1);
+    c.measure(2, 0);
+    LogicalDurations model;
+    const Schedule schedule(c, model);
+    EXPECT_EQ(schedule.start(4), 320.0);
+    EXPECT_EQ(schedule.start(5), 320.0);
+    EXPECT_EQ(circuit::critical_path(c, model), 320.0 + 15'600.0);
+    EXPECT_EQ(circuit::critical_path(Circuit(2, 0), model), 0.0);
+}
+
+TEST(CalibrationTable, SetLinkOverwrites)
+{
+    arch::Calibration cal;
+    cal.set_link(3, 1, {0.01, 1000});
+    cal.set_link(1, 3, {0.02, 2000});
+    EXPECT_EQ(cal.link(3, 1).cx_error, 0.02);
+    EXPECT_EQ(cal.link(1, 3).cx_duration_dt, 2000);
+    std::istringstream lines(cal.serialize());
+    std::string line;
+    int link_lines = 0;
+    while (std::getline(lines, line)) link_lines += line.rfind("link", 0) == 0;
+    EXPECT_EQ(link_lines, 1);
+}
+
+TEST(CalibrationTable, OutOfRangeIdsHaveNoLink)
+{
+    const auto cal = arch::Calibration::synthesize(arch::mumbai_coupling());
+    EXPECT_FALSE(cal.has_link(-1, 0));
+    EXPECT_FALSE(cal.has_link(0, -1));
+    EXPECT_FALSE(cal.has_link(-3, -2));
+    EXPECT_FALSE(cal.has_link(27, 28));
+    EXPECT_FALSE(cal.has_link(1, 1000));
+    EXPECT_FALSE(cal.has_link(1 << 30, 0));
+    EXPECT_FALSE(arch::Calibration().has_link(0, 1));
+}
+
+TEST(CalibrationTable, SerializeOrdersLinksByLowThenHigh)
+{
+    arch::Calibration cal;
+    cal.set_link(5, 2, {0.01, 900});
+    cal.set_link(0, 7, {0.01, 900});
+    cal.set_link(2, 1, {0.01, 900});
+    cal.set_link(4, 0, {0.01, 900});
+    cal.set_link(2, 3, {0.01, 900});
+    std::istringstream lines(cal.serialize());
+    std::string line;
+    std::vector<std::pair<int, int>> order;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        std::string kind;
+        int a = 0;
+        int b = 0;
+        if (fields >> kind >> a >> b && kind == "link") {
+            order.emplace_back(a, b);
+        }
+    }
+    const std::vector<std::pair<int, int>> expected = {
+        {0, 4}, {0, 7}, {1, 2}, {2, 3}, {2, 5}};
+    EXPECT_EQ(order, expected);
+}
+
+TEST(CalibrationTable, SerializeRoundTripIsByteIdentical)
+{
+    for (const auto& topology :
+         {arch::mumbai_coupling(), arch::scaled_heavy_hex(433)}) {
+        const auto original = arch::Calibration::synthesize(topology, 3);
+        const std::string text = original.serialize();
+        std::string error;
+        const auto parsed = arch::Calibration::deserialize(text, &error);
+        ASSERT_TRUE(parsed.has_value()) << error;
+        EXPECT_EQ(parsed->serialize(), text);
+    }
 }
 
 TEST(CalibrationIo, RoundTripPreservesValues)

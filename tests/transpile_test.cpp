@@ -1,20 +1,25 @@
 /// Tests for the baseline transpiler: decomposition, layout, SABRE
-/// routing (allocation-free hot loop + stall escape), raced
-/// multi-trial determinism, and semantics preservation end to end.
+/// routing (allocation-free hot loop + stall escape, delta scoring
+/// against a full-rescoring reference), raced multi-trial determinism,
+/// and semantics preservation end to end.
 #include <gtest/gtest.h>
 
 #include "apps/benchmarks.h"
+#include "apps/qaoa.h"
 #include "arch/backend.h"
-#include "circuit/dag.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
 #include <atomic>
 #include <complex>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "oracle.h"
+#include "qasm/printer.h"
 #include "sim/statevector.h"
 #include "transpile/decompose.h"
 #include "transpile/layout.h"
@@ -552,6 +557,186 @@ TEST_P(RandomCouplingRouting, CompliantAndPermutationEquivalent)
 
 INSTANTIATE_TEST_SUITE_P(RandomCouplings, RandomCouplingRouting,
                          ::testing::Range(0, 10));
+
+/// route_or against the full-rescoring reference router: the same
+/// QASM, SWAP count and final layout, or a failure on both.
+void
+expect_matches_reference(const Circuit& logical,
+                         const arch::Backend& backend,
+                         const transpile::Layout& layout,
+                         const transpile::RouterOptions& options,
+                         const std::string& label,
+                         transpile::RouterScratch* scratch = nullptr)
+{
+    const auto fast =
+        transpile::route_or(logical, backend, layout, options, scratch);
+    const auto slow =
+        oracle::route_full_rescore(logical, backend, layout, options);
+    ASSERT_EQ(fast.ok(), slow.ok()) << label;
+    if (!fast.ok()) return;
+    EXPECT_EQ(fast->swaps_added, slow->swaps_added) << label;
+    EXPECT_EQ(fast->final_layout, slow->final_layout) << label;
+    EXPECT_EQ(qasm::to_qasm(fast->circuit), qasm::to_qasm(slow->circuit))
+        << label;
+}
+
+/// Initial layout variant @p which: greedy, trivial, or greedy with a
+/// few seeded transpositions.
+transpile::Layout
+layout_variant(const Circuit& logical, const arch::Backend& backend,
+               int which, util::Rng& rng)
+{
+    if (which % 3 == 1) return transpile::trivial_layout(logical, backend);
+    auto layout = transpile::greedy_layout(logical, backend);
+    if (which % 3 == 2) {
+        for (int k = 0; k < 3; ++k) {
+            std::swap(layout[rng.next_below(layout.size())],
+                      layout[rng.next_below(layout.size())]);
+        }
+    }
+    return layout;
+}
+
+/// Router settings variant @p which: defaults (20-gate window), no
+/// lookahead window, distance-only scoring, or an escape on every
+/// stall.
+transpile::RouterOptions
+options_variant(int which)
+{
+    transpile::RouterOptions options;
+    switch (which % 4) {
+      case 1: options.lookahead_size = 0; break;
+      case 2: options.error_aware = false; break;
+      case 3: options.stall_escape_after = 0; break;
+      default: break;
+    }
+    return options;
+}
+
+/// Ring plus n/2 seeded chords: connected, mean degree 3.
+Circuit
+qaoa_ring_circuit(int n, std::uint64_t seed)
+{
+    util::Rng rng(seed);
+    graph::UndirectedGraph problem(n);
+    for (int v = 0; v < n; ++v) problem.add_edge(v, (v + 1) % n);
+    for (int added = 0; added < n / 2;) {
+        const int u = rng.next_int(0, n - 1);
+        const int v = rng.next_int(0, n - 1);
+        if (u != v && problem.add_edge(u, v)) ++added;
+    }
+    apps::QaoaParams params;
+    params.gammas = {0.7};
+    params.betas = {0.3};
+    return apps::qaoa_circuit(problem, params);
+}
+
+/// Every third bit set: a sparse BV secret / fake-coin set.
+std::vector<int>
+every_third(int n)
+{
+    std::vector<int> bits(static_cast<std::size_t>(n - 1));
+    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = i % 3 == 0;
+    return bits;
+}
+
+TEST(RouterOracle, FakeMumbaiRandomCircuits)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    for (int i = 0; i < 140; ++i) {
+        util::Rng rng(7000 + i);
+        const Circuit logical = oracle::random_circuit(rng, 2 + i % 26);
+        expect_matches_reference(logical, backend,
+                                 layout_variant(logical, backend, i, rng),
+                                 options_variant(i / 3),
+                                 "mumbai case " + std::to_string(i));
+    }
+}
+
+TEST(RouterOracle, RandomCouplings)
+{
+    for (int i = 0; i < 100; ++i) {
+        util::Rng rng(8000 + i);
+        const int np = 5 + i % 12;
+        auto topology = graph::random_graph(np, 0.2 + 0.1 * (i % 5), rng);
+        for (int v = 1; v < np; ++v) topology.add_edge(v - 1, v);
+        const arch::Backend backend(
+            "random", topology, arch::Calibration::synthesize(topology));
+        const Circuit logical =
+            oracle::random_circuit(rng, 2 + i % (np - 1));
+        expect_matches_reference(logical, backend,
+                                 layout_variant(logical, backend, i, rng),
+                                 options_variant(i / 3),
+                                 "coupling case " + std::to_string(i));
+    }
+}
+
+TEST(RouterOracle, HeavyHexRandomCircuits)
+{
+    const auto hh127 = arch::Backend::scaled_heavy_hex(127);
+    const auto hh433 = arch::Backend::scaled_heavy_hex(433);
+    for (int i = 0; i < 60; ++i) {
+        util::Rng rng(9100 + i);
+        const auto& backend = i % 4 == 3 ? hh433 : hh127;
+        const Circuit logical = oracle::random_circuit(rng, 8 + 7 * i % 120);
+        expect_matches_reference(logical, backend,
+                                 layout_variant(logical, backend, i, rng),
+                                 options_variant(i / 3),
+                                 "heavy-hex case " + std::to_string(i));
+    }
+}
+
+TEST(RouterOracle, DeviceScaleBenchmarks)
+{
+    const auto hh127 = arch::Backend::scaled_heavy_hex(127);
+    const auto hh433 = arch::Backend::scaled_heavy_hex(433);
+    const struct
+    {
+        std::string name;
+        Circuit circuit;
+        const arch::Backend* backend;
+    } cases[] = {
+        {"qaoa_64", qaoa_ring_circuit(64, 3), &hh127},
+        {"bv_127", apps::bv_circuit(127, every_third(127)), &hh127},
+        {"cc_127", apps::cc_circuit(127, every_third(127)), &hh127},
+        {"qaoa_256", qaoa_ring_circuit(256, 5), &hh433},
+        {"bv_400", apps::bv_circuit(400, every_third(400)), &hh433},
+        {"cc_400", apps::cc_circuit(400, every_third(400)), &hh433},
+    };
+    for (const auto& c : cases) {
+        const Circuit native = transpile::decompose_to_native(c.circuit);
+        util::Rng rng(11);
+        for (int which = 0; which < 3; ++which) {
+            expect_matches_reference(
+                native, *c.backend,
+                layout_variant(native, *c.backend, which, rng),
+                options_variant(which),
+                c.name + " layout " + std::to_string(which));
+        }
+    }
+}
+
+TEST(RouterOracle, ScratchSurvivesShrinkAndGrow)
+{
+    // One scratch from a 400-qubit run to a 12-qubit run and back:
+    // stale rows past the small circuit's qubits must never leak.
+    const auto hh433 = arch::Backend::scaled_heavy_hex(433);
+    const auto mumbai = arch::Backend::fake_mumbai();
+    const Circuit big =
+        transpile::decompose_to_native(qaoa_ring_circuit(400, 9));
+    util::Rng rng(12);
+    const Circuit small = oracle::random_circuit(rng, 12);
+    transpile::RouterScratch scratch;
+    for (int round = 0; round < 2; ++round) {
+        const std::string tag = " round " + std::to_string(round);
+        expect_matches_reference(big, hh433,
+                                 transpile::greedy_layout(big, hh433), {},
+                                 "big" + tag, &scratch);
+        expect_matches_reference(small, mumbai,
+                                 transpile::greedy_layout(small, mumbai),
+                                 {}, "small" + tag, &scratch);
+    }
+}
 
 }  // namespace
 }  // namespace caqr
