@@ -133,13 +133,33 @@ simulate_stage_ms(const CompileReport& report)
     return std::nullopt;
 }
 
+/// QAOA max-cut circuit (one layer) on a ring of @p nodes plus
+/// nodes / 2 chords seeded by @p seed: connected, mean degree 3.
+circuit::Circuit
+ring_qaoa(int nodes, unsigned seed)
+{
+    util::Rng rng(seed);
+    graph::UndirectedGraph problem(nodes);
+    for (int v = 0; v < nodes; ++v) problem.add_edge(v, (v + 1) % nodes);
+    for (int added = 0; added < nodes / 2;) {
+        const int u = rng.next_int(0, nodes - 1);
+        const int v = rng.next_int(0, nodes - 1);
+        if (u != v && problem.add_edge(u, v)) ++added;
+    }
+    apps::QaoaParams params;
+    params.gammas = {0.7};
+    params.betas = {0.3};
+    return apps::qaoa_circuit(problem, params);
+}
+
 /// The fixed corpus: every circuits/*.qasm x {baseline, qs_caqr,
 /// sr_caqr}, two synthetic QAOA interaction graphs under
 /// qs_commuting, bv_10 with the shot simulator attached at one and
 /// eight threads, multiply_13 routed with 32 trials at one and eight
 /// threads, generated BV-127/BV-400 on scaled heavy-hex (baseline,
-/// QS-CaQR, and SR-CaQR at 127), and the baseline of a fixed-seed
-/// QAOA-256 and of CC-400 on heavy_hex:433.
+/// QS-CaQR, and SR-CaQR at 127), SR-CaQR of CC-127 and of a QAOA-64
+/// on heavy_hex:127, and the baseline of a fixed-seed QAOA-256 and of
+/// CC-400 on heavy_hex:433.
 std::vector<BenchCase>
 build_corpus(const std::string& corpus_dir, const std::string& backend)
 {
@@ -257,35 +277,31 @@ build_corpus(const std::string& corpus_dir, const std::string& backend)
         cases.push_back(std::move(entry));
     }
 
-    // Routing-dominated device rows: baseline mapping of a QAOA-256
-    // whose problem graph is a ring plus 128 seeded chords (connected,
-    // mean degree 3), and of CC-400 with every other coin fake.
-    {
-        util::Rng rng(256);
-        graph::UndirectedGraph problem(256);
-        for (int v = 0; v < 256; ++v) problem.add_edge(v, (v + 1) % 256);
-        for (int added = 0; added < 128;) {
-            const int u = rng.next_int(0, 255);
-            const int v = rng.next_int(0, 255);
-            if (u != v && problem.add_edge(u, v)) ++added;
-        }
-        apps::QaoaParams params;
-        params.gammas = {0.7};
-        params.betas = {0.3};
-        for (const auto& [name, logical] :
-             {std::pair<const char*, circuit::Circuit>{
-                  "qaoa_256", apps::qaoa_circuit(problem, params)},
-              std::pair<const char*, circuit::Circuit>{
-                  "cc_400", apps::cc_circuit(400)}}) {
-            BenchCase entry;
-            entry.name = name;
-            entry.request = prototype;
-            entry.request.name = entry.name;
-            entry.request.strategy = Strategy::kBaseline;
-            entry.request.backend = "heavy_hex:433";
-            entry.request.circuit = logical;
-            cases.push_back(std::move(entry));
-        }
+    // SR-CaQR device rows beyond BV: CC-127 with every other coin fake
+    // and a QAOA-64 (ring plus 32 seeded chords) on heavy_hex:127.
+    // Then the routing-dominated rows: baseline mapping of a QAOA-256
+    // (ring plus 128 seeded chords) and of CC-400 on heavy_hex:433.
+    for (const auto& [name, strategy, device, logical] :
+         {std::tuple<const char*, Strategy, const char*, circuit::Circuit>{
+              "cc_127", Strategy::kSrCaqr, "heavy_hex:127",
+              apps::cc_circuit(127)},
+          std::tuple<const char*, Strategy, const char*, circuit::Circuit>{
+              "qaoa_64", Strategy::kSrCaqr, "heavy_hex:127",
+              ring_qaoa(64, 64)},
+          std::tuple<const char*, Strategy, const char*, circuit::Circuit>{
+              "qaoa_256", Strategy::kBaseline, "heavy_hex:433",
+              ring_qaoa(256, 256)},
+          std::tuple<const char*, Strategy, const char*, circuit::Circuit>{
+              "cc_400", Strategy::kBaseline, "heavy_hex:433",
+              apps::cc_circuit(400)}}) {
+        BenchCase entry;
+        entry.name = name;
+        entry.request = prototype;
+        entry.request.name = entry.name;
+        entry.request.strategy = strategy;
+        entry.request.backend = device;
+        entry.request.circuit = logical;
+        cases.push_back(std::move(entry));
     }
 
     return cases;

@@ -55,29 +55,6 @@ Backend::scaled_heavy_hex(int min_qubits, unsigned seed)
                    std::move(calibration));
 }
 
-int
-Backend::distance(int a, int b) const
-{
-    CAQR_CHECK(a >= 0 && a < num_qubits() && b >= 0 && b < num_qubits(),
-               "physical qubit id out of range");
-    return distances_[static_cast<std::size_t>(a)]
-                     [static_cast<std::size_t>(b)];
-}
-
-long long
-Backend::total_distance(int q) const
-{
-    CAQR_CHECK(q >= 0 && q < num_qubits(), "physical qubit id out of range");
-    return total_distance_[static_cast<std::size_t>(q)];
-}
-
-double
-Backend::best_incident_cx_error(int q) const
-{
-    CAQR_CHECK(q >= 0 && q < num_qubits(), "physical qubit id out of range");
-    return best_cx_error_[static_cast<std::size_t>(q)];
-}
-
 double
 CalibratedDurations::duration(const circuit::Instruction& instr) const
 {

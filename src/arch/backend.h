@@ -15,6 +15,7 @@
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "graph/undirected_graph.h"
+#include "util/logging.h"
 
 namespace caqr::arch {
 
@@ -39,18 +40,48 @@ class Backend
     const Calibration& calibration() const { return calibration_; }
     int num_qubits() const { return topology_.num_nodes(); }
 
-    /// Hop distance between physical qubits (precomputed APSP).
-    int distance(int a, int b) const;
+    /// Hop distance between physical qubits (precomputed APSP); -1
+    /// when they are disconnected.
+    int
+    distance(int a, int b) const
+    {
+        CAQR_CHECK(a >= 0 && a < num_qubits() && b >= 0 && b < num_qubits(),
+                   "physical qubit id out of range");
+        return distances_[static_cast<std::size_t>(a)]
+                         [static_cast<std::size_t>(b)];
+    }
+
+    /// Row @p a of the distance matrix: `distance_row(a)[b]` is
+    /// `distance(a, b)`, for loops that scan many qubits against one.
+    const int*
+    distance_row(int a) const
+    {
+        CAQR_CHECK(a >= 0 && a < num_qubits(),
+                   "physical qubit id out of range");
+        return distances_[static_cast<std::size_t>(a)].data();
+    }
 
     /// Sum of hop distances from @p q to every qubit, an unreachable
     /// one counting as num_qubits(). Lower = more central; layout and
     /// SR-CaQR seed placement read it instead of summing a row of the
     /// distance matrix per candidate.
-    long long total_distance(int q) const;
+    long long
+    total_distance(int q) const
+    {
+        CAQR_CHECK(q >= 0 && q < num_qubits(),
+                   "physical qubit id out of range");
+        return total_distance_[static_cast<std::size_t>(q)];
+    }
 
     /// Lowest CX error among the calibrated links incident to @p q;
     /// 1.0 if it has none.
-    double best_incident_cx_error(int q) const;
+    double
+    best_incident_cx_error(int q) const
+    {
+        CAQR_CHECK(q >= 0 && q < num_qubits(),
+                   "physical qubit id out of range");
+        return best_cx_error_[static_cast<std::size_t>(q)];
+    }
 
     /// True if @p a and @p b share a physical link.
     bool
@@ -67,6 +98,21 @@ class Backend
     std::vector<long long> total_distance_;
     std::vector<double> best_cx_error_;
 };
+
+/// Routing distance: a hop distance, with a disconnected pair (-1)
+/// counted as 2 * num_qubits(), farther than any connected pair.
+inline int
+routing_distance(int hops, int num_qubits)
+{
+    return hops < 0 ? num_qubits * 2 : hops;
+}
+
+/// routing_distance() of physical qubits @p a and @p b.
+inline int
+safe_distance(const Backend& backend, int a, int b)
+{
+    return routing_distance(backend.distance(a, b), backend.num_qubits());
+}
 
 /**
  * Duration model calibrated to a backend: CX durations come from the

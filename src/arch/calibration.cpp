@@ -55,13 +55,6 @@ Calibration::synthesize(const graph::UndirectedGraph& topology, unsigned seed)
     return cal;
 }
 
-const QubitCalibration&
-Calibration::qubit(int q) const
-{
-    CAQR_CHECK(q >= 0 && q < num_qubits(), "qubit id out of range");
-    return qubits_[static_cast<std::size_t>(q)];
-}
-
 const LinkCalibration*
 Calibration::find_link(int a, int b) const
 {

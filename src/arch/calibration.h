@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "graph/undirected_graph.h"
+#include "util/logging.h"
 
 namespace caqr::arch {
 
@@ -51,7 +52,13 @@ class Calibration
     static Calibration synthesize(const graph::UndirectedGraph& topology,
                                   unsigned seed = 7);
 
-    const QubitCalibration& qubit(int q) const;
+    const QubitCalibration&
+    qubit(int q) const
+    {
+        CAQR_CHECK(q >= 0 && q < num_qubits(), "qubit id out of range");
+        return qubits_[static_cast<std::size_t>(q)];
+    }
+
     const LinkCalibration& link(int a, int b) const;
     bool has_link(int a, int b) const;
 

@@ -1,8 +1,10 @@
 #include "core/sr_caqr.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <limits>
-#include <set>
+#include <optional>
 #include <tuple>
 
 #include "circuit/dag.h"
@@ -84,10 +86,20 @@ struct SrState
     std::vector<int> phys_of;      // logical -> physical or -1
     std::vector<int> logical_of;   // physical -> logical or -1
     std::vector<bool> ever_used;   // physical touched at least once
+    int qubits_used = 0;           // true slots of ever_used
     std::vector<int> remaining_ops;  // per logical qubit
     util::Rng* jitter_rng = nullptr;  // set when options->jitter > 0
     int swaps_added = 0;
     int reuses = 0;
+};
+
+/// The anchor's SWAP and physical-qubit counts. Both only grow during
+/// a trial, so a trial that exceeds either can no longer be admissible
+/// and stops early.
+struct SrBound
+{
+    int swaps;
+    int qubits;
 };
 
 /// Seeded tie-break noise added to a placement key / SWAP score.
@@ -105,8 +117,6 @@ is_free(const SrState& state, int phys)
     return state.logical_of[phys] < 0;
 }
 
-int safe_distance(const arch::Backend& backend, int a, int b);
-
 /// Seeds the first operand of a gate: a free physical qubit that is
 /// well connected and close to the device center; lookahead pulls it
 /// toward already-mapped future partners.
@@ -117,11 +127,12 @@ pick_seed_phys(const SrState& state, int logical_q)
     const auto& topology = backend.topology();
     const int np = backend.num_qubits();
 
-    // Future partners of logical_q that are already mapped.
-    std::vector<int> partners;
+    // Distance rows of logical_q's future partners that are already
+    // mapped (one per gate, so repeated partners weigh more).
+    std::vector<const int*> partner_rows;
     for (int other : state.plan->partners[logical_q]) {
         if (state.phys_of[other] >= 0) {
-            partners.push_back(state.phys_of[other]);
+            partner_rows.push_back(backend.distance_row(state.phys_of[other]));
         }
     }
 
@@ -130,7 +141,7 @@ pick_seed_phys(const SrState& state, int logical_q)
     for (int p = 0; p < np; ++p) {
         if (!is_free(state, p)) continue;
         double score;
-        if (partners.empty()) {
+        if (partner_rows.empty()) {
             // No placed partner: well-connected central qubit.
             score = topology.degree(p) -
                     static_cast<double>(backend.total_distance(p)) /
@@ -138,10 +149,9 @@ pick_seed_phys(const SrState& state, int logical_q)
         } else {
             // Placed partners dominate: sit as close to them as
             // possible, with connectivity as a mild tie-break.
-            double total_dist = 0.0;
-            for (int partner : partners) {
-                const int d = backend.distance(p, partner);
-                total_dist += d < 0 ? np : d;
+            int total_dist = 0;
+            for (const int* row : partner_rows) {
+                total_dist += row[p] < 0 ? np : row[p];
             }
             score = -state.options->lookahead_weight * total_dist +
                     0.25 * topology.degree(p);
@@ -169,37 +179,40 @@ int
 pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
 {
     const auto& backend = *state.backend;
+    const int np = backend.num_qubits();
 
-    std::vector<int> future_partners;
+    std::vector<const int*> future_rows;
     if (state.options->placement_pull > 0.0) {
         for (int other : state.plan->partners[logical_q]) {
             if (state.phys_of[other] >= 0 &&
                 state.phys_of[other] != partner_phys) {
-                future_partners.push_back(state.phys_of[other]);
+                future_rows.push_back(
+                    backend.distance_row(state.phys_of[other]));
             }
         }
     }
 
+    const int* partner_row = backend.distance_row(partner_phys);
     int best = -1;
     double best_key = std::numeric_limits<double>::infinity();
-    for (int p = 0; p < backend.num_qubits(); ++p) {
+    for (int p = 0; p < np; ++p) {
         if (!is_free(state, p)) continue;
-        const int d = backend.distance(p, partner_phys);
-        double key = static_cast<double>(d < 0 ? backend.num_qubits() : d);
-        if (!future_partners.empty()) {
-            double pull = 0.0;
-            for (int partner : future_partners) {
-                pull += safe_distance(backend, p, partner);
+        const int d = partner_row[p];
+        double key = static_cast<double>(d < 0 ? np : d);
+        if (!future_rows.empty()) {
+            int pull = 0;
+            for (const int* row : future_rows) {
+                pull += arch::routing_distance(row[p], np);
             }
             key += state.options->placement_pull * pull /
-                   static_cast<double>(future_partners.size());
+                   static_cast<double>(future_rows.size());
         }
         // A reclaimed wire serializes behind its reset: prefer a fresh
         // wire at equal distance, reuse when it is strictly closer.
         if (state.ever_used[p]) key += 0.5;
         if (state.options->error_aware) {
             key += backend.calibration().qubit(p).readout_error;
-            if (backend.are_adjacent(p, partner_phys)) {
+            if (d == 1) {
                 key +=
                     backend.calibration().link(p, partner_phys).cx_error;
             }
@@ -214,6 +227,15 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
     return best;
 }
 
+/// Records that physical qubit @p phys has been touched.
+void
+mark_used(SrState& state, int phys)
+{
+    if (state.ever_used[phys]) return;
+    state.ever_used[phys] = true;
+    ++state.qubits_used;
+}
+
 void
 assign(SrState& state, int logical_q, int phys)
 {
@@ -223,15 +245,7 @@ assign(SrState& state, int logical_q, int phys)
         ++state.reuses;
     }
     state.logical_of[phys] = logical_q;
-    state.ever_used[phys] = true;
-}
-
-/// Distance with disconnected pairs treated as very far.
-int
-safe_distance(const arch::Backend& backend, int a, int b)
-{
-    const int d = backend.distance(a, b);
-    return d < 0 ? backend.num_qubits() * 2 : d;
+    mark_used(state, phys);
 }
 
 /// Applies a SWAP on physical link (pa, pb), updating the mapping.
@@ -243,8 +257,8 @@ apply_swap(SrState& state, int pa, int pb)
     swap_instr.qubits = {pa, pb};
     state.output.append(std::move(swap_instr));
     ++state.swaps_added;
-    state.ever_used[pa] = true;
-    state.ever_used[pb] = true;
+    mark_used(state, pa);
+    mark_used(state, pb);
 
     const int la = state.logical_of[pa];
     const int lb = state.logical_of[pb];
@@ -261,7 +275,7 @@ emit(SrState& state, const Instruction& instr)
     for (auto& q : mapped.qubits) {
         CAQR_CHECK(state.phys_of[q] >= 0, "emitting unmapped qubit");
         q = state.phys_of[q];
-        state.ever_used[q] = true;
+        mark_used(state, q);
     }
     state.output.append(std::move(mapped));
 }
@@ -297,9 +311,10 @@ reclaim_finished(SrState& state, const Instruction& executed,
 
 namespace {
 
-SrCaqrResult sr_caqr_single(const SrPlan& plan,
-                            const arch::Backend& backend,
-                            const SrCaqrOptions& options);
+std::optional<SrCaqrResult> sr_caqr_single(const SrPlan& plan,
+                                           const arch::Backend& backend,
+                                           const SrCaqrOptions& options,
+                                           const SrBound* bound);
 
 /// Full variant-trials run; the caller has already checked that the
 /// circuit fits the backend.
@@ -346,18 +361,20 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     // A trial's result plus its estimated success probability — ESP is
     // part of the winner selection below, so it is computed inside the
     // (possibly racing) trial rather than serially afterwards, from the
-    // same calibrated schedule that gives the trial's duration.
+    // same calibrated schedule that gives the trial's duration. A
+    // pruned trial has no result.
     struct TrialResult
     {
-        SrCaqrResult result;
+        std::optional<SrCaqrResult> result;
         double esp = 0.0;
     };
-    auto run_variant = [&](std::size_t trial) {
+    auto run_variant = [&](std::size_t trial, const SrBound* bound) {
         // Rebind the owning request on this (possibly pool) thread so
         // raced variants from concurrent requests keep their spans
         // attributed to the right request.
         util::trace::RequestScope request_scope(options.request_ctx,
                                                 options.capture);
+        util::trace::Span trial_span("sr_caqr.trial");
         SrCaqrOptions variant = options;
         if (trial < static_cast<std::size_t>(kNumVariants)) {
             variant.lookahead_weight *= kVariants[trial].lookahead;
@@ -382,40 +399,62 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             variant.jitter_stream = j / 4;
         }
         TrialResult out;
-        out.result = sr_caqr_single(plan, backend, variant);
-        out.result.depth = circuit::depth(out.result.circuit);
+        out.result = sr_caqr_single(plan, backend, variant, bound);
+        if (!out.result) return out;
+        SrCaqrResult& result = *out.result;
+        result.depth = circuit::depth(result.circuit);
         arch::CalibratedDurations model(backend);
-        const circuit::Schedule schedule(out.result.circuit, model);
-        out.result.duration_dt = schedule.makespan();
-        out.esp = arch::estimated_success_probability(out.result.circuit,
+        const circuit::Schedule schedule(result.circuit, model);
+        result.duration_dt = schedule.makespan();
+        out.esp = arch::estimated_success_probability(result.circuit,
                                                       backend, schedule);
         return out;
     };
 
     const int threads =
         util::ThreadPool::resolve_threads(options.num_threads);
-    std::vector<TrialResult> results;
-    if (trials == 1 || threads == 1) {
-        results.reserve(static_cast<std::size_t>(trials));
-        for (int trial = 0; trial < trials; ++trial) {
-            results.push_back(run_variant(static_cast<std::size_t>(trial)));
-        }
-    } else if (options.pool != nullptr && options.pool->size() > 0) {
-        results =
-            options.pool->map(static_cast<std::size_t>(trials), run_variant);
-    } else {
-        util::ThreadPool transient(std::min(threads, trials) - 1);
-        results =
-            transient.map(static_cast<std::size_t>(trials), run_variant);
+    util::ThreadPool* pool = nullptr;
+    std::optional<util::ThreadPool> transient;
+    if (trials > 1 && threads > 1) {
+        pool = options.pool != nullptr && options.pool->size() > 0
+                   ? options.pool
+                   : &transient.emplace(std::min(threads, trials) - 1);
     }
+    // Trials [first, last), in index order whatever the thread count.
+    auto run_trials = [&](std::size_t first, std::size_t last,
+                          const SrBound* bound) {
+        const auto run = [&](std::size_t i) {
+            return run_variant(first + i, bound);
+        };
+        if (pool != nullptr) return pool->map(last - first, run);
+        std::vector<TrialResult> batch;
+        batch.reserve(last - first);
+        for (std::size_t i = 0; i < last - first; ++i) {
+            batch.push_back(run(i));
+        }
+        return batch;
+    };
 
     // Winner selection, in two index-ordered stages (map() returns
     // results in variant order, so both are thread-count-independent).
     //
     // Stage 1 — anchor: the historical portfolio's winner (the first 4
     // variants, fewest SWAPs then shortest duration), i.e. exactly what
-    // the narrower pre-PR-9 sweep produced.
-    //
+    // the narrower pre-PR-9 sweep produced. These trials run first and
+    // to completion.
+    const std::size_t legacy = std::min<std::size_t>(trials, 4);
+    std::vector<TrialResult> results = run_trials(0, legacy, nullptr);
+    std::size_t anchor = 0;
+    for (std::size_t i = 1; i < legacy; ++i) {
+        const SrCaqrResult& r = *results[i].result;
+        const SrCaqrResult& w = *results[anchor].result;
+        if (r.swaps_added < w.swaps_added ||
+            (r.swaps_added == w.swaps_added &&
+             r.duration_dt < w.duration_dt)) {
+            anchor = i;
+        }
+    }
+
     // Stage 2 — challenge: a trial is *admissible* when it is no worse
     // than the anchor on every quality metric the regression gate
     // tracks (SWAPs, physical qubits, depth, ESP); among admissible
@@ -425,30 +464,32 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     // the running winner — one challenger can never shadow another,
     // and the final answer always dominates the legacy result: the
     // wider portfolio can only improve, never trade one tracked
-    // metric for another.
-    const std::size_t legacy =
-        std::min<std::size_t>(results.size(), 4);
-    std::size_t anchor = 0;
-    for (std::size_t i = 1; i < legacy; ++i) {
-        const SrCaqrResult& r = results[i].result;
-        const SrCaqrResult& w = results[anchor].result;
-        if (r.swaps_added < w.swaps_added ||
-            (r.swaps_added == w.swaps_added &&
-             r.duration_dt < w.duration_dt)) {
-            anchor = i;
-        }
-    }
+    // metric for another. The remaining trials run bounded by the
+    // anchor's SWAP and qubit counts: both only grow, so a trial
+    // pruned for exceeding either could not have been admissible.
+    const SrBound bound{results[anchor].result->swaps_added,
+                        results[anchor].result->physical_qubits_used};
+    auto challengers =
+        run_trials(legacy, static_cast<std::size_t>(trials), &bound);
+    std::move(challengers.begin(), challengers.end(),
+              std::back_inserter(results));
+
+    int pruned = 0;
     std::size_t winner = anchor;
     for (std::size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].result) {
+            ++pruned;
+            continue;
+        }
         if (i == winner) continue;
-        const SrCaqrResult& r = results[i].result;
-        const SrCaqrResult& a = results[anchor].result;
+        const SrCaqrResult& r = *results[i].result;
+        const SrCaqrResult& a = *results[anchor].result;
         const bool admissible =
             r.swaps_added <= a.swaps_added &&
             r.physical_qubits_used <= a.physical_qubits_used &&
             r.depth <= a.depth && results[i].esp >= results[anchor].esp;
         if (!admissible) continue;
-        const SrCaqrResult& w = results[winner].result;
+        const SrCaqrResult& w = *results[winner].result;
         const auto key = [&](const SrCaqrResult& x, double esp) {
             return std::make_tuple(x.swaps_added, x.physical_qubits_used,
                                    x.depth, -esp, x.duration_dt);
@@ -457,10 +498,11 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             winner = i;
         }
     }
-    SrCaqrResult best = std::move(results[winner].result);
+    SrCaqrResult best = std::move(*results[winner].result);
 
     auto& metrics = util::metrics::global();
     metrics.add("sr_caqr.variant_trials", trials);
+    metrics.add("sr_caqr.trials_pruned", pruned);
     metrics.add("sr_caqr.swaps_added", best.swaps_added);
     metrics.add("sr_caqr.reuses", best.reuses);
     return best;
@@ -483,9 +525,11 @@ sr_caqr_or(const Circuit& logical, const arch::Backend& backend,
 
 namespace {
 
-SrCaqrResult
+/// One trial of the engine. With a @p bound, returns nullopt as soon as
+/// the trial has more SWAPs or more physical qubits than the bound.
+std::optional<SrCaqrResult>
 sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
-               const SrCaqrOptions& options)
+               const SrCaqrOptions& options, const SrBound* bound)
 {
     const Circuit& logical = plan.logical;
     const circuit::CircuitDag& dag = plan.dag;
@@ -550,33 +594,46 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     };
 
     // Lookahead window: upcoming two-qubit gates (successor closure of
-    // the frontier) whose operands are already mapped.
+    // the frontier) whose operands are already mapped. A SWAP changes
+    // neither the frontier nor which qubits are mapped, so the window
+    // and the stall index are rebuilt only after a gate executes or an
+    // operand is mapped.
     constexpr int kLookaheadSize = 20;
-    const double kLookaheadWeight = options.swap_lookahead_weight;
-    auto lookahead_set = [&](const std::vector<int>& frontier_nodes) {
-        std::vector<int> result;
-        std::vector<int> queue = frontier_nodes;
-        std::vector<bool> seen(static_cast<std::size_t>(num_nodes),
-                               false);
-        for (int node : queue) seen[node] = true;
+    std::vector<int> window;
+    std::vector<int> bfs_queue;
+    std::vector<std::uint32_t> seen_stamp(static_cast<std::size_t>(num_nodes),
+                                          0);
+    std::uint32_t generation = 0;
+    transpile::StallIndex stall;
+    bool stall_valid = false;
+    auto rebuild_stall = [&](const std::vector<int>& blocked_mapped) {
+        window.clear();
+        bfs_queue.assign(frontier.begin(), frontier.end());
+        if (++generation == 0) {
+            // Stamp wrap-around: invalidate every stale stamp once.
+            std::fill(seen_stamp.begin(), seen_stamp.end(), 0u);
+            generation = 1;
+        }
+        for (int node : bfs_queue) seen_stamp[node] = generation;
         std::size_t head = 0;
-        while (head < queue.size() &&
-               static_cast<int>(result.size()) < kLookaheadSize) {
-            const int node = queue[head++];
+        while (head < bfs_queue.size() &&
+               static_cast<int>(window.size()) < kLookaheadSize) {
+            const int node = bfs_queue[head++];
             for (int succ : dag.graph().successors(node)) {
-                if (seen[succ]) continue;
-                seen[succ] = true;
-                queue.push_back(succ);
+                if (seen_stamp[succ] == generation) continue;
+                seen_stamp[succ] = generation;
+                bfs_queue.push_back(succ);
                 const auto& instr =
                     logical.at(static_cast<std::size_t>(succ));
                 if (circuit::is_two_qubit(instr.kind) &&
                     state.phys_of[instr.qubits[0]] >= 0 &&
                     state.phys_of[instr.qubits[1]] >= 0) {
-                    result.push_back(succ);
+                    window.push_back(succ);
                 }
             }
         }
-        return result;
+        stall.build(logical, blocked_mapped, window);
+        stall_valid = true;
     };
 
     std::vector<double> decay(
@@ -586,12 +643,23 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     long long stall_guard = 0;
     const long long stall_limit =
         4LL * num_nodes * backend.num_qubits() + 1000;
+    std::vector<int> still_blocked;
+    std::vector<int> newly_ready;
+    std::vector<int> blocked_mapped;
+    std::vector<int> need_mapping;
+    std::vector<int> to_map;
+    std::vector<std::pair<int, int>> candidates;
 
     while (!frontier.empty()) {
+        if (bound != nullptr && (state.swaps_added > bound->swaps ||
+                                 state.qubits_used > bound->qubits)) {
+            return std::nullopt;
+        }
+
         // A) Execute every frontier gate that is mapped and
         // hardware-compliant; this retires qubits as early as possible.
-        std::vector<int> still_blocked;
-        std::vector<int> newly_ready;
+        still_blocked.clear();
+        newly_ready.clear();
         bool executed_any = false;
         for (int node : frontier) {
             const Instruction& instr =
@@ -615,10 +683,11 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
                 if (--preds_left[succ] == 0) newly_ready.push_back(succ);
             }
         }
-        frontier = std::move(still_blocked);
-        frontier.insert(frontier.end(), newly_ready.begin(),
-                        newly_ready.end());
         if (executed_any) {
+            frontier.swap(still_blocked);
+            frontier.insert(frontier.end(), newly_ready.begin(),
+                            newly_ready.end());
+            stall_valid = false;
             swap_streak = 0;
             if (++executed_batches % 5 == 0) {
                 std::fill(decay.begin(), decay.end(), 0.0);
@@ -631,8 +700,8 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
         // B) Mapping decisions: critical gates with unmapped operands
         // map now; non-critical ones stay delayed while routed gates
         // can still make progress (paper Step 2's delaying rule).
-        std::vector<int> blocked_mapped;
-        std::vector<int> need_mapping;
+        blocked_mapped.clear();
+        need_mapping.clear();
         for (int node : frontier) {
             const Instruction& instr =
                 logical.at(static_cast<std::size_t>(node));
@@ -642,7 +711,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
             }
             (unmapped ? need_mapping : blocked_mapped).push_back(node);
         }
-        std::vector<int> to_map;
+        to_map.clear();
         for (int node : need_mapping) {
             if (!options.delay_noncritical ||
                 std::abs(earliest[node] - latest[node]) < 1e-9) {
@@ -661,6 +730,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
                 return earliest[a] < earliest[b];
             });
             for (int node : to_map) map_operands(node);
+            stall_valid = false;
             continue;  // re-scan: mapped gates may now be executable
         }
 
@@ -681,8 +751,8 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
                 const int pb = state.phys_of[instr.qubits[1]];
                 int best_nb = -1;
                 for (int nb : backend.topology().neighbors(pa)) {
-                    if (safe_distance(backend, nb, pb) <
-                        safe_distance(backend, pa, pb)) {
+                    if (arch::safe_distance(backend, nb, pb) <
+                        arch::safe_distance(backend, pa, pb)) {
                         best_nb = nb;
                         break;
                     }
@@ -693,68 +763,61 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
             swap_streak = 0;
             continue;
         }
-        const auto extended = lookahead_set(frontier);
-        std::set<std::pair<int, int>> candidates;
+        if (!stall_valid) rebuild_stall(blocked_mapped);
+
+        // Candidate SWAPs: links touching a blocked gate's operand,
+        // sorted and deduplicated.
+        candidates.clear();
         for (int node : blocked_mapped) {
             const auto& instr =
                 logical.at(static_cast<std::size_t>(node));
             for (int operand : instr.qubits) {
                 const int p = state.phys_of[operand];
                 for (int nb : backend.topology().neighbors(p)) {
-                    candidates.insert({std::min(p, nb), std::max(p, nb)});
+                    candidates.emplace_back(std::min(p, nb), std::max(p, nb));
                 }
             }
         }
+        std::sort(candidates.begin(), candidates.end());
+        candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                         candidates.end());
         CAQR_CHECK(!candidates.empty(), "no candidate swaps available");
 
-        auto swap_cost = [&](int pa, int pb) {
-            auto mapped = [&](int lq) {
-                const int p = state.phys_of[lq];
-                if (p == pa) return pb;
-                if (p == pb) return pa;
-                return p;
-            };
-            double front_cost = 0.0;
-            for (int node : blocked_mapped) {
-                const auto& instr =
-                    logical.at(static_cast<std::size_t>(node));
-                front_cost += safe_distance(backend,
-                                            mapped(instr.qubits[0]),
-                                            mapped(instr.qubits[1]));
-            }
-            front_cost /= static_cast<double>(blocked_mapped.size());
-            double look_cost = 0.0;
-            if (!extended.empty()) {
-                for (int node : extended) {
-                    const auto& instr =
-                        logical.at(static_cast<std::size_t>(node));
-                    look_cost += safe_distance(backend,
-                                               mapped(instr.qubits[0]),
-                                               mapped(instr.qubits[1]));
-                }
-                look_cost *=
-                    kLookaheadWeight / static_cast<double>(extended.size());
-            }
+        const auto [front_base, look_base] =
+            stall.measure(backend, state.phys_of);
+        const double look_scale =
+            window.empty() ? 0.0
+                           : options.swap_lookahead_weight /
+                                 static_cast<double>(window.size());
+
+        // Score SWAP (pa, pb): lower is better. Jitter is drawn once per
+        // candidate, in candidate order.
+        double best_score = std::numeric_limits<double>::infinity();
+        std::pair<int, int> best{-1, -1};
+        for (const auto& [pa, pb] : candidates) {
+            const auto [front_delta, look_delta] =
+                stall.delta(backend, state.phys_of, state.logical_of[pa],
+                            state.logical_of[pb], pa, pb);
+            const double front_cost =
+                static_cast<double>(front_base + front_delta) /
+                static_cast<double>(stall.num_front());
+            const double look_cost =
+                static_cast<double>(look_base + look_delta) * look_scale;
             double link_bias = 0.0;
-            if (state.options->error_aware &&
+            if (options.error_aware &&
                 backend.calibration().has_link(pa, pb)) {
                 link_bias = backend.calibration().link(pa, pb).cx_error;
             }
             // Same combiner as the baseline router: the error-aware
             // bias sits inside the decayed product (PR-9 fix).
-            return transpile::combine_swap_score(
-                       front_cost, look_cost,
-                       std::max(decay[pa], decay[pb]) + 1.0, link_bias) +
-                   jitter_of(state);
-        };
-
-        double best_score = std::numeric_limits<double>::infinity();
-        std::pair<int, int> best{-1, -1};
-        for (const auto& cand : candidates) {
-            const double score = swap_cost(cand.first, cand.second);
+            const double score =
+                transpile::combine_swap_score(
+                    front_cost, look_cost,
+                    std::max(decay[pa], decay[pb]) + 1.0, link_bias) +
+                jitter_of(state);
             if (score < best_score) {
                 best_score = score;
-                best = cand;
+                best = {pa, pb};
             }
         }
         apply_swap(state, best.first, best.second);
@@ -765,8 +828,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     SrCaqrResult result;
     result.swaps_added = state.swaps_added;
     result.reuses = state.reuses;
-    result.physical_qubits_used = static_cast<int>(std::count(
-        state.ever_used.begin(), state.ever_used.end(), true));
+    result.physical_qubits_used = state.qubits_used;
     result.circuit = std::move(state.output);
     return result;
 }

@@ -62,8 +62,11 @@ struct SrCaqrOptions : CommonOptions
     /// trial takes the win only when it is no worse on every tracked
     /// quality metric (SWAPs, physical qubits, depth, ESP) and
     /// strictly better on at least one, so more trials can only
-    /// improve results. Trials race on the thread pool; the winner is
-    /// bit-identical at any thread count.
+    /// improve results. An extra trial costs only until it is pruned:
+    /// it stops as soon as it has more SWAPs or more physical qubits
+    /// than the anchor, since it could no longer win. Trials race on
+    /// the thread pool; the winner is bit-identical at any thread
+    /// count.
     int trials = 24;
     /// Delay non-critical gates whose qubits are unmapped (paper
     /// §3.3.1 Step 2). Disable only for ablation studies: mapping every

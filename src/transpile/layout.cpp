@@ -45,6 +45,11 @@ greedy_layout(const circuit::Circuit& circuit, const arch::Backend& backend)
             if (layout[nb] >= 0) partners.push_back(layout[nb]);
         }
 
+        std::vector<const int*> partner_rows;
+        for (int partner : partners) {
+            partner_rows.push_back(backend.distance_row(partner));
+        }
+
         int best = -1;
         double best_score = -std::numeric_limits<double>::infinity();
         for (int p = 0; p < np; ++p) {
@@ -58,8 +63,8 @@ greedy_layout(const circuit::Circuit& circuit, const arch::Backend& backend)
                             np;
             } else {
                 long long dist = 0;
-                for (int partner : partners) {
-                    const int d = backend.distance(p, partner);
+                for (const int* row : partner_rows) {
+                    const int d = row[p];
                     dist += d < 0 ? np : d;
                 }
                 score = -static_cast<double>(dist) * 1000.0 +

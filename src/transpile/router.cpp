@@ -16,14 +16,6 @@ using circuit::Circuit;
 using circuit::GateKind;
 using circuit::Instruction;
 
-/// Distance with disconnected pairs treated as very far.
-int
-safe_distance(const arch::Backend& backend, int a, int b)
-{
-    const int d = backend.distance(a, b);
-    return d < 0 ? backend.num_qubits() * 2 : d;
-}
-
 /// Sizes and resets @p s for one routing run. Buffers already large
 /// enough are reused as-is; the generation-stamped seen set survives
 /// across runs without clearing.
@@ -99,30 +91,7 @@ refresh_lookahead(RouterScratch& s, const Circuit& logical,
         }
     }
     s.lookahead_valid = true;
-
-    // Stall gates by logical qubit (counting sort into CSR rows).
-    s.stall_gates.clear();
-    for (const auto* nodes : {&s.frontier, &s.lookahead}) {
-        for (int node : *nodes) {
-            const auto& instr = logical.at(static_cast<std::size_t>(node));
-            s.stall_gates.push_back({instr.qubits[0], instr.qubits[1], 0});
-        }
-    }
-    s.num_front = s.frontier.size();
-    s.qubit_start.assign(static_cast<std::size_t>(logical.num_qubits()) + 1,
-                         0);
-    for (const auto& gate : s.stall_gates) {
-        ++s.qubit_start[gate.q0];
-        ++s.qubit_start[gate.q1];
-    }
-    for (std::size_t q = 1; q < s.qubit_start.size(); ++q) {
-        s.qubit_start[q] += s.qubit_start[q - 1];
-    }
-    s.qubit_gates.resize(2 * s.stall_gates.size());
-    for (int k = 0; k < static_cast<int>(s.stall_gates.size()); ++k) {
-        s.qubit_gates[--s.qubit_start[s.stall_gates[k].q0]] = k;
-        s.qubit_gates[--s.qubit_start[s.stall_gates[k].q1]] = k;
-    }
+    s.stall.build(logical, s.frontier, s.lookahead);
 }
 
 /// Applies a SWAP on physical link (pa, pb): emits the gate and
@@ -145,6 +114,78 @@ apply_swap(RouterScratch& s, Circuit& output, int pa, int pb,
 }
 
 }  // namespace
+
+void
+StallIndex::build(const Circuit& logical, const std::vector<int>& front,
+                  const std::vector<int>& window)
+{
+    gates_.clear();
+    for (const auto* nodes : {&front, &window}) {
+        for (int node : *nodes) {
+            const auto& instr = logical.at(static_cast<std::size_t>(node));
+            gates_.push_back({instr.qubits[0], instr.qubits[1], 0});
+        }
+    }
+    num_front_ = front.size();
+    // Counting sort into CSR rows.
+    qubit_start_.assign(static_cast<std::size_t>(logical.num_qubits()) + 1,
+                        0);
+    for (const auto& gate : gates_) {
+        ++qubit_start_[gate.q0];
+        ++qubit_start_[gate.q1];
+    }
+    for (std::size_t q = 1; q < qubit_start_.size(); ++q) {
+        qubit_start_[q] += qubit_start_[q - 1];
+    }
+    qubit_gates_.resize(2 * gates_.size());
+    for (int k = 0; k < static_cast<int>(gates_.size()); ++k) {
+        qubit_gates_[--qubit_start_[gates_[k].q0]] = k;
+        qubit_gates_[--qubit_start_[gates_[k].q1]] = k;
+    }
+}
+
+std::pair<int, int>
+StallIndex::measure(const arch::Backend& backend,
+                    const std::vector<int>& phys_of)
+{
+    const int np = backend.num_qubits();
+    int front = 0;
+    int window = 0;
+    for (std::size_t k = 0; k < gates_.size(); ++k) {
+        auto& gate = gates_[k];
+        gate.distance = arch::routing_distance(
+            backend.distance_row(phys_of[gate.q0])[phys_of[gate.q1]], np);
+        (k < num_front_ ? front : window) += gate.distance;
+    }
+    return {front, window};
+}
+
+std::pair<int, int>
+StallIndex::delta(const arch::Backend& backend,
+                  const std::vector<int>& phys_of, int la, int lb, int pa,
+                  int pb) const
+{
+    const int np = backend.num_qubits();
+    int front = 0;
+    int window = 0;
+    const auto move = [&](int l, int other, int to) {
+        const int* row = backend.distance_row(to);
+        for (int i = qubit_start_[l]; i < qubit_start_[l + 1]; ++i) {
+            const int k = qubit_gates_[i];
+            const auto& gate = gates_[k];
+            const int partner = gate.q0 == l ? gate.q1 : gate.q0;
+            if (partner == other) continue;
+            const int change =
+                arch::routing_distance(row[phys_of[partner]], np) -
+                gate.distance;
+            (static_cast<std::size_t>(k) < num_front_ ? front : window) +=
+                change;
+        }
+    };
+    if (la >= 0) move(la, lb, pb);
+    if (lb >= 0) move(lb, la, pa);
+    return {front, window};
+}
 
 double
 combine_swap_score(double front_cost, double look_cost,
@@ -258,8 +299,8 @@ route_or(const Circuit& logical, const arch::Backend& backend,
                 const int pb = s.phys_of[instr.qubits[1]];
                 int hop = -1;
                 for (int nb : backend.topology().neighbors(pa)) {
-                    if (safe_distance(backend, nb, pb) <
-                        safe_distance(backend, pa, pb)) {
+                    if (arch::safe_distance(backend, nb, pb) <
+                        arch::safe_distance(backend, pa, pb)) {
                         hop = nb;
                         break;
                     }
@@ -305,52 +346,24 @@ route_or(const Circuit& logical, const arch::Backend& backend,
                 "no candidate swaps available (isolated qubit?)");
         }
 
-        // Front and window distances under the current mapping.
-        int front_base = 0;
-        int look_base = 0;
-        for (std::size_t k = 0; k < s.stall_gates.size(); ++k) {
-            auto& gate = s.stall_gates[k];
-            gate.distance = safe_distance(backend, s.phys_of[gate.q0],
-                                          s.phys_of[gate.q1]);
-            (k < s.num_front ? front_base : look_base) += gate.distance;
-        }
+        const auto [front_base, look_base] =
+            s.stall.measure(backend, s.phys_of);
         const double look_scale =
             s.lookahead.empty()
                 ? 0.0
                 : options.lookahead_weight /
                       static_cast<double>(s.lookahead.size());
 
-        // Score SWAP (pa, pb): lower is better. Only the gates on the
-        // two logical qubits it moves change distance; a gate on both
-        // keeps its distance.
+        // Score SWAP (pa, pb): lower is better.
         double best_score = std::numeric_limits<double>::infinity();
         std::pair<int, int> best{-1, -1};
         for (const auto& [pa, pb] : s.candidates) {
-            int front_delta = 0;
-            int look_delta = 0;
-            const int la = s.logical_of[pa];
-            const int lb = s.logical_of[pb];
-            const auto move = [&](int l, int other, int to) {
-                for (int i = s.qubit_start[l]; i < s.qubit_start[l + 1];
-                     ++i) {
-                    const int k = s.qubit_gates[i];
-                    const auto& gate = s.stall_gates[k];
-                    const int partner = gate.q0 == l ? gate.q1 : gate.q0;
-                    if (partner == other) continue;
-                    const int delta =
-                        safe_distance(backend, to, s.phys_of[partner]) -
-                        gate.distance;
-                    (static_cast<std::size_t>(k) < s.num_front
-                         ? front_delta
-                         : look_delta) += delta;
-                }
-            };
-            if (la >= 0) move(la, lb, pb);
-            if (lb >= 0) move(lb, la, pa);
-
+            const auto [front_delta, look_delta] = s.stall.delta(
+                backend, s.phys_of, s.logical_of[pa], s.logical_of[pb], pa,
+                pb);
             const double front_cost =
                 static_cast<double>(front_base + front_delta) /
-                static_cast<double>(s.num_front);
+                static_cast<double>(s.stall.num_front());
             const double look_cost =
                 static_cast<double>(look_base + look_delta) * look_scale;
             double link_bias = 0.0;

@@ -63,6 +63,54 @@ struct RouterOptions
 };
 
 /**
+ * The gates a stalled routing step scores (the blocked front layer,
+ * then the lookahead window), indexed by logical qubit. `measure` sums
+ * their distances under the current mapping once per step; `delta`
+ * then gives the integer change of both sums under one candidate SWAP
+ * from only the gates on the two logical qubits it moves. A gate on
+ * both keeps its distance. Integer sums make `double(sum) / |F|` and
+ * `double(sum) * (w / |L|)` equal to per-gate accumulation bit for
+ * bit. Shared by `route_or` and SR-CaQR's SWAP step.
+ */
+class StallIndex
+{
+  public:
+    /// Indexes two-qubit gate nodes @p front, then @p window, of
+    /// @p logical.
+    void build(const circuit::Circuit& logical, const std::vector<int>& front,
+               const std::vector<int>& window);
+
+    /// Records each gate's distance under @p phys_of (logical ->
+    /// physical) and returns the {front, window} distance sums.
+    std::pair<int, int> measure(const arch::Backend& backend,
+                                const std::vector<int>& phys_of);
+
+    /// The {front, window} sum changes when the SWAP on link (pa, pb)
+    /// moves logical @p la from pa to pb and @p lb from pb to pa (-1:
+    /// the qubit hosts none). Reads the distances of the last measure().
+    std::pair<int, int> delta(const arch::Backend& backend,
+                              const std::vector<int>& phys_of, int la,
+                              int lb, int pa, int pb) const;
+
+    std::size_t num_front() const { return num_front_; }
+
+  private:
+    struct Gate
+    {
+        int q0;
+        int q1;
+        int distance;  ///< under the mapping of the last measure()
+    };
+    /// Front-layer gates (the first `num_front_`), then window gates.
+    std::vector<Gate> gates_;
+    std::size_t num_front_ = 0;
+    /// Gates on logical qubit q: qubit_gates_[qubit_start_[q] ..
+    /// qubit_start_[q + 1]).
+    std::vector<int> qubit_start_;
+    std::vector<int> qubit_gates_;
+};
+
+/**
  * Reusable per-trial scratch for `route_or`: all state the routing hot
  * loop touches. A trial that routes several circuits (the layout
  * refinement passes plus the final run) hands the same instance to
@@ -97,22 +145,8 @@ struct RouterScratch
     bool lookahead_valid = false;
     /// @}
 
-    /// @name Stall scoring index (rebuilt with the lookahead window)
-    /// @{
-    struct StallGate
-    {
-        int q0;
-        int q1;
-        int distance;  ///< under the current mapping, set per stall
-    };
-    /// Front-layer gates (the first `num_front`), then window gates.
-    std::vector<StallGate> stall_gates;
-    std::size_t num_front = 0;
-    /// Stall gates on logical qubit q: qubit_gates[qubit_start[q] ..
-    /// qubit_start[q + 1]).
-    std::vector<int> qubit_start;
-    std::vector<int> qubit_gates;
-    /// @}
+    /// Stall scoring index, rebuilt with the lookahead window.
+    StallIndex stall;
 
     /// Candidate SWAP edges, sorted + deduped in place per stall.
     std::vector<std::pair<int, int>> candidates;

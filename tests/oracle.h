@@ -3,26 +3,32 @@
  * Slow reference implementations shared by the tests: a node-level
  * transitive closure, the splice-pricing table computed on a
  * CircuitDag, a SABRE router that rescores every front-layer and
- * window gate for every candidate SWAP, and a seeded random-circuit
- * generator whose circuits exercise barriers, shared clbits and
- * conditioned gates.
+ * window gate for every candidate SWAP, an SR-CaQR that runs every
+ * variant trial to the end and rescores the same way, and a seeded
+ * random-circuit generator whose circuits exercise barriers, shared
+ * clbits and conditioned gates.
  */
 #ifndef CAQR_TESTS_ORACLE_H
 #define CAQR_TESTS_ORACLE_H
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "arch/backend.h"
 #include "circuit/circuit.h"
 #include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "core/reuse_analysis.h"
+#include "core/sr_caqr.h"
 #include "graph/digraph.h"
+#include "transpile/decompose.h"
 #include "transpile/router.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -300,6 +306,473 @@ route_full_rescore(const circuit::Circuit& logical,
     result.swaps_added = swaps_added;
     result.final_layout.assign(phys_of.begin(), phys_of.end());
     return result;
+}
+
+/**
+ * SR-CaQR as `core::sr_caqr_or` computes it, but with every variant
+ * trial run to completion (no bound), serially, and every candidate
+ * SWAP scored by re-summing the distance of every blocked front gate
+ * and window gate under the hypothetical mapping. Placement scans the
+ * distance matrix pair by pair. The input must fit @p backend; the
+ * result is the one the production pass returns.
+ */
+inline core::SrCaqrResult
+sr_caqr_exhaustive(const circuit::Circuit& input,
+                   const arch::Backend& backend,
+                   const core::SrCaqrOptions& options = {})
+{
+    using circuit::GateKind;
+    using circuit::Instruction;
+
+    const circuit::Circuit logical = transpile::decompose_ccx(input);
+    CAQR_CHECK(logical.num_qubits() <= backend.num_qubits(),
+               "circuit does not fit the backend");
+    const circuit::CircuitDag dag(logical);
+    const int num_nodes = dag.graph().num_nodes();
+    const int nl = logical.num_qubits();
+    const int np = backend.num_qubits();
+    std::vector<double> weights;
+    circuit::LogicalDurations durations;
+    for (const auto& instr : logical.instructions()) {
+        weights.push_back(durations.duration(instr));
+    }
+    const auto earliest = dag.graph().earliest_completion(weights);
+    const auto latest = dag.graph().latest_completion(weights);
+    std::vector<int> ops_per_qubit(static_cast<std::size_t>(nl), 0);
+    std::vector<std::vector<int>> partners(static_cast<std::size_t>(nl));
+    for (const auto& instr : logical.instructions()) {
+        for (int q : instr.qubits) ++ops_per_qubit[q];
+        if (!circuit::is_two_qubit(instr.kind)) continue;
+        partners[instr.qubits[0]].push_back(instr.qubits[1]);
+        partners[instr.qubits[1]].push_back(instr.qubits[0]);
+    }
+    const auto distance = [&](int a, int b) {
+        const int d = backend.distance(a, b);
+        return d < 0 ? np * 2 : d;
+    };
+    const auto gate = [&](int node) -> const Instruction& {
+        return logical.at(static_cast<std::size_t>(node));
+    };
+
+    // One trial of the engine under the (variant) options @p opt.
+    const auto single = [&](const core::SrCaqrOptions& opt) {
+        util::Rng rng(opt.seed, opt.jitter_stream);
+        const auto jitter = [&] {
+            return opt.jitter > 0.0 ? opt.jitter * rng.next_double() : 0.0;
+        };
+        circuit::Circuit output(np, logical.num_clbits());
+        output.copy_params_from(logical);
+        std::vector<int> phys_of(static_cast<std::size_t>(nl), -1);
+        std::vector<int> logical_of(static_cast<std::size_t>(np), -1);
+        std::vector<bool> ever_used(static_cast<std::size_t>(np), false);
+        std::vector<int> remaining_ops = ops_per_qubit;
+        int swaps_added = 0;
+        int reuses = 0;
+
+        const auto pick_seed = [&](int lq) {
+            std::vector<int> placed;
+            for (int other : partners[lq]) {
+                if (phys_of[other] >= 0) placed.push_back(phys_of[other]);
+            }
+            int best = -1;
+            double best_score = -std::numeric_limits<double>::infinity();
+            for (int p = 0; p < np; ++p) {
+                if (logical_of[p] >= 0) continue;
+                double score;
+                if (placed.empty()) {
+                    long long total = 0;
+                    for (int r = 0; r < np; ++r) {
+                        const int d = backend.distance(p, r);
+                        total += d < 0 ? np : d;
+                    }
+                    score = backend.topology().degree(p) -
+                            static_cast<double>(total) / (np * np);
+                } else {
+                    double total = 0.0;
+                    for (int partner : placed) {
+                        const int d = backend.distance(p, partner);
+                        total += d < 0 ? np : d;
+                    }
+                    score = -opt.lookahead_weight * total +
+                            0.25 * backend.topology().degree(p);
+                }
+                if (opt.error_aware) {
+                    score -= backend.calibration().qubit(p).readout_error;
+                    double best_cx = 1.0;
+                    for (int nb : backend.topology().neighbors(p)) {
+                        if (backend.calibration().has_link(p, nb)) {
+                            best_cx = std::min(
+                                best_cx,
+                                backend.calibration().link(p, nb).cx_error);
+                        }
+                    }
+                    score -= best_cx;
+                }
+                score -= jitter();
+                if (score > best_score) {
+                    best_score = score;
+                    best = p;
+                }
+            }
+            CAQR_CHECK(best >= 0, "no free physical qubit available");
+            return best;
+        };
+        const auto pick_adjacent = [&](int lq, int partner_phys) {
+            std::vector<int> future;
+            if (opt.placement_pull > 0.0) {
+                for (int other : partners[lq]) {
+                    if (phys_of[other] >= 0 && phys_of[other] != partner_phys) {
+                        future.push_back(phys_of[other]);
+                    }
+                }
+            }
+            int best = -1;
+            double best_key = std::numeric_limits<double>::infinity();
+            for (int p = 0; p < np; ++p) {
+                if (logical_of[p] >= 0) continue;
+                const int d = backend.distance(p, partner_phys);
+                double key = static_cast<double>(d < 0 ? np : d);
+                if (!future.empty()) {
+                    double pull = 0.0;
+                    for (int partner : future) pull += distance(p, partner);
+                    key += opt.placement_pull * pull /
+                           static_cast<double>(future.size());
+                }
+                if (ever_used[p]) key += 0.5;
+                if (opt.error_aware) {
+                    key += backend.calibration().qubit(p).readout_error;
+                    if (backend.are_adjacent(p, partner_phys)) {
+                        key += backend.calibration()
+                                   .link(p, partner_phys)
+                                   .cx_error;
+                    }
+                }
+                key += jitter();
+                if (key < best_key) {
+                    best_key = key;
+                    best = p;
+                }
+            }
+            CAQR_CHECK(best >= 0, "no free physical qubit available");
+            return best;
+        };
+        const auto assign = [&](int lq, int phys) {
+            phys_of[lq] = phys;
+            if (logical_of[phys] >= 0 || ever_used[phys]) ++reuses;
+            logical_of[phys] = lq;
+            ever_used[phys] = true;
+        };
+        const auto apply_swap = [&](int pa, int pb) {
+            Instruction swap;
+            swap.kind = GateKind::kSwap;
+            swap.qubits = {pa, pb};
+            output.append(std::move(swap));
+            ++swaps_added;
+            ever_used[pa] = true;
+            ever_used[pb] = true;
+            const int la = logical_of[pa];
+            const int lb = logical_of[pb];
+            if (la >= 0) phys_of[la] = pb;
+            if (lb >= 0) phys_of[lb] = pa;
+            std::swap(logical_of[pa], logical_of[pb]);
+        };
+        const auto map_operands = [&](int node) {
+            const Instruction& instr = gate(node);
+            std::vector<int> unmapped;
+            for (int q : instr.qubits) {
+                if (phys_of[q] < 0) unmapped.push_back(q);
+            }
+            if (unmapped.size() == 2) {
+                int first = unmapped[0];
+                int second = unmapped[1];
+                if (remaining_ops[second] > remaining_ops[first]) {
+                    std::swap(first, second);
+                }
+                assign(first, pick_seed(first));
+                assign(second, pick_adjacent(second, phys_of[first]));
+            } else if (unmapped.size() == 1) {
+                const int lq = unmapped[0];
+                int partner_phys = -1;
+                for (int q : instr.qubits) {
+                    if (q != lq) partner_phys = phys_of[q];
+                }
+                assign(lq, partner_phys >= 0 ? pick_adjacent(lq, partner_phys)
+                                             : pick_seed(lq));
+            }
+        };
+
+        std::vector<int> preds_left(static_cast<std::size_t>(num_nodes));
+        std::vector<int> frontier;
+        for (int node = 0; node < num_nodes; ++node) {
+            preds_left[node] = dag.graph().in_degree(node);
+            if (preds_left[node] == 0) frontier.push_back(node);
+        }
+        std::vector<double> decay(static_cast<std::size_t>(np), 0.0);
+        int executed_batches = 0;
+        int swap_streak = 0;
+        long long stall_guard = 0;
+        const long long stall_limit = 4LL * num_nodes * np + 1000;
+        while (!frontier.empty()) {
+            std::vector<int> blocked;
+            std::vector<int> ready_next;
+            bool executed_any = false;
+            for (int node : frontier) {
+                const Instruction& instr = gate(node);
+                bool ready = true;
+                for (int q : instr.qubits) {
+                    if (phys_of[q] < 0) ready = false;
+                }
+                if (ready && circuit::is_two_qubit(instr.kind)) {
+                    ready = backend.are_adjacent(phys_of[instr.qubits[0]],
+                                                 phys_of[instr.qubits[1]]);
+                }
+                if (!ready) {
+                    blocked.push_back(node);
+                    continue;
+                }
+                Instruction mapped = instr;
+                for (auto& q : mapped.qubits) {
+                    q = phys_of[q];
+                    ever_used[q] = true;
+                }
+                output.append(std::move(mapped));
+                // Reclaim operands with no remaining operations.
+                for (int lq : instr.qubits) {
+                    if (--remaining_ops[lq] > 0) continue;
+                    const int phys = phys_of[lq];
+                    if (instr.kind == GateKind::kMeasure) {
+                        output.x_if(phys, instr.clbit, 1);
+                    } else {
+                        const int scratch = output.add_clbit();
+                        output.measure(phys, scratch);
+                        output.x_if(phys, scratch, 1);
+                    }
+                    logical_of[phys] = -1;
+                    phys_of[lq] = -1;
+                }
+                executed_any = true;
+                for (int succ : dag.graph().successors(node)) {
+                    if (--preds_left[succ] == 0) ready_next.push_back(succ);
+                }
+            }
+            frontier = std::move(blocked);
+            frontier.insert(frontier.end(), ready_next.begin(),
+                            ready_next.end());
+            if (executed_any) {
+                swap_streak = 0;
+                if (++executed_batches % 5 == 0) {
+                    std::fill(decay.begin(), decay.end(), 0.0);
+                }
+                continue;
+            }
+            CAQR_CHECK(stall_guard++ < stall_limit,
+                       "SR-CaQR failed to make progress");
+
+            std::vector<int> blocked_mapped;
+            std::vector<int> need_mapping;
+            for (int node : frontier) {
+                bool unmapped = false;
+                for (int q : gate(node).qubits) {
+                    if (phys_of[q] < 0) unmapped = true;
+                }
+                (unmapped ? need_mapping : blocked_mapped).push_back(node);
+            }
+            std::vector<int> to_map;
+            for (int node : need_mapping) {
+                if (!opt.delay_noncritical ||
+                    std::abs(earliest[node] - latest[node]) < 1e-9) {
+                    to_map.push_back(node);
+                }
+            }
+            if (to_map.empty() && blocked_mapped.empty()) {
+                to_map.push_back(*std::min_element(
+                    need_mapping.begin(), need_mapping.end(),
+                    [&](int a, int b) { return latest[a] < latest[b]; }));
+            }
+            if (!to_map.empty()) {
+                std::sort(to_map.begin(), to_map.end(), [&](int a, int b) {
+                    return earliest[a] < earliest[b];
+                });
+                for (int node : to_map) map_operands(node);
+                continue;
+            }
+
+            if (++swap_streak > 2 * np) {
+                const int urgent = *std::min_element(
+                    blocked_mapped.begin(), blocked_mapped.end(),
+                    [&](int a, int b) { return latest[a] < latest[b]; });
+                const auto& instr = gate(urgent);
+                while (!backend.are_adjacent(phys_of[instr.qubits[0]],
+                                             phys_of[instr.qubits[1]])) {
+                    const int pa = phys_of[instr.qubits[0]];
+                    const int pb = phys_of[instr.qubits[1]];
+                    int hop = -1;
+                    for (int nb : backend.topology().neighbors(pa)) {
+                        if (distance(nb, pb) < distance(pa, pb)) {
+                            hop = nb;
+                            break;
+                        }
+                    }
+                    CAQR_CHECK(hop >= 0, "no distance-reducing hop");
+                    apply_swap(pa, hop);
+                }
+                swap_streak = 0;
+                continue;
+            }
+
+            // Window: up to 20 mapped two-qubit gates past the
+            // frontier, in BFS order over successors.
+            std::vector<int> window;
+            std::vector<int> queue = frontier;
+            std::vector<bool> seen(static_cast<std::size_t>(num_nodes), false);
+            for (int node : queue) seen[node] = true;
+            std::size_t head = 0;
+            while (head < queue.size() && window.size() < 20) {
+                const int node = queue[head++];
+                for (int succ : dag.graph().successors(node)) {
+                    if (seen[succ]) continue;
+                    seen[succ] = true;
+                    queue.push_back(succ);
+                    const auto& instr = gate(succ);
+                    if (circuit::is_two_qubit(instr.kind) &&
+                        phys_of[instr.qubits[0]] >= 0 &&
+                        phys_of[instr.qubits[1]] >= 0) {
+                        window.push_back(succ);
+                    }
+                }
+            }
+
+            std::vector<std::pair<int, int>> candidates;
+            for (int node : blocked_mapped) {
+                for (int operand : gate(node).qubits) {
+                    const int p = phys_of[operand];
+                    for (int nb : backend.topology().neighbors(p)) {
+                        candidates.emplace_back(std::min(p, nb),
+                                                std::max(p, nb));
+                    }
+                }
+            }
+            std::sort(candidates.begin(), candidates.end());
+            candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                             candidates.end());
+            CAQR_CHECK(!candidates.empty(), "no candidate swaps available");
+
+            double best_score = std::numeric_limits<double>::infinity();
+            std::pair<int, int> best{-1, -1};
+            for (const auto& [pa, pb] : candidates) {
+                const auto gate_distance = [&](int node) {
+                    const auto& instr = gate(node);
+                    const auto mapped = [&](int q) {
+                        const int p = phys_of[q];
+                        return p == pa ? pb : p == pb ? pa : p;
+                    };
+                    return distance(mapped(instr.qubits[0]),
+                                    mapped(instr.qubits[1]));
+                };
+                double front_cost = 0.0;
+                for (int node : blocked_mapped) {
+                    front_cost += gate_distance(node);
+                }
+                front_cost /= static_cast<double>(blocked_mapped.size());
+                double look_cost = 0.0;
+                if (!window.empty()) {
+                    for (int node : window) look_cost += gate_distance(node);
+                    look_cost *= opt.swap_lookahead_weight /
+                                 static_cast<double>(window.size());
+                }
+                double link_bias = 0.0;
+                if (opt.error_aware && backend.calibration().has_link(pa, pb)) {
+                    link_bias = backend.calibration().link(pa, pb).cx_error;
+                }
+                const double score =
+                    transpile::combine_swap_score(
+                        front_cost, look_cost,
+                        std::max(decay[pa], decay[pb]) + 1.0, link_bias) +
+                    jitter();
+                if (score < best_score) {
+                    best_score = score;
+                    best = {pa, pb};
+                }
+            }
+            apply_swap(best.first, best.second);
+            decay[best.first] += 0.001;
+            decay[best.second] += 0.001;
+        }
+
+        core::SrCaqrResult result;
+        result.swaps_added = swaps_added;
+        result.reuses = reuses;
+        result.physical_qubits_used = static_cast<int>(
+            std::count(ever_used.begin(), ever_used.end(), true));
+        result.circuit = std::move(output);
+        result.depth = circuit::depth(result.circuit);
+        const arch::CalibratedDurations model(backend);
+        const circuit::Schedule schedule(result.circuit, model);
+        result.duration_dt = schedule.makespan();
+        const double esp = arch::estimated_success_probability(
+            result.circuit, backend, schedule);
+        return std::make_pair(std::move(result), esp);
+    };
+
+    // The variant portfolio: 8 structural variants, then jitter runs.
+    struct Variant
+    {
+        double lookahead, swap_lookahead, pull;
+        bool distance_only, eager_mapping;
+    };
+    static constexpr Variant kVariants[] = {
+        {1.0, 1.0, -1.0, false, false}, {0.5, 0.5, -1.0, false, false},
+        {2.0, 2.0, -1.0, false, false}, {1.0, 0.25, -1.0, false, false},
+        {1.0, 1.0, 0.5, false, false},  {1.0, 1.0, 1.0, true, false},
+        {1.0, 0.5, 0.25, false, false}, {1.0, 1.0, 0.5, false, true}};
+    static constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
+    std::vector<std::pair<core::SrCaqrResult, double>> results;
+    for (std::size_t trial = 0;
+         trial < static_cast<std::size_t>(std::max(1, options.trials));
+         ++trial) {
+        core::SrCaqrOptions variant = options;
+        if (trial < 8) {
+            const Variant& v = kVariants[trial];
+            variant.lookahead_weight *= v.lookahead;
+            variant.swap_lookahead_weight *= v.swap_lookahead;
+            if (v.pull >= 0.0) variant.placement_pull = v.pull;
+            if (v.distance_only) variant.error_aware = false;
+            if (v.eager_mapping) variant.delay_noncritical = false;
+        } else {
+            variant.jitter = kJitterAmps[(trial - 8) % 4];
+            variant.jitter_stream = (trial - 8) / 4;
+        }
+        results.push_back(single(variant));
+    }
+
+    // Anchor: best of the first 4 by (SWAPs, duration). Winner: the
+    // lexicographically best trial no worse than the anchor on SWAPs,
+    // qubits, depth and ESP.
+    std::size_t anchor = 0;
+    for (std::size_t i = 1; i < std::min<std::size_t>(results.size(), 4); ++i) {
+        const auto& r = results[i].first;
+        const auto& a = results[anchor].first;
+        if (r.swaps_added < a.swaps_added ||
+            (r.swaps_added == a.swaps_added && r.duration_dt < a.duration_dt)) {
+            anchor = i;
+        }
+    }
+    const auto key = [&](std::size_t i) {
+        const auto& r = results[i].first;
+        return std::make_tuple(r.swaps_added, r.physical_qubits_used, r.depth,
+                               -results[i].second, r.duration_dt);
+    };
+    std::size_t winner = anchor;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto& r = results[i].first;
+        const auto& a = results[anchor].first;
+        const bool admissible =
+            r.swaps_added <= a.swaps_added &&
+            r.physical_qubits_used <= a.physical_qubits_used &&
+            r.depth <= a.depth && results[i].second >= results[anchor].second;
+        if (admissible && key(i) < key(winner)) winner = i;
+    }
+    return std::move(results[winner].first);
 }
 
 /// Seeded random circuit over @p qubits qubits: 1q/2q gates, measures

@@ -13,7 +13,10 @@
 #include "sim/simulator.h"
 #include "transpile/router.h"
 #include "transpile/transpiler.h"
+#include "util/metrics.h"
 #include "util/rng.h"
+
+#include "oracle.h"
 
 namespace caqr {
 namespace {
@@ -312,6 +315,144 @@ TEST_P(SrSemantics, DeterministicCircuitsKeepOutcomes)
 
 INSTANTIATE_TEST_SUITE_P(RandomCircuits, SrSemantics,
                          ::testing::Range(0, 10));
+
+/// Requires the production pass and the exhaustive oracle to return the
+/// same result, field by field and instruction by instruction.
+void
+expect_matches_oracle(const Circuit& logical, const arch::Backend& backend,
+                      const core::SrCaqrOptions& options)
+{
+    const auto got = core::sr_caqr_or(logical, backend, options).value();
+    const auto want = oracle::sr_caqr_exhaustive(logical, backend, options);
+    EXPECT_EQ(got.swaps_added, want.swaps_added);
+    EXPECT_EQ(got.physical_qubits_used, want.physical_qubits_used);
+    EXPECT_EQ(got.reuses, want.reuses);
+    EXPECT_EQ(got.depth, want.depth);
+    EXPECT_EQ(got.duration_dt, want.duration_dt);
+    EXPECT_EQ(got.circuit.num_qubits(), want.circuit.num_qubits());
+    EXPECT_EQ(got.circuit.num_clbits(), want.circuit.num_clbits());
+    const auto& a = got.circuit.instructions();
+    const auto& b = want.circuit.instructions();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].kind, b[i].kind) << "instr " << i;
+        ASSERT_EQ(a[i].qubits, b[i].qubits) << "instr " << i;
+        ASSERT_EQ(a[i].params, b[i].params) << "instr " << i;
+        ASSERT_EQ(a[i].clbit, b[i].clbit) << "instr " << i;
+        ASSERT_EQ(a[i].condition_bit, b[i].condition_bit) << "instr " << i;
+        ASSERT_EQ(a[i].condition_value, b[i].condition_value)
+            << "instr " << i;
+    }
+}
+
+/// Options for oracle case @p i: the trial count cycles through
+/// 1/4/5/24/32 and the thread count through 1/8, and every seventh
+/// case turns off error awareness, the delaying rule, or sets a
+/// placement pull.
+core::SrCaqrOptions
+oracle_options(int i)
+{
+    static constexpr int kTrials[] = {1, 4, 5, 24, 32};
+    core::SrCaqrOptions options;
+    options.trials = kTrials[i % 5];
+    options.num_threads = (i / 5) % 2 == 0 ? 1 : 8;
+    options.seed = static_cast<std::uint64_t>(100 + i);
+    switch (i % 7) {
+      case 3: options.error_aware = false; break;
+      case 5: options.delay_noncritical = false; break;
+      case 6: options.placement_pull = 0.5; break;
+      default: break;
+    }
+    return options;
+}
+
+/// Seeded BV (secret), counterfeit coin (fake set) or QAOA (random
+/// graph) circuit of @p n qubits, by @p family 0/1/2.
+Circuit
+family_circuit(int family, int n, util::Rng& rng)
+{
+    std::vector<int> bits(static_cast<std::size_t>(n - 1));
+    for (auto& bit : bits) bit = rng.next_bool(0.5) ? 1 : 0;
+    if (family == 0) return apps::bv_circuit(n, bits);
+    if (family == 1) {
+        bits[0] = 1;  // at least one fake coin
+        return apps::cc_circuit(n, bits);
+    }
+    apps::QaoaParams params;
+    params.gammas = {0.4 + 0.1 * rng.next_double()};
+    params.betas = {0.2 + 0.1 * rng.next_double()};
+    return apps::qaoa_circuit(graph::random_graph(n, 0.3, rng), params);
+}
+
+TEST(SrOracle, RandomCircuitsOnMumbaiMatchExhaustiveSearch)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    for (int i = 0; i < 100; ++i) {
+        util::Rng rng(7000 + static_cast<std::uint64_t>(i));
+        const Circuit logical = oracle::random_circuit(rng, 2 + i % 19);
+        SCOPED_TRACE("random case " + std::to_string(i));
+        expect_matches_oracle(logical, backend, oracle_options(i));
+    }
+}
+
+TEST(SrOracle, BenchmarkFamiliesOnMumbaiMatchExhaustiveSearch)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    for (int i = 0; i < 60; ++i) {
+        util::Rng rng(8000 + static_cast<std::uint64_t>(i));
+        const int family = i % 3;
+        const int n = 5 + (i / 3) % 16;
+        SCOPED_TRACE("family " + std::to_string(family) + " n " +
+                     std::to_string(n) + " case " + std::to_string(i));
+        expect_matches_oracle(family_circuit(family, n, rng), backend,
+                              oracle_options(i));
+    }
+}
+
+TEST(SrOracle, DeviceScaleCircuitsMatchExhaustiveSearch)
+{
+    const auto backend = arch::Backend::scaled_heavy_hex(127);
+    for (int i = 0; i < 48; ++i) {
+        util::Rng rng(9000 + static_cast<std::uint64_t>(i));
+        const int family = i % 4;
+        const int n = 16 + 8 * ((i / 4) % 6);
+        const Circuit logical = family == 3
+                                    ? oracle::random_circuit(rng, n)
+                                    : family_circuit(family, n, rng);
+        SCOPED_TRACE("family " + std::to_string(family) + " n " +
+                     std::to_string(n) + " case " + std::to_string(i));
+        expect_matches_oracle(logical, backend, oracle_options(i));
+    }
+}
+
+TEST(SrCaqr, BoundedTrialsArePrunedOnWideBv)
+{
+    // On BV-64 the anchor uses 2 physical qubits; most challengers go
+    // past that and stop early. With no more than 4 trials there is no
+    // challenger to prune.
+    const auto backend = arch::Backend::scaled_heavy_hex(127);
+    std::vector<int> secret(63);
+    for (std::size_t i = 0; i < secret.size(); ++i) {
+        secret[i] = i % 3 == 0 ? 1 : 0;
+    }
+    const Circuit bv = apps::bv_circuit(64, secret);
+    const auto pruned = [&](int trials) {
+        core::SrCaqrOptions options;
+        options.trials = trials;
+        const auto before = util::metrics::global().snapshot();
+        EXPECT_TRUE(core::sr_caqr_or(bv, backend, options).ok());
+        const auto after = util::metrics::global().snapshot();
+        const auto count = [](const util::metrics::Snapshot& snapshot) {
+            const auto it = snapshot.counters.find("sr_caqr.trials_pruned");
+            return it == snapshot.counters.end() ? 0.0 : it->second;
+        };
+        return count(after) - count(before);
+    };
+    EXPECT_GE(pruned(24), 16.0);
+    EXPECT_EQ(pruned(4), 0.0);
+    EXPECT_EQ(pruned(1), 0.0);
+}
+
 
 }  // namespace
 }  // namespace caqr
