@@ -33,6 +33,26 @@ Backend::Backend(std::string name, graph::UndirectedGraph topology,
             }
         }
     }
+
+    // Counting sort of both endpoints of every edge into CSR rows.
+    const auto& edges = topology_.edges();
+    link_start_.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (const auto& [a, b] : edges) {
+        ++link_start_[a];
+        ++link_start_[b];
+    }
+    for (std::size_t q = 1; q < link_start_.size(); ++q) {
+        link_start_[q] += link_start_[q - 1];
+    }
+    links_.resize(2 * edges.size());
+    for (int id = 0; id < static_cast<int>(edges.size()); ++id) {
+        const auto [a, b] = edges[static_cast<std::size_t>(id)];
+        const double cx_error = calibration_.has_link(a, b)
+                                    ? calibration_.link(a, b).cx_error
+                                    : 0.0;
+        links_[--link_start_[a]] = {b, id, cx_error};
+        links_[--link_start_[b]] = {a, id, cx_error};
+    }
 }
 
 Backend

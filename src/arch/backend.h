@@ -6,7 +6,9 @@
 #ifndef CAQR_ARCH_BACKEND_H
 #define CAQR_ARCH_BACKEND_H
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,14 @@ class Backend
   public:
     Backend(std::string name, graph::UndirectedGraph topology,
             Calibration calibration);
+
+    /// A physical link seen from one endpoint.
+    struct Link
+    {
+        int neighbor;     ///< the other endpoint
+        int id;           ///< dense id: its index in topology().edges()
+        double cx_error;  ///< calibrated CX error; 0 when uncalibrated
+    };
 
     /// 27-qubit dynamic-circuit-capable device modeled on IBM Mumbai.
     static Backend fake_mumbai();
@@ -83,6 +93,26 @@ class Backend
         return best_cx_error_[static_cast<std::size_t>(q)];
     }
 
+    /// The links incident to @p q, one per topology neighbor, built
+    /// once at construction: routing reads a candidate SWAP's id and
+    /// error bias here instead of searching the calibration table.
+    std::span<const Link>
+    links(int q) const
+    {
+        CAQR_CHECK(q >= 0 && q < num_qubits(),
+                   "physical qubit id out of range");
+        const auto begin = static_cast<std::size_t>(link_start_[q]);
+        const auto end = static_cast<std::size_t>(link_start_[q + 1]);
+        return {links_.data() + begin, end - begin};
+    }
+
+    /// Number of physical links; every Link::id is below it.
+    int
+    num_links() const
+    {
+        return static_cast<int>(topology_.edges().size());
+    }
+
     /// True if @p a and @p b share a physical link.
     bool
     are_adjacent(int a, int b) const
@@ -97,6 +127,9 @@ class Backend
     std::vector<std::vector<int>> distances_;
     std::vector<long long> total_distance_;
     std::vector<double> best_cx_error_;
+    /// Links of qubit q: links_[link_start_[q] .. link_start_[q + 1]).
+    std::vector<int> link_start_;
+    std::vector<Link> links_;
 };
 
 /// Routing distance: a hop distance, with a disconnected pair (-1)

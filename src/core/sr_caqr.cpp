@@ -213,8 +213,9 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
         if (state.options->error_aware) {
             key += backend.calibration().qubit(p).readout_error;
             if (d == 1) {
-                key +=
-                    backend.calibration().link(p, partner_phys).cx_error;
+                for (const auto& link : backend.links(partner_phys)) {
+                    if (link.neighbor == p) key += link.cx_error;
+                }
             }
         }
         key += jitter_of(state);
@@ -648,7 +649,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     std::vector<int> blocked_mapped;
     std::vector<int> need_mapping;
     std::vector<int> to_map;
-    std::vector<std::pair<int, int>> candidates;
+    std::vector<transpile::SwapCandidate> candidates;
 
     while (!frontier.empty()) {
         if (bound != nullptr && (state.swaps_added > bound->swaps ||
@@ -766,15 +767,18 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
         if (!stall_valid) rebuild_stall(blocked_mapped);
 
         // Candidate SWAPs: links touching a blocked gate's operand,
-        // sorted and deduplicated.
+        // sorted by (pa, pb) and deduplicated — the jitter draws below
+        // follow this order.
         candidates.clear();
         for (int node : blocked_mapped) {
             const auto& instr =
                 logical.at(static_cast<std::size_t>(node));
             for (int operand : instr.qubits) {
                 const int p = state.phys_of[operand];
-                for (int nb : backend.topology().neighbors(p)) {
-                    candidates.emplace_back(std::min(p, nb), std::max(p, nb));
+                for (const auto& link : backend.links(p)) {
+                    candidates.push_back({std::min(p, link.neighbor),
+                                          std::max(p, link.neighbor),
+                                          link.cx_error});
                 }
             }
         }
@@ -794,7 +798,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
         // candidate, in candidate order.
         double best_score = std::numeric_limits<double>::infinity();
         std::pair<int, int> best{-1, -1};
-        for (const auto& [pa, pb] : candidates) {
+        for (const auto& [pa, pb, cx_error] : candidates) {
             const auto [front_delta, look_delta] =
                 stall.delta(backend, state.phys_of, state.logical_of[pa],
                             state.logical_of[pb], pa, pb);
@@ -803,11 +807,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
                 static_cast<double>(stall.num_front());
             const double look_cost =
                 static_cast<double>(look_base + look_delta) * look_scale;
-            double link_bias = 0.0;
-            if (options.error_aware &&
-                backend.calibration().has_link(pa, pb)) {
-                link_bias = backend.calibration().link(pa, pb).cx_error;
-            }
+            const double link_bias = options.error_aware ? cx_error : 0.0;
             // Same combiner as the baseline router: the error-aware
             // bias sits inside the decayed product (PR-9 fix).
             const double score =

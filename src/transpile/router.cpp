@@ -48,6 +48,8 @@ prepare_scratch(RouterScratch& s, const Circuit& logical,
                 : 0;
     }
     if (s.seen_stamp.size() < nn) s.seen_stamp.resize(nn, 0);
+    const auto nl = static_cast<std::size_t>(backend.num_links());
+    if (s.link_stamp.size() < nl) s.link_stamp.resize(nl, 0);
     s.lookahead_valid = false;
 }
 
@@ -195,17 +197,17 @@ combine_swap_score(double front_cost, double look_cost,
 }
 
 util::StatusOr<RoutingResult>
-route_or(const Circuit& logical, const arch::Backend& backend,
+route_or(const circuit::CircuitDag& dag, const arch::Backend& backend,
          const Layout& initial, const RouterOptions& options,
          RouterScratch* scratch, const std::atomic<int>* swap_bound)
 {
+    const Circuit& logical = dag.circuit();
     if (!is_valid_layout(initial, logical, backend)) {
         return util::Status::invalid_argument("invalid initial layout");
     }
 
     util::trace::Span span("router.route");
 
-    circuit::CircuitDag dag(logical);
     std::optional<RouterScratch> local;
     if (scratch == nullptr) scratch = &local.emplace();
     RouterScratch& s = *scratch;
@@ -323,24 +325,29 @@ route_or(const Circuit& logical, const arch::Backend& backend,
 
         if (!s.lookahead_valid) refresh_lookahead(s, logical, dag, options);
 
-        // Candidate swaps: physical edges touching any involved qubit,
-        // deduped and sorted so tie-breaking matches set iteration.
+        // Candidate swaps: the links touching a blocked operand, each
+        // once (a per-link generation stamp), in collection order. The
+        // scan below breaks exact score ties by the lowest (pa, pb), so
+        // the order does not matter.
+        if (++s.link_generation == 0) {
+            std::fill(s.link_stamp.begin(), s.link_stamp.end(), 0u);
+            s.link_generation = 1;
+        }
         s.candidates.clear();
         for (int node : s.frontier) {
             const auto& instr =
                 logical.at(static_cast<std::size_t>(node));
             for (int operand : instr.qubits) {
                 const int p = s.phys_of[operand];
-                for (int nb : backend.topology().neighbors(p)) {
-                    s.candidates.emplace_back(std::min(p, nb),
-                                              std::max(p, nb));
+                for (const auto& link : backend.links(p)) {
+                    if (s.link_stamp[link.id] == s.link_generation) continue;
+                    s.link_stamp[link.id] = s.link_generation;
+                    s.candidates.push_back({std::min(p, link.neighbor),
+                                            std::max(p, link.neighbor),
+                                            link.cx_error});
                 }
             }
         }
-        std::sort(s.candidates.begin(), s.candidates.end());
-        s.candidates.erase(
-            std::unique(s.candidates.begin(), s.candidates.end()),
-            s.candidates.end());
         if (s.candidates.empty()) {
             return util::Status::infeasible(
                 "no candidate swaps available (isolated qubit?)");
@@ -354,10 +361,11 @@ route_or(const Circuit& logical, const arch::Backend& backend,
                 : options.lookahead_weight /
                       static_cast<double>(s.lookahead.size());
 
-        // Score SWAP (pa, pb): lower is better.
+        // Score SWAP (pa, pb): lower is better; an exact tie goes to
+        // the lowest (pa, pb).
         double best_score = std::numeric_limits<double>::infinity();
         std::pair<int, int> best{-1, -1};
-        for (const auto& [pa, pb] : s.candidates) {
+        for (const auto& [pa, pb, cx_error] : s.candidates) {
             const auto [front_delta, look_delta] = s.stall.delta(
                 backend, s.phys_of, s.logical_of[pa], s.logical_of[pb], pa,
                 pb);
@@ -366,18 +374,15 @@ route_or(const Circuit& logical, const arch::Backend& backend,
                 static_cast<double>(s.stall.num_front());
             const double look_cost =
                 static_cast<double>(look_base + look_delta) * look_scale;
-            double link_bias = 0.0;
-            if (options.error_aware &&
-                backend.calibration().has_link(pa, pb)) {
-                // Small bias toward reliable links; never dominates
-                // distance.
-                link_bias = backend.calibration().link(pa, pb).cx_error;
-            }
+            // Small bias toward reliable links; never dominates
+            // distance.
+            const double link_bias = options.error_aware ? cx_error : 0.0;
             const double decay_factor =
                 std::max(s.decay[pa], s.decay[pb]) + 1.0;
             const double score = combine_swap_score(
                 front_cost, look_cost, decay_factor, link_bias);
-            if (score < best_score) {
+            if (score < best_score ||
+                (score == best_score && std::pair(pa, pb) < best)) {
                 best_score = score;
                 best = {pa, pb};
             }

@@ -13,21 +13,31 @@
  * oldest blocked gate along a shortest path.
  *
  * The hot loop is allocation-free after warm-up: every worklist, the
- * BFS seen-set (generation-stamped), the candidate edge list, and the
- * cached lookahead window live in a reusable `RouterScratch`. SWAPs
- * change the mapping but never the frontier, so the window — and an
- * index of the front-layer and window gates by logical qubit — is
- * rebuilt only when the frontier advances. Each stall iteration sums
- * the front and window distances once; a candidate SWAP is then scored
- * by the integer change of only the gates on the two logical qubits it
- * moves. Integer sums make `double(sum) / |F|` and
- * `double(sum) * (w / |L|)` equal to per-gate accumulation bit for bit,
- * so the SWAP choice is exactly that of rescoring every gate.
+ * BFS seen-set and the per-link candidate mark (both
+ * generation-stamped), the candidate list, and the cached lookahead
+ * window live in a reusable `RouterScratch`. SWAPs change the mapping
+ * but never the frontier, so the window — and an index of the
+ * front-layer and window gates by logical qubit — is rebuilt only when
+ * the frontier advances. A stall iteration collects the links touching
+ * a blocked operand from the backend's per-endpoint link table (which
+ * carries each link's id and CX error), each link once, in collection
+ * order; no sort and no calibration lookup. It sums the front and
+ * window distances once; a candidate SWAP is then scored by the
+ * integer change of only the gates on the two logical qubits it moves.
+ * Integer sums make `double(sum) / |F|` and `double(sum) * (w / |L|)`
+ * equal to per-gate accumulation bit for bit, and an exact score tie
+ * goes to the lowest `(pa, pb)`, so the SWAP choice is exactly that of
+ * rescoring every gate over the sorted candidate set.
+ *
+ * `route_or` takes the circuit's prebuilt `CircuitDag`, so a caller
+ * that routes one circuit many times (the transpiler's refinement
+ * passes and trials) builds the DAG once.
  */
 #ifndef CAQR_TRANSPILE_ROUTER_H
 #define CAQR_TRANSPILE_ROUTER_H
 
 #include <atomic>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -35,6 +45,7 @@
 
 #include "arch/backend.h"
 #include "circuit/circuit.h"
+#include "circuit/dag.h"
 #include "transpile/layout.h"
 #include "util/status.h"
 
@@ -110,6 +121,19 @@ class StallIndex
     std::vector<int> qubit_gates_;
 };
 
+/// A candidate SWAP on physical link (pa, pb), pa < pb, with the
+/// link's CX error (0 when uncalibrated) for the error-aware bias.
+struct SwapCandidate
+{
+    int pa;
+    int pb;
+    double cx_error;
+
+    /// Orders by link (pa, pb): one link has one error, so candidates
+    /// on the same link compare equal.
+    auto operator<=>(const SwapCandidate&) const = default;
+};
+
 /**
  * Reusable per-trial scratch for `route_or`: all state the routing hot
  * loop touches. A trial that routes several circuits (the layout
@@ -148,8 +172,12 @@ struct RouterScratch
     /// Stall scoring index, rebuilt with the lookahead window.
     StallIndex stall;
 
-    /// Candidate SWAP edges, sorted + deduped in place per stall.
-    std::vector<std::pair<int, int>> candidates;
+    /// @name Candidate SWAPs (rebuilt per stall iteration)
+    /// @{
+    std::vector<SwapCandidate> candidates;
+    std::vector<std::uint32_t> link_stamp;  ///< per link id: collected
+    std::uint32_t link_generation = 0;
+    /// @}
 };
 
 /// Routing outcome.
@@ -161,9 +189,10 @@ struct RoutingResult
 };
 
 /**
- * Routes @p logical onto @p backend starting from @p initial layout.
- * The result contains SWAP gates on physical links only; every
- * two-qubit gate in the output acts on adjacent physical qubits.
+ * Routes the circuit of @p dag onto @p backend starting from
+ * @p initial layout. The result contains SWAP gates on physical links
+ * only; every two-qubit gate in the output acts on adjacent physical
+ * qubits.
  *
  * Reports `kInfeasible` when no progress is possible (a gate's
  * operands sit in disconnected components of the coupling graph) and
@@ -182,7 +211,7 @@ struct RoutingResult
  * thread count.
  */
 util::StatusOr<RoutingResult> route_or(
-    const circuit::Circuit& logical, const arch::Backend& backend,
+    const circuit::CircuitDag& dag, const arch::Backend& backend,
     const Layout& initial, const RouterOptions& options = {},
     RouterScratch* scratch = nullptr,
     const std::atomic<int>* swap_bound = nullptr);

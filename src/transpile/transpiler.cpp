@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "transpile/decompose.h"
 #include "transpile/peephole.h"
@@ -37,33 +39,35 @@ reversed_for_routing(const circuit::Circuit& circuit)
     return reversed;
 }
 
-/// Bidirectional refinement: forward-route, then route the reversed
-/// circuit from the forward pass's final layout; the backward pass's
-/// final layout is a better *initial* layout for the real forward run.
-/// Falls back to @p base if a refinement pass fails (e.g. a pathological
-/// device); the caller's trials surface the real error.
-Layout
-refine_layout(const circuit::Circuit& native, const arch::Backend& backend,
-              const Layout& base, const TranspileOptions& options,
-              RouterScratch& scratch)
+/// What every route of one request shares, built once: the native
+/// circuit, its reverse (only when refinement runs), the DAG of each,
+/// and the greedy layout. The DAGs point into the circuits, so the
+/// object is neither copied nor moved.
+struct RoutingInputs
 {
-    if (options.layout_refine_passes <= 0) return base;
-    const circuit::Circuit reversed = reversed_for_routing(native);
-    Layout layout = base;
-    for (int pass = 0; pass < options.layout_refine_passes; ++pass) {
-        auto forward =
-            route_or(native, backend, layout, options.router, &scratch);
-        if (!forward.ok()) return base;
-        auto backward = route_or(reversed, backend, forward->final_layout,
-                                 options.router, &scratch);
-        if (!backward.ok()) return base;
-        layout = std::move(backward->final_layout);
+    RoutingInputs(circuit::Circuit native_circuit,
+                  const arch::Backend& backend, bool with_reversed)
+        : native(std::move(native_circuit)),
+          reversed(with_reversed ? reversed_for_routing(native)
+                                 : circuit::Circuit()),
+          native_dag(native),
+          reversed_dag(reversed),
+          base_layout(greedy_layout(native, backend))
+    {
     }
-    return layout;
-}
 
-/// One raced trial's outcome. `completed` distinguishes a routed
-/// result from a failure (genuine infeasibility or incumbent pruning).
+    RoutingInputs(const RoutingInputs&) = delete;
+    RoutingInputs& operator=(const RoutingInputs&) = delete;
+
+    const circuit::Circuit native;
+    const circuit::Circuit reversed;
+    const circuit::CircuitDag native_dag;
+    const circuit::CircuitDag reversed_dag;
+    const Layout base_layout;
+};
+
+/// One trial's outcome. `completed` distinguishes a routed result from
+/// a failure (genuine infeasibility or incumbent pruning).
 struct TrialOutcome
 {
     bool completed = false;
@@ -75,6 +79,68 @@ struct TrialOutcome
     double esp = 0.0;
 };
 
+/// The outcome of one route: on success, the routed circuit with its
+/// depth, calibrated duration and ESP.
+TrialOutcome
+measure_trial(util::StatusOr<RoutingResult> routed,
+              const arch::Backend& backend)
+{
+    TrialOutcome outcome;
+    if (!routed.ok()) {
+        outcome.status = routed.status();
+        outcome.pruned =
+            outcome.status.message().find("swap budget exceeded") !=
+            std::string::npos;
+        return outcome;
+    }
+    outcome.completed = true;
+    outcome.routed = std::move(routed).value();
+    util::trace::Span measure("transpile.metrics");
+    const circuit::Circuit& physical = outcome.routed.circuit;
+    outcome.depth = circuit::depth(physical);
+    arch::CalibratedDurations model(backend);
+    const circuit::Schedule schedule(physical, model);
+    outcome.duration_dt = schedule.makespan();
+    outcome.esp =
+        arch::estimated_success_probability(physical, backend, schedule);
+    return outcome;
+}
+
+/// Bidirectional refinement: forward-route, then route the reversed
+/// circuit from the forward pass's final layout; the backward pass's
+/// final layout is a better *initial* layout for the real forward run.
+/// The first forward pass routes the greedy layout unbounded — exactly
+/// the anchor trial — so when @p anchor is given it is that pass, and
+/// is not routed again. Falls back to the greedy layout if a pass
+/// fails (e.g. a pathological device); the caller's trials surface the
+/// real error. Adds each route it runs to @p routes.
+Layout
+refine_layout(const RoutingInputs& in, const arch::Backend& backend,
+              const TranspileOptions& options, const TrialOutcome* anchor,
+              RouterScratch& scratch, int& routes)
+{
+    Layout layout = in.base_layout;
+    for (int pass = 0; pass < options.layout_refine_passes; ++pass) {
+        Layout forward_final;
+        if (pass == 0 && anchor != nullptr) {
+            if (!anchor->completed) return in.base_layout;
+            forward_final = anchor->routed.final_layout;
+        } else {
+            auto forward = route_or(in.native_dag, backend, layout,
+                                    options.router, &scratch);
+            ++routes;
+            if (!forward.ok()) return in.base_layout;
+            forward_final = std::move(forward->final_layout);
+        }
+        auto backward = route_or(in.reversed_dag, backend, forward_final,
+                                 options.router, &scratch);
+        ++routes;
+        if (!backward.ok()) return in.base_layout;
+        layout = std::move(backward->final_layout);
+    }
+    return layout;
+}
+
 /// Full pipeline run; the caller has already checked that the circuit
 /// fits the backend.
 util::StatusOr<TranspileResult>
@@ -83,30 +149,65 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
 {
     util::trace::Span span("transpile");
 
-    circuit::Circuit native = options.keep_rzz
-                                  ? decompose_ccx(logical)
-                                  : decompose_to_native(logical);
-    if (options.peephole) native = peephole_optimize(native);
-
-    const Layout base_layout = greedy_layout(native, backend);
-    RouterScratch refine_scratch;
-    const Layout refined_layout = refine_layout(native, backend, base_layout,
-                                                options, refine_scratch);
+    // Guaranteed copy elision builds the inputs in place, inside the
+    // span.
+    const RoutingInputs in = [&] {
+        util::trace::Span prepare("transpile.prepare");
+        circuit::Circuit native = options.keep_rzz
+                                      ? decompose_ccx(logical)
+                                      : decompose_to_native(logical);
+        if (options.peephole) native = peephole_optimize(native);
+        return RoutingInputs(std::move(native), backend,
+                             options.layout_refine_passes > 0);
+    }();
 
     const int trials = std::max(1, options.trials);
+    const auto num_trials = static_cast<std::size_t>(trials);
+    int routes = 0;
+
+    // The anchor trial routes the plain greedy layout — the legacy
+    // single-trial pipeline — and doubles as the pruning bound: it
+    // runs unpruned, and its SWAP count becomes the shared incumbent
+    // every other trial is cut against the moment its running count
+    // *strictly* exceeds it. Every trial that ties or beats the anchor
+    // therefore completes, which keeps the dominance-based winner
+    // selection below bit-identical at any thread count. With two or
+    // more trials it is routed first, on this thread: it is also
+    // refinement's first forward pass, and the incumbent is armed
+    // before any other trial starts.
+    const bool anchor_first = trials >= 2;
+    const std::size_t anchor = anchor_first ? 1 : 0;
+    std::atomic<int> incumbent{std::numeric_limits<int>::max()};
+    RouterScratch scratch;
+    TrialOutcome anchor_outcome;
+    if (anchor_first) {
+        anchor_outcome = measure_trial(
+            route_or(in.native_dag, backend, in.base_layout,
+                     options.router, &scratch),
+            backend);
+        ++routes;
+        if (anchor_outcome.completed) {
+            incumbent.store(anchor_outcome.routed.swaps_added,
+                            std::memory_order_relaxed);
+        }
+    }
+    const Layout refined_layout =
+        refine_layout(in, backend, options,
+                      anchor_first ? &anchor_outcome : nullptr, scratch,
+                      routes);
 
     // Per-trial initial layouts, fixed up front so they never depend on
     // execution order. Trial 0 = refined layout, trial 1 = unrefined
     // greedy anchor, trials >= 2 = seeded transpositions of the refined
     // layout with independent Rng substreams (deeper trials perturb
     // harder).
-    std::vector<Layout> layouts(static_cast<std::size_t>(trials));
+    std::vector<Layout> layouts(num_trials);
     for (int trial = 0; trial < trials; ++trial) {
         const auto t = static_cast<std::size_t>(trial);
         if (trial == 0) {
             layouts[t] = refined_layout;
         } else if (trial == 1) {
-            layouts[t] = base_layout;
+            layouts[t] = in.base_layout;
         } else {
             Layout layout = refined_layout;
             util::Rng rng(options.seed, static_cast<std::uint64_t>(trial));
@@ -122,70 +223,38 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         }
     }
 
-    // The anchor trial routes the plain greedy layout — the pre-PR-9
-    // pipeline — and doubles as the pruning bound: it runs unpruned,
-    // and once it completes its SWAP count becomes the shared
-    // incumbent every other trial is cut against the moment its
-    // running count *strictly* exceeds it. Every trial that ties or
-    // beats the anchor therefore completes regardless of scheduling,
-    // which keeps the dominance-based winner selection below
-    // bit-identical at any thread count.
-    const auto anchor =
-        static_cast<std::size_t>(trials >= 2 ? 1 : 0);
-    std::atomic<int> incumbent{std::numeric_limits<int>::max()};
-
-    auto run_trial = [&](std::size_t index) {
+    auto run_trial = [&](std::size_t t) {
+        if (anchor_first && t == anchor) return TrialOutcome{};  // routed
         // Rebind the owning request on this (possibly pool) thread so
         // raced trials from concurrent requests keep their spans
         // attributed to the right request.
         util::trace::RequestScope request_scope(options.request_ctx,
                                                 options.capture);
-        TrialOutcome outcome;
-        RouterScratch scratch;
-        auto routed = route_or(
-            native, backend, layouts[index], options.router, &scratch,
-            (trials > 1 && index != anchor) ? &incumbent : nullptr);
-        if (!routed.ok()) {
-            outcome.status = routed.status();
-            outcome.pruned =
-                outcome.status.message().find("swap budget exceeded") !=
-                std::string::npos;
-            return outcome;
-        }
-        outcome.completed = true;
-        outcome.routed = std::move(routed).value();
-        {
-            util::trace::Span measure("transpile.metrics");
-            const circuit::Circuit& physical = outcome.routed.circuit;
-            outcome.depth = circuit::depth(physical);
-            arch::CalibratedDurations model(backend);
-            const circuit::Schedule schedule(physical, model);
-            outcome.duration_dt = schedule.makespan();
-            outcome.esp = arch::estimated_success_probability(
-                physical, backend, schedule);
-        }
-        if (index == anchor) {
-            incumbent.store(outcome.routed.swaps_added,
-                            std::memory_order_relaxed);
-        }
-        return outcome;
+        RouterScratch trial_scratch;
+        return measure_trial(
+            route_or(in.native_dag, backend, layouts[t], options.router,
+                     &trial_scratch, anchor_first ? &incumbent : nullptr),
+            backend);
     };
 
+    // The trials still to route: every one but an anchor routed above.
+    const std::size_t raced = num_trials - (anchor_first ? 1 : 0);
+    routes += static_cast<int>(raced);
     const int threads = util::ThreadPool::resolve_threads(options.num_threads);
     std::vector<TrialOutcome> outcomes;
-    if (trials == 1 || threads == 1) {
-        outcomes.reserve(static_cast<std::size_t>(trials));
-        for (int trial = 0; trial < trials; ++trial) {
-            outcomes.push_back(run_trial(static_cast<std::size_t>(trial)));
+    if (raced <= 1 || threads == 1) {
+        outcomes.reserve(num_trials);
+        for (std::size_t t = 0; t < num_trials; ++t) {
+            outcomes.push_back(run_trial(t));
         }
     } else if (options.pool != nullptr && options.pool->size() > 0) {
-        outcomes =
-            options.pool->map(static_cast<std::size_t>(trials), run_trial);
+        outcomes = options.pool->map(num_trials, run_trial);
     } else {
-        util::ThreadPool transient(std::min(threads, trials) - 1);
-        outcomes =
-            transient.map(static_cast<std::size_t>(trials), run_trial);
+        util::ThreadPool transient(
+            std::min(threads, static_cast<int>(raced)) - 1);
+        outcomes = transient.map(num_trials, run_trial);
     }
+    if (anchor_first) outcomes[anchor] = std::move(anchor_outcome);
 
     int pruned_trials = 0;
     long long trial_swaps_total = 0;
@@ -210,11 +279,11 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     // completed set (the anchor is unpruned; anything tying or
     // beating its SWAP count always completes; a pruned trial is
     // never admissible), so the winner is thread-count-independent.
-    std::size_t winner = outcomes.size();
+    std::size_t winner = num_trials;
     if (outcomes[anchor].completed) {
         winner = anchor;
         const TrialOutcome& a = outcomes[anchor];
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        for (std::size_t i = 0; i < num_trials; ++i) {
             if (i == winner || !outcomes[i].completed) continue;
             const TrialOutcome& c = outcomes[i];
             const bool admissible =
@@ -233,9 +302,9 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         // genuine for its layout; another trial's layout may still
         // route — fall back to (fewest SWAPs, lowest depth, shortest
         // duration, lowest index) over whatever completed.
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        for (std::size_t i = 0; i < num_trials; ++i) {
             if (!outcomes[i].completed) continue;
-            if (winner == outcomes.size()) {
+            if (winner == num_trials) {
                 winner = i;
                 continue;
             }
@@ -246,7 +315,7 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
             if (key(outcomes[i]) < key(outcomes[winner])) winner = i;
         }
     }
-    if (winner == outcomes.size()) {
+    if (winner == num_trials) {
         // No trial completed. The anchor runs unpruned and only its
         // completion arms the incumbent, so every failure here is
         // genuine; report the anchor's.
@@ -255,18 +324,20 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
 
     auto& metrics = util::metrics::global();
     metrics.add("transpile.layout_trials", trials);
+    metrics.add("transpile.routes", routes);
     metrics.add("transpile.trial_swaps",
                 static_cast<double>(trial_swaps_total));
     metrics.add("transpile.best_swaps", outcomes[winner].routed.swaps_added);
     metrics.add("transpile.trials_pruned", pruned_trials);
 
+    TrialOutcome& w = outcomes[winner];
     TranspileResult best;
-    best.circuit = std::move(outcomes[winner].routed.circuit);
+    best.circuit = std::move(w.routed.circuit);
     best.initial_layout = std::move(layouts[winner]);
-    best.final_layout = std::move(outcomes[winner].routed.final_layout);
-    best.swaps_added = outcomes[winner].routed.swaps_added;
-    best.depth = outcomes[winner].depth;
-    best.duration_dt = outcomes[winner].duration_dt;
+    best.final_layout = std::move(w.routed.final_layout);
+    best.swaps_added = w.routed.swaps_added;
+    best.depth = w.depth;
+    best.duration_dt = w.duration_dt;
     return best;
 }
 

@@ -14,6 +14,10 @@
  * quality metric (SWAPs, depth, ESP) and strictly better on at least
  * one. Every trial that could win completes regardless of scheduling,
  * so the winner is bit-identical at any thread count.
+ *
+ * The circuit DAGs are built once per request, and the anchor's route
+ * doubles as the first refinement pass's forward route (it finishes
+ * before any other trial starts), so no route runs twice.
  */
 #ifndef CAQR_TRANSPILE_TRANSPILER_H
 #define CAQR_TRANSPILE_TRANSPILER_H

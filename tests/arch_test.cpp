@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "arch/backend.h"
 #include "arch/calibration.h"
@@ -159,14 +162,34 @@ TEST(Backend, ScaledHeavyHexNameMatchesQubitCount)
     }
 }
 
-/// Checks both per-qubit placement tables against brute-force loops
-/// over the distance matrix and the link calibration.
+/// Checks both per-qubit placement tables and the per-endpoint link
+/// table against brute-force loops over the distance matrix, the
+/// topology and the link calibration.
 void
 expect_tables_match_brute_force(const arch::Backend& backend)
 {
     const int n = backend.num_qubits();
     const auto& cal = backend.calibration();
+    const auto& edges = backend.topology().edges();
     for (int q = 0; q < n; ++q) {
+        std::vector<int> neighbors;
+        for (const auto& link : backend.links(q)) {
+            neighbors.push_back(link.neighbor);
+            ASSERT_GE(link.id, 0);
+            ASSERT_LT(link.id, backend.num_links());
+            EXPECT_EQ(edges[static_cast<std::size_t>(link.id)],
+                      std::pair(std::min(q, link.neighbor),
+                                std::max(q, link.neighbor)))
+                << backend.name() << " qubit " << q;
+            EXPECT_EQ(link.cx_error, cal.has_link(q, link.neighbor)
+                                         ? cal.link(q, link.neighbor).cx_error
+                                         : 0.0)
+                << backend.name() << " qubit " << q;
+        }
+        std::vector<int> expected = backend.topology().neighbors(q);
+        std::sort(neighbors.begin(), neighbors.end());
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(neighbors, expected) << backend.name() << " qubit " << q;
         long long total = 0;
         double best = 1.0;
         for (int other = 0; other < n; ++other) {
@@ -208,6 +231,10 @@ TEST(Backend, PlacementTablesOnDisconnectedTopology)
               backend.calibration().link(0, 1).cx_error);
     EXPECT_EQ(backend.best_incident_cx_error(2), 1.0);
     EXPECT_EQ(backend.best_incident_cx_error(4), 1.0);
+    // The uncalibrated 2-3 link carries no error bias.
+    ASSERT_EQ(backend.links(2).size(), 1u);
+    EXPECT_EQ(backend.links(2)[0].cx_error, 0.0);
+    EXPECT_TRUE(backend.links(4).empty());
 }
 
 }  // namespace

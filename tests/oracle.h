@@ -3,10 +3,11 @@
  * Slow reference implementations shared by the tests: a node-level
  * transitive closure, the splice-pricing table computed on a
  * CircuitDag, a SABRE router that rescores every front-layer and
- * window gate for every candidate SWAP, an SR-CaQR that runs every
- * variant trial to the end and rescores the same way, and a seeded
- * random-circuit generator whose circuits exercise barriers, shared
- * clbits and conditioned gates.
+ * window gate for every candidate SWAP, a baseline transpiler that
+ * routes every refinement pass and every trial from scratch with that
+ * router, an SR-CaQR that runs every variant trial to the end and
+ * rescores the same way, and a seeded random-circuit generator whose
+ * circuits exercise barriers, shared clbits and conditioned gates.
  */
 #ifndef CAQR_TESTS_ORACLE_H
 #define CAQR_TESTS_ORACLE_H
@@ -29,7 +30,10 @@
 #include "core/sr_caqr.h"
 #include "graph/digraph.h"
 #include "transpile/decompose.h"
+#include "transpile/layout.h"
+#include "transpile/peephole.h"
 #include "transpile/router.h"
+#include "transpile/transpiler.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -305,6 +309,139 @@ route_full_rescore(const circuit::Circuit& logical,
     result.circuit = std::move(output);
     result.swaps_added = swaps_added;
     result.final_layout.assign(phys_of.begin(), phys_of.end());
+    return result;
+}
+
+/**
+ * The baseline pipeline as `transpile::transpile_or` computes it, but
+ * with every refinement pass and every trial routed from scratch by
+ * `route_full_rescore` (its own DAG each time), serially: no shared
+ * anchor route and no SWAP bound. A trial the production pipeline prunes could never be
+ * admissible, so the result is the one it returns.
+ */
+inline util::StatusOr<transpile::TranspileResult>
+transpile_every_trial(const circuit::Circuit& logical,
+                      const arch::Backend& backend,
+                      const transpile::TranspileOptions& options = {})
+{
+    if (logical.num_qubits() > backend.num_qubits()) {
+        return util::Status::infeasible("circuit does not fit");
+    }
+    circuit::Circuit native = options.keep_rzz
+                                  ? transpile::decompose_ccx(logical)
+                                  : transpile::decompose_to_native(logical);
+    if (options.peephole) native = transpile::peephole_optimize(native);
+    const transpile::Layout greedy = transpile::greedy_layout(native, backend);
+
+    circuit::Circuit reversed(native.num_qubits(), native.num_clbits());
+    reversed.copy_params_from(native);
+    const auto& instructions = native.instructions();
+    for (auto it = instructions.rbegin(); it != instructions.rend(); ++it) {
+        reversed.append(*it);
+    }
+    transpile::Layout refined = greedy;
+    for (int pass = 0; pass < options.layout_refine_passes; ++pass) {
+        const auto forward =
+            route_full_rescore(native, backend, refined, options.router);
+        if (!forward.ok()) {
+            refined = greedy;
+            break;
+        }
+        const auto backward = route_full_rescore(
+            reversed, backend, forward->final_layout, options.router);
+        if (!backward.ok()) {
+            refined = greedy;
+            break;
+        }
+        refined = backward->final_layout;
+    }
+
+    struct Trial
+    {
+        transpile::Layout layout;
+        util::Status status;
+        bool completed = false;
+        transpile::RoutingResult routed;
+        int depth = 0;
+        double duration_dt = 0.0;
+        double esp = 0.0;
+    };
+    const int trials = std::max(1, options.trials);
+    std::vector<Trial> runs(static_cast<std::size_t>(trials));
+    for (int t = 0; t < trials; ++t) {
+        Trial& run = runs[static_cast<std::size_t>(t)];
+        if (t == 0) {
+            run.layout = refined;
+        } else if (t == 1) {
+            run.layout = greedy;
+        } else {
+            run.layout = refined;
+            util::Rng rng(options.seed, static_cast<std::uint64_t>(t));
+            for (int k = 0; k < 1 + t / 4 && run.layout.size() >= 2; ++k) {
+                const auto i = rng.next_below(run.layout.size());
+                const auto j = rng.next_below(run.layout.size());
+                std::swap(run.layout[i], run.layout[j]);
+            }
+        }
+        auto routed =
+            route_full_rescore(native, backend, run.layout, options.router);
+        if (!routed.ok()) {
+            run.status = routed.status();
+            continue;
+        }
+        run.completed = true;
+        run.routed = std::move(routed).value();
+        run.depth = circuit::depth(run.routed.circuit);
+        const arch::CalibratedDurations model(backend);
+        const circuit::Schedule schedule(run.routed.circuit, model);
+        run.duration_dt = schedule.makespan();
+        run.esp = arch::estimated_success_probability(run.routed.circuit,
+                                                      backend, schedule);
+    }
+
+    // The anchor (trial 1, or the only trial) holds the win; an
+    // admissible challenger — no worse on SWAPs, depth and ESP — takes
+    // it when lexicographically better. Without an anchor result, the
+    // best completed trial wins.
+    const std::size_t anchor = trials >= 2 ? 1 : 0;
+    std::size_t winner = runs.size();
+    if (runs[anchor].completed) {
+        winner = anchor;
+        const Trial& a = runs[anchor];
+        const auto key = [](const Trial& r) {
+            return std::make_tuple(r.routed.swaps_added, r.depth, -r.esp,
+                                   r.duration_dt);
+        };
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const Trial& c = runs[i];
+            if (i == anchor || !c.completed) continue;
+            const bool admissible =
+                c.routed.swaps_added <= a.routed.swaps_added &&
+                c.depth <= a.depth && c.esp >= a.esp;
+            if (admissible && key(c) < key(runs[winner])) winner = i;
+        }
+    } else {
+        const auto key = [](const Trial& r) {
+            return std::make_tuple(r.routed.swaps_added, r.depth,
+                                   r.duration_dt);
+        };
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            if (!runs[i].completed) continue;
+            if (winner == runs.size() || key(runs[i]) < key(runs[winner])) {
+                winner = i;
+            }
+        }
+    }
+    if (winner == runs.size()) return runs[anchor].status;
+
+    Trial& w = runs[winner];
+    transpile::TranspileResult result;
+    result.circuit = std::move(w.routed.circuit);
+    result.initial_layout = std::move(w.layout);
+    result.final_layout = std::move(w.routed.final_layout);
+    result.swaps_added = w.routed.swaps_added;
+    result.depth = w.depth;
+    result.duration_dt = w.duration_dt;
     return result;
 }
 

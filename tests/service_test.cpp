@@ -167,6 +167,28 @@ TEST(ServiceCompile, QsCaqrBuildsOneCircuitPerCompile)
     EXPECT_EQ(built() - before, 1.0);
 }
 
+/// A baseline compile routes the anchor once: with four trials and one
+/// refinement pass the anchor trial's route is also refinement's
+/// forward pass, so it runs 5 routes, not 6.
+TEST(ServiceCompile, BaselineRoutesTheAnchorOnce)
+{
+    Service service({.num_threads = 1});
+    CompileRequest request;
+    request.circuit = apps::bv_circuit(12);
+    request.strategy = Strategy::kBaseline;
+    request.transpile.trials = 4;
+    request.transpile.layout_refine_passes = 1;
+    const auto routes = [&] {
+        const auto counters = service.metrics_snapshot().counters;
+        const auto it = counters.find("transpile.routes");
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    const double before = routes();
+    const auto report = service.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status.to_string();
+    EXPECT_EQ(routes() - before, 5.0);
+}
+
 TEST(ServiceBatch, DeterministicAcrossThreadCounts)
 {
     CompileRequest prototype;

@@ -7,6 +7,7 @@
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
 #include "arch/backend.h"
+#include "circuit/dag.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
 #include <atomic>
@@ -27,6 +28,7 @@
 #include "transpile/transpiler.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 #include "util/status.h"
 
 namespace caqr {
@@ -214,7 +216,7 @@ TEST(Router, AlreadyCompliantCircuitNeedsNoSwaps)
     c.measure(0, 0);
     c.measure(1, 1);
     const auto result =
-        transpile::route_or(c, backend,
+        transpile::route_or(circuit::CircuitDag(c), backend,
                             transpile::trivial_layout(c, backend))
             .value();
     EXPECT_EQ(result.swaps_added, 0);
@@ -227,7 +229,7 @@ TEST(Router, DistantQubitsGetSwaps)
     Circuit c(27, 0);
     c.cx(0, 26);  // far corners of the lattice
     const auto result =
-        transpile::route_or(c, backend,
+        transpile::route_or(circuit::CircuitDag(c), backend,
                             transpile::trivial_layout(c, backend))
             .value();
     EXPECT_GT(result.swaps_added, 0);
@@ -241,7 +243,9 @@ TEST(Router, StarCircuitOnDegreeLimitedDevice)
     const auto backend = arch::Backend::fake_mumbai();
     const auto bv = apps::bv_circuit(5);
     const auto layout = transpile::greedy_layout(bv, backend);
-    const auto result = transpile::route_or(bv, backend, layout).value();
+    const auto result =
+        transpile::route_or(circuit::CircuitDag(bv), backend, layout)
+            .value();
     EXPECT_GE(result.swaps_added, 1);
     EXPECT_TRUE(transpile::is_hardware_compliant(result.circuit, backend));
 }
@@ -253,11 +257,12 @@ TEST(Router, ScratchReuseIsBitIdentical)
     const auto backend = arch::Backend::fake_mumbai();
     const auto bv = apps::bv_circuit(8);
     const auto layout = transpile::greedy_layout(bv, backend);
-    const auto cold = transpile::route_or(bv, backend, layout).value();
+    const circuit::CircuitDag dag(bv);
+    const auto cold = transpile::route_or(dag, backend, layout).value();
     transpile::RouterScratch scratch;
     for (int run = 0; run < 3; ++run) {
         const auto warm =
-            transpile::route_or(bv, backend, layout, {}, &scratch).value();
+            transpile::route_or(dag, backend, layout, {}, &scratch).value();
         EXPECT_EQ(warm.swaps_added, cold.swaps_added) << "run=" << run;
         EXPECT_EQ(warm.final_layout, cold.final_layout) << "run=" << run;
         EXPECT_EQ(warm.circuit.instructions().size(),
@@ -272,7 +277,8 @@ TEST(Router, InvalidLayoutReportsInvalidArgument)
     Circuit c(2, 0);
     c.cx(0, 1);
     transpile::Layout bad = {0, 0};  // not injective
-    const auto result = transpile::route_or(c, backend, bad);
+    const auto result =
+        transpile::route_or(circuit::CircuitDag(c), backend, bad);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
@@ -289,7 +295,8 @@ TEST(Router, DisconnectedDeviceReportsInfeasible)
     Circuit c(4, 0);
     c.cx(0, 2);
     const auto result = transpile::route_or(
-        c, backend, transpile::trivial_layout(c, backend));
+        circuit::CircuitDag(c), backend,
+        transpile::trivial_layout(c, backend));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kInfeasible);
 }
@@ -305,7 +312,9 @@ TEST(Router, StallEscapeRoutesImmediately)
     options.stall_escape_after = 0;
     const auto layout = transpile::greedy_layout(bv, backend);
     const auto result =
-        transpile::route_or(bv, backend, layout, options).value();
+        transpile::route_or(circuit::CircuitDag(bv), backend, layout,
+                            options)
+            .value();
     EXPECT_GE(result.swaps_added, 1);
     EXPECT_TRUE(transpile::is_hardware_compliant(result.circuit, backend));
 }
@@ -333,7 +342,8 @@ TEST(Router, SwapBoundPrunesHopelessRun)
     c.cx(0, 26);
     std::atomic<int> bound{0};  // incumbent: a zero-SWAP solution exists
     const auto result = transpile::route_or(
-        c, backend, transpile::trivial_layout(c, backend), {}, nullptr,
+        circuit::CircuitDag(c), backend,
+        transpile::trivial_layout(c, backend), {}, nullptr,
         &bound);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kInfeasible);
@@ -526,7 +536,8 @@ TEST_P(RandomCouplingRouting, CompliantAndPermutationEquivalent)
     const auto layout = transpile::greedy_layout(logical, backend);
     ASSERT_TRUE(transpile::is_valid_layout(layout, logical, backend));
     const auto routed =
-        transpile::route_or(logical, backend, layout).value();
+        transpile::route_or(circuit::CircuitDag(logical), backend, layout)
+            .value();
     ASSERT_TRUE(transpile::is_hardware_compliant(routed.circuit, backend));
 
     sim::StateVector logical_sv(nq);
@@ -569,7 +580,8 @@ expect_matches_reference(const Circuit& logical,
                          transpile::RouterScratch* scratch = nullptr)
 {
     const auto fast =
-        transpile::route_or(logical, backend, layout, options, scratch);
+        transpile::route_or(circuit::CircuitDag(logical), backend, layout,
+                            options, scratch);
     const auto slow =
         oracle::route_full_rescore(logical, backend, layout, options);
     ASSERT_EQ(fast.ok(), slow.ok()) << label;
@@ -716,6 +728,32 @@ TEST(RouterOracle, DeviceScaleBenchmarks)
     }
 }
 
+TEST(RouterOracle, ExactTiesPickLowestLink)
+{
+    // Uniform calibration and no decay: every link carries the same
+    // bias, so many candidates score exactly equal and the winner is
+    // decided by the (pa, pb) tie-break alone. The router collects
+    // candidates in frontier order, the reference scans them sorted.
+    for (int i = 0; i < 60; ++i) {
+        util::Rng rng(9600 + i);
+        const int np = 6 + i % 10;
+        auto topology = graph::random_graph(np, 0.3, rng);
+        for (int v = 1; v < np; ++v) topology.add_edge(v - 1, v);
+        auto calibration = arch::Calibration::synthesize(topology);
+        for (const auto& [a, b] : topology.edges()) {
+            calibration.set_link(a, b, {0.01, 1200.0});
+        }
+        const arch::Backend backend("uniform", topology, calibration);
+        const Circuit logical = oracle::random_circuit(rng, 2 + i % (np - 1));
+        transpile::RouterOptions options;
+        options.decay_delta = 0.0;
+        options.error_aware = i % 2 == 0;
+        expect_matches_reference(logical, backend,
+                                 layout_variant(logical, backend, i, rng),
+                                 options, "tie case " + std::to_string(i));
+    }
+}
+
 TEST(RouterOracle, ScratchSurvivesShrinkAndGrow)
 {
     // One scratch from a 400-qubit run to a 12-qubit run and back:
@@ -735,6 +773,153 @@ TEST(RouterOracle, ScratchSurvivesShrinkAndGrow)
         expect_matches_reference(small, mumbai,
                                  transpile::greedy_layout(small, mumbai),
                                  {}, "small" + tag, &scratch);
+    }
+}
+
+/// transpile_or against the pipeline that routes every refinement pass
+/// and every trial from scratch: every result field and every
+/// instruction equal, or a failure on both.
+void
+expect_transpile_matches_reference(const Circuit& logical,
+                                   const arch::Backend& backend,
+                                   const transpile::TranspileOptions& options,
+                                   const std::string& label)
+{
+    const auto fast = transpile::transpile_or(logical, backend, options);
+    const auto slow =
+        oracle::transpile_every_trial(logical, backend, options);
+    ASSERT_EQ(fast.ok(), slow.ok()) << label;
+    if (!fast.ok()) return;
+    EXPECT_EQ(fast->swaps_added, slow->swaps_added) << label;
+    EXPECT_EQ(fast->depth, slow->depth) << label;
+    EXPECT_EQ(fast->duration_dt, slow->duration_dt) << label;
+    EXPECT_EQ(fast->initial_layout, slow->initial_layout) << label;
+    EXPECT_EQ(fast->final_layout, slow->final_layout) << label;
+    EXPECT_EQ(fast->circuit.num_qubits(), slow->circuit.num_qubits())
+        << label;
+    EXPECT_EQ(fast->circuit.num_clbits(), slow->circuit.num_clbits())
+        << label;
+    const auto& x = fast->circuit.instructions();
+    const auto& y = slow->circuit.instructions();
+    ASSERT_EQ(x.size(), y.size()) << label;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].kind, y[i].kind) << label << " instr " << i;
+        EXPECT_EQ(x[i].qubits, y[i].qubits) << label << " instr " << i;
+        EXPECT_EQ(x[i].params, y[i].params) << label << " instr " << i;
+        EXPECT_EQ(x[i].clbit, y[i].clbit) << label << " instr " << i;
+        EXPECT_EQ(x[i].condition_bit, y[i].condition_bit)
+            << label << " instr " << i;
+        EXPECT_EQ(x[i].condition_value, y[i].condition_value)
+            << label << " instr " << i;
+    }
+}
+
+/// Pipeline settings variant @p which, cycling through every
+/// combination of trials {1, 2, 4, 8}, refinement passes {0, 1, 2},
+/// threads {1, 8} and error-aware scoring on / off. Eight threads
+/// borrow @p pool on odd cycles and spin up a transient pool otherwise.
+transpile::TranspileOptions
+transpile_variant(int which, util::ThreadPool& pool)
+{
+    transpile::TranspileOptions options;
+    constexpr int kTrials[] = {1, 2, 4, 8};
+    options.trials = kTrials[which % 4];
+    options.layout_refine_passes = which / 4 % 3;
+    options.num_threads = which / 12 % 2 == 0 ? 1 : 8;
+    options.router.error_aware = which / 24 % 2 == 0;
+    if (options.num_threads > 1 && which / 48 % 2 == 1) options.pool = &pool;
+    options.seed = 500 + static_cast<std::uint64_t>(which);
+    return options;
+}
+
+/// One line naming a variant's settings, for failure messages.
+std::string
+variant_label(const transpile::TranspileOptions& options)
+{
+    return " trials " + std::to_string(options.trials) + " refine " +
+           std::to_string(options.layout_refine_passes) + " threads " +
+           std::to_string(options.num_threads) +
+           (options.router.error_aware ? " error-aware" : " distance-only");
+}
+
+TEST(TranspileOracle, RandomCircuitsOnFakeMumbai)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    util::ThreadPool pool(3);
+    for (int i = 0; i < 96; ++i) {
+        util::Rng rng(12000 + i);
+        const Circuit logical = oracle::random_circuit(rng, 2 + i % 26);
+        const auto options = transpile_variant(i, pool);
+        expect_transpile_matches_reference(
+            logical, backend, options,
+            "mumbai case " + std::to_string(i) + variant_label(options));
+    }
+}
+
+TEST(TranspileOracle, BenchmarksOnHeavyHex)
+{
+    const auto hh127 = arch::Backend::scaled_heavy_hex(127);
+    util::ThreadPool pool(3);
+    for (int i = 0; i < 48; ++i) {
+        const int n = 16 + 37 * i % 112;
+        Circuit logical;
+        std::string name;
+        switch (i % 3) {
+          case 0:
+            logical = apps::bv_circuit(n, every_third(n));
+            name = "bv_";
+            break;
+          case 1:
+            logical = apps::cc_circuit(n, every_third(n));
+            name = "cc_";
+            break;
+          default:
+            logical = qaoa_ring_circuit(n, 20 + i);
+            name = "qaoa_";
+            break;
+        }
+        const auto options = transpile_variant(i, pool);
+        expect_transpile_matches_reference(
+            logical, hh127, options,
+            name + std::to_string(n) + variant_label(options));
+    }
+}
+
+TEST(TranspileOracle, Qaoa256OnHeavyHex433)
+{
+    // The device-scale request whose six routes this pipeline cuts to
+    // five: defaults, the widest portfolio, refinement off, and
+    // distance-only scoring.
+    const auto hh433 = arch::Backend::scaled_heavy_hex(433);
+    const Circuit logical = qaoa_ring_circuit(256, 5);
+    util::ThreadPool pool(3);
+    transpile::TranspileOptions defaults;
+    defaults.num_threads = 1;
+    for (const auto& options :
+         {defaults, transpile_variant(23, pool), transpile_variant(1, pool),
+          transpile_variant(29, pool)}) {
+        expect_transpile_matches_reference(
+            logical, hh433, options, "qaoa_256" + variant_label(options));
+    }
+}
+
+TEST(TranspileOracle, DisconnectedDevice)
+{
+    // Two components: layouts that split a gate's operands fail, so
+    // the anchor-failed fallback and failed refinement passes run.
+    graph::UndirectedGraph topology(10);
+    for (int v = 1; v < 5; ++v) topology.add_edge(v - 1, v);
+    for (int v = 6; v < 10; ++v) topology.add_edge(v - 1, v);
+    const arch::Backend backend("split", topology,
+                                arch::Calibration::synthesize(topology));
+    util::ThreadPool pool(3);
+    for (int i = 0; i < 24; ++i) {
+        util::Rng rng(13000 + i);
+        const Circuit logical = oracle::random_circuit(rng, 3 + i % 7);
+        const auto options = transpile_variant(5 * i, pool);
+        expect_transpile_matches_reference(
+            logical, backend, options,
+            "split case " + std::to_string(i) + variant_label(options));
     }
 }
 
