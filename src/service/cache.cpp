@@ -54,104 +54,44 @@ append_common(std::vector<std::string>& lines, const std::string& prefix,
                         static_cast<long long>(common.seed)));
 }
 
-/// Serializes the request's input as content, not identity: file
-/// inputs are read, circuits printed, commuting specs flattened.
-util::StatusOr<std::string>
-input_content(const CompileRequest& request)
+/// The request's one input, read once for both keys: `text` holds
+/// inline QASM or the file's bytes; a circuit or commuting spec is
+/// borrowed from the request, the spec's edges pre-serialized.
+struct KeyInput
 {
-    const int provided = (request.circuit.has_value() ? 1 : 0) +
-                         (request.qasm.empty() ? 0 : 1) +
-                         (request.qasm_file.empty() ? 0 : 1) +
-                         (request.commuting.has_value() ? 1 : 0);
-    if (provided != 1) {
-        return util::Status::invalid_argument(
-            "request has no single input to address");
+    const circuit::Circuit* circuit = nullptr;
+    const core::CommutingSpec* commuting = nullptr;
+    std::string text;
+    std::string edges;  ///< "edge u v" lines, canonical order
+};
+
+util::StatusOr<KeyInput>
+read_key_input(const CompileRequest& request)
+{
+    if (auto single = check_single_input(request); !single.ok()) {
+        return single;
     }
+    KeyInput input;
     if (request.commuting.has_value()) {
-        const auto& spec = *request.commuting;
-        std::ostringstream os;
-        os << "commuting nodes=" << spec.interaction.num_nodes()
-           << " layers=" << spec.layers
-           << " symbolic=" << (spec.symbolic ? 1 : 0)
-           << " gamma=" << fmt_double(spec.gamma)
-           << " beta=" << fmt_double(spec.beta) << '\n';
-        for (double gamma : spec.gammas) {
-            os << "gamma_layer=" << fmt_double(gamma) << '\n';
-        }
-        for (double beta : spec.betas) {
-            os << "beta_layer=" << fmt_double(beta) << '\n';
-        }
+        input.commuting = &*request.commuting;
         // Edge identity, not insertion order: the same interaction
         // graph assembled in a different order must hash equal.
-        std::vector<std::pair<int, int>> edges = spec.interaction.edges();
+        std::vector<std::pair<int, int>> edges =
+            request.commuting->interaction.edges();
         for (auto& [u, v] : edges) {
             if (u > v) std::swap(u, v);
         }
         std::sort(edges.begin(), edges.end());
-        for (const auto& [u, v] : edges) {
-            os << "edge " << u << ' ' << v << '\n';
-        }
-        return os.str();
-    }
-    if (request.circuit.has_value()) {
-        return qasm::to_qasm(*request.circuit);
-    }
-    if (!request.qasm.empty()) {
-        return request.qasm;
-    }
-    std::ifstream in(request.qasm_file, std::ios::binary);
-    if (!in) {
-        return util::Status::not_found("cannot read '" +
-                                       request.qasm_file + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return util::Status::io_error("error reading '" +
-                                      request.qasm_file + "'");
-    }
-    return buffer.str();
-}
-
-/// Serializes the request's input by structure, masking bound values:
-/// circuits print parameter names, commuting specs drop their angles.
-util::StatusOr<std::string>
-input_skeleton(const CompileRequest& request)
-{
-    const int provided = (request.circuit.has_value() ? 1 : 0) +
-                         (request.qasm.empty() ? 0 : 1) +
-                         (request.qasm_file.empty() ? 0 : 1) +
-                         (request.commuting.has_value() ? 1 : 0);
-    if (provided != 1) {
-        return util::Status::invalid_argument(
-            "request has no single input to address");
-    }
-    if (request.commuting.has_value()) {
-        const auto& spec = *request.commuting;
         std::ostringstream os;
-        // Angles are the template's parameters; structure is the graph
-        // and the layer count.
-        os << "commuting nodes=" << spec.interaction.num_nodes()
-           << " layers=" << spec.layers << '\n';
-        std::vector<std::pair<int, int>> edges = spec.interaction.edges();
-        for (auto& [u, v] : edges) {
-            if (u > v) std::swap(u, v);
-        }
-        std::sort(edges.begin(), edges.end());
         for (const auto& [u, v] : edges) {
             os << "edge " << u << ' ' << v << '\n';
         }
-        return os.str();
-    }
-    if (request.circuit.has_value()) {
-        return qasm::to_qasm_template(*request.circuit);
-    }
-    // Textual inputs are parsed so named parameters mask out — the raw
-    // bytes differ per bound value, the template print does not.
-    std::string source;
-    if (!request.qasm.empty()) {
-        source = request.qasm;
-    } else if (!request.qasm_file.empty()) {
+        input.edges = std::move(os).str();
+    } else if (request.circuit.has_value()) {
+        input.circuit = &*request.circuit;
+    } else if (!request.qasm.empty()) {
+        input.text = request.qasm;
+    } else {
         std::ifstream in(request.qasm_file, std::ios::binary);
         if (!in) {
             return util::Status::not_found("cannot read '" +
@@ -163,14 +103,9 @@ input_skeleton(const CompileRequest& request)
             return util::Status::io_error("error reading '" +
                                           request.qasm_file + "'");
         }
-        source = buffer.str();
-    } else {
-        return util::Status::invalid_argument(
-            "request has no single input to address");
+        input.text = std::move(buffer).str();
     }
-    auto parsed = qasm::parse_circuit(source);
-    if (!parsed.ok()) return parsed.status();
-    return qasm::to_qasm_template(*parsed);
+    return input;
 }
 
 /// The result-affecting option lines shared by `request_cache_key` and
@@ -306,173 +241,61 @@ canonicalize_option_lines(std::vector<std::string> lines)
 util::StatusOr<std::string>
 request_cache_key(const CompileRequest& request)
 {
-    auto content = input_content(request);
-    if (!content.ok()) return content.status();
-    return "caqr-cache-v1\n" +
-           canonicalize_option_lines(request_option_lines(request)) +
-           "---input---\n" + *content;
+    auto input = read_key_input(request);
+    if (!input.ok()) return input.status();
+    std::string key =
+        "caqr-cache-v1\n" +
+        canonicalize_option_lines(request_option_lines(request)) +
+        "---input---\n";
+    if (const auto* spec = input->commuting) {
+        std::ostringstream os;
+        os << "commuting nodes=" << spec->interaction.num_nodes()
+           << " layers=" << spec->layers
+           << " symbolic=" << (spec->symbolic ? 1 : 0)
+           << " gamma=" << fmt_double(spec->gamma)
+           << " beta=" << fmt_double(spec->beta) << '\n';
+        for (double gamma : spec->gammas) {
+            os << "gamma_layer=" << fmt_double(gamma) << '\n';
+        }
+        for (double beta : spec->betas) {
+            os << "beta_layer=" << fmt_double(beta) << '\n';
+        }
+        key += std::move(os).str();
+        key += input->edges;
+    } else if (input->circuit != nullptr) {
+        key += qasm::to_qasm(*input->circuit);
+    } else {
+        key += input->text;
+    }
+    return key;
 }
 
 util::StatusOr<std::string>
 template_cache_key(const CompileRequest& request)
 {
-    auto skeleton = input_skeleton(request);
-    if (!skeleton.ok()) return skeleton.status();
-    return "caqr-template-v1\n" +
-           canonicalize_option_lines(request_option_lines(request)) +
-           "---skeleton---\n" + *skeleton;
-}
-
-CompileCache::CompileCache(std::size_t capacity,
-                           util::metrics::Registry* registry)
-    : capacity_(capacity), registry_(registry) {}
-
-std::optional<CompileReport>
-CompileCache::get(const std::string& key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
-        if (registry_ != nullptr) registry_->add("service.cache.miss", 1.0);
-        return std::nullopt;
+    auto input = read_key_input(request);
+    if (!input.ok()) return input.status();
+    std::string key =
+        "caqr-template-v1\n" +
+        canonicalize_option_lines(request_option_lines(request)) +
+        "---skeleton---\n";
+    if (const auto* spec = input->commuting) {
+        // Angles are the template's parameters; structure is the graph
+        // and the layer count.
+        key += "commuting nodes=" +
+               std::to_string(spec->interaction.num_nodes()) +
+               " layers=" + std::to_string(spec->layers) + '\n';
+        key += input->edges;
+    } else if (input->circuit != nullptr) {
+        key += qasm::to_qasm_template(*input->circuit);
+    } else {
+        // Textual inputs are parsed so named parameters mask out — the
+        // raw bytes differ per bound value, the template print does not.
+        auto parsed = qasm::parse_circuit(input->text);
+        if (!parsed.ok()) return parsed.status();
+        key += qasm::to_qasm_template(*parsed);
     }
-    ++hits_;
-    if (registry_ != nullptr) registry_->add("service.cache.hit", 1.0);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-}
-
-void
-CompileCache::put(const std::string& key, const CompileReport& report)
-{
-    if (capacity_ == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        // A concurrent miss on the same key compiled twice; results
-        // are deterministic, so refreshing recency is all that's left.
-        it->second->second = report;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
-    }
-    lru_.emplace_front(key, report);
-    index_.emplace(key, lru_.begin());
-    while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-        if (registry_ != nullptr) {
-            registry_->add("service.cache.evict", 1.0);
-        }
-    }
-}
-
-CompileCacheStats
-CompileCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    CompileCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.size = lru_.size();
-    stats.capacity = capacity_;
-    return stats;
-}
-
-void
-CompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-}
-
-TemplateCache::TemplateCache(std::size_t capacity,
-                             util::metrics::Registry* registry)
-    : capacity_(capacity), registry_(registry) {}
-
-std::shared_ptr<const CompiledTemplate>
-TemplateCache::get(const std::string& key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
-        if (registry_ != nullptr) {
-            registry_->add("service.template.miss", 1.0);
-        }
-        return nullptr;
-    }
-    ++hits_;
-    if (registry_ != nullptr) registry_->add("service.template.hit", 1.0);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-}
-
-std::vector<std::shared_ptr<const CompiledTemplate>>
-TemplateCache::put(const std::string& key,
-                   std::shared_ptr<const CompiledTemplate> entry)
-{
-    std::vector<std::shared_ptr<const CompiledTemplate>> evicted;
-    if (capacity_ == 0) {
-        // Nothing is stored, so the entry itself is "evicted" — the
-        // caller must not hand out a handle that can never resolve.
-        evicted.push_back(std::move(entry));
-        return evicted;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        // Two concurrent misses compiled the same skeleton. Results
-        // are deterministic, so either copy serves; keeping the newer
-        // one lets the caller uniformly register its handle and retire
-        // whatever comes back.
-        evicted.push_back(std::move(it->second->second));
-        it->second->second = std::move(entry);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return evicted;
-    }
-    lru_.emplace_front(key, std::move(entry));
-    index_.emplace(key, lru_.begin());
-    while (lru_.size() > capacity_) {
-        evicted.push_back(std::move(lru_.back().second));
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-        if (registry_ != nullptr) {
-            registry_->add("service.template.evict", 1.0);
-        }
-    }
-    return evicted;
-}
-
-TemplateCacheStats
-TemplateCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    TemplateCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.size = lru_.size();
-    stats.capacity = capacity_;
-    return stats;
-}
-
-std::vector<std::shared_ptr<const CompiledTemplate>>
-TemplateCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::shared_ptr<const CompiledTemplate>> evicted;
-    evicted.reserve(lru_.size());
-    for (auto& [key, entry] : lru_) {
-        evicted.push_back(std::move(entry));
-    }
-    lru_.clear();
-    index_.clear();
-    return evicted;
+    return key;
 }
 
 }  // namespace caqr

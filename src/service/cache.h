@@ -1,14 +1,16 @@
 /**
  * @file
- * Content-addressed compile cache for the service layer.
+ * The service layer's two cache tiers: content-addressed and
+ * skeleton-keyed keys, and the one bounded LRU both tiers use.
  *
  * Repeated production traffic is highly redundant — the same hot
  * circuits arrive over and over — while a CaQR compile costs
- * milliseconds to seconds. `CompileCache` converts that redundancy
- * into throughput: a bounded LRU map from a *content-addressed* cache
+ * milliseconds to seconds. The compile tier maps a *content-addressed*
  * key (circuit content + canonicalized options, see
  * `request_cache_key`) to the finished `CompileReport`, so a hot
- * request is answered by a map lookup instead of a pipeline run.
+ * request is answered by a map lookup instead of a pipeline run. The
+ * template tier maps a skeleton key (`template_cache_key`) to a frozen
+ * `CompiledTemplate` for compile-once / bind-many sweeps.
  *
  * Keying rules:
  *  - The key is derived from the request's input **content** (inline
@@ -19,22 +21,19 @@
  *    (`canonicalize_option_lines`), so the order in which a caller
  *    populated them can never split the cache.
  *  - Execution knobs that provably do not change the result —
- *    `num_threads` (bit-identical guarantee), `trace`, the request
- *    `name`, the metrics `tenant` tag — are excluded.
+ *    `num_threads` (bit-identical guarantee), the request `name`, the
+ *    metrics `tenant` tag — are excluded.
  *
- * Thread-safety: all `CompileCache` methods are safe to call from any
- * thread. Hit/miss/evict counts are mirrored into a
- * `util::metrics::Registry` as `service.cache.hit` /
- * `service.cache.miss` / `service.cache.evict` when one is attached.
+ * Both tiers are an `Lru<V>`, which counts only through the
+ * `util::metrics::Registry` it is given: `service.cache.{hit,miss,
+ * evict}` and `service.template.{hit,miss,evict}`.
  */
 #ifndef CAQR_SERVICE_CACHE_H
 #define CAQR_SERVICE_CACHE_H
 
 #include <cstddef>
 #include <list>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -56,13 +55,13 @@ std::string canonicalize_option_lines(std::vector<std::string> lines);
  * Content-addressed cache key for @p request: the input content, the
  * canonical backend key (aliases like "mumbai" and "FakeMumbai"
  * collapse), the strategy, and every result-affecting option in
- * canonical order. Requests that differ only in `num_threads`,
- * `trace`, `name`, or `tenant` share a key.
+ * canonical order. Requests that differ only in `num_threads`, `name`,
+ * or `tenant` share a key.
  *
  * Fails with kIoError/kNotFound when a file input cannot be read and
- * kInvalidArgument when the request names no input — callers fall back
- * to an uncached compile, which reports the same failure through the
- * usual envelope.
+ * kInvalidArgument unless the request names exactly one input —
+ * callers fall back to an uncached compile, which reports the same
+ * failure through the usual envelope.
  */
 util::StatusOr<std::string> request_cache_key(
     const CompileRequest& request);
@@ -76,119 +75,98 @@ util::StatusOr<std::string> request_cache_key(
  * specs flatten to nodes/layers plus sorted edges with no angles. Two
  * requests that differ only in rotation angles carried by named
  * parameters (or commuting γ/β) share a skeleton, so a hot template
- * survives across bind sessions in the `TemplateCache`.
+ * survives across bind sessions in the template tier.
  */
 util::StatusOr<std::string> template_cache_key(
     const CompileRequest& request);
 
-/// Lifetime counters of one cache instance.
-struct CompileCacheStats
-{
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t size = 0;      ///< current entry count
-    std::size_t capacity = 0;  ///< configured bound
-};
-
 /**
- * Bounded LRU map cache key -> CompileReport. `get` refreshes
- * recency; `put` evicts the least-recently-used entry once the
- * capacity is exceeded. Only successful reports should be inserted —
- * failures are cheap to recompute and must not shadow a fixed input.
+ * Bounded, thread-safe LRU map from string key to @p V, where `V` is a
+ * nullable handle (`std::shared_ptr<const T>`): a null `V` means "no
+ * entry". `get` refreshes recency; `put` drops the least-recently-used
+ * entries once the capacity is exceeded.
+ *
+ * Values are handed out, and dropped values handed back, by copy of
+ * the handle, so the caller copies or destroys the payload outside the
+ * lock, and a holder of an evicted value keeps it alive.
+ *
+ * Counts only by adding `<prefix>.hit`, `<prefix>.miss` and
+ * `<prefix>.evict` to the registry it was built with.
  */
-class CompileCache
+template <typename V>
+class Lru
 {
   public:
-    /// @p registry (optional) receives `service.cache.{hit,miss,evict}`
-    /// counter increments; it must outlive the cache.
-    explicit CompileCache(std::size_t capacity,
-                          util::metrics::Registry* registry = nullptr);
+    /// @p capacity must be at least 1 (a disabled tier is no `Lru` at
+    /// all). @p registry must outlive the cache.
+    Lru(std::size_t capacity, util::metrics::Registry& registry,
+        const std::string& prefix)
+        : capacity_(capacity),
+          registry_(registry),
+          hit_(prefix + ".hit"),
+          miss_(prefix + ".miss"),
+          evict_(prefix + ".evict")
+    {
+    }
 
-    /// The cached report for @p key, refreshing its recency — or
-    /// nullopt (counted as a miss).
-    std::optional<CompileReport> get(const std::string& key);
+    /// The value under @p key, refreshing its recency, or a null `V`
+    /// on a miss.
+    V get(const std::string& key)
+    {
+        V value{};
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const auto it = index_.find(key);
+            if (it != index_.end()) {
+                lru_.splice(lru_.begin(), lru_, it->second);
+                value = it->second->second;
+            }
+        }
+        registry_.add(value ? hit_ : miss_, 1.0);
+        return value;
+    }
 
-    /// Inserts (or refreshes) @p report under @p key, evicting the LRU
-    /// entry when over capacity. A zero-capacity cache stores nothing.
-    void put(const std::string& key, const CompileReport& report);
-
-    CompileCacheStats stats() const;
-
-    /// Drops every entry (counters are lifetime and survive).
-    void clear();
-
-  private:
-    using Entry = std::pair<std::string, CompileReport>;
-
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
-    util::metrics::Registry* registry_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
-};
-
-/// Lifetime counters of one template cache instance.
-struct TemplateCacheStats
-{
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t size = 0;      ///< current entry count
-    std::size_t capacity = 0;  ///< configured bound
-};
-
-/**
- * Second LRU tier, keyed by skeleton fingerprint: skeleton ->
- * immutable `CompiledTemplate`. Hot templates survive across bind
- * sessions — any request with the same structure re-acquires the
- * frozen schedule without re-running reuse analysis or routing.
- *
- * Entries are `shared_ptr<const CompiledTemplate>`: eviction drops the
- * cache's reference while in-flight binds keep theirs, so a bind racing
- * an eviction completes safely. `put` returns the evicted templates so
- * the owning `Service` can retire their handle-id mappings.
- *
- * Thread-safe; mirrors `service.template.{hit,miss,evict}` into the
- * attached registry.
- */
-class TemplateCache
-{
-  public:
-    explicit TemplateCache(std::size_t capacity,
-                           util::metrics::Registry* registry = nullptr);
-
-    /// The cached template for @p key, refreshing recency — or null
-    /// (counted as a miss).
-    std::shared_ptr<const CompiledTemplate> get(const std::string& key);
-
-    /// Inserts (or refreshes) @p entry under @p key. Returns the
-    /// templates evicted to stay within capacity (empty for capacity
-    /// 0 inserts, which store nothing and return @p entry itself).
-    std::vector<std::shared_ptr<const CompiledTemplate>> put(
-        const std::string& key,
-        std::shared_ptr<const CompiledTemplate> entry);
-
-    TemplateCacheStats stats() const;
-
-    /// Drops every entry and returns them (counters survive).
-    std::vector<std::shared_ptr<const CompiledTemplate>> clear();
+    /// Stores @p value under @p key as the most recent entry. Returns
+    /// every value it dropped: the one a same-key `put` replaces
+    /// (not an eviction) and the least-recently-used ones evicted to
+    /// stay within capacity.
+    std::vector<V> put(const std::string& key, V value)
+    {
+        std::vector<V> dropped;
+        std::size_t evicted = 0;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const auto it = index_.find(key);
+            if (it != index_.end()) {
+                dropped.push_back(
+                    std::exchange(it->second->second, std::move(value)));
+                lru_.splice(lru_.begin(), lru_, it->second);
+                return dropped;
+            }
+            lru_.emplace_front(key, std::move(value));
+            index_.emplace(key, lru_.begin());
+            for (; lru_.size() > capacity_; ++evicted) {
+                dropped.push_back(std::move(lru_.back().second));
+                index_.erase(lru_.back().first);
+                lru_.pop_back();
+            }
+        }
+        if (evicted > 0) {
+            registry_.add(evict_, static_cast<double>(evicted));
+        }
+        return dropped;
+    }
 
   private:
-    using Entry =
-        std::pair<std::string, std::shared_ptr<const CompiledTemplate>>;
+    using Entry = std::pair<std::string, V>;
 
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
-    util::metrics::Registry* registry_;
+    std::mutex mutex_;
+    const std::size_t capacity_;
+    util::metrics::Registry& registry_;
+    const std::string hit_, miss_, evict_;
     std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
+    std::unordered_map<std::string, typename std::list<Entry>::iterator>
+        index_;
 };
 
 }  // namespace caqr

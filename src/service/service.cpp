@@ -135,6 +135,19 @@ slot_map(const circuit::Circuit& circuit)
     return slots;
 }
 
+/// The report label: the request's name, else the input file's stem,
+/// else "commuting" or "circuit" by input kind. A cache hit applies it
+/// too, so a hit is named for its own request, not the filler's.
+std::string
+report_name(const CompileRequest& request)
+{
+    if (!request.name.empty()) return request.name;
+    if (!request.qasm_file.empty()) {
+        return fs::path(request.qasm_file).stem().string();
+    }
+    return request.commuting.has_value() ? "commuting" : "circuit";
+}
+
 }  // namespace
 
 /// Side-channel from `compile_uncached` to `compile_template`: the
@@ -226,6 +239,20 @@ batch_csv_row(const CompileReport& report)
     return os.str();
 }
 
+util::Status
+check_single_input(const CompileRequest& request)
+{
+    const int provided = (request.circuit.has_value() ? 1 : 0) +
+                         (request.qasm.empty() ? 0 : 1) +
+                         (request.qasm_file.empty() ? 0 : 1) +
+                         (request.commuting.has_value() ? 1 : 0);
+    if (provided == 1) return {};
+    return util::Status::invalid_argument(
+        "provide exactly one input (circuit, qasm, qasm_file, or "
+        "commuting), got " +
+        std::to_string(provided));
+}
+
 util::StatusOr<std::string>
 canonical_backend_name(const std::string& name)
 {
@@ -239,29 +266,18 @@ Service::Service(ServiceOptions options)
       pool_(util::ThreadPool::resolve_threads(options_.num_threads) - 1)
 {
     if (options_.cache_capacity > 0) {
-        cache_ = std::make_unique<CompileCache>(options_.cache_capacity,
-                                                &metrics_);
+        cache_ = std::make_unique<Lru<std::shared_ptr<const CompileReport>>>(
+            options_.cache_capacity, metrics_, "service.cache");
     }
     if (options_.template_cache_capacity > 0) {
-        template_cache_ = std::make_unique<TemplateCache>(
-            options_.template_cache_capacity, &metrics_);
+        template_cache_ =
+            std::make_unique<Lru<std::shared_ptr<const CompiledTemplate>>>(
+                options_.template_cache_capacity, metrics_,
+                "service.template");
     }
 }
 
 Service::~Service() = default;
-
-CompileCacheStats
-Service::compile_cache_stats() const
-{
-    return cache_ ? cache_->stats() : CompileCacheStats{};
-}
-
-TemplateCacheStats
-Service::template_cache_stats() const
-{
-    return template_cache_ ? template_cache_->stats()
-                           : TemplateCacheStats{};
-}
 
 util::StatusOr<std::shared_ptr<const arch::Backend>>
 Service::backend(const std::string& name)
@@ -324,16 +340,16 @@ Service::compile(const CompileRequest& request)
             const auto key = request_cache_key(request);
             if (key.ok()) {
                 const auto start = std::chrono::steady_clock::now();
-                auto hit = cache_->get(*key);
+                const auto hit = cache_->get(*key);
                 const double lookup_ms =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
                         .count();
-                if (hit.has_value()) {
-                    CompileReport cached = std::move(*hit);
+                if (hit != nullptr) {
+                    CompileReport cached = *hit;
                     cached.from_cache = true;
                     cached.stages = {{"cache", lookup_ms}};
-                    if (!request.name.empty()) cached.name = request.name;
+                    cached.name = report_name(request);
                     if (!tenant.empty()) {
                         metrics_.add(
                             "service.cache.hit.tenant." + tenant, 1.0);
@@ -347,7 +363,10 @@ Service::compile(const CompileRequest& request)
                 }
                 CompileReport fresh = compile_uncached(request);
                 record_request_metrics(request, fresh);
-                if (fresh.ok()) cache_->put(*key, fresh);
+                if (fresh.ok()) {
+                    cache_->put(*key,
+                                std::make_shared<const CompileReport>(fresh));
+                }
                 return fresh;
             }
         }
@@ -423,16 +442,10 @@ Service::compile_uncached(const CompileRequest& request,
 
     circuit::Circuit input;
     run_stage("load", [&]() -> util::Status {
-        const int provided = (request.circuit.has_value() ? 1 : 0) +
-                             (request.qasm.empty() ? 0 : 1) +
-                             (request.qasm_file.empty() ? 0 : 1) +
-                             (request.commuting.has_value() ? 1 : 0);
-        if (provided != 1) {
-            return util::Status::invalid_argument(
-                "provide exactly one input (circuit, qasm, qasm_file, "
-                "or commuting), got " +
-                std::to_string(provided));
+        if (auto single = check_single_input(request); !single.ok()) {
+            return single;
         }
+        report.name = report_name(request);
         if (request.commuting.has_value()) {
             if (request.strategy != Strategy::kQsCommuting &&
                 request.strategy != Strategy::kSrCaqr) {
@@ -442,7 +455,6 @@ Service::compile_uncached(const CompileRequest& request,
             }
             report.logical_qubits =
                 request.commuting->interaction.num_nodes();
-            if (report.name.empty()) report.name = "commuting";
             return {};
         }
         if (request.strategy == Strategy::kQsCommuting) {
@@ -460,11 +472,7 @@ Service::compile_uncached(const CompileRequest& request,
             auto parsed = qasm::parse_circuit_file(request.qasm_file);
             if (!parsed.ok()) return parsed.status();
             input = std::move(parsed).value();
-            if (report.name.empty()) {
-                report.name = fs::path(request.qasm_file).stem().string();
-            }
         }
-        if (report.name.empty()) report.name = "circuit";
         report.logical_qubits = input.active_qubit_count();
         return {};
     });
@@ -661,7 +669,6 @@ Service::compile_template(const CompileRequest& request)
 
     auto built = std::make_shared<CompiledTemplate>();
     built->id = next_template_id_.fetch_add(1, std::memory_order_relaxed);
-    built->skeleton_key = *key;
     built->param_names.reserve(base.compiled.params().size());
     for (const auto& param : base.compiled.params()) {
         built->param_names.push_back(param.name);
@@ -682,8 +689,8 @@ Service::compile_template(const CompileRequest& request)
     {
         std::lock_guard<std::mutex> lock(template_mutex_);
         templates_by_id_.emplace(frozen->id, frozen);
-        for (const auto& evicted : template_cache_->put(*key, frozen)) {
-            templates_by_id_.erase(evicted->id);
+        for (const auto& dropped : template_cache_->put(*key, frozen)) {
+            templates_by_id_.erase(dropped->id);
         }
     }
     return TemplateHandle{frozen->id};

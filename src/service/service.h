@@ -88,7 +88,7 @@ util::StatusOr<std::string> canonical_backend_name(
 struct CompileRequest
 {
     /// Label used in reports and CSV rows; defaults to the file stem
-    /// (file inputs) or "circuit".
+    /// (file inputs), "commuting" (commuting inputs) or "circuit".
     std::string name;
 
     /// Optional tenant tag for multi-tenant metrics: when nonempty,
@@ -126,6 +126,9 @@ struct CompileRequest
     bool simulate = false;
     sim::SimOptions sim;
 };
+
+/// kInvalidArgument unless @p request provides exactly one input.
+util::Status check_single_input(const CompileRequest& request);
 
 /// Wall-clock cost of one pipeline stage.
 struct StageTiming
@@ -200,7 +203,6 @@ struct TemplateHandle
 struct CompiledTemplate
 {
     std::uint64_t id = 0;
-    std::string skeleton_key;  ///< `template_cache_key` fingerprint
 
     /// The one compile's report. `base.compiled` carries the physical
     /// schedule with `param_ref` markers intact; quality metrics
@@ -284,10 +286,8 @@ struct ServiceOptions
  * Long-lived compilation driver. Thread-safe: `compile` may be called
  * from any thread, and `compile_batch` fans out over the owned pool.
  */
-class CompileCache;
-struct CompileCacheStats;
-class TemplateCache;
-struct TemplateCacheStats;
+template <typename V>
+class Lru;
 struct TemplateCapture;
 
 class Service
@@ -327,8 +327,10 @@ class Service
      * Aggregated request metrics since construction (or the last
      * `reset_metrics`): latency histograms — `service.total_ms`,
      * `service.stage.<stage>_ms` — plus `service.swaps/depth/esp/
-     * qubits` distributions, `service.requests/failures` and
-     * `service.backend_cache.hit/miss` counters, merged with the
+     * qubits` distributions, `service.requests/failures`,
+     * `service.backend_cache.hit/miss` and the cache tiers'
+     * `service.cache.*` / `service.template.*` counters (their only
+     * counts), merged with the
      * process-wide `util::metrics::global()` registry (pass counters
      * such as `qs_caqr.steps` and `router.swaps_added`, simulator
      * shots/sec). Every request contributes, not just the last one —
@@ -345,9 +347,6 @@ class Service
     /// `server.*` counters here so `metrics_snapshot` / the `stats`
     /// protocol command report transport and compile metrics together.
     util::metrics::Registry& metrics() { return metrics_; }
-
-    /// Lifetime compile-cache counters; zeros when caching is off.
-    CompileCacheStats compile_cache_stats() const;
 
     /**
      * Compile-once half of the template → bind model. Runs the full
@@ -384,9 +383,6 @@ class Service
     util::StatusOr<TemplateInfo> template_info(
         TemplateHandle handle) const;
 
-    /// Lifetime template-cache counters; zeros when templates are off.
-    TemplateCacheStats template_cache_stats() const;
-
   private:
     CompileReport compile_uncached(const CompileRequest& request,
                                    TemplateCapture* capture = nullptr);
@@ -402,13 +398,15 @@ class Service
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<const arch::Backend>> backends_;
     util::metrics::Registry metrics_;
-    std::unique_ptr<CompileCache> cache_;  ///< null = caching disabled
+    /// Content-addressed report cache (null = caching disabled).
+    std::unique_ptr<Lru<std::shared_ptr<const CompileReport>>> cache_;
 
     /// Skeleton-keyed LRU (null = templates disabled). Misses are
     /// admitted under `template_admission_mutex_` so one skeleton never
     /// compiles twice concurrently; `template_mutex_` guards only the
     /// id map, so binds never wait on a template compilation.
-    std::unique_ptr<TemplateCache> template_cache_;
+    std::unique_ptr<Lru<std::shared_ptr<const CompiledTemplate>>>
+        template_cache_;
     mutable std::mutex template_admission_mutex_;
     mutable std::mutex template_mutex_;
     std::unordered_map<std::uint64_t,

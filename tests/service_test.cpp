@@ -9,12 +9,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/benchmarks.h"
@@ -389,7 +392,7 @@ TEST(QasmToolServe, FinalLineWithoutNewlineIsServed)
 // Content-addressed compile cache
 // ---------------------------------------------------------------------
 
-TEST(CompileCacheKey, OptionOrderIsCanonicalized)
+TEST(RequestCacheKey, OptionOrderIsCanonicalized)
 {
     const std::string canonical = canonicalize_option_lines(
         {"a=1", "b=2", "c=3"});
@@ -404,7 +407,7 @@ TEST(CompileCacheKey, OptionOrderIsCanonicalized)
 /// Requests that differ only in how they were assembled — path vs
 /// inline content, backend alias, execution knobs — must share one
 /// cache key; anything result-affecting must split it.
-TEST(CompileCacheKey, SemanticallyIdenticalRequestsShareAKey)
+TEST(RequestCacheKey, SemanticallyIdenticalRequestsShareAKey)
 {
     const std::string path = circuits_dir() + "/bv_10.qasm";
     CompileRequest by_file;
@@ -446,7 +449,7 @@ TEST(CompileCacheKey, SemanticallyIdenticalRequestsShareAKey)
     EXPECT_NE(*request_cache_key(logical), *base);
 }
 
-TEST(CompileCacheKey, UnreadableOrMissingInputFails)
+TEST(RequestCacheKey, UnreadableOrMissingInputFails)
 {
     CompileRequest missing;
     missing.qasm_file = "/nonexistent/missing.qasm";
@@ -456,36 +459,101 @@ TEST(CompileCacheKey, UnreadableOrMissingInputFails)
     EXPECT_FALSE(request_cache_key(none).ok());
 }
 
-TEST(CompileCache, LruEvictsLeastRecentlyUsedAndCounts)
+/// The registry counter @p name, 0 when it was never recorded.
+double
+counter(const util::metrics::Snapshot& snapshot, const std::string& name)
+{
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0.0 : it->second;
+}
+
+using IntLru = Lru<std::shared_ptr<const int>>;
+
+TEST(Lru, GetRefreshesRecencyAndEvictionReturnsTheDropped)
 {
     util::metrics::Registry registry;
-    CompileCache cache(2, &registry);
-    CompileReport report;
-    report.name = "r";
+    IntLru cache(2, registry, "test.lru");
+    const auto one = std::make_shared<const int>(1);
+    const auto two = std::make_shared<const int>(2);
+    const auto three = std::make_shared<const int>(3);
 
-    cache.put("k1", report);
-    cache.put("k2", report);
-    EXPECT_TRUE(cache.get("k1").has_value());  // k1 now most recent
-    cache.put("k3", report);                   // evicts k2, not k1
-    EXPECT_TRUE(cache.get("k1").has_value());
-    EXPECT_FALSE(cache.get("k2").has_value());
-    EXPECT_TRUE(cache.get("k3").has_value());
-
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 3u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.size, 2u);
-    EXPECT_EQ(stats.capacity, 2u);
+    EXPECT_TRUE(cache.put("k1", one).empty());
+    EXPECT_TRUE(cache.put("k2", two).empty());
+    EXPECT_EQ(cache.get("k1"), one);  // k1 now most recent
+    const auto dropped = cache.put("k3", three);  // evicts k2, not k1
+    ASSERT_EQ(dropped.size(), 1u);
+    EXPECT_EQ(dropped[0], two);
+    EXPECT_EQ(cache.get("k1"), one);
+    EXPECT_EQ(cache.get("k2"), nullptr);
+    EXPECT_EQ(cache.get("k3"), three);
 
     const auto snapshot = registry.snapshot();
-    EXPECT_EQ(snapshot.counters.at("service.cache.hit"), 3.0);
-    EXPECT_EQ(snapshot.counters.at("service.cache.miss"), 1.0);
-    EXPECT_EQ(snapshot.counters.at("service.cache.evict"), 1.0);
+    EXPECT_EQ(snapshot.counters.at("test.lru.hit"), 3.0);
+    EXPECT_EQ(snapshot.counters.at("test.lru.miss"), 1.0);
+    EXPECT_EQ(snapshot.counters.at("test.lru.evict"), 1.0);
+    EXPECT_EQ(snapshot.counters.size(), 3u);  // nothing else is counted
+}
 
-    cache.clear();
-    EXPECT_EQ(cache.stats().size, 0u);
-    EXPECT_EQ(cache.stats().evictions, 1u);  // lifetime counters stay
+/// A same-key put hands back the value it replaces, so a caller can
+/// retire it — but it is not an eviction.
+TEST(Lru, SameKeyPutReturnsTheReplacedValue)
+{
+    util::metrics::Registry registry;
+    IntLru cache(2, registry, "test.lru");
+    const auto old_value = std::make_shared<const int>(1);
+    const auto new_value = std::make_shared<const int>(2);
+
+    EXPECT_TRUE(cache.put("k", old_value).empty());
+    const auto dropped = cache.put("k", new_value);
+    ASSERT_EQ(dropped.size(), 1u);
+    EXPECT_EQ(dropped[0], old_value);
+    EXPECT_EQ(cache.get("k"), new_value);
+    EXPECT_EQ(counter(registry.snapshot(), "test.lru.evict"), 0.0);
+
+    // The replacement refreshed "k": a second key then a third evicts
+    // the second, not "k".
+    cache.put("k2", old_value);
+    EXPECT_EQ(cache.get("k"), new_value);
+    cache.put("k3", old_value);
+    EXPECT_EQ(cache.get("k"), new_value);
+    EXPECT_EQ(cache.get("k2"), nullptr);
+}
+
+/// TSan coverage: eight threads churn a capacity-2 instance. Every
+/// lookup is counted exactly once, as a hit or a miss, and every
+/// eviction comes back to the putter that caused it.
+TEST(Lru, ConcurrentGetsAndPutsCountEveryLookup)
+{
+    util::metrics::Registry registry;
+    IntLru cache(2, registry, "test.lru");
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 200;
+    std::atomic<int> dropped_values{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kRounds; ++i) {
+                const std::string key = std::to_string((t + i) % 5);
+                if (const auto value = cache.get(key)) {
+                    EXPECT_GE(*value, 0);
+                }
+                const auto dropped =
+                    cache.put(key, std::make_shared<const int>(i));
+                dropped_values += static_cast<int>(dropped.size());
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(counter(snapshot, "test.lru.hit") +
+                  counter(snapshot, "test.lru.miss"),
+              static_cast<double>(kThreads * kRounds));
+    // Every put but the two left resident dropped exactly one value
+    // (an eviction or a same-key replacement).
+    EXPECT_EQ(dropped_values.load(), kThreads * kRounds - 2);
+    EXPECT_LE(counter(snapshot, "test.lru.evict"),
+              static_cast<double>(dropped_values.load()));
 }
 
 /// End to end through the Service: a repeated request is answered from
@@ -517,18 +585,50 @@ TEST(ServiceCompile, CacheHitReturnsIdenticalReport)
     other.qs.target_qubits = 2;
     EXPECT_FALSE(service.compile(other).from_cache);
 
-    const auto stats = service.compile_cache_stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.capacity, 8u);
-
     const auto snapshot = service.metrics_snapshot();
     EXPECT_EQ(snapshot.counters.at("service.cache.hit"), 1.0);
     EXPECT_EQ(snapshot.counters.at("service.cache.miss"), 2.0);
+    // Two entries fit in a capacity-8 cache: nothing was evicted.
+    EXPECT_EQ(counter(snapshot, "service.cache.evict"), 0.0);
+}
+
+/// Regression: a hit used to keep the name of the file that filled the
+/// entry. Two files with the same bytes share one entry, but each
+/// report is named for its own file.
+TEST(ServiceCompile, CacheHitIsNamedForItsOwnRequest)
+{
+    const fs::path dir = fs::temp_directory_path() / "caqr_cache_name_test";
+    fs::create_directories(dir);
+    for (const char* name : {"alpha.qasm", "beta.qasm"}) {
+        fs::copy_file(circuits_dir() + "/bv_10.qasm", dir / name,
+                      fs::copy_options::overwrite_existing);
+    }
+
+    Service service({.num_threads = 1, .cache_capacity = 8});
+    CompileRequest alpha;
+    alpha.qasm_file = (dir / "alpha.qasm").string();
+    CompileRequest beta;
+    beta.qasm_file = (dir / "beta.qasm").string();
+
+    const auto first = service.compile(alpha);
+    ASSERT_TRUE(first.ok()) << first.status.to_string();
+    EXPECT_FALSE(first.from_cache);
+    EXPECT_EQ(first.name, "alpha");
+
+    const auto second = service.compile(beta);
+    ASSERT_TRUE(second.ok()) << second.status.to_string();
+    EXPECT_TRUE(second.from_cache);
+    EXPECT_EQ(second.name, "beta");
+
+    // An explicit name still wins over the file stem on a hit.
+    CompileRequest named = beta;
+    named.name = "gamma";
+    EXPECT_EQ(service.compile(named).name, "gamma");
+    fs::remove_all(dir);
 }
 
 /// With the cache disabled (the default), nothing is ever served from
-/// cache and the stats stay zero — the historical behavior.
+/// cache and no cache counter is recorded — the historical behavior.
 TEST(ServiceCompile, CacheDisabledByDefault)
 {
     Service service({.num_threads = 1});
@@ -536,8 +636,11 @@ TEST(ServiceCompile, CacheDisabledByDefault)
     request.circuit = apps::bv_circuit(3);
     EXPECT_FALSE(service.compile(request).from_cache);
     EXPECT_FALSE(service.compile(request).from_cache);
-    EXPECT_EQ(service.compile_cache_stats().hits, 0u);
-    EXPECT_EQ(service.compile_cache_stats().capacity, 0u);
+    const auto snapshot = service.metrics_snapshot();
+    for (const char* name : {"service.cache.hit", "service.cache.miss",
+                             "service.cache.evict"}) {
+        EXPECT_EQ(snapshot.counters.count(name), 0u) << name;
+    }
 }
 
 /// Failed compiles are never cached: the same bad request keeps
@@ -547,11 +650,14 @@ TEST(ServiceCompile, FailuresAreNotCached)
     Service service({.num_threads = 1, .cache_capacity = 8});
     CompileRequest request;
     request.qasm = "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n";
-    EXPECT_FALSE(service.compile(request).ok());
-    EXPECT_FALSE(service.compile(request).ok());
-    const auto stats = service.compile_cache_stats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.size, 0u);
+    const auto first = service.compile(request);
+    const auto second = service.compile(request);
+    EXPECT_FALSE(first.ok());
+    EXPECT_FALSE(second.ok());
+    EXPECT_FALSE(second.from_cache);
+    const auto snapshot = service.metrics_snapshot();
+    EXPECT_EQ(counter(snapshot, "service.cache.hit"), 0.0);
+    EXPECT_EQ(counter(snapshot, "service.cache.miss"), 2.0);
 }
 
 /// Regression: qasm_tool used to exit 0 after printing nothing when

@@ -125,10 +125,13 @@ TEST(TemplateServiceTest, SecondCompileOfSameSkeletonIsACacheHit)
     EXPECT_EQ(first->id, second->id)
         << "same skeleton must return the resident handle";
 
-    const auto stats = service.template_cache_stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.size, 1u);
+    const auto snapshot = service.metrics_snapshot();
+    EXPECT_EQ(snapshot.counters.at("service.template.hit"), 1.0);
+    EXPECT_EQ(snapshot.counters.at("service.template.miss"), 1.0);
+    // One template is resident and nothing was evicted: the handle
+    // both requests got still binds.
+    EXPECT_EQ(snapshot.counters.count("service.template.evict"), 0u);
+    EXPECT_TRUE(service.bind(*first, {{1.0, 2.0}}).ok());
 }
 
 TEST(TemplateServiceTest, TemplateInfoExposesInterleavedParams)
@@ -227,7 +230,9 @@ TEST(TemplateServiceTest, EvictionRetiresHandles)
 
     const auto live = service.bind(*second, {{1.0, 2.0}});
     EXPECT_TRUE(live.ok()) << live.status().to_string();
-    EXPECT_EQ(service.template_cache_stats().evictions, 1u);
+    EXPECT_EQ(service.metrics_snapshot().counters.at(
+                  "service.template.evict"),
+              1.0);
 }
 
 TEST(TemplateServiceTest, ZeroCapacityDisablesTemplates)
