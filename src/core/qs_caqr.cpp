@@ -29,12 +29,26 @@ using circuit::Instruction;
  * commit appends its reset nodes. Operands keep their original qubit
  * ids, and `wire_of(q)` names the wire qubit q runs on by that wire's
  * head, the first original qubit on it, so live wires keep their
- * relative order, as wire compaction does. The per-step passes number
- * wires 0..num_qubits-1 by head and give clbit c wire num_qubits + c.
+ * relative order, as wire compaction does. StepTables numbers wires
+ * 0..num_qubits-1 by head and gives clbit c wire num_qubits + c.
  */
 class ReuseProgram
 {
   public:
+    /// What the last commit moved, for StepTables::update. Before the
+    /// first commit, the whole order.
+    struct Splice
+    {
+        /// order()[split, end): the reset nodes, then the splice's
+        /// descendants. Their forward values changed.
+        std::size_t split = 0;
+        /// order()[0, resume): the splice's non-descendants, then the
+        /// reset nodes. Their tails changed.
+        std::size_t resume = 0;
+        /// The head the commit merged away, or -1.
+        int target = -1;
+    };
+
     explicit ReuseProgram(const circuit::Circuit& input)
         : input_(&input),
           order_(input.size()),
@@ -43,13 +57,47 @@ class ReuseProgram
     {
         std::iota(order_.begin(), order_.end(), 0);
         std::iota(wire_of_.begin(), wire_of_.end(), 0);
+        // At most num_qubits - 1 commits, each appending at most two
+        // nodes and one scratch clbit: size every buffer once.
+        const auto qubits = static_cast<std::size_t>(num_qubits());
+        appended_.reserve(2 * qubits);
+        order_.reserve(node_capacity());
+        before_.reserve(node_capacity());
+        after_.reserve(node_capacity());
+        last_before_.assign(wire_capacity(), -1);
+        first_after_.assign(wire_capacity(), -1);
+        splice_.resume = order_.size();
     }
 
     int num_qubits() const { return input_->num_qubits(); }
     int num_wires() const { return num_qubits() + num_clbits_; }
     std::size_t num_nodes() const { return input_->size() + appended_.size(); }
+    std::size_t
+    node_capacity() const
+    {
+        return input_->size() + 2 * static_cast<std::size_t>(num_qubits());
+    }
+    std::size_t
+    wire_capacity() const
+    {
+        return static_cast<std::size_t>(2 * num_qubits() +
+                                        input_->num_clbits());
+    }
     const std::vector<int>& order() const { return order_; }
     int wire_of(int q) const { return wire_of_[static_cast<std::size_t>(q)]; }
+    const Splice& last_splice() const { return splice_; }
+    /// Last node on wire @p w before last_splice().split, or -1.
+    int
+    last_before(int w) const
+    {
+        return last_before_[static_cast<std::size_t>(w)];
+    }
+    /// First node on wire @p w from last_splice().resume on, or -1.
+    int
+    first_after(int w) const
+    {
+        return first_after_[static_cast<std::size_t>(w)];
+    }
 
     const Instruction&
     node(int id) const
@@ -88,6 +136,11 @@ class ReuseProgram
     std::vector<int> order_;
     std::vector<int> wire_of_;
     int num_clbits_;
+    Splice splice_;
+    std::vector<int> last_before_;
+    std::vector<int> first_after_;
+    std::vector<int> before_;  ///< commit's scratch partition
+    std::vector<int> after_;
 };
 
 /**
@@ -98,7 +151,9 @@ class ReuseProgram
  * splice's non-descendants in current order, the reset (a measure
  * unless the source wire already ends in one, then an x_if), then its
  * descendants, everything the target wire reaches, in current order.
- * A barrier joins every wire, as in CircuitDag.
+ * A barrier joins every wire, as in CircuitDag. A wire is tainted, and
+ * every later node on it a descendant, once its first descendant is
+ * found; the first descendant of all is on the target wire.
  */
 void
 ReuseProgram::commit(ReusePair pair)
@@ -108,38 +163,49 @@ ReuseProgram::commit(ReusePair pair)
     CAQR_CHECK(source != target && wire_of(source) == source &&
                    wire_of(target) == target,
                "commit needs two live wire heads");
-    std::vector<char> tainted(static_cast<std::size_t>(num_wires()), 0);
-    bool any_tainted = false;
+    std::fill(last_before_.begin(), last_before_.end(), -1);
+    std::fill(first_after_.begin(), first_after_.end(), -1);
+    const auto taint = [this](int w, int id) {
+        int& first = first_after_[static_cast<std::size_t>(w)];
+        if (first < 0) first = id;
+    };
+    before_.clear();
+    after_.clear();
     bool all_tainted = false;  // a barrier descends from the target
-    std::vector<int> before;
-    std::vector<int> after;
-    before.reserve(order_.size() + 2);
     int last_on_source = -1;
     for (int id : order_) {
         const Instruction& instr = node(id);
         bool descendant = all_tainted;
         if (instr.kind == GateKind::kBarrier) {
-            descendant = all_tainted = any_tainted;
+            descendant = all_tainted = !after_.empty();
+            for (int w = 0; w < num_wires(); ++w) {
+                if (descendant) {
+                    taint(w, id);
+                } else {
+                    last_before_[static_cast<std::size_t>(w)] = id;
+                }
+            }
         } else {
             bool on_source = false;
             for_each_wire(instr, [&](int w) {
-                descendant = descendant || w == target ||
-                             tainted[static_cast<std::size_t>(w)] != 0;
+                descendant = descendant || w == target || first_after(w) >= 0;
                 on_source = on_source || w == source;
             });
             if (descendant) {
                 CAQR_CHECK(!on_source, "commit called with an invalid pair");
+                for_each_wire(instr, [&](int w) { taint(w, id); });
+            } else {
                 for_each_wire(instr, [&](int w) {
-                    tainted[static_cast<std::size_t>(w)] = 1;
+                    last_before_[static_cast<std::size_t>(w)] = id;
                 });
-                any_tainted = true;
-            } else if (on_source) {
-                last_on_source = id;
+                if (on_source) last_on_source = id;
             }
         }
-        (descendant ? after : before).push_back(id);
+        (descendant ? after_ : before_).push_back(id);
     }
     CAQR_CHECK(last_on_source >= 0, "commit called with an invalid pair");
+    splice_.split = before_.size();
+    splice_.target = target;
 
     int clbit = node(last_on_source).kind == GateKind::kMeasure
                     ? node(last_on_source).clbit
@@ -152,16 +218,20 @@ ReuseProgram::commit(ReusePair pair)
         measure.kind = GateKind::kMeasure;
         measure.qubits = {source};
         measure.clbit = clbit;
-        before.push_back(append(std::move(measure)));
+        before_.push_back(append(std::move(measure)));
     }
     Instruction reset;
     reset.kind = GateKind::kX;
     reset.qubits = {source};
     reset.condition_bit = clbit;
     reset.condition_value = 1;
-    before.push_back(append(std::move(reset)));
-    before.insert(before.end(), after.begin(), after.end());
-    order_ = std::move(before);
+    before_.push_back(append(std::move(reset)));
+    splice_.resume = before_.size();
+    before_.insert(before_.end(), after_.begin(), after_.end());
+    order_.swap(before_);
+    // The source wire continues with the target wire's operations, and
+    // the first of them is the first descendant of all.
+    first_after_[static_cast<std::size_t>(source)] = first_after(target);
     for (int& wire : wire_of_) {
         if (wire == target) wire = source;
     }
@@ -189,25 +259,8 @@ ReuseProgram::build() const
     return output;
 }
 
-/// What one step needs, from one forward and one backward pass over the
-/// current order.
-struct StepAnalysis
-{
-    int qubits = 0;  ///< wires any instruction touches
-    int depth = 0;
-    double duration_dt = 0.0;
-    /// Pricing table under the selection model, indexed by wire head.
-    SpliceTiming timing;
-    /// Heads of the wires with a non-barrier operation, ascending.
-    std::vector<int> active;
-    /// Bitset words per row of `reach`.
-    std::size_t words = 0;
-    /// Row h: heads of the wires whose gates are, or precede, the last
-    /// gate on wire h (CircuitDag::qubit_reaches, by head).
-    std::vector<std::uint64_t> reach;
-};
-
-/// A node's weight under the depth and the duration model.
+/// A node's weight, or its finish time, under the depth and the
+/// duration model.
 struct NodeWeights
 {
     double unit = 0.0;
@@ -215,119 +268,234 @@ struct NodeWeights
 };
 
 /**
- * The step tables of @p program's current order. The forward pass keeps
- * the last completion time and reachability set per wire; the backward
- * pass the longest tail per wire. Only wire-order edges exist, which
- * are CircuitDag's edges up to transitivity, so every time and set is
- * bit-identical to the DAG's. @p weights caches each pool node's
- * weights across steps; nodes appended since the last call are added.
+ * What one sweep step needs of @p program's current order, kept across
+ * the sweep's commits. Per node: the forward values (unit and duration
+ * finish, and the reach set: heads of the wires whose gates are, or
+ * precede, the node) and the tail under the selection metric. Per head:
+ * the tables select_pair reads. Only wire-order edges exist, which are
+ * CircuitDag's edges up to transitivity, so every time and set is
+ * bit-identical to the DAG's.
+ *
+ * update() re-times what the last commit moved: the forward pass runs
+ * over the reset nodes and the splice's descendants, seeded from each
+ * wire's last non-descendant; the backward pass over the non-descendants
+ * and the reset, seeded from each wire's first descendant. Before the
+ * first commit both cover the whole order. This is exact:
+ *  - A non-descendant's ancestors, and the previous node on each of its
+ *    wires, are unchanged, so its finish and reach set are unchanged.
+ *    It never holds the target's bit: any node that does descends from
+ *    a gate on the target.
+ *  - A descendant's successors are all descendants in the same relative
+ *    order (no descendant is on the source wire), so its tail is
+ *    unchanged.
+ *  - Weights are >= 0, so finish rises and tail falls along a wire, in
+ *    floating point too. A head's finish and reach row are therefore
+ *    the values at its last gate, and its tail the value at its first
+ *    gate: the running max over its gates. The passes overwrite them
+ *    gate by gate, in order and in reverse order.
+ *  - Likewise the critical path, the max over node finishes, is the max
+ *    over each wire's last finish: every node of positive weight lies
+ *    on a wire.
+ * All buffers are sized for the pool's capacity once.
  */
-StepAnalysis
-analyze(const ReuseProgram& program, bool by_duration,
-        std::vector<NodeWeights>* weights)
+class StepTables
 {
-    const circuit::UnitDepthModel unit;
-    const circuit::LogicalDurations durations;
-    while (weights->size() < program.num_nodes()) {
-        const Instruction& instr =
-            program.node(static_cast<int>(weights->size()));
-        weights->push_back({unit.duration(instr), durations.duration(instr)});
+  public:
+    StepTables(const ReuseProgram& program, bool by_duration)
+        : by_duration_(by_duration),
+          words_((static_cast<std::size_t>(program.num_qubits()) + 63) / 64),
+          finish_(program.node_capacity()),
+          tail_(program.node_capacity()),
+          sets_(program.node_capacity() * words_),
+          wire_node_(program.wire_capacity()),
+          last_gate_(static_cast<std::size_t>(program.num_qubits()), -1),
+          active_(words_),
+          touched_(words_)
+    {
+        weights_.reserve(program.node_capacity());
+        timing_.qubit_finish.assign(last_gate_.size(), 0.0);
+        timing_.qubit_tail.assign(last_gate_.size(), 0.0);
     }
-    const auto num_qubits = static_cast<std::size_t>(program.num_qubits());
-    const auto num_wires = static_cast<std::size_t>(program.num_wires());
-    // Visits every wire of @p instr; a barrier joins every wire.
-    const auto visit_wires = [&](const Instruction& instr, auto&& fn) {
+
+    /// Brings the tables to @p program's current order.
+    void
+    update(const ReuseProgram& program)
+    {
+        const circuit::UnitDepthModel unit;
+        const circuit::LogicalDurations durations;
+        while (weights_.size() < program.num_nodes()) {
+            const Instruction& instr =
+                program.node(static_cast<int>(weights_.size()));
+            weights_.push_back(
+                {unit.duration(instr), durations.duration(instr)});
+        }
+        const auto& splice = program.last_splice();
+        if (splice.target >= 0) {
+            // The target's gates now run on the source wire.
+            clear_bit(&active_, splice.target);
+            clear_bit(&touched_, splice.target);
+        }
+        forward(program, splice.split);
+        backward(program, splice.resume);
+    }
+
+    int
+    qubits() const
+    {
+        int count = 0;
+        for (std::uint64_t word : touched_) count += std::popcount(word);
+        return count;
+    }
+    int depth() const { return static_cast<int>(critical_.unit + 0.5); }
+    double duration_dt() const { return critical_.duration; }
+    /// Pricing table under the selection metric, indexed by head.
+    const SpliceTiming& timing() const { return timing_; }
+    /// Bitset of the heads with a non-barrier operation.
+    const std::vector<std::uint64_t>& active() const { return active_; }
+    /// Row @p head: the reach set of the last gate on wire @p head
+    /// (CircuitDag::qubit_reaches, by head); @p head must be active.
+    const std::uint64_t*
+    reach(int head) const
+    {
+        return &sets_[static_cast<std::size_t>(
+                          last_gate_[static_cast<std::size_t>(head)]) *
+                      words_];
+    }
+    /// Nodes whose forward values update() computed, summed.
+    std::size_t nodes_timed() const { return nodes_timed_; }
+
+  private:
+    static void
+    clear_bit(std::vector<std::uint64_t>* bits, int index)
+    {
+        const auto i = static_cast<std::size_t>(index);
+        (*bits)[i >> 6] &= ~(1ULL << (i & 63));
+    }
+
+    static void
+    set_bit(std::vector<std::uint64_t>* bits, std::size_t i)
+    {
+        (*bits)[i >> 6] |= 1ULL << (i & 63);
+    }
+
+    /// Visits every wire of @p instr; a barrier joins every wire.
+    template <typename Fn>
+    static void
+    visit_wires(const ReuseProgram& program, const Instruction& instr,
+                Fn&& fn)
+    {
         if (instr.kind == GateKind::kBarrier) {
-            for (std::size_t w = 0; w < num_wires; ++w) fn(w);
+            for (int w = 0; w < program.num_wires(); ++w) {
+                fn(static_cast<std::size_t>(w));
+            }
         } else {
             program.for_each_wire(
                 instr, [&](int w) { fn(static_cast<std::size_t>(w)); });
         }
-    };
-
-    StepAnalysis step;
-    const std::size_t words = (num_qubits + 63) / 64;
-    step.words = words;
-    step.reach.assign(num_qubits * words, 0);
-    step.timing.qubit_finish.assign(num_qubits, 0.0);
-    step.timing.qubit_tail.assign(num_qubits, 0.0);
-
-    std::vector<NodeWeights> wire_finish(num_wires);
-    std::vector<std::uint64_t> wire_sets(num_wires * words, 0);
-    std::vector<std::uint64_t> joined(words);
-    std::vector<char> touched(num_qubits, 0);
-    std::vector<char> has_gate(num_qubits, 0);
-    NodeWeights critical;
-    for (int id : program.order()) {
-        const Instruction& instr = program.node(id);
-        NodeWeights start;
-        std::fill(joined.begin(), joined.end(), 0);
-        visit_wires(instr, [&](std::size_t wire) {
-            start.unit = std::max(start.unit, wire_finish[wire].unit);
-            start.duration =
-                std::max(start.duration, wire_finish[wire].duration);
-            const std::uint64_t* set = &wire_sets[wire * words];
-            for (std::size_t k = 0; k < words; ++k) joined[k] |= set[k];
-        });
-        const auto& weight = (*weights)[static_cast<std::size_t>(id)];
-        const NodeWeights finish{start.unit + weight.unit,
-                                 start.duration + weight.duration};
-        critical.unit = std::max(critical.unit, finish.unit);
-        critical.duration = std::max(critical.duration, finish.duration);
-        const bool barrier = instr.kind == GateKind::kBarrier;
-        for (int q : instr.qubits) {
-            const auto head = static_cast<std::size_t>(program.wire_of(q));
-            touched[head] = 1;
-            if (!barrier) joined[head >> 6] |= 1ULL << (head & 63);
-        }
-        visit_wires(instr, [&](std::size_t wire) {
-            wire_finish[wire] = finish;
-            std::copy(joined.begin(), joined.end(),
-                      wire_sets.begin() +
-                          static_cast<std::ptrdiff_t>(wire * words));
-        });
-        if (barrier) continue;
-        for (int q : instr.qubits) {
-            const auto head = static_cast<std::size_t>(program.wire_of(q));
-            has_gate[head] = 1;
-            step.timing.qubit_finish[head] =
-                std::max(step.timing.qubit_finish[head],
-                         by_duration ? finish.duration : finish.unit);
-            std::copy(joined.begin(), joined.end(),
-                      step.reach.begin() +
-                          static_cast<std::ptrdiff_t>(head * words));
-        }
-    }
-    step.depth = static_cast<int>(critical.unit + 0.5);
-    step.duration_dt = critical.duration;
-    step.timing.critical_path =
-        by_duration ? critical.duration : critical.unit;
-    for (std::size_t head = 0; head < num_qubits; ++head) {
-        if (touched[head] != 0) ++step.qubits;
-        if (has_gate[head] != 0) step.active.push_back(static_cast<int>(head));
     }
 
-    std::vector<double> wire_tail(num_wires, 0.0);
-    const auto& order = program.order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        const Instruction& instr = program.node(*it);
-        double best = 0.0;
-        visit_wires(instr, [&](std::size_t wire) {
-            best = std::max(best, wire_tail[wire]);
-        });
-        const auto& weight = (*weights)[static_cast<std::size_t>(*it)];
-        const double tail =
-            best + (by_duration ? weight.duration : weight.unit);
-        visit_wires(instr, [&](std::size_t wire) { wire_tail[wire] = tail; });
-        if (instr.kind == GateKind::kBarrier) continue;
-        for (int q : instr.qubits) {
-            const auto head = static_cast<std::size_t>(program.wire_of(q));
-            step.timing.qubit_tail[head] =
-                std::max(step.timing.qubit_tail[head], tail);
+    void
+    forward(const ReuseProgram& program, std::size_t split)
+    {
+        const auto num_wires = static_cast<std::size_t>(program.num_wires());
+        for (std::size_t w = 0; w < num_wires; ++w) {
+            wire_node_[w] = program.last_before(static_cast<int>(w));
+        }
+        const auto& order = program.order();
+        for (std::size_t pos = split; pos < order.size(); ++pos) {
+            const int id = order[pos];
+            const auto node = static_cast<std::size_t>(id);
+            const Instruction& instr = program.node(id);
+            NodeWeights start;
+            std::uint64_t* set = &sets_[node * words_];
+            std::fill(set, set + words_, 0);
+            visit_wires(program, instr, [&](std::size_t wire) {
+                const int prev = wire_node_[wire];
+                if (prev < 0) return;
+                const auto& before = finish_[static_cast<std::size_t>(prev)];
+                start.unit = std::max(start.unit, before.unit);
+                start.duration = std::max(start.duration, before.duration);
+                const std::uint64_t* prev_set =
+                    &sets_[static_cast<std::size_t>(prev) * words_];
+                for (std::size_t k = 0; k < words_; ++k) set[k] |= prev_set[k];
+            });
+            const auto& weight = weights_[node];
+            finish_[node] = {start.unit + weight.unit,
+                             start.duration + weight.duration};
+            visit_wires(program, instr,
+                        [&](std::size_t wire) { wire_node_[wire] = id; });
+            const bool barrier = instr.kind == GateKind::kBarrier;
+            for (int q : instr.qubits) {
+                const auto head = static_cast<std::size_t>(program.wire_of(q));
+                set_bit(&touched_, head);
+                if (barrier) continue;
+                set[head >> 6] |= 1ULL << (head & 63);
+                set_bit(&active_, head);
+                last_gate_[head] = id;
+                timing_.qubit_finish[head] =
+                    by_duration_ ? finish_[node].duration : finish_[node].unit;
+            }
+        }
+        nodes_timed_ += order.size() - split;
+        critical_ = NodeWeights{};
+        for (std::size_t w = 0; w < num_wires; ++w) {
+            if (wire_node_[w] < 0) continue;
+            const auto& last = finish_[static_cast<std::size_t>(wire_node_[w])];
+            critical_.unit = std::max(critical_.unit, last.unit);
+            critical_.duration = std::max(critical_.duration, last.duration);
+        }
+        timing_.critical_path =
+            by_duration_ ? critical_.duration : critical_.unit;
+    }
+
+    void
+    backward(const ReuseProgram& program, std::size_t resume)
+    {
+        const auto num_wires = static_cast<std::size_t>(program.num_wires());
+        for (std::size_t w = 0; w < num_wires; ++w) {
+            wire_node_[w] = program.first_after(static_cast<int>(w));
+        }
+        const auto& order = program.order();
+        for (std::size_t pos = resume; pos-- > 0;) {
+            const int id = order[pos];
+            const auto node = static_cast<std::size_t>(id);
+            const Instruction& instr = program.node(id);
+            double best = 0.0;
+            visit_wires(program, instr, [&](std::size_t wire) {
+                const int next = wire_node_[wire];
+                if (next < 0) return;
+                best = std::max(best, tail_[static_cast<std::size_t>(next)]);
+            });
+            const auto& weight = weights_[node];
+            tail_[node] = best + (by_duration_ ? weight.duration : weight.unit);
+            visit_wires(program, instr,
+                        [&](std::size_t wire) { wire_node_[wire] = id; });
+            if (instr.kind == GateKind::kBarrier) continue;
+            for (int q : instr.qubits) {
+                timing_.qubit_tail[static_cast<std::size_t>(
+                    program.wire_of(q))] = tail_[node];
+            }
         }
     }
-    return step;
-}
+
+    bool by_duration_;
+    std::size_t words_;
+    // Per node, indexed by id.
+    std::vector<NodeWeights> weights_;
+    std::vector<NodeWeights> finish_;
+    std::vector<double> tail_;
+    std::vector<std::uint64_t> sets_;  ///< words_ per node
+    /// Per wire: the pass's last node so far (forward) or next node
+    /// (backward), or -1.
+    std::vector<int> wire_node_;
+    // Per head.
+    std::vector<int> last_gate_;
+    SpliceTiming timing_;
+    std::vector<std::uint64_t> active_;
+    std::vector<std::uint64_t> touched_;  ///< any instruction's operand
+    NodeWeights critical_;
+    std::size_t nodes_timed_ = 0;
+};
 
 }  // namespace
 
@@ -387,35 +555,46 @@ struct Selection
     std::size_t valid = 0;  ///< 0: no valid pair, the sweep ends
 };
 
+/// Calls @p fn on every set bit of @p bits, ascending.
+template <typename Fn>
+void
+for_each_bit(const std::vector<std::uint64_t>& bits, Fn&& fn)
+{
+    for (std::size_t k = 0; k < bits.size(); ++k) {
+        for (std::uint64_t word = bits[k]; word != 0; word &= word - 1) {
+            fn(static_cast<int>(k * 64) + std::countr_zero(word));
+        }
+    }
+}
+
 /**
- * Prices the valid pairs of @p step under @p policy. (source, target)
+ * Prices the valid pairs of @p tables under @p policy. (source, target)
  * is valid iff no gate on target is, or precedes, a gate on source.
  * Ties go to the first candidate in (source, target) head order. A
  * source whose bounds over all active targets cannot displace the
  * incumbent is counted but not priced: no candidate it has could.
  */
 Selection
-select_pair(const StepAnalysis& step, SweepPolicy policy, double dummy_weight)
+select_pair(const StepTables& tables, SweepPolicy policy, double dummy_weight)
 {
-    const auto& timing = step.timing;
-    const std::size_t words = step.words;
+    const auto& timing = tables.timing();
+    const auto& active = tables.active();
+    const std::size_t words = active.size();
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<std::uint64_t> active(words, 0);
     double min_finish = kInf;
     double min_tail = kInf;
-    for (int head : step.active) {
+    for_each_bit(active, [&](int head) {
         const auto h = static_cast<std::size_t>(head);
-        active[h >> 6] |= 1ULL << (h & 63);
         min_finish = std::min(min_finish, timing.qubit_finish[h]);
         min_tail = std::min(min_tail, timing.qubit_tail[h]);
-    }
+    });
 
     Selection selection;
     double best_primary = kInf;
     double best_secondary = kInf;
-    for (int source : step.active) {
+    for_each_bit(active, [&](int source) {
         const auto s = static_cast<std::size_t>(source);
-        const std::uint64_t* row = &step.reach[s * words];
+        const std::uint64_t* row = tables.reach(source);
         for (std::size_t k = 0; k < words; ++k) {
             selection.valid +=
                 static_cast<std::size_t>(std::popcount(active[k] & ~row[k]));
@@ -430,7 +609,7 @@ select_pair(const StepAnalysis& step, SweepPolicy policy, double dummy_weight)
         if (primary_bound >= best_primary + 1e-9 ||
             (primary_bound >= best_primary - 1e-9 &&
              secondary_bound >= best_secondary - 1e-9)) {
-            continue;
+            return;
         }
         for (std::size_t k = 0; k < words; ++k) {
             for (std::uint64_t bits = active[k] & ~row[k]; bits != 0;
@@ -453,16 +632,17 @@ select_pair(const StepAnalysis& step, SweepPolicy policy, double dummy_weight)
                 }
             }
         }
-    }
+    });
     return selection;
 }
 
 /**
  * One greedy sweep (paper §3.2.1): each step prices the valid pairs in
  * closed form (select_pair) and commits the best one under @p policy.
- * A step is one analysis (a forward and a backward pass) and one commit
- * over the same node pool; no version's circuit is built. The step and
- * candidate totals reach the metrics registry once, at the end.
+ * A step is one commit over the same node pool and one StepTables
+ * update that re-times what the commit moved; no version's circuit is
+ * built. The step, candidate and re-timed node totals reach the metrics
+ * registry once, at the end.
  */
 std::vector<QsVersion>
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
@@ -476,21 +656,21 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
                     : 1.0;
 
     ReuseProgram program(circuit);
-    std::vector<NodeWeights> weights;
+    StepTables tables(program, by_duration);
     std::vector<QsVersion> versions;
     std::vector<ReusePair> applied;
     std::size_t steps = 0;
     std::size_t candidates = 0;
     for (;;) {
-        const auto step = analyze(program, by_duration, &weights);
-        versions.push_back(QsVersion{applied, step.qubits, step.depth,
-                                     step.duration_dt});
-        if (options.target_qubits >= 0 &&
-            step.qubits <= options.target_qubits) {
+        tables.update(program);
+        const int qubits = tables.qubits();
+        versions.push_back(QsVersion{applied, qubits, tables.depth(),
+                                     tables.duration_dt()});
+        if (options.target_qubits >= 0 && qubits <= options.target_qubits) {
             break;
         }
 
-        const auto selection = select_pair(step, policy, dummy_weight);
+        const auto selection = select_pair(tables, policy, dummy_weight);
         if (selection.valid == 0) break;
         ++steps;
         candidates += selection.valid;
@@ -500,13 +680,15 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
     auto& metrics = util::metrics::global();
     metrics.add("qs_caqr.steps", static_cast<double>(steps));
     metrics.add("qs_caqr.candidates", static_cast<double>(candidates));
+    metrics.add("qs_caqr.nodes_timed",
+                static_cast<double>(tables.nodes_timed()));
     return versions;
 }
 
 /// Best-effort run (no target validation): squeezes as far as the
 /// budget allows and records whether the target was reached.
 QsCaqrResult
-run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
+run_qs_caqr(circuit::Circuit circuit, const QsCaqrOptions& options)
 {
     util::trace::Span span("qs_caqr");
     // Two sweeps explore complementary regions of the search space
@@ -537,7 +719,7 @@ run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
     }
 
     QsCaqrResult result;
-    result.input = circuit;
+    result.input = std::move(circuit);
     for (auto it = by_count.rbegin(); it != by_count.rend(); ++it) {
         result.versions.push_back(*it->second);
     }
@@ -550,14 +732,14 @@ run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
 }  // namespace
 
 util::StatusOr<QsCaqrResult>
-qs_caqr_or(const circuit::Circuit& circuit, const QsCaqrOptions& options)
+qs_caqr_or(circuit::Circuit circuit, const QsCaqrOptions& options)
 {
     if (options.target_qubits < -1 || options.target_qubits == 0) {
         return util::Status::invalid_argument(
             "target_qubits must be positive or -1 (minimum), got " +
             std::to_string(options.target_qubits));
     }
-    QsCaqrResult result = run_qs_caqr(circuit, options);
+    QsCaqrResult result = run_qs_caqr(std::move(circuit), options);
     if (!result.reached_target) {
         return util::Status::infeasible(
             "cannot reach " + std::to_string(options.target_qubits) +

@@ -56,7 +56,10 @@ struct QsCaqrOptions : CommonOptions
     ReuseMetric metric = ReuseMetric::kDuration;
 };
 
-/// Result: versions[k] uses (original - k) qubits.
+/// Result: one version per qubit count the search reached, in
+/// descending count order. versions[0] has no commits and uses the
+/// input's active qubits (those any instruction touches), and each later
+/// version uses fewer.
 struct QsCaqrResult
 {
     /// The searched circuit; every version's commits replay onto it.
@@ -87,7 +90,9 @@ struct QsCaqrResult
 /// `target_qubits` reports `kInfeasible` (the message names the
 /// reachable minimum), a malformed target `kInvalidArgument`; a
 /// best-effort squeeze (`target_qubits = -1`) always succeeds.
-util::StatusOr<QsCaqrResult> qs_caqr_or(const circuit::Circuit& circuit,
+/// @p circuit becomes the result's `input`: move it in when the caller
+/// no longer needs it.
+util::StatusOr<QsCaqrResult> qs_caqr_or(circuit::Circuit circuit,
                                         const QsCaqrOptions& options = {});
 
 /// Options for the commuting-workload search. The embedded

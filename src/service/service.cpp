@@ -534,7 +534,8 @@ Service::compile_uncached(const CompileRequest& request,
                 return util::Status::invalid_argument(
                     "select_by_esp needs map_to_backend");
             }
-            auto result = core::qs_caqr_or(input, request.qs);
+            // The stage is the input's last reader.
+            auto result = core::qs_caqr_or(std::move(input), request.qs);
             if (!result.ok()) return result.status();
             std::size_t index = result->versions.size() - 1;
             if (request.select_by_esp) {

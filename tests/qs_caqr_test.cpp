@@ -23,6 +23,7 @@
 #include "oracle.h"
 #include "qasm/printer.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -314,17 +315,21 @@ TEST(QsCaqrOracle, LargeRandomCircuitsMatchPerStepRebuild)
 
 TEST(QsCaqrOracle, BvAndCoinAtReuseSweepWeightMatchPerStepRebuild)
 {
-    // The reuse_sweep benchmark's inputs: (n - 1) / 3 secret bits set.
-    util::Rng rng(1);
-    for (int n = 12; n <= 26; ++n) {
-        for (int copy = 0; copy < 3; ++copy) {
-            const auto bits = random_bits(n - 1, (n - 1) / 3, rng);
-            const auto tag =
-                std::to_string(n) + " copy " + std::to_string(copy);
-            expect_matches_reference(apps::bv_circuit(n, bits), {},
-                                     "bv" + tag);
-            expect_matches_reference(apps::cc_circuit(n, bits), {},
-                                     "cc" + tag);
+    // caqrbench's reuse_sweep and serve_hot90 inputs set (n - 1) / 2
+    // secret bits; (n - 1) / 3 adds sparser ones.
+    for (const int divisor : {3, 2}) {
+        util::Rng rng(1);
+        for (int n = 12; n <= 26; ++n) {
+            for (int copy = 0; copy < 3; ++copy) {
+                const auto bits = random_bits(n - 1, (n - 1) / divisor, rng);
+                const auto tag = std::to_string(n) + " copy " +
+                                 std::to_string(copy) + " weight 1/" +
+                                 std::to_string(divisor);
+                expect_matches_reference(apps::bv_circuit(n, bits), {},
+                                         "bv" + tag);
+                expect_matches_reference(apps::cc_circuit(n, bits), {},
+                                         "cc" + tag);
+            }
         }
     }
 }
@@ -357,6 +362,32 @@ TEST(QsCaqrOracle, PositiveTargetStopsWhereRebuildStops)
                 "seed " + std::to_string(seed));
         }
     }
+}
+
+TEST(QsCaqr, SweepRetimesOnlyWhatCommitsMove)
+{
+    // Each step re-times the reset nodes and the splice's descendants,
+    // not the whole order: on sparse BV-127 under a tenth of it.
+    const int n = 127;
+    std::vector<int> secret(static_cast<std::size_t>(n - 1));
+    for (std::size_t i = 0; i < secret.size(); ++i) {
+        secret[i] = i % 3 == 0 ? 1 : 0;
+    }
+    const auto input = apps::bv_circuit(n, secret);
+    const auto counter = [](const char* name) {
+        const auto snapshot = util::metrics::global().snapshot();
+        const auto it = snapshot.counters.find(name);
+        return it == snapshot.counters.end() ? 0.0 : it->second;
+    };
+    const double steps_before = counter("qs_caqr.steps");
+    const double timed_before = counter("qs_caqr.nodes_timed");
+    ASSERT_TRUE(core::qs_caqr_or(input).ok());
+    const double steps = counter("qs_caqr.steps") - steps_before;
+    const double timed = counter("qs_caqr.nodes_timed") - timed_before;
+    EXPECT_GT(steps, 0.0);
+    EXPECT_GE(timed, 2.0 * static_cast<double>(input.size()));
+    EXPECT_LT(timed,
+              (steps + 1.0) * static_cast<double>(input.size()) / 3.0);
 }
 
 TEST(QsCaqr, ReplayedCircuitIsTheSearchedInput)
