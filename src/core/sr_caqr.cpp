@@ -12,6 +12,7 @@
 #include "circuit/timing.h"
 #include "transpile/decompose.h"
 #include "transpile/router.h"
+#include "transpile/sabre.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -75,24 +76,6 @@ SrPlan::SrPlan(const Circuit& input)
     }
 }
 
-/// Mutable compilation state for the SR-CaQR engine.
-struct SrState
-{
-    const SrPlan* plan;
-    const arch::Backend* backend;
-    const SrCaqrOptions* options;
-
-    Circuit output;
-    std::vector<int> phys_of;      // logical -> physical or -1
-    std::vector<int> logical_of;   // physical -> logical or -1
-    std::vector<bool> ever_used;   // physical touched at least once
-    int qubits_used = 0;           // true slots of ever_used
-    std::vector<int> remaining_ops;  // per logical qubit
-    util::Rng* jitter_rng = nullptr;  // set when options->jitter > 0
-    int swaps_added = 0;
-    int reuses = 0;
-};
-
 /// The anchor's SWAP and physical-qubit counts. Both only grow during
 /// a trial, so a trial that exceeds either can no longer be admissible
 /// and stops early.
@@ -102,19 +85,66 @@ struct SrBound
     int qubits;
 };
 
-/// Seeded tie-break noise added to a placement key / SWAP score.
-double
-jitter_of(const SrState& state)
+/**
+ * One SR-CaQR trial's state, and SR's policy for the shared SABRE loop
+ * (paper §3.3.1): operands are placed on demand (Step 2, with the
+ * delaying rule), a qubit is reclaimed once its last gate has run
+ * (Step 4), and the stall escape force-routes the most urgent blocked
+ * gate (lowest latest completion time).
+ */
+struct SrState
 {
-    if (state.jitter_rng == nullptr) return 0.0;
-    return state.options->jitter * state.jitter_rng->next_double();
-}
+    static constexpr bool kPlacesOnDemand = true;
+    static constexpr bool kWindowStopsAtCap = false;
+
+    const SrPlan* plan;
+    const arch::Backend* backend;
+    const SrCaqrOptions* options;
+    const SrBound* bound = nullptr;  // none: run every trial to the end
+
+    Circuit output;
+    /// The loop's scratch; its phys_of is -1 for an unplaced qubit.
+    transpile::RouterScratch routing;
+    std::vector<bool> ever_used;   // physical touched at least once
+    int qubits_used = 0;           // true slots of ever_used
+    std::vector<int> remaining_ops;  // per logical qubit
+    util::Rng* jitter_rng = nullptr;  // set when options->jitter > 0
+    int reuses = 0;
+    std::vector<int> to_map;  // place() worklist
+
+    bool place(const std::vector<int>& frontier,
+               const std::vector<int>& blocked);
+    void on_execute(const Instruction& instr);
+    void on_swap(int pa, int pb);
+    int
+    escape_gate(const std::vector<int>& blocked) const
+    {
+        const auto& latest = plan->latest;
+        return *std::min_element(
+            blocked.begin(), blocked.end(),
+            [&](int a, int b) { return latest[a] < latest[b]; });
+    }
+    bool adds_noise() const { return jitter_rng != nullptr; }
+    /// Seeded tie-break noise added to a placement key / SWAP score.
+    double
+    noise() const
+    {
+        if (jitter_rng == nullptr) return 0.0;
+        return options->jitter * jitter_rng->next_double();
+    }
+    bool
+    over_budget(int swaps) const
+    {
+        return bound != nullptr &&
+               (swaps > bound->swaps || qubits_used > bound->qubits);
+    }
+};
 
 /// Free physical qubits = not currently hosting a logical qubit.
 bool
 is_free(const SrState& state, int phys)
 {
-    return state.logical_of[phys] < 0;
+    return state.routing.logical_of[phys] < 0;
 }
 
 /// Seeds the first operand of a gate: a free physical qubit that is
@@ -126,13 +156,14 @@ pick_seed_phys(const SrState& state, int logical_q)
     const auto& backend = *state.backend;
     const auto& topology = backend.topology();
     const int np = backend.num_qubits();
+    const auto& phys_of = state.routing.phys_of;
 
     // Distance rows of logical_q's future partners that are already
     // mapped (one per gate, so repeated partners weigh more).
     std::vector<const int*> partner_rows;
     for (int other : state.plan->partners[logical_q]) {
-        if (state.phys_of[other] >= 0) {
-            partner_rows.push_back(backend.distance_row(state.phys_of[other]));
+        if (phys_of[other] >= 0) {
+            partner_rows.push_back(backend.distance_row(phys_of[other]));
         }
     }
 
@@ -160,7 +191,7 @@ pick_seed_phys(const SrState& state, int logical_q)
             score -= backend.calibration().qubit(p).readout_error;
             score -= backend.best_incident_cx_error(p);
         }
-        score -= jitter_of(state);
+        score -= state.noise();
         if (score > best_score) {
             best_score = score;
             best = p;
@@ -180,14 +211,13 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
 {
     const auto& backend = *state.backend;
     const int np = backend.num_qubits();
+    const auto& phys_of = state.routing.phys_of;
 
     std::vector<const int*> future_rows;
     if (state.options->placement_pull > 0.0) {
         for (int other : state.plan->partners[logical_q]) {
-            if (state.phys_of[other] >= 0 &&
-                state.phys_of[other] != partner_phys) {
-                future_rows.push_back(
-                    backend.distance_row(state.phys_of[other]));
+            if (phys_of[other] >= 0 && phys_of[other] != partner_phys) {
+                future_rows.push_back(backend.distance_row(phys_of[other]));
             }
         }
     }
@@ -218,7 +248,7 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
                 }
             }
         }
-        key += jitter_of(state);
+        key += state.noise();
         if (key < best_key) {
             best_key = key;
             best = p;
@@ -240,86 +270,183 @@ mark_used(SrState& state, int phys)
 void
 assign(SrState& state, int logical_q, int phys)
 {
-    state.phys_of[logical_q] = phys;
-    if (state.logical_of[phys] >= 0 || state.ever_used[phys]) {
+    auto& logical_of = state.routing.logical_of;
+    state.routing.phys_of[logical_q] = phys;
+    if (logical_of[phys] >= 0 || state.ever_used[phys]) {
         // Reassigning a previously-used wire = a qubit reuse event.
         ++state.reuses;
     }
-    state.logical_of[phys] = logical_q;
+    logical_of[phys] = logical_q;
     mark_used(state, phys);
 }
 
-/// Applies a SWAP on physical link (pa, pb), updating the mapping.
+/// Places the unplaced operands of @p instr per paper Step 2.
 void
-apply_swap(SrState& state, int pa, int pb)
+map_operands(SrState& state, const Instruction& instr)
 {
-    Instruction swap_instr;
-    swap_instr.kind = GateKind::kSwap;
-    swap_instr.qubits = {pa, pb};
-    state.output.append(std::move(swap_instr));
-    ++state.swaps_added;
-    mark_used(state, pa);
-    mark_used(state, pb);
-
-    const int la = state.logical_of[pa];
-    const int lb = state.logical_of[pb];
-    if (la >= 0) state.phys_of[la] = pb;
-    if (lb >= 0) state.phys_of[lb] = pa;
-    std::swap(state.logical_of[pa], state.logical_of[pb]);
+    const auto& phys_of = state.routing.phys_of;
+    std::vector<int> unmapped;
+    for (int q : instr.qubits) {
+        if (phys_of[q] < 0) unmapped.push_back(q);
+    }
+    if (unmapped.size() == 2) {
+        // Busier qubit first (it constrains the future more).
+        int first = unmapped[0];
+        int second = unmapped[1];
+        if (state.remaining_ops[second] > state.remaining_ops[first]) {
+            std::swap(first, second);
+        }
+        assign(state, first, pick_seed_phys(state, first));
+        assign(state, second,
+               pick_adjacent_phys(state, second, phys_of[first]));
+    } else if (unmapped.size() == 1) {
+        const int lq = unmapped[0];
+        int partner_phys = -1;
+        for (int q : instr.qubits) {
+            if (q != lq) partner_phys = phys_of[q];
+        }
+        assign(state, lq,
+               partner_phys >= 0
+                   ? pick_adjacent_phys(state, lq, partner_phys)
+                   : pick_seed_phys(state, lq));
+    }
 }
 
-/// Emits one logical instruction (operands must be mapped & routed).
-void
-emit(SrState& state, const Instruction& instr)
+/// Mapping decisions (paper Step 2): critical gates with unplaced
+/// operands are placed now; non-critical ones stay delayed while
+/// routed gates can still make progress. Returns whether anything was
+/// placed.
+bool
+SrState::place(const std::vector<int>& frontier,
+               const std::vector<int>& blocked)
 {
-    Instruction mapped = instr;
-    for (auto& q : mapped.qubits) {
-        CAQR_CHECK(state.phys_of[q] >= 0, "emitting unmapped qubit");
-        q = state.phys_of[q];
-        mark_used(state, q);
+    const auto& earliest = plan->earliest;
+    const auto& latest = plan->latest;
+    to_map.clear();
+    int most_urgent = -1;
+    for (std::size_t i = 0, b = 0; i < frontier.size(); ++i) {
+        const int node = frontier[i];
+        // blocked is the placed subsequence of frontier.
+        if (b < blocked.size() && blocked[b] == node) {
+            ++b;
+            continue;
+        }
+        if (!options->delay_noncritical ||
+            std::abs(earliest[node] - latest[node]) < 1e-9) {
+            to_map.push_back(node);
+        }
+        if (most_urgent < 0 || latest[node] < latest[most_urgent]) {
+            most_urgent = node;
+        }
     }
-    state.output.append(std::move(mapped));
+    if (to_map.empty() && blocked.empty()) {
+        // Everything is delayed: force the most urgent gate.
+        to_map.push_back(most_urgent);
+    }
+    std::sort(to_map.begin(), to_map.end(), [&](int a, int b) {
+        return earliest[a] < earliest[b];
+    });
+    for (int node : to_map) {
+        map_operands(*this, plan->logical.at(static_cast<std::size_t>(node)));
+    }
+    return !to_map.empty();
 }
 
 /// Reclaims operand qubits that have no remaining operations
 /// (paper Step 4): conditional reset, then back to the free pool.
 void
-reclaim_finished(SrState& state, const Instruction& executed,
-                 const Instruction& logical_instr)
+SrState::on_execute(const Instruction& instr)
 {
-    for (std::size_t slot = 0; slot < logical_instr.qubits.size();
-         ++slot) {
-        const int lq = logical_instr.qubits[slot];
-        if (--state.remaining_ops[lq] > 0) continue;
+    for (int lq : instr.qubits) {
+        if (--remaining_ops[lq] > 0) continue;
 
-        const int phys = state.phys_of[lq];
+        const int phys = routing.phys_of[lq];
         // Reset so the wire re-enters the pool clean: conditional X on
         // the just-written clbit when the last op was a measurement,
         // otherwise measure into a scratch bit first.
-        if (logical_instr.kind == GateKind::kMeasure) {
-            state.output.x_if(phys, executed.clbit, 1);
+        if (instr.kind == GateKind::kMeasure) {
+            output.x_if(phys, instr.clbit, 1);
         } else {
-            const int scratch = state.output.add_clbit();
-            state.output.measure(phys, scratch);
-            state.output.x_if(phys, scratch, 1);
+            const int scratch = output.add_clbit();
+            output.measure(phys, scratch);
+            output.x_if(phys, scratch, 1);
         }
-        state.logical_of[phys] = -1;
-        state.phys_of[lq] = -1;
+        routing.logical_of[phys] = -1;
+        routing.phys_of[lq] = -1;
     }
 }
 
-}  // namespace
+void
+SrState::on_swap(int pa, int pb)
+{
+    mark_used(*this, pa);
+    mark_used(*this, pb);
+}
 
-namespace {
+/// One trial's outcome: a result, or none when the trial was pruned or
+/// failed (`status`), plus the SABRE loop's stall counts.
+struct SrTrial
+{
+    util::Status status;
+    std::optional<SrCaqrResult> result;
+    double esp = 0.0;
+    transpile::SabreStats stats;
+};
 
-std::optional<SrCaqrResult> sr_caqr_single(const SrPlan& plan,
-                                           const arch::Backend& backend,
-                                           const SrCaqrOptions& options,
-                                           const SrBound* bound);
+/// One trial of the engine: the shared SABRE loop under SR's policy.
+/// With a @p bound, the trial is pruned as soon as it has more SWAPs or
+/// more physical qubits than the bound.
+SrTrial
+sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
+               const SrCaqrOptions& options, const SrBound* bound)
+{
+    const Circuit& logical = plan.logical;
+    const int np = backend.num_qubits();
+    util::Rng jitter_rng(options.seed, options.jitter_stream);
+
+    SrState state;
+    state.plan = &plan;
+    state.backend = &backend;
+    state.options = &options;
+    state.bound = bound;
+    if (options.jitter > 0.0) state.jitter_rng = &jitter_rng;
+    state.output = Circuit(np, logical.num_clbits());
+    state.output.copy_params_from(logical);
+    state.routing.phys_of.assign(
+        static_cast<std::size_t>(logical.num_qubits()), -1);
+    state.routing.logical_of.assign(static_cast<std::size_t>(np), -1);
+    state.ever_used.assign(static_cast<std::size_t>(np), false);
+    state.remaining_ops = plan.ops_per_qubit;
+
+    // A speculative SWAP streak of 2 * np escapes; the window, decay
+    // and reset interval are the router's defaults.
+    transpile::RouterOptions sabre;
+    sabre.lookahead_weight = options.swap_lookahead_weight;
+    sabre.error_aware = options.error_aware;
+    sabre.stall_escape_after = 2 * np;
+    transpile::SabreLoop loop(plan.dag, backend, sabre, state.routing,
+                              state.output, state);
+    SrTrial trial;
+    trial.status = loop.run();
+    trial.stats = loop.stats();
+    if (!trial.status.ok()) {
+        // A pruned trial has no result, and is no failure.
+        if (trial.stats.pruned) trial.status = util::Status();
+        return trial;
+    }
+
+    SrCaqrResult& result = trial.result.emplace();
+    result.swaps_added = trial.stats.swaps_added;
+    result.reuses = state.reuses;
+    result.physical_qubits_used = state.qubits_used;
+    result.circuit = std::move(state.output);
+    return trial;
+}
 
 /// Full variant-trials run; the caller has already checked that the
-/// circuit fits the backend.
-SrCaqrResult
+/// circuit fits the backend. A trial that fails fails the run, with
+/// the failure of the lowest-index one.
+util::StatusOr<SrCaqrResult>
 run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             const SrCaqrOptions& options)
 {
@@ -359,16 +486,10 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     CAQR_CHECK(plan.logical.num_qubits() <= backend.num_qubits(),
                "circuit does not fit the backend");
 
-    // A trial's result plus its estimated success probability — ESP is
-    // part of the winner selection below, so it is computed inside the
-    // (possibly racing) trial rather than serially afterwards, from the
-    // same calibrated schedule that gives the trial's duration. A
-    // pruned trial has no result.
-    struct TrialResult
-    {
-        std::optional<SrCaqrResult> result;
-        double esp = 0.0;
-    };
+    // ESP is part of the winner selection below, so it is computed
+    // inside the (possibly racing) trial rather than serially
+    // afterwards, from the same calibrated schedule that gives the
+    // trial's duration.
     auto run_variant = [&](std::size_t trial, const SrBound* bound) {
         // Rebind the owning request on this (possibly pool) thread so
         // raced variants from concurrent requests keep their spans
@@ -399,8 +520,7 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             variant.jitter = kJitterAmps[j % 4];
             variant.jitter_stream = j / 4;
         }
-        TrialResult out;
-        out.result = sr_caqr_single(plan, backend, variant, bound);
+        SrTrial out = sr_caqr_single(plan, backend, variant, bound);
         if (!out.result) return out;
         SrCaqrResult& result = *out.result;
         result.depth = circuit::depth(result.circuit);
@@ -428,7 +548,7 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
             return run_variant(first + i, bound);
         };
         if (pool != nullptr) return pool->map(last - first, run);
-        std::vector<TrialResult> batch;
+        std::vector<SrTrial> batch;
         batch.reserve(last - first);
         for (std::size_t i = 0; i < last - first; ++i) {
             batch.push_back(run(i));
@@ -444,7 +564,14 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     // the narrower pre-PR-9 sweep produced. These trials run first and
     // to completion.
     const std::size_t legacy = std::min<std::size_t>(trials, 4);
-    std::vector<TrialResult> results = run_trials(0, legacy, nullptr);
+    std::vector<SrTrial> results = run_trials(0, legacy, nullptr);
+    const auto failure = [&]() -> const util::Status* {
+        for (const SrTrial& trial : results) {
+            if (!trial.status.ok()) return &trial.status;
+        }
+        return nullptr;
+    };
+    if (const util::Status* status = failure()) return *status;
     std::size_t anchor = 0;
     for (std::size_t i = 1; i < legacy; ++i) {
         const SrCaqrResult& r = *results[i].result;
@@ -474,6 +601,7 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
         run_trials(legacy, static_cast<std::size_t>(trials), &bound);
     std::move(challengers.begin(), challengers.end(),
               std::back_inserter(results));
+    if (const util::Status* status = failure()) return *status;
 
     int pruned = 0;
     std::size_t winner = anchor;
@@ -501,9 +629,18 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     }
     SrCaqrResult best = std::move(*results[winner].result);
 
+    long long stall_iterations = 0;
+    long long stall_escapes = 0;
+    for (const SrTrial& trial : results) {
+        stall_iterations += trial.stats.stall_iterations;
+        stall_escapes += trial.stats.stall_escapes;
+    }
     auto& metrics = util::metrics::global();
     metrics.add("sr_caqr.variant_trials", trials);
     metrics.add("sr_caqr.trials_pruned", pruned);
+    metrics.add("sr_caqr.stall_iterations",
+                static_cast<double>(stall_iterations));
+    metrics.add("sr_caqr.stall_escapes", static_cast<double>(stall_escapes));
     metrics.add("sr_caqr.swaps_added", best.swaps_added);
     metrics.add("sr_caqr.reuses", best.reuses);
     return best;
@@ -523,317 +660,6 @@ sr_caqr_or(const Circuit& logical, const arch::Backend& backend,
     }
     return run_sr_caqr(logical, backend, options);
 }
-
-namespace {
-
-/// One trial of the engine. With a @p bound, returns nullopt as soon as
-/// the trial has more SWAPs or more physical qubits than the bound.
-std::optional<SrCaqrResult>
-sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
-               const SrCaqrOptions& options, const SrBound* bound)
-{
-    const Circuit& logical = plan.logical;
-    const circuit::CircuitDag& dag = plan.dag;
-    const auto& earliest = plan.earliest;
-    const auto& latest = plan.latest;
-
-    util::Rng jitter_rng(options.seed, options.jitter_stream);
-
-    SrState state;
-    state.plan = &plan;
-    state.backend = &backend;
-    state.options = &options;
-    if (options.jitter > 0.0) state.jitter_rng = &jitter_rng;
-    state.output = Circuit(backend.num_qubits(), logical.num_clbits());
-    state.output.copy_params_from(logical);
-    state.phys_of.assign(static_cast<std::size_t>(logical.num_qubits()),
-                         -1);
-    state.logical_of.assign(
-        static_cast<std::size_t>(backend.num_qubits()), -1);
-    state.ever_used.assign(
-        static_cast<std::size_t>(backend.num_qubits()), false);
-    state.remaining_ops = plan.ops_per_qubit;
-
-    const int num_nodes = dag.graph().num_nodes();
-    std::vector<int> preds_left(static_cast<std::size_t>(num_nodes));
-    std::vector<int> frontier;
-    for (int node = 0; node < num_nodes; ++node) {
-        preds_left[node] = dag.graph().in_degree(node);
-        if (preds_left[node] == 0) frontier.push_back(node);
-    }
-
-    // Maps the unmapped operands of @p node per paper Step 2.
-    auto map_operands = [&](int node) {
-        const Instruction& instr =
-            logical.at(static_cast<std::size_t>(node));
-        std::vector<int> unmapped;
-        for (int q : instr.qubits) {
-            if (state.phys_of[q] < 0) unmapped.push_back(q);
-        }
-        if (unmapped.size() == 2) {
-            // Busier qubit first (it constrains the future more).
-            int first = unmapped[0];
-            int second = unmapped[1];
-            if (state.remaining_ops[second] > state.remaining_ops[first]) {
-                std::swap(first, second);
-            }
-            assign(state, first, pick_seed_phys(state, first));
-            assign(state, second,
-                   pick_adjacent_phys(state, second,
-                                      state.phys_of[first]));
-        } else if (unmapped.size() == 1) {
-            const int lq = unmapped[0];
-            int partner_phys = -1;
-            for (int q : instr.qubits) {
-                if (q != lq) partner_phys = state.phys_of[q];
-            }
-            assign(state, lq,
-                   partner_phys >= 0
-                       ? pick_adjacent_phys(state, lq, partner_phys)
-                       : pick_seed_phys(state, lq));
-        }
-    };
-
-    // Lookahead window: upcoming two-qubit gates (successor closure of
-    // the frontier) whose operands are already mapped. A SWAP changes
-    // neither the frontier nor which qubits are mapped, so the window
-    // and the stall index are rebuilt only after a gate executes or an
-    // operand is mapped.
-    constexpr int kLookaheadSize = 20;
-    std::vector<int> window;
-    std::vector<int> bfs_queue;
-    std::vector<std::uint32_t> seen_stamp(static_cast<std::size_t>(num_nodes),
-                                          0);
-    std::uint32_t generation = 0;
-    transpile::StallIndex stall;
-    bool stall_valid = false;
-    auto rebuild_stall = [&](const std::vector<int>& blocked_mapped) {
-        window.clear();
-        bfs_queue.assign(frontier.begin(), frontier.end());
-        if (++generation == 0) {
-            // Stamp wrap-around: invalidate every stale stamp once.
-            std::fill(seen_stamp.begin(), seen_stamp.end(), 0u);
-            generation = 1;
-        }
-        for (int node : bfs_queue) seen_stamp[node] = generation;
-        std::size_t head = 0;
-        while (head < bfs_queue.size() &&
-               static_cast<int>(window.size()) < kLookaheadSize) {
-            const int node = bfs_queue[head++];
-            for (int succ : dag.graph().successors(node)) {
-                if (seen_stamp[succ] == generation) continue;
-                seen_stamp[succ] = generation;
-                bfs_queue.push_back(succ);
-                const auto& instr =
-                    logical.at(static_cast<std::size_t>(succ));
-                if (circuit::is_two_qubit(instr.kind) &&
-                    state.phys_of[instr.qubits[0]] >= 0 &&
-                    state.phys_of[instr.qubits[1]] >= 0) {
-                    window.push_back(succ);
-                }
-            }
-        }
-        stall.build(logical, blocked_mapped, window);
-        stall_valid = true;
-    };
-
-    std::vector<double> decay(
-        static_cast<std::size_t>(backend.num_qubits()), 0.0);
-    int executed_batches = 0;
-    int swap_streak = 0;
-    long long stall_guard = 0;
-    const long long stall_limit =
-        4LL * num_nodes * backend.num_qubits() + 1000;
-    std::vector<int> still_blocked;
-    std::vector<int> newly_ready;
-    std::vector<int> blocked_mapped;
-    std::vector<int> need_mapping;
-    std::vector<int> to_map;
-    std::vector<transpile::SwapCandidate> candidates;
-
-    while (!frontier.empty()) {
-        if (bound != nullptr && (state.swaps_added > bound->swaps ||
-                                 state.qubits_used > bound->qubits)) {
-            return std::nullopt;
-        }
-
-        // A) Execute every frontier gate that is mapped and
-        // hardware-compliant; this retires qubits as early as possible.
-        still_blocked.clear();
-        newly_ready.clear();
-        bool executed_any = false;
-        for (int node : frontier) {
-            const Instruction& instr =
-                logical.at(static_cast<std::size_t>(node));
-            bool ready = true;
-            for (int q : instr.qubits) {
-                if (state.phys_of[q] < 0) ready = false;
-            }
-            if (ready && circuit::is_two_qubit(instr.kind)) {
-                ready = backend.are_adjacent(state.phys_of[instr.qubits[0]],
-                                             state.phys_of[instr.qubits[1]]);
-            }
-            if (!ready) {
-                still_blocked.push_back(node);
-                continue;
-            }
-            emit(state, instr);
-            reclaim_finished(state, instr, instr);
-            executed_any = true;
-            for (int succ : dag.graph().successors(node)) {
-                if (--preds_left[succ] == 0) newly_ready.push_back(succ);
-            }
-        }
-        if (executed_any) {
-            frontier.swap(still_blocked);
-            frontier.insert(frontier.end(), newly_ready.begin(),
-                            newly_ready.end());
-            stall_valid = false;
-            swap_streak = 0;
-            if (++executed_batches % 5 == 0) {
-                std::fill(decay.begin(), decay.end(), 0.0);
-            }
-            continue;
-        }
-        CAQR_CHECK(stall_guard++ < stall_limit,
-                   "SR-CaQR failed to make progress");
-
-        // B) Mapping decisions: critical gates with unmapped operands
-        // map now; non-critical ones stay delayed while routed gates
-        // can still make progress (paper Step 2's delaying rule).
-        blocked_mapped.clear();
-        need_mapping.clear();
-        for (int node : frontier) {
-            const Instruction& instr =
-                logical.at(static_cast<std::size_t>(node));
-            bool unmapped = false;
-            for (int q : instr.qubits) {
-                if (state.phys_of[q] < 0) unmapped = true;
-            }
-            (unmapped ? need_mapping : blocked_mapped).push_back(node);
-        }
-        to_map.clear();
-        for (int node : need_mapping) {
-            if (!options.delay_noncritical ||
-                std::abs(earliest[node] - latest[node]) < 1e-9) {
-                to_map.push_back(node);
-            }
-        }
-        if (to_map.empty() && blocked_mapped.empty()) {
-            // Everything is delayed: force the most urgent gate.
-            CAQR_CHECK(!need_mapping.empty(), "frontier inconsistent");
-            to_map.push_back(*std::min_element(
-                need_mapping.begin(), need_mapping.end(),
-                [&](int a, int b) { return latest[a] < latest[b]; }));
-        }
-        if (!to_map.empty()) {
-            std::sort(to_map.begin(), to_map.end(), [&](int a, int b) {
-                return earliest[a] < earliest[b];
-            });
-            for (int node : to_map) map_operands(node);
-            stall_valid = false;
-            continue;  // re-scan: mapped gates may now be executable
-        }
-
-        // C) All frontier gates are mapped but blocked: pick one SWAP
-        // with SABRE-style scoring over the blocked set + lookahead.
-        // If speculative SWAPs fail to unblock anything for too long
-        // (heuristic livelock), force-route the most urgent gate with
-        // strictly distance-reducing hops — guaranteed progress.
-        if (++swap_streak > 2 * backend.num_qubits()) {
-            const int urgent = *std::min_element(
-                blocked_mapped.begin(), blocked_mapped.end(),
-                [&](int a, int b) { return latest[a] < latest[b]; });
-            const auto& instr =
-                logical.at(static_cast<std::size_t>(urgent));
-            while (!backend.are_adjacent(state.phys_of[instr.qubits[0]],
-                                         state.phys_of[instr.qubits[1]])) {
-                const int pa = state.phys_of[instr.qubits[0]];
-                const int pb = state.phys_of[instr.qubits[1]];
-                int best_nb = -1;
-                for (int nb : backend.topology().neighbors(pa)) {
-                    if (arch::safe_distance(backend, nb, pb) <
-                        arch::safe_distance(backend, pa, pb)) {
-                        best_nb = nb;
-                        break;
-                    }
-                }
-                CAQR_CHECK(best_nb >= 0, "no distance-reducing hop");
-                apply_swap(state, pa, best_nb);
-            }
-            swap_streak = 0;
-            continue;
-        }
-        if (!stall_valid) rebuild_stall(blocked_mapped);
-
-        // Candidate SWAPs: links touching a blocked gate's operand,
-        // sorted by (pa, pb) and deduplicated — the jitter draws below
-        // follow this order.
-        candidates.clear();
-        for (int node : blocked_mapped) {
-            const auto& instr =
-                logical.at(static_cast<std::size_t>(node));
-            for (int operand : instr.qubits) {
-                const int p = state.phys_of[operand];
-                for (const auto& link : backend.links(p)) {
-                    candidates.push_back({std::min(p, link.neighbor),
-                                          std::max(p, link.neighbor),
-                                          link.cx_error});
-                }
-            }
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-        CAQR_CHECK(!candidates.empty(), "no candidate swaps available");
-
-        const auto [front_base, look_base] =
-            stall.measure(backend, state.phys_of);
-        const double look_scale =
-            window.empty() ? 0.0
-                           : options.swap_lookahead_weight /
-                                 static_cast<double>(window.size());
-
-        // Score SWAP (pa, pb): lower is better. Jitter is drawn once per
-        // candidate, in candidate order.
-        double best_score = std::numeric_limits<double>::infinity();
-        std::pair<int, int> best{-1, -1};
-        for (const auto& [pa, pb, cx_error] : candidates) {
-            const auto [front_delta, look_delta] =
-                stall.delta(backend, state.phys_of, state.logical_of[pa],
-                            state.logical_of[pb], pa, pb);
-            const double front_cost =
-                static_cast<double>(front_base + front_delta) /
-                static_cast<double>(stall.num_front());
-            const double look_cost =
-                static_cast<double>(look_base + look_delta) * look_scale;
-            const double link_bias = options.error_aware ? cx_error : 0.0;
-            // Same combiner as the baseline router: the error-aware
-            // bias sits inside the decayed product (PR-9 fix).
-            const double score =
-                transpile::combine_swap_score(
-                    front_cost, look_cost,
-                    std::max(decay[pa], decay[pb]) + 1.0, link_bias) +
-                jitter_of(state);
-            if (score < best_score) {
-                best_score = score;
-                best = {pa, pb};
-            }
-        }
-        apply_swap(state, best.first, best.second);
-        decay[best.first] += 0.001;
-        decay[best.second] += 0.001;
-    }
-
-    SrCaqrResult result;
-    result.swaps_added = state.swaps_added;
-    result.reuses = state.reuses;
-    result.physical_qubits_used = state.qubits_used;
-    result.circuit = std::move(state.output);
-    return result;
-}
-
-}  // namespace
 
 util::StatusOr<SrCaqrResult>
 sr_caqr_commuting_or(const CommutingSpec& spec, const arch::Backend& backend,
@@ -858,29 +684,21 @@ sr_caqr_commuting_or(const CommutingSpec& spec, const arch::Backend& backend,
     auto qs = qs_caqr_commuting_or(spec, qs_options);
     if (!qs.ok()) return qs.status();
 
-    // Probe every reuse level (the sweep is one version per count).
-    std::vector<std::size_t> probe(qs->versions.size());
-    for (std::size_t i = 0; i < probe.size(); ++i) probe[i] = i;
-
-    // Steps 2-4: the materialized circuits carry the imposed reuse
+    // Steps 2-4, at every reuse level (the sweep is one version per
+    // count): the materialized circuits carry the imposed reuse
     // dependencies; the regular engine applies delaying, error-aware
     // mapping, and reclamation on top of each.
-    SrCaqrResult best_result;
-    bool have_best = false;
-    for (std::size_t index : probe) {
-        auto result = run_sr_caqr(qs->versions[index].schedule.circuit,
-                                  backend, options);
-        const bool better =
-            !have_best ||
-            result.swaps_added < best_result.swaps_added ||
-            (result.swaps_added == best_result.swaps_added &&
-             result.duration_dt < best_result.duration_dt);
-        if (better) {
-            best_result = std::move(result);
-            have_best = true;
+    std::optional<SrCaqrResult> best;
+    for (const auto& version : qs->versions) {
+        auto result = run_sr_caqr(version.schedule.circuit, backend, options);
+        if (!result.ok()) return result.status();
+        if (!best || result->swaps_added < best->swaps_added ||
+            (result->swaps_added == best->swaps_added &&
+             result->duration_dt < best->duration_dt)) {
+            best = std::move(result).value();
         }
     }
-    return best_result;
+    return best ? std::move(*best) : SrCaqrResult{};
 }
 
 }  // namespace caqr::core

@@ -87,7 +87,8 @@ struct SrCaqrResult
 };
 
 /// Compiles a regular circuit onto @p backend (paper §3.3.1). An
-/// oversized circuit reports `kInfeasible`.
+/// oversized circuit reports `kInfeasible`, as does one the device
+/// cannot route (a gate whose operands sit in disconnected components).
 util::StatusOr<SrCaqrResult> sr_caqr_or(const circuit::Circuit& logical,
                                         const arch::Backend& backend,
                                         const SrCaqrOptions& options = {});
@@ -96,8 +97,8 @@ util::StatusOr<SrCaqrResult> sr_caqr_or(const circuit::Circuit& logical,
  * Compiles a commuting workload (paper §3.3.2): QS-CaQR finds the
  * duration sweet spot of reuse pairs, the resulting partial order is
  * materialized, and the regular SR-CaQR engine maps it. A workload
- * whose node count exceeds the backend reports `kInfeasible`, as does
- * an unreachable `qs_options.target_qubits`.
+ * whose node count exceeds the backend reports `kInfeasible`, as do an
+ * unreachable `qs_options.target_qubits` and an unroutable device.
  */
 util::StatusOr<SrCaqrResult> sr_caqr_commuting_or(
     const CommutingSpec& spec, const arch::Backend& backend,

@@ -212,9 +212,6 @@ request_option_lines(const CompileRequest& request)
                                 tr.router.lookahead_size)));
         lines.push_back(opt("router.decay_delta",
                             tr.router.decay_delta));
-        lines.push_back(opt("router.decay_reset_interval",
-                            static_cast<long long>(
-                                tr.router.decay_reset_interval)));
         lines.push_back(opt("router.error_aware",
                             tr.router.error_aware));
         lines.push_back(opt("router.stall_escape_after",

@@ -4,30 +4,15 @@
  * family behind Qiskit's optimization-level-3 routing — our stand-in
  * for the paper's Qiskit baseline.
  *
- * The router walks the gate-dependency DAG with a front layer, executes
- * hardware-compliant gates eagerly, and otherwise inserts the SWAP that
- * minimizes a distance heuristic over the front layer plus a lookahead
- * window, with per-qubit decay to avoid ping-ponging. After
- * `stall_escape_after` consecutive heuristic SWAPs that execute
- * nothing, it escapes the stall deterministically by force-routing the
- * oldest blocked gate along a shortest path.
- *
- * The hot loop is allocation-free after warm-up: every worklist, the
- * BFS seen-set and the per-link candidate mark (both
- * generation-stamped), the candidate list, and the cached lookahead
- * window live in a reusable `RouterScratch`. SWAPs change the mapping
- * but never the frontier, so the window — and an index of the
- * front-layer and window gates by logical qubit — is rebuilt only when
- * the frontier advances. A stall iteration collects the links touching
- * a blocked operand from the backend's per-endpoint link table (which
- * carries each link's id and CX error), each link once, in collection
- * order; no sort and no calibration lookup. It sums the front and
- * window distances once; a candidate SWAP is then scored by the
- * integer change of only the gates on the two logical qubits it moves.
- * Integer sums make `double(sum) / |F|` and `double(sum) * (w / |L|)`
- * equal to per-gate accumulation bit for bit, and an exact score tie
- * goes to the lowest `(pa, pb)`, so the SWAP choice is exactly that of
- * rescoring every gate over the sorted candidate set.
+ * `route_or` runs the SABRE loop of `transpile/sabre.h` — the one loop
+ * SR-CaQR also runs — with every operand placed up front by the
+ * initial layout. The loop walks the gate-dependency DAG with a front
+ * layer, executes hardware-compliant gates eagerly, and otherwise
+ * inserts the SWAP that minimizes a distance heuristic over the front
+ * layer plus a lookahead window, with per-qubit decay to avoid
+ * ping-ponging. After `stall_escape_after` consecutive heuristic SWAPs
+ * that execute nothing, it escapes the stall deterministically by
+ * force-routing the oldest blocked gate along a shortest path.
  *
  * `route_or` takes the circuit's prebuilt `CircuitDag`, so a caller
  * that routes one circuit many times (the transpiler's refinement
@@ -51,7 +36,7 @@
 
 namespace caqr::transpile {
 
-/// Tunables for the router.
+/// Tunables for the SABRE loop. SR-CaQR sets its own; see `sr_caqr.cpp`.
 struct RouterOptions
 {
     /// Weight of the lookahead window in the SWAP score.
@@ -60,8 +45,6 @@ struct RouterOptions
     int lookahead_size = 20;
     /// Decay added to a physical qubit each time a SWAP moves it.
     double decay_delta = 0.001;
-    /// Front-layer executions between decay resets.
-    int decay_reset_interval = 5;
     /// Prefer SWAPs over low-error links when scores tie (error-aware
     /// variability handling, paper §3.3.1 Step 3).
     bool error_aware = true;
@@ -73,6 +56,9 @@ struct RouterOptions
     int stall_escape_after = 64;
 };
 
+/// Front-layer executions between decay resets in the SABRE loop.
+inline constexpr int kDecayResetInterval = 5;
+
 /**
  * The gates a stalled routing step scores (the blocked front layer,
  * then the lookahead window), indexed by logical qubit. `measure` sums
@@ -81,7 +67,8 @@ struct RouterOptions
  * from only the gates on the two logical qubits it moves. A gate on
  * both keeps its distance. Integer sums make `double(sum) / |F|` and
  * `double(sum) * (w / |L|)` equal to per-gate accumulation bit for
- * bit. Shared by `route_or` and SR-CaQR's SWAP step.
+ * bit. Built and read only by the SABRE loop (`transpile/sabre.h`),
+ * so `route_or` and SR-CaQR score SWAPs with the same code.
  */
 class StallIndex
 {
@@ -135,10 +122,11 @@ struct SwapCandidate
 };
 
 /**
- * Reusable per-trial scratch for `route_or`: all state the routing hot
- * loop touches. A trial that routes several circuits (the layout
- * refinement passes plus the final run) hands the same instance to
- * every call, so steady-state iterations perform no heap allocation.
+ * Reusable per-trial scratch for the SABRE loop (`route_or` and an
+ * SR-CaQR trial): all state the routing hot loop touches. A trial that
+ * routes several circuits (the layout refinement passes plus the final
+ * run) hands the same instance to every call, so steady-state
+ * iterations perform no heap allocation.
  * Buffers grow monotonically and are never shrunk. Not thread-safe —
  * use one instance per concurrent trial.
  */
@@ -157,6 +145,9 @@ struct RouterScratch
     std::vector<int> frontier;
     std::vector<int> still_blocked;
     std::vector<int> newly_ready;
+    /// Frontier gates with every operand placed (on-demand placement
+    /// only; otherwise the whole frontier).
+    std::vector<int> blocked;
     std::vector<std::uint8_t> is_2q;  ///< precomputed per-node flag
     /// @}
 

@@ -186,7 +186,7 @@ route_full_rescore(const circuit::Circuit& logical,
             frontier.insert(frontier.end(), ready.begin(), ready.end());
             lookahead_valid = false;
             stall_streak = 0;
-            if (++executed_groups % options.decay_reset_interval == 0) {
+            if (++executed_groups % transpile::kDecayResetInterval == 0) {
                 std::fill(decay.begin(), decay.end(), 0.0);
             }
             continue;

@@ -23,6 +23,15 @@ namespace {
 
 using circuit::Circuit;
 
+/// The registry's current value of counter @p name (0 when unset).
+double
+counter(const char* name)
+{
+    const auto snapshot = util::metrics::global().snapshot();
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0.0 : it->second;
+}
+
 TEST(SrCaqr, OutputIsHardwareCompliant)
 {
     const auto backend = arch::Backend::fake_mumbai();
@@ -232,6 +241,29 @@ TEST(SrCaqr, DeviceScaleResultsArePinned)
     }
 }
 
+TEST(SrCaqr, DisconnectedDeviceIsInfeasible)
+{
+    // Two 2-qubit islands cannot host the CX triangle on qubits 0-2:
+    // the stall escape finds no distance-reducing hop, which the pass
+    // must report rather than abort on.
+    graph::UndirectedGraph topology(4);
+    topology.add_edge(0, 1);
+    topology.add_edge(2, 3);
+    const arch::Backend backend(
+        "split", topology, arch::Calibration::synthesize(topology));
+    Circuit c(3, 0);
+    c.cx(0, 1);
+    c.cx(1, 2);
+    c.cx(0, 2);
+    c.cx(0, 1);
+    c.cx(1, 2);
+    core::SrCaqrOptions options;
+    options.trials = 1;
+    const auto result = core::sr_caqr_or(c, backend, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInfeasible);
+}
+
 TEST(SrCaqrCommuting, CompliantAndFewerQubits)
 {
     util::Rng rng(7);
@@ -425,6 +457,35 @@ TEST(SrOracle, DeviceScaleCircuitsMatchExhaustiveSearch)
     }
 }
 
+TEST(SrOracle, StallEscapeMatchesExhaustiveSearch)
+{
+    // A 25-qubit line plus seeded chords on which 2 * 25 speculative
+    // SWAPs unblock nothing, so the trial escapes by force-routing its
+    // most urgent blocked gate; escaping with the oldest one instead
+    // changes the result. Found by a search over 10k seeded circuits
+    // on lines and rings with chords; no other SR test reaches the
+    // escape.
+    util::Rng rng(22635);
+    constexpr int kQubits = 25;
+    graph::UndirectedGraph topology(kQubits);
+    for (int v = 1; v < kQubits; ++v) topology.add_edge(v - 1, v);
+    const int chords = rng.next_int(0, 2);
+    for (int c = 0; c < chords; ++c) {
+        const int u = rng.next_int(0, kQubits - 1);
+        const int v = rng.next_int(0, kQubits - 1);
+        if (u != v) topology.add_edge(u, v);
+    }
+    const arch::Backend backend(
+        "line", topology, arch::Calibration::synthesize(topology));
+    const Circuit logical = oracle::random_circuit(rng, 21);
+    core::SrCaqrOptions options;
+    options.trials = 1;
+
+    const double before = counter("sr_caqr.stall_escapes");
+    expect_matches_oracle(logical, backend, options);
+    EXPECT_GT(counter("sr_caqr.stall_escapes"), before);
+}
+
 TEST(SrCaqr, BoundedTrialsArePrunedOnWideBv)
 {
     // On BV-64 the anchor uses 2 physical qubits; most challengers go
@@ -439,18 +500,51 @@ TEST(SrCaqr, BoundedTrialsArePrunedOnWideBv)
     const auto pruned = [&](int trials) {
         core::SrCaqrOptions options;
         options.trials = trials;
-        const auto before = util::metrics::global().snapshot();
+        const double before = counter("sr_caqr.trials_pruned");
         EXPECT_TRUE(core::sr_caqr_or(bv, backend, options).ok());
-        const auto after = util::metrics::global().snapshot();
-        const auto count = [](const util::metrics::Snapshot& snapshot) {
-            const auto it = snapshot.counters.find("sr_caqr.trials_pruned");
-            return it == snapshot.counters.end() ? 0.0 : it->second;
-        };
-        return count(after) - count(before);
+        return counter("sr_caqr.trials_pruned") - before;
     };
     EXPECT_GE(pruned(24), 16.0);
     EXPECT_EQ(pruned(4), 0.0);
     EXPECT_EQ(pruned(1), 0.0);
+}
+
+TEST(SrCaqr, SrTrialsLeaveRouterCountersAlone)
+{
+    // SR trials run the same SABRE loop as the baseline router but
+    // record its stalls under sr_caqr.*; router.* counts only
+    // baseline routing.
+    const auto backend = arch::Backend::fake_mumbai();
+    util::Rng rng(5);
+    apps::QaoaParams params;
+    params.gammas = {0.7};
+    params.betas = {0.3};
+    const Circuit qaoa =
+        apps::qaoa_circuit(graph::random_graph(12, 0.3, rng), params);
+    const char* const kRouter[] = {"router.swaps_added",
+                                   "router.stall_iterations",
+                                   "router.stall_escapes"};
+    const auto router_counts = [&] {
+        std::vector<double> counts;
+        for (const char* name : kRouter) counts.push_back(counter(name));
+        return counts;
+    };
+
+    const auto before = router_counts();
+    const double sr_stalls = counter("sr_caqr.stall_iterations");
+    const auto sr = core::sr_caqr_or(qaoa, backend).value();
+    EXPECT_GT(sr.swaps_added, 0);
+    EXPECT_GT(counter("sr_caqr.stall_iterations"), sr_stalls);
+    EXPECT_EQ(router_counts(), before);
+
+    const auto routed =
+        transpile::route_or(circuit::CircuitDag(qaoa), backend,
+                            transpile::greedy_layout(qaoa, backend))
+            .value();
+    EXPECT_GT(routed.swaps_added, 0);
+    const auto after = router_counts();
+    EXPECT_GT(after[0], before[0]);
+    EXPECT_GT(after[1], before[1]);
 }
 
 
