@@ -15,7 +15,7 @@
 
 #include "apps/benchmarks.h"
 #include "arch/backend.h"
-#include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "core/commuting.h"
 #include "core/qs_caqr.h"
@@ -48,8 +48,8 @@ ablation_reset_idiom()
         }
     }
     circuit::LogicalDurations model;
-    const double fast_dt = circuit::CircuitDag(fast).duration(model);
-    const double slow_dt = circuit::CircuitDag(slow).duration(model);
+    const double fast_dt = circuit::critical_path(fast, model);
+    const double slow_dt = circuit::critical_path(slow, model);
 
     util::Table table({"reset idiom", "BV_10 max-reuse duration (dt)"});
     table.set_title("Ablation A: reuse splice reset implementation");

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "util/table.h"
 
@@ -23,14 +23,12 @@ main()
     circuit::Circuit builtin(1, 1);
     builtin.measure(0, 0);
     builtin.reset(0);
-    circuit::CircuitDag builtin_dag(builtin);
-    const double builtin_dt = builtin_dag.duration(model);
+    const double builtin_dt = circuit::critical_path(builtin, model);
 
     circuit::Circuit conditional(1, 1);
     conditional.measure(0, 0);
     conditional.x_if(0, 0, 1);
-    circuit::CircuitDag conditional_dag(conditional);
-    const double conditional_dt = conditional_dag.duration(model);
+    const double conditional_dt = circuit::critical_path(conditional, model);
 
     util::Table table({"reset idiom", "duration (dt)", "duration (us)",
                        "vs built-in"});

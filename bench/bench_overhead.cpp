@@ -158,21 +158,6 @@ BM_QsCommutingQaoa(benchmark::State& state)
 BENCHMARK(BM_QsCommutingQaoa)->Arg(8)->Arg(12)->Arg(16)->Arg(24)
     ->Complexity(benchmark::oAuto)->Unit(benchmark::kMillisecond);
 
-void
-BM_ReusePairEnumeration(benchmark::State& state)
-{
-    const int n = static_cast<int>(state.range(0));
-    const auto circuit = apps::bv_circuit(n);
-    for (auto _ : state) {
-        circuit::CircuitDag dag(circuit);
-        auto pairs = core::find_reuse_pairs(dag);
-        benchmark::DoNotOptimize(pairs.size());
-    }
-    state.SetComplexityN(n);
-}
-BENCHMARK(BM_ReusePairEnumeration)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
-    ->Complexity(benchmark::oAuto)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int

@@ -318,6 +318,14 @@ Circuit::compacted(std::vector<int>* old_of_new) const
     return remap_qubits(mapping, std::max(next, 1));
 }
 
+Circuit
+Circuit::reversed() const
+{
+    Circuit result = *this;
+    std::reverse(result.instrs_.begin(), result.instrs_.end());
+    return result;
+}
+
 std::string
 Circuit::to_string() const
 {

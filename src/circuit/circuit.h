@@ -62,8 +62,8 @@ struct Instruction
 /**
  * A quantum circuit over `num_qubits()` qubits and `num_clbits()`
  * classical bits. Instructions execute in program order subject to the
- * usual commutation of operations on disjoint (qu)bits; CircuitDag
- * derives the dependency structure.
+ * usual commutation of operations on disjoint (qu)bits; `Schedule` and
+ * the router's `GateGraph` derive the dependency structure.
  */
 class Circuit
 {
@@ -217,6 +217,11 @@ class Circuit
      * each new wire. Classical bits are untouched.
      */
     Circuit compacted(std::vector<int>* old_of_new = nullptr) const;
+
+    /// Returns a copy with the instructions in reverse order: its ASAP
+    /// schedule runs the original's dependences backward, from the
+    /// last gate to the first.
+    Circuit reversed() const;
 
     /// Human-readable multi-line listing (debugging aid).
     std::string to_string() const;

@@ -8,10 +8,10 @@
  * The schedule is computed in one program-order pass over per-wire
  * clocks, with no dependency DAG: qubits and clbits are wires, an
  * instruction starts when the last instruction on each of its wires has
- * finished, and a barrier joins every wire, as in `CircuitDag`. For
- * non-negative durations the finish times equal
- * `CircuitDag(c).graph().earliest_completion` exactly — the same
- * maxima of the same sums.
+ * finished, and a barrier joins every wire. For non-negative durations
+ * the finish times equal the earliest completion times of the
+ * gate-dependency DAG exactly — the same maxima of the same sums;
+ * `schedule_test` checks them against the tests' reference DAG.
  */
 #ifndef CAQR_CIRCUIT_SCHEDULE_H
 #define CAQR_CIRCUIT_SCHEDULE_H
@@ -80,11 +80,10 @@ class Schedule
 };
 
 /// Makespan of the ASAP schedule of @p circuit under @p model, without
-/// storing one: equal to `CircuitDag(circuit).duration(model)`.
+/// storing one: the weighted critical path of the dependency DAG.
 double critical_path(const Circuit& circuit, const DurationModel& model);
 
-/// Circuit depth: the critical path under `UnitDepthModel`, rounded;
-/// equal to `CircuitDag(circuit).depth()`.
+/// Circuit depth: the critical path under `UnitDepthModel`, rounded.
 int depth(const Circuit& circuit);
 
 }  // namespace caqr::circuit

@@ -151,7 +151,7 @@ class ReuseProgram
  * splice's non-descendants in current order, the reset (a measure
  * unless the source wire already ends in one, then an x_if), then its
  * descendants, everything the target wire reaches, in current order.
- * A barrier joins every wire, as in CircuitDag. A wire is tainted, and
+ * A barrier joins every wire, as in `Schedule`. A wire is tainted, and
  * every later node on it a descendant, once its first descendant is
  * found; the first descendant of all is on the target wire.
  */
@@ -273,8 +273,8 @@ struct NodeWeights
  * finish, and the reach set: heads of the wires whose gates are, or
  * precede, the node) and the tail under the selection metric. Per head:
  * the tables select_pair reads. Only wire-order edges exist, which are
- * CircuitDag's edges up to transitivity, so every time and set is
- * bit-identical to the DAG's.
+ * the dependency DAG's edges up to transitivity, so every time and set
+ * is bit-identical to those of the tests' reference DAG.
  *
  * update() re-times what the last commit moved: the forward pass runs
  * over the reset nodes and the splice's descendants, seeded from each
@@ -353,7 +353,8 @@ class StepTables
     /// Bitset of the heads with a non-barrier operation.
     const std::vector<std::uint64_t>& active() const { return active_; }
     /// Row @p head: the reach set of the last gate on wire @p head
-    /// (CircuitDag::qubit_reaches, by head); @p head must be active.
+    /// (the reference DAG's `qubit_reaches`, by head); @p head must be
+    /// active.
     const std::uint64_t*
     reach(int head) const
     {

@@ -81,7 +81,8 @@ struct QsCaqrResult
      * search priced: each commit splices the source wire's measure
      * (unless it already ends in one) and conditional-X reset, moves
      * the target wire's operations onto it, and compacts the freed
-     * wire away (see core::apply_reuse). Thread-safe.
+     * wire away, as the reference rewrite in `tests/oracle.h` does.
+     * Thread-safe.
      */
     circuit::Circuit circuit(std::size_t index) const;
 };

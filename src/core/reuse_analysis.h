@@ -1,6 +1,6 @@
 /**
  * @file
- * Qubit-reuse legality analysis (paper §3.1).
+ * Qubit-reuse pairs and their pricing (paper §3.1).
  *
  * A reuse pair (qi -> qj) means: measure-and-reset qi after its last
  * operation, then run qj's operations on the same wire. It is legal iff
@@ -9,7 +9,10 @@
  *   Condition 2 — no operation on qi depends (transitively) on an
  *                 operation on qj; equivalently, splicing the
  *                 measurement/reset node between the two gate groups
- *                 leaves the DAG acyclic.
+ *                 leaves the dependency DAG acyclic.
+ *
+ * QS-CaQR checks both with its per-wire reach sets (`core/qs_caqr.h`);
+ * the reference check in `tests/oracle.h` tests them on the DAG.
  */
 #ifndef CAQR_CORE_REUSE_ANALYSIS_H
 #define CAQR_CORE_REUSE_ANALYSIS_H
@@ -18,7 +21,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "circuit/dag.h"
+#include "circuit/circuit.h"
 
 namespace caqr::core {
 
@@ -34,16 +37,6 @@ struct ReusePair
         return a.source == b.source && a.target == b.target;
     }
 };
-
-/// True if (source -> target) satisfies Conditions 1 and 2 on @p dag.
-/// Qubits with no operations are never part of a valid pair (there is
-/// nothing to save).
-bool is_valid_reuse_pair(const circuit::CircuitDag& dag, int source,
-                         int target);
-
-/// All valid reuse pairs of @p dag in (source, target) order: O(k^2)
-/// bit tests against the DAG's per-wire reachability.
-std::vector<ReusePair> find_reuse_pairs(const circuit::CircuitDag& dag);
 
 /**
  * Per-qubit timing of a circuit, enough to price any reuse splice in

@@ -7,7 +7,6 @@
 #include <optional>
 #include <tuple>
 
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "transpile/decompose.h"
@@ -28,9 +27,9 @@ using circuit::GateKind;
 using circuit::Instruction;
 
 /// Read-only analysis of one request's circuit, built once and shared
-/// by every trial (serial or raced): the CCX-lowered circuit, its DAG
-/// and earliest/latest completion times, and per-qubit gate counts and
-/// two-qubit partners.
+/// by every trial (serial or raced): the CCX-lowered circuit, its
+/// dependency graph and earliest/latest completion times, and per-qubit
+/// gate counts and two-qubit partners.
 struct SrPlan
 {
     explicit SrPlan(const Circuit& input);
@@ -38,7 +37,9 @@ struct SrPlan
     SrPlan& operator=(const SrPlan&) = delete;
 
     const Circuit logical;
-    const circuit::CircuitDag dag;  // over `logical`
+    const transpile::GateGraph graph;  // over `logical`
+    /// Per instruction under `LogicalDurations`: its ASAP finish time,
+    /// and the latest finish that keeps the makespan.
     std::vector<double> earliest;
     std::vector<double> latest;
     /// Total operation count per logical qubit (for "map the qubit with
@@ -51,16 +52,22 @@ struct SrPlan
 };
 
 SrPlan::SrPlan(const Circuit& input)
-    : logical(transpile::decompose_ccx(input)), dag(logical)
+    : logical(transpile::decompose_ccx(input)), graph(logical)
 {
-    circuit::LogicalDurations durations;
-    std::vector<double> weights;
-    weights.reserve(logical.size());
-    for (const auto& instr : logical.instructions()) {
-        weights.push_back(durations.duration(instr));
+    // Instruction i's longest path to the end, itself included, is its
+    // finish time in the ASAP schedule of the reversed circuit.
+    const circuit::LogicalDurations durations;
+    const circuit::Schedule forward(logical, durations);
+    const Circuit reversed = logical.reversed();
+    const circuit::Schedule backward(reversed, durations);
+    const std::size_t n = logical.size();
+    earliest.resize(n);
+    latest.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        earliest[i] = forward.finish(i);
+        latest[i] = backward.makespan() - backward.finish(n - 1 - i) +
+                    forward.duration_of(i);
     }
-    earliest = dag.graph().earliest_completion(weights);
-    latest = dag.graph().latest_completion(weights);
 
     const auto nq = static_cast<std::size_t>(logical.num_qubits());
     ops_per_qubit.assign(nq, 0);
@@ -424,7 +431,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     sabre.lookahead_weight = options.swap_lookahead_weight;
     sabre.error_aware = options.error_aware;
     sabre.stall_escape_after = 2 * np;
-    transpile::SabreLoop loop(plan.dag, backend, sabre, state.routing,
+    transpile::SabreLoop loop(plan.graph, backend, sabre, state.routing,
                               state.output, state);
     SrTrial trial;
     trial.status = loop.run();

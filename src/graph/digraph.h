@@ -5,8 +5,8 @@
  * longest path (critical path).
  *
  * Nodes are dense integer ids `0..num_nodes()-1`. Payloads live with the
- * callers (e.g. CircuitDag maps node ids to gate indices); this class is
- * purely structural.
+ * callers (e.g. `commuting_pairs_valid` maps node ids to gate
+ * instances); this class is purely structural.
  */
 #ifndef CAQR_GRAPH_DIGRAPH_H
 #define CAQR_GRAPH_DIGRAPH_H

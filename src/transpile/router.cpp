@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "circuit/dag.h"
 #include "transpile/sabre.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -13,6 +12,7 @@ namespace caqr::transpile {
 namespace {
 
 using circuit::Circuit;
+using circuit::GateKind;
 using circuit::Instruction;
 
 /// The baseline router's side of the SABRE loop: the initial layout
@@ -44,6 +44,68 @@ struct RouterPolicy
 };
 
 }  // namespace
+
+GateGraph::GateGraph(const Circuit& circuit)
+    : circuit_(&circuit), in_degree_(circuit.size(), 0),
+      succ_start_(circuit.size() + 1, 0)
+{
+    const auto& instrs = circuit.instructions();
+    const int n = static_cast<int>(instrs.size());
+    const int num_qubits = circuit.num_qubits();
+    // Wires 0..num_qubits-1 are the qubits, the rest the clbits.
+    std::vector<int> last_on_wire(
+        static_cast<std::size_t>(num_qubits + circuit.num_clbits()), -1);
+    int last_barrier = -1;
+    // Predecessors of every instruction, in program order of the
+    // instructions: in_degree_[i] entries each.
+    std::vector<int> preds;
+    for (int i = 0; i < n; ++i) {
+        const Instruction& instr = instrs[i];
+        const std::size_t first = preds.size();
+        if (instr.kind == GateKind::kBarrier) {
+            for (int u = last_barrier + 1; u < i; ++u) preds.push_back(u);
+            if (preds.size() == first && last_barrier >= 0) {
+                preds.push_back(last_barrier);
+            }
+            last_barrier = i;
+        } else {
+            const auto depend_on_wire = [&](int wire) {
+                const int u = last_on_wire[wire];
+                // A wire's last instruction before the last barrier is
+                // ordered through that barrier instead.
+                if (u > last_barrier && u != i &&
+                    std::find(preds.begin() + first, preds.end(), u) ==
+                        preds.end()) {
+                    preds.push_back(u);
+                }
+                last_on_wire[wire] = i;
+            };
+            for (int q : instr.qubits) depend_on_wire(q);
+            if (instr.clbit >= 0) depend_on_wire(num_qubits + instr.clbit);
+            if (instr.condition_bit >= 0) {
+                depend_on_wire(num_qubits + instr.condition_bit);
+            }
+            if (preds.size() == first && last_barrier >= 0) {
+                preds.push_back(last_barrier);
+            }
+        }
+        in_degree_[i] = static_cast<int>(preds.size() - first);
+        for (std::size_t k = first; k < preds.size(); ++k) {
+            ++succ_start_[preds[k] + 1];
+        }
+    }
+    // Transpose: walking the instructions in order appends each one to
+    // its predecessors' rows, so every row comes out ascending.
+    for (int u = 0; u < n; ++u) succ_start_[u + 1] += succ_start_[u];
+    std::vector<int> fill(succ_start_.begin(), succ_start_.end() - 1);
+    succ_.resize(preds.size());
+    std::size_t k = 0;
+    for (int i = 0; i < n; ++i) {
+        for (int d = 0; d < in_degree_[i]; ++d, ++k) {
+            succ_[fill[preds[k]]++] = i;
+        }
+    }
+}
 
 void
 StallIndex::build(const Circuit& logical, const std::vector<int>& front,
@@ -125,11 +187,11 @@ combine_swap_score(double front_cost, double look_cost,
 }
 
 util::StatusOr<RoutingResult>
-route_or(const circuit::CircuitDag& dag, const arch::Backend& backend,
+route_or(const GateGraph& graph, const arch::Backend& backend,
          const Layout& initial, const RouterOptions& options,
          RouterScratch* scratch, const std::atomic<int>* swap_bound)
 {
-    const Circuit& logical = dag.circuit();
+    const Circuit& logical = graph.circuit();
     if (!is_valid_layout(initial, logical, backend)) {
         return util::Status::invalid_argument("invalid initial layout");
     }
@@ -148,7 +210,7 @@ route_or(const circuit::CircuitDag& dag, const arch::Backend& backend,
     Circuit output(backend.num_qubits(), logical.num_clbits());
     output.copy_params_from(logical);
     RouterPolicy policy{swap_bound};
-    SabreLoop loop(dag, backend, options, s, output, policy);
+    SabreLoop loop(graph, backend, options, s, output, policy);
     util::Status status = loop.run();
     if (!status.ok()) return status;
 

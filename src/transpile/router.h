@@ -6,7 +6,7 @@
  *
  * `route_or` runs the SABRE loop of `transpile/sabre.h` — the one loop
  * SR-CaQR also runs — with every operand placed up front by the
- * initial layout. The loop walks the gate-dependency DAG with a front
+ * initial layout. The loop walks the gate-dependency graph with a front
  * layer, executes hardware-compliant gates eagerly, and otherwise
  * inserts the SWAP that minimizes a distance heuristic over the front
  * layer plus a lookahead window, with per-qubit decay to avoid
@@ -14,9 +14,9 @@
  * that execute nothing, it escapes the stall deterministically by
  * force-routing the oldest blocked gate along a shortest path.
  *
- * `route_or` takes the circuit's prebuilt `CircuitDag`, so a caller
- * that routes one circuit many times (the transpiler's refinement
- * passes and trials) builds the DAG once.
+ * `route_or` takes the circuit's prebuilt `GateGraph` (`transpile/sabre.h`),
+ * so a caller that routes one circuit many times (the transpiler's
+ * refinement passes and trials) builds the graph once.
  */
 #ifndef CAQR_TRANSPILE_ROUTER_H
 #define CAQR_TRANSPILE_ROUTER_H
@@ -30,11 +30,12 @@
 
 #include "arch/backend.h"
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
 #include "transpile/layout.h"
 #include "util/status.h"
 
 namespace caqr::transpile {
+
+class GateGraph;
 
 /// Tunables for the SABRE loop. SR-CaQR sets its own; see `sr_caqr.cpp`.
 struct RouterOptions
@@ -139,7 +140,7 @@ struct RouterScratch
     std::vector<double> decay;
     /// @}
 
-    /// @name DAG walk state (per node)
+    /// @name Dependency walk state (per node)
     /// @{
     std::vector<int> remaining_preds;
     std::vector<int> frontier;
@@ -180,7 +181,7 @@ struct RoutingResult
 };
 
 /**
- * Routes the circuit of @p dag onto @p backend starting from
+ * Routes the circuit of @p graph onto @p backend starting from
  * @p initial layout. The result contains SWAP gates on physical links
  * only; every two-qubit gate in the output acts on adjacent physical
  * qubits.
@@ -202,7 +203,7 @@ struct RoutingResult
  * thread count.
  */
 util::StatusOr<RoutingResult> route_or(
-    const circuit::CircuitDag& dag, const arch::Backend& backend,
+    const GateGraph& graph, const arch::Backend& backend,
     const Layout& initial, const RouterOptions& options = {},
     RouterScratch* scratch = nullptr,
     const std::atomic<int>* swap_bound = nullptr);

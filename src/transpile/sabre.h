@@ -28,6 +28,9 @@
  *  - `over_budget(swaps)`, checked after each SWAP and each placement,
  *    stops the run as pruned.
  *
+ * The loop walks a `GateGraph`: the gate-dependency edges in one flat
+ * successor table, built once per circuit.
+ *
  * All loop state lives in a reusable `RouterScratch`, so the hot loop
  * allocates nothing after warm-up. SWAPs move the mapping but not the
  * frontier, so the window and its stall index are rebuilt only when a
@@ -41,16 +44,53 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "arch/backend.h"
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
 #include "transpile/router.h"
 #include "util/status.h"
 
 namespace caqr::transpile {
+
+/**
+ * The gate-dependency edges of a circuit (paper §3.2.1), built in one
+ * program-order pass and stored as a successor table: each instruction
+ * keeps its predecessor count and its successors in ascending order.
+ * Instruction i depends on
+ *  - if i is a barrier: every instruction since the previous barrier,
+ *    or that barrier when there are none;
+ *  - otherwise: the last instruction on each of its qubits, its clbit
+ *    and its condition bit that comes after the last barrier, each
+ *    counted once; with none of those, the last barrier.
+ * These are exactly the edges of the reference dependency DAG the
+ * tests check this table against (`tests/circuit_dag.h`).
+ */
+class GateGraph
+{
+  public:
+    /// Builds the table; @p circuit must outlive this object.
+    explicit GateGraph(const circuit::Circuit& circuit);
+
+    const circuit::Circuit& circuit() const { return *circuit_; }
+    int num_nodes() const { return static_cast<int>(in_degree_.size()); }
+    int in_degree(int node) const { return in_degree_[node]; }
+    std::span<const int>
+    successors(int node) const
+    {
+        return std::span<const int>(succ_).subspan(
+            succ_start_[node], succ_start_[node + 1] - succ_start_[node]);
+    }
+
+  private:
+    const circuit::Circuit* circuit_;
+    std::vector<int> in_degree_;
+    /// successors(u) = succ_[succ_start_[u] .. succ_start_[u + 1]).
+    std::vector<int> succ_start_;
+    std::vector<int> succ_;
+};
 
 /// What one SabreLoop run did.
 struct SabreStats
@@ -67,18 +107,18 @@ template <typename Policy>
 class SabreLoop
 {
   public:
-    /// Routes the circuit of @p dag onto @p backend, appending to
+    /// Routes the circuit of @p graph onto @p backend, appending to
     /// @p output. The caller sets `scratch.phys_of` and
     /// `scratch.logical_of`; the loop resets the rest of @p scratch:
     /// buffers already large enough are reused as-is, and the
     /// generation-stamped sets survive across runs without clearing.
-    SabreLoop(const circuit::CircuitDag& dag, const arch::Backend& backend,
+    SabreLoop(const GateGraph& graph, const arch::Backend& backend,
               const RouterOptions& options, RouterScratch& scratch,
               circuit::Circuit& output, Policy& policy)
-        : dag_(dag), backend_(backend), options_(options), s_(scratch),
+        : graph_(graph), backend_(backend), options_(options), s_(scratch),
           output_(output), policy_(policy)
     {
-        const int num_nodes = dag_.graph().num_nodes();
+        const int num_nodes = graph_.num_nodes();
         const auto nn = static_cast<std::size_t>(num_nodes);
         s_.decay.assign(static_cast<std::size_t>(backend_.num_qubits()),
                         0.0);
@@ -86,7 +126,7 @@ class SabreLoop
         s_.is_2q.resize(nn);
         s_.frontier.clear();
         for (int node = 0; node < num_nodes; ++node) {
-            s_.remaining_preds[node] = dag_.graph().in_degree(node);
+            s_.remaining_preds[node] = graph_.in_degree(node);
             if (s_.remaining_preds[node] == 0) s_.frontier.push_back(node);
             s_.is_2q[node] = circuit::is_two_qubit(gate(node).kind) ? 1 : 0;
         }
@@ -105,7 +145,7 @@ class SabreLoop
         int executed_batches = 0;
         int stall_streak = 0;
         const long long stall_limit =
-            4LL * dag_.graph().num_nodes() * backend_.num_qubits() + 1000;
+            4LL * graph_.num_nodes() * backend_.num_qubits() + 1000;
         while (!s_.frontier.empty()) {
             if (execute_ready()) {
                 s_.lookahead_valid = false;
@@ -166,7 +206,7 @@ class SabreLoop
     const circuit::Instruction&
     gate(int node) const
     {
-        return dag_.circuit().at(static_cast<std::size_t>(node));
+        return graph_.circuit().at(static_cast<std::size_t>(node));
     }
 
     bool
@@ -209,7 +249,7 @@ class SabreLoop
             for (auto& q : mapped.qubits) q = s_.phys_of[q];
             output_.append(std::move(mapped));
             policy_.on_execute(instr);
-            for (int succ : dag_.graph().successors(node)) {
+            for (int succ : graph_.successors(node)) {
                 if (--s_.remaining_preds[succ] == 0) {
                     s_.newly_ready.push_back(succ);
                 }
@@ -246,7 +286,7 @@ class SabreLoop
         std::size_t head = 0;
         while (head < s_.bfs_queue.size() && !full()) {
             const int node = s_.bfs_queue[head++];
-            for (int succ : dag_.graph().successors(node)) {
+            for (int succ : graph_.successors(node)) {
                 if (s_.seen_stamp[succ] == s_.generation) continue;
                 s_.seen_stamp[succ] = s_.generation;
                 s_.bfs_queue.push_back(succ);
@@ -261,7 +301,7 @@ class SabreLoop
             }
         }
         s_.lookahead_valid = true;
-        s_.stall.build(dag_.circuit(), blocked, s_.lookahead);
+        s_.stall.build(graph_.circuit(), blocked, s_.lookahead);
     }
 
     /// Force-routes @p node along a shortest path. Every hop strictly
@@ -374,7 +414,7 @@ class SabreLoop
         std::swap(s_.logical_of[pa], s_.logical_of[pb]);
     }
 
-    const circuit::CircuitDag& dag_;
+    const GateGraph& graph_;
     const arch::Backend& backend_;
     const RouterOptions& options_;
     RouterScratch& s_;

@@ -9,10 +9,10 @@
 #include <utility>
 #include <vector>
 
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "transpile/decompose.h"
 #include "transpile/peephole.h"
+#include "transpile/sabre.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -22,36 +22,19 @@ namespace caqr::transpile {
 
 namespace {
 
-/// The circuit with its instructions in reverse order — the backward
-/// direction of bidirectional SABRE layout refinement. Reversal
-/// preserves the interaction structure, so routing it from the forward
-/// pass's final layout "pulls" qubits toward where the circuit's tail
-/// wants them.
-circuit::Circuit
-reversed_for_routing(const circuit::Circuit& circuit)
-{
-    circuit::Circuit reversed(circuit.num_qubits(), circuit.num_clbits());
-    reversed.copy_params_from(circuit);
-    const auto& instructions = circuit.instructions();
-    for (auto it = instructions.rbegin(); it != instructions.rend(); ++it) {
-        reversed.append(*it);
-    }
-    return reversed;
-}
-
 /// What every route of one request shares, built once: the native
-/// circuit, its reverse (only when refinement runs), the DAG of each,
-/// and the greedy layout. The DAGs point into the circuits, so the
-/// object is neither copied nor moved.
+/// circuit, its reverse (only when refinement runs: the backward
+/// direction of bidirectional layout refinement), the `GateGraph` of
+/// each, and the greedy layout. The graphs point into the circuits, so
+/// the object is neither copied nor moved.
 struct RoutingInputs
 {
     RoutingInputs(circuit::Circuit native_circuit,
                   const arch::Backend& backend, bool with_reversed)
         : native(std::move(native_circuit)),
-          reversed(with_reversed ? reversed_for_routing(native)
-                                 : circuit::Circuit()),
-          native_dag(native),
-          reversed_dag(reversed),
+          reversed(with_reversed ? native.reversed() : circuit::Circuit()),
+          native_graph(native),
+          reversed_graph(reversed),
           base_layout(greedy_layout(native, backend))
     {
     }
@@ -61,8 +44,8 @@ struct RoutingInputs
 
     const circuit::Circuit native;
     const circuit::Circuit reversed;
-    const circuit::CircuitDag native_dag;
-    const circuit::CircuitDag reversed_dag;
+    const GateGraph native_graph;
+    const GateGraph reversed_graph;
     const Layout base_layout;
 };
 
@@ -126,13 +109,13 @@ refine_layout(const RoutingInputs& in, const arch::Backend& backend,
             if (!anchor->completed) return in.base_layout;
             forward_final = anchor->routed.final_layout;
         } else {
-            auto forward = route_or(in.native_dag, backend, layout,
+            auto forward = route_or(in.native_graph, backend, layout,
                                     options.router, &scratch);
             ++routes;
             if (!forward.ok()) return in.base_layout;
             forward_final = std::move(forward->final_layout);
         }
-        auto backward = route_or(in.reversed_dag, backend, forward_final,
+        auto backward = route_or(in.reversed_graph, backend, forward_final,
                                  options.router, &scratch);
         ++routes;
         if (!backward.ok()) return in.base_layout;
@@ -182,7 +165,7 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     TrialOutcome anchor_outcome;
     if (anchor_first) {
         anchor_outcome = measure_trial(
-            route_or(in.native_dag, backend, in.base_layout,
+            route_or(in.native_graph, backend, in.base_layout,
                      options.router, &scratch),
             backend);
         ++routes;
@@ -232,7 +215,7 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
                                                 options.capture);
         RouterScratch trial_scratch;
         return measure_trial(
-            route_or(in.native_dag, backend, layouts[t], options.router,
+            route_or(in.native_graph, backend, layouts[t], options.router,
                      &trial_scratch, anchor_first ? &incumbent : nullptr),
             backend);
     };

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
 #include "circuit/gate.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 
 namespace caqr {
@@ -114,10 +114,9 @@ TEST(Timing, ConditionedCxCircuitDepthAndDurationPinned)
     cx.condition_value = 1;
     c.append(std::move(cx));
 
-    circuit::CircuitDag dag(c);
-    EXPECT_EQ(dag.depth(), 2);
+    EXPECT_EQ(circuit::depth(c), 2);
     const circuit::LogicalDurations model;
-    EXPECT_DOUBLE_EQ(dag.duration(model),
+    EXPECT_DOUBLE_EQ(circuit::critical_path(c, model),
                      circuit::LogicalDurations::kMeasure +
                          circuit::LogicalDurations::kConditionedGate -
                          circuit::LogicalDurations::kOneQubitGate +

@@ -1,7 +1,7 @@
-/// Tests for the gate-dependency DAG: structure, depth/duration,
-/// criticality, and the reuse legality and splice-cost fast paths it
-/// backs, checked against the transitive closure and an explicitly
-/// extended DAG.
+/// Tests for the reference gate-dependency DAG (`circuit_dag.h`) and
+/// what is checked against it: its reuse legality and splice-cost fast
+/// paths against the transitive closure and an explicitly extended DAG,
+/// and the router's `GateGraph` against its edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,113 +11,22 @@
 #include <vector>
 
 #include "apps/benchmarks.h"
-#include "circuit/dag.h"
 #include "circuit/timing.h"
+#include "circuit_dag.h"
 #include "core/reuse_analysis.h"
 #include "graph/digraph.h"
 #include "oracle.h"
+#include "transpile/decompose.h"
+#include "transpile/sabre.h"
 #include "util/rng.h"
 
 namespace caqr {
 namespace {
 
 using circuit::Circuit;
-using circuit::CircuitDag;
 using circuit::LogicalDurations;
 using circuit::UnitDepthModel;
-
-TEST(Dag, LinearChainDepth)
-{
-    Circuit c(1, 0);
-    c.h(0);
-    c.x(0);
-    c.z(0);
-    CircuitDag dag(c);
-    EXPECT_EQ(dag.depth(), 3);
-    EXPECT_EQ(dag.graph().num_edges(), 2);
-}
-
-TEST(Dag, ParallelGatesShareDepth)
-{
-    Circuit c(3, 0);
-    c.h(0);
-    c.h(1);
-    c.h(2);
-    CircuitDag dag(c);
-    EXPECT_EQ(dag.depth(), 1);
-    EXPECT_EQ(dag.graph().num_edges(), 0);
-}
-
-TEST(Dag, TwoQubitGateJoinsWires)
-{
-    Circuit c(2, 0);
-    c.h(0);
-    c.h(1);
-    c.cx(0, 1);
-    c.h(1);
-    CircuitDag dag(c);
-    EXPECT_EQ(dag.depth(), 3);
-    EXPECT_TRUE(dag.graph().has_edge(0, 2));
-    EXPECT_TRUE(dag.graph().has_edge(1, 2));
-    EXPECT_TRUE(dag.graph().has_edge(2, 3));
-}
-
-TEST(Dag, BarrierOrdersAcrossWires)
-{
-    Circuit c(2, 0);
-    c.h(0);
-    c.barrier();
-    c.h(1);
-    CircuitDag dag(c);
-    // Without the barrier depth would be 1; the barrier forces h(1)
-    // after h(0).
-    EXPECT_EQ(dag.depth(), 2);
-}
-
-TEST(Dag, ClassicalDependencyMeasureThenConditioned)
-{
-    Circuit c(2, 1);
-    c.measure(0, 0);
-    c.x_if(1, 0, 1);
-    CircuitDag dag(c);
-    EXPECT_TRUE(dag.graph().has_edge(0, 1));
-}
-
-TEST(Dag, DurationUsesModelWeights)
-{
-    Circuit c(2, 2);
-    c.h(0);
-    c.cx(0, 1);
-    c.measure(1, 1);
-    CircuitDag dag(c);
-    LogicalDurations model;
-    EXPECT_DOUBLE_EQ(dag.duration(model),
-                     LogicalDurations::kOneQubitGate +
-                         LogicalDurations::kTwoQubitGate +
-                         LogicalDurations::kMeasure);
-}
-
-TEST(Dag, ConditionedGateUsesFeedforwardDuration)
-{
-    Circuit c(1, 1);
-    c.measure(0, 0);
-    c.x_if(0, 0, 1);
-    CircuitDag dag(c);
-    LogicalDurations model;
-    // The paper's Fig 2(b) pair: 15,600 + 867 = 16,467 dt.
-    EXPECT_DOUBLE_EQ(dag.duration(model), 16'467.0);
-}
-
-TEST(Dag, BuiltinResetIsSlower)
-{
-    Circuit c(1, 1);
-    c.measure(0, 0);
-    c.reset(0);
-    CircuitDag dag(c);
-    LogicalDurations model;
-    // Fig 2(a): 15,600 + 17,579 = 33,179 dt, ~2x the conditional form.
-    EXPECT_DOUBLE_EQ(dag.duration(model), 33'179.0);
-}
+using oracle::CircuitDag;
 
 TEST(Dag, NodesOnQubit)
 {
@@ -162,20 +71,6 @@ TEST(Dag, QubitReachesThroughClbits)
     CircuitDag dag(c);
     EXPECT_TRUE(dag.qubit_reaches(0, 1));
     EXPECT_FALSE(dag.qubit_reaches(1, 0));
-}
-
-TEST(Dag, CriticalNodes)
-{
-    Circuit c(3, 0);
-    c.h(0);   // node 0: on the 2-deep path
-    c.x(0);   // node 1
-    c.h(1);   // node 2: slack 1
-    CircuitDag dag(c);
-    UnitDepthModel unit;
-    const auto critical = dag.critical_nodes(unit);
-    EXPECT_TRUE(critical[0]);
-    EXPECT_TRUE(critical[1]);
-    EXPECT_FALSE(critical[2]);
 }
 
 TEST(SpliceTiming, ClosedFormAddsDummy)
@@ -247,12 +142,12 @@ expect_matches_closure(const Circuit& c, const std::string& context)
             const bool valid = a != b && !dag.nodes_on_qubit(a).empty() &&
                                !dag.nodes_on_qubit(b).empty() &&
                                !reaches[b][a];
-            ASSERT_EQ(core::is_valid_reuse_pair(dag, a, b), valid)
+            ASSERT_EQ(oracle::is_valid_reuse_pair(dag, a, b), valid)
                 << context << " pair " << a << " -> " << b;
             if (valid) valid_pairs.push_back(core::ReusePair{a, b});
         }
     }
-    EXPECT_EQ(core::find_reuse_pairs(dag), valid_pairs) << context;
+    EXPECT_EQ(oracle::find_reuse_pairs(dag), valid_pairs) << context;
 }
 
 TEST(WireReachability, MatchesClosureOnSmallRandomCircuits)
@@ -289,12 +184,12 @@ TEST(WireReachability, TrailingBarrierDoesNotJoinFinishedQubits)
     CircuitDag dag(c);
     EXPECT_FALSE(dag.qubit_reaches(1, 0));
     EXPECT_TRUE(dag.qubit_reaches(0, 1));
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 1));
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 2, 1));
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 1, 0));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 2, 1));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 1, 0));
     // Both untouched by the second barrier: either order is legal.
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 2));
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 2, 0));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 2));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 2, 0));
     expect_matches_closure(c, "trailing barrier");
 }
 
@@ -319,7 +214,7 @@ TEST(SpliceTiming, MatchesExtendedDagLongestPath)
                 weights.push_back(model->duration(instr));
             }
             weights.push_back(dummy_weight);
-            for (const auto& pair : core::find_reuse_pairs(dag)) {
+            for (const auto& pair : oracle::find_reuse_pairs(dag)) {
                 graph::Digraph extended = dag.graph();
                 const int dummy = extended.add_node();
                 for (int node : dag.nodes_on_qubit(pair.source)) {
@@ -337,6 +232,83 @@ TEST(SpliceTiming, MatchesExtendedDagLongestPath)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The router's successor table against the reference DAG
+// ---------------------------------------------------------------------
+
+/// @p graph's successor lists, in stored order.
+std::vector<std::vector<int>>
+successor_lists(const transpile::GateGraph& graph)
+{
+    std::vector<std::vector<int>> lists;
+    for (int u = 0; u < graph.num_nodes(); ++u) {
+        const auto succ = graph.successors(u);
+        lists.emplace_back(succ.begin(), succ.end());
+    }
+    return lists;
+}
+
+void
+expect_graph_matches_dag(const Circuit& c, const std::string& context)
+{
+    const CircuitDag dag(c);
+    const transpile::GateGraph graph(c);
+    ASSERT_EQ(graph.num_nodes(), dag.graph().num_nodes()) << context;
+    const auto lists = successor_lists(graph);
+    for (int u = 0; u < graph.num_nodes(); ++u) {
+        ASSERT_EQ(graph.in_degree(u), dag.graph().in_degree(u))
+            << context << " node " << u;
+        ASSERT_EQ(lists[u], dag.graph().successors(u))
+            << context << " node " << u;
+    }
+}
+
+TEST(GateGraph, MatchesReferenceDagOnRandomCircuits)
+{
+    // Ordered successor lists and predecessor counts, exactly: barriers,
+    // shared clbits and x_if conditions included, before and after
+    // lowering to the native gate set.
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        util::Rng rng(7000 + seed);
+        const Circuit c = oracle::random_circuit(rng, rng.next_int(1, 24));
+        const std::string context = "seed " + std::to_string(seed);
+        expect_graph_matches_dag(c, context);
+        expect_graph_matches_dag(transpile::decompose_to_native(c),
+                                 context + " native");
+    }
+}
+
+TEST(GateGraph, BarrierDependsOnEveryGateSinceThePreviousBarrier)
+{
+    // Instruction 0 is not the last on its wire, yet the barrier
+    // depends on it: a barrier-as-gate-on-every-wire rule drops 0 -> 2.
+    Circuit c(2, 0);
+    c.h(0);
+    c.h(0);
+    c.barrier();
+    c.h(1);
+    const transpile::GateGraph graph(c);
+    EXPECT_EQ(successor_lists(graph),
+              (std::vector<std::vector<int>>{{1, 2}, {2}, {3}, {}}));
+    EXPECT_EQ(graph.in_degree(2), 2);
+    expect_graph_matches_dag(c, "h h barrier h");
+}
+
+TEST(GateGraph, GateAfterABarrierOrdersThroughItsWirePredecessor)
+{
+    // cx depends on h(0) alone: only a gate with no wire predecessor
+    // depends on the barrier, so there is no edge barrier -> cx.
+    Circuit c(2, 0);
+    c.barrier();
+    c.h(0);
+    c.cx(0, 1);
+    const transpile::GateGraph graph(c);
+    EXPECT_EQ(successor_lists(graph),
+              (std::vector<std::vector<int>>{{1}, {2}, {}}));
+    EXPECT_EQ(graph.in_degree(2), 1);
+    expect_graph_matches_dag(c, "barrier h cx");
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 /**
  * @file
  * Slow reference implementations shared by the tests: a node-level
- * transitive closure, the splice-pricing table computed on a
- * CircuitDag, a SABRE router that rescores every front-layer and
+ * transitive closure, the splice-pricing table computed on the
+ * reference CircuitDag, the DAG reuse API (pair legality under
+ * Conditions 1 and 2, pair enumeration, and the reuse rewrite), a SABRE
+ * router that rescores every front-layer and
  * window gate for every candidate SWAP, a baseline transpiler that
  * routes every refinement pass and every trial from scratch with that
  * router, an SR-CaQR that runs every variant trial to the end and
@@ -16,16 +18,19 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <queue>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "arch/backend.h"
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
+#include "circuit_dag.h"
 #include "core/reuse_analysis.h"
 #include "core/sr_caqr.h"
 #include "graph/digraph.h"
@@ -71,7 +76,7 @@ transitive_closure(const graph::Digraph& graph)
 /// The SpliceTiming table of @p dag under @p model, from the DAG's
 /// node-level earliest-completion and longest-tail passes.
 inline core::SpliceTiming
-splice_timing(const circuit::CircuitDag& dag,
+splice_timing(const CircuitDag& dag,
               const circuit::DurationModel& model)
 {
     const auto& circuit = dag.circuit();
@@ -100,6 +105,172 @@ splice_timing(const circuit::CircuitDag& dag,
     return timing;
 }
 
+/// True if (source -> target) satisfies Conditions 1 and 2 on @p dag.
+/// Qubits with no operations are never part of a valid pair (there is
+/// nothing to save).
+inline bool
+is_valid_reuse_pair(const CircuitDag& dag, int source, int target)
+{
+    const auto& circuit = dag.circuit();
+    if (source == target) return false;
+    if (source < 0 || source >= circuit.num_qubits()) return false;
+    if (target < 0 || target >= circuit.num_qubits()) return false;
+    if (dag.nodes_on_qubit(source).empty() ||
+        dag.nodes_on_qubit(target).empty()) {
+        return false;
+    }
+    // Conditions 1 and 2: no gate on `target` is shared with, or
+    // precedes, a gate on `source`.
+    return !dag.qubit_reaches(target, source);
+}
+
+/// All valid reuse pairs of @p dag in (source, target) order: O(k^2)
+/// bit tests against the DAG's per-wire reachability.
+inline std::vector<core::ReusePair>
+find_reuse_pairs(const CircuitDag& dag)
+{
+    std::vector<int> active;
+    for (int q = 0; q < dag.circuit().num_qubits(); ++q) {
+        if (!dag.nodes_on_qubit(q).empty()) active.push_back(q);
+    }
+    std::vector<core::ReusePair> pairs;
+    for (int source : active) {
+        for (int target : active) {
+            if (source != target && !dag.qubit_reaches(target, source)) {
+                pairs.push_back(core::ReusePair{source, target});
+            }
+        }
+    }
+    return pairs;
+}
+
+/// Result of one reuse application.
+struct TransformResult
+{
+    circuit::Circuit circuit;  ///< rewritten circuit, one wire fewer
+    /// orig_of[new wire] = caller-provided identity of that wire (see
+    /// apply_reuse's @p orig_of parameter).
+    std::vector<int> orig_of;
+};
+
+/// Deterministic Kahn topological order (smallest node id first).
+inline std::vector<int>
+stable_topological_order(const graph::Digraph& graph)
+{
+    const int n = graph.num_nodes();
+    std::vector<int> remaining(static_cast<std::size_t>(n));
+    std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
+    for (int u = 0; u < n; ++u) {
+        remaining[u] = graph.in_degree(u);
+        if (remaining[u] == 0) ready.push(u);
+    }
+    std::vector<int> order;
+    order.reserve(static_cast<std::size_t>(n));
+    while (!ready.empty()) {
+        const int u = ready.top();
+        ready.pop();
+        order.push_back(u);
+        for (int v : graph.successors(u)) {
+            if (--remaining[v] == 0) ready.push(v);
+        }
+    }
+    CAQR_CHECK(static_cast<int>(order.size()) == n,
+               "reuse transform requires an acyclic extended DAG");
+    return order;
+}
+
+/**
+ * Applies reuse pair @p pair to @p input (must be valid per
+ * is_valid_reuse_pair): splices the measure + conditional-X reset of
+ * the source qubit, moves the target qubit's operations onto the source
+ * wire, and compacts the freed wire away. Classical bits are untouched,
+ * so outcome histograms of the result are directly comparable with the
+ * input's. @p orig_of carries wire identities across chained
+ * applications: pass {} on the first call (identity), then the previous
+ * result's vector.
+ *
+ * If the source wire's last operation is a measurement, the reset is a
+ * single conditional X on its clbit (the fast idiom of paper Fig 2b);
+ * otherwise a measurement into a fresh scratch clbit is inserted first.
+ */
+inline TransformResult
+apply_reuse(const circuit::Circuit& input, core::ReusePair pair,
+            std::vector<int> orig_of = {})
+{
+    using circuit::Circuit;
+    using circuit::GateKind;
+    using circuit::Instruction;
+    const CircuitDag dag(input);
+    CAQR_CHECK(is_valid_reuse_pair(dag, pair.source, pair.target),
+               "apply_reuse called with an invalid pair");
+    if (orig_of.empty()) {
+        orig_of.resize(static_cast<std::size_t>(input.num_qubits()));
+        std::iota(orig_of.begin(), orig_of.end(), 0);
+    }
+    CAQR_CHECK(static_cast<int>(orig_of.size()) == input.num_qubits(),
+               "orig_of size mismatch");
+
+    // Extended DAG with the measurement/reset dummy node.
+    graph::Digraph extended = dag.graph();
+    const int dummy = extended.add_node();
+    for (int node : dag.nodes_on_qubit(pair.source)) {
+        extended.add_edge(node, dummy);
+    }
+    for (int node : dag.nodes_on_qubit(pair.target)) {
+        extended.add_edge(dummy, node);
+    }
+    const auto order = stable_topological_order(extended);
+
+    // Does the source wire already end in a measurement?
+    const auto& source_nodes = dag.nodes_on_qubit(pair.source);
+    int source_measure_clbit = -1;
+    if (!source_nodes.empty()) {
+        const Instruction& last = input.at(
+            static_cast<std::size_t>(source_nodes.back()));
+        if (last.kind == GateKind::kMeasure) {
+            source_measure_clbit = last.clbit;
+        }
+    }
+
+    // Wire compaction: drop the target wire, shift higher wires down.
+    auto new_wire = [&](int q) {
+        if (q == pair.target) return -1;  // handled via remap to source
+        return q > pair.target ? q - 1 : q;
+    };
+    const int source_wire = new_wire(pair.source);
+
+    Circuit output(input.num_qubits() - 1, input.num_clbits());
+    output.copy_params_from(input);
+    for (int node : order) {
+        if (node == dummy) {
+            int clbit = source_measure_clbit;
+            if (clbit < 0) {
+                // Source wire never measured: measure into a scratch bit
+                // so the conditional reset has a condition to read.
+                clbit = output.add_clbit();
+                output.measure(source_wire, clbit);
+            }
+            output.x_if(source_wire, clbit, 1);
+            continue;
+        }
+        Instruction instr = input.at(static_cast<std::size_t>(node));
+        for (auto& q : instr.qubits) {
+            q = (q == pair.target) ? source_wire : new_wire(q);
+        }
+        output.append(std::move(instr));
+    }
+
+    TransformResult result;
+    result.circuit = std::move(output);
+    result.orig_of.resize(static_cast<std::size_t>(input.num_qubits() - 1));
+    for (int q = 0; q < input.num_qubits(); ++q) {
+        if (q == pair.target) continue;
+        result.orig_of[static_cast<std::size_t>(new_wire(q))] =
+            orig_of[static_cast<std::size_t>(q)];
+    }
+    return result;
+}
+
 /**
  * SABRE routing as `transpile::route_or` does it, but scoring every
  * candidate SWAP by re-summing the distance of every front-layer and
@@ -120,7 +291,7 @@ route_full_rescore(const circuit::Circuit& logical,
         const int d = backend.distance(a, b);
         return d < 0 ? backend.num_qubits() * 2 : d;
     };
-    const circuit::CircuitDag dag(logical);
+    const CircuitDag dag(logical);
     const int num_nodes = dag.graph().num_nodes();
     const int np = backend.num_qubits();
 
@@ -464,7 +635,7 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
     const circuit::Circuit logical = transpile::decompose_ccx(input);
     CAQR_CHECK(logical.num_qubits() <= backend.num_qubits(),
                "circuit does not fit the backend");
-    const circuit::CircuitDag dag(logical);
+    const CircuitDag dag(logical);
     const int num_nodes = dag.graph().num_nodes();
     const int nl = logical.num_qubits();
     const int np = backend.num_qubits();

@@ -13,12 +13,10 @@
 
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
-#include "circuit/dag.h"
 #include "circuit/timing.h"
 #include "core/commuting.h"
 #include "core/qs_caqr.h"
 #include "core/reuse_analysis.h"
-#include "core/reuse_transform.h"
 #include "graph/generators.h"
 #include "oracle.h"
 #include "qasm/printer.h"
@@ -150,7 +148,7 @@ struct ReferenceVersion
 void
 measure_version(ReferenceVersion* version)
 {
-    circuit::CircuitDag dag(version->circuit);
+    oracle::CircuitDag dag(version->circuit);
     version->qubits = version->circuit.active_qubit_count();
     version->depth = dag.depth();
     version->duration_dt = dag.duration(circuit::LogicalDurations{});
@@ -180,8 +178,8 @@ reference_sweep(const circuit::Circuit& input,
     while (options.target_qubits < 0 ||
            versions.back().qubits > options.target_qubits) {
         const auto& current = versions.back();
-        circuit::CircuitDag dag(current.circuit);
-        const auto pairs = core::find_reuse_pairs(dag);
+        oracle::CircuitDag dag(current.circuit);
+        const auto pairs = oracle::find_reuse_pairs(dag);
         if (pairs.empty()) break;
         const auto timing = oracle::splice_timing(dag, model);
         double best_primary = std::numeric_limits<double>::infinity();
@@ -205,7 +203,7 @@ reference_sweep(const circuit::Circuit& input,
             ReusePair{current.orig_of[best.source],
                       current.orig_of[best.target]});
         auto transformed =
-            core::apply_reuse(current.circuit, best, current.orig_of);
+            oracle::apply_reuse(current.circuit, best, current.orig_of);
         next.circuit = std::move(transformed.circuit);
         next.orig_of = std::move(transformed.orig_of);
         measure_version(&next);

@@ -1,15 +1,15 @@
 /// Tests for reuse legality (Conditions 1 & 2) and the reuse circuit
-/// transform, including semantics preservation under simulation and a
-/// randomized property check over the full QS-CaQR engine.
+/// transform — the reference DAG reuse API of `oracle.h` — including
+/// semantics preservation under simulation and a randomized property
+/// check of the full QS-CaQR engine's pairs against it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "apps/benchmarks.h"
-#include "circuit/dag.h"
 #include "core/qs_caqr.h"
 #include "core/reuse_analysis.h"
-#include "core/reuse_transform.h"
+#include "oracle.h"
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -19,7 +19,7 @@ namespace caqr {
 namespace {
 
 using circuit::Circuit;
-using circuit::CircuitDag;
+using oracle::CircuitDag;
 using core::ReusePair;
 
 TEST(ReuseConditions, SharedGateViolatesCondition1)
@@ -27,8 +27,8 @@ TEST(ReuseConditions, SharedGateViolatesCondition1)
     Circuit c(2, 0);
     c.cx(0, 1);
     CircuitDag dag(c);
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 0, 1));
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 1, 0));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 1, 0));
 }
 
 TEST(ReuseConditions, IndependentWiresAreReusable)
@@ -37,8 +37,8 @@ TEST(ReuseConditions, IndependentWiresAreReusable)
     c.h(0);
     c.h(1);
     CircuitDag dag(c);
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 1));
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 1, 0));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 1, 0));
 }
 
 TEST(ReuseConditions, Fig7DependencyViolatesCondition2)
@@ -51,8 +51,8 @@ TEST(ReuseConditions, Fig7DependencyViolatesCondition2)
     c.cx(2, 3);
     c.cx(3, 1);
     CircuitDag dag(c);
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 1, 4));
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 4, 1));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 1, 4));
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 4, 1));
 }
 
 TEST(ReuseConditions, IdleQubitsAreNotCandidates)
@@ -61,9 +61,9 @@ TEST(ReuseConditions, IdleQubitsAreNotCandidates)
     c.h(0);
     CircuitDag dag(c);
     // Qubits 1 and 2 have no operations: nothing to reuse.
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 0, 1));
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 1, 0));
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 0, 0));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 1, 0));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 0, 0));
 }
 
 TEST(ReuseConditions, BvPairsMatchPaper)
@@ -72,7 +72,7 @@ TEST(ReuseConditions, BvPairsMatchPaper)
     // (they only share the ancilla), but never with the ancilla.
     const auto bv = apps::bv_circuit(5);
     CircuitDag dag(bv);
-    const auto pairs = core::find_reuse_pairs(dag);
+    const auto pairs = oracle::find_reuse_pairs(dag);
     EXPECT_FALSE(pairs.empty());
     for (const auto& pair : pairs) {
         EXPECT_NE(pair.source, 4);
@@ -87,7 +87,7 @@ TEST(ReuseConditions, BvPairsMatchPaper)
 TEST(ReuseTransform, ReducesQubitCountByOne)
 {
     const auto bv = apps::bv_circuit(5);
-    auto result = core::apply_reuse(bv, ReusePair{0, 1});
+    auto result = oracle::apply_reuse(bv, ReusePair{0, 1});
     EXPECT_EQ(result.circuit.num_qubits(), 4);
     EXPECT_EQ(result.circuit.num_clbits(), bv.num_clbits());
     EXPECT_EQ(result.orig_of.size(), 4u);
@@ -96,7 +96,7 @@ TEST(ReuseTransform, ReducesQubitCountByOne)
 TEST(ReuseTransform, InsertsConditionalReset)
 {
     const auto bv = apps::bv_circuit(5);
-    auto result = core::apply_reuse(bv, ReusePair{0, 1});
+    auto result = oracle::apply_reuse(bv, ReusePair{0, 1});
     int conditioned = 0;
     for (const auto& instr : result.circuit.instructions()) {
         if (instr.has_condition()) ++conditioned;
@@ -111,7 +111,7 @@ TEST(ReuseTransform, InsertsConditionalReset)
 TEST(ReuseTransform, PreservesBvSemantics)
 {
     const auto bv = apps::bv_circuit(5);
-    auto result = core::apply_reuse(bv, ReusePair{0, 1});
+    auto result = oracle::apply_reuse(bv, ReusePair{0, 1});
     const auto counts =
         sim::simulate(result.circuit, {.shots = 256, .seed = 31});
     ASSERT_EQ(counts.size(), 1u);
@@ -126,8 +126,8 @@ TEST(ReuseTransform, ChainedReuseDownToTwoQubits)
     for (int step = 0; step < 3; ++step) {
         CircuitDag dag(current);
         // Reuse wire 0 (originally q0) for the next data wire.
-        ASSERT_TRUE(core::is_valid_reuse_pair(dag, 0, 1));
-        auto result = core::apply_reuse(current, ReusePair{0, 1},
+        ASSERT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 1));
+        auto result = oracle::apply_reuse(current, ReusePair{0, 1},
                                         std::move(orig));
         current = std::move(result.circuit);
         orig = std::move(result.orig_of);
@@ -144,7 +144,7 @@ TEST(ReuseTransform, SourceWithoutMeasureGetsScratchBit)
     c.h(0);
     c.z(0);
     c.h(1);
-    auto result = core::apply_reuse(c, ReusePair{0, 1});
+    auto result = oracle::apply_reuse(c, ReusePair{0, 1});
     // A scratch clbit must have been added for the inserted measure.
     EXPECT_EQ(result.circuit.num_clbits(), 1);
     EXPECT_EQ(result.circuit.measure_count(), 1);
@@ -153,7 +153,7 @@ TEST(ReuseTransform, SourceWithoutMeasureGetsScratchBit)
 TEST(ReuseTransform, OrigOfTracksWireIdentity)
 {
     const auto bv = apps::bv_circuit(5);
-    auto result = core::apply_reuse(bv, ReusePair{2, 3});
+    auto result = oracle::apply_reuse(bv, ReusePair{2, 3});
     // Wire that hosted q2 keeps identity 2; q3's wire is gone; qubit 4
     // shifts down to wire 3.
     EXPECT_EQ(result.orig_of[2], 2);
@@ -165,7 +165,7 @@ TEST(ReuseTransformDeath, RejectsInvalidPair)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Circuit c(2, 0);
     c.cx(0, 1);
-    EXPECT_DEATH(core::apply_reuse(c, ReusePair{0, 1}), "invalid pair");
+    EXPECT_DEATH(oracle::apply_reuse(c, ReusePair{0, 1}), "invalid pair");
 }
 
 TEST(Advise, BvHasOpportunities)
@@ -264,10 +264,10 @@ TEST(ReuseProperty, EngineAppliesOnlyValidPairsAndPreservesSemantics)
             }
             ASSERT_GE(source, 0) << "seed " << seed;
             ASSERT_GE(target, 0) << "seed " << seed;
-            ASSERT_TRUE(core::is_valid_reuse_pair(dag, source, target))
+            ASSERT_TRUE(oracle::is_valid_reuse_pair(dag, source, target))
                 << "seed " << seed << " pair (" << pair.source << ","
                 << pair.target << ")";
-            auto transformed = core::apply_reuse(
+            auto transformed = oracle::apply_reuse(
                 current, ReusePair{source, target}, std::move(orig));
             current = std::move(transformed.circuit);
             orig = std::move(transformed.orig_of);

@@ -10,9 +10,7 @@
 
 #include "apps/benchmarks.h"
 #include "arch/backend.h"
-#include "circuit/dag.h"
 #include "core/qs_caqr.h"
-#include "core/reuse_transform.h"
 #include "core/sr_caqr.h"
 #include "graph/digraph.h"
 #include "graph/matching.h"
@@ -159,9 +157,9 @@ TEST(ReuseRobustness, BarriersBlockCrossReuse)
     c.h(0);
     c.barrier();
     c.h(1);
-    circuit::CircuitDag dag(c);
-    EXPECT_TRUE(core::is_valid_reuse_pair(dag, 0, 1));
-    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 1, 0));
+    oracle::CircuitDag dag(c);
+    EXPECT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_FALSE(oracle::is_valid_reuse_pair(dag, 1, 0));
 }
 
 TEST(ReuseRobustness, TransformKeepsBarrier)
@@ -172,9 +170,9 @@ TEST(ReuseRobustness, TransformKeepsBarrier)
     c.barrier();
     c.h(1);
     c.measure(1, 1);
-    circuit::CircuitDag dag(c);
-    ASSERT_TRUE(core::is_valid_reuse_pair(dag, 0, 1));
-    const auto result = core::apply_reuse(c, core::ReusePair{0, 1});
+    oracle::CircuitDag dag(c);
+    ASSERT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 1));
+    const auto result = oracle::apply_reuse(c, core::ReusePair{0, 1});
     int barriers = 0;
     for (const auto& instr : result.circuit.instructions()) {
         if (instr.kind == circuit::GateKind::kBarrier) ++barriers;
@@ -193,9 +191,9 @@ TEST(ReuseRobustness, ConditionedGatesSurviveTransform)
     c.measure(1, 1);
     c.h(2);
     c.measure(2, 2);
-    circuit::CircuitDag dag(c);
-    ASSERT_TRUE(core::is_valid_reuse_pair(dag, 0, 2));
-    const auto result = core::apply_reuse(c, core::ReusePair{0, 2});
+    oracle::CircuitDag dag(c);
+    ASSERT_TRUE(oracle::is_valid_reuse_pair(dag, 0, 2));
+    const auto result = oracle::apply_reuse(c, core::ReusePair{0, 2});
     EXPECT_EQ(result.circuit.num_qubits(), 2);
     // Still simulates without issue and q1's conditioned flip fires
     // only when c0 == 1 (never, since q0 measures 0 deterministically

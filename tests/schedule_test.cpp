@@ -1,5 +1,7 @@
-/// Tests for the ASAP Schedule artifact (against the dependency DAG),
-/// the flat calibration link table and calibration snapshot I/O.
+/// Tests for the ASAP Schedule artifact (against the reference
+/// dependency DAG), hand-checked depth, duration and dependence pins on
+/// the production timing and `GateGraph`, the flat calibration link
+/// table and calibration snapshot I/O.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +14,11 @@
 #include "arch/calibration.h"
 #include "arch/heavy_hex.h"
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
+#include "circuit_dag.h"
 #include "oracle.h"
+#include "transpile/sabre.h"
 #include "util/rng.h"
 
 namespace caqr {
@@ -128,7 +131,7 @@ TEST(Schedule, MatchesDagOnRandomCircuits)
     for (int i = 0; i < 300; ++i) {
         util::Rng rng(5000 + i);
         const Circuit c = oracle::random_circuit(rng, 1 + i % 27);
-        const circuit::CircuitDag dag(c);
+        const oracle::CircuitDag dag(c);
         EXPECT_EQ(circuit::depth(c), dag.depth()) << "circuit " << i;
         for (const auto* model : models) {
             std::vector<double> duration;
@@ -173,6 +176,112 @@ TEST(Schedule, BarrierJoinsEveryWire)
     EXPECT_EQ(schedule.start(5), 320.0);
     EXPECT_EQ(circuit::critical_path(c, model), 320.0 + 15'600.0);
     EXPECT_EQ(circuit::critical_path(Circuit(2, 0), model), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Hand-checked pins: depth and duration from the ASAP pass, dependence
+// edges from the router's GateGraph.
+// ---------------------------------------------------------------------
+
+bool
+has_edge(const transpile::GateGraph& graph, int u, int v)
+{
+    const auto succ = graph.successors(u);
+    return std::find(succ.begin(), succ.end(), v) != succ.end();
+}
+
+int
+num_edges(const transpile::GateGraph& graph)
+{
+    int edges = 0;
+    for (int u = 0; u < graph.num_nodes(); ++u) edges += graph.in_degree(u);
+    return edges;
+}
+
+TEST(Dependency, LinearChainDepth)
+{
+    Circuit c(1, 0);
+    c.h(0);
+    c.x(0);
+    c.z(0);
+    EXPECT_EQ(circuit::depth(c), 3);
+    EXPECT_EQ(num_edges(transpile::GateGraph(c)), 2);
+}
+
+TEST(Dependency, ParallelGatesShareDepth)
+{
+    Circuit c(3, 0);
+    c.h(0);
+    c.h(1);
+    c.h(2);
+    EXPECT_EQ(circuit::depth(c), 1);
+    EXPECT_EQ(num_edges(transpile::GateGraph(c)), 0);
+}
+
+TEST(Dependency, TwoQubitGateJoinsWires)
+{
+    Circuit c(2, 0);
+    c.h(0);
+    c.h(1);
+    c.cx(0, 1);
+    c.h(1);
+    EXPECT_EQ(circuit::depth(c), 3);
+    const transpile::GateGraph graph(c);
+    EXPECT_TRUE(has_edge(graph, 0, 2));
+    EXPECT_TRUE(has_edge(graph, 1, 2));
+    EXPECT_TRUE(has_edge(graph, 2, 3));
+}
+
+TEST(Dependency, BarrierOrdersAcrossWires)
+{
+    Circuit c(2, 0);
+    c.h(0);
+    c.barrier();
+    c.h(1);
+    // Without the barrier depth would be 1; the barrier forces h(1)
+    // after h(0).
+    EXPECT_EQ(circuit::depth(c), 2);
+}
+
+TEST(Dependency, ClassicalDependencyMeasureThenConditioned)
+{
+    Circuit c(2, 1);
+    c.measure(0, 0);
+    c.x_if(1, 0, 1);
+    EXPECT_TRUE(has_edge(transpile::GateGraph(c), 0, 1));
+}
+
+TEST(Dependency, DurationUsesModelWeights)
+{
+    Circuit c(2, 2);
+    c.h(0);
+    c.cx(0, 1);
+    c.measure(1, 1);
+    LogicalDurations model;
+    EXPECT_DOUBLE_EQ(circuit::critical_path(c, model),
+                     LogicalDurations::kOneQubitGate +
+                         LogicalDurations::kTwoQubitGate +
+                         LogicalDurations::kMeasure);
+}
+
+TEST(Dependency, ConditionedGateUsesFeedforwardDuration)
+{
+    Circuit c(1, 1);
+    c.measure(0, 0);
+    c.x_if(0, 0, 1);
+    LogicalDurations model;
+    // The paper's Fig 2(b) pair: 15,600 + 867 = 16,467 dt.
+    EXPECT_DOUBLE_EQ(circuit::critical_path(c, model), 16'467.0);
+}
+
+TEST(Dependency, BuiltinResetIsSlower)
+{
+    Circuit c(1, 1);
+    c.measure(0, 0);
+    c.reset(0);
+    LogicalDurations model;
+    // Fig 2(a): 15,600 + 17,579 = 33,179 dt, ~2x the conditional form.
+    EXPECT_DOUBLE_EQ(circuit::critical_path(c, model), 33'179.0);
 }
 
 TEST(CalibrationTable, SetLinkOverwrites)

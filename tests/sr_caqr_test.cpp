@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "sim/simulator.h"
 #include "transpile/router.h"
+#include "transpile/sabre.h"
 #include "transpile/transpiler.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -538,7 +539,7 @@ TEST(SrCaqr, SrTrialsLeaveRouterCountersAlone)
     EXPECT_EQ(router_counts(), before);
 
     const auto routed =
-        transpile::route_or(circuit::CircuitDag(qaoa), backend,
+        transpile::route_or(transpile::GateGraph(qaoa), backend,
                             transpile::greedy_layout(qaoa, backend))
             .value();
     EXPECT_GT(routed.swaps_added, 0);

@@ -7,7 +7,6 @@
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
 #include "arch/backend.h"
-#include "circuit/dag.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
 #include <atomic>
@@ -25,6 +24,7 @@
 #include "transpile/decompose.h"
 #include "transpile/layout.h"
 #include "transpile/router.h"
+#include "transpile/sabre.h"
 #include "transpile/transpiler.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -216,7 +216,7 @@ TEST(Router, AlreadyCompliantCircuitNeedsNoSwaps)
     c.measure(0, 0);
     c.measure(1, 1);
     const auto result =
-        transpile::route_or(circuit::CircuitDag(c), backend,
+        transpile::route_or(transpile::GateGraph(c), backend,
                             transpile::trivial_layout(c, backend))
             .value();
     EXPECT_EQ(result.swaps_added, 0);
@@ -229,7 +229,7 @@ TEST(Router, DistantQubitsGetSwaps)
     Circuit c(27, 0);
     c.cx(0, 26);  // far corners of the lattice
     const auto result =
-        transpile::route_or(circuit::CircuitDag(c), backend,
+        transpile::route_or(transpile::GateGraph(c), backend,
                             transpile::trivial_layout(c, backend))
             .value();
     EXPECT_GT(result.swaps_added, 0);
@@ -244,7 +244,7 @@ TEST(Router, StarCircuitOnDegreeLimitedDevice)
     const auto bv = apps::bv_circuit(5);
     const auto layout = transpile::greedy_layout(bv, backend);
     const auto result =
-        transpile::route_or(circuit::CircuitDag(bv), backend, layout)
+        transpile::route_or(transpile::GateGraph(bv), backend, layout)
             .value();
     EXPECT_GE(result.swaps_added, 1);
     EXPECT_TRUE(transpile::is_hardware_compliant(result.circuit, backend));
@@ -257,7 +257,7 @@ TEST(Router, ScratchReuseIsBitIdentical)
     const auto backend = arch::Backend::fake_mumbai();
     const auto bv = apps::bv_circuit(8);
     const auto layout = transpile::greedy_layout(bv, backend);
-    const circuit::CircuitDag dag(bv);
+    const transpile::GateGraph dag(bv);
     const auto cold = transpile::route_or(dag, backend, layout).value();
     transpile::RouterScratch scratch;
     for (int run = 0; run < 3; ++run) {
@@ -278,7 +278,7 @@ TEST(Router, InvalidLayoutReportsInvalidArgument)
     c.cx(0, 1);
     transpile::Layout bad = {0, 0};  // not injective
     const auto result =
-        transpile::route_or(circuit::CircuitDag(c), backend, bad);
+        transpile::route_or(transpile::GateGraph(c), backend, bad);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
@@ -295,7 +295,7 @@ TEST(Router, DisconnectedDeviceReportsInfeasible)
     Circuit c(4, 0);
     c.cx(0, 2);
     const auto result = transpile::route_or(
-        circuit::CircuitDag(c), backend,
+        transpile::GateGraph(c), backend,
         transpile::trivial_layout(c, backend));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kInfeasible);
@@ -312,7 +312,7 @@ TEST(Router, StallEscapeRoutesImmediately)
     options.stall_escape_after = 0;
     const auto layout = transpile::greedy_layout(bv, backend);
     const auto result =
-        transpile::route_or(circuit::CircuitDag(bv), backend, layout,
+        transpile::route_or(transpile::GateGraph(bv), backend, layout,
                             options)
             .value();
     EXPECT_GE(result.swaps_added, 1);
@@ -342,7 +342,7 @@ TEST(Router, SwapBoundPrunesHopelessRun)
     c.cx(0, 26);
     std::atomic<int> bound{0};  // incumbent: a zero-SWAP solution exists
     const auto result = transpile::route_or(
-        circuit::CircuitDag(c), backend,
+        transpile::GateGraph(c), backend,
         transpile::trivial_layout(c, backend), {}, nullptr,
         &bound);
     ASSERT_FALSE(result.ok());
@@ -536,7 +536,7 @@ TEST_P(RandomCouplingRouting, CompliantAndPermutationEquivalent)
     const auto layout = transpile::greedy_layout(logical, backend);
     ASSERT_TRUE(transpile::is_valid_layout(layout, logical, backend));
     const auto routed =
-        transpile::route_or(circuit::CircuitDag(logical), backend, layout)
+        transpile::route_or(transpile::GateGraph(logical), backend, layout)
             .value();
     ASSERT_TRUE(transpile::is_hardware_compliant(routed.circuit, backend));
 
@@ -580,7 +580,7 @@ expect_matches_reference(const Circuit& logical,
                          transpile::RouterScratch* scratch = nullptr)
 {
     const auto fast =
-        transpile::route_or(circuit::CircuitDag(logical), backend, layout,
+        transpile::route_or(transpile::GateGraph(logical), backend, layout,
                             options, scratch);
     const auto slow =
         oracle::route_full_rescore(logical, backend, layout, options);
