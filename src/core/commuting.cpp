@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
 #include "graph/coloring.h"
-#include "graph/digraph.h"
 #include "graph/matching.h"
 #include "util/logging.h"
 
 namespace caqr::core {
 
 namespace {
+
+/// Weight `schedule_commuting` gives a gate that unblocks a pending
+/// reuse (>1 per paper Step 2); every other gate weighs 1.
+constexpr long long kReusePriorityWeight = 4;
 
 /// Per-qubit reuse roles derived from a pair set.
 struct PairIndex
@@ -24,50 +28,6 @@ struct PairIndex
         : target_of(static_cast<std::size_t>(n), -1),
           source_of(static_cast<std::size_t>(n), -1)
     {
-    }
-};
-
-/// Angle emission for the materializers: concrete RZZ/RX by default;
-/// with `spec.symbolic` it registers per-layer params
-/// gamma<l>/beta<l> (interleaved per layer, values = full rotation
-/// angles 2γ/2β) on construction and emits symbolic gates instead.
-struct AngleEmitter
-{
-    const CommutingSpec& spec;
-    circuit::Circuit& circuit;
-    std::vector<circuit::ParamRef> gamma_ref;
-    std::vector<circuit::ParamRef> beta_ref;
-
-    AngleEmitter(const CommutingSpec& s, circuit::Circuit& c, int num_layers)
-        : spec(s), circuit(c)
-    {
-        if (!spec.symbolic) return;
-        for (int l = 0; l < num_layers; ++l) {
-            gamma_ref.push_back(circuit.add_param(
-                "gamma" + std::to_string(l), 2.0 * spec.gamma_at(l)));
-            beta_ref.push_back(circuit.add_param(
-                "beta" + std::to_string(l), 2.0 * spec.beta_at(l)));
-        }
-    }
-
-    void
-    rzz(int layer, int a, int b)
-    {
-        if (spec.symbolic) {
-            circuit.rzz_sym(gamma_ref[static_cast<std::size_t>(layer)], a, b);
-        } else {
-            circuit.rzz(2.0 * spec.gamma_at(layer), a, b);
-        }
-    }
-
-    void
-    rx(int layer, int q)
-    {
-        if (spec.symbolic) {
-            circuit.rx_sym(beta_ref[static_cast<std::size_t>(layer)], q);
-        } else {
-            circuit.rx(2.0 * spec.beta_at(layer), q);
-        }
     }
 };
 
@@ -87,6 +47,149 @@ build_index(int n, const std::vector<ReusePair>& pairs, PairIndex* index)
     return true;
 }
 
+/**
+ * The gate-instance rounds both schedulers share. Every edge carries
+ * one RZZ instance per layer (instances ordered per edge) and each
+ * qubit takes an RX mixer after each of its layers. The schedulers
+ * only decide when a qubit joins a wire (`wire_of`, `on_wire`), what
+ * happens once it finishes, and how gates are weighted.
+ *
+ * Angles are concrete by default; with `spec.symbolic` the circuit
+ * registers per-layer params gamma<l>/beta<l> (interleaved per layer,
+ * values = full rotation angles 2γ/2β) and the gates carry them.
+ */
+struct GateRounds
+{
+    /// Outcome of `advance` for one qubit.
+    enum class Step { kBusy, kNextLayer, kDone };
+
+    const CommutingSpec& spec;
+    const int num_layers;
+    circuit::Circuit circuit;
+    std::vector<int> wire_of;             ///< problem qubit -> wire, or -1
+    std::vector<bool> on_wire;            ///< placed and not yet measured
+    std::vector<int> layer_of;            ///< qubit's current layer
+    std::vector<int> remaining_in_layer;  ///< its gates left in that layer
+    std::vector<int> layers_done;         ///< per edge: instances emitted
+    int rounds = 0;                       ///< non-empty matching rounds
+    std::vector<circuit::ParamRef> gamma_ref;
+    std::vector<circuit::ParamRef> beta_ref;
+
+    GateRounds(const CommutingSpec& s, int wires)
+        : spec(s),
+          num_layers(std::max(1, s.layers)),
+          circuit(wires, s.interaction.num_nodes()),
+          wire_of(static_cast<std::size_t>(s.interaction.num_nodes()), -1),
+          on_wire(wire_of.size(), false),
+          layer_of(wire_of.size(), 0),
+          remaining_in_layer(wire_of.size(), 0),
+          layers_done(s.interaction.edges().size(), 0)
+    {
+        for (const auto& [u, v] : spec.interaction.edges()) {
+            ++remaining_in_layer[u];
+            ++remaining_in_layer[v];
+        }
+        if (!spec.symbolic) return;
+        for (int l = 0; l < num_layers; ++l) {
+            gamma_ref.push_back(circuit.add_param(
+                "gamma" + std::to_string(l), 2.0 * spec.gamma_at(l)));
+            beta_ref.push_back(circuit.add_param(
+                "beta" + std::to_string(l), 2.0 * spec.beta_at(l)));
+        }
+    }
+
+    /// Layer advance: once on-wire qubit @p q has no gate left in its
+    /// current layer, emits its mixer and moves it to the next layer
+    /// (kNextLayer), or reports its last layer done (kDone; the caller
+    /// measures it). kBusy otherwise.
+    Step
+    advance(int q)
+    {
+        if (!on_wire[q] || remaining_in_layer[q] != 0) return Step::kBusy;
+        const int layer = layer_of[q];
+        if (spec.symbolic) {
+            circuit.rx_sym(beta_ref[static_cast<std::size_t>(layer)],
+                           wire_of[q]);
+        } else {
+            circuit.rx(2.0 * spec.beta_at(layer), wire_of[q]);
+        }
+        if (layer + 1 == num_layers) return Step::kDone;
+        ++layer_of[q];
+        remaining_in_layer[q] = spec.interaction.degree(q);
+        return Step::kNextLayer;
+    }
+
+    /// One round of paper Steps 2-3: the eligible gate instances (both
+    /// endpoints on a wire and at the instance's layer), weighted by
+    /// @p weight(u, v) > 0, go through a maximum-weight matching
+    /// (Blossom up to `exact_matching_limit` eligible gates, greedy
+    /// above) and the matched ones are emitted. Returns how many were;
+    /// 0 only when no gate was eligible.
+    template <typename Weight>
+    int
+    match_round(const CommutingOptions& options, Weight weight)
+    {
+        const auto& edges = spec.interaction.edges();
+        std::vector<graph::WeightedEdge> eligible;
+        std::vector<int> gate_id;
+        for (std::size_t g = 0; g < edges.size(); ++g) {
+            // A gate done with every layer is past each qubit's layer.
+            const auto& [u, v] = edges[g];
+            if (!on_wire[u] || !on_wire[v] ||
+                layer_of[u] != layers_done[g] ||
+                layer_of[v] != layers_done[g]) {
+                continue;
+            }
+            eligible.push_back(graph::WeightedEdge{u, v, weight(u, v)});
+            gate_id.push_back(static_cast<int>(g));
+        }
+        if (eligible.empty()) return 0;
+
+        const int n = spec.interaction.num_nodes();
+        const auto matching =
+            static_cast<int>(eligible.size()) <= options.exact_matching_limit
+                ? graph::max_weight_matching(n, eligible)
+                : graph::greedy_matching(n, eligible);
+        int emitted = 0;
+        for (std::size_t e = 0; e < eligible.size(); ++e) {
+            const int u = eligible[e].u;
+            const int v = eligible[e].v;
+            if (matching.mate[u] != v) continue;
+            const int layer = layers_done[gate_id[e]]++;
+            if (spec.symbolic) {
+                circuit.rzz_sym(gamma_ref[static_cast<std::size_t>(layer)],
+                                wire_of[u], wire_of[v]);
+            } else {
+                circuit.rzz(2.0 * spec.gamma_at(layer), wire_of[u],
+                            wire_of[v]);
+            }
+            --remaining_in_layer[u];
+            --remaining_in_layer[v];
+            ++emitted;
+        }
+        // Every weight is positive, so both matchers take at least one
+        // edge of a non-empty round.
+        CAQR_CHECK(emitted > 0, "matching scheduled no eligible gate");
+        ++rounds;
+        return emitted;
+    }
+
+    /// Times the finished circuit and hands it over.
+    CommutingSchedule
+    finish(int wires_used)
+    {
+        CommutingSchedule result;
+        result.wire_of = std::move(wire_of);
+        result.wires_used = wires_used;
+        result.rounds = rounds;
+        result.depth = circuit::depth(circuit);
+        circuit::LogicalDurations durations;
+        result.duration_dt = circuit::critical_path(circuit, durations);
+        result.circuit = std::move(circuit);
+        return result;
+    }
+};
+
 }  // namespace
 
 bool
@@ -94,84 +197,54 @@ commuting_pairs_valid(const graph::UndirectedGraph& interaction,
                       const std::vector<ReusePair>& pairs, int layers)
 {
     const int n = interaction.num_nodes();
-    const int num_layers = std::max(1, layers);
     PairIndex index(n);
     if (!build_index(n, pairs, &index)) return false;
 
-    // Condition 1 per pair.
+    // The pair graph of the header, each pair named by its source
+    // qubit: s -> s' when s' lies within `layers` hops of s's target.
+    // One BFS per pair, cut at that depth.
+    const int max_hops = std::max(1, layers);
+    std::vector<std::vector<int>> successors(static_cast<std::size_t>(n));
+    std::vector<int> in_degree(static_cast<std::size_t>(n), 0);
+    std::vector<int> hops(static_cast<std::size_t>(n), -1);
+    std::vector<int> ball;
+    for (int s = 0; s < n; ++s) {
+        const int target = index.target_of[s];
+        if (target < 0) continue;
+        ball.assign(1, target);
+        hops[target] = 0;
+        for (std::size_t i = 0; i < ball.size(); ++i) {
+            const int u = ball[i];
+            if (hops[u] == max_hops) continue;
+            for (int v : interaction.neighbors(u)) {
+                if (hops[v] >= 0) continue;
+                hops[v] = hops[u] + 1;
+                ball.push_back(v);
+            }
+        }
+        for (int u : ball) {
+            hops[u] = -1;
+            if (index.target_of[u] < 0) continue;
+            successors[s].push_back(u);
+            ++in_degree[u];
+        }
+    }
+
+    // Kahn: acyclic iff every pair leaves the ready list.
+    std::vector<int> ready;
     for (const auto& pair : pairs) {
-        if (interaction.has_edge(pair.source, pair.target)) return false;
+        if (in_degree[pair.source] == 0) ready.push_back(pair.source);
     }
-
-    // Wire chains must be acyclic at the qubit level too: a handoff
-    // cycle (a -> b, b -> a) is unschedulable even when the qubits
-    // involved carry no gates.
-    {
-        graph::Digraph chain(n);
-        for (const auto& pair : pairs) {
-            chain.add_edge(pair.source, pair.target);
-        }
-        if (chain.has_cycle()) return false;
-    }
-
-    // Gate-level dependence graph over per-layer instances: node
-    // (g, l) = instance l of interaction edge g, plus one measurement
-    // node per pair; acyclic <=> Condition 2 holds.
-    const auto& edges = interaction.edges();
-    const int num_gates = static_cast<int>(edges.size());
-    const int num_instances = num_gates * num_layers;
-    graph::Digraph dependence(num_instances +
-                              static_cast<int>(pairs.size()));
-    auto instance = [num_gates](int g, int l) {
-        return l * num_gates + g;
-    };
-
-    // A qubit's layer-(l+1) gates depend on its layer-l gates through
-    // the mixer in between.
-    if (num_layers > 1) {
-        std::vector<std::vector<int>> gates_on(
-            static_cast<std::size_t>(n));
-        for (int g = 0; g < num_gates; ++g) {
-            const auto& [u, v] = edges[static_cast<std::size_t>(g)];
-            gates_on[u].push_back(g);
-            gates_on[v].push_back(g);
-        }
-        for (int q = 0; q < n; ++q) {
-            for (int l = 0; l + 1 < num_layers; ++l) {
-                for (int ga : gates_on[q]) {
-                    for (int gb : gates_on[q]) {
-                        dependence.add_edge(instance(ga, l),
-                                            instance(gb, l + 1));
-                    }
-                }
-            }
+    std::size_t ordered = 0;
+    while (!ready.empty()) {
+        const int s = ready.back();
+        ready.pop_back();
+        ++ordered;
+        for (int next : successors[s]) {
+            if (--in_degree[next] == 0) ready.push_back(next);
         }
     }
-
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-        const int m_node = num_instances + static_cast<int>(p);
-        for (int g = 0; g < num_gates; ++g) {
-            const auto& [u, v] = edges[static_cast<std::size_t>(g)];
-            for (int l = 0; l < num_layers; ++l) {
-                if (u == pairs[p].source || v == pairs[p].source) {
-                    dependence.add_edge(instance(g, l), m_node);
-                }
-                if (u == pairs[p].target || v == pairs[p].target) {
-                    dependence.add_edge(m_node, instance(g, l));
-                }
-            }
-        }
-        // Consecutive handoffs on the same wire order their
-        // measurement nodes directly — required when the intermediate
-        // qubit carries no gates to link them transitively.
-        for (std::size_t q = 0; q < pairs.size(); ++q) {
-            if (pairs[q].source == pairs[p].target) {
-                dependence.add_edge(m_node,
-                                    num_instances + static_cast<int>(q));
-            }
-        }
-    }
-    return !dependence.has_cycle();
+    return ordered == pairs.size();
 }
 
 CommutingSchedule
@@ -187,72 +260,46 @@ schedule_commuting(const CommutingSpec& spec,
     PairIndex index(n);
     build_index(n, pairs, &index);
 
-    const auto& edges = interaction.edges();
-    const int num_gates = static_cast<int>(edges.size());
-    const int num_layers = std::max(1, spec.layers);
-
-    // Multi-layer QAOA: every edge carries one RZZ instance per layer
-    // (instances ordered per edge); each qubit takes an RX mixer
-    // between its layers.
-    std::vector<int> layers_done(static_cast<std::size_t>(num_gates), 0);
-    std::vector<int> layer_of(static_cast<std::size_t>(n), 0);
-    std::vector<int> remaining_in_layer(static_cast<std::size_t>(n), 0);
-    for (const auto& [u, v] : edges) {
-        ++remaining_in_layer[u];
-        ++remaining_in_layer[v];
-    }
-
-    // Wires: non-target qubits start on fresh wires; targets inherit
-    // their source's wire after the reset.
-    std::vector<int> wire_of(static_cast<std::size_t>(n), -1);
-    std::vector<bool> enabled(static_cast<std::size_t>(n), false);
-    std::vector<bool> finished(static_cast<std::size_t>(n), false);
+    // Wires: non-target qubits (one per pair fewer than n, targets being
+    // distinct) start on fresh wires; targets inherit their source's
+    // wire after the reset.
+    const int wires_used = n - static_cast<int>(pairs.size());
+    GateRounds state(spec, wires_used);
+    auto& circuit = state.circuit;
     int next_wire = 0;
     for (int q = 0; q < n; ++q) {
-        if (index.source_of[q] < 0) {
-            wire_of[q] = next_wire++;
-            enabled[q] = true;
-        }
-    }
-    const int wires_used = next_wire;
-
-    circuit::Circuit circuit(wires_used, n);
-    AngleEmitter emit(spec, circuit, num_layers);
-    for (int q = 0; q < n; ++q) {
-        if (enabled[q]) circuit.h(wire_of[q]);
+        if (index.source_of[q] >= 0) continue;
+        state.wire_of[q] = next_wire++;
+        state.on_wire[q] = true;
+        circuit.h(state.wire_of[q]);
     }
 
-    // Layer advance / finish sweep: a qubit whose current layer is
-    // exhausted takes its mixer and moves on; on the last layer it is
-    // measured and (for a reuse source) reset + handed off. Cascades
-    // through gate-free chains.
+    // A qubit done with its last layer is measured and, for a reuse
+    // source, reset and handed off. Cascades through gate-free chains
+    // and layers.
+    int finished = 0;
     auto process_finishes = [&]() {
         bool progressed = false;
         bool again = true;
         while (again) {
             again = false;
             for (int q = 0; q < n; ++q) {
-                if (finished[q] || !enabled[q] ||
-                    remaining_in_layer[q] != 0) {
-                    continue;
-                }
-                const int wire = wire_of[q];
-                emit.rx(layer_of[q], wire);
-                if (layer_of[q] + 1 < num_layers) {
-                    ++layer_of[q];
-                    remaining_in_layer[q] = interaction.degree(q);
-                    progressed = true;
+                const auto step = state.advance(q);
+                if (step == GateRounds::Step::kBusy) continue;
+                progressed = true;
+                if (step == GateRounds::Step::kNextLayer) {
                     again = true;
                     continue;
                 }
+                const int wire = state.wire_of[q];
                 circuit.measure(wire, q);
-                finished[q] = true;
-                progressed = true;
+                state.on_wire[q] = false;
+                ++finished;
                 const int target = index.target_of[q];
                 if (target >= 0) {
                     circuit.x_if(wire, q, 1);
-                    wire_of[target] = wire;
-                    enabled[target] = true;
+                    state.wire_of[target] = wire;
+                    state.on_wire[target] = true;
                     circuit.h(wire);
                     again = true;  // target may be gate-free
                 }
@@ -261,96 +308,35 @@ schedule_commuting(const CommutingSpec& spec,
         return progressed;
     };
 
-    // Any pending reuse source q gets priority weight on its gates.
-    auto gate_weight = [&](int g) -> long long {
-        const auto& [u, v] = edges[static_cast<std::size_t>(g)];
-        const bool unblocks = (index.target_of[u] >= 0 && !finished[u]) ||
-                              (index.target_of[v] >= 0 && !finished[v]);
-        return unblocks ? options.reuse_priority_weight : 1;
+    // An eligible gate's endpoints are still on their wires, so a reuse
+    // source among them has not handed off yet.
+    auto weight = [&](int u, int v) {
+        return index.target_of[u] >= 0 || index.target_of[v] >= 0
+                   ? kReusePriorityWeight
+                   : 1LL;
     };
 
-    int rounds = 0;
-    int gates_left = num_gates * num_layers;
+    const long long instances =
+        static_cast<long long>(interaction.num_edges()) * state.num_layers;
+    long long gates_left = instances;
     process_finishes();  // retire gate-free qubits immediately
     long long guard = 0;
     while (gates_left > 0) {
-        CAQR_CHECK(guard++ <= 2LL * num_gates * num_layers +
-                                  2LL * n * num_layers + 4,
+        CAQR_CHECK(guard++ <= 2 * instances + 2LL * n * state.num_layers + 4,
                    "commuting scheduler failed to converge");
-
-        // Step 2: eligible gate instances = both endpoints enabled and
-        // sitting at the instance's layer.
-        std::vector<graph::WeightedEdge> eligible;
-        std::vector<int> gate_id;
-        for (int g = 0; g < num_gates; ++g) {
-            if (layers_done[g] >= num_layers) continue;
-            const auto& [u, v] = edges[static_cast<std::size_t>(g)];
-            if (!enabled[u] || !enabled[v]) continue;
-            if (layer_of[u] != layers_done[g] ||
-                layer_of[v] != layers_done[g]) {
-                continue;
-            }
-            eligible.push_back(
-                graph::WeightedEdge{u, v, gate_weight(g)});
-            gate_id.push_back(g);
-        }
-        if (eligible.empty()) {
+        const int scheduled = state.match_round(options, weight);
+        if (scheduled == 0) {
             // All remaining gates wait on a reuse handoff or a layer
             // advance.
-            CAQR_CHECK(process_finishes(),
-                       "commuting scheduler deadlocked");
+            CAQR_CHECK(process_finishes(), "commuting scheduler deadlocked");
             continue;
         }
-
-        // Step 3: maximum-weight matching picks this round's layer.
-        const bool exact =
-            static_cast<int>(eligible.size()) <= options.exact_matching_limit;
-        const auto matching =
-            exact ? graph::max_weight_matching(n, eligible)
-                  : graph::greedy_matching(n, eligible);
-
-        bool any = false;
-        for (std::size_t e = 0; e < eligible.size(); ++e) {
-            const auto& edge = eligible[e];
-            if (matching.mate[edge.u] != edge.v) continue;
-            const int g = gate_id[e];
-            if (layers_done[g] >= num_layers) continue;
-            emit.rzz(layers_done[g], wire_of[edge.u], wire_of[edge.v]);
-            ++layers_done[g];
-            --remaining_in_layer[edge.u];
-            --remaining_in_layer[edge.v];
-            --gates_left;
-            any = true;
-        }
-        if (!any) {
-            // Matching refused every eligible gate (all weights would
-            // be zero only if eligible was empty; be safe anyway):
-            // schedule one eligible gate instance directly.
-            const auto& edge = eligible.front();
-            const int g = gate_id.front();
-            emit.rzz(layers_done[g], wire_of[edge.u], wire_of[edge.v]);
-            ++layers_done[g];
-            --remaining_in_layer[edge.u];
-            --remaining_in_layer[edge.v];
-            --gates_left;
-        }
-        ++rounds;
+        gates_left -= scheduled;
         process_finishes();
     }
     process_finishes();
-    for (int q = 0; q < n; ++q) {
-        CAQR_CHECK(finished[q], "qubit left unfinished by scheduler");
-    }
-
-    CommutingSchedule result;
-    result.wire_of = wire_of;
-    result.wires_used = wires_used;
-    result.rounds = rounds;
-    result.depth = circuit::depth(circuit);
-    circuit::LogicalDurations durations;
-    result.duration_dt = circuit::critical_path(circuit, durations);
-    result.circuit = std::move(circuit);
-    return result;
+    CAQR_CHECK(finished == n, "qubit left unfinished by scheduler");
+    return state.finish(wires_used);
 }
 
 namespace {
@@ -465,32 +451,15 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
     CAQR_CHECK(budget >= 1, "wire budget must be positive");
     budget = std::min(budget, std::max(n, 1));
 
-    const auto& edges = interaction.edges();
-    const int num_gates = static_cast<int>(edges.size());
-    const int num_layers = std::max(1, spec.layers);
-
-    std::vector<int> layers_done(static_cast<std::size_t>(num_gates), 0);
-    std::vector<int> layer_of(static_cast<std::size_t>(n), 0);
-    std::vector<int> remaining_in_layer(static_cast<std::size_t>(n), 0);
-    for (const auto& [u, v] : edges) {
-        ++remaining_in_layer[u];
-        ++remaining_in_layer[v];
-    }
-
-    std::vector<int> wire_of(static_cast<std::size_t>(n), -1);
-    std::vector<bool> active(static_cast<std::size_t>(n), false);
-    std::vector<bool> retired(static_cast<std::size_t>(n), false);
-    std::vector<bool> started(static_cast<std::size_t>(n), false);
+    GateRounds state(spec, budget);
+    auto& circuit = state.circuit;
     std::vector<int> occupant(static_cast<std::size_t>(budget), -1);
     std::vector<int> free_wires;
     for (int w = budget - 1; w >= 0; --w) free_wires.push_back(w);
 
-    circuit::Circuit circuit(budget, n);
-    AngleEmitter emit(spec, circuit, num_layers);
     std::vector<ReusePair> pairs;
     int pending = n;
-    int retired_count = 0;
-    int rounds = 0;
+    int retired = 0;
 
     // Activation follows the vertex-separation order: wire demand then
     // equals the order's max liveness, which the greedy ordering keeps
@@ -501,8 +470,9 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
     auto activate_into_free_wires = [&]() {
         bool any = false;
         while (!free_wires.empty() && pending > 0) {
+            // A qubit has a wire from its activation on.
             while (order_pos < order.size() &&
-                   started[order[order_pos]]) {
+                   state.wire_of[order[order_pos]] >= 0) {
                 ++order_pos;
             }
             CAQR_CHECK(order_pos < order.size(),
@@ -514,9 +484,8 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
                 pairs.push_back(ReusePair{occupant[wire], q});
             }
             occupant[wire] = q;
-            wire_of[q] = wire;
-            active[q] = true;
-            started[q] = true;
+            state.wire_of[q] = wire;
+            state.on_wire[q] = true;
             --pending;
             circuit.h(wire);
             any = true;
@@ -524,104 +493,55 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
         return any;
     };
 
-    // Layer advance / retirement: a qubit whose current layer is
-    // exhausted takes its mixer; on the last layer it is measured and
-    // its wire freed (reset only when another tenant is coming).
+    // A qubit done with its last layer is measured and its wire freed
+    // (reset only when another tenant is coming).
     auto retire_finished = [&]() {
         bool any = false;
         for (int q = 0; q < n; ++q) {
-            if (!active[q] || remaining_in_layer[q] != 0) continue;
-            const int wire = wire_of[q];
-            emit.rx(layer_of[q], wire);
-            if (layer_of[q] + 1 < num_layers) {
-                ++layer_of[q];
-                remaining_in_layer[q] = interaction.degree(q);
-                any = true;
-                continue;
-            }
+            const auto step = state.advance(q);
+            if (step == GateRounds::Step::kBusy) continue;
+            any = true;
+            if (step == GateRounds::Step::kNextLayer) continue;
+            const int wire = state.wire_of[q];
             circuit.measure(wire, q);
             if (pending > 0) {
                 circuit.x_if(wire, q, 1);  // reset for the next tenant
             }
-            active[q] = false;
-            retired[q] = true;
-            ++retired_count;
+            state.on_wire[q] = false;
+            ++retired;
             free_wires.push_back(wire);
-            any = true;
         }
         return any;
     };
 
+    // Weights favor near-retirement endpoints so wires free up quickly
+    // (within a cardinality-dominant band).
+    const long long base_weight =
+        static_cast<long long>(interaction.max_degree()) + 2;
+    auto weight = [&](int u, int v) {
+        const long long urgency =
+            base_weight - std::min(state.remaining_in_layer[u],
+                                   state.remaining_in_layer[v]);
+        return base_weight + std::max(1LL, urgency);
+    };
+
+    const long long instances =
+        static_cast<long long>(interaction.num_edges()) * state.num_layers;
     long long guard = 0;
-    while (retired_count < n) {
-        CAQR_CHECK(guard++ <= 4LL * num_gates * num_layers +
-                                  4LL * n * num_layers + 8,
+    while (retired < n) {
+        CAQR_CHECK(guard++ <= 4 * instances + 4LL * n * state.num_layers + 8,
                    "budget scheduler failed to converge");
         bool progress = retire_finished();
         progress |= activate_into_free_wires();
-
-        // One matching round over gate instances with both endpoints
-        // active at the instance's layer; weights favor
-        // near-retirement endpoints so wires free up quickly (within a
-        // cardinality-dominant band).
-        std::vector<graph::WeightedEdge> eligible;
-        std::vector<int> gate_id;
-        const long long base_weight =
-            static_cast<long long>(interaction.max_degree()) + 2;
-        for (int g = 0; g < num_gates; ++g) {
-            if (layers_done[g] >= num_layers) continue;
-            const auto& [u, v] = edges[static_cast<std::size_t>(g)];
-            if (!active[u] || !active[v]) continue;
-            if (layer_of[u] != layers_done[g] ||
-                layer_of[v] != layers_done[g]) {
-                continue;
-            }
-            const long long urgency =
-                base_weight -
-                std::min(remaining_in_layer[u], remaining_in_layer[v]);
-            eligible.push_back(graph::WeightedEdge{
-                u, v, base_weight + std::max(1LL, urgency)});
-            gate_id.push_back(g);
-        }
-        if (!eligible.empty()) {
-            const bool exact = static_cast<int>(eligible.size()) <=
-                               options.exact_matching_limit;
-            const auto matching =
-                exact ? graph::max_weight_matching(n, eligible)
-                      : graph::greedy_matching(n, eligible);
-            for (std::size_t e = 0; e < eligible.size(); ++e) {
-                const auto& edge = eligible[e];
-                if (matching.mate[edge.u] != edge.v) continue;
-                const int g = gate_id[e];
-                if (layers_done[g] >= num_layers) continue;
-                emit.rzz(layers_done[g], wire_of[edge.u], wire_of[edge.v]);
-                ++layers_done[g];
-                --remaining_in_layer[edge.u];
-                --remaining_in_layer[edge.v];
-                progress = true;
-            }
-            ++rounds;
-        }
-
+        progress |= state.match_round(options, weight) > 0;
         if (!progress) return std::nullopt;  // deadlocked at this budget
     }
 
-    if (pairs_out != nullptr) *pairs_out = pairs;
-
-    int wires_touched = 0;
-    for (int w = 0; w < budget; ++w) {
-        if (occupant[w] >= 0) ++wires_touched;
-    }
-
-    CommutingSchedule result;
-    result.wire_of = wire_of;
-    result.wires_used = wires_touched;
-    result.rounds = rounds;
-    result.depth = circuit::depth(circuit);
-    circuit::LogicalDurations durations;
-    result.duration_dt = circuit::critical_path(circuit, durations);
-    result.circuit = std::move(circuit);
-    return result;
+    if (pairs_out != nullptr) *pairs_out = std::move(pairs);
+    const auto wires_touched = static_cast<int>(
+        std::count_if(occupant.begin(), occupant.end(),
+                      [](int q) { return q >= 0; }));
+    return state.finish(wires_touched);
 }
 
 int

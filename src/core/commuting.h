@@ -95,19 +95,24 @@ struct CommutingOptions
     /// Edge-count threshold above which greedy matching replaces the
     /// exact Blossom solver.
     int exact_matching_limit = 300;
-    /// Weight given to gates that unblock a pending reuse (>1 per
-    /// paper Step 2).
-    long long reuse_priority_weight = 4;
 };
 
 /**
- * Validates a reuse-pair set for @p interaction: Condition 1 per pair,
- * each qubit source/target of at most one pair (wires form chains), and
- * gate-level acyclicity of the imposed dependence graph. With
- * @p layers > 1 the dependence graph is built over per-layer gate
- * instances (a qubit's layer-(l+1) gates depend on its layer-l gates
- * through the mixer), which is strictly more restrictive — e.g. any
- * pair whose endpoints share a neighbor is invalid for p >= 2.
+ * Validates a reuse-pair set for @p interaction (paper §3.2.2). Each
+ * qubit may be the source of one pair and the target of one (wires
+ * form chains), and the pair graph must be acyclic. That graph has an
+ * edge p -> q when q's source is at most @p layers hops from p's target
+ * in @p interaction (0 hops: q hands p's wire on again).
+ *
+ * It is the imposed dependence graph of Step 1 (gates on a source ->
+ * M -> gates on its target, and per qubit layer l -> l+1 through the
+ * mixer) cut down to its measurement nodes M, and keeps its cycles:
+ * gate-to-gate edges only climb one layer, so every cycle passes
+ * through an M, and M_p reaches M_q without another M in between iff at
+ * most `layers - 1` mixer steps link a gate on p's target to a gate on
+ * q's source, i.e. iff the two qubits are within `layers` hops.
+ * Condition 1 is the self-loop at one hop; with @p layers >= 2 a pair
+ * whose endpoints share a neighbor is invalid too.
  */
 bool commuting_pairs_valid(const graph::UndirectedGraph& interaction,
                            const std::vector<ReusePair>& pairs,

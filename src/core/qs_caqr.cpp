@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "circuit/timing.h"
@@ -752,31 +752,14 @@ qs_caqr_or(circuit::Circuit circuit, const QsCaqrOptions& options)
 
 namespace {
 
-/// Lazily-constructed thread pool shared by the commuting sweeps of one
-/// search. The pool is only spun up once a step actually has enough
-/// parallel work to amortize it (tiny searches stay serial end to end).
-struct EvalContext
-{
-    int threads = 1;
-    std::unique_ptr<util::ThreadPool> pool;
-
-    util::ThreadPool*
-    acquire()
-    {
-        if (threads > 1 && pool == nullptr) {
-            pool = std::make_unique<util::ThreadPool>(threads - 1);
-        }
-        return pool.get();
-    }
-};
-
 /// One greedy commuting sweep. When @p evaluate_candidates is true
-/// every valid candidate (up to the budget) is scheduled — across the
-/// evaluation pool when one is available — and the cheapest (by
-/// duration, ties to the heuristically-first candidate) wins, the
-/// paper's §3.2.2 evaluation. When false, candidates follow the
-/// *temporal order* of the current schedule — source retiring earliest,
-/// target retiring latest — and the first valid one is committed.
+/// every valid candidate (up to the budget) is scheduled — across
+/// `options.pool`, or @p spawned_pool, when there are threads to use —
+/// and the cheapest (by duration, ties to the heuristically-first
+/// candidate) wins, the paper's §3.2.2 evaluation. When false,
+/// candidates follow the *temporal order* of the current schedule —
+/// source retiring earliest, target retiring latest — and the first
+/// valid one is committed.
 /// Temporal chaining never crosses the schedule's time arrow, so it
 /// reaches the deep-saving region (paper Fig 3: 64 -> ~5 qubits) that
 /// duration greed dead-ends before. The candidate and evaluation
@@ -784,10 +767,13 @@ struct EvalContext
 std::vector<QsCommutingVersion>
 run_commuting_sweep(const CommutingSpec& spec,
                     const QsCommutingOptions& options,
-                    bool evaluate_candidates, EvalContext* ctx)
+                    bool evaluate_candidates,
+                    std::optional<util::ThreadPool>& spawned_pool)
 {
     const auto& interaction = spec.interaction;
     const int n = interaction.num_nodes();
+    const int threads =
+        util::ThreadPool::resolve_threads(options.num_threads);
 
     std::vector<QsCommutingVersion> versions;
     QsCommutingVersion base;
@@ -884,9 +870,16 @@ run_commuting_sweep(const CommutingSpec& spec,
             };
             schedules_evaluated += valid.size();
             std::vector<CommutingSchedule> schedules;
-            util::ThreadPool* pool =
-                (ctx != nullptr && valid.size() >= 4) ? ctx->acquire()
-                                                      : nullptr;
+            // The caller's pool when it has workers, else one spawned
+            // on first use; a search too small to need one, or run with
+            // one thread, stays serial end to end.
+            util::ThreadPool* pool = nullptr;
+            if (threads > 1 && valid.size() >= 4) {
+                pool = options.pool != nullptr && options.pool->size() > 0
+                           ? options.pool
+                       : spawned_pool ? &*spawned_pool
+                                      : &spawned_pool.emplace(threads - 1);
+            }
             if (pool != nullptr) {
                 pool_tasks += valid.size();
                 schedules = pool->map(valid.size(), schedule_one);
@@ -953,13 +946,11 @@ run_qs_caqr_commuting(const CommutingSpec& spec,
     QsCommutingResult result;
     result.coloring_bound = min_qubits_by_coloring(spec.interaction);
 
-    EvalContext ctx;
-    ctx.threads = util::ThreadPool::resolve_threads(options.num_threads);
-
+    std::optional<util::ThreadPool> spawned_pool;
     const auto eval_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/true, &ctx);
+        spec, options, /*evaluate_candidates=*/true, spawned_pool);
     const auto chain_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/false, &ctx);
+        spec, options, /*evaluate_candidates=*/false, spawned_pool);
 
     // Budget-directed phase: the incremental sweeps dead-end once the
     // accumulated dependence graph makes every further pair cyclic;

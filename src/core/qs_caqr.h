@@ -11,8 +11,9 @@
  * and choose the one with the best circuit duration or fidelity").
  *
  * Commuting workloads (QAOA) go through the §3.2.2 machinery instead:
- * candidate pairs are validated against the incrementally-imposed
- * dependence graph and evaluated by the matching-based scheduler.
+ * candidate pairs are validated on the pair graph of
+ * `commuting_pairs_valid` and evaluated by the matching-based
+ * scheduler.
  */
 #ifndef CAQR_CORE_QS_CAQR_H
 #define CAQR_CORE_QS_CAQR_H
@@ -97,8 +98,8 @@ util::StatusOr<QsCaqrResult> qs_caqr_or(circuit::Circuit circuit,
                                         const QsCaqrOptions& options = {});
 
 /// Options for the commuting-workload search. The embedded
-/// CommonOptions supply `num_threads` for candidate scheduling
-/// (results are bit-identical for any value).
+/// CommonOptions supply `num_threads` and `pool` for candidate
+/// scheduling (results are bit-identical for any value).
 struct QsCommutingOptions : CommonOptions
 {
     int target_qubits = -1;

@@ -171,10 +171,6 @@ request_option_lines(const CompileRequest& request)
             "qsc.exact_matching_limit",
             static_cast<long long>(
                 request.qs_commuting.scheduling.exact_matching_limit)));
-        lines.push_back(opt(
-            "qsc.reuse_priority_weight",
-            static_cast<long long>(
-                request.qs_commuting.scheduling.reuse_priority_weight)));
         break;
       case Strategy::kSrCaqr:
         append_common(lines, "sr", request.sr);

@@ -490,15 +490,18 @@ Service::compile_uncached(const CompileRequest& request,
         });
     }
 
-    // Raced routing/variant trials borrow the service pool instead of
-    // spinning up transient workers per request. The pool is never
-    // part of a cache key and trial winners are bit-identical with or
-    // without it, so this only changes wall time.
+    // Raced routing/variant trials and commuting candidate schedules
+    // borrow the service pool instead of spinning up transient workers
+    // per request. The pool is never part of a cache key and results
+    // are bit-identical with or without it, so this only changes wall
+    // time.
     core::SrCaqrOptions sr_options = request.sr;
     transpile::TranspileOptions transpile_options = request.transpile;
+    core::QsCommutingOptions commuting_options = request.qs_commuting;
     if (pool_.size() > 0) {
         sr_options.pool = &pool_;
         transpile_options.pool = &pool_;
+        commuting_options.pool = &pool_;
     }
     // Hand the current request binding to the raced-trial passes: the
     // fan-out lambdas re-establish it on their worker thread, so trial
@@ -554,8 +557,8 @@ Service::compile_uncached(const CompileRequest& request,
         break;
       case Strategy::kQsCommuting:
         run_stage("qs_commuting", [&]() -> util::Status {
-            auto result = core::qs_caqr_commuting_or(
-                *request.commuting, request.qs_commuting);
+            auto result = core::qs_caqr_commuting_or(*request.commuting,
+                                                      commuting_options);
             if (!result.ok()) return result.status();
             const auto& version = result->versions.back();
             reuse_level = version.schedule.circuit;

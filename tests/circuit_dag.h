@@ -19,7 +19,7 @@
 
 #include "circuit/circuit.h"
 #include "circuit/timing.h"
-#include "graph/digraph.h"
+#include "digraph.h"
 #include "util/logging.h"
 
 namespace caqr::oracle {
@@ -91,7 +91,7 @@ class CircuitDag
     const circuit::Circuit& circuit() const { return *circuit_; }
 
     /// Underlying digraph; node i corresponds to instruction i.
-    const graph::Digraph& graph() const { return graph_; }
+    const Digraph& graph() const { return graph_; }
 
     /// Circuit depth: critical path under unit weights per non-barrier
     /// instruction.
@@ -142,7 +142,7 @@ class CircuitDag
                        to < circuit_->num_qubits(),
                    "qubit out of range");
         if (reach_.empty()) compute_reach();
-        return graph::Digraph::closure_bit(
+        return Digraph::closure_bit(
             reach_[static_cast<std::size_t>(to)], from);
     }
 
@@ -202,7 +202,7 @@ class CircuitDag
     }
 
     const circuit::Circuit* circuit_;
-    graph::Digraph graph_;
+    Digraph graph_;
     std::vector<std::vector<int>> per_qubit_;
     /// Lazy: reach_[q] is the bitset of qubits that reach qubit q.
     mutable std::vector<std::vector<std::uint64_t>> reach_;

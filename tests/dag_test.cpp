@@ -14,7 +14,7 @@
 #include "circuit/timing.h"
 #include "circuit_dag.h"
 #include "core/reuse_analysis.h"
-#include "graph/digraph.h"
+#include "digraph.h"
 #include "oracle.h"
 #include "transpile/decompose.h"
 #include "transpile/sabre.h"
@@ -113,7 +113,7 @@ qubit_reachability(const CircuitDag& dag)
     for (std::size_t a = 0; a < c.size(); ++a) {
         for (std::size_t b = 0; b < c.size(); ++b) {
             if (a != b &&
-                !graph::Digraph::closure_bit(closure[a],
+                !oracle::Digraph::closure_bit(closure[a],
                                              static_cast<int>(b))) {
                 continue;
             }
@@ -215,7 +215,7 @@ TEST(SpliceTiming, MatchesExtendedDagLongestPath)
             }
             weights.push_back(dummy_weight);
             for (const auto& pair : oracle::find_reuse_pairs(dag)) {
-                graph::Digraph extended = dag.graph();
+                oracle::Digraph extended = dag.graph();
                 const int dummy = extended.add_node();
                 for (int node : dag.nodes_on_qubit(pair.source)) {
                     extended.add_edge(node, dummy);

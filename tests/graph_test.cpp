@@ -1,16 +1,17 @@
-/// Unit tests for src/graph: digraph algorithms and undirected graph.
+/// Unit tests for the reference digraph (tests/digraph.h) and the
+/// undirected graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "graph/digraph.h"
+#include "digraph.h"
 #include "graph/undirected_graph.h"
 #include "oracle.h"
 
 namespace caqr {
 namespace {
 
-using graph::Digraph;
+using oracle::Digraph;
 using graph::UndirectedGraph;
 
 TEST(Digraph, BasicConstruction)

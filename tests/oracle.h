@@ -3,13 +3,14 @@
  * Slow reference implementations shared by the tests: a node-level
  * transitive closure, the splice-pricing table computed on the
  * reference CircuitDag, the DAG reuse API (pair legality under
- * Conditions 1 and 2, pair enumeration, and the reuse rewrite), a SABRE
- * router that rescores every front-layer and
- * window gate for every candidate SWAP, a baseline transpiler that
- * routes every refinement pass and every trial from scratch with that
- * router, an SR-CaQR that runs every variant trial to the end and
- * rescores the same way, and a seeded random-circuit generator whose
- * circuits exercise barriers, shared clbits and conditioned gates.
+ * Conditions 1 and 2, pair enumeration, and the reuse rewrite), the
+ * gate-level commuting reuse check, a SABRE router that rescores every
+ * front-layer and window gate for every candidate SWAP, a baseline
+ * transpiler that routes every refinement pass and every trial from
+ * scratch with that router, an SR-CaQR that runs every variant trial to
+ * the end and rescores the same way, and a seeded random-circuit
+ * generator whose circuits exercise barriers, shared clbits and
+ * conditioned gates.
  */
 #ifndef CAQR_TESTS_ORACLE_H
 #define CAQR_TESTS_ORACLE_H
@@ -33,7 +34,8 @@
 #include "circuit_dag.h"
 #include "core/reuse_analysis.h"
 #include "core/sr_caqr.h"
-#include "graph/digraph.h"
+#include "digraph.h"
+#include "graph/undirected_graph.h"
 #include "transpile/decompose.h"
 #include "transpile/layout.h"
 #include "transpile/peephole.h"
@@ -47,11 +49,11 @@ namespace caqr::oracle {
 
 /**
  * Transitive closure of DAG @p graph as a bit matrix: bit v of row u
- * (read with graph::Digraph::closure_bit) is set iff there is a
+ * (read with Digraph::closure_bit) is set iff there is a
  * directed path u -> ... -> v of length >= 1. O(V*E/64).
  */
 inline std::vector<std::vector<std::uint64_t>>
-transitive_closure(const graph::Digraph& graph)
+transitive_closure(const Digraph& graph)
 {
     const int n = graph.num_nodes();
     const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
@@ -155,7 +157,7 @@ struct TransformResult
 
 /// Deterministic Kahn topological order (smallest node id first).
 inline std::vector<int>
-stable_topological_order(const graph::Digraph& graph)
+stable_topological_order(const Digraph& graph)
 {
     const int n = graph.num_nodes();
     std::vector<int> remaining(static_cast<std::size_t>(n));
@@ -211,7 +213,7 @@ apply_reuse(const circuit::Circuit& input, core::ReusePair pair,
                "orig_of size mismatch");
 
     // Extended DAG with the measurement/reset dummy node.
-    graph::Digraph extended = dag.graph();
+    Digraph extended = dag.graph();
     const int dummy = extended.add_node();
     for (int node : dag.nodes_on_qubit(pair.source)) {
         extended.add_edge(node, dummy);
@@ -269,6 +271,102 @@ apply_reuse(const circuit::Circuit& input, core::ReusePair pair,
             orig_of[static_cast<std::size_t>(q)];
     }
     return result;
+}
+
+/**
+ * Commuting reuse-pair validity (paper §3.2.2) checked on the imposed
+ * gate-level dependence graph itself, which `core::commuting_pairs_valid`
+ * reduces to a graph over the pairs. One node per gate per layer and
+ * one measurement node M per pair: every gate on a pair's source
+ * precedes its M, which precedes every gate on its target; a qubit's
+ * layer-l gates precede its layer-(l+1) gates through the mixer; and
+ * consecutive handoffs on one wire order their Ms directly. Condition 1
+ * and the qubit-level handoff chain are checked separately.
+ */
+inline bool
+commuting_pairs_valid(const graph::UndirectedGraph& interaction,
+                      const std::vector<core::ReusePair>& pairs,
+                      int layers = 1)
+{
+    const int n = interaction.num_nodes();
+    const int num_layers = std::max(1, layers);
+    std::vector<int> target_of(static_cast<std::size_t>(n), -1);
+    std::vector<int> source_of(static_cast<std::size_t>(n), -1);
+    for (const auto& pair : pairs) {
+        if (pair.source < 0 || pair.source >= n || pair.target < 0 ||
+            pair.target >= n || pair.source == pair.target) {
+            return false;
+        }
+        if (target_of[pair.source] >= 0) return false;  // two targets
+        if (source_of[pair.target] >= 0) return false;  // two sources
+        target_of[pair.source] = pair.target;
+        source_of[pair.target] = pair.source;
+    }
+
+    // Condition 1 per pair.
+    for (const auto& pair : pairs) {
+        if (interaction.has_edge(pair.source, pair.target)) return false;
+    }
+
+    // Wire chains must be acyclic at the qubit level too: a handoff
+    // cycle (a -> b, b -> a) is unschedulable even when the qubits
+    // involved carry no gates.
+    {
+        Digraph chain(n);
+        for (const auto& pair : pairs) {
+            chain.add_edge(pair.source, pair.target);
+        }
+        if (chain.has_cycle()) return false;
+    }
+
+    // Node (g, l) = instance l of interaction edge g, then one
+    // measurement node per pair; acyclic <=> Condition 2 holds.
+    const auto& edges = interaction.edges();
+    const int num_gates = static_cast<int>(edges.size());
+    const int num_instances = num_gates * num_layers;
+    Digraph dependence(num_instances + static_cast<int>(pairs.size()));
+    auto instance = [num_gates](int g, int l) { return l * num_gates + g; };
+
+    if (num_layers > 1) {
+        std::vector<std::vector<int>> gates_on(static_cast<std::size_t>(n));
+        for (int g = 0; g < num_gates; ++g) {
+            const auto& [u, v] = edges[static_cast<std::size_t>(g)];
+            gates_on[u].push_back(g);
+            gates_on[v].push_back(g);
+        }
+        for (int q = 0; q < n; ++q) {
+            for (int l = 0; l + 1 < num_layers; ++l) {
+                for (int ga : gates_on[q]) {
+                    for (int gb : gates_on[q]) {
+                        dependence.add_edge(instance(ga, l),
+                                            instance(gb, l + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+        const int m_node = num_instances + static_cast<int>(p);
+        for (int g = 0; g < num_gates; ++g) {
+            const auto& [u, v] = edges[static_cast<std::size_t>(g)];
+            for (int l = 0; l < num_layers; ++l) {
+                if (u == pairs[p].source || v == pairs[p].source) {
+                    dependence.add_edge(instance(g, l), m_node);
+                }
+                if (u == pairs[p].target || v == pairs[p].target) {
+                    dependence.add_edge(m_node, instance(g, l));
+                }
+            }
+        }
+        for (std::size_t q = 0; q < pairs.size(); ++q) {
+            if (pairs[q].source == pairs[p].target) {
+                dependence.add_edge(m_node,
+                                    num_instances + static_cast<int>(q));
+            }
+        }
+    }
+    return !dependence.has_cycle();
 }
 
 /**

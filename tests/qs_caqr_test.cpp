@@ -1,12 +1,17 @@
 /// Tests for QS-CaQR: regular budget sweeps checked against the
 /// per-step rebuild they replaced, the commuting (QAOA) variant with
-/// coloring bound, scheduling, and semantics checks, and thread-count
-/// independence of the commuting evaluation engine.
+/// coloring bound, scheduling, and semantics checks, its pair-graph
+/// validity rule checked against the gate-level dependence graph,
+/// pinned commuting outputs, and thread-count independence of the
+/// commuting evaluation engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iomanip>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +29,7 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace caqr {
 namespace {
@@ -450,6 +456,146 @@ TEST(CommutingValidity, CycleDetected)
     EXPECT_TRUE(core::commuting_pairs_valid(g, {ReusePair{2, 1}}));
 }
 
+TEST(CommutingValidity, HandoffCycleThroughGateFreeQubits)
+{
+    // Qubits 2 and 3 carry no gate, so no gate orders the two
+    // measurements; the handoff 2 -> 3 -> 2 alone is the cycle.
+    graph::UndirectedGraph g(4);
+    g.add_edge(0, 1);
+    EXPECT_FALSE(core::commuting_pairs_valid(
+        g, {ReusePair{2, 3}, ReusePair{3, 2}}));
+    EXPECT_FALSE(core::commuting_pairs_valid(
+        g, {ReusePair{0, 2}, ReusePair{2, 3}, ReusePair{3, 0}}));
+    EXPECT_TRUE(core::commuting_pairs_valid(
+        g, {ReusePair{0, 2}, ReusePair{2, 3}}));
+}
+
+TEST(CommutingValidity, SharedNeighborInvalidFromTwoLayers)
+{
+    // 0 - 1 - 2: reusing 0's wire for 2 puts g(0,1) before g(1,2) in
+    // every layer, but qubit 1's mixer puts g(1,2) of layer 0 before
+    // g(0,1) of layer 1.
+    graph::UndirectedGraph g(3);
+    g.add_edge(0, 1);
+    g.add_edge(1, 2);
+    EXPECT_TRUE(core::commuting_pairs_valid(g, {ReusePair{0, 2}}, 1));
+    EXPECT_FALSE(core::commuting_pairs_valid(g, {ReusePair{0, 2}}, 2));
+    EXPECT_FALSE(core::commuting_pairs_valid(g, {ReusePair{0, 2}}, 3));
+}
+
+// ---------------------------------------------------------------------
+// The pair-graph validity rule against the gate-level dependence graph
+// it reduces (oracle::commuting_pairs_valid).
+// ---------------------------------------------------------------------
+
+/// Tally of verdicts both rules agreed on.
+struct Verdicts
+{
+    int valid = 0;
+    int invalid = 0;
+};
+
+void
+expect_same_verdict(const graph::UndirectedGraph& g,
+                    const std::vector<ReusePair>& pairs, int layers,
+                    Verdicts* verdicts)
+{
+    const bool valid = core::commuting_pairs_valid(g, pairs, layers);
+    const bool expected = oracle::commuting_pairs_valid(g, pairs, layers);
+    EXPECT_EQ(valid, expected) << "layers=" << layers << " pairs="
+                               << pairs.size();
+    ++(valid ? verdicts->valid : verdicts->invalid);
+}
+
+/// Random pair lists over [-1, n], with self and duplicate pairs mixed
+/// in.
+void
+compare_random_lists(const graph::UndirectedGraph& g, int layers,
+                     util::Rng& rng, Verdicts* verdicts)
+{
+    const int n = g.num_nodes();
+    for (int list = 0; list < 12; ++list) {
+        std::vector<ReusePair> pairs;
+        const int size = rng.next_int(0, n);
+        // Mostly in-range lists, so that some of them are valid.
+        const int lo = list % 4 == 0 ? -1 : 0;
+        const int hi = list % 4 == 0 ? n : n - 1;
+        for (int i = 0; i < size; ++i) {
+            ReusePair pair{rng.next_int(lo, hi), rng.next_int(lo, hi)};
+            if (rng.next_bool(0.05)) pair.target = pair.source;
+            if (!pairs.empty() && rng.next_bool(0.05)) pair = pairs.back();
+            pairs.push_back(pair);
+        }
+        expect_same_verdict(g, pairs, layers, verdicts);
+    }
+}
+
+/// Grows a pair set the way the commuting sweep does: candidates in a
+/// random order, each probe checked by both rules and kept when valid.
+void
+compare_grown_sets(const graph::UndirectedGraph& g, int layers,
+                   util::Rng& rng, int max_probes, Verdicts* verdicts)
+{
+    const int n = g.num_nodes();
+    std::vector<ReusePair> candidates;
+    for (int s = 0; s < n; ++s) {
+        for (int t = 0; t < n; ++t) {
+            if (s != t) candidates.push_back(ReusePair{s, t});
+        }
+    }
+    rng.shuffle(candidates);
+    std::vector<bool> is_source(static_cast<std::size_t>(n), false);
+    std::vector<bool> is_target(static_cast<std::size_t>(n), false);
+    std::vector<ReusePair> pairs;
+    int probes = 0;
+    for (const auto& candidate : candidates) {
+        if (probes == max_probes) break;
+        if (is_source[candidate.source] || is_target[candidate.target]) {
+            continue;
+        }
+        ++probes;
+        pairs.push_back(candidate);
+        const int before = verdicts->valid;
+        expect_same_verdict(g, pairs, layers, verdicts);
+        if (verdicts->valid == before) {
+            pairs.pop_back();
+            continue;
+        }
+        is_source[candidate.source] = true;
+        is_target[candidate.target] = true;
+    }
+}
+
+TEST(CommutingOracle, PairGraphMatchesGateGraph)
+{
+    Verdicts verdicts;
+    for (int seed = 0; seed < 1200; ++seed) {
+        util::Rng rng(static_cast<std::uint64_t>(seed));
+        const int n = 2 + seed % 14;
+        const double density = 0.1 + 0.1 * (seed % 6);
+        const auto g = graph::random_graph(n, density, rng);
+        const int layers = 1 + seed % 3;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        compare_random_lists(g, layers, rng, &verdicts);
+        compare_grown_sets(g, layers, rng, n * n, &verdicts);
+    }
+    // The QAOA-32/64/127 graphs of the device-scale measurements.
+    for (const auto& [n, density] :
+         {std::pair{32, 0.15}, std::pair{64, 0.08}, std::pair{127, 0.04}}) {
+        util::Rng graph_rng(7);
+        const auto g = graph::random_graph(n, density, graph_rng);
+        for (int layers : {1, 2}) {
+            SCOPED_TRACE("qaoa-" + std::to_string(n) + " layers " +
+                         std::to_string(layers));
+            util::Rng rng(static_cast<std::uint64_t>(n * 10 + layers));
+            compare_grown_sets(g, layers, rng, 400, &verdicts);
+        }
+    }
+    // Both verdicts are well covered (5771 valid, 73650 invalid).
+    EXPECT_GT(verdicts.valid, 5000);
+    EXPECT_GT(verdicts.invalid, 50000);
+}
+
 TEST(CommutingSchedule, NoPairsSchedulesEverything)
 {
     CommutingSpec spec = make_spec(8, 0.4, 2);
@@ -560,6 +706,126 @@ TEST(QsCommuting, EveryVersionSchedulesAllGates)
 }
 
 // ---------------------------------------------------------------------
+// Pinned commuting outputs: every version of the search and every
+// budget schedule, so that a change to the validity rule or to the
+// shared matching round that moves any pair, depth or duration fails.
+// ---------------------------------------------------------------------
+
+/// "<label> q<qubits> d<depth> t<duration_dt> | <source>><target> ...".
+std::string
+describe(const std::string& label, int qubits,
+         const core::CommutingSchedule& schedule,
+         const std::vector<ReusePair>& pairs)
+{
+    std::ostringstream line;
+    line << label << " q" << qubits << " d" << schedule.depth << " t"
+         << std::setprecision(17) << schedule.duration_dt << " |";
+    for (const auto& pair : pairs) {
+        line << ' ' << pair.source << '>' << pair.target;
+    }
+    return line.str();
+}
+
+/// Every version of the commuting search ("v"), then every budget from
+/// n down to 1 ("b<budget>" with the implied pairs, or "deadlock").
+std::vector<std::string>
+pin_lines(const CommutingSpec& spec, int exact_matching_limit)
+{
+    core::QsCommutingOptions options;
+    options.num_threads = 1;
+    options.scheduling.exact_matching_limit = exact_matching_limit;
+    std::vector<std::string> lines;
+    const auto result = core::qs_caqr_commuting_or(spec, options).value();
+    for (const auto& version : result.versions) {
+        lines.push_back(describe("v", version.qubits, version.schedule,
+                                 version.pairs));
+    }
+    for (int budget = spec.interaction.num_nodes(); budget >= 1; --budget) {
+        std::vector<ReusePair> pairs;
+        const auto schedule = core::schedule_with_budget(
+            spec, budget, options.scheduling, &pairs);
+        std::ostringstream label;
+        label << 'b' << budget;
+        lines.push_back(schedule ? describe(label.str(), schedule->wires_used,
+                                            *schedule, pairs)
+                                 : label.str() + " deadlock");
+    }
+    return lines;
+}
+
+TEST(QsCommuting, ResultsArePinned)
+{
+    const std::vector<std::string> one_layer = {
+        "v q10 d9 t26720 |",
+        "v q9 d10 t38107 | 3>7",
+        "v q8 d11 t39907 | 3>7 6>4",
+        "v q7 d13 t43507 | 3>7 6>4 0>1",
+        "v q6 d13 t43507 | 3>7 6>4 0>1 2>8",
+        "v q5 d24 t82481 | 3>7 6>4 0>1 2>8 1>3",
+        "v q4 d27 t97468 | 3>2 6>9 0>4 4>1 2>8 5>7",
+        "b10 q10 d9 t26720 |",
+        "b9 q9 d13 t43507 | 3>7",
+        "b8 q8 d13 t43507 | 3>8 4>7",
+        "b7 q7 d13 t43507 | 3>1 4>8 0>7",
+        "b6 q6 d13 t43507 | 3>4 6>1 0>8 2>7",
+        "b5 q5 d19 t63894 | 3>9 0>4 2>1 4>8 6>7",
+        "b4 q4 d27 t97468 | 3>2 6>9 0>4 4>1 2>8 5>7",
+        "b3 deadlock",
+        "b2 deadlock",
+        "b1 deadlock",
+    };
+    const std::vector<std::string> two_layers = {
+        "v q12 d14 t34080 |",
+        "v q11 d19 t51027 | 2>9",
+        "v q10 d21 t54627 | 2>9 3>1",
+        "v q9 d22 t56427 | 2>9 3>1 5>6",
+        "v q8 d23 t58227 | 2>9 3>1 5>6 7>10",
+        "v q7 d30 t78774 | 2>11 3>8 5>6 7>10 1>9",
+        "b12 q12 d14 t34080 |",
+        "b11 q11 d20 t52827 | 9>5",
+        "b10 q10 d21 t54627 | 9>3 0>5",
+        "b9 q9 d22 t56427 | 9>2 0>3 10>5",
+        "b8 q8 d23 t58227 | 9>7 0>2 10>3 1>5",
+        "b7 q7 d29 t76974 | 9>4 10>7 0>2 1>3 6>5",
+        "b6 deadlock",
+        "b5 deadlock",
+        "b4 deadlock",
+        "b3 deadlock",
+        "b2 deadlock",
+        "b1 deadlock",
+    };
+    const std::vector<std::string> greedy = {
+        "v q12 d9 t26720 |",
+        "v q11 d11 t39907 | 11>8",
+        "v q10 d13 t43507 | 11>8 4>1",
+        "v q9 d13 t43507 | 11>8 4>1 10>2",
+        "v q8 d14 t45307 | 11>8 4>1 10>2 0>9",
+        "v q7 d20 t65694 | 11>8 4>1 10>2 0>9 3>11",
+        "v q6 d35 t121455 | 1>7 11>6 8>4 2>3 5>1 0>9",
+        "v q5 d29 t101068 | 8>5 1>7 2>3 9>4 4>0 5>10 3>11",
+        "b12 q12 d9 t26720 |",
+        "b11 q11 d13 t43507 | 8>11",
+        "b10 q10 d13 t43507 | 8>10 1>11",
+        "b9 q9 d13 t43507 | 8>0 1>10 9>11",
+        "b8 q8 d14 t45307 | 8>4 1>0 9>10 2>11",
+        "b7 q7 d18 t62094 | 8>3 1>4 9>0 2>10 5>11",
+        "b6 q6 d28 t99268 | 8>7 1>3 2>4 9>0 5>10 7>11",
+        "b5 q5 d29 t101068 | 8>5 1>7 2>3 9>4 4>0 5>10 3>11",
+        "b4 deadlock",
+        "b3 deadlock",
+        "b2 deadlock",
+        "b1 deadlock",
+    };
+
+    EXPECT_EQ(pin_lines(make_spec(10, 0.3, 11), 300), one_layer);
+    CommutingSpec two = make_spec(12, 0.2, 8);
+    two.layers = 2;
+    EXPECT_EQ(pin_lines(two, 300), two_layers);
+    // A limit of 0 sends every round through the greedy matcher.
+    EXPECT_EQ(pin_lines(make_spec(12, 0.3, 3), 0), greedy);
+}
+
+// ---------------------------------------------------------------------
 // Thread-count independence of the commuting evaluation engine
 // ---------------------------------------------------------------------
 
@@ -571,9 +837,13 @@ TEST(QsCommutingDeterminism, ThreadCountDoesNotChangeResults)
     serial.num_threads = 1;
     const auto baseline = core::qs_caqr_commuting_or(spec, serial).value();
 
-    for (int threads : {3, 0}) {
+    // The last run borrows a caller's pool, as Service::compile lends
+    // its own.
+    util::ThreadPool borrowed(3);
+    for (int threads : {3, 0, 4}) {
         core::QsCommutingOptions options;
         options.num_threads = threads;
+        if (threads == 4) options.pool = &borrowed;
         const auto result = core::qs_caqr_commuting_or(spec, options).value();
         ASSERT_EQ(result.versions.size(), baseline.versions.size())
             << "threads=" << threads;

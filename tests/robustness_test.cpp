@@ -12,7 +12,7 @@
 #include "arch/backend.h"
 #include "core/qs_caqr.h"
 #include "core/sr_caqr.h"
-#include "graph/digraph.h"
+#include "digraph.h"
 #include "graph/matching.h"
 #include "oracle.h"
 #include "qasm/printer.h"
@@ -39,7 +39,7 @@ TEST_P(DigraphProperty, ClosureMatchesBruteForceOnRandomDags)
 {
     util::Rng rng(8000 + GetParam());
     const int n = 5 + GetParam() % 10;
-    graph::Digraph g(n);
+    oracle::Digraph g(n);
     // Random DAG: edges only from lower to higher index.
     for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v) {
@@ -51,7 +51,7 @@ TEST_P(DigraphProperty, ClosureMatchesBruteForceOnRandomDags)
     for (int u = 0; u < n; ++u) {
         const auto reach = g.reachable_from(u);
         for (int v = 0; v < n; ++v) {
-            EXPECT_EQ(graph::Digraph::closure_bit(closure[u], v),
+            EXPECT_EQ(oracle::Digraph::closure_bit(closure[u], v),
                       reach[v])
                 << u << "->" << v;
         }
@@ -62,7 +62,7 @@ TEST_P(DigraphProperty, CriticalPathBoundsHold)
 {
     util::Rng rng(8100 + GetParam());
     const int n = 4 + GetParam() % 8;
-    graph::Digraph g(n);
+    oracle::Digraph g(n);
     for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v) {
             if (rng.next_bool(0.4)) g.add_edge(u, v);
