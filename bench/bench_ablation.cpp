@@ -187,11 +187,12 @@ ablation_search_policies()
 
     // ESP-targeted selection (paper's fidelity tuning knob).
     const auto backend = arch::Backend::fake_mumbai();
-    const auto pick = core::select_best_by_esp(full, backend);
+    const core::VersionSet versions(full);
+    const auto mapped = core::map_versions(versions, backend).value();
+    const std::size_t pick = core::best_by_esp(mapped);
     std::cout << "\nESP-targeted selection picks the "
-              << full.versions[pick.version_index].qubits
-              << "-qubit version (ESP "
-              << util::Table::fmt(pick.esp, 3) << ")\n\n";
+              << versions[pick].qubits << "-qubit version (ESP "
+              << util::Table::fmt(mapped[pick].esp, 3) << ")\n\n";
 }
 
 }  // namespace

@@ -28,30 +28,32 @@ run_case(const std::string& name)
         return;
     }
     const auto backend = arch::Backend::fake_mumbai();
-    const auto points = core::explore_tradeoff(bench->circuit, &backend);
+    const core::VersionSet versions(core::qs_caqr_or(bench->circuit).value());
+    const auto mapped = core::map_versions(versions, backend).value();
 
     util::Table table({"qubits", "logical depth", "compiled depth",
                        "compiled duration (dt)", "SWAPs"});
     table.set_title("Figure 13 (" + name + ")");
-    for (const auto& point : points) {
+    for (std::size_t i = 0; i < versions.size(); ++i) {
+        const auto& compiled = mapped[i].mapped;
         table.add_row(
-            {util::Table::fmt(static_cast<long long>(point.qubits)),
-             util::Table::fmt(static_cast<long long>(point.logical_depth)),
-             util::Table::fmt(static_cast<long long>(point.compiled_depth)),
-             util::Table::fmt(point.compiled_duration_dt, 0),
-             util::Table::fmt(static_cast<long long>(point.swaps))});
+            {util::Table::fmt(static_cast<long long>(versions[i].qubits)),
+             util::Table::fmt(static_cast<long long>(versions[i].depth)),
+             util::Table::fmt(static_cast<long long>(compiled.depth)),
+             util::Table::fmt(compiled.duration_dt, 0),
+             util::Table::fmt(static_cast<long long>(compiled.swaps_added))});
     }
     table.print(std::cout);
 
     // Sweet-spot report (minimum compiled depth over the sweep).
-    const auto* best = &points.front();
-    for (const auto& point : points) {
-        if (point.compiled_depth < best->compiled_depth) best = &point;
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < mapped.size(); ++i) {
+        if (mapped[i].mapped.depth < mapped[best].mapped.depth) best = i;
     }
     std::cout << name << ": compiled-depth sweet spot at "
-              << best->qubits << " qubits (original "
-              << points.front().qubits << ", minimum "
-              << points.back().qubits << ")\n\n";
+              << versions[best].qubits << " qubits (original "
+              << versions[0].qubits << ", minimum "
+              << versions.back().qubits << ")\n\n";
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
  */
 #include <iostream>
 
-#include "core/qs_caqr.h"
 #include "core/tradeoff.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -37,32 +36,32 @@ run_case(const char* family, int n,
     core::QsCommutingOptions options;
     options.max_candidates = max_candidates;
 
-    const auto points =
-        core::explore_tradeoff_commuting(spec, nullptr, options);
+    const core::VersionSet points(
+        core::qs_caqr_commuting_or(spec, options).value());
 
     util::Table table(
         {"qubits", "depth", "duration (dt)", "vs original"});
     table.set_title(std::string("Figure 14 (") + family + ", n=" +
                     std::to_string(n) + ", density=0.30)");
-    const double base = points.front().logical_duration_dt;
+    const double base = points[0].duration_dt;
     for (const auto& point : points) {
         table.add_row(
             {util::Table::fmt(static_cast<long long>(point.qubits)),
-             util::Table::fmt(static_cast<long long>(point.logical_depth)),
-             util::Table::fmt(point.logical_duration_dt, 0),
-             util::Table::fmt(point.logical_duration_dt / base, 2) + "x"});
+             util::Table::fmt(static_cast<long long>(point.depth)),
+             util::Table::fmt(point.duration_dt, 0),
+             util::Table::fmt(point.duration_dt / base, 2) + "x"});
     }
     table.print(std::cout);
     std::cout << "\n";
 
     CaseSummary summary;
-    summary.original = points.front().qubits;
+    summary.original = points[0].qubits;
     summary.min_qubits = points.back().qubits;
     summary.duration_at_half = 0.0;
     for (const auto& point : points) {
         if (point.qubits <= summary.original / 2 &&
             summary.duration_at_half == 0.0) {
-            summary.duration_at_half = point.logical_duration_dt / base;
+            summary.duration_at_half = point.duration_dt / base;
         }
     }
     return summary;

@@ -10,7 +10,6 @@
  */
 #include <iostream>
 
-#include "core/qs_caqr.h"
 #include "core/tradeoff.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -28,31 +27,31 @@ run_case(const char* label, const caqr::graph::UndirectedGraph& graph)
     core::QsCommutingOptions options;
     options.max_candidates = 10;  // bound compile time at this scale
 
-    const auto points =
-        core::explore_tradeoff_commuting(spec, nullptr, options);
+    const core::VersionSet points(
+        core::qs_caqr_commuting_or(spec, options).value());
 
     util::Table table({"qubits", "depth", "duration (dt)",
                        "duration vs original"});
     table.set_title(std::string("Figure 3 (") + label +
                     ", n=64, density=0.30)");
-    const double base = points.front().logical_duration_dt;
+    const double base = points[0].duration_dt;
     for (const auto& point : points) {
         table.add_row({util::Table::fmt(
                            static_cast<long long>(point.qubits)),
                        util::Table::fmt(static_cast<long long>(
-                           point.logical_depth)),
-                       util::Table::fmt(point.logical_duration_dt, 0),
+                           point.depth)),
+                       util::Table::fmt(point.duration_dt, 0),
                        util::Table::fmt(
-                           point.logical_duration_dt / base, 2) +
+                           point.duration_dt / base, 2) +
                            "x"});
     }
     table.print(std::cout);
 
     // Headline checkpoints.
-    const int original = points.front().qubits;
+    const int original = points[0].qubits;
     int qubits_within_25pct = original;
     for (const auto& point : points) {
-        if (point.logical_duration_dt <= 1.25 * base) {
+        if (point.duration_dt <= 1.25 * base) {
             qubits_within_25pct = point.qubits;
         }
     }

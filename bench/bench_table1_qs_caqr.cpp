@@ -24,18 +24,37 @@ namespace {
 
 using namespace caqr;
 
+/// One hardware-mapped version.
+struct Point
+{
+    int qubits = 0;
+    int compiled_depth = 0;
+    double compiled_duration_dt = 0.0;
+    int swaps = 0;
+};
+
 struct Row
 {
     std::string name;
-    core::TradeoffPoint baseline;
-    core::TradeoffPoint max_reuse;
-    core::TradeoffPoint min_depth;
+    Point baseline;
+    Point max_reuse;
+    Point min_depth;
 };
 
+/// Maps every version of @p versions and picks the table's three.
 Row
-summarize(const std::string& name,
-          const std::vector<core::TradeoffPoint>& points)
+summarize(const std::string& name, const core::VersionSet& versions,
+          const arch::Backend& backend, bool keep_rzz)
 {
+    transpile::TranspileOptions options;
+    options.keep_rzz = keep_rzz;
+    const auto mapped = core::map_versions(versions, backend, options).value();
+    std::vector<Point> points;
+    for (std::size_t i = 0; i < mapped.size(); ++i) {
+        const auto& compiled = mapped[i].mapped;
+        points.push_back({versions[i].qubits, compiled.depth,
+                          compiled.duration_dt, compiled.swaps_added});
+    }
     Row row;
     row.name = name;
     row.baseline = points.front();
@@ -51,7 +70,7 @@ summarize(const std::string& name,
 
 void
 print_section(const char* title, const std::vector<Row>& rows,
-              core::TradeoffPoint Row::*member)
+              Point Row::*member)
 {
     util::Table table(
         {"benchmark", "qubits", "depth", "duration (dt)", "SWAP"});
@@ -74,8 +93,8 @@ print_section(const char* title, const std::vector<Row>& rows,
 int
 main()
 {
-    // The sweeps need every budget level, so they stay on
-    // core::explore_tradeoff — but the backend (coupling graph + APSP
+    // The sweeps need every budget level, so they map every version
+    // with core::map_versions — but the backend (coupling graph + APSP
     // distance matrix) comes from the service's shared cache.
     Service service;
     const auto backend_or = service.backend("FakeMumbai");
@@ -89,9 +108,10 @@ main()
 
     for (const auto& name : apps::regular_benchmark_names()) {
         const auto bench = apps::get_benchmark(name);
-        const auto points =
-            core::explore_tradeoff(bench->circuit, &backend);
-        rows.push_back(summarize(name, points));
+        const core::VersionSet versions(
+            core::qs_caqr_or(bench->circuit).value());
+        rows.push_back(
+            summarize(name, versions, backend, /*keep_rzz=*/false));
     }
 
     for (int n : {5, 10, 15, 20, 25}) {
@@ -100,10 +120,10 @@ main()
         spec.interaction = graph::random_graph(n, 0.30, rng);
         core::QsCommutingOptions options;
         options.max_candidates = n <= 15 ? 24 : 12;
-        const auto points =
-            core::explore_tradeoff_commuting(spec, &backend, options);
-        rows.push_back(
-            summarize("qaoa" + std::to_string(n) + "-0.3", points));
+        const core::VersionSet versions(
+            core::qs_caqr_commuting_or(spec, options).value());
+        rows.push_back(summarize("qaoa" + std::to_string(n) + "-0.3",
+                                 versions, backend, /*keep_rzz=*/true));
     }
 
     print_section("Table 1 — Baseline (no reuse)", rows, &Row::baseline);

@@ -8,8 +8,7 @@
  * The SR-CaQR column goes through the batch compilation service (one
  * `CompileRequest` per benchmark, `Strategy::kSrCaqr`, all compiled
  * concurrently against the shared cached backend); the QS MIN-SWAP
- * column needs the full per-budget sweep, which stays on
- * `core::explore_tradeoff`.
+ * column needs every version mapped (`core::map_versions`).
  *
  * Paper shape to check: SR-CaQR matches or beats QS-CaQR(MIN-SWAP)
  * SWAP counts on regular applications (e.g. zero SWAPs for 4mod5) and
@@ -36,20 +35,24 @@ struct MinSwap
     int qubits = 0;
 };
 
+/// Maps every version of @p versions and keeps the one with the fewest
+/// SWAPs, ties to the shorter duration, then to the lower index.
 MinSwap
-min_swap_of(const std::vector<core::TradeoffPoint>& points)
+min_swap_of(const core::VersionSet& versions, const arch::Backend& backend,
+            bool keep_rzz)
 {
+    transpile::TranspileOptions options;
+    options.keep_rzz = keep_rzz;
+    const auto mapped = core::map_versions(versions, backend, options).value();
     MinSwap best;
-    best.swaps = points.front().swaps;
-    best.duration = points.front().compiled_duration_dt;
-    best.qubits = points.front().qubits;
-    for (const auto& point : points) {
-        if (point.swaps < best.swaps ||
-            (point.swaps == best.swaps &&
-             point.compiled_duration_dt < best.duration)) {
-            best.swaps = point.swaps;
-            best.duration = point.compiled_duration_dt;
-            best.qubits = point.qubits;
+    for (std::size_t i = 0; i < mapped.size(); ++i) {
+        const auto& point = mapped[i].mapped;
+        if (i == 0 || point.swaps_added < best.swaps ||
+            (point.swaps_added == best.swaps &&
+             point.duration_dt < best.duration)) {
+            best.swaps = point.swaps_added;
+            best.duration = point.duration_dt;
+            best.qubits = versions[i].qubits;
         }
     }
     return best;
@@ -138,15 +141,18 @@ main()
     std::size_t index = 0;
     for (const auto& name : apps::regular_benchmark_names()) {
         const auto bench = apps::get_benchmark(name);
-        const auto points =
-            core::explore_tradeoff(bench->circuit, backend->get());
-        add_row(min_swap_of(points), reports[index++]);
+        const core::VersionSet versions(
+            core::qs_caqr_or(bench->circuit).value());
+        add_row(min_swap_of(versions, **backend, /*keep_rzz=*/false),
+                reports[index++]);
     }
 
     for (int n : {5, 10, 15, 20, 25}) {
-        const auto points = core::explore_tradeoff_commuting(
-            qaoa_spec(n), backend->get(), qaoa_options(n));
-        add_row(min_swap_of(points), reports[index++]);
+        const core::VersionSet versions(
+            core::qs_caqr_commuting_or(qaoa_spec(n), qaoa_options(n))
+                .value());
+        add_row(min_swap_of(versions, **backend, /*keep_rzz=*/true),
+                reports[index++]);
     }
 
     table.print(std::cout);

@@ -91,20 +91,21 @@ main(int argc, char** argv)
         std::cerr << "error: " << backend.status().to_string() << "\n";
         return 1;
     }
-    const auto points =
-        core::explore_tradeoff(bench->circuit, backend->get());
+    const core::VersionSet versions(core::qs_caqr_or(bench->circuit).value());
+    const auto mapped = core::map_versions(versions, **backend).value();
 
     util::Table sweep({"qubits", "logical depth", "compiled depth",
                        "compiled duration (dt)", "SWAPs"});
     sweep.set_title("\nBudget sweep: " + target + " on " +
                     (*backend)->name());
-    for (const auto& point : points) {
+    for (std::size_t i = 0; i < versions.size(); ++i) {
+        const auto& compiled = mapped[i].mapped;
         sweep.add_row(
-            {util::Table::fmt(static_cast<long long>(point.qubits)),
-             util::Table::fmt(static_cast<long long>(point.logical_depth)),
-             util::Table::fmt(static_cast<long long>(point.compiled_depth)),
-             util::Table::fmt(point.compiled_duration_dt, 0),
-             util::Table::fmt(static_cast<long long>(point.swaps))});
+            {util::Table::fmt(static_cast<long long>(versions[i].qubits)),
+             util::Table::fmt(static_cast<long long>(versions[i].depth)),
+             util::Table::fmt(static_cast<long long>(compiled.depth)),
+             util::Table::fmt(compiled.duration_dt, 0),
+             util::Table::fmt(static_cast<long long>(compiled.swaps_added))});
     }
     sweep.print(std::cout);
 

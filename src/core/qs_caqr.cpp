@@ -500,28 +500,6 @@ class StepTables
 
 }  // namespace
 
-const QsVersion&
-QsCaqrResult::best_by_depth() const
-{
-    CAQR_CHECK(!versions.empty(), "no versions generated");
-    const QsVersion* best = &versions.front();
-    for (const auto& version : versions) {
-        if (version.depth < best->depth) best = &version;
-    }
-    return *best;
-}
-
-const QsVersion&
-QsCaqrResult::best_by_duration() const
-{
-    CAQR_CHECK(!versions.empty(), "no versions generated");
-    const QsVersion* best = &versions.front();
-    for (const auto& version : versions) {
-        if (version.duration_dt < best->duration_dt) best = &version;
-    }
-    return *best;
-}
-
 circuit::Circuit
 QsCaqrResult::circuit(std::size_t index) const
 {
@@ -869,27 +847,13 @@ run_commuting_sweep(const CommutingSpec& spec,
                                           options.scheduling);
             };
             schedules_evaluated += valid.size();
-            std::vector<CommutingSchedule> schedules;
-            // The caller's pool when it has workers, else one spawned
-            // on first use; a search too small to need one, or run with
-            // one thread, stays serial end to end.
-            util::ThreadPool* pool = nullptr;
-            if (threads > 1 && valid.size() >= 4) {
-                pool = options.pool != nullptr && options.pool->size() > 0
-                           ? options.pool
-                       : spawned_pool ? &*spawned_pool
-                                      : &spawned_pool.emplace(threads - 1);
-            }
-            if (pool != nullptr) {
-                pool_tasks += valid.size();
-                schedules = pool->map(valid.size(), schedule_one);
-            } else {
-                serial_tasks += valid.size();
-                schedules.reserve(valid.size());
-                for (std::size_t i = 0; i < valid.size(); ++i) {
-                    schedules.push_back(schedule_one(i));
-                }
-            }
+            // A batch too small to pay for a pool, or a search run with
+            // one thread, stays serial.
+            const bool parallel = threads > 1 && valid.size() >= 4;
+            (parallel ? pool_tasks : serial_tasks) += valid.size();
+            std::vector<CommutingSchedule> schedules = util::fan_out(
+                valid.size(), parallel ? threads : 1, options.pool,
+                spawned_pool, schedule_one);
             // Min duration, ties to the lowest candidate index — the
             // same winner the serial strict-< walk picked.
             std::size_t best_index = 0;

@@ -47,9 +47,8 @@ struct QsVersion
 };
 
 /// QS-CaQR options for regular circuits. The search itself is serial:
-/// each step prices every candidate in closed form. The embedded
-/// CommonOptions' `num_threads` only sizes callers' fan-out over the
-/// generated versions (e.g. select_best_by_esp).
+/// each step prices every candidate in closed form, so the embedded
+/// CommonOptions' `num_threads` and `pool` are not read.
 struct QsCaqrOptions : CommonOptions
 {
     /// Stop once this many qubits is reached; -1 = squeeze to minimum.
@@ -70,11 +69,6 @@ struct QsCaqrResult
 
     /// Version with the fewest qubits (maximal reuse).
     const QsVersion& max_reuse() const { return versions.back(); }
-
-    /// Version minimizing the selection metric value stored in
-    /// depth/duration_dt.
-    const QsVersion& best_by_depth() const;
-    const QsVersion& best_by_duration() const;
 
     /**
      * Builds version @p index's circuit by replaying its commits on

@@ -539,31 +539,19 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
         return out;
     };
 
-    const int threads =
-        util::ThreadPool::resolve_threads(options.num_threads);
-    util::ThreadPool* pool = nullptr;
-    std::optional<util::ThreadPool> transient;
-    if (trials > 1 && threads > 1) {
-        pool = options.pool != nullptr && options.pool->size() > 0
-                   ? options.pool
-                   : &transient.emplace(std::min(threads, trials) - 1);
-    }
+    const int threads = std::min(
+        util::ThreadPool::resolve_threads(options.num_threads), trials);
+    std::optional<util::ThreadPool> spawned;
     // Trials [first, last), in index order whatever the thread count.
     auto run_trials = [&](std::size_t first, std::size_t last,
                           const SrBound* bound) {
-        const auto run = [&](std::size_t i) {
-            return run_variant(first + i, bound);
-        };
-        if (pool != nullptr) return pool->map(last - first, run);
-        std::vector<SrTrial> batch;
-        batch.reserve(last - first);
-        for (std::size_t i = 0; i < last - first; ++i) {
-            batch.push_back(run(i));
-        }
-        return batch;
+        return util::fan_out(last - first, threads, options.pool, spawned,
+                             [&](std::size_t i) {
+                                 return run_variant(first + i, bound);
+                             });
     };
 
-    // Winner selection, in two index-ordered stages (map() returns
+    // Winner selection, in two index-ordered stages (fan_out returns
     // results in variant order, so both are thread-count-independent).
     //
     // Stage 1 — anchor: the historical portfolio's winner (the first 4

@@ -1,129 +1,90 @@
 #include "core/tradeoff.h"
 
-#include "transpile/transpiler.h"
+#include <algorithm>
+#include <optional>
+
+#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace caqr::core {
 
-namespace {
-
-void
-fill_compiled_metrics(TradeoffPoint* point, const circuit::Circuit& circuit,
-                      const arch::Backend* backend, bool keep_rzz)
+VersionSet::VersionSet(QsCaqrResult result)
 {
-    if (backend == nullptr) return;
-    transpile::TranspileOptions options;
-    options.keep_rzz = keep_rzz;
-    auto compiled = transpile::transpile_or(circuit, *backend, options).value();
-    point->compiled_depth = compiled.depth;
-    point->compiled_duration_dt = compiled.duration_dt;
-    point->swaps = compiled.swaps_added;
+    for (const auto& version : result.versions) {
+        info_.push_back({version.qubits,
+                         static_cast<int>(version.applied.size()),
+                         version.depth, version.duration_dt});
+    }
+    source_ = std::move(result);
 }
 
-/**
- * Evaluates fn(0..n-1) across an evaluation pool sized from
- * @p num_threads (1 = serial, 0/negative = one per hardware thread).
- * Results come back indexed by version, so downstream lowest-index
- * tie-breaks pick the same winner at any thread count.
- */
-template <typename Fn>
-auto
-map_versions(std::size_t n, int num_threads, Fn&& fn)
-    -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
+VersionSet::VersionSet(QsCommutingResult result)
 {
-    util::ThreadPool pool(util::ThreadPool::resolve_threads(num_threads) - 1);
-    return pool.map(n, fn);
+    for (const auto& version : result.versions) {
+        info_.push_back({version.qubits,
+                         static_cast<int>(version.pairs.size()),
+                         version.schedule.depth,
+                         version.schedule.duration_dt});
+    }
+    source_ = std::move(result);
 }
 
-}  // namespace
-
-std::vector<TradeoffPoint>
-explore_tradeoff(const circuit::Circuit& circuit,
-                 const arch::Backend* backend, const QsCaqrOptions& options)
+circuit::Circuit
+VersionSet::circuit(std::size_t index) const
 {
-    util::trace::Span span("tradeoff.explore");
-
-    QsCaqrOptions sweep = options;
-    sweep.target_qubits = -1;  // squeeze to the minimum
-    auto result = qs_caqr_or(circuit, sweep).value();
-
-    return map_versions(
-        result.versions.size(), backend == nullptr ? 1 : options.num_threads,
-        [&](std::size_t index) {
-            const auto& version = result.versions[index];
-            TradeoffPoint point;
-            point.qubits = version.qubits;
-            point.logical_depth = version.depth;
-            point.logical_duration_dt = version.duration_dt;
-            if (backend != nullptr) {
-                fill_compiled_metrics(&point, result.circuit(index), backend,
-                                      /*keep_rzz=*/false);
-            }
-            return point;
-        });
+    if (const auto* regular = std::get_if<QsCaqrResult>(&source_)) {
+        return regular->circuit(index);
+    }
+    return std::get<QsCommutingResult>(source_)
+        .versions.at(index)
+        .schedule.circuit;
 }
 
-EspSelection
-select_best_by_esp(const QsCaqrResult& result, const arch::Backend& backend,
-                   int num_threads)
+util::StatusOr<std::vector<MappedVersion>>
+map_versions(const VersionSet& versions, const arch::Backend& backend,
+             const transpile::TranspileOptions& options)
 {
-    util::trace::Span span("tradeoff.select_esp");
+    util::trace::Span span("tradeoff.map_versions");
 
-    struct Scored
-    {
-        double esp = 0.0;
-        circuit::Circuit compiled;
-    };
-    auto scored = map_versions(
-        result.versions.size(), num_threads, [&](std::size_t index) {
-            auto compiled = transpile::transpile_or(
-                result.circuit(index), backend).value();
-            Scored entry;
-            entry.esp = arch::estimated_success_probability(
-                compiled.circuit, backend);
-            entry.compiled = std::move(compiled.circuit);
-            return entry;
+    std::optional<util::ThreadPool> spawned;
+    auto results = util::fan_out(
+        versions.size(),
+        std::min(util::ThreadPool::resolve_threads(options.num_threads),
+                 static_cast<int>(versions.size())),
+        options.pool, spawned,
+        [&](std::size_t index)
+            -> std::optional<util::StatusOr<MappedVersion>> {
+            // Rebind the owning request on this (possibly pool) thread
+            // so the version's spans stay attributed to it.
+            util::trace::RequestScope request_scope(options.request_ctx,
+                                                    options.capture);
+            auto mapped = transpile::transpile_or(versions.circuit(index),
+                                                  backend, options);
+            if (!mapped.ok()) return mapped.status();
+            const double esp = arch::estimated_success_probability(
+                mapped->circuit, backend);
+            return MappedVersion{std::move(mapped).value(), esp};
         });
 
-    // Strict-> scan from index 0: the lowest-index version wins ties,
-    // exactly as the serial walk did.
-    EspSelection best;
-    bool have_best = false;
-    for (std::size_t index = 0; index < scored.size(); ++index) {
-        if (!have_best || scored[index].esp > best.esp) {
-            best.version_index = index;
-            best.esp = scored[index].esp;
-            best.compiled = std::move(scored[index].compiled);
-            have_best = true;
-        }
+    std::vector<MappedVersion> out;
+    for (auto& result : results) {
+        if (!result->ok()) return result->status();
+        out.push_back(std::move(*result).value());
+    }
+    return out;
+}
+
+std::size_t
+best_by_esp(const std::vector<MappedVersion>& mapped)
+{
+    CAQR_CHECK(!mapped.empty(), "no mapped versions to select from");
+    // Strict > from index 0: the lowest-index version wins ties.
+    std::size_t best = 0;
+    for (std::size_t index = 1; index < mapped.size(); ++index) {
+        if (mapped[index].esp > mapped[best].esp) best = index;
     }
     return best;
-}
-
-std::vector<TradeoffPoint>
-explore_tradeoff_commuting(const CommutingSpec& spec,
-                           const arch::Backend* backend,
-                           const QsCommutingOptions& options)
-{
-    util::trace::Span span("tradeoff.explore_commuting");
-
-    QsCommutingOptions sweep = options;
-    sweep.target_qubits = -1;
-    auto result = qs_caqr_commuting_or(spec, sweep).value();
-
-    return map_versions(
-        result.versions.size(), backend == nullptr ? 1 : options.num_threads,
-        [&](std::size_t index) {
-            const auto& version = result.versions[index];
-            TradeoffPoint point;
-            point.qubits = version.qubits;
-            point.logical_depth = version.schedule.depth;
-            point.logical_duration_dt = version.schedule.duration_dt;
-            fill_compiled_metrics(&point, version.schedule.circuit, backend,
-                                  /*keep_rzz=*/true);
-            return point;
-        });
 }
 
 }  // namespace caqr::core

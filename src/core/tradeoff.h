@@ -1,64 +1,83 @@
 /**
  * @file
- * Tradeoff exploration: sweep the qubit budget and record, per
- * achievable qubit count, the logical and hardware-compiled cost
- * metrics. This is the engine behind the paper's Figs 3, 13, 14 and
- * the Table 1 version selection.
+ * Version selection (paper §3.2): a QS search keeps one version per
+ * qubit count it reached, and the caller chooses "the one with the best
+ * circuit duration or fidelity". `VersionSet` holds the versions of
+ * either QS engine alike; `map_versions` hardware-maps all of them,
+ * which is the qubit/cost curve of the paper's Figs 13 and Tables 1-2,
+ * and `best_by_esp` picks the fidelity winner among the mapped ones.
  */
 #ifndef CAQR_CORE_TRADEOFF_H
 #define CAQR_CORE_TRADEOFF_H
 
+#include <cstddef>
+#include <variant>
 #include <vector>
 
 #include "arch/backend.h"
 #include "circuit/circuit.h"
 #include "core/qs_caqr.h"
+#include "transpile/transpiler.h"
+#include "util/status.h"
 
 namespace caqr::core {
 
-/// One point on the qubit/cost tradeoff curve.
-struct TradeoffPoint
+/// Logical cost of one version, whichever engine produced it.
+struct VersionInfo
 {
     int qubits = 0;
-    int logical_depth = 0;
-    double logical_duration_dt = 0.0;
-    /// Hardware-mapped metrics; -1 / NaN-free 0 when no backend given.
-    int compiled_depth = 0;
-    double compiled_duration_dt = 0.0;
-    int swaps = 0;
+    int reuses = 0;            ///< reuse pairs committed
+    int depth = 0;             ///< logical depth
+    double duration_dt = 0.0;  ///< logical duration
+};
+
+/// The versions of one QS search in descending qubit order. Each
+/// version's circuit is built on demand.
+class VersionSet
+{
+  public:
+    explicit VersionSet(QsCaqrResult result);
+    explicit VersionSet(QsCommutingResult result);
+
+    std::size_t size() const { return info_.size(); }
+    const VersionInfo& operator[](std::size_t index) const
+    {
+        return info_[index];
+    }
+    /// The max-reuse version.
+    const VersionInfo& back() const { return info_.back(); }
+    auto begin() const { return info_.begin(); }
+    auto end() const { return info_.end(); }
+
+    /// Version @p index's logical circuit: replayed from its commits
+    /// (QS-CaQR) or copied from its schedule (commuting). Thread-safe.
+    circuit::Circuit circuit(std::size_t index) const;
+
+  private:
+    std::vector<VersionInfo> info_;
+    std::variant<QsCaqrResult, QsCommutingResult> source_;
+};
+
+/// One version hardware-mapped under the caller's options.
+struct MappedVersion
+{
+    transpile::TranspileResult mapped;
+    double esp = 0.0;  ///< estimated success probability of the mapping
 };
 
 /**
- * Sweeps QS-CaQR over a regular circuit from the original qubit count
- * to the minimum reachable. When @p backend is non-null every version
- * is also hardware-mapped with the baseline transpiler.
+ * Hardware-maps every version of @p versions on @p backend, each with
+ * @p options as given. The versions fan out over `options.pool`, or a
+ * pool sized by `options.num_threads`; results are index-aligned and
+ * identical at any thread count. The lowest-index failure is returned.
  */
-std::vector<TradeoffPoint> explore_tradeoff(
-    const circuit::Circuit& circuit, const arch::Backend* backend,
-    const QsCaqrOptions& options = {});
+util::StatusOr<std::vector<MappedVersion>> map_versions(
+    const VersionSet& versions, const arch::Backend& backend,
+    const transpile::TranspileOptions& options = {});
 
-/// Commuting-workload variant (QAOA).
-std::vector<TradeoffPoint> explore_tradeoff_commuting(
-    const CommutingSpec& spec, const arch::Backend* backend,
-    const QsCommutingOptions& options = {});
-
-/// Fidelity-targeted version selection (paper §3.2: "choose the one
-/// with the best circuit duration or fidelity (depending on the
-/// fidelity metric, for instance, estimated success probability)").
-struct EspSelection
-{
-    std::size_t version_index = 0;  ///< into QsCaqrResult::versions
-    double esp = 0.0;               ///< best estimated success prob.
-    circuit::Circuit compiled;      ///< its hardware-mapped circuit
-};
-
-/// Hardware-maps every version of @p result on @p backend — across
-/// @p num_threads evaluation threads (1 = serial, 0/negative = one per
-/// hardware thread; the winner is identical at any count) — and
-/// returns the one maximizing estimated success probability.
-EspSelection select_best_by_esp(const QsCaqrResult& result,
-                                const arch::Backend& backend,
-                                int num_threads = 0);
+/// Index of the mapped version with the highest ESP; the lowest index
+/// wins ties. @p mapped must not be empty.
+std::size_t best_by_esp(const std::vector<MappedVersion>& mapped);
 
 }  // namespace caqr::core
 

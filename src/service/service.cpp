@@ -446,6 +446,18 @@ Service::compile_uncached(const CompileRequest& request,
             return single;
         }
         report.name = report_name(request);
+        if (request.select_by_esp) {
+            if (request.strategy != Strategy::kQsCaqr &&
+                request.strategy != Strategy::kQsCommuting) {
+                return util::Status::invalid_argument(
+                    "select_by_esp needs strategy qs_caqr or "
+                    "qs_commuting");
+            }
+            if (!request.map_to_backend) {
+                return util::Status::invalid_argument(
+                    "select_by_esp needs map_to_backend");
+            }
+        }
         if (request.commuting.has_value()) {
             if (request.strategy != Strategy::kQsCommuting &&
                 request.strategy != Strategy::kSrCaqr) {
@@ -517,6 +529,32 @@ Service::compile_uncached(const CompileRequest& request,
     // internally and fills the report directly.
     circuit::Circuit reuse_level;
     bool mapped = false;
+    auto report_version = [&](const core::VersionInfo& version) {
+        report.qubits = version.qubits;
+        report.reuses = version.reuses;
+        report.depth = version.depth;
+        report.duration_dt = version.duration_dt;
+    };
+    // Both QS engines end here. Without selection the max-reuse version
+    // is built now and the search result goes with the stage; with it,
+    // every version waits for `select_version`.
+    std::optional<core::VersionSet> candidates;
+    auto take_versions = [&](core::VersionSet versions) {
+        if (request.select_by_esp) {
+            candidates.emplace(std::move(versions));
+            return;
+        }
+        reuse_level = versions.circuit(versions.size() - 1);
+        report_version(versions.back());
+    };
+    auto take_mapped = [&](transpile::TranspileResult result) {
+        report.compiled = std::move(result.circuit);
+        report.swaps = result.swaps_added;
+        report.depth = result.depth;
+        report.duration_dt = result.duration_dt;
+        report.physical_qubits = report.compiled.active_qubit_count();
+        mapped = true;
+    };
     switch (request.strategy) {
       case Strategy::kBaseline:
         run_stage("analyze", [&]() -> util::Status {
@@ -533,25 +571,10 @@ Service::compile_uncached(const CompileRequest& request,
         break;
       case Strategy::kQsCaqr:
         run_stage("qs_caqr", [&]() -> util::Status {
-            if (request.select_by_esp && !request.map_to_backend) {
-                return util::Status::invalid_argument(
-                    "select_by_esp needs map_to_backend");
-            }
             // The stage is the input's last reader.
             auto result = core::qs_caqr_or(std::move(input), request.qs);
             if (!result.ok()) return result.status();
-            std::size_t index = result->versions.size() - 1;
-            if (request.select_by_esp) {
-                const auto selection = core::select_best_by_esp(
-                    *result, *backend, request.qs.num_threads);
-                index = selection.version_index;
-            }
-            const auto& version = result->versions[index];
-            reuse_level = result->circuit(index);
-            report.qubits = version.qubits;
-            report.reuses = static_cast<int>(version.applied.size());
-            report.depth = version.depth;
-            report.duration_dt = version.duration_dt;
+            take_versions(core::VersionSet(std::move(result).value()));
             return {};
         });
         break;
@@ -560,12 +583,7 @@ Service::compile_uncached(const CompileRequest& request,
             auto result = core::qs_caqr_commuting_or(*request.commuting,
                                                       commuting_options);
             if (!result.ok()) return result.status();
-            const auto& version = result->versions.back();
-            reuse_level = version.schedule.circuit;
-            report.qubits = version.qubits;
-            report.reuses = static_cast<int>(version.pairs.size());
-            report.depth = version.schedule.depth;
-            report.duration_dt = version.schedule.duration_dt;
+            take_versions(core::VersionSet(std::move(result).value()));
             return {};
         });
         break;
@@ -591,19 +609,27 @@ Service::compile_uncached(const CompileRequest& request,
         break;
     }
 
-    if (request.strategy != Strategy::kSrCaqr) {
+    if (candidates.has_value()) {
+        // Paper §3.2 version selection: rank every version mapped with
+        // the request's own options, and keep the winner's mapping.
+        run_stage("select_version", [&]() -> util::Status {
+            auto versions =
+                core::map_versions(*candidates, *backend, transpile_options);
+            if (!versions.ok()) return versions.status();
+            const std::size_t index = core::best_by_esp(*versions);
+            reuse_level = candidates->circuit(index);
+            report_version((*candidates)[index]);
+            take_mapped(std::move((*versions)[index].mapped));
+            return {};
+        });
+        candidates.reset();
+    } else if (request.strategy != Strategy::kSrCaqr) {
         if (request.map_to_backend) {
             run_stage("map", [&]() -> util::Status {
                 auto result = transpile::transpile_or(
                     reuse_level, *backend, transpile_options);
                 if (!result.ok()) return result.status();
-                report.compiled = std::move(result->circuit);
-                report.swaps = result->swaps_added;
-                report.depth = result->depth;
-                report.duration_dt = result->duration_dt;
-                report.physical_qubits =
-                    report.compiled.active_qubit_count();
-                mapped = true;
+                take_mapped(std::move(result).value());
                 return {};
             });
         } else if (report.status.ok()) {

@@ -115,9 +115,10 @@ struct CompileRequest
     /// Hardware-map the reuse-level circuit (ignored by kSrCaqr, which
     /// always maps). When false, metrics are logical-level.
     bool map_to_backend = true;
-    /// Pick the QS-CaQR version maximizing estimated success
-    /// probability (paper §3.2 version selection) instead of maximal
-    /// reuse. Requires mapping; kQsCaqr only.
+    /// Pick the version maximizing estimated success probability,
+    /// mapped with `transpile`, instead of maximal reuse (paper §3.2
+    /// version selection). kQsCaqr and kQsCommuting with mapping only;
+    /// anything else is kInvalidArgument.
     bool select_by_esp = false;
     /// Fill `CompileReport::esp` for mapped circuits.
     bool compute_esp = true;

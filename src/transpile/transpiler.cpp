@@ -223,20 +223,12 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     // The trials still to route: every one but an anchor routed above.
     const std::size_t raced = num_trials - (anchor_first ? 1 : 0);
     routes += static_cast<int>(raced);
-    const int threads = util::ThreadPool::resolve_threads(options.num_threads);
-    std::vector<TrialOutcome> outcomes;
-    if (raced <= 1 || threads == 1) {
-        outcomes.reserve(num_trials);
-        for (std::size_t t = 0; t < num_trials; ++t) {
-            outcomes.push_back(run_trial(t));
-        }
-    } else if (options.pool != nullptr && options.pool->size() > 0) {
-        outcomes = options.pool->map(num_trials, run_trial);
-    } else {
-        util::ThreadPool transient(
-            std::min(threads, static_cast<int>(raced)) - 1);
-        outcomes = transient.map(num_trials, run_trial);
-    }
+    std::optional<util::ThreadPool> spawned;
+    std::vector<TrialOutcome> outcomes = util::fan_out(
+        num_trials,
+        std::min(util::ThreadPool::resolve_threads(options.num_threads),
+                 static_cast<int>(raced)),
+        options.pool, spawned, run_trial);
     if (anchor_first) outcomes[anchor] = std::move(anchor_outcome);
 
     int pruned_trials = 0;

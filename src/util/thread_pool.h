@@ -10,6 +10,8 @@
  * threads executed the batch or how the scheduler interleaved them.
  * Exceptions thrown by tasks are captured and rethrown — the one with
  * the lowest task index wins, again independent of thread count.
+ * Passes reach a pool through `fan_out`, which borrows the caller's
+ * pool, spawns one, or stays serial.
  */
 #ifndef CAQR_UTIL_THREAD_POOL_H
 #define CAQR_UTIL_THREAD_POOL_H
@@ -23,6 +25,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -132,8 +135,12 @@ class ThreadPool
                 return batch->done.load() == batch->total;
             });
         }
+        // Moved out, so the exception dies on this thread rather than
+        // with a straggler helper's last reference to the batch.
         for (std::size_t i = 0; i < n; ++i) {
-            if (batch->errors[i]) std::rethrow_exception(batch->errors[i]);
+            if (batch->errors[i]) {
+                std::rethrow_exception(std::move(batch->errors[i]));
+            }
         }
         return results;
     }
@@ -149,6 +156,35 @@ class ThreadPool
     std::condition_variable ready_;
     bool stop_ = false;
 };
+
+/**
+ * The one fan-out of a pass's parallel section: evaluates fn(0..n-1)
+ * and returns the results by index. With @p threads (already resolved
+ * and capped by the caller) <= 1, or @p n <= 1, it is a plain loop on
+ * the calling thread that touches no pool. Otherwise the batch runs on
+ * @p borrowed when it has workers, else on @p spawned, which the first
+ * parallel call fills with `threads - 1` workers and later calls
+ * reuse. Either way the exception with the lowest index is rethrown.
+ */
+template <typename Fn>
+auto
+fan_out(std::size_t n, int threads, ThreadPool* borrowed,
+        std::optional<ThreadPool>& spawned, Fn&& fn)
+    -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
+{
+    if (threads <= 1 || n <= 1) {
+        std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
+            results;
+        results.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) results.push_back(fn(i));
+        return results;
+    }
+    ThreadPool& pool = borrowed != nullptr && borrowed->size() > 0
+                           ? *borrowed
+                       : spawned ? *spawned
+                                 : spawned.emplace(threads - 1);
+    return pool.map(n, fn);
+}
 
 }  // namespace caqr::util
 

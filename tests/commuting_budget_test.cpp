@@ -199,19 +199,59 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, BudgetProperty,
 TEST(EspSelection, PicksAVersionAndReportsEsp)
 {
     const auto backend = arch::Backend::fake_mumbai();
-    const auto sweep = core::qs_caqr_or(apps::bv_circuit(8)).value();
-    const auto pick = core::select_best_by_esp(sweep, backend);
-    EXPECT_LT(pick.version_index, sweep.versions.size());
-    EXPECT_GT(pick.esp, 0.0);
-    EXPECT_LE(pick.esp, 1.0);
-    EXPECT_GT(pick.compiled.size(), 0u);
+    const core::VersionSet versions(
+        core::qs_caqr_or(apps::bv_circuit(8)).value());
+    const auto mapped = core::map_versions(versions, backend).value();
+    const std::size_t pick = core::best_by_esp(mapped);
+    ASSERT_LT(pick, versions.size());
+    EXPECT_GT(mapped[pick].esp, 0.0);
+    EXPECT_LE(mapped[pick].esp, 1.0);
+    EXPECT_GT(mapped[pick].mapped.circuit.size(), 0u);
+    EXPECT_EQ(mapped[pick].esp,
+              arch::estimated_success_probability(
+                  mapped[pick].mapped.circuit, backend));
 
-    // The chosen ESP must be >= the baseline version's ESP.
+    // The chosen ESP must be >= every version's, the baseline's too.
+    for (const auto& version : mapped) {
+        EXPECT_GE(mapped[pick].esp, version.esp);
+    }
     auto baseline =
-        transpile::transpile_or(sweep.circuit(0), backend).value();
-    EXPECT_GE(pick.esp + 1e-12,
+        transpile::transpile_or(versions.circuit(0), backend).value();
+    EXPECT_GE(mapped[pick].esp + 1e-12,
               arch::estimated_success_probability(baseline.circuit,
                                                   backend));
+}
+
+TEST(EspSelection, LowestIndexWinsTies)
+{
+    std::vector<core::MappedVersion> mapped(4);
+    mapped[0].esp = 0.25;
+    mapped[1].esp = 0.5;
+    mapped[2].esp = 0.5;
+    mapped[3].esp = 0.125;
+    EXPECT_EQ(core::best_by_esp(mapped), 1u);
+    mapped[0].esp = 0.5;
+    EXPECT_EQ(core::best_by_esp(mapped), 0u);
+}
+
+/// Commuting versions select the same way: through the mapped ESPs,
+/// with RZZ kept as the commuting benches map them.
+TEST(EspSelection, CommutingVersionsSelect)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    util::Rng rng(5);
+    core::CommutingSpec spec;
+    spec.interaction = graph::random_graph(8, 0.3, rng);
+    const core::VersionSet versions(
+        core::qs_caqr_commuting_or(spec).value());
+    transpile::TranspileOptions options;
+    options.keep_rzz = true;
+    const auto mapped =
+        core::map_versions(versions, backend, options).value();
+    ASSERT_EQ(mapped.size(), versions.size());
+    const std::size_t pick = core::best_by_esp(mapped);
+    EXPECT_GE(mapped[pick].esp, mapped.back().esp);
+    EXPECT_GT(mapped[pick].esp, 0.0);
 }
 
 }  // namespace

@@ -23,31 +23,62 @@ namespace {
 TEST(Tradeoff, RegularSweepShape)
 {
     const auto backend = arch::Backend::fake_mumbai();
-    const auto points =
-        core::explore_tradeoff(apps::bv_circuit(8), &backend);
-    ASSERT_GE(points.size(), 2u);
+    const core::VersionSet versions(
+        core::qs_caqr_or(apps::bv_circuit(8)).value());
+    const auto mapped = core::map_versions(versions, backend).value();
+    ASSERT_GE(versions.size(), 2u);
+    ASSERT_EQ(mapped.size(), versions.size());
     // Qubits strictly decrease along the sweep; logical depth is
     // non-decreasing.
-    for (std::size_t i = 1; i < points.size(); ++i) {
-        EXPECT_EQ(points[i].qubits, points[i - 1].qubits - 1);
-        EXPECT_GE(points[i].logical_depth, points[0].logical_depth - 1);
+    for (std::size_t i = 1; i < versions.size(); ++i) {
+        EXPECT_EQ(versions[i].qubits, versions[i - 1].qubits - 1);
+        EXPECT_GE(versions[i].depth, versions[0].depth - 1);
     }
-    EXPECT_EQ(points.back().qubits, 2);
-    for (const auto& point : points) {
-        EXPECT_GT(point.compiled_depth, 0);
-        EXPECT_GT(point.compiled_duration_dt, 0.0);
-        EXPECT_GE(point.swaps, 0);
+    EXPECT_EQ(versions.back().qubits, 2);
+    for (const auto& version : mapped) {
+        EXPECT_GT(version.mapped.depth, 0);
+        EXPECT_GT(version.mapped.duration_dt, 0.0);
+        EXPECT_GE(version.mapped.swaps_added, 0);
+        EXPECT_GT(version.esp, 0.0);
     }
+}
+
+/// The version fan-out returns the same mappings at any thread count,
+/// each equal to mapping that version alone.
+TEST(Tradeoff, MapVersionsIsThreadCountIndependent)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    const core::VersionSet versions(
+        core::qs_caqr_or(apps::bv_circuit(8)).value());
+    transpile::TranspileOptions serial;
+    serial.num_threads = 1;
+    transpile::TranspileOptions wide;
+    wide.num_threads = 4;
+    const auto a = core::map_versions(versions, backend, serial).value();
+    const auto b = core::map_versions(versions, backend, wide).value();
+    ASSERT_EQ(a.size(), versions.size());
+    ASSERT_EQ(b.size(), versions.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto alone =
+            transpile::transpile_or(versions.circuit(i), backend, serial)
+                .value();
+        const auto text = qasm::to_qasm(alone.circuit);
+        EXPECT_EQ(qasm::to_qasm(a[i].mapped.circuit), text) << i;
+        EXPECT_EQ(qasm::to_qasm(b[i].mapped.circuit), text) << i;
+        EXPECT_EQ(a[i].esp, b[i].esp) << i;
+    }
+    EXPECT_EQ(core::best_by_esp(a), core::best_by_esp(b));
 }
 
 TEST(Tradeoff, LogicalOnlySweepSkipsCompilation)
 {
-    const auto points =
-        core::explore_tradeoff(apps::bv_circuit(6), nullptr);
-    for (const auto& point : points) {
-        EXPECT_EQ(point.compiled_depth, 0);
-        EXPECT_EQ(point.swaps, 0);
-        EXPECT_GT(point.logical_depth, 0);
+    const core::VersionSet versions(
+        core::qs_caqr_or(apps::bv_circuit(6)).value());
+    for (std::size_t i = 0; i < versions.size(); ++i) {
+        EXPECT_GT(versions[i].depth, 0);
+        EXPECT_EQ(versions[i].reuses, static_cast<int>(i));
+        EXPECT_EQ(versions.circuit(i).active_qubit_count(),
+                  versions[i].qubits);
     }
 }
 
@@ -56,12 +87,26 @@ TEST(Tradeoff, CommutingSweepReachesDeepSavings)
     util::Rng rng(11);
     core::CommutingSpec spec;
     spec.interaction = graph::power_law_graph(16, 0.3, rng);
-    const auto points =
-        core::explore_tradeoff_commuting(spec, nullptr);
-    ASSERT_GE(points.size(), 3u);
-    EXPECT_EQ(points.front().qubits, 16);
+    const core::VersionSet versions(
+        core::qs_caqr_commuting_or(spec).value());
+    ASSERT_GE(versions.size(), 3u);
+    EXPECT_EQ(versions[0].qubits, 16);
     // Paper Fig 14: QAOA saves at least half the qubits.
-    EXPECT_LE(points.back().qubits, 8);
+    EXPECT_LE(versions.back().qubits, 8);
+    EXPECT_EQ(versions.circuit(versions.size() - 1).active_qubit_count(),
+              versions.back().qubits);
+}
+
+/// A mapping failure reports the lowest failing version's status.
+TEST(Tradeoff, MapVersionsReportsInfeasibleVersions)
+{
+    const auto backend = arch::Backend::fake_mumbai();  // 27 qubits
+    const core::VersionSet versions(
+        core::qs_caqr_or(apps::bv_circuit(40)).value());
+    ASSERT_GT(versions[0].qubits, backend.num_qubits());
+    const auto mapped = core::map_versions(versions, backend);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), util::StatusCode::kInfeasible);
 }
 
 TEST(QasmIntegration, TransformedDynamicCircuitRoundTrips)

@@ -117,10 +117,6 @@ TEST(QsCaqr, DepthGrowsAsQubitsShrink)
 TEST(QsCaqr, SelectorsPickExtremes)
 {
     const auto result = core::qs_caqr_or(apps::bv_circuit(8)).value();
-    EXPECT_LE(result.best_by_depth().depth,
-              result.versions.back().depth);
-    EXPECT_LE(result.best_by_duration().duration_dt,
-              result.versions.back().duration_dt);
     EXPECT_EQ(result.max_reuse().qubits, 2);
 }
 

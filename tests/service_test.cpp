@@ -4,8 +4,8 @@
  * the status envelope, golden QASM-in -> report-out compilation,
  * batch determinism across thread counts, backend-cache reuse
  * (asserted via the service.backend_cache.* counters), manifest
- * expansion, and the qasm_tool exit-code regressions for unreadable
- * input and single-file batches.
+ * expansion, ESP version selection, and the qasm_tool exit-code
+ * regressions for unreadable input and single-file batches.
  */
 #include <gtest/gtest.h>
 
@@ -21,9 +21,11 @@
 #include <vector>
 
 #include "apps/benchmarks.h"
+#include "graph/generators.h"
 #include "qasm/printer.h"
 #include "service/cache.h"
 #include "service/service.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace {
@@ -693,6 +695,234 @@ TEST(QasmTool, BatchOfOneQasmFileCompiles)
     while (std::getline(csv, line)) ++rows;
     EXPECT_EQ(rows, 2);  // header + bv_10
     fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// select_by_esp: paper §3.2 version selection.
+
+/// A select_by_esp request on @p circuit.
+CompileRequest
+select_request(circuit::Circuit circuit)
+{
+    CompileRequest request;
+    request.circuit = std::move(circuit);
+    request.select_by_esp = true;
+    return request;
+}
+
+/// A commuting workload whose ESP winner is not its max-reuse version.
+CompileRequest
+commuting_request()
+{
+    util::Rng rng(6);
+    CompileRequest request;
+    request.commuting = core::CommutingSpec{};
+    request.commuting->interaction = graph::random_graph(10, 0.3, rng);
+    request.strategy = Strategy::kQsCommuting;
+    return request;
+}
+
+std::uint64_t
+fnv1a(const std::string& text)
+{
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const unsigned char c : text) {
+        hash = (hash ^ c) * 1099511628211ull;
+    }
+    return hash;
+}
+
+std::vector<std::string>
+stage_names(const CompileReport& report)
+{
+    std::vector<std::string> names;
+    for (const auto& stage : report.stages) names.push_back(stage.stage);
+    return names;
+}
+
+/// The best ESP over every version mapped with @p options, computed
+/// from the passes directly; `qubits_out` gets the winner's qubits.
+double
+best_esp_under(const circuit::Circuit& circuit,
+               const transpile::TranspileOptions& options,
+               int* qubits_out)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    const auto result = core::qs_caqr_or(circuit).value();
+    double best = -1.0;
+    for (std::size_t i = 0; i < result.versions.size(); ++i) {
+        const auto mapped =
+            transpile::transpile_or(result.circuit(i), backend, options)
+                .value();
+        const double esp =
+            arch::estimated_success_probability(mapped.circuit, backend);
+        if (esp > best) {
+            best = esp;
+            *qubits_out = result.versions[i].qubits;
+        }
+    }
+    return best;
+}
+
+/// Versions are ranked under the request's own transpile options, and
+/// the report carries the winner's mapping: the ESP it was ranked on.
+TEST(ServiceSelect, ReportedEspIsTheBestUnderOwnOptions)
+{
+    Service service({.num_threads = 1});
+
+    auto multiply = select_request(
+        apps::get_benchmark("multiply_13")->circuit);
+    multiply.transpile.trials = 1;
+    const auto a = service.compile(multiply);
+    ASSERT_TRUE(a.ok()) << a.status.to_string();
+    int best_qubits = 0;
+    EXPECT_EQ(a.esp, best_esp_under(*multiply.circuit, multiply.transpile,
+                                    &best_qubits));
+    EXPECT_EQ(a.qubits, best_qubits);
+    EXPECT_EQ(a.qubits, 7);
+    EXPECT_NEAR(a.esp, 0.006279897263411151, 1e-15);
+
+    auto coin = select_request(apps::cc_circuit(16));
+    coin.transpile.trials = 8;
+    const auto b = service.compile(coin);
+    ASSERT_TRUE(b.ok()) << b.status.to_string();
+    EXPECT_EQ(b.esp,
+              best_esp_under(*coin.circuit, coin.transpile, &best_qubits));
+    EXPECT_EQ(b.qubits, best_qubits);
+    EXPECT_EQ(b.qubits, 2);
+    EXPECT_NEAR(b.esp, 0.40438451209492299, 1e-14);
+}
+
+/// With default options the selection is the one ranked under default
+/// options before selection kept the winner's route (values pinned from
+/// that implementation).
+TEST(ServiceSelect, DefaultOptionsKeepTheirPick)
+{
+    Service service({.num_threads = 1});
+    const auto multiply = service.compile(
+        select_request(apps::get_benchmark("multiply_13")->circuit));
+    ASSERT_TRUE(multiply.ok()) << multiply.status.to_string();
+    EXPECT_EQ(multiply.qubits, 6);
+    EXPECT_EQ(multiply.reuses, 7);
+    EXPECT_EQ(multiply.depth, 148);
+    EXPECT_EQ(multiply.swaps, 29);
+    EXPECT_EQ(multiply.compiled.size(), 217u);
+    EXPECT_NEAR(multiply.duration_dt, 364563.01574089355, 1e-6);
+    EXPECT_NEAR(multiply.esp, 0.0052537681332126707, 1e-16);
+    EXPECT_EQ(fnv1a(qasm::to_qasm(multiply.compiled)),
+              0x1f0b9572d202605full);
+
+    const auto coin =
+        service.compile(select_request(apps::cc_circuit(16)));
+    ASSERT_TRUE(coin.ok()) << coin.status.to_string();
+    EXPECT_EQ(coin.qubits, 10);
+    EXPECT_EQ(coin.reuses, 6);
+    EXPECT_EQ(coin.depth, 17);
+    EXPECT_EQ(coin.swaps, 4);
+    EXPECT_EQ(coin.compiled.size(), 53u);
+    EXPECT_NEAR(coin.duration_dt, 70083.19361192167, 1e-6);
+    EXPECT_NEAR(coin.esp, 0.40122863335946751, 1e-14);
+    EXPECT_EQ(fnv1a(qasm::to_qasm(coin.compiled)), 0x752d5d1912b8b42bull);
+}
+
+/// qs_commuting selects too, and never below its max-reuse version.
+TEST(ServiceSelect, CommutingSelectionBeatsMaxReuse)
+{
+    Service service({.num_threads = 1});
+    auto request = commuting_request();
+    const auto max_reuse = service.compile(request);
+    request.select_by_esp = true;
+    const auto selected = service.compile(request);
+    ASSERT_TRUE(max_reuse.ok()) << max_reuse.status.to_string();
+    ASSERT_TRUE(selected.ok()) << selected.status.to_string();
+    EXPECT_GE(selected.esp, max_reuse.esp);
+    EXPECT_GT(selected.qubits, max_reuse.qubits);  // this graph's winner
+    EXPECT_EQ(stage_names(selected),
+              (std::vector<std::string>{"load", "backend", "qs_commuting",
+                                        "select_version", "esp"}));
+}
+
+/// The winner is routed once, inside select_version: a selecting
+/// request runs exactly the routes of mapping every version once.
+TEST(ServiceSelect, WinnerIsRoutedOnce)
+{
+    Service service({.num_threads = 1});
+    const auto request = select_request(apps::bv_circuit(10));
+    const auto routes = [&] {
+        const auto counters = service.metrics_snapshot().counters;
+        const auto it = counters.find("transpile.routes");
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    double before = routes();
+    const auto report = service.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status.to_string();
+    const double selecting = routes() - before;
+    EXPECT_EQ(stage_names(report),
+              (std::vector<std::string>{"load", "backend", "qs_caqr",
+                                        "select_version", "esp"}));
+
+    before = routes();
+    const core::VersionSet versions(
+        core::qs_caqr_or(*request.circuit).value());
+    const auto backend = service.backend(request.backend).value();
+    ASSERT_TRUE(core::map_versions(versions, *backend).ok());
+    EXPECT_EQ(selecting, routes() - before);
+}
+
+TEST(ServiceSelect, DeterministicAcrossThreadCounts)
+{
+    std::vector<CompileRequest> requests;
+    requests.push_back(
+        select_request(apps::get_benchmark("multiply_13")->circuit));
+    requests.back().transpile.trials = 1;
+    requests.push_back(select_request(apps::cc_circuit(16)));
+    requests.back().transpile.trials = 8;
+    requests.push_back(commuting_request());
+    requests.back().select_by_esp = true;
+
+    Service serial({.num_threads = 1});
+    Service wide({.num_threads = 4});
+    for (const auto& request : requests) {
+        const auto a = serial.compile(request);
+        const auto b = wide.compile(request);
+        ASSERT_TRUE(a.ok()) << a.status.to_string();
+        EXPECT_EQ(report_fingerprint(a), report_fingerprint(b));
+    }
+    const auto a = serial.compile_batch(requests);
+    const auto b = wide.compile_batch(requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_EQ(report_fingerprint(a[i]), report_fingerprint(b[i])) << i;
+    }
+}
+
+/// Where there is nothing to select, the load stage rejects the flag
+/// before any pass runs.
+TEST(ServiceSelect, RejectedWhereNothingIsSelected)
+{
+    Service service({.num_threads = 1});
+    const auto expect_rejected = [&](const CompileRequest& request) {
+        const auto report = service.compile(request);
+        EXPECT_EQ(report.status.code(), util::StatusCode::kInvalidArgument)
+            << report.status.to_string();
+        EXPECT_EQ(stage_names(report), (std::vector<std::string>{"load"}));
+    };
+
+    auto baseline = select_request(apps::bv_circuit(6));
+    baseline.strategy = Strategy::kBaseline;
+    expect_rejected(baseline);
+
+    auto sr = select_request(apps::bv_circuit(6));
+    sr.strategy = Strategy::kSrCaqr;
+    expect_rejected(sr);
+
+    auto logical = select_request(apps::bv_circuit(6));
+    logical.map_to_backend = false;
+    expect_rejected(logical);
+
+    auto commuting = commuting_request();
+    commuting.select_by_esp = true;
+    commuting.map_to_backend = false;
+    expect_rejected(commuting);
 }
 
 }  // namespace

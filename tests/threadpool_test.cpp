@@ -1,14 +1,21 @@
 /// Tests for the fixed-size thread pool behind the parallel engines:
 /// task execution, deterministic result
-/// ordering, exception propagation, batch reuse, and clean shutdown.
+/// ordering, exception propagation, batch reuse, and clean shutdown;
+/// and for `fan_out`, the passes' one way onto a pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -161,6 +168,138 @@ TEST(ThreadPool, NegativeWorkerCountUsesHardware)
     EXPECT_GE(pool.size(), 1);
     auto future = pool.submit([] { return 1; });
     EXPECT_EQ(future.get(), 1);
+}
+
+TEST(FanOut, SerialPathRunsOnTheCallingThread)
+{
+    const auto caller = std::this_thread::get_id();
+    ThreadPool borrowed(2);
+    std::optional<ThreadPool> spawned;
+    // One thread: a plain loop, even with a pool on offer.
+    const auto serial = util::fan_out(
+        8, 1, &borrowed, spawned,
+        [](std::size_t) { return std::this_thread::get_id(); });
+    ASSERT_EQ(serial.size(), 8u);
+    for (const auto id : serial) EXPECT_EQ(id, caller);
+    // One task: no pool either, whatever the thread count.
+    const auto single = util::fan_out(
+        1, 4, nullptr, spawned,
+        [](std::size_t) { return std::this_thread::get_id(); });
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(single[0], caller);
+    EXPECT_FALSE(spawned.has_value());
+}
+
+struct Rendezvous
+{
+    std::size_t threads = 0;  ///< distinct threads that ran the tasks
+    std::size_t fresh = 0;    ///< tasks on a thread no earlier call used
+};
+
+/// Each of @p n tasks waits until all @p n have started, so they can
+/// only finish if @p n threads run them at once.
+Rendezvous
+rendezvous(std::size_t n, int threads, ThreadPool* borrowed,
+           std::optional<ThreadPool>& spawned)
+{
+    static thread_local bool used = false;
+    std::mutex mutex;
+    std::condition_variable all_in;
+    std::size_t arrived = 0;
+    const auto runs = util::fan_out(n, threads, borrowed, spawned,
+                                    [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (++arrived == n) all_in.notify_all();
+        all_in.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return arrived == n; });
+        return std::pair(std::this_thread::get_id(),
+                         !std::exchange(used, true));
+    });
+    std::set<std::thread::id> ids;
+    Rendezvous out;
+    for (const auto& [id, fresh] : runs) {
+        ids.insert(id);
+        out.fresh += fresh ? 1 : 0;
+    }
+    out.threads = ids.size();
+    return out;
+}
+
+TEST(FanOut, UsesABorrowedPoolWithWorkers)
+{
+    ThreadPool borrowed(2);
+    std::optional<ThreadPool> spawned;
+    // Two workers plus the caller run the three tasks together.
+    EXPECT_EQ(rendezvous(3, 3, &borrowed, spawned).threads, 3u);
+    EXPECT_FALSE(spawned.has_value());
+
+    // A borrowed pool without workers is no pool: one is spawned.
+    ThreadPool empty(0);
+    EXPECT_EQ(rendezvous(3, 3, &empty, spawned).threads, 3u);
+    ASSERT_TRUE(spawned.has_value());
+    EXPECT_EQ(spawned->size(), 2);
+}
+
+TEST(FanOut, SpawnsOncePerOwnerAndReuses)
+{
+    std::optional<ThreadPool> spawned;
+    const auto first = rendezvous(3, 3, nullptr, spawned);
+    EXPECT_EQ(first.threads, 3u);
+    EXPECT_GE(first.fresh, 2u);  // the two spawned workers
+    ASSERT_TRUE(spawned.has_value());
+    EXPECT_EQ(spawned->size(), 2);
+    // Later calls run on the same two workers, a serial call between
+    // them included: no task lands on a new thread.
+    const auto second = rendezvous(3, 3, nullptr, spawned);
+    EXPECT_EQ(second.threads, 3u);
+    EXPECT_EQ(second.fresh, 0u);
+    util::fan_out(4, 1, nullptr, spawned, [](std::size_t i) { return i; });
+    EXPECT_EQ(rendezvous(3, 3, nullptr, spawned).fresh, 0u);
+    EXPECT_EQ(spawned->size(), 2);
+}
+
+TEST(FanOut, ResultsComeBackInIndexOrder)
+{
+    ThreadPool borrowed(3);
+    ThreadPool* const no_pool = nullptr;
+    std::optional<ThreadPool> spawned;
+    const auto square = [](std::size_t i) {
+        return static_cast<int>(i * i);
+    };
+    for (const int threads : {1, 4}) {
+        for (ThreadPool* pool : {&borrowed, no_pool}) {
+            const auto results =
+                util::fan_out(500, threads, pool, spawned, square);
+            ASSERT_EQ(results.size(), 500u);
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                EXPECT_EQ(results[i], square(i));
+            }
+        }
+    }
+    EXPECT_TRUE(util::fan_out(0, 4, nullptr, spawned, square).empty());
+}
+
+TEST(FanOut, RethrowsTheLowestIndexException)
+{
+    ThreadPool borrowed(3);
+    ThreadPool* const no_pool = nullptr;
+    std::optional<ThreadPool> spawned;
+    const auto fail = [](std::size_t i) -> int {
+        if (i == 41 || i == 7 || i == 90) {
+            throw std::runtime_error("task " + std::to_string(i));
+        }
+        return 0;
+    };
+    for (const int threads : {1, 4}) {
+        for (ThreadPool* pool : {&borrowed, no_pool}) {
+            try {
+                util::fan_out(100, threads, pool, spawned, fail);
+                ADD_FAILURE() << "fan_out should have rethrown";
+            } catch (const std::runtime_error& e) {
+                EXPECT_STREQ(e.what(), "task 7");
+            }
+        }
+    }
 }
 
 }  // namespace
