@@ -178,7 +178,7 @@ Circuit::z_if(int q, int clbit, int value)
 }
 
 void
-Circuit::append_simple(GateKind kind, std::vector<int> qubits)
+Circuit::append_simple(GateKind kind, Qubits qubits)
 {
     Instruction instr;
     instr.kind = kind;
@@ -187,8 +187,7 @@ Circuit::append_simple(GateKind kind, std::vector<int> qubits)
 }
 
 void
-Circuit::append_param(GateKind kind, std::vector<double> params,
-                      std::vector<int> qubits)
+Circuit::append_param(GateKind kind, Angles params, Qubits qubits)
 {
     Instruction instr;
     instr.kind = kind;
@@ -198,7 +197,7 @@ Circuit::append_param(GateKind kind, std::vector<double> params,
 }
 
 void
-Circuit::append_sym(GateKind kind, ParamRef ref, std::vector<int> qubits)
+Circuit::append_sym(GateKind kind, ParamRef ref, Qubits qubits)
 {
     Instruction instr;
     instr.kind = kind;

@@ -13,6 +13,7 @@
 
 #include "circuit/gate.h"
 #include "graph/undirected_graph.h"
+#include "util/small_vector.h"
 
 namespace caqr::circuit {
 
@@ -32,12 +33,18 @@ struct Param
     double value = 0.0;
 };
 
+/// Operand qubit ids, inline up to a CCX's three; only a barrier
+/// given explicit operands can spill.
+using Qubits = util::SmallVector<int, 3>;
+/// Rotation angles, inline up to a U gate's three.
+using Angles = util::SmallVector<double, 3>;
+
 /// One operation in a circuit.
 struct Instruction
 {
     GateKind kind = GateKind::kBarrier;
-    std::vector<int> qubits;   ///< operand qubit ids
-    std::vector<double> params;  ///< rotation angles, if any
+    Qubits qubits;             ///< operand qubit ids
+    Angles params;             ///< rotation angles, if any
     int clbit = -1;            ///< measurement result bit (kMeasure only)
     int condition_bit = -1;    ///< classical control bit, or -1 if none
     int condition_value = 1;   ///< required value of the control bit
@@ -58,6 +65,9 @@ struct Instruction
         return false;
     }
 };
+
+// Circuits hold and copy millions of these; keep them small.
+static_assert(sizeof(Instruction) <= 80);
 
 /**
  * A quantum circuit over `num_qubits()` qubits and `num_clbits()`
@@ -227,10 +237,9 @@ class Circuit
     std::string to_string() const;
 
   private:
-    void append_simple(GateKind kind, std::vector<int> qubits);
-    void append_param(GateKind kind, std::vector<double> params,
-                      std::vector<int> qubits);
-    void append_sym(GateKind kind, ParamRef ref, std::vector<int> qubits);
+    void append_simple(GateKind kind, Qubits qubits);
+    void append_param(GateKind kind, Angles params, Qubits qubits);
+    void append_sym(GateKind kind, ParamRef ref, Qubits qubits);
 
     int num_qubits_ = 0;
     int num_clbits_ = 0;

@@ -17,7 +17,11 @@ struct GateInfo
     int num_params;
 };
 
-constexpr std::array<GateInfo, 20> kGateTable = {{
+constexpr std::size_t kNumGateKinds =
+    static_cast<std::size_t>(GateKind::kBarrier) + 1;
+
+/// Indexed by the enum value: entry i describes GateKind i.
+constexpr std::array<GateInfo, kNumGateKinds> kGateTable = {{
     {GateKind::kH, "h", 1, 0},
     {GateKind::kX, "x", 1, 0},
     {GateKind::kY, "y", 1, 0},
@@ -40,13 +44,29 @@ constexpr std::array<GateInfo, 20> kGateTable = {{
     {GateKind::kBarrier, "barrier", 0, 0},
 }};
 
+constexpr bool
+table_is_indexed_by_kind()
+{
+    for (std::size_t i = 0; i < kGateTable.size(); ++i) {
+        if (static_cast<std::size_t>(kGateTable[i].kind) != i) return false;
+    }
+    return true;
+}
+static_assert(table_is_indexed_by_kind(),
+              "kGateTable entry i must describe GateKind i");
+
+std::size_t
+index_of(GateKind kind)
+{
+    const auto index = static_cast<std::size_t>(kind);
+    if (index >= kGateTable.size()) util::panic("unknown gate kind");
+    return index;
+}
+
 const GateInfo&
 info(GateKind kind)
 {
-    for (const auto& entry : kGateTable) {
-        if (entry.kind == kind) return entry;
-    }
-    util::panic("unknown gate kind");
+    return kGateTable[index_of(kind)];
 }
 
 }  // namespace
@@ -79,17 +99,14 @@ is_unitary(GateKind kind)
 const std::string&
 gate_name(GateKind kind)
 {
-    static const std::array<std::string, 20> names = [] {
-        std::array<std::string, 20> result;
+    static const std::array<std::string, kNumGateKinds> names = [] {
+        std::array<std::string, kNumGateKinds> result;
         for (std::size_t i = 0; i < kGateTable.size(); ++i) {
             result[i] = kGateTable[i].name;
         }
         return result;
     }();
-    for (std::size_t i = 0; i < kGateTable.size(); ++i) {
-        if (kGateTable[i].kind == kind) return names[i];
-    }
-    util::panic("unknown gate kind");
+    return names[index_of(kind)];
 }
 
 bool

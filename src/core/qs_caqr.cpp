@@ -498,17 +498,24 @@ class StepTables
     std::size_t nodes_timed_ = 0;
 };
 
+/// Materializes @p program's current order as one version's circuit.
+circuit::Circuit
+build_version(const ReuseProgram& program)
+{
+    util::trace::Span span("qs_caqr.build_circuit");
+    util::metrics::global().add("qs_caqr.circuits_built", 1.0);
+    return program.build();
+}
+
 }  // namespace
 
 circuit::Circuit
 QsCaqrResult::circuit(std::size_t index) const
 {
     CAQR_CHECK(index < versions.size(), "version index out of range");
-    util::trace::Span span("qs_caqr.build_circuit");
     ReuseProgram program(input);
     for (const auto& pair : versions[index].applied) program.commit(pair);
-    util::metrics::global().add("qs_caqr.circuits_built", 1.0);
-    return program.build();
+    return build_version(program);
 }
 
 namespace {
@@ -615,15 +622,23 @@ select_pair(const StepTables& tables, SweepPolicy policy, double dummy_weight)
     return selection;
 }
 
+/// One sweep's versions, and its program after the last commit: the
+/// last version's order, over the searched circuit.
+struct Sweep
+{
+    std::vector<QsVersion> versions;
+    ReuseProgram program;
+};
+
 /**
  * One greedy sweep (paper §3.2.1): each step prices the valid pairs in
  * closed form (select_pair) and commits the best one under @p policy.
  * A step is one commit over the same node pool and one StepTables
  * update that re-times what the commit moved; no version's circuit is
  * built. The step, candidate and re-timed node totals reach the metrics
- * registry once, at the end.
+ * registry once, at the end. The returned program reads @p circuit.
  */
-std::vector<QsVersion>
+Sweep
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
           SweepPolicy policy)
 {
@@ -661,7 +676,7 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
     metrics.add("qs_caqr.candidates", static_cast<double>(candidates));
     metrics.add("qs_caqr.nodes_timed",
                 static_cast<double>(tables.nodes_timed()));
-    return versions;
+    return Sweep{std::move(versions), std::move(program)};
 }
 
 /// Best-effort run (no target validation): squeezes as far as the
@@ -688,7 +703,7 @@ run_qs_caqr(circuit::Circuit circuit, const QsCaqrOptions& options)
 
     std::map<int, const QsVersion*> by_count;
     for (const auto* sweep : {&metric_sweep, &order_sweep}) {
-        for (const auto& version : *sweep) {
+        for (const auto& version : sweep->versions) {
             auto [it, inserted] = by_count.try_emplace(version.qubits,
                                                        &version);
             if (!inserted && metric_of(version) < metric_of(*it->second)) {
@@ -697,7 +712,17 @@ run_qs_caqr(circuit::Circuit circuit, const QsCaqrOptions& options)
         }
     }
 
+    // Every commit saves one qubit, so the max-reuse version is the
+    // last of the sweep that reached it, whose program holds its order:
+    // build it now, while the program's input is still `circuit`.
     QsCaqrResult result;
+    const QsVersion* fewest = by_count.begin()->second;
+    const Sweep& owner = fewest == &metric_sweep.versions.back()
+                             ? metric_sweep
+                             : order_sweep;
+    CAQR_CHECK(fewest == &owner.versions.back(),
+               "the max-reuse version ends a sweep");
+    result.max_reuse_circuit = build_version(owner.program);
     result.input = std::move(circuit);
     for (auto it = by_count.rbegin(); it != by_count.rend(); ++it) {
         result.versions.push_back(*it->second);

@@ -66,6 +66,10 @@ struct QsCaqrResult
     circuit::Circuit input;
     std::vector<QsVersion> versions;
     bool reached_target = false;
+    /// The max-reuse version's circuit, built once by the search from
+    /// the program its last commit left, equal to `circuit` of the last
+    /// index. Callers that need only this version move it out.
+    circuit::Circuit max_reuse_circuit;
 
     /// Version with the fewest qubits (maximal reuse).
     const QsVersion& max_reuse() const { return versions.back(); }
@@ -77,7 +81,8 @@ struct QsCaqrResult
      * (unless it already ends in one) and conditional-X reset, moves
      * the target wire's operations onto it, and compacts the freed
      * wire away, as the reference rewrite in `tests/oracle.h` does.
-     * Thread-safe.
+     * Thread-safe. Each call, like the search's own build of
+     * `max_reuse_circuit`, adds 1 to `qs_caqr.circuits_built`.
      */
     circuit::Circuit circuit(std::size_t index) const;
 };

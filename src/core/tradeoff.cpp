@@ -34,11 +34,22 @@ circuit::Circuit
 VersionSet::circuit(std::size_t index) const
 {
     if (const auto* regular = std::get_if<QsCaqrResult>(&source_)) {
+        if (index + 1 == size()) return regular->max_reuse_circuit;
         return regular->circuit(index);
     }
     return std::get<QsCommutingResult>(source_)
         .versions.at(index)
         .schedule.circuit;
+}
+
+circuit::Circuit
+VersionSet::take_max_reuse() &&
+{
+    if (auto* regular = std::get_if<QsCaqrResult>(&source_)) {
+        return std::move(regular->max_reuse_circuit);
+    }
+    return std::move(
+        std::get<QsCommutingResult>(source_).versions.back().schedule.circuit);
 }
 
 util::StatusOr<std::vector<MappedVersion>>

@@ -49,9 +49,13 @@ class VersionSet
     auto begin() const { return info_.begin(); }
     auto end() const { return info_.end(); }
 
-    /// Version @p index's logical circuit: replayed from its commits
-    /// (QS-CaQR) or copied from its schedule (commuting). Thread-safe.
+    /// Version @p index's logical circuit: copied from the search's
+    /// max-reuse build or replayed from its commits (QS-CaQR), or
+    /// copied from its schedule (commuting). Thread-safe.
     circuit::Circuit circuit(std::size_t index) const;
+
+    /// Moves the max-reuse version's circuit out; the set is done.
+    circuit::Circuit take_max_reuse() &&;
 
   private:
     std::vector<VersionInfo> info_;

@@ -535,17 +535,18 @@ Service::compile_uncached(const CompileRequest& request,
         report.depth = version.depth;
         report.duration_dt = version.duration_dt;
     };
-    // Both QS engines end here. Without selection the max-reuse version
-    // is built now and the search result goes with the stage; with it,
-    // every version waits for `select_version`.
+    // Both QS engines end here. Without selection the max-reuse
+    // version's circuit, which the search already built, moves out and
+    // the search result goes with the stage; with it, every version
+    // waits for `select_version`.
     std::optional<core::VersionSet> candidates;
     auto take_versions = [&](core::VersionSet versions) {
         if (request.select_by_esp) {
             candidates.emplace(std::move(versions));
             return;
         }
-        reuse_level = versions.circuit(versions.size() - 1);
         report_version(versions.back());
+        reuse_level = std::move(versions).take_max_reuse();
     };
     auto take_mapped = [&](transpile::TranspileResult result) {
         report.compiled = std::move(result.circuit);

@@ -124,7 +124,7 @@ run_pass(std::vector<std::optional<Instruction>>& instrs, int num_qubits,
         if (aligned && instrs[prev].has_value()) {
             const Instruction& before = *instrs[prev];
             if (same_operands(before, instr)) {
-                const std::vector<int> operands = instr.qubits;
+                const auto operands = instr.qubits;
                 const bool cancel =
                     (before.kind == instr.kind &&
                      is_self_inverse(instr.kind)) ||

@@ -94,9 +94,12 @@ measure_trial(util::StatusOr<RoutingResult> routed,
 /// final layout is a better *initial* layout for the real forward run.
 /// The first forward pass routes the greedy layout unbounded — exactly
 /// the anchor trial — so when @p anchor is given it is that pass, and
-/// is not routed again. Falls back to the greedy layout if a pass
-/// fails (e.g. a pathological device); the caller's trials surface the
-/// real error. Adds each route it runs to @p routes.
+/// is not routed again. A forward pass that adds no SWAP ends the
+/// refinement: every two-qubit gate was adjacent under its layout, and
+/// the reversed circuit has the same gates, so every later route is
+/// SWAP-free too and hands that layout back. Falls back to the greedy
+/// layout if a pass fails (e.g. a pathological device); the caller's
+/// trials surface the real error. Adds each route it runs to @p routes.
 Layout
 refine_layout(const RoutingInputs& in, const arch::Backend& backend,
               const TranspileOptions& options, const TrialOutcome* anchor,
@@ -107,12 +110,14 @@ refine_layout(const RoutingInputs& in, const arch::Backend& backend,
         Layout forward_final;
         if (pass == 0 && anchor != nullptr) {
             if (!anchor->completed) return in.base_layout;
+            if (anchor->routed.swaps_added == 0) return layout;
             forward_final = anchor->routed.final_layout;
         } else {
             auto forward = route_or(in.native_graph, backend, layout,
                                     options.router, &scratch);
             ++routes;
             if (!forward.ok()) return in.base_layout;
+            if (forward->swaps_added == 0) return layout;
             forward_final = std::move(forward->final_layout);
         }
         auto backward = route_or(in.reversed_graph, backend, forward_final,
@@ -206,8 +211,36 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         }
     }
 
+    // Trial t has trial source[t]'s outcome: its own, or, when the
+    // anchor or a lower-index trial has an equal layout, that of the
+    // anchor or the lowest such trial. Such a repeat is not routed.
+    // Routing is a pure function of the graph, backend, layout and
+    // options, and the incumbent is fixed before any trial starts, so
+    // a repeat would reproduce its source; winner selection's strict
+    // `<` never lets it displace that source.
+    std::vector<std::size_t> source(num_trials);
+    std::size_t repeated = 0;
+    for (std::size_t t = 0; t < num_trials; ++t) {
+        source[t] = t;
+        if (t == anchor) continue;
+        if (layouts[t] == layouts[anchor]) {
+            source[t] = anchor;
+        } else {
+            for (std::size_t s = 0; s < t; ++s) {
+                if (layouts[s] == layouts[t]) {
+                    source[t] = s;
+                    break;
+                }
+            }
+        }
+        if (source[t] != t) ++repeated;
+    }
+
     auto run_trial = [&](std::size_t t) {
-        if (anchor_first && t == anchor) return TrialOutcome{};  // routed
+        // The anchor was routed above; a repeat is not routed.
+        if ((anchor_first && t == anchor) || source[t] != t) {
+            return TrialOutcome{};
+        }
         // Rebind the owning request on this (possibly pool) thread so
         // raced trials from concurrent requests keep their spans
         // attributed to the right request.
@@ -220,8 +253,9 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
             backend);
     };
 
-    // The trials still to route: every one but an anchor routed above.
-    const std::size_t raced = num_trials - (anchor_first ? 1 : 0);
+    // The trials still to route: every one but an anchor routed above
+    // and the repeats.
+    const std::size_t raced = num_trials - repeated - (anchor_first ? 1 : 0);
     routes += static_cast<int>(raced);
     std::optional<util::ThreadPool> spawned;
     std::vector<TrialOutcome> outcomes = util::fan_out(
@@ -231,9 +265,11 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         options.pool, spawned, run_trial);
     if (anchor_first) outcomes[anchor] = std::move(anchor_outcome);
 
+    // A repeat counts as its source's outcome.
     int pruned_trials = 0;
     long long trial_swaps_total = 0;
-    for (const TrialOutcome& outcome : outcomes) {
+    for (std::size_t t = 0; t < num_trials; ++t) {
+        const TrialOutcome& outcome = outcomes[source[t]];
         if (!outcome.completed) {
             if (outcome.pruned) ++pruned_trials;
             continue;
@@ -300,6 +336,7 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     auto& metrics = util::metrics::global();
     metrics.add("transpile.layout_trials", trials);
     metrics.add("transpile.routes", routes);
+    metrics.add("transpile.layouts_repeated", static_cast<double>(repeated));
     metrics.add("transpile.trial_swaps",
                 static_cast<double>(trial_swaps_total));
     metrics.add("transpile.best_swaps", outcomes[winner].routed.swaps_added);

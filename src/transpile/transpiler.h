@@ -15,9 +15,14 @@
  * one. Every trial that could win completes regardless of scheduling,
  * so the winner is bit-identical at any thread count.
  *
- * The circuit DAGs are built once per request, and the anchor's route
- * doubles as the first refinement pass's forward route (it finishes
- * before any other trial starts), so no route runs twice.
+ * The circuits' gate graphs are built once per request, and the
+ * anchor's route doubles as the first refinement pass's forward route
+ * (it finishes before any other trial starts). No starting layout is
+ * routed twice: a trial whose layout equals the anchor's or a
+ * lower-index trial's takes that trial's outcome, and refinement stops
+ * at a forward pass that adds no SWAP, whose layout every later pass
+ * would hand back unchanged. A QS-CaQR output on two or three qubits
+ * thus typically runs one route instead of five.
  */
 #ifndef CAQR_TRANSPILE_TRANSPILER_H
 #define CAQR_TRANSPILE_TRANSPILER_H
@@ -55,10 +60,10 @@ struct TranspileOptions : CommonOptions
     /// takes it only when no worse on SWAPs, depth, and ESP and
     /// strictly better on at least one, so more trials can only
     /// improve the result. Trial 0 starts from the refined layout,
-    /// trial 1
-    /// anchors on the unrefined greedy layout, later trials perturb the
-    /// refined layout with seeded transpositions. Mirrors SABRE's
-    /// multi-seed practice.
+    /// trial 1 anchors on the unrefined greedy layout, later trials
+    /// perturb the refined layout with seeded transpositions. Mirrors
+    /// SABRE's multi-seed practice. A trial whose layout equals the
+    /// anchor's or a lower-index trial's is not routed again.
     int trials = 4;
     /// Bidirectional (forward/backward) SABRE passes that refine the
     /// greedy layout before the trials: each pass routes the circuit,

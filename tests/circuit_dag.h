@@ -171,7 +171,7 @@ class CircuitDag
             if (barrier) {
                 for (int w = 0; w < num_wires; ++w) wires.push_back(w);
             } else {
-                wires = instr.qubits;
+                wires.assign(instr.qubits.begin(), instr.qubits.end());
                 if (instr.clbit >= 0) {
                     wires.push_back(num_qubits + instr.clbit);
                 }

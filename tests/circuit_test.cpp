@@ -6,6 +6,7 @@
 #include "circuit/gate.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
+#include "transpile/sabre.h"
 
 namespace caqr {
 namespace {
@@ -212,6 +213,95 @@ TEST(Circuit, ToStringMentionsGates)
     const auto text = c.to_string();
     EXPECT_NE(text.find("h q0"), std::string::npos);
     EXPECT_NE(text.find("-> c1"), std::string::npos);
+}
+
+/// A circuit over @p width qubits whose barrier names the even ones:
+/// 27 operands on 54 wires, more than an instruction keeps inline.
+Circuit
+wide_barrier_circuit(int width = 54)
+{
+    Circuit c(width, 1);
+    c.h(0);
+    c.cx(2, 4);
+    Instruction barrier;
+    barrier.kind = GateKind::kBarrier;
+    for (int q = 0; q < width; q += 2) barrier.qubits.push_back(q);
+    c.append(barrier);
+    c.u(0.1, 0.2, 0.3, 52);
+    c.measure(52, 0);
+    return c;
+}
+
+std::vector<int>
+evens(int count)
+{
+    std::vector<int> result;
+    for (int i = 0; i < count; ++i) result.push_back(2 * i);
+    return result;
+}
+
+TEST(Circuit, WideBarrierSurvivesCopyAndRewrites)
+{
+    const Circuit c = wide_barrier_circuit();
+    ASSERT_EQ(c.at(2).qubits.size(), 27u);
+    EXPECT_FALSE(c.at(2).qubits.is_inline());
+    EXPECT_EQ(c.at(2).qubits, evens(27));
+    EXPECT_EQ(c.at(3).params, (std::vector<double>{0.1, 0.2, 0.3}));
+
+    const Circuit copy = c;
+    EXPECT_EQ(copy.at(2).qubits, evens(27));
+    EXPECT_NE(copy.at(2).qubits.data(), c.at(2).qubits.data());
+
+    const Circuit back = c.reversed();
+    EXPECT_EQ(back.at(2).qubits, evens(27));
+    EXPECT_EQ(back.at(1).params, (std::vector<double>{0.1, 0.2, 0.3}));
+    EXPECT_EQ(back.reversed().at(2).qubits, evens(27));
+
+    std::vector<int> flip(54);
+    for (int q = 0; q < 54; ++q) flip[static_cast<std::size_t>(q)] = 53 - q;
+    const Circuit flipped = c.remap_qubits(flip);
+    std::vector<int> odd_descending;
+    for (int q = 53; q >= 1; q -= 2) odd_descending.push_back(q);
+    EXPECT_EQ(flipped.at(2).qubits, odd_descending);
+    EXPECT_EQ(flipped.at(1).qubits, (std::vector<int>{51, 49}));
+
+    // The barrier makes every even wire active and no odd one.
+    std::vector<int> old_of_new;
+    const Circuit dense = c.compacted(&old_of_new);
+    EXPECT_EQ(dense.num_qubits(), 27);
+    EXPECT_EQ(old_of_new, evens(27));
+    std::vector<int> all(27);
+    for (int q = 0; q < 27; ++q) all[static_cast<std::size_t>(q)] = q;
+    EXPECT_EQ(dense.at(2).qubits, all);
+    EXPECT_EQ(dense.at(1).qubits, (std::vector<int>{1, 2}));
+    EXPECT_EQ(dense.at(4).qubits, (std::vector<int>{26}));
+}
+
+TEST(Circuit, WideBarrierIsGlobalInTheGateGraph)
+{
+    // The router's GateGraph orders every instruction through a barrier
+    // whatever its operands: the wide barrier's edges equal those of
+    // the operand-free one.
+    const Circuit wide = wide_barrier_circuit();
+    Circuit plain(54, 1);
+    plain.h(0);
+    plain.cx(2, 4);
+    plain.barrier();
+    plain.u(0.1, 0.2, 0.3, 52);
+    plain.measure(52, 0);
+    const transpile::GateGraph a(wide);
+    const transpile::GateGraph b(plain);
+    ASSERT_EQ(a.num_nodes(), b.num_nodes());
+    for (int node = 0; node < a.num_nodes(); ++node) {
+        EXPECT_EQ(a.in_degree(node), b.in_degree(node)) << node;
+        const auto x = a.successors(node);
+        const auto y = b.successors(node);
+        EXPECT_EQ(std::vector<int>(x.begin(), x.end()),
+                  std::vector<int>(y.begin(), y.end()))
+            << node;
+    }
+    EXPECT_EQ(a.in_degree(2), 2);
+    EXPECT_EQ(a.in_degree(3), 1);
 }
 
 TEST(CircuitDeath, RejectsBadOperands)

@@ -332,6 +332,37 @@ TEST(Printer, DynamicPrintParsePrintIsAFixpoint)
     EXPECT_EQ(qasm::to_qasm(*reparsed.circuit), first);
 }
 
+TEST(Printer, WideBarrierRoundTripsAsAGlobalBarrier)
+{
+    // A barrier with 27 explicit operands spills them to the heap; the
+    // printer emits the IR's global barrier, and the round trip keeps
+    // every other instruction.
+    circuit::Circuit c(27, 1);
+    c.h(0);
+    c.cx(0, 26);
+    circuit::Instruction barrier;
+    barrier.kind = GateKind::kBarrier;
+    for (int q = 0; q < 27; ++q) barrier.qubits.push_back(q);
+    c.append(barrier);
+    c.u(0.25, 0.5, 0.75, 13);
+    c.measure(26, 0);
+    ASSERT_FALSE(c.at(2).qubits.is_inline());
+
+    const auto first = qasm::to_qasm(c);
+    EXPECT_NE(first.find("barrier q;\n"), std::string::npos);
+    const auto parsed = qasm::parse(first);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    ASSERT_EQ(parsed.circuit->size(), c.size());
+    EXPECT_EQ(parsed.circuit->at(2).kind, GateKind::kBarrier);
+    for (const std::size_t i : {0u, 1u, 3u, 4u}) {
+        EXPECT_EQ(parsed.circuit->at(i).kind, c.at(i).kind) << i;
+        EXPECT_EQ(parsed.circuit->at(i).qubits, c.at(i).qubits) << i;
+        EXPECT_EQ(parsed.circuit->at(i).params, c.at(i).params) << i;
+        EXPECT_EQ(parsed.circuit->at(i).clbit, c.at(i).clbit) << i;
+    }
+    EXPECT_EQ(qasm::to_qasm(*parsed.circuit), first);
+}
+
 TEST(ParseFile, MissingFileReportsError)
 {
     const auto result = qasm::parse_file("/nonexistent/file.qasm");

@@ -288,35 +288,51 @@ random_bits(int n, int ones, util::Rng& rng)
     return bits;
 }
 
-TEST(QsCaqrOracle, RandomCircuitsMatchPerStepRebuild)
+/// One QS-CaQR input of the oracle corpora, with its options.
+struct OracleCase
 {
+    circuit::Circuit input;
+    core::QsCaqrOptions options;
+    std::string label;
+};
+
+std::vector<OracleCase>
+random_circuit_cases()
+{
+    std::vector<OracleCase> cases;
     for (const auto metric :
          {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
         for (std::uint64_t seed = 1; seed <= 300; ++seed) {
             util::Rng rng(seed);
-            const auto c = oracle::random_circuit(rng, rng.next_int(2, 12));
-            expect_matches_reference(
-                c, options_for(metric),
-                "seed " + std::to_string(seed) + " metric " +
-                    std::to_string(static_cast<int>(metric)));
+            cases.push_back(
+                {oracle::random_circuit(rng, rng.next_int(2, 12)),
+                 options_for(metric),
+                 "seed " + std::to_string(seed) + " metric " +
+                     std::to_string(static_cast<int>(metric))});
         }
     }
+    return cases;
 }
 
-TEST(QsCaqrOracle, LargeRandomCircuitsMatchPerStepRebuild)
+std::vector<OracleCase>
+large_random_cases()
 {
+    std::vector<OracleCase> cases;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         util::Rng rng(2000 + seed);
-        const auto c = oracle::random_circuit(rng, rng.next_int(60, 80));
-        expect_matches_reference(c, options_for(core::ReuseMetric::kDuration),
-                                 "seed " + std::to_string(seed));
+        cases.push_back({oracle::random_circuit(rng, rng.next_int(60, 80)),
+                         options_for(core::ReuseMetric::kDuration),
+                         "seed " + std::to_string(seed)});
     }
+    return cases;
 }
 
-TEST(QsCaqrOracle, BvAndCoinAtReuseSweepWeightMatchPerStepRebuild)
+std::vector<OracleCase>
+bv_and_coin_cases()
 {
     // caqrbench's reuse_sweep and serve_hot90 inputs set (n - 1) / 2
     // secret bits; (n - 1) / 3 adds sparser ones.
+    std::vector<OracleCase> cases;
     for (const int divisor : {3, 2}) {
         util::Rng rng(1);
         for (int n = 12; n <= 26; ++n) {
@@ -325,41 +341,102 @@ TEST(QsCaqrOracle, BvAndCoinAtReuseSweepWeightMatchPerStepRebuild)
                 const auto tag = std::to_string(n) + " copy " +
                                  std::to_string(copy) + " weight 1/" +
                                  std::to_string(divisor);
-                expect_matches_reference(apps::bv_circuit(n, bits), {},
-                                         "bv" + tag);
-                expect_matches_reference(apps::cc_circuit(n, bits), {},
-                                         "cc" + tag);
+                cases.push_back({apps::bv_circuit(n, bits), {}, "bv" + tag});
+                cases.push_back({apps::cc_circuit(n, bits), {}, "cc" + tag});
             }
         }
     }
+    return cases;
 }
 
-TEST(QsCaqrOracle, SparseDeviceScaleBvMatchesPerStepRebuild)
+std::vector<OracleCase>
+sparse_device_bv_cases()
 {
+    std::vector<OracleCase> cases;
     for (int n : {64, 127}) {
         std::vector<int> secret(static_cast<std::size_t>(n - 1));
         for (std::size_t i = 0; i < secret.size(); ++i) {
             secret[i] = i % 3 == 0 ? 1 : 0;
         }
-        expect_matches_reference(apps::bv_circuit(n, secret), {},
-                                 "sparse bv" + std::to_string(n));
+        cases.push_back({apps::bv_circuit(n, secret), {},
+                         "sparse bv" + std::to_string(n)});
     }
+    return cases;
+}
+
+/// Targets one qubit above each input's floor, so the search stops
+/// before it is done.
+std::vector<OracleCase>
+positive_target_cases()
+{
+    std::vector<OracleCase> cases;
+    for (const auto metric :
+         {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
+        cases.push_back(
+            {apps::bv_circuit(12), options_for(metric, 5), "bv12 target 5"});
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            util::Rng rng(seed);
+            auto c = oracle::random_circuit(rng, rng.next_int(6, 12));
+            const int floor_qubits =
+                core::qs_caqr_or(c, options_for(metric))->max_reuse().qubits;
+            cases.push_back({std::move(c),
+                             options_for(metric, floor_qubits + 1),
+                             "seed " + std::to_string(seed)});
+        }
+    }
+    return cases;
+}
+
+void
+expect_cases_match_reference(const std::vector<OracleCase>& cases)
+{
+    for (const auto& c : cases) {
+        expect_matches_reference(c.input, c.options, c.label);
+    }
+}
+
+TEST(QsCaqrOracle, RandomCircuitsMatchPerStepRebuild)
+{
+    expect_cases_match_reference(random_circuit_cases());
+}
+
+TEST(QsCaqrOracle, LargeRandomCircuitsMatchPerStepRebuild)
+{
+    expect_cases_match_reference(large_random_cases());
+}
+
+TEST(QsCaqrOracle, BvAndCoinAtReuseSweepWeightMatchPerStepRebuild)
+{
+    expect_cases_match_reference(bv_and_coin_cases());
+}
+
+TEST(QsCaqrOracle, SparseDeviceScaleBvMatchesPerStepRebuild)
+{
+    expect_cases_match_reference(sparse_device_bv_cases());
 }
 
 TEST(QsCaqrOracle, PositiveTargetStopsWhereRebuildStops)
 {
-    for (const auto metric :
-         {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
-        expect_matches_reference(apps::bv_circuit(12),
-                                 options_for(metric, 5), "bv12 target 5");
-        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-            util::Rng rng(seed);
-            const auto c = oracle::random_circuit(rng, rng.next_int(6, 12));
-            const int floor_qubits =
-                core::qs_caqr_or(c, options_for(metric))->max_reuse().qubits;
-            expect_matches_reference(
-                c, options_for(metric, floor_qubits + 1),
-                "seed " + std::to_string(seed));
+    expect_cases_match_reference(positive_target_cases());
+}
+
+TEST(QsCaqr, MaxReuseCircuitEqualsReplay)
+{
+    // The search builds the max-reuse circuit from its last program
+    // instead of replaying the commits; both must print the same.
+    for (auto* corpus :
+         {random_circuit_cases, large_random_cases, bv_and_coin_cases,
+          sparse_device_bv_cases, positive_target_cases}) {
+        for (const auto& c : corpus()) {
+            const auto result = core::qs_caqr_or(c.input, c.options);
+            ASSERT_TRUE(result.ok()) << c.label;
+            EXPECT_EQ(qasm::to_qasm(result->max_reuse_circuit),
+                      qasm::to_qasm(
+                          result->circuit(result->versions.size() - 1)))
+                << c.label;
+            EXPECT_EQ(result->max_reuse_circuit.active_qubit_count(),
+                      result->max_reuse().qubits)
+                << c.label;
         }
     }
 }

@@ -194,6 +194,30 @@ TEST(ServiceCompile, BaselineRoutesTheAnchorOnce)
     EXPECT_EQ(routes() - before, 5.0);
 }
 
+/// After QS-CaQR, BV-12 runs on two qubits that the greedy layout
+/// places adjacent: the anchor routes SWAP-free, so refinement would
+/// hand the greedy layout back and every other trial repeats a routed
+/// layout. One route runs instead of five.
+TEST(ServiceCompile, SwapFreeAnchorRoutesOnce)
+{
+    Service service({.num_threads = 1});
+    CompileRequest request;
+    request.circuit = apps::bv_circuit(12);
+    request.strategy = Strategy::kQsCaqr;
+    const auto counter = [&](const char* name) {
+        const auto counters = service.metrics_snapshot().counters;
+        const auto it = counters.find(name);
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    const double routes = counter("transpile.routes");
+    const double repeated = counter("transpile.layouts_repeated");
+    const auto report = service.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status.to_string();
+    EXPECT_EQ(report.swaps, 0);
+    EXPECT_EQ(counter("transpile.routes") - routes, 1.0);
+    EXPECT_EQ(counter("transpile.layouts_repeated") - repeated, 3.0);
+}
+
 TEST(ServiceBatch, DeterministicAcrossThreadCounts)
 {
     CompileRequest prototype;

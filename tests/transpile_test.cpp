@@ -7,6 +7,7 @@
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
 #include "arch/backend.h"
+#include "core/qs_caqr.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
 #include <atomic>
@@ -26,6 +27,7 @@
 #include "transpile/router.h"
 #include "transpile/sabre.h"
 #include "transpile/transpiler.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -901,6 +903,74 @@ TEST(TranspileOracle, Qaoa256OnHeavyHex433)
         expect_transpile_matches_reference(
             logical, hh433, options, "qaoa_256" + variant_label(options));
     }
+}
+
+TEST(TranspileOracle, ReuseOutputsOnFakeMumbai)
+{
+    // QS-CaQR squeezes BV and the coin circuit to two or three qubits,
+    // where the trials' layouts repeat and the greedy anchor routes
+    // SWAP-free: the pipeline then skips routes, and must still match
+    // routing every trial. Secrets have half their bits set, as in
+    // caqrbench's reuse_sweep.
+    const auto backend = arch::Backend::fake_mumbai();
+    util::ThreadPool pool(3);
+    const auto counter = [](const char* name) {
+        const auto counters = util::metrics::global().snapshot().counters;
+        const auto it = counters.find(name);
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    util::Rng rng(27);
+    int skipped = 0;
+    int repeated = 0;
+    for (int n = 8; n <= 26; ++n) {
+        std::vector<int> bits(static_cast<std::size_t>(n - 1), 0);
+        std::fill(bits.begin(), bits.begin() + (n - 1) / 2, 1);
+        for (const bool coin : {false, true}) {
+            rng.shuffle(bits);
+            const auto name = (coin ? "cc_" : "bv_") + std::to_string(n);
+            const auto reused =
+                core::qs_caqr_or(coin ? apps::cc_circuit(n, bits)
+                                      : apps::bv_circuit(n, bits))
+                    .value()
+                    .max_reuse_circuit;
+            int which = 0;
+            for (const int trials : {1, 2, 4, 8, 32}) {
+                for (int passes = 0; passes <= 2; ++passes) {
+                    for (const int threads : {1, 8}) {
+                        transpile::TranspileOptions options;
+                        options.trials = trials;
+                        options.layout_refine_passes = passes;
+                        options.num_threads = threads;
+                        if (threads > 1 && ++which % 2 == 0) {
+                            options.pool = &pool;
+                        }
+                        const double routes_before =
+                            counter("transpile.routes");
+                        const double repeated_before =
+                            counter("transpile.layouts_repeated");
+                        expect_transpile_matches_reference(
+                            reused, backend, options,
+                            name + variant_label(options));
+                        // Without the skips: every trial, plus two
+                        // routes per pass but the anchor's forward one.
+                        const int unskipped =
+                            trials + 2 * passes -
+                            (trials >= 2 && passes >= 1 ? 1 : 0);
+                        if (counter("transpile.routes") - routes_before <
+                            unskipped) {
+                            ++skipped;
+                        }
+                        if (counter("transpile.layouts_repeated") >
+                            repeated_before) {
+                            ++repeated;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(skipped, 0);
+    EXPECT_GT(repeated, 0);
 }
 
 TEST(TranspileOracle, DisconnectedDevice)

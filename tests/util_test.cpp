@@ -1,4 +1,4 @@
-/// Unit tests for src/util: RNG, statistics, table emitter.
+/// Unit tests for src/util: RNG, statistics, table emitter, small vector.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/rng.h"
+#include "util/small_vector.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -220,6 +221,105 @@ TEST(Table, FmtHelpers)
 {
     EXPECT_EQ(util::Table::fmt(3.14159, 2), "3.14");
     EXPECT_EQ(util::Table::fmt(static_cast<long long>(42)), "42");
+}
+
+using Small = util::SmallVector<int, 3>;
+
+TEST(SmallVector, StaysInlineUpToCapacity)
+{
+    Small v;
+    EXPECT_TRUE(v.empty());
+    EXPECT_TRUE(v.is_inline());
+    for (int i = 0; i < 3; ++i) v.push_back(10 + i);
+    EXPECT_TRUE(v.is_inline());
+    EXPECT_EQ(v.size(), 3u);
+    EXPECT_EQ(v.front(), 10);
+    EXPECT_EQ(v.back(), 12);
+    EXPECT_EQ(v, (std::vector<int>{10, 11, 12}));
+    EXPECT_LE(sizeof(Small), 24u);
+}
+
+TEST(SmallVector, PushBackSpillsAcrossTheBoundary)
+{
+    Small v = {1, 2, 3};
+    v.push_back(v[0]);  // the argument lives in the buffer that moves
+    EXPECT_FALSE(v.is_inline());
+    EXPECT_EQ(v, (std::vector<int>{1, 2, 3, 1}));
+    for (int i = 0; i < 40; ++i) v.push_back(i);
+    ASSERT_EQ(v.size(), 44u);
+    EXPECT_EQ(v[43], 39);
+    std::vector<int> seen(v.begin(), v.end());
+    EXPECT_EQ(seen.size(), 44u);
+    v.clear();
+    EXPECT_TRUE(v.empty());
+    v.push_back(7);
+    EXPECT_EQ(v, (std::vector<int>{7}));
+}
+
+TEST(SmallVector, CopyAndMoveInBothStates)
+{
+    const Small inline_value = {4, 5};
+    std::vector<int> wide(27);
+    for (int i = 0; i < 27; ++i) wide[static_cast<std::size_t>(i)] = i;
+    const Small spilled = wide;
+    EXPECT_TRUE(inline_value.is_inline());
+    EXPECT_FALSE(spilled.is_inline());
+
+    Small copy = spilled;
+    EXPECT_EQ(copy, spilled);
+    EXPECT_NE(copy.data(), spilled.data());
+    copy = inline_value;  // spilled <- inline
+    EXPECT_EQ(copy, inline_value);
+    copy = spilled;  // inline-capacity buffer <- spilled
+    EXPECT_EQ(copy, wide);
+
+    Small moved = std::move(copy);
+    EXPECT_EQ(moved, wide);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    copy = {8, 9, 10};
+    EXPECT_EQ(copy, (std::vector<int>{8, 9, 10}));
+    Small moved_inline = std::move(copy);
+    EXPECT_EQ(moved_inline, (std::vector<int>{8, 9, 10}));
+    moved_inline = std::move(moved);  // inline <- spilled, by move
+    EXPECT_EQ(moved_inline, wide);
+    moved = Small{1};  // a moved-from value takes new contents
+    EXPECT_EQ(moved, (std::vector<int>{1}));
+
+    const auto back = static_cast<std::vector<int>>(moved_inline);
+    EXPECT_EQ(back, wide);
+}
+
+TEST(SmallVector, SelfAssignmentKeepsTheValues)
+{
+    std::vector<int> wide(9, 3);
+    Small spilled = wide;
+    Small inline_value = {1, 2};
+    Small& spilled_alias = spilled;
+    Small& inline_alias = inline_value;
+    spilled = spilled_alias;
+    inline_value = inline_alias;
+    EXPECT_EQ(spilled, wide);
+    EXPECT_EQ(inline_value, (std::vector<int>{1, 2}));
+    spilled = std::move(spilled_alias);
+    EXPECT_EQ(spilled, wide);
+}
+
+TEST(SmallVector, EqualityIgnoresWhereTheValuesLive)
+{
+    Small spilled = {1, 2, 3};
+    spilled.push_back(4);
+    spilled = {1, 2};  // fits the heap buffer it already has
+    const Small inline_value = {1, 2};
+    ASSERT_FALSE(spilled.is_inline());
+    ASSERT_TRUE(inline_value.is_inline());
+    EXPECT_EQ(spilled, inline_value);
+    EXPECT_EQ(inline_value, spilled);
+    EXPECT_EQ((std::vector<int>{1, 2}), spilled);
+    EXPECT_NE(spilled, Small({1, 2, 4}));
+    EXPECT_NE(inline_value, Small({1}));
+
+    const util::SmallVector<double, 3> angles = {0.5, -1.0, 2.0};
+    EXPECT_EQ(angles, (std::vector<double>{0.5, -1.0, 2.0}));
 }
 
 }  // namespace
