@@ -358,11 +358,17 @@ run_listen(int port, const std::string& initial_strategy,
     server.wait();
     g_listen_server = nullptr;
 
-    const auto stats = server.stats();
-    std::cout << "ok bye connections=" << stats.connections
-              << " requests=" << stats.requests
-              << " rejected_busy=" << stats.rejected_busy
-              << " timeouts=" << stats.timeouts << std::endl;
+    // The transport counters live in the service registry, so they
+    // count from the last `reset`, like `stats`.
+    const auto counters = service.metrics_snapshot().counters;
+    const auto count = [&](const std::string& name) {
+        const auto it = counters.find("server." + name);
+        return it == counters.end() ? 0LL : static_cast<long long>(it->second);
+    };
+    std::cout << "ok bye connections=" << count("connections")
+              << " requests=" << count("requests")
+              << " rejected_busy=" << count("rejected_busy")
+              << " timeouts=" << count("timeouts") << std::endl;
     return 0;
 }
 

@@ -530,7 +530,7 @@ enum class SweepPolicy {
     /// it usually saves more qubits than kMetricFirst (BV_10 -> 2). It
     /// does not reach the minimum at device scale: sparse BV-64, BV-127
     /// and BV-400 stop at 4 qubits, where SR-CaQR reaches 2 (ROADMAP.md
-    /// item 3).
+    /// item 4, the chain planner).
     kOrderFirst,
 };
 

@@ -498,11 +498,6 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     // afterwards, from the same calibrated schedule that gives the
     // trial's duration.
     auto run_variant = [&](std::size_t trial, const SrBound* bound) {
-        // Rebind the owning request on this (possibly pool) thread so
-        // raced variants from concurrent requests keep their spans
-        // attributed to the right request.
-        util::trace::RequestScope request_scope(options.request_ctx,
-                                                options.capture);
         util::trace::Span trial_span("sr_caqr.trial");
         SrCaqrOptions variant = options;
         if (trial < static_cast<std::size_t>(kNumVariants)) {

@@ -66,10 +66,6 @@ map_versions(const VersionSet& versions, const arch::Backend& backend,
         options.pool, spawned,
         [&](std::size_t index)
             -> std::optional<util::StatusOr<MappedVersion>> {
-            // Rebind the owning request on this (possibly pool) thread
-            // so the version's spans stay attributed to it.
-            util::trace::RequestScope request_scope(options.request_ctx,
-                                                    options.capture);
             auto mapped = transpile::transpile_or(versions.circuit(index),
                                                   backend, options);
             if (!mapped.ok()) return mapped.status();

@@ -34,26 +34,6 @@ smallest_free_color(const UndirectedGraph& graph,
 }  // namespace
 
 Coloring
-greedy_coloring(const UndirectedGraph& graph)
-{
-    const int n = graph.num_nodes();
-    std::vector<int> order(static_cast<std::size_t>(n));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return graph.degree(a) > graph.degree(b);
-    });
-
-    Coloring result;
-    result.color_of.assign(static_cast<std::size_t>(n), -1);
-    for (int node : order) {
-        const int c = smallest_free_color(graph, result.color_of, node);
-        result.color_of[node] = c;
-        result.num_colors = std::max(result.num_colors, c + 1);
-    }
-    return result;
-}
-
-Coloring
 dsatur_coloring(const UndirectedGraph& graph)
 {
     const int n = graph.num_nodes();
@@ -143,21 +123,6 @@ exact_coloring(const UndirectedGraph& graph, long long node_budget)
                        upper, node_budget};
     search.run(0, 0);
     return search.best;
-}
-
-bool
-is_proper_coloring(const UndirectedGraph& graph, const Coloring& coloring)
-{
-    if (static_cast<int>(coloring.color_of.size()) != graph.num_nodes()) {
-        return false;
-    }
-    for (int c : coloring.color_of) {
-        if (c < 0 || c >= coloring.num_colors) return false;
-    }
-    for (const auto& [u, v] : graph.edges()) {
-        if (coloring.color_of[u] == coloring.color_of[v]) return false;
-    }
-    return true;
 }
 
 }  // namespace caqr::graph

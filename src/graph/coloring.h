@@ -4,9 +4,8 @@
  * (paper §3.2.2 "Maximal Qubit Saving"): qubits sharing a color never
  * interact, so one physical qubit can serve all of them sequentially.
  *
- * Three algorithms are provided: greedy largest-first (fast upper
- * bound), DSATUR (typically tighter), and an exact branch-and-bound
- * usable on small graphs and as a test oracle.
+ * Two algorithms are provided: DSATUR (fast, typically tight) and an
+ * exact branch-and-bound usable on small graphs.
  */
 #ifndef CAQR_GRAPH_COLORING_H
 #define CAQR_GRAPH_COLORING_H
@@ -24,11 +23,7 @@ struct Coloring
     int num_colors = 0;
 };
 
-/// Greedy coloring in descending-degree order. O(V log V + E).
-Coloring greedy_coloring(const UndirectedGraph& graph);
-
-/// DSATUR coloring (Brélaz). Usually matches or beats greedy; exact on
-/// many structured graphs.
+/// DSATUR coloring (Brélaz). Exact on many structured graphs.
 Coloring dsatur_coloring(const UndirectedGraph& graph);
 
 /**
@@ -40,10 +35,6 @@ Coloring dsatur_coloring(const UndirectedGraph& graph);
  */
 Coloring exact_coloring(const UndirectedGraph& graph,
                         long long node_budget = 2'000'000);
-
-/// Verifies that @p coloring is a proper coloring of @p graph.
-bool is_proper_coloring(const UndirectedGraph& graph,
-                        const Coloring& coloring);
 
 }  // namespace caqr::graph
 

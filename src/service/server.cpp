@@ -188,13 +188,6 @@ Server::wait()
     if (loop_thread_.joinable()) loop_thread_.join();
 }
 
-ServerStats
-Server::stats() const
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_;
-}
-
 void
 Server::counter(const char* name)
 {
@@ -288,10 +281,6 @@ Server::accept_ready()
             [[maybe_unused]] const auto sent =
                 ::send(fd, kBusy, sizeof(kBusy) - 1, MSG_NOSIGNAL);
             ::close(fd);
-            {
-                std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++stats_.rejected_sessions;
-            }
             counter("server.rejected_sessions");
             event_log_.log("reject_session");
             continue;
@@ -308,10 +297,6 @@ Server::accept_ready()
         event.events = EPOLLIN;
         event.data.fd = fd;
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.connections;
-        }
         counter("server.connections");
         event_log_.log("connect", {{"conn", conn->id}});
         // No greeting yet: the first line decides whether this is a
@@ -331,10 +316,6 @@ Server::read_ready(const std::shared_ptr<Conn>& conn)
                                     static_cast<std::size_t>(n))) {
                 // Unterminated line past the cap: answer once, stop
                 // reading, and end the session after the flush.
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++stats_.overlong_lines;
-                }
                 counter("server.overlong_lines");
                 send_text(conn,
                           "error line exceeds " +
@@ -430,10 +411,6 @@ Server::serve_http(const std::shared_ptr<Conn>& conn,
         body = "not found\n";
     }
 
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.http_requests;
-    }
     counter("server.http_requests");
     event_log_.log("http", {{"conn", conn->id},
                             {"path", path},
@@ -452,10 +429,6 @@ Server::enqueue_command(const std::shared_ptr<Conn>& conn,
                         std::string line)
 {
     conn->last_activity = Clock::now();
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests;
-    }
     counter("server.requests");
     if (event_log_.enabled()) {
         event_log_.log("request",
@@ -473,10 +446,6 @@ Server::enqueue_command(const std::shared_ptr<Conn>& conn,
         conn->busy && static_cast<int>(conn->queue.size()) >=
                           options_.session_queue_limit;
     if (draining_ || server_full || session_full) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.rejected_busy;
-        }
         counter("server.rejected_busy");
         event_log_.log("reject_busy",
                        {{"conn", conn->id},
@@ -572,10 +541,6 @@ Server::send_text(const std::shared_ptr<Conn>& conn,
     if (conn->out.size() > options_.max_output_bytes) {
         // The client stopped reading; holding its backlog hostages
         // the server's memory, so the session ends now.
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.slow_readers;
-        }
         counter("server.slow_readers");
         close_conn(conn);
     }
@@ -631,10 +596,6 @@ Server::close_conn(const std::shared_ptr<Conn>& conn)
     ::close(conn->fd);
     conns_.erase(conn->fd);
     conn->fd = -1;
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.disconnects;
-    }
     counter("server.disconnects");
     event_log_.log("disconnect", {{"conn", conn->id}});
 }
@@ -657,10 +618,6 @@ Server::check_timeouts()
         }
     }
     for (const auto& conn : idle) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.timeouts;
-        }
         counter("server.timeouts");
         event_log_.log("timeout", {{"conn", conn->id}});
         send_text(conn, "error idle timeout, closing\n");

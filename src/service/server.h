@@ -16,8 +16,8 @@
  *    time, in arrival order, so responses interleave exactly like the
  *    stdin transport; different sessions run fully in parallel.
  *
- * Overload and fault behavior (all observable via `stats()` and the
- * `server.*` metrics in the service registry):
+ * Overload and fault behavior (all counted by the `server.*`
+ * counters in the service's metrics registry):
  *
  *  - **Admission control**: a session may have at most
  *    `session_queue_limit` commands queued and the server at most
@@ -111,21 +111,6 @@ struct ServerOptions
     SessionOptions session{};
 };
 
-/// Lifetime transport counters (monotonic; also mirrored as
-/// `server.*` counters in the service metrics registry).
-struct ServerStats
-{
-    std::uint64_t connections = 0;        ///< sessions accepted
-    std::uint64_t rejected_sessions = 0;  ///< over max_sessions
-    std::uint64_t requests = 0;           ///< command lines received
-    std::uint64_t rejected_busy = 0;      ///< admission-control errors
-    std::uint64_t timeouts = 0;           ///< idle/slow-loris closes
-    std::uint64_t overlong_lines = 0;     ///< line-limit closes
-    std::uint64_t slow_readers = 0;       ///< output-backlog closes
-    std::uint64_t disconnects = 0;        ///< sessions closed, any cause
-    std::uint64_t http_requests = 0;      ///< one-shot HTTP scrapes
-};
-
 class Server
 {
   public:
@@ -164,8 +149,6 @@ class Server
     /// Blocks until the event loop exited (after `request_drain`,
     /// `stop`, or a fatal loop error) and joins the thread.
     void wait();
-
-    ServerStats stats() const;
 
   private:
     struct Conn;
@@ -224,9 +207,6 @@ class Server
     std::vector<Completion> done_;
 
     std::unique_ptr<util::ThreadPool> workers_;
-
-    mutable std::mutex stats_mutex_;
-    ServerStats stats_;
 
     EventLog event_log_;
     std::uint64_t next_conn_id_ = 1;  ///< event-log correlation (loop only)

@@ -308,24 +308,21 @@ CompileReport
 Service::compile(const CompileRequest& request)
 {
     // Per-request identity: every span recorded while this compile
-    // runs — including raced routing trials on pool workers, which
-    // rebind the scope from their options — is tagged with this id,
-    // and (when slow capture is configured) mirrored into a private
+    // runs — including those of pool tasks, which `ThreadPool::map`
+    // binds to the caller's request — is tagged with this id, and
+    // (when slow capture is configured) mirrored into a private
     // capture so a slow or failed request can be flushed as a
     // standalone trace artifact.
     const std::uint64_t request_id =
         next_request_id_.fetch_add(1, std::memory_order_relaxed);
     const std::string tenant = sanitize_tenant(request.tenant);
-    util::trace::RequestContext ctx;
-    ctx.id = request_id;
-    ctx.tenant = tenant;
-    ctx.deadline_ms = options_.slow_request_ms;
     std::unique_ptr<util::trace::RequestCapture> capture;
     if (options_.slow_request_ms > 0.0) {
         capture =
             std::make_unique<util::trace::RequestCapture>(request_id);
     }
-    util::trace::RequestScope request_scope(&ctx, capture.get());
+    const util::trace::RequestContext ctx{request_id, capture.get()};
+    util::trace::RequestScope request_scope(&ctx);
 
     CompileReport report = [&]() -> CompileReport {
         util::trace::Span span("service.compile");
@@ -515,14 +512,6 @@ Service::compile_uncached(const CompileRequest& request,
         transpile_options.pool = &pool_;
         commuting_options.pool = &pool_;
     }
-    // Hand the current request binding to the raced-trial passes: the
-    // fan-out lambdas re-establish it on their worker thread, so trial
-    // spans land in the owning request's capture even when trials from
-    // different requests share the pool.
-    sr_options.request_ctx = util::trace::current_request();
-    sr_options.capture = util::trace::current_capture();
-    transpile_options.request_ctx = sr_options.request_ctx;
-    transpile_options.capture = sr_options.capture;
 
     // Reuse pass (strategy dispatch). `reuse_level` is the logical
     // circuit the mapping and simulation stages consume; kSrCaqr maps

@@ -46,31 +46,7 @@ prom_summary(std::ostream& os, const std::string& name,
     os << name << "_count " << histogram.count() << "\n";
 }
 
-std::string
-json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buffer;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    return out;
-}
+using util::metrics::json_escape;
 
 void
 varz_stats_object(std::ostream& os,

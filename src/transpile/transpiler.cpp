@@ -241,11 +241,6 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         if ((anchor_first && t == anchor) || source[t] != t) {
             return TrialOutcome{};
         }
-        // Rebind the owning request on this (possibly pool) thread so
-        // raced trials from concurrent requests keep their spans
-        // attributed to the right request.
-        util::trace::RequestScope request_scope(options.request_ctx,
-                                                options.capture);
         RouterScratch trial_scratch;
         return measure_trial(
             route_or(in.native_graph, backend, layouts[t], options.router,

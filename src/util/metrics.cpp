@@ -1,8 +1,8 @@
 #include "util/metrics.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "util/table.h"
@@ -93,26 +93,6 @@ Histogram::buckets() const
     return out;
 }
 
-Histogram
-Histogram::from_state(const std::vector<Bucket>& buckets, double min,
-                      double max)
-{
-    Histogram h;
-    for (const auto& bucket : buckets) {
-        if (bucket.count == 0) continue;
-        auto& cell = h.buckets_[bucket.index];
-        cell.count += bucket.count;
-        cell.sum += bucket.sum;
-        h.count_ += bucket.count;
-        h.sum_ += bucket.sum;
-    }
-    if (h.count_ > 0) {
-        h.min_ = min;
-        h.max_ = max;
-    }
-    return h;
-}
-
 // ---------------------------------------------------------------------
 // RollingHistogram
 // ---------------------------------------------------------------------
@@ -174,230 +154,33 @@ json_number(double value)
     return os.str();
 }
 
+}  // namespace
+
 std::string
 json_escape(const std::string& text)
 {
     std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
+    out.reserve(text.size() + 2);
+    for (const char c : text) {
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default: out += c;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buffer[8];
+                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buffer;
+            } else {
+                out.push_back(c);
+            }
         }
     }
     return out;
 }
-
-// ---------------------------------------------------------------------
-// JSON reader — a minimal recursive-descent parser covering exactly
-// the documents this module (and bench_perf) emits: objects, arrays,
-// strings, numbers, true/false/null. No unicode escapes.
-// ---------------------------------------------------------------------
-
-struct JsonValue
-{
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    // Parse-order pairs; our schemas have no duplicate keys.
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue*
-    find(const std::string& key) const
-    {
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string& text) : text_(text) {}
-
-    util::StatusOr<JsonValue>
-    parse()
-    {
-        auto value = parse_value();
-        if (!value.ok()) return value;
-        skip_ws();
-        if (pos_ != text_.size()) {
-            return fail("trailing characters after JSON document");
-        }
-        return value;
-    }
-
-  private:
-    util::Status
-    fail(const std::string& message) const
-    {
-        return util::Status::parse_error(
-            "JSON: " + message + " at offset " + std::to_string(pos_));
-    }
-
-    void
-    skip_ws()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        skip_ws();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    util::StatusOr<JsonValue>
-    parse_value()
-    {
-        skip_ws();
-        if (pos_ >= text_.size()) return fail("unexpected end of input");
-        const char c = text_[pos_];
-        if (c == '{') return parse_object();
-        if (c == '[') return parse_array();
-        if (c == '"') return parse_string();
-        if (c == 't' || c == 'f' || c == 'n') return parse_keyword();
-        return parse_number();
-    }
-
-    util::StatusOr<JsonValue>
-    parse_object()
-    {
-        ++pos_;  // '{'
-        JsonValue value;
-        value.kind = JsonValue::Kind::kObject;
-        if (consume('}')) return value;
-        while (true) {
-            skip_ws();
-            auto key = parse_string();
-            if (!key.ok()) return key.status();
-            if (!consume(':')) return fail("expected ':' in object");
-            auto element = parse_value();
-            if (!element.ok()) return element;
-            value.object.emplace_back(std::move(key->string),
-                                      std::move(*element));
-            if (consume(',')) continue;
-            if (consume('}')) return value;
-            return fail("expected ',' or '}' in object");
-        }
-    }
-
-    util::StatusOr<JsonValue>
-    parse_array()
-    {
-        ++pos_;  // '['
-        JsonValue value;
-        value.kind = JsonValue::Kind::kArray;
-        if (consume(']')) return value;
-        while (true) {
-            auto element = parse_value();
-            if (!element.ok()) return element;
-            value.array.push_back(std::move(*element));
-            if (consume(',')) continue;
-            if (consume(']')) return value;
-            return fail("expected ',' or ']' in array");
-        }
-    }
-
-    util::StatusOr<JsonValue>
-    parse_string()
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"') {
-            return fail("expected string");
-        }
-        ++pos_;
-        JsonValue value;
-        value.kind = JsonValue::Kind::kString;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size()) {
-                    return fail("unterminated escape");
-                }
-                const char escaped = text_[pos_++];
-                switch (escaped) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case '/': c = '/'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  default:
-                    return fail("unsupported escape");
-                }
-            }
-            value.string.push_back(c);
-        }
-        if (pos_ >= text_.size()) return fail("unterminated string");
-        ++pos_;  // closing quote
-        return value;
-    }
-
-    util::StatusOr<JsonValue>
-    parse_number()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        if (pos_ == start) return fail("expected a value");
-        JsonValue value;
-        value.kind = JsonValue::Kind::kNumber;
-        try {
-            value.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
-            return fail("malformed number");
-        }
-        return value;
-    }
-
-    util::StatusOr<JsonValue>
-    parse_keyword()
-    {
-        JsonValue value;
-        if (text_.compare(pos_, 4, "true") == 0) {
-            value.kind = JsonValue::Kind::kBool;
-            value.boolean = true;
-            pos_ += 4;
-            return value;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            value.kind = JsonValue::Kind::kBool;
-            pos_ += 5;
-            return value;
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return value;
-        }
-        return fail("unknown keyword");
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // Snapshot
@@ -490,102 +273,6 @@ Snapshot::to_json() const
     std::ostringstream os;
     write_json(os);
     return os.str();
-}
-
-util::StatusOr<Snapshot>
-Snapshot::from_json(const std::string& text)
-{
-    auto parsed = JsonParser(text).parse();
-    if (!parsed.ok()) return parsed.status();
-    if (parsed->kind != JsonValue::Kind::kObject) {
-        return util::Status::parse_error("snapshot JSON must be an object");
-    }
-
-    const JsonValue* version = parsed->find("schema_version");
-    if (version == nullptr ||
-        version->kind != JsonValue::Kind::kNumber ||
-        static_cast<int>(version->number) != kSchemaVersion) {
-        return util::Status::parse_error(
-            "snapshot schema_version missing or unsupported (want " +
-            std::to_string(kSchemaVersion) + ")");
-    }
-
-    Snapshot snapshot;
-    const auto parse_histogram_table =
-        [](const JsonValue& table,
-           std::map<std::string, Histogram>* out) -> util::Status {
-        for (const auto& [name, entry] : table.object) {
-            if (entry.kind != JsonValue::Kind::kObject) {
-                return util::Status::parse_error(
-                    "histogram '" + name + "' is not an object");
-            }
-            const JsonValue* buckets = entry.find("buckets");
-            const JsonValue* min = entry.find("min");
-            const JsonValue* max = entry.find("max");
-            if (buckets == nullptr ||
-                buckets->kind != JsonValue::Kind::kArray ||
-                min == nullptr || max == nullptr) {
-                return util::Status::parse_error(
-                    "histogram '" + name +
-                    "' needs buckets/min/max fields");
-            }
-            std::vector<Histogram::Bucket> state;
-            for (const auto& row : buckets->array) {
-                if (row.kind != JsonValue::Kind::kArray ||
-                    row.array.size() != 3) {
-                    return util::Status::parse_error(
-                        "histogram '" + name +
-                        "' bucket rows must be [index,count,sum]");
-                }
-                state.push_back(
-                    {static_cast<int>(row.array[0].number),
-                     static_cast<std::size_t>(row.array[1].number),
-                     row.array[2].number});
-            }
-            (*out)[name] = Histogram::from_state(state, min->number,
-                                                 max->number);
-        }
-        return util::Status();
-    };
-    if (const JsonValue* table = parsed->find("histograms");
-        table != nullptr && table->kind == JsonValue::Kind::kObject) {
-        auto status = parse_histogram_table(*table,
-                                            &snapshot.histograms);
-        if (!status.ok()) return status;
-    }
-    // Window/gauge sections are additive (schema 1 documents written
-    // before they existed simply lack the keys).
-    if (const JsonValue* table = parsed->find("windows");
-        table != nullptr && table->kind == JsonValue::Kind::kObject) {
-        auto status = parse_histogram_table(*table, &snapshot.windows);
-        if (!status.ok()) return status;
-    }
-    if (const JsonValue* seconds = parsed->find("window_seconds");
-        seconds != nullptr &&
-        seconds->kind == JsonValue::Kind::kNumber) {
-        snapshot.window_seconds = static_cast<int>(seconds->number);
-    }
-    if (const JsonValue* table = parsed->find("counters");
-        table != nullptr && table->kind == JsonValue::Kind::kObject) {
-        for (const auto& [name, entry] : table->object) {
-            if (entry.kind != JsonValue::Kind::kNumber) {
-                return util::Status::parse_error(
-                    "counter '" + name + "' is not a number");
-            }
-            snapshot.counters[name] = entry.number;
-        }
-    }
-    if (const JsonValue* table = parsed->find("gauges");
-        table != nullptr && table->kind == JsonValue::Kind::kObject) {
-        for (const auto& [name, entry] : table->object) {
-            if (entry.kind != JsonValue::Kind::kNumber) {
-                return util::Status::parse_error(
-                    "gauge '" + name + "' is not a number");
-            }
-            snapshot.gauges[name] = entry.number;
-        }
-    }
-    return snapshot;
 }
 
 void

@@ -26,8 +26,8 @@
  *    observations per pass, trial or request (never per gate) are
  *    noise next to a compile.
  *  - **Snapshot** — a frozen copy of a registry with schema-versioned
- *    JSON export (`to_json`/`from_json` round-trip bucket-exactly) and
- *    a CSV summary. `BENCH_caqr.json` and the `--serve` `stats`
+ *    JSON export (`to_json`, every double at 17 significant digits)
+ *    and a CSV summary. `BENCH_caqr.json` and the `--serve` `stats`
  *    command are rendered from snapshots.
  */
 #ifndef CAQR_UTIL_METRICS_H
@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
 
 namespace caqr::util::metrics {
 
@@ -103,11 +102,6 @@ class Histogram
     /// Buckets in ascending index order (the serialization surface).
     std::vector<Bucket> buckets() const;
 
-    /// Rebuilds a histogram from exported state (JSON import). The
-    /// count/sum aggregates are recomputed from the buckets.
-    static Histogram from_state(const std::vector<Bucket>& buckets,
-                                double min, double max);
-
   private:
     struct Cell
     {
@@ -165,11 +159,10 @@ class RollingHistogram
     std::array<Slot, kSlots> slots_;
 };
 
-/// Frozen copy of a registry; the unit of export, import, and merging.
+/// Frozen copy of a registry; the unit of export and merging.
 struct Snapshot
 {
-    /// Bumped when the JSON layout changes; `from_json` rejects
-    /// documents it does not understand.
+    /// Bumped when the JSON layout changes.
     static constexpr int kSchemaVersion = 1;
 
     std::map<std::string, Histogram> histograms;
@@ -193,14 +186,9 @@ struct Snapshot
 
     /// JSON document: schema_version, per-histogram buckets + derived
     /// count/sum/min/max/p50/p90/p99, counters. Doubles are printed
-    /// with 17 significant digits so import is bit-exact.
+    /// with 17 significant digits, so they read back bit-exactly.
     void write_json(std::ostream& os) const;
     std::string to_json() const;
-
-    /// Inverse of to_json (derived percentile fields are ignored and
-    /// recomputed). kParseError on malformed input or a schema_version
-    /// this build does not understand.
-    static util::StatusOr<Snapshot> from_json(const std::string& text);
 
     /// One row per histogram (count/min/mean/p50/p90/p99/max/sum) and
     /// per counter.
@@ -240,6 +228,12 @@ class Registry
     std::map<std::string, double> counters_;
     std::map<std::string, double> gauges_;
 };
+
+/// Escapes @p text for a JSON string body: quote, backslash, and every
+/// control byte (`\n`, `\r` and `\t` by name, the rest as `\u00XX`).
+/// The one escaper of every JSON writer — snapshots, Chrome traces and
+/// the serving telemetry.
+std::string json_escape(const std::string& text);
 
 /// Process-wide registry for pass and simulator instrumentation (e.g.
 /// `qs_caqr.steps`, `router.swaps_added`, `sim.shots_per_sec`). Always

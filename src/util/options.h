@@ -5,9 +5,11 @@
  * The pass-specific option structs (`QsCaqrOptions`,
  * `QsCommutingOptions`, `SrCaqrOptions`, `TranspileOptions`) embed
  * `CommonOptions` as a base, so the knobs every pass understands —
- * evaluation threads, heuristic seed, worker pool, request identity —
- * are declared exactly once and cannot drift between passes. Call
- * sites keep writing `options.num_threads = 4;` as before.
+ * evaluation threads, heuristic seed, worker pool — are declared
+ * exactly once and cannot drift between passes. Call sites keep
+ * writing `options.num_threads = 4;` as before. The request a pass
+ * runs for is not an option: `util::ThreadPool::map` carries the
+ * caller's `util::trace` binding onto every helper thread.
  */
 #ifndef CAQR_UTIL_OPTIONS_H
 #define CAQR_UTIL_OPTIONS_H
@@ -17,11 +19,6 @@
 namespace caqr::util {
 class ThreadPool;
 }  // namespace caqr::util
-
-namespace caqr::util::trace {
-struct RequestContext;
-class RequestCapture;
-}  // namespace caqr::util::trace
 
 namespace caqr {
 
@@ -43,16 +40,6 @@ struct CommonOptions
     /// fan-out. Never part of cache keys; results are bit-identical
     /// with or without it.
     util::ThreadPool* pool = nullptr;
-    /// Identity of the request this pass runs on behalf of. Pool
-    /// fan-out lambdas rebind it on the worker thread (via
-    /// `util::trace::RequestScope`) so spans from concurrently raced
-    /// trials group by request. Borrowed from the driver; never part
-    /// of cache keys; purely observational.
-    const util::trace::RequestContext* request_ctx = nullptr;
-    /// Per-request span sink for slow-request capture; rebound
-    /// alongside `request_ctx`. Null = no capture. Never part of
-    /// cache keys; purely observational.
-    util::trace::RequestCapture* capture = nullptr;
 };
 
 }  // namespace caqr

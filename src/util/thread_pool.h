@@ -30,6 +30,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/trace.h"
+
 namespace caqr::util {
 
 /// Fixed-size worker pool. Queued tasks are drained before destruction
@@ -73,9 +75,11 @@ class ThreadPool
     /**
      * Evaluates fn(0..n-1) across the workers plus the calling thread
      * and returns the results indexed by task — result ordering never
-     * depends on thread count or scheduling. Blocks until the whole
-     * batch finished; if any task threw, the exception with the lowest
-     * task index is rethrown after the batch completes.
+     * depends on thread count or scheduling. Every task runs bound to
+     * the caller's `trace::current_request()`, so its spans reach that
+     * request. Blocks until the whole batch finished; if any task
+     * threw, the exception with the lowest task index is rethrown
+     * after the batch completes.
      */
     template <typename Fn>
     auto
@@ -107,8 +111,13 @@ class ThreadPool
         batch->total = n;
         batch->errors.resize(n);
 
+        // Helpers run the batch bound to the caller's request. The
+        // batch finishes before map returns, so the binding outlives
+        // every task that can see it.
         R* out = results.data();
-        auto run = [batch, out, &fn] {
+        const trace::RequestContext* request = trace::current_request();
+        auto run = [batch, out, &fn, request] {
+            trace::RequestScope request_scope(request);
             for (;;) {
                 const std::size_t i = batch->next.fetch_add(1);
                 if (i >= batch->total) return;
@@ -124,7 +133,8 @@ class ThreadPool
             }
         };
         // A straggler helper that wakes after the batch completed exits
-        // via the index check without touching `out` or `fn`.
+        // via the index check without touching `out`, `fn` or the
+        // request.
         const std::size_t helpers =
             std::min(n - 1, static_cast<std::size_t>(size()));
         for (std::size_t h = 0; h < helpers; ++h) enqueue(run);

@@ -4,10 +4,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
-#include <sstream>
-#include <thread>
-#include <vector>
 
 #include "util/metrics.h"
 
@@ -15,253 +11,159 @@ namespace caqr::util::trace {
 
 namespace {
 
-/// One finished span, timestamps in microseconds since the registry
-/// epoch (Chrome-trace native unit).
-struct Event
-{
-    std::string name;
-    double ts_us = 0.0;
-    double dur_us = 0.0;
-    int tid = 0;
-    std::uint64_t req = 0;  ///< owning request id (0 = unattributed)
-};
-
 /// Thread-local request binding installed by RequestScope. Spans read
 /// it on construction; it never outlives the scope that set it.
-thread_local const RequestContext* tls_request_ctx = nullptr;
-thread_local RequestCapture* tls_request_capture = nullptr;
+thread_local const RequestContext* tls_request = nullptr;
 
-/// Process-wide trace storage. Spans from pool workers and the main
-/// thread interleave, so every mutation is mutex-guarded;
-/// `enabled` is separate so guards stay lock-free.
-class Registry
+/// The process trace: the global switch and its span store.
+struct ProcessTrace
 {
-  public:
-    static Registry&
+    static ProcessTrace&
     instance()
     {
-        static Registry registry;
-        return registry;
+        static ProcessTrace trace;
+        return trace;
     }
 
     std::atomic<bool> enabled{false};
-
-    std::chrono::steady_clock::time_point
-    epoch() const
-    {
-        return epoch_;
-    }
-
-    void
-    record(std::string name,
-           std::chrono::steady_clock::time_point start, double dur_us,
-           std::uint64_t req)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (events_.size() >= kMaxEvents) {
-            ++dropped_;
-            return;
-        }
-        Event event;
-        event.name = std::move(name);
-        event.ts_us = std::chrono::duration<double, std::micro>(
-                          start - epoch_)
-                          .count();
-        event.dur_us = dur_us;
-        event.tid = tid_of(std::this_thread::get_id());
-        event.req = req;
-        events_.push_back(std::move(event));
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        events_.clear();
-        dropped_ = 0;
-    }
-
-    /// Copies for export; taken under the lock so exporters see a
-    /// consistent snapshot even while passes still run.
-    void
-    snapshot(std::vector<Event>* events, std::size_t* dropped) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        *events = events_;
-        *dropped = dropped_;
-    }
+    /// Backstop against unbounded growth from a looping caller; the
+    /// "caqr_trace" summary key of the export flags truncation.
+    SpanStore spans{std::size_t{1} << 20};
 
   private:
-    Registry()
+    ProcessTrace()
     {
         const char* env = std::getenv("CAQR_TRACE");
         if (env != nullptr && std::string(env) != "0") {
             enabled.store(true, std::memory_order_relaxed);
         }
     }
-
-    int
-    tid_of(std::thread::id id)
-    {
-        auto [it, inserted] =
-            tids_.try_emplace(id, static_cast<int>(tids_.size()));
-        (void)inserted;
-        return it->second;
-    }
-
-    /// Backstop against unbounded growth from a looping caller; the
-    /// "caqr_trace" summary key of the export flags truncation.
-    static constexpr std::size_t kMaxEvents = 1u << 20;
-
-    mutable std::mutex mutex_;
-    std::vector<Event> events_;
-    std::map<std::thread::id, int> tids_;
-    std::size_t dropped_ = 0;
-    const std::chrono::steady_clock::time_point epoch_ =
-        std::chrono::steady_clock::now();
 };
-
-/// Minimal JSON string escaping (span names are library-chosen, but a
-/// stray quote must not corrupt the document).
-std::string
-json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 }  // namespace
 
 bool
 enabled()
 {
-    return Registry::instance().enabled.load(std::memory_order_relaxed);
+    return ProcessTrace::instance().enabled.load(std::memory_order_relaxed);
 }
 
 void
 set_enabled(bool on)
 {
-    Registry::instance().enabled.store(on, std::memory_order_relaxed);
+    ProcessTrace::instance().enabled.store(on, std::memory_order_relaxed);
 }
 
 void
 reset()
 {
-    Registry::instance().clear();
+    ProcessTrace::instance().spans.clear();
 }
 
-RequestCapture::RequestCapture(std::uint64_t request_id)
-    : request_id_(request_id),
-      epoch_(std::chrono::steady_clock::now())
-{
-}
+SpanStore::SpanStore(std::size_t max_spans) : max_spans_(max_spans) {}
 
 void
-RequestCapture::record(const std::string& name,
-                       std::chrono::steady_clock::time_point start,
-                       double dur_us)
+SpanStore::record(std::string name,
+                  std::chrono::steady_clock::time_point start,
+                  double dur_us, std::uint64_t req)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (spans_.size() >= kMaxSpans) {
+    if (events_.size() >= max_spans_) {
         ++dropped_;
         return;
     }
-    CapturedSpan span;
-    span.name = name;
-    span.ts_us =
+    Event event;
+    event.name = std::move(name);
+    event.ts_us =
         std::chrono::duration<double, std::micro>(start - epoch_).count();
-    span.dur_us = dur_us;
-    auto [it, inserted] = tids_.try_emplace(
-        std::this_thread::get_id(), static_cast<int>(tids_.size()));
-    (void)inserted;
-    span.tid = it->second;
-    spans_.push_back(std::move(span));
+    event.dur_us = dur_us;
+    event.tid = tids_.try_emplace(std::this_thread::get_id(),
+                                  static_cast<int>(tids_.size()))
+                    .first->second;
+    event.req = req;
+    events_.push_back(std::move(event));
 }
 
-std::size_t
-RequestCapture::span_count() const
+void
+SpanStore::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return spans_.size();
+    events_.clear();
+    dropped_ = 0;
 }
 
 std::size_t
-RequestCapture::dropped() const
+SpanStore::span_count() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return events_.size();
+}
+
+std::size_t
+SpanStore::dropped() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return dropped_;
 }
 
 bool
-RequestCapture::has_span(const std::string& name) const
+SpanStore::has_span(const std::string& name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& span : spans_) {
-        if (span.name == name) return true;
+    for (const auto& event : events_) {
+        if (event.name == name) return true;
     }
     return false;
 }
 
 void
-RequestCapture::write_chrome_trace(std::ostream& os) const
+SpanStore::write_chrome_trace(std::ostream& os,
+                              const std::string& summary_head) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
-    for (const auto& span : spans_) {
+    for (const auto& event : events_) {
         if (!first) os << ",";
         first = false;
-        os << "\n{\"name\":\"" << json_escape(span.name)
-           << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << span.tid
-           << ",\"ts\":" << span.ts_us << ",\"dur\":" << span.dur_us
-           << ",\"args\":{\"req\":" << request_id_ << "}}";
+        os << "\n{\"name\":\"" << metrics::json_escape(event.name)
+           << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << event.tid
+           << ",\"ts\":" << event.ts_us << ",\"dur\":" << event.dur_us;
+        if (event.req != 0) {
+            os << ",\"args\":{\"req\":" << event.req << "}";
+        }
+        os << "}";
     }
-    os << "\n],\"caqr_request\":{\"id\":" << request_id_
-       << ",\"spans\":" << spans_.size() << ",\"dropped\":" << dropped_
-       << "}}\n";
+    os << "\n]," << summary_head << events_.size()
+       << ",\"dropped\":" << dropped_ << "}}\n";
 }
 
-RequestScope::RequestScope(const RequestContext* ctx,
-                           RequestCapture* capture)
-    : saved_ctx_(tls_request_ctx), saved_capture_(tls_request_capture)
+void
+RequestCapture::write_chrome_trace(std::ostream& os) const
 {
-    tls_request_ctx = ctx;
-    tls_request_capture =
-        (ctx != nullptr && !ctx->sampled) ? nullptr : capture;
+    SpanStore::write_chrome_trace(
+        os, "\"caqr_request\":{\"id\":" + std::to_string(request_id_) +
+                ",\"spans\":");
 }
 
-RequestScope::~RequestScope()
+RequestScope::RequestScope(const RequestContext* request)
+    : saved_(tls_request)
 {
-    tls_request_ctx = saved_ctx_;
-    tls_request_capture = saved_capture_;
+    tls_request = request;
 }
+
+RequestScope::~RequestScope() { tls_request = saved_; }
 
 const RequestContext*
 current_request()
 {
-    return tls_request_ctx;
-}
-
-RequestCapture*
-current_capture()
-{
-    return tls_request_capture;
+    return tls_request;
 }
 
 Span::Span(std::string name)
     : name_(std::move(name)), active_(enabled()),
-      capture_(tls_request_capture),
-      req_(tls_request_ctx != nullptr ? tls_request_ctx->id : 0)
+      capture_(tls_request != nullptr ? tls_request->capture : nullptr),
+      req_(tls_request != nullptr ? tls_request->id : 0)
 {
     if (active_ || capture_ != nullptr) {
         start_ = std::chrono::steady_clock::now();
@@ -274,10 +176,12 @@ Span::~Span()
     const auto stop = std::chrono::steady_clock::now();
     const double dur_us =
         std::chrono::duration<double, std::micro>(stop - start_).count();
-    if (capture_ != nullptr) capture_->record(name_, start_, dur_us);
+    if (capture_ != nullptr) {
+        capture_->record(name_, start_, dur_us, capture_->request_id());
+    }
     if (active_) {
-        Registry::instance().record(std::move(name_), start_, dur_us,
-                                    req_);
+        ProcessTrace::instance().spans.record(std::move(name_), start_,
+                                              dur_us, req_);
     }
 }
 
@@ -293,25 +197,8 @@ Span::elapsed_ms() const
 void
 write_chrome_trace(std::ostream& os)
 {
-    std::vector<Event> events;
-    std::size_t dropped = 0;
-    Registry::instance().snapshot(&events, &dropped);
-
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    for (const auto& event : events) {
-        if (!first) os << ",";
-        first = false;
-        os << "\n{\"name\":\"" << json_escape(event.name)
-           << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << event.tid
-           << ",\"ts\":" << event.ts_us << ",\"dur\":" << event.dur_us;
-        if (event.req != 0) {
-            os << ",\"args\":{\"req\":" << event.req << "}";
-        }
-        os << "}";
-    }
-    os << "\n],\"caqr_trace\":{\"events\":" << events.size()
-       << ",\"dropped\":" << dropped << "}}\n";
+    ProcessTrace::instance().spans.write_chrome_trace(
+        os, "\"caqr_trace\":{\"events\":");
 }
 
 bool

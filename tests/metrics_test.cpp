@@ -2,7 +2,7 @@
  * @file
  * Tests for the metrics registry: histogram percentile math on known
  * distributions, empty/single-sample edge cases, associativity of
- * merge, JSON snapshot round-trips, registry thread safety, and the
+ * merge, the pinned JSON export, registry thread safety, and the
  * service-level wiring (per-request latency distributions instead of
  * last-write-wins gauges).
  */
@@ -186,56 +186,60 @@ TEST(Histogram, MergeWithEmptyIsIdentity)
 }
 
 // ---------------------------------------------------------------------
-// Snapshot JSON round-trip
+// Snapshot JSON export
 // ---------------------------------------------------------------------
 
-TEST(Snapshot, JsonRoundTripPreservesEverything)
+/// The exact `write_json` document: section order, 17-digit doubles,
+/// derived percentiles, bucket rows, and the non-positive bucket key.
+TEST(Snapshot, JsonExportIsPinned)
 {
-    Registry registry;
-    for (int i = 0; i < 50; ++i) registry.observe("latency_ms", 1.0);
-    for (int i = 0; i < 40; ++i) registry.observe("latency_ms", 10.0);
-    for (int i = 0; i < 10; ++i) registry.observe("latency_ms", 100.0);
-    registry.observe("swaps", 0.0);
-    registry.observe("swaps", 29.0);
-    registry.add("requests", 100.0);
-    registry.add("failures", 3.0);
-
-    const Snapshot before = registry.snapshot();
-    const auto parsed = Snapshot::from_json(before.to_json());
-    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-    const Snapshot& after = *parsed;
-
-    ASSERT_EQ(after.histograms.size(), before.histograms.size());
-    for (const auto& [name, histogram] : before.histograms) {
-        const auto it = after.histograms.find(name);
-        ASSERT_NE(it, after.histograms.end()) << name;
-        EXPECT_EQ(fingerprint(it->second), fingerprint(histogram))
-            << name;
-        for (double p : {50.0, 90.0, 99.0}) {
-            EXPECT_DOUBLE_EQ(it->second.percentile(p),
-                             histogram.percentile(p))
-                << name << " p" << p;
-        }
+    Snapshot snapshot;
+    for (const double v : {1.0, 10.0, 10.0, 100.0}) {
+        snapshot.histograms["latency_ms"].record(v);
     }
-    EXPECT_EQ(after.counters, before.counters);
+    snapshot.histograms["swaps"].record(0.0);
+    snapshot.histograms["swaps"].record(29.0);
+    snapshot.windows["latency_ms"].record(2.5);
+    snapshot.counters["requests"] = 100.0;
+    snapshot.counters["ratio"] = 0.1;
+    snapshot.gauges["sessions"] = 4.0;
 
-    // And a second round-trip is bit-identical text.
-    EXPECT_EQ(after.to_json(), before.to_json());
+    EXPECT_EQ(
+        snapshot.to_json(),
+        "{\"schema_version\":1,\n"
+        "\"histograms\":{\n"
+        "\"latency_ms\":{\"count\":4,\"sum\":121,\"min\":1,\"max\":100,"
+        "\"p50\":10,\"p90\":100,\"p99\":100,"
+        "\"buckets\":[[0,1,1],[26,2,20],[53,1,100]]},\n"
+        "\"swaps\":{\"count\":2,\"sum\":29,\"min\":0,\"max\":29,"
+        "\"p50\":0,\"p90\":29,\"p99\":29,"
+        "\"buckets\":[[-2147483648,1,0],[38,1,29]]}},\n"
+        "\"windows\":{\n"
+        "\"latency_ms\":{\"count\":1,\"sum\":2.5,\"min\":2.5,\"max\":2.5,"
+        "\"p50\":2.5,\"p90\":2.5,\"p99\":2.5,\"buckets\":[[10,1,2.5]]}},\n"
+        "\"window_seconds\":60,\n"
+        "\"counters\":{\n"
+        "\"ratio\":0.10000000000000001,\n"
+        "\"requests\":100},\n"
+        "\"gauges\":{\n"
+        "\"sessions\":4}}\n");
 }
 
-TEST(Snapshot, FromJsonRejectsGarbage)
+/// Names with a carriage return and a raw control byte come out
+/// escaped, so the document stays valid JSON.
+TEST(Snapshot, JsonExportEscapesControlBytes)
 {
-    EXPECT_FALSE(Snapshot::from_json("").ok());
-    EXPECT_FALSE(Snapshot::from_json("not json").ok());
-    EXPECT_FALSE(Snapshot::from_json("[1,2,3]").ok());
-    EXPECT_FALSE(
-        Snapshot::from_json("{\"schema_version\":99,\"histograms\":{}}")
-            .ok());
-    const auto missing_fields = Snapshot::from_json(
-        "{\"schema_version\":1,\"histograms\":{\"x\":{}}}");
-    EXPECT_FALSE(missing_fields.ok());
-    EXPECT_EQ(missing_fields.status().code(),
-              util::StatusCode::kParseError);
+    Snapshot snapshot;
+    snapshot.counters["c\"q\"\r\x01"] = 1.0;
+    snapshot.histograms["h\r\x01"].record(1.0);
+    const std::string json = snapshot.to_json();
+    EXPECT_NE(json.find("\n\"c\\\"q\\\"\\r\\u0001\":1"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\n\"h\\r\\u0001\":{"), std::string::npos) << json;
+    for (const char c : json) {
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control byte " << static_cast<int>(c);
+    }
 }
 
 TEST(Snapshot, MergeCombinesHistogramsAndCounters)
@@ -362,21 +366,6 @@ TEST(Registry, GaugesAreLastWriteWinsAndSnapshot)
     registry.reset();
     EXPECT_TRUE(registry.snapshot().gauges.empty());
     EXPECT_TRUE(registry.snapshot().windows.empty());
-}
-
-TEST(Snapshot, JsonRoundTripPreservesWindowsAndGauges)
-{
-    Registry registry;
-    registry.observe("latency_ms", 2.5);
-    registry.set_gauge("sessions", 4.0);
-
-    const Snapshot before = registry.snapshot();
-    const auto parsed = Snapshot::from_json(before.to_json());
-    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-    EXPECT_EQ(parsed->windows.at("latency_ms").count(), 1u);
-    EXPECT_DOUBLE_EQ(parsed->gauges.at("sessions"), 4.0);
-    EXPECT_EQ(parsed->window_seconds, before.window_seconds);
-    EXPECT_EQ(parsed->to_json(), before.to_json());
 }
 
 // ---------------------------------------------------------------------

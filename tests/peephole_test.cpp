@@ -4,7 +4,7 @@
 #include "apps/benchmarks.h"
 #include "arch/backend.h"
 #include "core/sr_caqr.h"
-#include "sim/equivalence.h"
+#include "equivalence.h"
 #include "transpile/peephole.h"
 #include "transpile/transpiler.h"
 #include "transpile/verifier.h"
@@ -154,7 +154,7 @@ TEST_P(PeepholeSemantics, UnitaryPreserved)
     }
     const auto optimized = transpile::peephole_optimize(c);
     EXPECT_LE(optimized.size(), c.size());
-    EXPECT_TRUE(sim::unitarily_equivalent(c, optimized))
+    EXPECT_TRUE(oracle::unitarily_equivalent(c, optimized))
         << "nq=" << nq;
 }
 

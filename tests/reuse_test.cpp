@@ -9,8 +9,8 @@
 #include "apps/benchmarks.h"
 #include "core/qs_caqr.h"
 #include "core/reuse_analysis.h"
+#include "equivalence.h"
 #include "oracle.h"
-#include "sim/equivalence.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -214,7 +214,7 @@ namespace property {
 Circuit
 random_probed_circuit(int qubits, util::Rng& rng)
 {
-    Circuit c = sim::random_product_state_prep(qubits, rng);
+    Circuit c = oracle::random_product_state_prep(qubits, rng);
     while (c.num_clbits() < qubits) c.add_clbit();
     const int gates = rng.next_int(6, 16);
     for (int g = 0; g < gates; ++g) {

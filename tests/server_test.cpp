@@ -6,7 +6,8 @@
  * hammering one server produce byte-identical responses to a
  * sequential run (modulo the wall-clock CSV field); malformed frames,
  * oversized lines, mid-request disconnects, and slow-loris writers
- * leave the server serving and are visible in `ServerStats`; the
+ * leave the server serving and are counted by the `server.*`
+ * registry counters; the
  * content-addressed cache turns repeated traffic into hits; graceful
  * drain finishes in-flight work before closing. The whole binary runs
  * under the TSan CI job.
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -62,6 +64,17 @@ struct TestServer
 
     ~TestServer() { server.stop(); }
 
+    /// The service registry's `server.<name>` counter (0 when unset).
+    std::uint64_t
+    counter(const std::string& name) const
+    {
+        const auto counters = service.metrics_snapshot().counters;
+        const auto it = counters.find("server." + name);
+        return it == counters.end()
+                   ? 0
+                   : static_cast<std::uint64_t>(it->second);
+    }
+
     serve::Client
     client()
     {
@@ -96,9 +109,8 @@ TEST(ServerBasics, CompileStatsQuitRoundTrip)
     ASSERT_TRUE(bye.ok());
     EXPECT_EQ(bye->final_line(), "ok bye");
 
-    const auto server_stats = ts.server.stats();
-    EXPECT_EQ(server_stats.connections, 1u);
-    EXPECT_EQ(server_stats.requests, 3u);
+    EXPECT_EQ(ts.counter("connections"), 1u);
+    EXPECT_EQ(ts.counter("requests"), 3u);
 }
 
 /// The TCP transport serves a final command line that arrives without
@@ -194,10 +206,9 @@ TEST(ServerConcurrency, ParallelClientsMatchSequentialResponses)
         }
     }
 
-    const auto stats = ts.server.stats();
-    EXPECT_EQ(stats.connections,
+    EXPECT_EQ(ts.counter("connections"),
               static_cast<std::uint64_t>(kClients) + 1);
-    EXPECT_EQ(stats.requests,
+    EXPECT_EQ(ts.counter("requests"),
               static_cast<std::uint64_t>(kClients) * kRounds *
                       commands.size() +
                   commands.size());
@@ -252,7 +263,7 @@ TEST(ServerFaults, OversizedLineClosesOnlyThatSession)
     ASSERT_TRUE(compiled.ok());
     EXPECT_TRUE(compiled->ok);
 
-    EXPECT_EQ(ts.server.stats().overlong_lines, 1u);
+    EXPECT_EQ(ts.counter("overlong_lines"), 1u);
 }
 
 /// Disconnecting with a request in flight must not crash or wedge the
@@ -282,11 +293,11 @@ TEST(ServerFaults, MidRequestDisconnectIsAbsorbed)
     // own schedule; wait for the server to notice every disconnect.
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(60);
-    while (ts.server.stats().disconnects < 4 &&
+    while (ts.counter("disconnects") < 4 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    EXPECT_GE(ts.server.stats().disconnects, 4u);
+    EXPECT_GE(ts.counter("disconnects"), 4u);
 }
 
 /// A writer that trickles bytes without ever completing a line is
@@ -309,11 +320,11 @@ TEST(ServerFaults, SlowLorisWriterIsTimedOut)
     }
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(5);
-    while (ts.server.stats().timeouts == 0 &&
+    while (ts.counter("timeouts") == 0 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    EXPECT_GE(ts.server.stats().timeouts, 1u);
+    EXPECT_GE(ts.counter("timeouts"), 1u);
 
     // A live session is unaffected by the reaper.
     auto client = ts.client();
@@ -351,7 +362,7 @@ TEST(ServerAdmission, SessionQueueOverflowIsRejectedBusy)
     EXPECT_EQ(batch->final_line().rfind("ok batch", 0), 0u)
         << batch->final_line();
 
-    EXPECT_GE(ts.server.stats().rejected_busy, 1u);
+    EXPECT_GE(ts.counter("rejected_busy"), 1u);
 }
 
 /// Session cap: connection max_sessions+1 gets one `error busy` line
@@ -379,11 +390,11 @@ TEST(ServerAdmission, SessionCapRejectsAndRecovers)
     // a few instructions before the counter bump — poll briefly.
     const auto count_deadline = std::chrono::steady_clock::now() +
                                 std::chrono::seconds(5);
-    while (ts.server.stats().rejected_sessions == 0 &&
+    while (ts.counter("rejected_sessions") == 0 &&
            std::chrono::steady_clock::now() < count_deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    EXPECT_EQ(ts.server.stats().rejected_sessions, 1u);
+    EXPECT_EQ(ts.counter("rejected_sessions"), 1u);
 
     first.command("quit");
     first.close();
@@ -425,11 +436,11 @@ TEST(ServerDrain, DrainFinishesInflightWork)
     // drain, so anchor the race before draining.
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(10);
-    while (ts.server.stats().requests == 0 &&
+    while (ts.counter("requests") == 0 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    ASSERT_GE(ts.server.stats().requests, 1u);
+    ASSERT_GE(ts.counter("requests"), 1u);
     ts.server.request_drain();
 
     const auto compiled = client.read_response(300000);
@@ -586,9 +597,8 @@ TEST(ServerHttp, ScrapeEndpointsAnswerOnTheSameListener)
     EXPECT_EQ(missing.rfind("HTTP/1.0 404 Not Found\r\n", 0), 0u);
 
     // Scrapes are accounted separately from line-protocol requests.
-    const auto stats = ts.server.stats();
-    EXPECT_EQ(stats.http_requests, 4u);
-    EXPECT_EQ(stats.requests, 1u);
+    EXPECT_EQ(ts.counter("http_requests"), 4u);
+    EXPECT_EQ(ts.counter("requests"), 1u);
 
     // The listener still serves the line protocol afterwards.
     auto client = ts.client();

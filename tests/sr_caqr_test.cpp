@@ -2,6 +2,8 @@
 /// behavior, and semantics preservation.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "transpile/transpiler.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 #include "oracle.h"
 
@@ -146,6 +149,39 @@ TEST(SrCaqr, RacedTrialsAreBitIdenticalAcrossThreadCounts)
             EXPECT_EQ(x.params, y.params) << name << " instr " << i;
         }
     }
+}
+
+/// Raced variant trials under one request all record into that
+/// request's capture, pool helpers included: one `sr_caqr.trial` span
+/// per trial.
+TEST(SrCaqr, RacedTrialsRecordIntoTheRequestCapture)
+{
+    const auto bench = apps::get_benchmark("multiply_13");
+    ASSERT_TRUE(bench.has_value());
+    core::SrCaqrOptions options;
+    options.trials = 24;
+    options.num_threads = 4;
+
+    util::trace::RequestCapture capture(1);
+    const util::trace::RequestContext request{1, &capture};
+    {
+        util::trace::RequestScope scope(&request);
+        ASSERT_TRUE(core::sr_caqr_or(bench->circuit,
+                                     arch::Backend::fake_mumbai(), options)
+                        .ok());
+    }
+
+    std::ostringstream os;
+    capture.write_chrome_trace(os);
+    const std::string json = os.str();
+    const std::string needle = "\"name\":\"sr_caqr.trial\"";
+    int spans = 0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size())) {
+        ++spans;
+    }
+    EXPECT_EQ(spans, options.trials);
+    EXPECT_EQ(capture.dropped(), 0u);
 }
 
 TEST(SrCaqr, WiderTrialPortfolioNeverTradesTrackedMetrics)

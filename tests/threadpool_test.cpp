@@ -1,13 +1,16 @@
 /// Tests for the fixed-size thread pool behind the parallel engines:
 /// task execution, deterministic result
-/// ordering, exception propagation, batch reuse, and clean shutdown;
-/// and for `fan_out`, the passes' one way onto a pool.
+/// ordering, exception propagation, batch reuse, clean shutdown, and
+/// request binding on helper threads; and for `fan_out`, the passes'
+/// one way onto a pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace caqr {
 namespace {
@@ -168,6 +172,73 @@ TEST(ThreadPool, NegativeWorkerCountUsesHardware)
     EXPECT_GE(pool.size(), 1);
     auto future = pool.submit([] { return 1; });
     EXPECT_EQ(future.get(), 1);
+}
+
+/// What one task saw: its thread and the id of the request bound to
+/// it (0 = none).
+struct Binding
+{
+    std::thread::id thread;
+    std::uint64_t request = 0;
+};
+
+/// A task that holds its thread until @p all_running counts down, so a
+/// batch as wide as the latch puts one task on every thread of the
+/// fan-out, and reports the request bound to its thread.
+auto
+bound_request_probe(std::latch& all_running)
+{
+    return [&all_running](std::size_t) {
+        all_running.arrive_and_wait();
+        const auto* request = util::trace::current_request();
+        return Binding{std::this_thread::get_id(),
+                       request != nullptr ? request->id : 0};
+    };
+}
+
+TEST(ThreadPool, MapBindsHelpersToTheCallersRequest)
+{
+    ThreadPool pool(3);
+    const util::trace::RequestContext request{42, nullptr};
+    std::latch all_running(4);
+    std::vector<Binding> seen;
+    {
+        util::trace::RequestScope scope(&request);
+        seen = pool.map(4, bound_request_probe(all_running));
+    }
+    std::set<std::thread::id> threads;
+    for (const Binding& binding : seen) {
+        threads.insert(binding.thread);
+        EXPECT_EQ(binding.request, 42u);
+    }
+    EXPECT_EQ(threads.size(), 4u);
+
+    // The helpers drop the binding with the batch.
+    std::latch again(4);
+    for (const Binding& binding : pool.map(4, bound_request_probe(again))) {
+        EXPECT_EQ(binding.request, 0u);
+    }
+}
+
+TEST(FanOut, BindsHelpersToTheCallersRequest)
+{
+    ThreadPool borrowed(3);
+    ThreadPool* const no_pool = nullptr;
+    std::optional<ThreadPool> spawned;
+    const util::trace::RequestContext request{7, nullptr};
+    util::trace::RequestScope scope(&request);
+    for (ThreadPool* pool : {&borrowed, no_pool}) {
+        std::latch all_running(4);
+        std::set<std::thread::id> threads;
+        for (const Binding& binding :
+             util::fan_out(4, 4, pool, spawned,
+                           bound_request_probe(all_running))) {
+            threads.insert(binding.thread);
+            EXPECT_EQ(binding.request, 7u);
+        }
+        EXPECT_EQ(threads.size(), 4u);
+    }
+    EXPECT_TRUE(spawned.has_value());
 }
 
 TEST(FanOut, SerialPathRunsOnTheCallingThread)

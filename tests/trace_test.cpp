@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -119,10 +120,9 @@ TEST_F(TraceTest, ResetDiscardsEverything)
 
 TEST_F(TraceTest, RequestScopeTagsGlobalSpansWithRequestId)
 {
-    trace::RequestContext ctx;
-    ctx.id = 7;
+    const trace::RequestContext ctx{7, nullptr};
     {
-        trace::RequestScope scope(&ctx, nullptr);
+        trace::RequestScope scope(&ctx);
         trace::Span span("unit.tagged");
     }
     {
@@ -151,11 +151,10 @@ TEST_F(TraceTest, RequestScopeTagsGlobalSpansWithRequestId)
 TEST_F(TraceTest, CaptureRecordsWithGlobalTracingDisabled)
 {
     trace::set_enabled(false);
-    trace::RequestContext ctx;
-    ctx.id = 3;
-    trace::RequestCapture capture(ctx.id);
+    trace::RequestCapture capture(3);
+    const trace::RequestContext ctx{3, &capture};
     {
-        trace::RequestScope scope(&ctx, &capture);
+        trace::RequestScope scope(&ctx);
         trace::Span span("unit.captured");
     }
     EXPECT_EQ(capture.span_count(), 1u);
@@ -180,50 +179,45 @@ TEST_F(TraceTest, CaptureRecordsWithGlobalTracingDisabled)
 TEST_F(TraceTest, CaptureHoldsQsCaqrSpanWithGlobalTracingDisabled)
 {
     trace::set_enabled(false);
-    trace::RequestContext ctx;
-    ctx.id = 5;
-    trace::RequestCapture capture(ctx.id);
+    trace::RequestCapture capture(5);
+    const trace::RequestContext ctx{5, &capture};
     {
-        trace::RequestScope scope(&ctx, &capture);
+        trace::RequestScope scope(&ctx);
         ASSERT_TRUE(core::qs_caqr_or(apps::bv_circuit(8)).ok());
     }
     EXPECT_TRUE(capture.has_span("qs_caqr"));
 }
 
-/// `sampled = false` opts the request out: the capture stays empty
-/// even though it was passed to the scope.
-TEST_F(TraceTest, UnsampledRequestCapturesNothing)
+/// A request bound without a capture records nothing with the global
+/// switch off: its spans stay inert.
+TEST_F(TraceTest, RequestWithoutCaptureIsInertWithTracingDisabled)
 {
-    trace::RequestContext ctx;
-    ctx.id = 4;
-    ctx.sampled = false;
-    trace::RequestCapture capture(ctx.id);
+    trace::set_enabled(false);
+    const trace::RequestContext ctx{4, nullptr};
     {
-        trace::RequestScope scope(&ctx, &capture);
-        trace::Span span("unit.unsampled");
+        trace::RequestScope scope(&ctx);
+        trace::Span span("unit.uncaptured");
+        EXPECT_DOUBLE_EQ(span.elapsed_ms(), 0.0);
     }
-    EXPECT_EQ(capture.span_count(), 0u);
-    EXPECT_FALSE(capture.has_span("unit.unsampled"));
+    EXPECT_EQ(count_spans(chrome_trace(), "unit.uncaptured"), 0u);
 }
 
-/// Scopes nest and restore: pool workers rebind per task, and the
-/// previous binding comes back when the inner scope dies.
+/// Scopes nest and restore: the previous binding comes back when the
+/// inner scope dies.
 TEST_F(TraceTest, RequestScopeNestsAndRestores)
 {
-    trace::RequestContext outer_ctx;
-    outer_ctx.id = 10;
-    trace::RequestContext inner_ctx;
-    inner_ctx.id = 11;
-    trace::RequestCapture outer(outer_ctx.id);
-    trace::RequestCapture inner(inner_ctx.id);
+    trace::RequestCapture outer(10);
+    trace::RequestCapture inner(11);
+    const trace::RequestContext outer_ctx{10, &outer};
+    const trace::RequestContext inner_ctx{11, &inner};
 
     EXPECT_EQ(trace::current_request(), nullptr);
     {
-        trace::RequestScope outer_scope(&outer_ctx, &outer);
+        trace::RequestScope outer_scope(&outer_ctx);
         ASSERT_NE(trace::current_request(), nullptr);
         EXPECT_EQ(trace::current_request()->id, 10u);
         {
-            trace::RequestScope inner_scope(&inner_ctx, &inner);
+            trace::RequestScope inner_scope(&inner_ctx);
             EXPECT_EQ(trace::current_request()->id, 11u);
             trace::Span span("unit.inner");
         }
@@ -231,7 +225,6 @@ TEST_F(TraceTest, RequestScopeNestsAndRestores)
         trace::Span span("unit.outer");
     }
     EXPECT_EQ(trace::current_request(), nullptr);
-    EXPECT_EQ(trace::current_capture(), nullptr);
 
     EXPECT_TRUE(inner.has_span("unit.inner"));
     EXPECT_FALSE(inner.has_span("unit.outer"));
@@ -251,11 +244,12 @@ TEST_F(TraceTest, ConcurrentCapturesStayIsolated)
         contexts[r].id = static_cast<std::uint64_t>(100 + r);
         captures.push_back(std::make_unique<trace::RequestCapture>(
             contexts[r].id));
+        contexts[r].capture = captures[r].get();
     }
 
     util::ThreadPool pool(4);
     pool.map(kRequests, [&](std::size_t r) {
-        trace::RequestScope scope(&contexts[r], captures[r].get());
+        trace::RequestScope scope(&contexts[r]);
         for (int i = 0; i < kSpansEach; ++i) {
             trace::Span span("unit.req" + std::to_string(r));
         }
@@ -285,7 +279,7 @@ TEST_F(TraceTest, CaptureCapsSpansAndCountsDrops)
     const auto start = std::chrono::steady_clock::now();
     const std::size_t attempts = trace::RequestCapture::kMaxSpans + 5;
     for (std::size_t i = 0; i < attempts; ++i) {
-        capture.record("unit.flood", start, 1.0);
+        capture.record("unit.flood", start, 1.0, 1);
     }
     EXPECT_EQ(capture.span_count(), trace::RequestCapture::kMaxSpans);
     EXPECT_EQ(capture.dropped(), 5u);
@@ -293,6 +287,69 @@ TEST_F(TraceTest, CaptureCapsSpansAndCountsDrops)
     std::ostringstream os;
     capture.write_chrome_trace(os);
     EXPECT_NE(os.str().find("\"dropped\":5"), std::string::npos);
+}
+
+/// @p json with the numbers of the named fields replaced by `_`, for
+/// comparing exports whose timestamps (or thread ids, durations) vary.
+std::string
+mask_fields(const std::string& json, const std::string& fields)
+{
+    return std::regex_replace(
+        json, std::regex("\"(" + fields + ")\":[0-9.e+-]+"), "\"$1\":_");
+}
+
+/// Both Chrome writers keep their exact bytes: event fields, the
+/// request tag, and each summary key.
+TEST_F(TraceTest, ChromeTracesKeepTheirBytes)
+{
+    trace::RequestCapture capture(9);
+    const auto start = std::chrono::steady_clock::now();
+    capture.record("unit.a", start, 1.5, 9);
+    capture.record("unit.b", start, 2.0, 9);
+    std::ostringstream request_json;
+    capture.write_chrome_trace(request_json);
+    EXPECT_EQ(mask_fields(request_json.str(), "ts"),
+              "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+              "{\"name\":\"unit.a\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
+              "\"ts\":_,\"dur\":1.5,\"args\":{\"req\":9}},\n"
+              "{\"name\":\"unit.b\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
+              "\"ts\":_,\"dur\":2,\"args\":{\"req\":9}}\n"
+              "],\"caqr_request\":{\"id\":9,\"spans\":2,\"dropped\":0}}\n");
+
+    const trace::RequestContext ctx{7, nullptr};
+    {
+        trace::RequestScope scope(&ctx);
+        trace::Span span("unit.tagged");
+    }
+    {
+        trace::Span span("unit.plain");
+    }
+    EXPECT_EQ(mask_fields(chrome_trace(), "tid|ts|dur"),
+              "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+              "{\"name\":\"unit.tagged\",\"ph\":\"X\",\"pid\":1,\"tid\":_,"
+              "\"ts\":_,\"dur\":_,\"args\":{\"req\":7}},\n"
+              "{\"name\":\"unit.plain\",\"ph\":\"X\",\"pid\":1,\"tid\":_,"
+              "\"ts\":_,\"dur\":_}\n"
+              "],\"caqr_trace\":{\"events\":2,\"dropped\":0}}\n");
+}
+
+/// A span name with a carriage return and a raw control byte comes out
+/// escaped in both Chrome writers, so the document stays valid JSON.
+TEST_F(TraceTest, ChromeWritersEscapeControlBytes)
+{
+    trace::RequestCapture capture(2);
+    const trace::RequestContext ctx{2, &capture};
+    {
+        trace::RequestScope scope(&ctx);
+        trace::Span span("unit.\"esc\"\r\x01");
+    }
+    const std::string escaped = "\"name\":\"unit.\\\"esc\\\"\\r\\u0001\"";
+    std::ostringstream request_json;
+    capture.write_chrome_trace(request_json);
+    EXPECT_NE(request_json.str().find(escaped), std::string::npos)
+        << request_json.str();
+    EXPECT_NE(chrome_trace().find(escaped), std::string::npos)
+        << chrome_trace();
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/status.h"
+#include "util/trace.h"
 
 namespace caqr {
 namespace {
@@ -433,6 +435,48 @@ TEST(Transpiler, RacedTrialsAreBitIdenticalAcrossThreadCounts)
             EXPECT_EQ(x.params, y.params) << name << " instr " << i;
         }
     }
+}
+
+/// A raced run under one request puts the span of every route it makes
+/// into that request's capture, pool helpers included: the capture
+/// holds as many `router.route` spans as `transpile.routes` counts.
+TEST(Transpiler, RacedRoutesRecordIntoTheRequestCapture)
+{
+    const auto routes = [] {
+        const auto counters = util::metrics::global().snapshot().counters;
+        const auto it = counters.find("transpile.routes");
+        return it == counters.end() ? 0.0 : it->second;
+    };
+    const auto bench = apps::get_benchmark("multiply_13");
+    ASSERT_TRUE(bench.has_value());
+    transpile::TranspileOptions options;
+    options.trials = 8;
+    options.num_threads = 4;
+
+    util::trace::RequestCapture capture(1);
+    const util::trace::RequestContext request{1, &capture};
+    const double before = routes();
+    {
+        util::trace::RequestScope scope(&request);
+        ASSERT_TRUE(transpile::transpile_or(bench->circuit,
+                                            arch::Backend::fake_mumbai(),
+                                            options)
+                        .ok());
+    }
+    const double routed = routes() - before;
+    EXPECT_GT(routed, 2.0);
+
+    std::ostringstream os;
+    capture.write_chrome_trace(os);
+    const std::string json = os.str();
+    const std::string needle = "\"name\":\"router.route\"";
+    double spans = 0.0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size())) {
+        ++spans;
+    }
+    EXPECT_EQ(spans, routed);
+    EXPECT_EQ(capture.dropped(), 0u);
 }
 
 /// Property: routing preserves circuit semantics. The routed unitary,
