@@ -126,9 +126,7 @@ ablation_sr_flags()
                  util::Table::fmt(
                      static_cast<long long>(result.swaps_added)),
                  util::Table::fmt(result.duration_dt, 0),
-                 util::Table::fmt(arch::estimated_success_probability(
-                                      result.circuit, backend),
-                                  3)});
+                 util::Table::fmt(result.esp, 3)});
         }
     }
     table.print(std::cout);

@@ -35,7 +35,7 @@ run_case(const std::string& name)
                        "compiled duration (dt)", "SWAPs"});
     table.set_title("Figure 13 (" + name + ")");
     for (std::size_t i = 0; i < versions.size(); ++i) {
-        const auto& compiled = mapped[i].mapped;
+        const auto& compiled = mapped[i];
         table.add_row(
             {util::Table::fmt(static_cast<long long>(versions[i].qubits)),
              util::Table::fmt(static_cast<long long>(versions[i].depth)),
@@ -48,7 +48,7 @@ run_case(const std::string& name)
     // Sweet-spot report (minimum compiled depth over the sweep).
     std::size_t best = 0;
     for (std::size_t i = 0; i < mapped.size(); ++i) {
-        if (mapped[i].mapped.depth < mapped[best].mapped.depth) best = i;
+        if (mapped[i].depth < mapped[best].depth) best = i;
     }
     std::cout << name << ": compiled-depth sweet spot at "
               << versions[best].qubits << " qubits (original "

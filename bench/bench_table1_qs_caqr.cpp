@@ -51,7 +51,7 @@ summarize(const std::string& name, const core::VersionSet& versions,
     const auto mapped = core::map_versions(versions, backend, options).value();
     std::vector<Point> points;
     for (std::size_t i = 0; i < mapped.size(); ++i) {
-        const auto& compiled = mapped[i].mapped;
+        const auto& compiled = mapped[i];
         points.push_back({versions[i].qubits, compiled.depth,
                           compiled.duration_dt, compiled.swaps_added});
     }

@@ -46,7 +46,7 @@ min_swap_of(const core::VersionSet& versions, const arch::Backend& backend,
     const auto mapped = core::map_versions(versions, backend, options).value();
     MinSwap best;
     for (std::size_t i = 0; i < mapped.size(); ++i) {
-        const auto& point = mapped[i].mapped;
+        const auto& point = mapped[i];
         if (i == 0 || point.swaps_added < best.swaps ||
             (point.swaps_added == best.swaps &&
              point.duration_dt < best.duration)) {
@@ -89,7 +89,6 @@ main()
         request.name = name;
         request.circuit = apps::get_benchmark(name)->circuit;
         request.strategy = Strategy::kSrCaqr;
-        request.compute_esp = false;
         requests.push_back(std::move(request));
     }
     for (int n : {5, 10, 15, 20, 25}) {
@@ -98,7 +97,6 @@ main()
         request.commuting = qaoa_spec(n);
         request.strategy = Strategy::kSrCaqr;
         request.qs_commuting = qaoa_options(n);
-        request.compute_esp = false;
         requests.push_back(std::move(request));
     }
     const auto reports = service.compile_batch(requests);

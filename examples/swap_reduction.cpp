@@ -45,9 +45,7 @@ main()
          util::Table::fmt(baseline.duration_dt, 0),
          util::Table::fmt(static_cast<long long>(
              baseline.circuit.active_qubit_count())),
-         util::Table::fmt(arch::estimated_success_probability(
-                              baseline.circuit, backend),
-                          3)});
+         util::Table::fmt(baseline.esp, 3)});
     table.add_row(
         {"SR-CaQR",
          util::Table::fmt(static_cast<long long>(sr.swaps_added)),
@@ -55,9 +53,7 @@ main()
          util::Table::fmt(sr.duration_dt, 0),
          util::Table::fmt(
              static_cast<long long>(sr.physical_qubits_used)),
-         util::Table::fmt(arch::estimated_success_probability(
-                              sr.circuit, backend),
-                          3)});
+         util::Table::fmt(sr.esp, 3)});
     table.print(std::cout);
 
     // Noisy end-to-end check.

@@ -99,7 +99,7 @@ main(int argc, char** argv)
     sweep.set_title("\nBudget sweep: " + target + " on " +
                     (*backend)->name());
     for (std::size_t i = 0; i < versions.size(); ++i) {
-        const auto& compiled = mapped[i].mapped;
+        const auto& compiled = mapped[i];
         sweep.add_row(
             {util::Table::fmt(static_cast<long long>(versions[i].qubits)),
              util::Table::fmt(static_cast<long long>(versions[i].depth)),

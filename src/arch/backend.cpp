@@ -115,19 +115,13 @@ CalibratedDurations::duration(const circuit::Instruction& instr) const
     return feedforward + LogicalDurations::kOneQubitGate;
 }
 
-double
-estimated_success_probability(const circuit::Circuit& circuit,
-                              const Backend& backend)
-{
-    CalibratedDurations model(backend);
-    return estimated_success_probability(
-        circuit, backend, circuit::Schedule(circuit, model));
-}
+namespace {
 
+/// ESP of @p circuit from @p schedule, its schedule under
+/// `CalibratedDurations(backend)`.
 double
-estimated_success_probability(const circuit::Circuit& circuit,
-                              const Backend& backend,
-                              const circuit::Schedule& schedule)
+esp_from_schedule(const circuit::Circuit& circuit, const Backend& backend,
+                  const circuit::Schedule& schedule)
 {
     using circuit::GateKind;
     const Calibration& cal = backend.calibration();
@@ -145,7 +139,7 @@ estimated_success_probability(const circuit::Circuit& circuit,
             if (circuit::is_two_qubit(instr.kind)) {
                 const int a = instr.qubits[0];
                 const int b = instr.qubits[1];
-                double err = 0.02;
+                double err = kUncalibratedCxError;
                 if (cal.has_link(a, b)) err = cal.link(a, b).cx_error;
                 const int copies =
                     instr.kind == GateKind::kSwap ? 3 : 1;
@@ -166,6 +160,26 @@ estimated_success_probability(const circuit::Circuit& circuit,
         esp *= std::exp(-idle_seconds / t1_seconds);
     }
     return esp;
+}
+
+}  // namespace
+
+double
+estimated_success_probability(const circuit::Circuit& circuit,
+                              const Backend& backend)
+{
+    const CalibratedDurations model(backend);
+    return esp_from_schedule(circuit, backend,
+                             circuit::Schedule(circuit, model));
+}
+
+MappedScore
+score_mapped(const circuit::Circuit& circuit, const Backend& backend)
+{
+    const CalibratedDurations model(backend);
+    const circuit::Schedule schedule(circuit, model);
+    return {circuit::depth(circuit), schedule.makespan(),
+            esp_from_schedule(circuit, backend, schedule)};
 }
 
 }  // namespace caqr::arch

@@ -165,6 +165,10 @@ class CalibratedDurations : public circuit::DurationModel
     const Backend* backend_;
 };
 
+/// CX error assumed for a two-qubit gate on a link the calibration does
+/// not cover; the ESP estimate and the backend noise model share it.
+inline constexpr double kUncalibratedCxError = 0.02;
+
 /**
  * Estimated success probability of a hardware-mapped circuit:
  * Π (1 - gate error) over all gates × Π (1 - readout error) over all
@@ -175,12 +179,19 @@ class CalibratedDurations : public circuit::DurationModel
 double estimated_success_probability(const circuit::Circuit& circuit,
                                      const Backend& backend);
 
-/// The same estimate from a precomputed @p schedule of @p circuit under
-/// `CalibratedDurations(backend)`, for callers that also read its
-/// makespan.
-double estimated_success_probability(const circuit::Circuit& circuit,
-                                     const Backend& backend,
-                                     const circuit::Schedule& schedule);
+/// How a mapping pass scores a finished hardware-mapped circuit.
+struct MappedScore
+{
+    int depth = 0;             ///< circuit depth
+    double duration_dt = 0.0;  ///< makespan under CalibratedDurations
+    double esp = 0.0;          ///< estimated_success_probability()
+};
+
+/// Scores @p circuit on @p backend from one `CalibratedDurations`
+/// schedule, which gives both the duration and the ESP's idle terms;
+/// `esp` equals `estimated_success_probability(circuit, backend)`.
+MappedScore score_mapped(const circuit::Circuit& circuit,
+                         const Backend& backend);
 
 }  // namespace caqr::arch
 

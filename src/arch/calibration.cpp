@@ -83,6 +83,7 @@ Calibration::has_link(int a, int b) const
 void
 Calibration::set_qubit(int q, QubitCalibration cal)
 {
+    CAQR_CHECK(q >= 0, "qubit id out of range");
     if (q >= num_qubits()) {
         qubits_.resize(static_cast<std::size_t>(q) + 1);
     }

@@ -83,6 +83,79 @@ SrPlan::SrPlan(const Circuit& input)
     }
 }
 
+/// Base weight of the distance to already-placed partners when seeding
+/// a placement; it dominates connectivity, so new qubits land next to
+/// the qubits they will talk to.
+constexpr double kLookaheadWeight = 4.0;
+/// Base weight of the lookahead window in SWAP scoring.
+constexpr double kSwapLookaheadWeight = 0.5;
+
+/// The heuristic settings of one variant trial.
+struct TrialConfig
+{
+    double lookahead_weight = kLookaheadWeight;
+    double swap_lookahead_weight = kSwapLookaheadWeight;
+    /// Pull of a new placement toward the qubit's already-placed
+    /// *future* interaction partners (0 = place purely by distance to
+    /// the current partner, the paper's Step 2). Positive values trade
+    /// a longer first hop for fewer SWAPs later.
+    double placement_pull = 0.0;
+    /// Amplitude of seeded tie-break jitter on placement keys and SWAP
+    /// scores (0 = fully greedy): equal-cost decisions explore
+    /// different branches, drawn from `Rng(seed, jitter_stream)`.
+    double jitter = 0.0;
+    std::uint64_t jitter_stream = 0;
+    bool error_aware = true;
+    bool delay_noncritical = true;
+};
+
+/// The variant portfolio: multipliers of the base weights, a placement
+/// pull, and relaxations of the caller's switches. The first 4 are the
+/// historical portfolio; 5-8 widen the sweep.
+struct Variant
+{
+    double lookahead;
+    double swap_lookahead;
+    double pull;         ///< placement_pull override (< 0 keeps 0)
+    bool distance_only;  ///< drop the error-aware placement bias
+    bool eager_mapping;  ///< drop the delay-noncritical rule
+};
+constexpr Variant kVariants[] = {
+    {1.0, 1.0, -1.0, false, false}, {0.5, 0.5, -1.0, false, false},
+    {2.0, 2.0, -1.0, false, false}, {1.0, 0.25, -1.0, false, false},
+    {1.0, 1.0, 0.5, false, false},  {1.0, 1.0, 1.0, true, false},
+    {1.0, 0.5, 0.25, false, false}, {1.0, 1.0, 0.5, false, true}};
+constexpr std::size_t kNumVariants = std::size(kVariants);
+
+/// Trials beyond the structural portfolio are seeded-jitter runs, SR's
+/// analogue of SABRE multi-seed trials. Amplitudes cycle small -> large
+/// so early extra trials stay close to the greedy solution.
+constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
+
+/// Trial @p trial's settings under the caller's @p options.
+TrialConfig
+trial_config(const SrCaqrOptions& options, std::size_t trial)
+{
+    TrialConfig config;
+    config.error_aware = options.error_aware;
+    config.delay_noncritical = options.delay_noncritical;
+    if (trial < kNumVariants) {
+        const Variant& v = kVariants[trial];
+        config.lookahead_weight *= v.lookahead;
+        config.swap_lookahead_weight *= v.swap_lookahead;
+        if (v.pull >= 0.0) config.placement_pull = v.pull;
+        // Structural variants only *relax* requested features, so a
+        // caller who disabled them still gets what they asked for.
+        if (v.distance_only) config.error_aware = false;
+        if (v.eager_mapping) config.delay_noncritical = false;
+    } else {
+        const std::size_t j = trial - kNumVariants;
+        config.jitter = kJitterAmps[j % std::size(kJitterAmps)];
+        config.jitter_stream = j / std::size(kJitterAmps);
+    }
+    return config;
+}
+
 /// The anchor's SWAP and physical-qubit counts. Both only grow during
 /// a trial, so a trial that exceeds either can no longer be admissible
 /// and stops early.
@@ -106,7 +179,7 @@ struct SrState
 
     const SrPlan* plan;
     const arch::Backend* backend;
-    const SrCaqrOptions* options;
+    const TrialConfig* config;
     const SrBound* bound = nullptr;  // none: run every trial to the end
 
     Circuit output;
@@ -115,7 +188,7 @@ struct SrState
     std::vector<bool> ever_used;   // physical touched at least once
     int qubits_used = 0;           // true slots of ever_used
     std::vector<int> remaining_ops;  // per logical qubit
-    util::Rng* jitter_rng = nullptr;  // set when options->jitter > 0
+    util::Rng* jitter_rng = nullptr;  // set when config->jitter > 0
     int reuses = 0;
     std::vector<int> to_map;  // place() worklist
 
@@ -137,7 +210,7 @@ struct SrState
     noise() const
     {
         if (jitter_rng == nullptr) return 0.0;
-        return options->jitter * jitter_rng->next_double();
+        return config->jitter * jitter_rng->next_double();
     }
     bool
     over_budget(int swaps) const
@@ -191,10 +264,10 @@ pick_seed_phys(const SrState& state, int logical_q)
             for (const int* row : partner_rows) {
                 total_dist += row[p] < 0 ? np : row[p];
             }
-            score = -state.options->lookahead_weight * total_dist +
+            score = -state.config->lookahead_weight * total_dist +
                     0.25 * topology.degree(p);
         }
-        if (state.options->error_aware) {
+        if (state.config->error_aware) {
             score -= backend.calibration().qubit(p).readout_error;
             score -= backend.best_incident_cx_error(p);
         }
@@ -221,7 +294,7 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
     const auto& phys_of = state.routing.phys_of;
 
     std::vector<const int*> future_rows;
-    if (state.options->placement_pull > 0.0) {
+    if (state.config->placement_pull > 0.0) {
         for (int other : state.plan->partners[logical_q]) {
             if (phys_of[other] >= 0 && phys_of[other] != partner_phys) {
                 future_rows.push_back(backend.distance_row(phys_of[other]));
@@ -241,13 +314,13 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
             for (const int* row : future_rows) {
                 pull += arch::routing_distance(row[p], np);
             }
-            key += state.options->placement_pull * pull /
+            key += state.config->placement_pull * pull /
                    static_cast<double>(future_rows.size());
         }
         // A reclaimed wire serializes behind its reset: prefer a fresh
         // wire at equal distance, reuse when it is strictly closer.
         if (state.ever_used[p]) key += 0.5;
-        if (state.options->error_aware) {
+        if (state.config->error_aware) {
             key += backend.calibration().qubit(p).readout_error;
             if (d == 1) {
                 for (const auto& link : backend.links(partner_phys)) {
@@ -338,7 +411,7 @@ SrState::place(const std::vector<int>& frontier,
             ++b;
             continue;
         }
-        if (!options->delay_noncritical ||
+        if (!config->delay_noncritical ||
             std::abs(earliest[node] - latest[node]) < 1e-9) {
             to_map.push_back(node);
         }
@@ -390,33 +463,33 @@ SrState::on_swap(int pa, int pb)
     mark_used(*this, pb);
 }
 
-/// One trial's outcome: a result, or none when the trial was pruned or
-/// failed (`status`), plus the SABRE loop's stall counts.
+/// One trial's outcome: a scored result, or none when the trial was
+/// pruned or failed (`status`), plus the SABRE loop's stall counts.
 struct SrTrial
 {
     util::Status status;
     std::optional<SrCaqrResult> result;
-    double esp = 0.0;
     transpile::SabreStats stats;
 };
 
-/// One trial of the engine: the shared SABRE loop under SR's policy.
-/// With a @p bound, the trial is pruned as soon as it has more SWAPs or
-/// more physical qubits than the bound.
+/// One trial of the engine: the shared SABRE loop under SR's policy
+/// with @p config's settings. With a @p bound, the trial is pruned as
+/// soon as it has more SWAPs or more physical qubits than the bound.
 SrTrial
 sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
-               const SrCaqrOptions& options, const SrBound* bound)
+               const TrialConfig& config, std::uint64_t seed,
+               const SrBound* bound)
 {
     const Circuit& logical = plan.logical;
     const int np = backend.num_qubits();
-    util::Rng jitter_rng(options.seed, options.jitter_stream);
+    util::Rng jitter_rng(seed, config.jitter_stream);
 
     SrState state;
     state.plan = &plan;
     state.backend = &backend;
-    state.options = &options;
+    state.config = &config;
     state.bound = bound;
-    if (options.jitter > 0.0) state.jitter_rng = &jitter_rng;
+    if (config.jitter > 0.0) state.jitter_rng = &jitter_rng;
     state.output = Circuit(np, logical.num_clbits());
     state.output.copy_params_from(logical);
     state.routing.phys_of.assign(
@@ -428,8 +501,8 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     // A speculative SWAP streak of 2 * np escapes; the window, decay
     // and reset interval are the router's defaults.
     transpile::RouterOptions sabre;
-    sabre.lookahead_weight = options.swap_lookahead_weight;
-    sabre.error_aware = options.error_aware;
+    sabre.lookahead_weight = config.swap_lookahead_weight;
+    sabre.error_aware = config.error_aware;
     sabre.stall_escape_after = 2 * np;
     transpile::SabreLoop loop(plan.graph, backend, sabre, state.routing,
                               state.output, state);
@@ -447,6 +520,12 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
     result.reuses = state.reuses;
     result.physical_qubits_used = state.qubits_used;
     result.circuit = std::move(state.output);
+    // ESP is part of the winner selection, so the trial scores itself,
+    // inside the (possibly racing) trial.
+    const arch::MappedScore score = arch::score_mapped(result.circuit, backend);
+    result.depth = score.depth;
+    result.duration_dt = score.duration_dt;
+    result.esp = score.esp;
     return trial;
 }
 
@@ -459,79 +538,15 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
 {
     util::trace::Span span("sr_caqr");
 
-    // Heuristic-perturbation trials around the placement and SWAP
-    // scoring weights. The first 4 variants are the historical
-    // portfolio; 5-8 widen the sweep now that trials race on the
-    // thread pool. The winner selection below guarantees any trial
-    // count >= 4 is weakly better than the pre-PR-9 behavior on every
-    // tracked quality metric.
-    struct Variant
-    {
-        double lookahead;
-        double swap_lookahead;
-        double pull;         ///< placement_pull override (< 0 keeps it)
-        bool distance_only;  ///< drop the error-aware placement bias
-        bool eager_mapping;  ///< drop the delay-noncritical rule
-    };
-    static constexpr Variant kVariants[] = {
-        {1.0, 1.0, -1.0, false, false}, {0.5, 0.5, -1.0, false, false},
-        {2.0, 2.0, -1.0, false, false}, {1.0, 0.25, -1.0, false, false},
-        {1.0, 1.0, 0.5, false, false},  {1.0, 1.0, 1.0, true, false},
-        {1.0, 0.5, 0.25, false, false}, {1.0, 1.0, 0.5, false, true}};
-    constexpr int kNumVariants =
-        static_cast<int>(sizeof(kVariants) / sizeof(kVariants[0]));
-
-    // Trials beyond the structural portfolio are seeded-jitter runs:
-    // small tie-break noise on placement keys and SWAP scores lets
-    // equal-cost decisions explore different branches — SR's analogue
-    // of SABRE multi-seed trials. Amplitudes cycle small -> large so
-    // early extra trials stay close to the greedy solution.
-    static constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
-
     const int trials = std::max(1, options.trials);
     const SrPlan plan(input);
     CAQR_CHECK(plan.logical.num_qubits() <= backend.num_qubits(),
                "circuit does not fit the backend");
 
-    // ESP is part of the winner selection below, so it is computed
-    // inside the (possibly racing) trial rather than serially
-    // afterwards, from the same calibrated schedule that gives the
-    // trial's duration.
     auto run_variant = [&](std::size_t trial, const SrBound* bound) {
         util::trace::Span trial_span("sr_caqr.trial");
-        SrCaqrOptions variant = options;
-        if (trial < static_cast<std::size_t>(kNumVariants)) {
-            variant.lookahead_weight *= kVariants[trial].lookahead;
-            variant.swap_lookahead_weight *=
-                kVariants[trial].swap_lookahead;
-            if (kVariants[trial].pull >= 0.0) {
-                variant.placement_pull = kVariants[trial].pull;
-            }
-            // Structural variants only *relax* requested features, so
-            // a caller who disabled them still gets what they asked
-            // for.
-            if (kVariants[trial].distance_only) {
-                variant.error_aware = false;
-            }
-            if (kVariants[trial].eager_mapping) {
-                variant.delay_noncritical = false;
-            }
-        } else {
-            const std::size_t j =
-                trial - static_cast<std::size_t>(kNumVariants);
-            variant.jitter = kJitterAmps[j % 4];
-            variant.jitter_stream = j / 4;
-        }
-        SrTrial out = sr_caqr_single(plan, backend, variant, bound);
-        if (!out.result) return out;
-        SrCaqrResult& result = *out.result;
-        result.depth = circuit::depth(result.circuit);
-        arch::CalibratedDurations model(backend);
-        const circuit::Schedule schedule(result.circuit, model);
-        result.duration_dt = schedule.makespan();
-        out.esp = arch::estimated_success_probability(result.circuit,
-                                                      backend, schedule);
-        return out;
+        return sr_caqr_single(plan, backend, trial_config(options, trial),
+                              options.seed, bound);
     };
 
     const int threads = std::min(
@@ -550,9 +565,8 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     // results in variant order, so both are thread-count-independent).
     //
     // Stage 1 — anchor: the historical portfolio's winner (the first 4
-    // variants, fewest SWAPs then shortest duration), i.e. exactly what
-    // the narrower pre-PR-9 sweep produced. These trials run first and
-    // to completion.
+    // variants, fewest SWAPs then shortest duration). These trials run
+    // first and to completion.
     const std::size_t legacy = std::min<std::size_t>(trials, 4);
     std::vector<SrTrial> results = run_trials(0, legacy, nullptr);
     const auto failure = [&]() -> const util::Status* {
@@ -606,16 +620,13 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
         const bool admissible =
             r.swaps_added <= a.swaps_added &&
             r.physical_qubits_used <= a.physical_qubits_used &&
-            r.depth <= a.depth && results[i].esp >= results[anchor].esp;
+            r.depth <= a.depth && r.esp >= a.esp;
         if (!admissible) continue;
-        const SrCaqrResult& w = *results[winner].result;
-        const auto key = [&](const SrCaqrResult& x, double esp) {
+        const auto key = [](const SrCaqrResult& x) {
             return std::make_tuple(x.swaps_added, x.physical_qubits_used,
-                                   x.depth, -esp, x.duration_dt);
+                                   x.depth, -x.esp, x.duration_dt);
         };
-        if (key(r, results[i].esp) < key(w, results[winner].esp)) {
-            winner = i;
-        }
+        if (key(r) < key(*results[winner].result)) winner = i;
     }
     SrCaqrResult best = std::move(*results[winner].result);
 

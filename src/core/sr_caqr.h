@@ -25,37 +25,17 @@
 namespace caqr::core {
 
 /// SR-CaQR options. The embedded CommonOptions supply the variant-trial
-/// thread count / borrowed pool and the seed of the jitter trials. The pass is deterministic: the first
-/// 8 trials are fixed heuristic variants, trials 9 and up are jitter
-/// runs seeded from `seed` (see `trials`), and the winner never depends
-/// on thread count.
+/// thread count / borrowed pool and the seed of the jitter trials. The
+/// pass is deterministic: the first 8 trials are fixed heuristic
+/// variants of the placement and SWAP-scoring weights, trials 9 and up
+/// are jitter runs seeded from `seed` (see `trials`), and the winner
+/// never depends on thread count.
 struct SrCaqrOptions : CommonOptions
 {
     /// Break placement/SWAP ties toward lower readout / CX error.
     bool error_aware = true;
-    /// Weight of distance-to-placed-partners when seeding a placement;
-    /// dominates connectivity so new qubits land next to the qubits
-    /// they will talk to.
-    double lookahead_weight = 4.0;
-    /// Weight of the lookahead window in SWAP scoring.
-    double swap_lookahead_weight = 0.5;
-    /// Pull of a new placement toward the qubit's already-placed
-    /// *future* interaction partners (0 = place purely by distance to
-    /// the current partner, the paper's Step 2). Positive values trade
-    /// a longer first hop for fewer SWAPs later; the variant portfolio
-    /// sweeps this.
-    double placement_pull = 0.0;
-    /// Amplitude of seeded tie-break jitter on placement keys and SWAP
-    /// scores (0 = fully greedy). Small positive values let equal-cost
-    /// decisions explore different branches per trial — the SR
-    /// equivalent of SABRE's random-seed trials. Jittered trials draw
-    /// from `Rng(seed, jitter_stream)`, so results are reproducible.
-    double jitter = 0.0;
-    /// Substream selecting which deterministic jitter draw a trial
-    /// uses; varied per variant trial.
-    std::uint64_t jitter_stream = 0;
     /// Heuristic-perturbation trials: the first 8 are fixed structural
-    /// variants (the pre-PR-9 weight portfolio plus placement-pull /
+    /// variants (the historical weight portfolio plus placement-pull /
     /// distance-only / eager-mapping relaxations); trials beyond that
     /// are seeded-jitter runs cycling `Rng(seed, stream)` substreams.
     /// The historical portfolio's winner anchors the result; a wider
@@ -84,6 +64,7 @@ struct SrCaqrResult
     int reuses = 0;                ///< reclaim-and-reassign events
     int depth = 0;
     double duration_dt = 0.0;
+    double esp = 0.0;              ///< estimated success probability
 };
 
 /// Compiles a regular circuit onto @p backend (paper §3.3.1). An

@@ -52,7 +52,7 @@ VersionSet::take_max_reuse() &&
         std::get<QsCommutingResult>(source_).versions.back().schedule.circuit);
 }
 
-util::StatusOr<std::vector<MappedVersion>>
+util::StatusOr<std::vector<transpile::TranspileResult>>
 map_versions(const VersionSet& versions, const arch::Backend& backend,
              const transpile::TranspileOptions& options)
 {
@@ -63,18 +63,12 @@ map_versions(const VersionSet& versions, const arch::Backend& backend,
         versions.size(),
         std::min(util::ThreadPool::resolve_threads(options.num_threads),
                  static_cast<int>(versions.size())),
-        options.pool, spawned,
-        [&](std::size_t index)
-            -> std::optional<util::StatusOr<MappedVersion>> {
-            auto mapped = transpile::transpile_or(versions.circuit(index),
-                                                  backend, options);
-            if (!mapped.ok()) return mapped.status();
-            const double esp = arch::estimated_success_probability(
-                mapped->circuit, backend);
-            return MappedVersion{std::move(mapped).value(), esp};
+        options.pool, spawned, [&](std::size_t index) {
+            return std::optional(transpile::transpile_or(
+                versions.circuit(index), backend, options));
         });
 
-    std::vector<MappedVersion> out;
+    std::vector<transpile::TranspileResult> out;
     for (auto& result : results) {
         if (!result->ok()) return result->status();
         out.push_back(std::move(*result).value());
@@ -83,7 +77,7 @@ map_versions(const VersionSet& versions, const arch::Backend& backend,
 }
 
 std::size_t
-best_by_esp(const std::vector<MappedVersion>& mapped)
+best_by_esp(const std::vector<transpile::TranspileResult>& mapped)
 {
     CAQR_CHECK(!mapped.empty(), "no mapped versions to select from");
     // Strict > from index 0: the lowest-index version wins ties.

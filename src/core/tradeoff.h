@@ -62,26 +62,21 @@ class VersionSet
     std::variant<QsCaqrResult, QsCommutingResult> source_;
 };
 
-/// One version hardware-mapped under the caller's options.
-struct MappedVersion
-{
-    transpile::TranspileResult mapped;
-    double esp = 0.0;  ///< estimated success probability of the mapping
-};
-
 /**
  * Hardware-maps every version of @p versions on @p backend, each with
- * @p options as given. The versions fan out over `options.pool`, or a
- * pool sized by `options.num_threads`; results are index-aligned and
- * identical at any thread count. The lowest-index failure is returned.
+ * @p options as given; each result carries its ESP. The versions fan
+ * out over `options.pool`, or a pool sized by `options.num_threads`;
+ * results are index-aligned and identical at any thread count. The
+ * lowest-index failure is returned.
  */
-util::StatusOr<std::vector<MappedVersion>> map_versions(
+util::StatusOr<std::vector<transpile::TranspileResult>> map_versions(
     const VersionSet& versions, const arch::Backend& backend,
     const transpile::TranspileOptions& options = {});
 
 /// Index of the mapped version with the highest ESP; the lowest index
 /// wins ties. @p mapped must not be empty.
-std::size_t best_by_esp(const std::vector<MappedVersion>& mapped);
+std::size_t best_by_esp(
+    const std::vector<transpile::TranspileResult>& mapped);
 
 }  // namespace caqr::core
 

@@ -49,7 +49,8 @@ append_common(std::vector<std::string>& lines, const std::string& prefix,
               const CommonOptions& common)
 {
     // num_threads is an execution knob with a bit-identical result
-    // guarantee; only the heuristic seed reaches the output.
+    // guarantee; only the heuristic seed reaches the output, and only
+    // for the passes that read one (not the QS engines).
     lines.push_back(opt(prefix + ".seed",
                         static_cast<long long>(common.seed)));
 }
@@ -127,7 +128,6 @@ request_option_lines(const CompileRequest& request)
                                            : request.backend));
     }
     lines.push_back(opt("map_to_backend", request.map_to_backend));
-    lines.push_back(opt("compute_esp", request.compute_esp));
     lines.push_back(opt("select_by_esp", request.select_by_esp));
     lines.push_back(opt("simulate", request.simulate));
     if (request.simulate) {
@@ -149,7 +149,6 @@ request_option_lines(const CompileRequest& request)
       case Strategy::kBaseline:
         break;
       case Strategy::kQsCaqr:
-        append_common(lines, "qs", request.qs);
         lines.push_back(opt("qs.target_qubits",
                             static_cast<long long>(
                                 request.qs.target_qubits)));
@@ -160,7 +159,6 @@ request_option_lines(const CompileRequest& request)
                             : "duration")));
         break;
       case Strategy::kQsCommuting:
-        append_common(lines, "qsc", request.qs_commuting);
         lines.push_back(opt("qsc.target_qubits",
                             static_cast<long long>(
                                 request.qs_commuting.target_qubits)));
@@ -175,18 +173,8 @@ request_option_lines(const CompileRequest& request)
       case Strategy::kSrCaqr:
         append_common(lines, "sr", request.sr);
         lines.push_back(opt("sr.error_aware", request.sr.error_aware));
-        lines.push_back(opt("sr.lookahead_weight",
-                            request.sr.lookahead_weight));
-        lines.push_back(opt("sr.swap_lookahead_weight",
-                            request.sr.swap_lookahead_weight));
         lines.push_back(opt("sr.trials",
                             static_cast<long long>(request.sr.trials)));
-        lines.push_back(opt("sr.placement_pull",
-                            request.sr.placement_pull));
-        lines.push_back(opt("sr.jitter", request.sr.jitter));
-        lines.push_back(opt("sr.jitter_stream",
-                            static_cast<long long>(
-                                request.sr.jitter_stream)));
         lines.push_back(opt("sr.delay_noncritical",
                             request.sr.delay_noncritical));
         break;

@@ -517,7 +517,6 @@ Service::compile_uncached(const CompileRequest& request,
     // circuit the mapping and simulation stages consume; kSrCaqr maps
     // internally and fills the report directly.
     circuit::Circuit reuse_level;
-    bool mapped = false;
     auto report_version = [&](const core::VersionInfo& version) {
         report.qubits = version.qubits;
         report.reuses = version.reuses;
@@ -542,8 +541,8 @@ Service::compile_uncached(const CompileRequest& request,
         report.swaps = result.swaps_added;
         report.depth = result.depth;
         report.duration_dt = result.duration_dt;
+        report.esp = result.esp;
         report.physical_qubits = report.compiled.active_qubit_count();
-        mapped = true;
     };
     switch (request.strategy) {
       case Strategy::kBaseline:
@@ -593,7 +592,7 @@ Service::compile_uncached(const CompileRequest& request,
             report.reuses = result->reuses;
             report.depth = result->depth;
             report.duration_dt = result->duration_dt;
-            mapped = true;
+            report.esp = result->esp;
             return {};
         });
         break;
@@ -609,7 +608,7 @@ Service::compile_uncached(const CompileRequest& request,
             const std::size_t index = core::best_by_esp(*versions);
             reuse_level = candidates->circuit(index);
             report_version((*candidates)[index]);
-            take_mapped(std::move((*versions)[index].mapped));
+            take_mapped(std::move((*versions)[index]));
             return {};
         });
         candidates.reset();
@@ -625,15 +624,6 @@ Service::compile_uncached(const CompileRequest& request,
         } else if (report.status.ok()) {
             report.compiled = reuse_level;
         }
-    }
-
-    if (mapped && request.compute_esp) {
-        run_stage("esp", [&]() -> util::Status {
-            report.esp =
-                arch::estimated_success_probability(report.compiled,
-                                                    *backend);
-            return {};
-        });
     }
 
     if (request.simulate) {
@@ -847,9 +837,7 @@ Service::record_request_metrics(const CompileRequest& request,
         if (mapped) {
             metrics_.observe("service.swaps",
                              static_cast<double>(report.swaps));
-            if (request.compute_esp) {
-                metrics_.observe("service.esp", report.esp);
-            }
+            metrics_.observe("service.esp", report.esp);
         }
     }
 }

@@ -9,10 +9,10 @@
  * `CompileReport` (compiled circuit, qubit/depth/duration/SWAP
  * metrics, a `util::Status`, per-stage wall-clock timings). Every
  * strategy runs through the same internal stage pipeline — load →
- * backend → reuse pass → mapping → ESP/simulation — so error handling,
- * tracing, and metrics are uniform across `transpile::transpile_or`,
- * `core::qs_caqr_or`, `core::qs_caqr_commuting_or`, and
- * `core::sr_caqr_or`.
+ * backend → reuse pass → mapping (which scores ESP) → simulation — so
+ * error handling, tracing, and metrics are uniform across
+ * `transpile::transpile_or`, `core::qs_caqr_or`,
+ * `core::qs_caqr_commuting_or`, and `core::sr_caqr_or`.
  *
  * For parameterized workloads the service also exposes the
  * compile-once / bind-many model: `compile_template` freezes the
@@ -120,8 +120,6 @@ struct CompileRequest
     /// version selection). kQsCaqr and kQsCommuting with mapping only;
     /// anything else is kInvalidArgument.
     bool select_by_esp = false;
-    /// Fill `CompileReport::esp` for mapped circuits.
-    bool compute_esp = true;
     /// Run the shot simulator on the reuse-level circuit and fill
     /// `CompileReport::counts`.
     bool simulate = false;

@@ -46,7 +46,7 @@ NoiseModel::gate_error(const circuit::Instruction& instr) const
         if (circuit::is_two_qubit(instr.kind)) {
             const int a = instr.qubits[0];
             const int b = instr.qubits[1];
-            double err = 0.02;
+            double err = arch::kUncalibratedCxError;
             if (cal.has_link(a, b)) err = cal.link(a, b).cx_error;
             // A SWAP is three CX back to back.
             return instr.kind == GateKind::kSwap ? 3 * err : err;

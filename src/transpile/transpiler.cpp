@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "circuit/schedule.h"
 #include "transpile/decompose.h"
 #include "transpile/peephole.h"
 #include "transpile/sabre.h"
@@ -57,13 +56,11 @@ struct TrialOutcome
     bool pruned = false;
     util::Status status;
     RoutingResult routed;
-    int depth = 0;
-    double duration_dt = 0.0;
-    double esp = 0.0;
+    arch::MappedScore score;
 };
 
-/// The outcome of one route: on success, the routed circuit with its
-/// depth, calibrated duration and ESP.
+/// The outcome of one route: on success, the routed circuit and its
+/// score.
 TrialOutcome
 measure_trial(util::StatusOr<RoutingResult> routed,
               const arch::Backend& backend)
@@ -79,13 +76,7 @@ measure_trial(util::StatusOr<RoutingResult> routed,
     outcome.completed = true;
     outcome.routed = std::move(routed).value();
     util::trace::Span measure("transpile.metrics");
-    const circuit::Circuit& physical = outcome.routed.circuit;
-    outcome.depth = circuit::depth(physical);
-    arch::CalibratedDurations model(backend);
-    const circuit::Schedule schedule(physical, model);
-    outcome.duration_dt = schedule.makespan();
-    outcome.esp =
-        arch::estimated_success_probability(physical, backend, schedule);
+    outcome.score = arch::score_mapped(outcome.routed.circuit, backend);
     return outcome;
 }
 
@@ -294,12 +285,12 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
             const TrialOutcome& c = outcomes[i];
             const bool admissible =
                 c.routed.swaps_added <= a.routed.swaps_added &&
-                c.depth <= a.depth && c.esp >= a.esp;
+                c.score.depth <= a.score.depth && c.score.esp >= a.score.esp;
             if (!admissible) continue;
             const TrialOutcome& w = outcomes[winner];
             const auto key = [](const TrialOutcome& o) {
-                return std::make_tuple(o.routed.swaps_added, o.depth,
-                                       -o.esp, o.duration_dt);
+                return std::make_tuple(o.routed.swaps_added, o.score.depth,
+                                       -o.score.esp, o.score.duration_dt);
             };
             if (key(c) < key(w)) winner = i;
         }
@@ -315,8 +306,8 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
                 continue;
             }
             const auto key = [](const TrialOutcome& o) {
-                return std::make_tuple(o.routed.swaps_added, o.depth,
-                                       o.duration_dt);
+                return std::make_tuple(o.routed.swaps_added, o.score.depth,
+                                       o.score.duration_dt);
             };
             if (key(outcomes[i]) < key(outcomes[winner])) winner = i;
         }
@@ -343,8 +334,9 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     best.initial_layout = std::move(layouts[winner]);
     best.final_layout = std::move(w.routed.final_layout);
     best.swaps_added = w.routed.swaps_added;
-    best.depth = w.depth;
-    best.duration_dt = w.duration_dt;
+    best.depth = w.score.depth;
+    best.duration_dt = w.score.duration_dt;
+    best.esp = w.score.esp;
     return best;
 }
 

@@ -45,6 +45,7 @@ struct TranspileResult
     int swaps_added = 0;
     int depth = 0;              ///< physical circuit depth
     double duration_dt = 0.0;   ///< calibrated duration (dt)
+    double esp = 0.0;           ///< estimated success probability
 };
 
 /// Pipeline options. The embedded CommonOptions supply the layout-

@@ -11,6 +11,7 @@
 #include "arch/backend.h"
 #include "arch/calibration.h"
 #include "arch/heavy_hex.h"
+#include "circuit/schedule.h"
 #include "circuit/timing.h"
 
 namespace caqr {
@@ -92,6 +93,13 @@ TEST(Calibration, LinkLookupIsSymmetric)
     EXPECT_FALSE(big.has_link(0, 100));
 }
 
+TEST(Calibration, NegativeQubitIdAborts)
+{
+    arch::Calibration cal;
+    EXPECT_DEATH(cal.set_qubit(-1, {}), "qubit id out of range");
+    EXPECT_DEATH(cal.set_link(-1, 0, {}), "link endpoint out of range");
+}
+
 TEST(Backend, FakeMumbaiDistances)
 {
     const auto backend = arch::Backend::fake_mumbai();
@@ -143,6 +151,25 @@ TEST(Backend, EspBoundsAndMonotonicity)
     big.measure(1, 1);
     EXPECT_LT(arch::estimated_success_probability(big, backend),
               esp_small);
+}
+
+TEST(Backend, ScoreMatchesDepthScheduleAndEsp)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    circuit::Circuit c(27, 2);
+    c.h(0);
+    c.cx(0, 1);
+    c.swap_gate(1, 2);
+    c.cx(0, 5);  // no link: the uncalibrated CX error applies
+    c.measure(0, 0);
+    c.x_if(0, 0, 1);
+    c.measure(2, 1);
+    ASSERT_FALSE(backend.calibration().has_link(0, 5));
+    const arch::MappedScore score = arch::score_mapped(c, backend);
+    const arch::CalibratedDurations model(backend);
+    EXPECT_EQ(score.depth, circuit::depth(c));
+    EXPECT_EQ(score.duration_dt, circuit::Schedule(c, model).makespan());
+    EXPECT_EQ(score.esp, arch::estimated_success_probability(c, backend));
 }
 
 TEST(Backend, ScaledHeavyHexFactory)

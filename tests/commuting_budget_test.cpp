@@ -206,10 +206,10 @@ TEST(EspSelection, PicksAVersionAndReportsEsp)
     ASSERT_LT(pick, versions.size());
     EXPECT_GT(mapped[pick].esp, 0.0);
     EXPECT_LE(mapped[pick].esp, 1.0);
-    EXPECT_GT(mapped[pick].mapped.circuit.size(), 0u);
+    EXPECT_GT(mapped[pick].circuit.size(), 0u);
     EXPECT_EQ(mapped[pick].esp,
               arch::estimated_success_probability(
-                  mapped[pick].mapped.circuit, backend));
+                  mapped[pick].circuit, backend));
 
     // The chosen ESP must be >= every version's, the baseline's too.
     for (const auto& version : mapped) {
@@ -224,7 +224,7 @@ TEST(EspSelection, PicksAVersionAndReportsEsp)
 
 TEST(EspSelection, LowestIndexWinsTies)
 {
-    std::vector<core::MappedVersion> mapped(4);
+    std::vector<transpile::TranspileResult> mapped(4);
     mapped[0].esp = 0.25;
     mapped[1].esp = 0.5;
     mapped[2].esp = 0.5;

@@ -36,9 +36,9 @@ TEST(Tradeoff, RegularSweepShape)
     }
     EXPECT_EQ(versions.back().qubits, 2);
     for (const auto& version : mapped) {
-        EXPECT_GT(version.mapped.depth, 0);
-        EXPECT_GT(version.mapped.duration_dt, 0.0);
-        EXPECT_GE(version.mapped.swaps_added, 0);
+        EXPECT_GT(version.depth, 0);
+        EXPECT_GT(version.duration_dt, 0.0);
+        EXPECT_GE(version.swaps_added, 0);
         EXPECT_GT(version.esp, 0.0);
     }
 }
@@ -63,8 +63,8 @@ TEST(Tradeoff, MapVersionsIsThreadCountIndependent)
             transpile::transpile_or(versions.circuit(i), backend, serial)
                 .value();
         const auto text = qasm::to_qasm(alone.circuit);
-        EXPECT_EQ(qasm::to_qasm(a[i].mapped.circuit), text) << i;
-        EXPECT_EQ(qasm::to_qasm(b[i].mapped.circuit), text) << i;
+        EXPECT_EQ(qasm::to_qasm(a[i].circuit), text) << i;
+        EXPECT_EQ(qasm::to_qasm(b[i].circuit), text) << i;
         EXPECT_EQ(a[i].esp, b[i].esp) << i;
     }
     EXPECT_EQ(core::best_by_esp(a), core::best_by_esp(b));

@@ -662,10 +662,10 @@ transpile_every_trial(const circuit::Circuit& logical,
         run.routed = std::move(routed).value();
         run.depth = circuit::depth(run.routed.circuit);
         const arch::CalibratedDurations model(backend);
-        const circuit::Schedule schedule(run.routed.circuit, model);
-        run.duration_dt = schedule.makespan();
+        run.duration_dt =
+            circuit::Schedule(run.routed.circuit, model).makespan();
         run.esp = arch::estimated_success_probability(run.routed.circuit,
-                                                      backend, schedule);
+                                                      backend);
     }
 
     // The anchor (trial 1, or the only trial) holds the win; an
@@ -711,6 +711,7 @@ transpile_every_trial(const circuit::Circuit& logical,
     result.swaps_added = w.routed.swaps_added;
     result.depth = w.depth;
     result.duration_dt = w.duration_dt;
+    result.esp = w.esp;
     return result;
 }
 
@@ -760,9 +761,22 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
         return logical.at(static_cast<std::size_t>(node));
     };
 
-    // One trial of the engine under the (variant) options @p opt.
-    const auto single = [&](const core::SrCaqrOptions& opt) {
-        util::Rng rng(opt.seed, opt.jitter_stream);
+    // One trial's settings: the caller's switches, reweighted and
+    // relaxed per variant.
+    struct TrialConfig
+    {
+        double lookahead_weight = 4.0;
+        double swap_lookahead_weight = 0.5;
+        double placement_pull = 0.0;
+        double jitter = 0.0;
+        std::uint64_t jitter_stream = 0;
+        bool error_aware = true;
+        bool delay_noncritical = true;
+    };
+
+    // One trial of the engine under the settings @p opt.
+    const auto single = [&](const TrialConfig& opt) {
+        util::Rng rng(options.seed, opt.jitter_stream);
         const auto jitter = [&] {
             return opt.jitter > 0.0 ? opt.jitter * rng.next_double() : 0.0;
         };
@@ -1113,11 +1127,11 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
         result.circuit = std::move(output);
         result.depth = circuit::depth(result.circuit);
         const arch::CalibratedDurations model(backend);
-        const circuit::Schedule schedule(result.circuit, model);
-        result.duration_dt = schedule.makespan();
-        const double esp = arch::estimated_success_probability(
-            result.circuit, backend, schedule);
-        return std::make_pair(std::move(result), esp);
+        result.duration_dt =
+            circuit::Schedule(result.circuit, model).makespan();
+        result.esp =
+            arch::estimated_success_probability(result.circuit, backend);
+        return result;
     };
 
     // The variant portfolio: 8 structural variants, then jitter runs.
@@ -1132,11 +1146,13 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
         {1.0, 1.0, 0.5, false, false},  {1.0, 1.0, 1.0, true, false},
         {1.0, 0.5, 0.25, false, false}, {1.0, 1.0, 0.5, false, true}};
     static constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
-    std::vector<std::pair<core::SrCaqrResult, double>> results;
+    std::vector<core::SrCaqrResult> results;
     for (std::size_t trial = 0;
          trial < static_cast<std::size_t>(std::max(1, options.trials));
          ++trial) {
-        core::SrCaqrOptions variant = options;
+        TrialConfig variant;
+        variant.error_aware = options.error_aware;
+        variant.delay_noncritical = options.delay_noncritical;
         if (trial < 8) {
             const Variant& v = kVariants[trial];
             variant.lookahead_weight *= v.lookahead;
@@ -1156,29 +1172,29 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
     // qubits, depth and ESP.
     std::size_t anchor = 0;
     for (std::size_t i = 1; i < std::min<std::size_t>(results.size(), 4); ++i) {
-        const auto& r = results[i].first;
-        const auto& a = results[anchor].first;
+        const auto& r = results[i];
+        const auto& a = results[anchor];
         if (r.swaps_added < a.swaps_added ||
             (r.swaps_added == a.swaps_added && r.duration_dt < a.duration_dt)) {
             anchor = i;
         }
     }
     const auto key = [&](std::size_t i) {
-        const auto& r = results[i].first;
+        const auto& r = results[i];
         return std::make_tuple(r.swaps_added, r.physical_qubits_used, r.depth,
-                               -results[i].second, r.duration_dt);
+                               -r.esp, r.duration_dt);
     };
     std::size_t winner = anchor;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto& r = results[i].first;
-        const auto& a = results[anchor].first;
+        const auto& r = results[i];
+        const auto& a = results[anchor];
         const bool admissible =
             r.swaps_added <= a.swaps_added &&
             r.physical_qubits_used <= a.physical_qubits_used &&
-            r.depth <= a.depth && results[i].second >= results[anchor].second;
+            r.depth <= a.depth && r.esp >= a.esp;
         if (admissible && key(i) < key(winner)) winner = i;
     }
-    return std::move(results[winner].first);
+    return std::move(results[winner]);
 }
 
 /// Seeded random circuit over @p qubits qubits: 1q/2q gates, measures

@@ -149,7 +149,7 @@ TEST(ServiceCompile, GoldenBv64Report)
     std::vector<std::string> stages;
     for (const auto& stage : report.stages) stages.push_back(stage.stage);
     EXPECT_EQ(stages, (std::vector<std::string>{"load", "backend",
-                                                "qs_caqr", "map", "esp"}));
+                                                "qs_caqr", "map"}));
 }
 
 /// A QS-CaQR compile materializes only the version it returns: one
@@ -449,12 +449,25 @@ TEST(RequestCacheKey, SemanticallyIdenticalRequestsShareAKey)
     inline_qasm.qasm = content.str();
     EXPECT_EQ(*request_cache_key(inline_qasm), *base);
 
-    // Execution knobs and labels are excluded from the fingerprint.
+    // Execution knobs, labels and seeds no QS engine reads are excluded
+    // from the fingerprint.
     CompileRequest knobs = by_file;
     knobs.name = "renamed";
     knobs.tenant = "team-a";
     knobs.qs.num_threads = 7;
+    knobs.qs.seed = 42;
+    knobs.qs_commuting.seed = 43;
     EXPECT_EQ(*request_cache_key(knobs), *base);
+
+    util::Rng rng(6);
+    CompileRequest commuting;
+    commuting.commuting = core::CommutingSpec{};
+    commuting.commuting->interaction = graph::random_graph(6, 0.5, rng);
+    commuting.strategy = Strategy::kQsCommuting;
+    CompileRequest commuting_seed = commuting;
+    commuting_seed.qs_commuting.seed = 43;
+    EXPECT_EQ(*request_cache_key(commuting_seed),
+              *request_cache_key(commuting));
 
     // Backend aliases collapse to the canonical backend key.
     CompileRequest alias = by_file;
@@ -469,6 +482,12 @@ TEST(RequestCacheKey, SemanticallyIdenticalRequestsShareAKey)
     CompileRequest other_strategy = by_file;
     other_strategy.strategy = Strategy::kSrCaqr;
     EXPECT_NE(*request_cache_key(other_strategy), *base);
+
+    // SR-CaQR's jitter trials read the seed.
+    CompileRequest sr_seed = other_strategy;
+    sr_seed.sr.seed = 42;
+    EXPECT_NE(*request_cache_key(sr_seed),
+              *request_cache_key(other_strategy));
 
     CompileRequest logical = by_file;
     logical.map_to_backend = false;
@@ -863,7 +882,7 @@ TEST(ServiceSelect, CommutingSelectionBeatsMaxReuse)
     EXPECT_GT(selected.qubits, max_reuse.qubits);  // this graph's winner
     EXPECT_EQ(stage_names(selected),
               (std::vector<std::string>{"load", "backend", "qs_commuting",
-                                        "select_version", "esp"}));
+                                        "select_version"}));
 }
 
 /// The winner is routed once, inside select_version: a selecting
@@ -883,7 +902,7 @@ TEST(ServiceSelect, WinnerIsRoutedOnce)
     const double selecting = routes() - before;
     EXPECT_EQ(stage_names(report),
               (std::vector<std::string>{"load", "backend", "qs_caqr",
-                                        "select_version", "esp"}));
+                                        "select_version"}));
 
     before = routes();
     const core::VersionSet versions(
@@ -947,6 +966,97 @@ TEST(ServiceSelect, RejectedWhereNothingIsSelected)
     commuting.select_by_esp = true;
     commuting.map_to_backend = false;
     expect_rejected(commuting);
+}
+
+// ---------------------------------------------------------------------
+// ESP: the mapping pass scores its winner once; nothing re-measures it.
+
+/// Compiles @p request and requires its ESP to equal the one computed
+/// afresh from the compiled circuit, bit for bit.
+void
+expect_esp_of_compiled(Service& service, const CompileRequest& request,
+                       const std::string& label)
+{
+    const auto report = service.compile(request);
+    ASSERT_TRUE(report.ok()) << label << ": " << report.status.to_string();
+    for (const auto& stage : report.stages) EXPECT_NE(stage.stage, "esp");
+    const auto backend = service.backend(request.backend).value();
+    EXPECT_GT(report.esp, 0.0) << label;
+    EXPECT_EQ(report.esp,
+              arch::estimated_success_probability(report.compiled, *backend))
+        << label;
+}
+
+TEST(ServiceEsp, ReportedEspMatchesTheSlowPath)
+{
+    Service service({.num_threads = 1});
+    const auto multiply = apps::get_benchmark("multiply_13")->circuit;
+
+    // Baseline: one trial, and four, where a challenger beats the
+    // anchor.
+    for (const int trials : {1, 4}) {
+        CompileRequest baseline;
+        baseline.circuit = multiply;
+        baseline.strategy = Strategy::kBaseline;
+        baseline.transpile.trials = trials;
+        expect_esp_of_compiled(service, baseline,
+                               "baseline trials " + std::to_string(trials));
+    }
+
+    CompileRequest qs;
+    qs.circuit = multiply;
+    expect_esp_of_compiled(service, qs, "qs_caqr");
+
+    expect_esp_of_compiled(service, select_request(multiply),
+                           "select_by_esp qs_caqr");
+    auto commuting = commuting_request();
+    commuting.select_by_esp = true;
+    expect_esp_of_compiled(service, commuting, "select_by_esp qs_commuting");
+
+    // SR-CaQR: on 4mod5 the wider portfolio beats the anchor.
+    CompileRequest sr;
+    sr.circuit = apps::get_benchmark("4mod5")->circuit;
+    sr.strategy = Strategy::kSrCaqr;
+    expect_esp_of_compiled(service, sr, "sr_caqr");
+    auto sr_commuting = commuting_request();
+    sr_commuting.strategy = Strategy::kSrCaqr;
+    expect_esp_of_compiled(service, sr_commuting, "sr_caqr commuting");
+}
+
+/// On a device of two components the anchor's greedy layout splits a
+/// gate and fails; the winner is another trial, and its ESP is the one
+/// returned.
+TEST(ServiceEsp, FailedAnchorReturnsTheWinnersEsp)
+{
+    graph::UndirectedGraph topology(10);
+    for (int v = 1; v < 5; ++v) topology.add_edge(v - 1, v);
+    for (int v = 6; v < 10; ++v) topology.add_edge(v - 1, v);
+    const arch::Backend backend("split", topology,
+                                arch::Calibration::synthesize(topology));
+    // Odd and even qubits interact only among themselves; qubit 0 idles.
+    circuit::Circuit logical(9, 0);
+    logical.h(1);
+    logical.cx(3, 1);
+    logical.cx(2, 6);
+    logical.cx(4, 8);
+    logical.cx(2, 8);
+    logical.cx(1, 3);
+    logical.cx(5, 7);
+    logical.h(2);
+
+    // Two trials without refinement route only the anchor's layout.
+    transpile::TranspileOptions anchor_only;
+    anchor_only.trials = 2;
+    anchor_only.layout_refine_passes = 0;
+    ASSERT_FALSE(transpile::transpile_or(logical, backend, anchor_only).ok());
+
+    transpile::TranspileOptions options;
+    options.trials = 8;
+    const auto mapped = transpile::transpile_or(logical, backend, options);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
+    EXPECT_GT(mapped->esp, 0.0);
+    EXPECT_EQ(mapped->esp,
+              arch::estimated_success_probability(mapped->circuit, backend));
 }
 
 }  // namespace

@@ -398,6 +398,7 @@ expect_matches_oracle(const Circuit& logical, const arch::Backend& backend,
     EXPECT_EQ(got.reuses, want.reuses);
     EXPECT_EQ(got.depth, want.depth);
     EXPECT_EQ(got.duration_dt, want.duration_dt);
+    EXPECT_EQ(got.esp, want.esp);
     EXPECT_EQ(got.circuit.num_qubits(), want.circuit.num_qubits());
     EXPECT_EQ(got.circuit.num_clbits(), want.circuit.num_clbits());
     const auto& a = got.circuit.instructions();
@@ -416,8 +417,7 @@ expect_matches_oracle(const Circuit& logical, const arch::Backend& backend,
 
 /// Options for oracle case @p i: the trial count cycles through
 /// 1/4/5/24/32 and the thread count through 1/8, and every seventh
-/// case turns off error awareness, the delaying rule, or sets a
-/// placement pull.
+/// case turns off error awareness or the delaying rule.
 core::SrCaqrOptions
 oracle_options(int i)
 {
@@ -429,7 +429,6 @@ oracle_options(int i)
     switch (i % 7) {
       case 3: options.error_aware = false; break;
       case 5: options.delay_noncritical = false; break;
-      case 6: options.placement_pull = 0.5; break;
       default: break;
     }
     return options;

@@ -839,6 +839,7 @@ expect_transpile_matches_reference(const Circuit& logical,
     EXPECT_EQ(fast->swaps_added, slow->swaps_added) << label;
     EXPECT_EQ(fast->depth, slow->depth) << label;
     EXPECT_EQ(fast->duration_dt, slow->duration_dt) << label;
+    EXPECT_EQ(fast->esp, slow->esp) << label;
     EXPECT_EQ(fast->initial_layout, slow->initial_layout) << label;
     EXPECT_EQ(fast->final_layout, slow->final_layout) << label;
     EXPECT_EQ(fast->circuit.num_qubits(), slow->circuit.num_qubits())
