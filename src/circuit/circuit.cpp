@@ -77,7 +77,7 @@ Circuit::param_value(ParamRef ref) const
 }
 
 ParamRef
-Circuit::find_param(const std::string& name) const
+Circuit::find_param(std::string_view name) const
 {
     for (std::size_t i = 0; i < params_.size(); ++i) {
         if (params_[i].name == name) return static_cast<ParamRef>(i);

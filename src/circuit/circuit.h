@@ -9,6 +9,8 @@
 #define CAQR_CIRCUIT_CIRCUIT_H
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "circuit/gate.h"
@@ -84,9 +86,18 @@ class Circuit
     int num_qubits() const { return num_qubits_; }
     int num_clbits() const { return num_clbits_; }
 
-    /// Appends a fresh qubit / classical bit; returns its id.
-    int add_qubit() { return num_qubits_++; }
-    int add_clbit() { return num_clbits_++; }
+    /// Appends @p count fresh qubits / classical bits; returns the
+    /// first one's id.
+    int
+    add_qubit(int count = 1)
+    {
+        return std::exchange(num_qubits_, num_qubits_ + count);
+    }
+    int
+    add_clbit(int count = 1)
+    {
+        return std::exchange(num_clbits_, num_clbits_ + count);
+    }
 
     /// @name Symbolic parameters
     /// @{
@@ -99,7 +110,7 @@ class Circuit
     const std::string& param_name(ParamRef ref) const;
     double param_value(ParamRef ref) const;
     /// Ref of the parameter named @p name, or kNoParam.
-    ParamRef find_param(const std::string& name) const;
+    ParamRef find_param(std::string_view name) const;
 
     /// Rebinds parameter @p ref: updates the table entry and the angle
     /// of every instruction referencing it.
@@ -125,6 +136,8 @@ class Circuit
     /// @}
 
     const std::vector<Instruction>& instructions() const { return instrs_; }
+    /// Makes room for @p n instructions without changing the circuit.
+    void reserve(std::size_t n) { instrs_.reserve(n); }
     std::size_t size() const { return instrs_.size(); }
     const Instruction& at(std::size_t i) const { return instrs_[i]; }
 

@@ -12,7 +12,7 @@ namespace {
 struct GateInfo
 {
     GateKind kind;
-    const char* name;
+    std::string_view name;
     int arity;
     int num_params;
 };
@@ -102,7 +102,7 @@ gate_name(GateKind kind)
     static const std::array<std::string, kNumGateKinds> names = [] {
         std::array<std::string, kNumGateKinds> result;
         for (std::size_t i = 0; i < kGateTable.size(); ++i) {
-            result[i] = kGateTable[i].name;
+            result[i] = std::string(kGateTable[i].name);
         }
         return result;
     }();
@@ -110,7 +110,7 @@ gate_name(GateKind kind)
 }
 
 bool
-gate_kind_from_name(const std::string& name, GateKind* kind)
+gate_kind_from_name(std::string_view name, GateKind* kind)
 {
     for (const auto& entry : kGateTable) {
         if (name == entry.name) {

@@ -12,6 +12,7 @@
 #define CAQR_CIRCUIT_GATE_H
 
 #include <string>
+#include <string_view>
 
 namespace caqr::circuit {
 
@@ -55,7 +56,7 @@ bool is_unitary(GateKind kind);
 const std::string& gate_name(GateKind kind);
 
 /// Inverse lookup of gate_name(); returns false if unknown.
-bool gate_kind_from_name(const std::string& name, GateKind* kind);
+bool gate_kind_from_name(std::string_view name, GateKind* kind);
 
 }  // namespace caqr::circuit
 

@@ -1,130 +1,242 @@
 #include "qasm/parser.h"
 
-#include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <vector>
+#include <sys/stat.h>
 
-#include "qasm/lexer.h"
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <unordered_map>
 
 namespace caqr::qasm {
 
 namespace {
 
-/// Register descriptor: base offset into the flat index space + size.
+using circuit::GateKind;
+
+bool
+is_space(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool
+is_alpha(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool
+is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/// A declared register: its first flat index and its size.
 struct Register
 {
     int offset = 0;
     int size = 0;
 };
 
-/// Recursive-descent parser over the token stream.
-class Parser
+/// Register names are views into the source being read.
+using Registers = std::unordered_map<std::string_view, Register>;
+
+/// A quantum operand: `size` consecutive flat qubits from `first` —
+/// one for `q[i]`, the whole register for `q`.
+struct Operand
+{
+    int first = 0;
+    int size = 0;
+};
+
+/// Recursive-descent reader over the source bytes. Each token is
+/// recognised where it lies, as a view into the source, and
+/// instructions go straight into the circuit. Every `bool` step returns
+/// false once the read has failed; a failure discards the circuit, so
+/// a statement is checked and appended before its closing ';' is read,
+/// and its errors carry the statement's line.
+class Reader
 {
   public:
-    explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+    explicit Reader(std::string_view source) : src_(source)
+    {
+        // One instruction per statement, unless a statement broadcasts.
+        circuit_.reserve(static_cast<std::size_t>(
+            std::count(source.begin(), source.end(), ';')));
+    }
 
-    ParseResult
+    util::StatusOr<circuit::Circuit>
     run()
     {
-        parse_header();
-        while (ok_ && !check(TokenKind::kEnd)) {
-            parse_statement();
-        }
-        ParseResult result;
-        if (ok_) {
-            result.circuit = std::move(circuit_);
+        if (word() == "OPENQASM") {
+            if (number().empty()) {
+                fail("expected version number");
+            } else {
+                expect(';');
+            }
         } else {
-            result.error = error_;
+            pos_ = 0;
         }
-        return result;
+        while (error_.empty() && more()) statement();
+        if (!error_.empty()) return util::Status::parse_error(error_);
+        return std::move(circuit_);
     }
 
   private:
-    std::vector<Token> tokens_;
+    std::string_view src_;
     std::size_t pos_ = 0;
-    bool ok_ = true;
-    std::string error_;
+    std::string error_;  ///< the first failure, line-numbered
     circuit::Circuit circuit_;
-    std::map<std::string, Register> qregs_;
-    std::map<std::string, Register> cregs_;
+    Registers qregs_;
+    Registers cregs_;
 
-    const Token& peek() const { return tokens_[pos_]; }
+    // ---- cursor ---------------------------------------------------------
 
-    /// One token of lookahead (saturates at the trailing kEnd token).
-    const Token&
-    peek_next() const
+    /// Skips whitespace and `//` comments.
+    void
+    skip()
     {
-        const std::size_t next = pos_ + 1;
-        return tokens_[next < tokens_.size() ? next : tokens_.size() - 1];
+        const std::size_t n = src_.size();
+        while (pos_ < n) {
+            const char c = src_[pos_];
+            if (is_space(c)) {
+                ++pos_;
+            } else if (c == '/' && pos_ + 1 < n && src_[pos_ + 1] == '/') {
+                pos_ = std::min(src_.find('\n', pos_), n);
+            } else {
+                break;
+            }
+        }
     }
-
-    const Token&
-    advance()
-    {
-        const Token& token = tokens_[pos_];
-        if (token.kind != TokenKind::kEnd) ++pos_;
-        return token;
-    }
-
-    bool check(TokenKind kind) const { return peek().kind == kind; }
 
     bool
-    match(TokenKind kind)
+    more()
     {
-        if (!check(kind)) return false;
-        advance();
-        return true;
+        skip();
+        return pos_ < src_.size();
     }
 
-    void
+    /// Records the first failure, at the line of the next token.
+    bool
     fail(const std::string& message)
     {
-        if (!ok_) return;
-        ok_ = false;
-        std::ostringstream os;
-        os << "line " << peek().line << ": " << message;
-        error_ = os.str();
-    }
-
-    void
-    expect(TokenKind kind, const std::string& what)
-    {
-        if (!match(kind)) fail("expected " + what);
-    }
-
-    bool
-    match_identifier(const std::string& text)
-    {
-        if (check(TokenKind::kIdentifier) && peek().text == text) {
-            advance();
-            return true;
+        if (!error_.empty()) return false;
+        skip();
+        const auto line =
+            1 + std::count(src_.begin(), src_.begin() + pos_, '\n');
+        error_ = "line " + std::to_string(line) + ": ";
+        const char c = pos_ < src_.size() ? src_[pos_] : 'a';
+        if (!is_alpha(c) && !is_digit(c) &&
+            (c == '\0' || std::strchr("\"[](),;+-*/=>.", c) == nullptr)) {
+            error_ += std::string("unexpected character '") + c + "'";
+        } else {
+            error_ += message;
         }
         return false;
     }
 
-    void
-    parse_header()
+    /// Consumes the token `c` (or the two-byte token `c next`) if it
+    /// comes next. A lone '-' never matches the start of "->".
+    bool
+    eat(char c, char next = '\0')
     {
-        if (match_identifier("OPENQASM")) {
-            expect(TokenKind::kNumber, "version number");
-            expect(TokenKind::kSemicolon, "';'");
+        skip();
+        if (pos_ >= src_.size() || src_[pos_] != c) return false;
+        const char after = pos_ + 1 < src_.size() ? src_[pos_ + 1] : '\0';
+        if (next != '\0' ? after != next : (c == '-' && after == '>')) {
+            return false;
         }
+        pos_ += next != '\0' ? 2 : 1;
+        return true;
     }
 
-    // ---- expressions (constant folding) --------------------------------
+    bool
+    expect(char c, char next = '\0')
+    {
+        return eat(c, next) || expected(c, next);
+    }
+
+    /// The failure path of `expect`, kept out of line so the hot path
+    /// inlines.
+    [[gnu::noinline]] bool
+    expected(char c, char next)
+    {
+        std::string token(1, c);
+        if (next != '\0') token += next;
+        return fail("expected '" + token + "'");
+    }
+
+    /// The identifier that comes next, or an empty view.
+    std::string_view
+    word()
+    {
+        skip();
+        const std::size_t start = pos_;
+        if (pos_ < src_.size() && is_alpha(src_[pos_])) {
+            do {
+                ++pos_;
+            } while (pos_ < src_.size() &&
+                     (is_alpha(src_[pos_]) || is_digit(src_[pos_])));
+        }
+        return src_.substr(start, pos_ - start);
+    }
+
+    /// The number literal that comes next, or an empty view: digits,
+    /// '.', exponent markers and an exponent's sign, taken greedily.
+    std::string_view
+    number()
+    {
+        skip();
+        const std::size_t start = pos_;
+        const std::size_t n = src_.size();
+        if (pos_ >= n || !(is_digit(src_[pos_]) ||
+                           (src_[pos_] == '.' && pos_ + 1 < n &&
+                            is_digit(src_[pos_ + 1])))) {
+            return {};
+        }
+        for (; pos_ < n; ++pos_) {
+            const char c = src_[pos_];
+            const bool sign = (c == '+' || c == '-') &&
+                              (src_[pos_ - 1] == 'e' || src_[pos_ - 1] == 'E');
+            if (!is_digit(c) && c != '.' && c != 'e' && c != 'E' && !sign) {
+                break;
+            }
+        }
+        return src_.substr(start, pos_ - start);
+    }
+
+    /// An integer literal in `int` range: a register size, an index or
+    /// a condition value.
+    bool
+    integer(const char* what, int* value)
+    {
+        const std::string_view text = number();
+        if (text.empty()) return fail(std::string("expected ") + what);
+        const char* end = text.data() + text.size();
+        const auto [last, ec] = std::from_chars(text.data(), end, *value);
+        if (ec != std::errc() || last != end) {
+            return fail(std::string(what) +
+                        " must be an integer literal in int range, got '" +
+                        std::string(text) + "'");
+        }
+        return true;
+    }
+
+    // ---- parameter expressions (constant folded) --------------------------
 
     double
-    parse_expression()
+    expression()
     {
-        double value = parse_term();
+        double value = term();
         for (;;) {
-            if (match(TokenKind::kPlus)) {
-                value += parse_term();
-            } else if (match(TokenKind::kMinus)) {
-                value -= parse_term();
+            if (eat('+')) {
+                value += term();
+            } else if (eat('-')) {
+                value -= term();
             } else {
                 return value;
             }
@@ -132,14 +244,14 @@ class Parser
     }
 
     double
-    parse_term()
+    term()
     {
-        double value = parse_unary();
+        double value = unary();
         for (;;) {
-            if (match(TokenKind::kStar)) {
-                value *= parse_unary();
-            } else if (match(TokenKind::kSlash)) {
-                const double rhs = parse_unary();
+            if (eat('*')) {
+                value *= unary();
+            } else if (eat('/')) {
+                const double rhs = unary();
                 if (rhs == 0.0) {
                     fail("division by zero in parameter expression");
                     return 0.0;
@@ -152,377 +264,340 @@ class Parser
     }
 
     double
-    parse_unary()
+    unary()
     {
-        if (match(TokenKind::kMinus)) return -parse_unary();
-        if (match(TokenKind::kPlus)) return parse_unary();
-        if (match(TokenKind::kLParen)) {
-            const double value = parse_expression();
-            expect(TokenKind::kRParen, "')'");
+        if (eat('-')) return -unary();
+        if (eat('+')) return unary();
+        if (eat('(')) {
+            const double value = expression();
+            expect(')');
             return value;
         }
-        if (check(TokenKind::kNumber)) return advance().number;
-        if (check(TokenKind::kIdentifier) && peek().text == "pi") {
-            advance();
-            return 3.14159265358979323846;
+        if (const std::string_view text = number(); !text.empty()) {
+            // from_chars reads a decimal literal to the same double as
+            // strtod, but reports what strtod would silently accept.
+            double value = 0.0;
+            const char* end = text.data() + text.size();
+            const auto [last, ec] = std::from_chars(text.data(), end, value);
+            if (ec != std::errc() || last != end) {
+                fail("real literal '" + std::string(text) +
+                     "' is malformed or out of range");
+            }
+            return value;
         }
+        const std::size_t mark = pos_;
+        if (word() == "pi") return 3.14159265358979323846;
+        pos_ = mark;
         fail("expected parameter expression");
         return 0.0;
     }
 
-    // ---- operands -------------------------------------------------------
+    // ---- operands ---------------------------------------------------------
 
-    /// Parses `name` or `name[i]`; returns flat indices (whole register
-    /// when no subscript is given).
-    std::vector<int>
-    parse_operand(const std::map<std::string, Register>& table,
-                  const char* what)
+    /// `name[i]` or `name` (the whole register) from @p table.
+    bool
+    operand(const Registers& table, const char* what, Operand* out)
     {
-        if (!check(TokenKind::kIdentifier)) {
-            fail(std::string("expected ") + what + " operand");
-            return {};
+        const std::string_view name = word();
+        if (name.empty()) {
+            return fail(std::string("expected ") + what + " operand");
         }
-        const std::string name = advance().text;
-        auto it = table.find(name);
+        const auto it = table.find(name);
         if (it == table.end()) {
-            fail("unknown register '" + name + "'");
-            return {};
+            return fail("unknown register '" + std::string(name) + "'");
         }
-        const Register& reg = it->second;
-        if (match(TokenKind::kLBracket)) {
-            if (!check(TokenKind::kNumber)) {
-                fail("expected register index");
-                return {};
-            }
-            const int index = static_cast<int>(advance().number);
-            expect(TokenKind::kRBracket, "']'");
-            if (index < 0 || index >= reg.size) {
-                fail("register index out of range for '" + name + "'");
-                return {};
-            }
-            return {reg.offset + index};
+        const Register reg = it->second;
+        if (!eat('[')) {
+            *out = {reg.offset, reg.size};
+            return true;
         }
-        std::vector<int> all;
-        for (int i = 0; i < reg.size; ++i) all.push_back(reg.offset + i);
-        return all;
+        int index = 0;
+        if (!integer("register index", &index) || !expect(']')) return false;
+        if (index >= reg.size) {
+            return fail("register index out of range for '" +
+                        std::string(name) + "'");
+        }
+        *out = {reg.offset + index, 1};
+        return true;
     }
 
-    // ---- statements -----------------------------------------------------
+    // ---- statements -------------------------------------------------------
 
     void
-    parse_register_decl(bool quantum)
+    statement()
     {
-        if (!check(TokenKind::kIdentifier)) {
+        const std::string_view keyword = word();
+        if (keyword == "include") {
+            // The path is read and ignored.
+            if (!eat('"')) {
+                fail("expected include path");
+                return;
+            }
+            const std::size_t close = src_.find('"', pos_);
+            if (close == std::string_view::npos) {
+                fail("unterminated string literal");
+                return;
+            }
+            pos_ = close + 1;
+            expect(';');
+        } else if (keyword == "qreg" || keyword == "creg") {
+            declare(keyword == "qreg");
+        } else if (keyword == "measure") {
+            Operand q, c;
+            if (!operand(qregs_, "quantum", &q) || !expect('-', '>') ||
+                !operand(cregs_, "classical", &c)) {
+                return;
+            }
+            if (q.size != c.size) {
+                fail("measure operand sizes do not match");
+                return;
+            }
+            for (int i = 0; i < q.size; ++i) {
+                circuit_.measure(q.first + i, c.first + i);
+            }
+            expect(';');
+        } else if (keyword == "reset") {
+            Operand q;
+            if (!operand(qregs_, "quantum", &q)) return;
+            for (int i = 0; i < q.size; ++i) circuit_.reset(q.first + i);
+            expect(';');
+        } else if (keyword == "barrier") {
+            // Operands are checked and discarded: the IR barrier is global.
+            Operand ignored;
+            skip();
+            if (pos_ < src_.size() && is_alpha(src_[pos_])) {
+                do {
+                    if (!operand(qregs_, "quantum", &ignored)) return;
+                } while (eat(','));
+            }
+            circuit_.barrier();
+            expect(';');
+        } else if (keyword == "if") {
+            condition();
+        } else {
+            gate(keyword, -1, 1);
+        }
+    }
+
+    void
+    declare(bool quantum)
+    {
+        const std::string_view name = word();
+        if (name.empty()) {
             fail("expected register name");
             return;
         }
-        const std::string name = advance().text;
-        expect(TokenKind::kLBracket, "'['");
-        if (!check(TokenKind::kNumber)) {
-            fail("expected register size");
+        int size = 0;
+        if (!expect('[') || !integer("register size", &size) ||
+            !expect(']')) {
             return;
         }
-        const int size = static_cast<int>(advance().number);
-        expect(TokenKind::kRBracket, "']'");
-        expect(TokenKind::kSemicolon, "';'");
-        if (!ok_) return;
+        const int offset =
+            quantum ? circuit_.num_qubits() : circuit_.num_clbits();
         if (size <= 0) {
             fail("register size must be positive");
-            return;
-        }
-        auto& table = quantum ? qregs_ : cregs_;
-        if (table.count(name)) {
-            fail("duplicate register '" + name + "'");
-            return;
-        }
-        Register reg;
-        reg.size = size;
-        if (quantum) {
-            reg.offset = circuit_.num_qubits();
-            for (int i = 0; i < size; ++i) circuit_.add_qubit();
+        } else if (size > std::numeric_limits<int>::max() - offset) {
+            fail("register '" + std::string(name) + "' overflows int");
+        } else if (!(quantum ? qregs_ : cregs_)
+                        .emplace(name, Register{offset, size})
+                        .second) {
+            fail("duplicate register '" + std::string(name) + "'");
         } else {
-            reg.offset = circuit_.num_clbits();
-            for (int i = 0; i < size; ++i) circuit_.add_clbit();
-        }
-        table[name] = reg;
-    }
-
-    void
-    parse_measure()
-    {
-        auto qubits = parse_operand(qregs_, "quantum");
-        expect(TokenKind::kArrow, "'->'");
-        auto clbits = parse_operand(cregs_, "classical");
-        expect(TokenKind::kSemicolon, "';'");
-        if (!ok_) return;
-        if (qubits.size() != clbits.size()) {
-            fail("measure operand sizes do not match");
-            return;
-        }
-        for (std::size_t i = 0; i < qubits.size(); ++i) {
-            circuit_.measure(qubits[i], clbits[i]);
+            if (quantum) {
+                circuit_.add_qubit(size);
+            } else {
+                circuit_.add_clbit(size);
+            }
+            expect(';');
         }
     }
 
+    /// `if (c[k] == v) <gate>;`, or `if (c == v)` on a 1-bit register.
     void
-    parse_if()
+    condition()
     {
-        expect(TokenKind::kLParen, "'('");
-        if (!check(TokenKind::kIdentifier)) {
+        if (!expect('(')) return;
+        const std::string_view name = word();
+        if (name.empty()) {
             fail("expected classical register in condition");
             return;
         }
-        const std::string name = advance().text;
-        auto it = cregs_.find(name);
+        const auto it = cregs_.find(name);
         if (it == cregs_.end()) {
-            fail("unknown classical register '" + name + "'");
+            fail("unknown classical register '" + std::string(name) + "'");
             return;
         }
-        int bit;
-        if (match(TokenKind::kLBracket)) {
-            if (!check(TokenKind::kNumber)) {
-                fail("expected bit index");
-                return;
-            }
-            const int index = static_cast<int>(advance().number);
-            expect(TokenKind::kRBracket, "']'");
-            if (index < 0 || index >= it->second.size) {
+        const Register reg = it->second;
+        int bit = reg.offset;
+        if (eat('[')) {
+            int index = 0;
+            if (!integer("bit index", &index) || !expect(']')) return;
+            if (index >= reg.size) {
                 fail("condition bit out of range");
                 return;
             }
-            bit = it->second.offset + index;
-        } else if (it->second.size == 1) {
-            bit = it->second.offset;
-        } else {
+            bit += index;
+        } else if (reg.size != 1) {
             fail("whole-register conditions require a 1-bit register; "
                  "use the c[k] extension");
             return;
         }
-        expect(TokenKind::kEqualEqual, "'=='");
-        if (!check(TokenKind::kNumber)) {
-            fail("expected condition value");
+        int value = 0;
+        if (!expect('=', '=') || !integer("condition value", &value) ||
+            !expect(')')) {
             return;
         }
-        const int value = static_cast<int>(advance().number);
-        expect(TokenKind::kRParen, "')'");
-        if (!ok_) return;
         if (value != 0 && value != 1) {
             fail("single-bit condition value must be 0 or 1");
             return;
         }
-        parse_gate_application(bit, value);
+        gate(word(), bit, value);
+    }
+
+    /// One parameter: a constant-folded expression or, by the
+    /// named-parameter extension, a lone identifier other than `pi`.
+    void
+    angle(circuit::Instruction& instr)
+    {
+        const std::size_t mark = pos_;
+        const std::string_view name = word();
+        if (!name.empty() && name != "pi") {
+            skip();
+            const char next = pos_ < src_.size() ? src_[pos_] : '\0';
+            if (next == ',' || next == ')') {
+                circuit::ParamRef ref = circuit_.find_param(name);
+                if (ref == circuit::kNoParam) {
+                    ref = circuit_.add_param(std::string(name), 0.0);
+                }
+                instr.params.push_back(circuit_.param_value(ref));
+                instr.param_ref = ref;
+                return;
+            }
+        }
+        pos_ = mark;
+        instr.params.push_back(expression());
     }
 
     void
-    parse_gate_application(int condition_bit = -1, int condition_value = 1)
+    gate(std::string_view name, int condition_bit, int condition_value)
     {
-        if (!check(TokenKind::kIdentifier)) {
+        if (name.empty()) {
             fail("expected gate name");
             return;
         }
-        const std::string name = advance().text;
-        circuit::GateKind kind;
-        if (!circuit::gate_kind_from_name(name, &kind) ||
-            kind == circuit::GateKind::kMeasure ||
-            kind == circuit::GateKind::kBarrier) {
-            fail("unsupported gate '" + name + "'");
+        circuit::Instruction instr;
+        if (!circuit::gate_kind_from_name(name, &instr.kind) ||
+            instr.kind == GateKind::kMeasure ||
+            instr.kind == GateKind::kBarrier) {
+            fail("unsupported gate '" + std::string(name) + "'");
             return;
         }
-
-        std::vector<double> params;
-        std::vector<circuit::ParamRef> param_refs;
-        if (match(TokenKind::kLParen)) {
-            if (!check(TokenKind::kRParen)) {
-                do {
-                    // Named-parameter extension: a lone identifier
-                    // (other than `pi`) as the whole parameter
-                    // expression registers a symbolic parameter in
-                    // first-use order (initial value 0).
-                    if (check(TokenKind::kIdentifier) &&
-                        peek().text != "pi" &&
-                        (peek_next().kind == TokenKind::kComma ||
-                         peek_next().kind == TokenKind::kRParen)) {
-                        const std::string param = advance().text;
-                        circuit::ParamRef ref = circuit_.find_param(param);
-                        if (ref == circuit::kNoParam) {
-                            ref = circuit_.add_param(param, 0.0);
-                        }
-                        params.push_back(circuit_.param_value(ref));
-                        param_refs.push_back(ref);
-                    } else {
-                        params.push_back(parse_expression());
-                        param_refs.push_back(circuit::kNoParam);
-                    }
-                } while (match(TokenKind::kComma));
-            }
-            expect(TokenKind::kRParen, "')'");
+        instr.condition_bit = condition_bit;
+        instr.condition_value = condition_value;
+        if (eat('(') && !eat(')')) {
+            do {
+                angle(instr);
+            } while (error_.empty() && eat(','));
+            if (!expect(')')) return;
         }
-        if (ok_ && static_cast<int>(params.size()) !=
-                       circuit::gate_num_params(kind)) {
-            fail("wrong parameter count for gate '" + name + "'");
+        const GateKind kind = instr.kind;
+        if (static_cast<int>(instr.params.size()) !=
+            circuit::gate_num_params(kind)) {
+            fail("wrong parameter count for gate '" + std::string(name) + "'");
             return;
         }
-        circuit::ParamRef sym_ref = circuit::kNoParam;
-        for (circuit::ParamRef ref : param_refs) {
-            if (ref != circuit::kNoParam) sym_ref = ref;
-        }
-        if (ok_ && sym_ref != circuit::kNoParam &&
-            !(kind == circuit::GateKind::kRx ||
-              kind == circuit::GateKind::kRy ||
-              kind == circuit::GateKind::kRz ||
-              kind == circuit::GateKind::kRzz)) {
+        if (instr.is_symbolic() && kind != GateKind::kRx &&
+            kind != GateKind::kRy && kind != GateKind::kRz &&
+            kind != GateKind::kRzz) {
             fail("named parameters are only supported on rx/ry/rz/rzz");
             return;
         }
 
-        std::vector<std::vector<int>> operands;
-        operands.push_back(parse_operand(qregs_, "quantum"));
-        while (match(TokenKind::kComma)) {
-            operands.push_back(parse_operand(qregs_, "quantum"));
-        }
-        expect(TokenKind::kSemicolon, "';'");
-        if (!ok_) return;
-
         const int arity = circuit::gate_arity(kind);
-        if (static_cast<int>(operands.size()) != arity) {
-            // Whole-register broadcast only for single-qubit gates.
-            if (!(arity == 1 && operands.size() == 1)) {
-                fail("wrong operand count for gate '" + name + "'");
-                return;
-            }
+        Operand operands[3];
+        int count = 0;
+        do {
+            Operand op;
+            if (!operand(qregs_, "quantum", &op)) return;
+            if (count < arity) operands[count] = op;
+            ++count;
+        } while (eat(','));
+        if (count != arity) {
+            fail("wrong operand count for gate '" + std::string(name) + "'");
+            return;
         }
-        // Broadcast: all operand vectors must have equal length (or be
-        // scalar); QASM 2.0 semantics.
-        std::size_t length = 1;
-        for (const auto& ops : operands) {
-            if (ops.size() > 1) {
-                if (length > 1 && ops.size() != length) {
+        // Broadcast: every register operand has the same length; a
+        // single qubit repeats against it.
+        int length = 1;
+        for (int k = 0; k < count; ++k) {
+            if (operands[k].size > 1) {
+                if (length > 1 && operands[k].size != length) {
                     fail("mismatched broadcast lengths");
                     return;
                 }
-                length = ops.size();
+                length = operands[k].size;
             }
         }
-        for (std::size_t rep = 0; rep < length; ++rep) {
-            circuit::Instruction instr;
-            instr.kind = kind;
-            instr.params = params;
-            instr.param_ref = sym_ref;
-            instr.condition_bit = condition_bit;
-            instr.condition_value = condition_value;
-            for (const auto& ops : operands) {
-                instr.qubits.push_back(
-                    ops.size() == 1 ? ops[0] : ops[rep]);
-            }
-            circuit_.append(std::move(instr));
-        }
-    }
-
-    void
-    parse_statement()
-    {
-        if (match_identifier("include")) {
-            expect(TokenKind::kString, "include path");
-            expect(TokenKind::kSemicolon, "';'");
-            return;
-        }
-        if (match_identifier("qreg")) {
-            parse_register_decl(/*quantum=*/true);
-            return;
-        }
-        if (match_identifier("creg")) {
-            parse_register_decl(/*quantum=*/false);
-            return;
-        }
-        if (match_identifier("measure")) {
-            parse_measure();
-            return;
-        }
-        if (match_identifier("reset")) {
-            auto qubits = parse_operand(qregs_, "quantum");
-            expect(TokenKind::kSemicolon, "';'");
-            if (!ok_) return;
-            for (int q : qubits) circuit_.reset(q);
-            return;
-        }
-        if (match_identifier("barrier")) {
-            // Operands are parsed and discarded: the IR barrier is global.
-            if (check(TokenKind::kIdentifier)) {
-                parse_operand(qregs_, "quantum");
-                while (match(TokenKind::kComma)) {
-                    parse_operand(qregs_, "quantum");
+        for (int rep = 0; rep < length; ++rep) {
+            instr.qubits.clear();
+            for (int k = 0; k < count; ++k) {
+                const int q = operands[k].first +
+                              (operands[k].size == 1 ? 0 : rep);
+                if (instr.uses_qubit(q)) {
+                    fail("gate '" + std::string(name) +
+                         "' needs distinct qubit operands");
+                    return;
                 }
+                instr.qubits.push_back(q);
             }
-            expect(TokenKind::kSemicolon, "';'");
-            if (ok_) circuit_.barrier();
-            return;
+            circuit_.append(rep + 1 == length ? std::move(instr)
+                                              : circuit::Instruction(instr));
         }
-        if (match_identifier("if")) {
-            parse_if();
-            return;
-        }
-        parse_gate_application();
+        expect(';');
     }
 };
 
 }  // namespace
 
 util::StatusOr<circuit::Circuit>
-parse_circuit(const std::string& source)
+parse_circuit(std::string_view source)
 {
-    ParseResult result = parse(source);
-    if (!result.ok()) return util::Status::parse_error(result.error);
-    return std::move(*result.circuit);
+    return Reader(source).run();
+}
+
+util::StatusOr<std::string>
+read_file(const std::string& path)
+{
+    const auto close = [](std::FILE* stream) { std::fclose(stream); };
+    const std::unique_ptr<std::FILE, decltype(close)> file(
+        std::fopen(path.c_str(), "rbe"), close);
+    if (file == nullptr) {
+        if (errno == ENOENT || errno == ENOTDIR) {
+            return util::Status::not_found("no such file: '" + path + "'");
+        }
+        return util::Status::io_error("cannot open '" + path +
+                                      "': " + std::strerror(errno));
+    }
+    struct stat info;
+    if (::fstat(::fileno(file.get()), &info) != 0 ||
+        !S_ISREG(info.st_mode)) {
+        return util::Status::io_error("not a regular file: '" + path + "'");
+    }
+    // One read of the size fstat saw; a file that shrank since is cut.
+    std::string bytes(static_cast<std::size_t>(info.st_size), '\0');
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file.get()));
+    if (std::ferror(file.get()) != 0 || bytes.empty()) {
+        return util::Status::io_error("cannot read '" + path + "'");
+    }
+    return bytes;
 }
 
 util::StatusOr<circuit::Circuit>
 parse_circuit_file(const std::string& path)
 {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) {
-        return util::Status::not_found("no such file: '" + path + "'");
-    }
-    if (!std::filesystem::is_regular_file(path, ec)) {
-        return util::Status::io_error("not a regular file: '" + path +
-                                      "'");
-    }
-    std::ifstream file(path);
-    if (!file) {
-        return util::Status::io_error("cannot open '" + path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    if (file.bad() || buffer.fail()) {
-        return util::Status::io_error("cannot read '" + path + "'");
-    }
-    return parse_circuit(buffer.str());
-}
-
-ParseResult
-parse_file(const std::string& path)
-{
-    auto parsed = parse_circuit_file(path);
-    ParseResult result;
-    if (parsed.ok()) {
-        result.circuit = std::move(parsed).value();
-    } else {
-        result.error = parsed.status().message();
-    }
-    return result;
-}
-
-ParseResult
-parse(const std::string& source)
-{
-    std::string lex_error;
-    auto tokens = tokenize(source, &lex_error);
-    if (tokens.empty()) {
-        ParseResult result;
-        result.error = lex_error.empty() ? "empty input" : lex_error;
-        return result;
-    }
-    Parser parser(std::move(tokens));
-    return parser.run();
+    auto bytes = read_file(path);
+    if (!bytes.ok()) return bytes.status();
+    return parse_circuit(*bytes);
 }
 
 }  // namespace caqr::qasm

@@ -1,6 +1,6 @@
 /**
  * @file
- * OpenQASM 2.0 parser producing the circuit IR.
+ * One-pass OpenQASM 2.0 reader producing the circuit IR.
  *
  * Supported subset (everything the benchmark suite and CaQR output
  * need):
@@ -9,8 +9,10 @@
  *     to dense indices in declaration order)
  *   - gate applications for the IR vocabulary (h, x, ..., cx, rzz, ...)
  *     with constant-folded parameter expressions (`pi`, + - * /, unary
- *     minus, parentheses)
- *   - whole-register broadcast for single-qubit gates (`h q;`)
+ *     minus, parentheses); a multi-qubit gate's operands must be
+ *     distinct qubits
+ *   - whole-register broadcast (`h q;`, `cx a,b;` over equal-size
+ *     registers, a scalar operand repeated against a register)
  *   - `measure q[i] -> c[j];` (and whole-register broadcast)
  *   - `reset q[i];`
  *   - `barrier ...;` (operands ignored; acts as a full barrier)
@@ -25,14 +27,19 @@
  *     rx/ry/rz/rzz accept names, and only as the entire expression;
  *     compile-once / bind-many templates are built from this form.
  *
+ * Register sizes, indices and condition values are integer literals in
+ * `int` range (`q[1.5]`, `q[1e10]` and `== 1.7` are errors). Angles are
+ * decimal literals read to the double `strtod` gives; a malformed
+ * (`1.2.3`, `1e`) or out-of-range (`1e400`) one is an error.
+ *
  * Gate subroutine definitions (`gate ... { }`) and `opaque` are not
  * supported; the benchmarks are generated in terms of primitive gates.
  */
 #ifndef CAQR_QASM_PARSER_H
 #define CAQR_QASM_PARSER_H
 
-#include <optional>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.h"
 #include "util/status.h"
@@ -40,40 +47,20 @@
 namespace caqr::qasm {
 
 /**
- * Parses OpenQASM 2.0 source text. Failures carry
- * `util::StatusCode::kParseError` with a line-numbered message.
+ * Parses OpenQASM 2.0 source text in one pass over its bytes. Failures
+ * carry `util::StatusCode::kParseError` with a line-numbered message.
  */
-util::StatusOr<circuit::Circuit> parse_circuit(const std::string& source);
+util::StatusOr<circuit::Circuit> parse_circuit(std::string_view source);
 
 /**
- * Reads and parses a .qasm file. Missing paths report `kNotFound`,
- * unreadable ones (directories, permission failures, read errors)
- * `kIoError`, malformed content `kParseError`.
+ * Reads a whole file into memory. Missing paths report `kNotFound`;
+ * unreadable ones (directories, permission failures, read errors,
+ * empty files) report `kIoError`.
  */
+util::StatusOr<std::string> read_file(const std::string& path);
+
+/// `read_file` then `parse_circuit`; malformed content is `kParseError`.
 util::StatusOr<circuit::Circuit> parse_circuit_file(const std::string& path);
-
-// ---------------------------------------------------------------------
-// Deprecated shims (pre-StatusOr envelope); prefer parse_circuit*.
-// ---------------------------------------------------------------------
-
-/// Result of a parse: the circuit, or an error description.
-/// @deprecated Use `parse_circuit`, which returns the common envelope.
-struct ParseResult
-{
-    std::optional<circuit::Circuit> circuit;
-    std::string error;  ///< non-empty iff circuit is nullopt
-
-    bool ok() const { return circuit.has_value(); }
-};
-
-/// Parses OpenQASM 2.0 source text.
-/// @deprecated Use `parse_circuit`.
-ParseResult parse(const std::string& source);
-
-/// Reads and parses a .qasm file; reports I/O failures via the error
-/// field.
-/// @deprecated Use `parse_circuit_file`.
-ParseResult parse_file(const std::string& path);
 
 }  // namespace caqr::qasm
 

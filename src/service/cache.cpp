@@ -1,7 +1,7 @@
 #include "service/cache.h"
 
 #include <algorithm>
-#include <fstream>
+#include <charconv>
 #include <sstream>
 
 #include "qasm/parser.h"
@@ -11,13 +11,14 @@ namespace caqr {
 
 namespace {
 
+/// `%.17g`: enough digits to tell every two doubles apart.
 std::string
 fmt_double(double value)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    return os.str();
+    char text[32];
+    const auto end = std::to_chars(text, text + sizeof text, value,
+                                   std::chars_format::general, 17);
+    return std::string(text, end.ptr);
 }
 
 std::string
@@ -55,58 +56,35 @@ append_common(std::vector<std::string>& lines, const std::string& prefix,
                         static_cast<long long>(common.seed)));
 }
 
-/// The request's one input, read once for both keys: `text` holds
-/// inline QASM or the file's bytes; a circuit or commuting spec is
-/// borrowed from the request, the spec's edges pre-serialized.
-struct KeyInput
+void
+append_qs_commuting(std::vector<std::string>& lines,
+                    const core::QsCommutingOptions& options)
 {
-    const circuit::Circuit* circuit = nullptr;
-    const core::CommutingSpec* commuting = nullptr;
-    std::string text;
-    std::string edges;  ///< "edge u v" lines, canonical order
-};
+    lines.push_back(opt("qsc.target_qubits",
+                        static_cast<long long>(options.target_qubits)));
+    lines.push_back(opt("qsc.max_candidates",
+                        static_cast<long long>(options.max_candidates)));
+    lines.push_back(opt("qsc.exact_matching_limit",
+                        static_cast<long long>(
+                            options.scheduling.exact_matching_limit)));
+}
 
-util::StatusOr<KeyInput>
-read_key_input(const CompileRequest& request)
+/// A commuting spec's edges as "edge u v" lines in canonical order:
+/// the same interaction graph assembled in a different order must hash
+/// equal.
+std::string
+edge_lines(const core::CommutingSpec& spec)
 {
-    if (auto single = check_single_input(request); !single.ok()) {
-        return single;
+    std::vector<std::pair<int, int>> edges = spec.interaction.edges();
+    for (auto& [u, v] : edges) {
+        if (u > v) std::swap(u, v);
     }
-    KeyInput input;
-    if (request.commuting.has_value()) {
-        input.commuting = &*request.commuting;
-        // Edge identity, not insertion order: the same interaction
-        // graph assembled in a different order must hash equal.
-        std::vector<std::pair<int, int>> edges =
-            request.commuting->interaction.edges();
-        for (auto& [u, v] : edges) {
-            if (u > v) std::swap(u, v);
-        }
-        std::sort(edges.begin(), edges.end());
-        std::ostringstream os;
-        for (const auto& [u, v] : edges) {
-            os << "edge " << u << ' ' << v << '\n';
-        }
-        input.edges = std::move(os).str();
-    } else if (request.circuit.has_value()) {
-        input.circuit = &*request.circuit;
-    } else if (!request.qasm.empty()) {
-        input.text = request.qasm;
-    } else {
-        std::ifstream in(request.qasm_file, std::ios::binary);
-        if (!in) {
-            return util::Status::not_found("cannot read '" +
-                                           request.qasm_file + "'");
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        if (in.bad()) {
-            return util::Status::io_error("error reading '" +
-                                          request.qasm_file + "'");
-        }
-        input.text = std::move(buffer).str();
+    std::sort(edges.begin(), edges.end());
+    std::ostringstream os;
+    for (const auto& [u, v] : edges) {
+        os << "edge " << u << ' ' << v << '\n';
     }
-    return input;
+    return std::move(os).str();
 }
 
 /// The result-affecting option lines shared by `request_cache_key` and
@@ -159,18 +137,14 @@ request_option_lines(const CompileRequest& request)
                             : "duration")));
         break;
       case Strategy::kQsCommuting:
-        lines.push_back(opt("qsc.target_qubits",
-                            static_cast<long long>(
-                                request.qs_commuting.target_qubits)));
-        lines.push_back(opt("qsc.max_candidates",
-                            static_cast<long long>(
-                                request.qs_commuting.max_candidates)));
-        lines.push_back(opt(
-            "qsc.exact_matching_limit",
-            static_cast<long long>(
-                request.qs_commuting.scheduling.exact_matching_limit)));
+        append_qs_commuting(lines, request.qs_commuting);
         break;
       case Strategy::kSrCaqr:
+        // On a commuting input SR-CaQR sweeps reuse levels with the
+        // commuting QS engine first, under the request's options.
+        if (request.commuting.has_value()) {
+            append_qs_commuting(lines, request.qs_commuting);
+        }
         append_common(lines, "sr", request.sr);
         lines.push_back(opt("sr.error_aware", request.sr.error_aware));
         lines.push_back(opt("sr.trials",
@@ -219,62 +193,82 @@ canonicalize_option_lines(std::vector<std::string> lines)
     return out;
 }
 
-util::StatusOr<std::string>
-request_cache_key(const CompileRequest& request)
+util::StatusOr<std::string_view>
+read_qasm_source(const CompileRequest& request, std::string& storage)
 {
-    auto input = read_key_input(request);
-    if (!input.ok()) return input.status();
+    if (!request.qasm.empty() || request.qasm_file.empty()) {
+        return std::string_view(request.qasm);
+    }
+    auto bytes = qasm::read_file(request.qasm_file);
+    if (!bytes.ok()) return bytes.status();
+    storage = std::move(bytes).value();
+    return std::string_view(storage);
+}
+
+util::StatusOr<std::string>
+request_cache_key(const CompileRequest& request, std::string_view qasm)
+{
+    if (auto single = check_single_input(request); !single.ok()) {
+        return single;
+    }
     std::string key =
         "caqr-cache-v1\n" +
         canonicalize_option_lines(request_option_lines(request)) +
         "---input---\n";
-    if (const auto* spec = input->commuting) {
-        std::ostringstream os;
-        os << "commuting nodes=" << spec->interaction.num_nodes()
-           << " layers=" << spec->layers
-           << " symbolic=" << (spec->symbolic ? 1 : 0)
-           << " gamma=" << fmt_double(spec->gamma)
-           << " beta=" << fmt_double(spec->beta) << '\n';
+    if (const auto& spec = request.commuting) {
+        key += "commuting nodes=" +
+               std::to_string(spec->interaction.num_nodes()) +
+               " layers=" + std::to_string(spec->layers) +
+               " symbolic=" + (spec->symbolic ? "1" : "0") +
+               " gamma=" + fmt_double(spec->gamma) +
+               " beta=" + fmt_double(spec->beta) + '\n';
         for (double gamma : spec->gammas) {
-            os << "gamma_layer=" << fmt_double(gamma) << '\n';
+            key += "gamma_layer=" + fmt_double(gamma) + '\n';
         }
         for (double beta : spec->betas) {
-            os << "beta_layer=" << fmt_double(beta) << '\n';
+            key += "beta_layer=" + fmt_double(beta) + '\n';
         }
-        key += std::move(os).str();
-        key += input->edges;
-    } else if (input->circuit != nullptr) {
-        key += qasm::to_qasm(*input->circuit);
+        key += edge_lines(*spec);
+    } else if (request.circuit.has_value()) {
+        key += qasm::to_qasm(*request.circuit);
     } else {
-        key += input->text;
+        key += qasm;
     }
     return key;
 }
 
 util::StatusOr<std::string>
+request_cache_key(const CompileRequest& request)
+{
+    std::string storage;
+    auto qasm = read_qasm_source(request, storage);
+    if (!qasm.ok()) return qasm.status();
+    return request_cache_key(request, *qasm);
+}
+
+util::StatusOr<std::string>
 template_cache_key(const CompileRequest& request)
 {
-    auto input = read_key_input(request);
-    if (!input.ok()) return input.status();
+    if (auto single = check_single_input(request); !single.ok()) {
+        return single;
+    }
     std::string key =
         "caqr-template-v1\n" +
         canonicalize_option_lines(request_option_lines(request)) +
         "---skeleton---\n";
-    if (const auto* spec = input->commuting) {
+    if (const auto& spec = request.commuting) {
         // Angles are the template's parameters; structure is the graph
         // and the layer count.
         key += "commuting nodes=" +
                std::to_string(spec->interaction.num_nodes()) +
                " layers=" + std::to_string(spec->layers) + '\n';
-        key += input->edges;
-    } else if (input->circuit != nullptr) {
-        key += qasm::to_qasm_template(*input->circuit);
+        key += edge_lines(*spec);
+    } else if (request.circuit.has_value()) {
+        key += qasm::to_qasm_template(*request.circuit);
     } else {
-        // Textual inputs are parsed so named parameters mask out — the
-        // raw bytes differ per bound value, the template print does not.
-        auto parsed = qasm::parse_circuit(input->text);
-        if (!parsed.ok()) return parsed.status();
-        key += qasm::to_qasm_template(*parsed);
+        return util::Status::invalid_argument(
+            "a template key needs a circuit or commuting input; parse "
+            "QASM first");
     }
     return key;
 }

@@ -16,7 +16,9 @@
  *  - The key is derived from the request's input **content** (inline
  *    QASM text, file bytes, serialized circuit, or commuting spec),
  *    never from the file path — two paths to identical bytes share an
- *    entry, and an edited file misses.
+ *    entry, and an edited file misses. A file is read once per request
+ *    and the key and the compile share those bytes, so a report is
+ *    always stored under the content it was compiled from.
  *  - Options are serialized as sorted `key=value` lines
  *    (`canonicalize_option_lines`), so the order in which a caller
  *    populated them can never split the cache.
@@ -35,6 +37,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -52,17 +55,29 @@ namespace caqr {
 std::string canonicalize_option_lines(std::vector<std::string> lines);
 
 /**
- * Content-addressed cache key for @p request: the input content, the
+ * The QASM source of @p request: its inline text, or the bytes of its
+ * `qasm_file` read into @p storage (kNotFound / kIoError as
+ * `qasm::read_file`). Empty for circuit and commuting inputs. The
+ * service reads a request's file here once: its cache key and its load
+ * stage share these bytes.
+ */
+util::StatusOr<std::string_view> read_qasm_source(
+    const CompileRequest& request, std::string& storage);
+
+/**
+ * Content-addressed cache key for @p request: the input content (@p qasm,
+ * the request's source from `read_qasm_source`, for a QASM input), the
  * canonical backend key (aliases like "mumbai" and "FakeMumbai"
  * collapse), the strategy, and every result-affecting option in
  * canonical order. Requests that differ only in `num_threads`, `name`,
- * or `tenant` share a key.
- *
- * Fails with kIoError/kNotFound when a file input cannot be read and
- * kInvalidArgument unless the request names exactly one input —
- * callers fall back to an uncached compile, which reports the same
- * failure through the usual envelope.
+ * or `tenant` share a key. kInvalidArgument unless the request names
+ * exactly one input.
  */
+util::StatusOr<std::string> request_cache_key(const CompileRequest& request,
+                                              std::string_view qasm);
+
+/// `request_cache_key` over the source `read_qasm_source` returns; an
+/// unreadable file fails with its kNotFound / kIoError.
 util::StatusOr<std::string> request_cache_key(
     const CompileRequest& request);
 
@@ -71,11 +86,12 @@ util::StatusOr<std::string> request_cache_key(
  * the same canonical option lines as `request_cache_key`, but the
  * input is serialized by *structure*, masking bound parameter values —
  * circuits print through `to_qasm_template` (parameter names instead
- * of current angles; inline/file QASM is parsed first), commuting
- * specs flatten to nodes/layers plus sorted edges with no angles. Two
- * requests that differ only in rotation angles carried by named
- * parameters (or commuting γ/β) share a skeleton, so a hot template
- * survives across bind sessions in the template tier.
+ * of current angles), commuting specs flatten to nodes/layers plus
+ * sorted edges with no angles. Two requests that differ only in
+ * rotation angles carried by named parameters (or commuting γ/β) share
+ * a skeleton, so a hot template survives across bind sessions in the
+ * template tier. A QASM input is kInvalidArgument: `compile_template`
+ * parses it once and keys the parsed circuit.
  */
 util::StatusOr<std::string> template_cache_key(
     const CompileRequest& request);

@@ -326,6 +326,10 @@ Service::compile(const CompileRequest& request)
 
     CompileReport report = [&]() -> CompileReport {
         util::trace::Span span("service.compile");
+        // A file input is read once: the cache key and the load stage
+        // share its bytes.
+        std::string storage;
+        const auto qasm = read_qasm_source(request, storage);
 
         // Content-addressed fast path: when a cache is configured and
         // the request's input is addressable, a hit replays the stored
@@ -333,8 +337,8 @@ Service::compile(const CompileRequest& request)
         // cached, and a request whose key cannot be computed (e.g.
         // unreadable file) falls through to the pipeline, which
         // reports the same failure.
-        if (cache_ != nullptr) {
-            const auto key = request_cache_key(request);
+        if (cache_ != nullptr && qasm.ok()) {
+            const auto key = request_cache_key(request, *qasm);
             if (key.ok()) {
                 const auto start = std::chrono::steady_clock::now();
                 const auto hit = cache_->get(*key);
@@ -358,7 +362,7 @@ Service::compile(const CompileRequest& request)
                     metrics_.add("service.cache.miss.tenant." + tenant,
                                  1.0);
                 }
-                CompileReport fresh = compile_uncached(request);
+                CompileReport fresh = compile_uncached(request, qasm);
                 record_request_metrics(request, fresh);
                 if (fresh.ok()) {
                     cache_->put(*key,
@@ -368,7 +372,7 @@ Service::compile(const CompileRequest& request)
             }
         }
 
-        CompileReport fresh = compile_uncached(request);
+        CompileReport fresh = compile_uncached(request, qasm);
         record_request_metrics(request, fresh);
         return fresh;
     }();
@@ -414,6 +418,7 @@ Service::maybe_write_slow_trace(const CompileReport& report,
 
 CompileReport
 Service::compile_uncached(const CompileRequest& request,
+                          const util::StatusOr<std::string_view>& qasm,
                           TemplateCapture* capture)
 {
     CompileReport report;
@@ -473,12 +478,9 @@ Service::compile_uncached(const CompileRequest& request,
         }
         if (request.circuit.has_value()) {
             input = *request.circuit;
-        } else if (!request.qasm.empty()) {
-            auto parsed = qasm::parse_circuit(request.qasm);
-            if (!parsed.ok()) return parsed.status();
-            input = std::move(parsed).value();
         } else {
-            auto parsed = qasm::parse_circuit_file(request.qasm_file);
+            if (!qasm.ok()) return qasm.status();
+            auto parsed = qasm::parse_circuit(*qasm);
             if (!parsed.ok()) return parsed.status();
             input = std::move(parsed).value();
         }
@@ -659,6 +661,21 @@ Service::compile_template(const CompileRequest& request)
         // Commuting angles become named gamma<l>/beta<l> parameters so
         // the frozen schedule stays rebindable.
         shaped.commuting->symbolic = true;
+    } else if (!shaped.circuit.has_value()) {
+        // A QASM input is parsed once: the skeleton key and the compile
+        // both read the parsed circuit.
+        if (auto single = check_single_input(request); !single.ok()) {
+            return single;
+        }
+        std::string storage;
+        const auto qasm = read_qasm_source(request, storage);
+        if (!qasm.ok()) return qasm.status();
+        auto parsed = qasm::parse_circuit(*qasm);
+        if (!parsed.ok()) return parsed.status();
+        shaped.name = report_name(request);
+        shaped.qasm.clear();
+        shaped.qasm_file.clear();
+        shaped.circuit = std::move(parsed).value();
     }
     const auto key = template_cache_key(shaped);
     if (!key.ok()) return key.status();
@@ -671,10 +688,10 @@ Service::compile_template(const CompileRequest& request)
         return TemplateHandle{resident->id};
     }
 
-    CompileRequest once = shaped;
-    once.simulate = false;  // deferred to bind time
+    shaped.simulate = false;  // deferred to bind time
     TemplateCapture capture;
-    CompileReport base = compile_uncached(once, &capture);
+    CompileReport base =
+        compile_uncached(shaped, std::string_view(), &capture);
     if (!base.ok()) return base.status;
 
     auto built = std::make_shared<CompiledTemplate>();

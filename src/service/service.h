@@ -40,6 +40,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -383,8 +384,12 @@ class Service
         TemplateHandle handle) const;
 
   private:
-    CompileReport compile_uncached(const CompileRequest& request,
-                                   TemplateCapture* capture = nullptr);
+    /// The pipeline; @p qasm is the request's source as
+    /// `read_qasm_source` returned it.
+    CompileReport compile_uncached(
+        const CompileRequest& request,
+        const util::StatusOr<std::string_view>& qasm,
+        TemplateCapture* capture = nullptr);
     void record_request_metrics(const CompileRequest& request,
                                 const CompileReport& report);
     void maybe_write_slow_trace(const CompileReport& report,

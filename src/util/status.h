@@ -7,9 +7,9 @@
  * failure through one vocabulary: a `Status` carrying a machine-usable
  * code plus a human-readable message, or a `StatusOr<T>` carrying
  * either a value or such a status. This replaces the historical mix of
- * bool flags (`ParseResult.ok`), empty-circuit sentinels, and
- * process-aborting checks for conditions that are really *user input*
- * errors, not programming errors.
+ * bool flags, empty-circuit sentinels, and process-aborting checks for
+ * conditions that are really *user input* errors, not programming
+ * errors.
  *
  * Conventions:
  *  - `Status::ok()` / `StatusOr::ok()` gate every access; reading the

@@ -114,11 +114,11 @@ TEST(QasmIntegration, TransformedDynamicCircuitRoundTrips)
     const auto result = core::qs_caqr_or(apps::bv_circuit(6)).value();
     const auto reused = result.circuit(result.versions.size() - 1);
     const auto text = qasm::to_qasm(reused);
-    const auto parsed = qasm::parse(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const auto parsed = qasm::parse_circuit(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
     // The reparsed dynamic circuit still solves BV.
     const auto counts =
-        sim::simulate(*parsed.circuit, {.shots = 64, .seed = 71});
+        sim::simulate(*parsed, {.shots = 64, .seed = 71});
     ASSERT_EQ(counts.size(), 1u);
     EXPECT_EQ(counts.begin()->first, apps::bv_expected(6));
 }
@@ -127,9 +127,9 @@ TEST(QasmIntegration, SrOutputRoundTrips)
 {
     const auto backend = arch::Backend::fake_mumbai();
     const auto result = core::sr_caqr_or(apps::bv_circuit(5), backend).value();
-    const auto parsed = qasm::parse(qasm::to_qasm(result.circuit));
-    ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_EQ(parsed.circuit->size(), result.circuit.size());
+    const auto parsed = qasm::parse_circuit(qasm::to_qasm(result.circuit));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    EXPECT_EQ(parsed->size(), result.circuit.size());
 }
 
 TEST(Fidelity, ReuseImprovesNoisyBvTvd)

@@ -239,6 +239,36 @@ TEST(ServerFaults, MalformedFramesKeepServing)
     EXPECT_TRUE(compiled->ok) << compiled->final_line();
 }
 
+/// A served compile of a file with repeated operands used to abort the
+/// whole server in `Circuit::append`; it now answers with a parse error
+/// and the session keeps serving.
+TEST(ServerFaults, RepeatedOperandsKeepServing)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) /
+        ("caqr_repeated_operands_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    TestServer ts;
+    auto client = ts.client();
+    for (const char* gate : {"cx q[0],q[0];", "cx q,q;",
+                             "ccx q[0],q[1],q[0];"}) {
+        const fs::path path = dir / "repeated.qasm";
+        std::ofstream(path) << "OPENQASM 2.0;\nqreg q[2];\n" << gate << "\n";
+        const auto response = client.command("compile " + path.string());
+        ASSERT_TRUE(response.ok()) << response.status().to_string();
+        EXPECT_FALSE(response->ok) << response->final_line();
+        EXPECT_NE(response->final_line().find("line 3"), std::string::npos)
+            << response->final_line();
+    }
+
+    const auto compiled =
+        client.command("compile " + circuits_dir() + "/bv_10.qasm");
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_TRUE(compiled->ok) << compiled->final_line();
+    fs::remove_all(dir);
+}
+
 /// A line past max_line_bytes gets one error response and a close;
 /// the server keeps accepting fresh sessions and counts the event.
 TEST(ServerFaults, OversizedLineClosesOnlyThatSession)

@@ -109,6 +109,38 @@ TEST(ServiceCompile, MissingFileIsNotFound)
     EXPECT_EQ(report.status.code(), util::StatusCode::kNotFound);
 }
 
+/// Repeated operands used to abort the process, in `Circuit::append`
+/// (two-qubit gates) or later in decomposition (ccx). A compile reports
+/// them as a line-numbered parse error, inline or from a file, with the
+/// cache on or off.
+TEST(ServiceCompile, RepeatedOperandsAreParseErrors)
+{
+    const fs::path dir =
+        fs::temp_directory_path() / "caqr_repeated_operand_test";
+    fs::create_directories(dir);
+    const fs::path path = dir / "repeated.qasm";
+    for (const std::size_t cache : {std::size_t{0}, std::size_t{8}}) {
+        Service service({.num_threads = 1, .cache_capacity = cache});
+        for (const char* gate : {"cx q[0],q[0];", "ccx q[0],q[1],q[0];"}) {
+            const std::string source =
+                std::string("OPENQASM 2.0;\nqreg q[2];\n") + gate + "\n";
+            std::ofstream(path) << source;
+            CompileRequest inline_qasm;
+            inline_qasm.qasm = source;
+            CompileRequest by_file;
+            by_file.qasm_file = path.string();
+            for (const auto* request : {&inline_qasm, &by_file}) {
+                const auto report = service.compile(*request);
+                EXPECT_EQ(report.status.code(), util::StatusCode::kParseError)
+                    << gate;
+                EXPECT_EQ(report.status.message().rfind("line 3: ", 0), 0u)
+                    << report.status.to_string();
+            }
+        }
+    }
+    fs::remove_all(dir);
+}
+
 TEST(ServiceCompile, UnreachableTargetIsInfeasible)
 {
     Service service({.num_threads = 1});
@@ -502,6 +534,49 @@ TEST(RequestCacheKey, UnreadableOrMissingInputFails)
 
     CompileRequest none;
     EXPECT_FALSE(request_cache_key(none).ok());
+}
+
+/// SR-CaQR on a commuting input first sweeps reuse levels with the
+/// commuting QS engine under the request's `qs_commuting` options, so
+/// those options split its key; a cached service answers a changed
+/// target with a fresh compile, not the first request's report.
+TEST(RequestCacheKey, SrCaqrCommutingKeysItsQsCommutingOptions)
+{
+    util::Rng rng(6);
+    CompileRequest request;
+    request.strategy = Strategy::kSrCaqr;
+    request.commuting = core::CommutingSpec{};
+    request.commuting->interaction = graph::random_graph(10, 0.3, rng);
+    const auto base = request_cache_key(request);
+    ASSERT_TRUE(base.ok()) << base.status().to_string();
+
+    CompileRequest targeted = request;
+    targeted.qs_commuting.target_qubits = 9;
+    CompileRequest candidates = request;
+    candidates.qs_commuting.max_candidates = 7;
+    CompileRequest matching = request;
+    matching.qs_commuting.scheduling.exact_matching_limit = 3;
+    for (const auto* other : {&targeted, &candidates, &matching}) {
+        EXPECT_NE(*request_cache_key(*other), *base);
+    }
+
+    // A circuit input never reads them.
+    CompileRequest circuit;
+    circuit.strategy = Strategy::kSrCaqr;
+    circuit.circuit = apps::bv_circuit(4);
+    CompileRequest circuit_targeted = circuit;
+    circuit_targeted.qs_commuting.target_qubits = 9;
+    EXPECT_EQ(*request_cache_key(circuit_targeted),
+              *request_cache_key(circuit));
+
+    Service service({.num_threads = 1, .cache_capacity = 8});
+    const auto first = service.compile(request);
+    const auto second = service.compile(targeted);
+    ASSERT_TRUE(first.ok()) << first.status.to_string();
+    ASSERT_TRUE(second.ok()) << second.status.to_string();
+    EXPECT_FALSE(second.from_cache);
+    EXPECT_EQ(first.qubits, 6);
+    EXPECT_EQ(second.qubits, 8);
 }
 
 /// The registry counter @p name, 0 when it was never recorded.
