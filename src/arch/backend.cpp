@@ -17,25 +17,14 @@ Backend::Backend(std::string name, graph::UndirectedGraph topology,
       calibration_(std::move(calibration)),
       distances_(topology_.all_pairs_distances())
 {
-    CAQR_CHECK(calibration_.num_qubits() == topology_.num_nodes(),
+    const auto& edges = topology_.edges();
+    CAQR_CHECK(calibration_.qubits.size() ==
+                       static_cast<std::size_t>(topology_.num_nodes()) &&
+                   calibration_.links.size() == edges.size(),
                "calibration does not cover the topology");
     const int n = num_qubits();
-    total_distance_.assign(static_cast<std::size_t>(n), 0);
-    best_cx_error_.assign(static_cast<std::size_t>(n), 1.0);
-    for (int q = 0; q < n; ++q) {
-        for (int d : distances_[static_cast<std::size_t>(q)]) {
-            total_distance_[q] += d < 0 ? n : d;
-        }
-        for (int nb : topology_.neighbors(q)) {
-            if (calibration_.has_link(q, nb)) {
-                best_cx_error_[q] = std::min(
-                    best_cx_error_[q], calibration_.link(q, nb).cx_error);
-            }
-        }
-    }
 
     // Counting sort of both endpoints of every edge into CSR rows.
-    const auto& edges = topology_.edges();
     link_start_.assign(static_cast<std::size_t>(n) + 1, 0);
     for (const auto& [a, b] : edges) {
         ++link_start_[a];
@@ -47,11 +36,21 @@ Backend::Backend(std::string name, graph::UndirectedGraph topology,
     links_.resize(2 * edges.size());
     for (int id = 0; id < static_cast<int>(edges.size()); ++id) {
         const auto [a, b] = edges[static_cast<std::size_t>(id)];
-        const double cx_error = calibration_.has_link(a, b)
-                                    ? calibration_.link(a, b).cx_error
-                                    : 0.0;
-        links_[--link_start_[a]] = {b, id, cx_error};
-        links_[--link_start_[b]] = {a, id, cx_error};
+        links_[--link_start_[a]] = {b, id};
+        links_[--link_start_[b]] = {a, id};
+    }
+
+    total_distance_.assign(static_cast<std::size_t>(n), 0);
+    best_cx_error_.assign(static_cast<std::size_t>(n), 1.0);
+    for (int q = 0; q < n; ++q) {
+        for (int d : distances_[static_cast<std::size_t>(q)]) {
+            total_distance_[q] += d < 0 ? n : d;
+        }
+        for (const Link& link : links(q)) {
+            best_cx_error_[q] =
+                std::min(best_cx_error_[q],
+                         calibration_.links[link.id].cx_error);
+        }
     }
 }
 
@@ -73,6 +72,30 @@ Backend::scaled_heavy_hex(int min_qubits, unsigned seed)
     std::string name = "HeavyHex" + std::to_string(topology.num_nodes());
     return Backend(std::move(name), std::move(topology),
                    std::move(calibration));
+}
+
+namespace {
+
+/// CX error assumed for a two-qubit gate on a pair that shares no link;
+/// the ESP estimate and the backend noise model share it.
+constexpr double kUncalibratedCxError = 0.02;
+
+}  // namespace
+
+double
+Backend::cx_error(int a, int b) const
+{
+    const Link* link = find_link(a, b);
+    return link != nullptr ? calibration_.links[link->id].cx_error
+                           : kUncalibratedCxError;
+}
+
+double
+Backend::cx_duration_dt(int a, int b) const
+{
+    const Link* link = find_link(a, b);
+    return link != nullptr ? calibration_.links[link->id].cx_duration_dt
+                           : circuit::LogicalDurations::kTwoQubitGate;
 }
 
 double
@@ -100,12 +123,8 @@ CalibratedDurations::duration(const circuit::Instruction& instr) const
                                     LogicalDurations::kOneQubitGate
                               : 0.0;
     if (circuit::is_two_qubit(instr.kind)) {
-        const int a = instr.qubits[0];
-        const int b = instr.qubits[1];
-        double cx = LogicalDurations::kTwoQubitGate;
-        if (backend_->calibration().has_link(a, b)) {
-            cx = backend_->calibration().link(a, b).cx_duration_dt;
-        }
+        const double cx =
+            backend_->cx_duration_dt(instr.qubits[0], instr.qubits[1]);
         return feedforward +
                (instr.kind == GateKind::kSwap ? 3 * cx : cx);
     }
@@ -137,10 +156,8 @@ esp_from_schedule(const circuit::Circuit& circuit, const Backend& backend,
             break;
           default:
             if (circuit::is_two_qubit(instr.kind)) {
-                const int a = instr.qubits[0];
-                const int b = instr.qubits[1];
-                double err = kUncalibratedCxError;
-                if (cal.has_link(a, b)) err = cal.link(a, b).cx_error;
+                const double err =
+                    backend.cx_error(instr.qubits[0], instr.qubits[1]);
                 const int copies =
                     instr.kind == GateKind::kSwap ? 3 : 1;
                 for (int i = 0; i < copies; ++i) esp *= 1.0 - err;

@@ -34,9 +34,9 @@ class Backend
     /// A physical link seen from one endpoint.
     struct Link
     {
-        int neighbor;     ///< the other endpoint
-        int id;           ///< dense id: its index in topology().edges()
-        double cx_error;  ///< calibrated CX error; 0 when uncalibrated
+        int neighbor;  ///< the other endpoint
+        int id;        ///< dense id: its index in topology().edges()
+                       ///< and in calibration().links
     };
 
     /// 27-qubit dynamic-circuit-capable device modeled on IBM Mumbai.
@@ -83,8 +83,8 @@ class Backend
         return total_distance_[static_cast<std::size_t>(q)];
     }
 
-    /// Lowest CX error among the calibrated links incident to @p q;
-    /// 1.0 if it has none.
+    /// Lowest CX error among the links incident to @p q; 1.0 if it has
+    /// none.
     double
     best_incident_cx_error(int q) const
     {
@@ -94,8 +94,8 @@ class Backend
     }
 
     /// The links incident to @p q, one per topology neighbor, built
-    /// once at construction: routing reads a candidate SWAP's id and
-    /// error bias here instead of searching the calibration table.
+    /// once at construction: routing reads a candidate SWAP's id here
+    /// and its calibration at `calibration().links[id]`.
     std::span<const Link>
     links(int q) const
     {
@@ -119,6 +119,28 @@ class Backend
     {
         return topology_.has_edge(a, b);
     }
+
+    /// The link between @p a and @p b, or null when they share none
+    /// (including ids out of range). Scans one short row: heavy-hex
+    /// degree is at most 3.
+    const Link*
+    find_link(int a, int b) const
+    {
+        if (a < 0 || a >= num_qubits()) return nullptr;
+        const auto end = links_.begin() + link_start_[a + 1];
+        for (auto it = links_.begin() + link_start_[a]; it != end; ++it) {
+            if (it->neighbor == b) return &*it;
+        }
+        return nullptr;
+    }
+
+    /// Calibrated CX error of link {@p a, @p b}; a fixed fallback for a
+    /// pair that shares no link.
+    double cx_error(int a, int b) const;
+
+    /// Calibrated CX duration (dt) of link {@p a, @p b};
+    /// `LogicalDurations::kTwoQubitGate` for a pair that shares no link.
+    double cx_duration_dt(int a, int b) const;
 
   private:
     std::string name_;
@@ -148,10 +170,10 @@ safe_distance(const Backend& backend, int a, int b)
 }
 
 /**
- * Duration model calibrated to a backend: CX durations come from the
- * link table (operands are *physical* qubit ids), SWAPs cost three CX
- * of that link, measurements/resets and conditioned gates use the
- * logical-model constants.
+ * Duration model calibrated to a backend: CX durations come from
+ * `Backend::cx_duration_dt` (operands are *physical* qubit ids), SWAPs
+ * cost three CX of that link, measurements/resets and conditioned
+ * gates use the logical-model constants.
  */
 class CalibratedDurations : public circuit::DurationModel
 {
@@ -164,10 +186,6 @@ class CalibratedDurations : public circuit::DurationModel
   private:
     const Backend* backend_;
 };
-
-/// CX error assumed for a two-qubit gate on a link the calibration does
-/// not cover; the ESP estimate and the backend noise model share it.
-inline constexpr double kUncalibratedCxError = 0.02;
 
 /**
  * Estimated success probability of a hardware-mapped circuit:

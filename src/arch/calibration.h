@@ -3,7 +3,7 @@
  * Device calibration data: per-qubit readout errors and coherence
  * times, per-link CNOT error rates and durations.
  *
- * The paper exports real calibration from IBM systems ("including the
+ * The paper reads real calibration from IBM systems ("including the
  * CNOT duration, CNOT error for each physical link, and qubit readout
  * errors", §4.1). We synthesize representative values deterministically
  * from qubit/link ids so every experiment is reproducible; magnitudes
@@ -12,8 +12,6 @@
 #ifndef CAQR_ARCH_CALIBRATION_H
 #define CAQR_ARCH_CALIBRATION_H
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/undirected_graph.h"
@@ -37,11 +35,14 @@ struct LinkCalibration
     double cx_duration_dt = 1800;  ///< CNOT duration in dt cycles
 };
 
-/// Calibration table for a device topology.
-class Calibration
+/// Calibration of a device topology: one record per qubit and one per
+/// link. `Backend` maps a physical pair to its link record.
+struct Calibration
 {
-  public:
-    Calibration() = default;
+    /// Indexed by qubit id.
+    std::vector<QubitCalibration> qubits;
+    /// Indexed by link id: links[i] calibrates topology.edges()[i].
+    std::vector<LinkCalibration> links;
 
     /**
      * Synthesizes a deterministic calibration for @p topology using
@@ -55,48 +56,10 @@ class Calibration
     const QubitCalibration&
     qubit(int q) const
     {
-        CAQR_CHECK(q >= 0 && q < num_qubits(), "qubit id out of range");
-        return qubits_[static_cast<std::size_t>(q)];
+        CAQR_CHECK(q >= 0 && q < static_cast<int>(qubits.size()),
+                   "qubit id out of range");
+        return qubits[static_cast<std::size_t>(q)];
     }
-
-    const LinkCalibration& link(int a, int b) const;
-    bool has_link(int a, int b) const;
-
-    int num_qubits() const { return static_cast<int>(qubits_.size()); }
-
-    /// Mutable access for tests / custom devices.
-    void set_qubit(int q, QubitCalibration cal);
-    void set_link(int a, int b, LinkCalibration cal);
-
-    /// @name Calibration snapshot I/O
-    /// The paper consumes "real calibration data exported from the IBM
-    /// systems"; these serialize the same fields in a line-oriented
-    /// text format (`qubit <id> <readout> <t1_us> <t2_us> <sx_error>` /
-    /// `link <a> <b> <cx_error> <cx_duration_dt>`, `#` comments).
-    /// @{
-    std::string serialize() const;
-    static std::optional<Calibration> deserialize(const std::string& text,
-                                                  std::string* error);
-    bool save_file(const std::string& path) const;
-    static std::optional<Calibration> load_file(const std::string& path,
-                                                std::string* error);
-    /// @}
-
-  private:
-    /// A link stored in the row of its lower endpoint.
-    struct LinkEntry
-    {
-        int high;
-        LinkCalibration cal;
-    };
-
-    /// The record of link {a, b}, or null when it has none.
-    const LinkCalibration* find_link(int a, int b) const;
-
-    std::vector<QubitCalibration> qubits_;
-    /// links_[lo] holds lo's links to higher ids, sorted by the high
-    /// endpoint: a lookup scans one short row (heavy-hex degree <= 3).
-    std::vector<std::vector<LinkEntry>> links_;
 };
 
 }  // namespace caqr::arch

@@ -322,11 +322,7 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
         if (state.ever_used[p]) key += 0.5;
         if (state.config->error_aware) {
             key += backend.calibration().qubit(p).readout_error;
-            if (d == 1) {
-                for (const auto& link : backend.links(partner_phys)) {
-                    if (link.neighbor == p) key += link.cx_error;
-                }
-            }
+            if (d == 1) key += backend.cx_error(partner_phys, p);
         }
         key += state.noise();
         if (key < best_key) {

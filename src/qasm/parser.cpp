@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 
@@ -65,8 +65,9 @@ class Reader
     explicit Reader(std::string_view source) : src_(source)
     {
         // One instruction per statement, unless a statement broadcasts.
-        circuit_.reserve(static_cast<std::size_t>(
-            std::count(source.begin(), source.end(), ';')));
+        circuit_.reserve(static_cast<std::size_t>(std::min<std::ptrdiff_t>(
+            std::count(source.begin(), source.end(), ';'),
+            kMaxInstructions)));
     }
 
     util::StatusOr<circuit::Circuit>
@@ -323,6 +324,18 @@ class Reader
 
     // ---- statements -------------------------------------------------------
 
+    /// False (and a failure) unless @p count more instructions keep the
+    /// program within kMaxInstructions.
+    bool
+    room(int count)
+    {
+        if (static_cast<int>(circuit_.size()) <= kMaxInstructions - count) {
+            return true;
+        }
+        return fail("statement takes the program past " +
+                    std::to_string(kMaxInstructions) + " instructions");
+    }
+
     void
     statement()
     {
@@ -352,13 +365,14 @@ class Reader
                 fail("measure operand sizes do not match");
                 return;
             }
+            if (!room(q.size)) return;
             for (int i = 0; i < q.size; ++i) {
                 circuit_.measure(q.first + i, c.first + i);
             }
             expect(';');
         } else if (keyword == "reset") {
             Operand q;
-            if (!operand(qregs_, "quantum", &q)) return;
+            if (!operand(qregs_, "quantum", &q) || !room(q.size)) return;
             for (int i = 0; i < q.size; ++i) circuit_.reset(q.first + i);
             expect(';');
         } else if (keyword == "barrier") {
@@ -370,6 +384,7 @@ class Reader
                     if (!operand(qregs_, "quantum", &ignored)) return;
                 } while (eat(','));
             }
+            if (!room(1)) return;
             circuit_.barrier();
             expect(';');
         } else if (keyword == "if") {
@@ -396,8 +411,10 @@ class Reader
             quantum ? circuit_.num_qubits() : circuit_.num_clbits();
         if (size <= 0) {
             fail("register size must be positive");
-        } else if (size > std::numeric_limits<int>::max() - offset) {
-            fail("register '" + std::string(name) + "' overflows int");
+        } else if (size > kMaxBits - offset) {
+            fail("register '" + std::string(name) +
+                 "' takes the program past " + std::to_string(kMaxBits) +
+                 (quantum ? " qubits" : " clbits"));
         } else if (!(quantum ? qregs_ : cregs_)
                         .emplace(name, Register{offset, size})
                         .second) {
@@ -538,6 +555,7 @@ class Reader
                 length = operands[k].size;
             }
         }
+        if (!room(length)) return;
         for (int rep = 0; rep < length; ++rep) {
             instr.qubits.clear();
             for (int k = 0; k < count; ++k) {

@@ -32,6 +32,11 @@
  * decimal literals read to the double `strtod` gives; a malformed
  * (`1.2.3`, `1e`) or out-of-range (`1e400`) one is an error.
  *
+ * A program may declare at most `kMaxBits` qubits and `kMaxBits` clbits
+ * in total and expand to at most `kMaxInstructions` instructions; a
+ * declaration or statement past either cap is an error, reported
+ * before anything is allocated for it.
+ *
  * Gate subroutine definitions (`gate ... { }`) and `opaque` are not
  * supported; the benchmarks are generated in terms of primitive gates.
  */
@@ -45,6 +50,14 @@
 #include "util/status.h"
 
 namespace caqr::qasm {
+
+/// Cap on a program's total qubits, and separately on its clbits: 37x
+/// the largest modeled device (heavy-hex, 433 qubits).
+inline constexpr int kMaxBits = 1 << 14;
+
+/// Cap on a program's instructions after broadcast expansion: over 50x
+/// the largest benchmarked input circuit (a few thousand instructions).
+inline constexpr int kMaxInstructions = 1 << 18;
 
 /**
  * Parses OpenQASM 2.0 source text in one pass over its bytes. Failures

@@ -23,8 +23,8 @@
  *    (`canonicalize_option_lines`), so the order in which a caller
  *    populated them can never split the cache.
  *  - Execution knobs that provably do not change the result —
- *    `num_threads` (bit-identical guarantee), the request `name`, the
- *    metrics `tenant` tag — are excluded.
+ *    `num_threads` (bit-identical guarantee) and the request `name` —
+ *    are excluded.
  *
  * Both tiers are an `Lru<V>`, which counts only through the
  * `util::metrics::Registry` it is given: `service.cache.{hit,miss,
@@ -69,8 +69,8 @@ util::StatusOr<std::string_view> read_qasm_source(
  * the request's source from `read_qasm_source`, for a QASM input), the
  * canonical backend key (aliases like "mumbai" and "FakeMumbai"
  * collapse), the strategy, and every result-affecting option in
- * canonical order. Requests that differ only in `num_threads`, `name`,
- * or `tenant` share a key. kInvalidArgument unless the request names
+ * canonical order. Requests that differ only in `num_threads` or
+ * `name` share a key. kInvalidArgument unless the request names
  * exactly one input.
  */
 util::StatusOr<std::string> request_cache_key(const CompileRequest& request,

@@ -101,7 +101,6 @@ Session::Session(Service& service, const SessionOptions& options)
 {
     prototype_.strategy = options.strategy;
     prototype_.backend = options.backend;
-    prototype_.tenant = options.tenant;
     // The serving level owns the parallelism — sessions compile
     // concurrently — so each request compiles serially.
     prototype_.qs.num_threads = 1;
@@ -139,7 +138,7 @@ Session::handle_line(const std::string& line)
         out << "# compile <file.qasm> | batch <dir|manifest> |"
                " template <file.qasm> | bind <id> <value...> |"
                " stats [json] |"
-               " set strategy|backend|tenant <name> |"
+               " set strategy|backend <name> |"
                " set trials|threads <n> | version | reset | quit\n"
             << "ok help\n";
     } else if (command == "version") {
@@ -256,9 +255,6 @@ Session::handle_line(const std::string& line)
             }
             prototype_.backend = value;
             out << "ok set backend " << (*resolved)->name() << "\n";
-        } else if (key == "tenant") {
-            prototype_.tenant = value;
-            out << "ok set tenant " << value << "\n";
         } else if (key == "trials" || key == "threads") {
             int parsed = 0;
             try {
@@ -285,8 +281,7 @@ Session::handle_line(const std::string& line)
             }
             out << "ok set " << key << " " << parsed << "\n";
         } else {
-            out << "error set knows strategy|backend|tenant|trials|"
-                   "threads, not '"
+            out << "error set knows strategy|backend|trials|threads, not '"
                 << key << "'\n";
         }
     } else if (command == "reset") {

@@ -4,9 +4,9 @@
  *
  * One `serve::Session` is the protocol state machine for one client:
  * it holds the per-session request prototype (strategy, backend,
- * tenant — mutable via `set`) over one shared `caqr::Service`, and
- * turns each input line into a response block. The stdin front end
- * (`qasm_tool --serve`) and the epoll TCP front end
+ * trials, threads — mutable via `set`) over one shared
+ * `caqr::Service`, and turns each input line into a response block.
+ * The stdin front end (`qasm_tool --serve`) and the epoll TCP front end
  * (`qasm_tool --listen`, service/server.h) both drive this class, so
  * the protocol cannot drift between transports.
  *
@@ -69,7 +69,6 @@ struct SessionOptions
 {
     Strategy strategy = Strategy::kQsCaqr;
     std::string backend = "FakeMumbai";
-    std::string tenant;
 };
 
 /**

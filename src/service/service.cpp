@@ -103,23 +103,6 @@ format_double(double value)
     return os.str();
 }
 
-/// Tenant tags become metric-name suffixes; restrict them to a safe
-/// alphabet and a sane length so one client cannot pollute the
-/// registry namespace.
-std::string
-sanitize_tenant(const std::string& tenant)
-{
-    std::string out;
-    out.reserve(std::min<std::size_t>(tenant.size(), 32));
-    for (char c : tenant) {
-        if (out.size() >= 32) break;
-        const bool ok = std::isalnum(static_cast<unsigned char>(c)) ||
-                        c == '_' || c == '-';
-        out.push_back(ok ? c : '_');
-    }
-    return out;
-}
-
 /// slots[ref] = indices of the instructions in @p circuit whose angle
 /// mirrors parameter `ref` (a rotation can lower into several sites).
 std::vector<std::vector<std::size_t>>
@@ -315,7 +298,6 @@ Service::compile(const CompileRequest& request)
     // standalone trace artifact.
     const std::uint64_t request_id =
         next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    const std::string tenant = sanitize_tenant(request.tenant);
     std::unique_ptr<util::trace::RequestCapture> capture;
     if (options_.slow_request_ms > 0.0) {
         capture =
@@ -351,16 +333,8 @@ Service::compile(const CompileRequest& request)
                     cached.from_cache = true;
                     cached.stages = {{"cache", lookup_ms}};
                     cached.name = report_name(request);
-                    if (!tenant.empty()) {
-                        metrics_.add(
-                            "service.cache.hit.tenant." + tenant, 1.0);
-                    }
                     record_request_metrics(request, cached);
                     return cached;
-                }
-                if (!tenant.empty()) {
-                    metrics_.add("service.cache.miss.tenant." + tenant,
-                                 1.0);
                 }
                 CompileReport fresh = compile_uncached(request, qasm);
                 record_request_metrics(request, fresh);
@@ -839,12 +813,6 @@ Service::record_request_metrics(const CompileRequest& request,
     for (const auto& stage : report.stages) {
         metrics_.observe("service.stage." + stage.stage + "_ms",
                          stage.ms);
-    }
-    const std::string tenant = sanitize_tenant(request.tenant);
-    if (!tenant.empty()) {
-        metrics_.add("service.requests.tenant." + tenant, 1.0);
-        metrics_.observe("service.total_ms.tenant." + tenant,
-                         report.total_ms());
     }
     if (report.ok()) {
         metrics_.observe("service.qubits",

@@ -92,12 +92,6 @@ struct CompileRequest
     /// (file inputs), "commuting" (commuting inputs) or "circuit".
     std::string name;
 
-    /// Optional tenant tag for multi-tenant metrics: when nonempty,
-    /// request and cache counters are additionally recorded under
-    /// `...tenant.<tag>` names. Never part of the cache key — tenants
-    /// share the content-addressed cache.
-    std::string tenant;
-
     std::optional<circuit::Circuit> circuit;
     std::string qasm;       ///< inline OpenQASM 2.0 source
     std::string qasm_file;  ///< path to a .qasm file, read at compile time

@@ -42,16 +42,13 @@ NoiseModel::gate_error(const circuit::Instruction& instr) const
         return 0.0;
     }
     if (backend_ != nullptr) {
-        const auto& cal = backend_->calibration();
         if (circuit::is_two_qubit(instr.kind)) {
-            const int a = instr.qubits[0];
-            const int b = instr.qubits[1];
-            double err = arch::kUncalibratedCxError;
-            if (cal.has_link(a, b)) err = cal.link(a, b).cx_error;
+            const double err =
+                backend_->cx_error(instr.qubits[0], instr.qubits[1]);
             // A SWAP is three CX back to back.
             return instr.kind == GateKind::kSwap ? 3 * err : err;
         }
-        return cal.qubit(instr.qubits[0]).sx_error;
+        return backend_->calibration().qubit(instr.qubits[0]).sx_error;
     }
     return circuit::is_two_qubit(instr.kind) ? p2_ : p1_;
 }

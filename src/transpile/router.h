@@ -110,7 +110,7 @@ class StallIndex
 };
 
 /// A candidate SWAP on physical link (pa, pb), pa < pb, with the
-/// link's CX error (0 when uncalibrated) for the error-aware bias.
+/// link's CX error for the error-aware bias.
 struct SwapCandidate
 {
     int pa;

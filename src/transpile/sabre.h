@@ -340,7 +340,7 @@ class SabreLoop
     best_swap(const std::vector<int>& blocked)
     {
         // Each link once (a per-link generation stamp), from the
-        // backend's per-endpoint table of link ids and CX errors.
+        // backend's per-endpoint table of link ids.
         if (++s_.link_generation == 0) {
             std::fill(s_.link_stamp.begin(), s_.link_stamp.end(), 0u);
             s_.link_generation = 1;
@@ -354,9 +354,10 @@ class SabreLoop
                         continue;
                     }
                     s_.link_stamp[link.id] = s_.link_generation;
-                    s_.candidates.push_back({std::min(p, link.neighbor),
-                                             std::max(p, link.neighbor),
-                                             link.cx_error});
+                    s_.candidates.push_back(
+                        {std::min(p, link.neighbor),
+                         std::max(p, link.neighbor),
+                         backend_.calibration().links[link.id].cx_error});
                 }
             }
         }

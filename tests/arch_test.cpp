@@ -59,9 +59,9 @@ TEST(Calibration, SynthesizedValuesInFalconRanges)
         EXPECT_LE(qc.t2_us, qc.t1_us);
         EXPECT_GT(qc.t2_us, 0.0);
     }
-    for (const auto& [a, b] : topology.edges()) {
-        ASSERT_TRUE(cal.has_link(a, b));
-        const auto& lc = cal.link(a, b);
+    ASSERT_EQ(cal.qubits.size(), 27u);
+    ASSERT_EQ(cal.links.size(), topology.edges().size());
+    for (const auto& lc : cal.links) {
         EXPECT_GE(lc.cx_error, 0.005);
         EXPECT_LE(lc.cx_error, 0.02);
         EXPECT_GE(lc.cx_duration_dt, 800.0);
@@ -79,25 +79,33 @@ TEST(Calibration, DeterministicPerSeed)
     EXPECT_NE(a.qubit(7).readout_error, c.qubit(7).readout_error);
 }
 
-TEST(Calibration, LinkLookupIsSymmetric)
+TEST(Calibration, LinkValuesFollowEndpointsNotEdgeOrder)
 {
-    const auto topology = arch::mumbai_coupling();
-    const auto cal = arch::Calibration::synthesize(topology);
-    EXPECT_DOUBLE_EQ(cal.link(0, 1).cx_error, cal.link(1, 0).cx_error);
-    const auto hh127 = arch::scaled_heavy_hex(127);
-    const auto big = arch::Calibration::synthesize(hh127);
-    for (const auto& [a, b] : hh127.edges()) {
-        ASSERT_TRUE(big.has_link(b, a));
-        EXPECT_EQ(&big.link(a, b), &big.link(b, a));
+    // The same heavy-hex links inserted in reverse: each link's record
+    // moves to its new index but keeps its values.
+    const auto forward = arch::scaled_heavy_hex(127);
+    graph::UndirectedGraph reversed(forward.num_nodes());
+    const auto& edges = forward.edges();
+    for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+        reversed.add_edge(it->second, it->first);
     }
-    EXPECT_FALSE(big.has_link(0, 100));
+    const auto a = arch::Calibration::synthesize(forward, 3);
+    const auto b = arch::Calibration::synthesize(reversed, 3);
+    ASSERT_EQ(a.links.size(), edges.size());
+    ASSERT_EQ(b.links.size(), edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const std::size_t j = edges.size() - 1 - i;
+        ASSERT_EQ(reversed.edges()[j], edges[i]);
+        EXPECT_EQ(a.links[i].cx_error, b.links[j].cx_error);
+        EXPECT_EQ(a.links[i].cx_duration_dt, b.links[j].cx_duration_dt);
+    }
 }
 
-TEST(Calibration, NegativeQubitIdAborts)
+TEST(Calibration, OutOfRangeQubitAborts)
 {
-    arch::Calibration cal;
-    EXPECT_DEATH(cal.set_qubit(-1, {}), "qubit id out of range");
-    EXPECT_DEATH(cal.set_link(-1, 0, {}), "link endpoint out of range");
+    const auto cal = arch::Calibration::synthesize(arch::mumbai_coupling());
+    EXPECT_DEATH(cal.qubit(-1), "qubit id out of range");
+    EXPECT_DEATH(cal.qubit(27), "qubit id out of range");
 }
 
 TEST(Backend, FakeMumbaiDistances)
@@ -121,8 +129,10 @@ TEST(Backend, CalibratedDurationsUseLinkTable)
     cx.kind = circuit::GateKind::kCx;
     cx.qubits = {0, 1};
     const double d01 = model.duration(cx);
+    const auto* link = backend.find_link(0, 1);
+    ASSERT_NE(link, nullptr);
     EXPECT_DOUBLE_EQ(d01,
-                     backend.calibration().link(0, 1).cx_duration_dt);
+                     backend.calibration().links[link->id].cx_duration_dt);
 
     circuit::Instruction swap_instr;
     swap_instr.kind = circuit::GateKind::kSwap;
@@ -164,7 +174,7 @@ TEST(Backend, ScoreMatchesDepthScheduleAndEsp)
     c.measure(0, 0);
     c.x_if(0, 0, 1);
     c.measure(2, 1);
-    ASSERT_FALSE(backend.calibration().has_link(0, 5));
+    ASSERT_EQ(backend.find_link(0, 5), nullptr);
     const arch::MappedScore score = arch::score_mapped(c, backend);
     const arch::CalibratedDurations model(backend);
     EXPECT_EQ(score.depth, circuit::depth(c));
@@ -189,15 +199,16 @@ TEST(Backend, ScaledHeavyHexNameMatchesQubitCount)
     }
 }
 
-/// Checks both per-qubit placement tables and the per-endpoint link
-/// table against brute-force loops over the distance matrix, the
-/// topology and the link calibration.
+/// Checks both per-qubit placement tables, the per-endpoint link table
+/// and the link lookups against brute-force loops over the distance
+/// matrix, the topology and the per-edge calibration.
 void
 expect_tables_match_brute_force(const arch::Backend& backend)
 {
     const int n = backend.num_qubits();
     const auto& cal = backend.calibration();
     const auto& edges = backend.topology().edges();
+    ASSERT_EQ(cal.links.size(), edges.size());
     for (int q = 0; q < n; ++q) {
         std::vector<int> neighbors;
         for (const auto& link : backend.links(q)) {
@@ -207,10 +218,6 @@ expect_tables_match_brute_force(const arch::Backend& backend)
             EXPECT_EQ(edges[static_cast<std::size_t>(link.id)],
                       std::pair(std::min(q, link.neighbor),
                                 std::max(q, link.neighbor)))
-                << backend.name() << " qubit " << q;
-            EXPECT_EQ(link.cx_error, cal.has_link(q, link.neighbor)
-                                         ? cal.link(q, link.neighbor).cx_error
-                                         : 0.0)
                 << backend.name() << " qubit " << q;
         }
         std::vector<int> expected = backend.topology().neighbors(q);
@@ -222,14 +229,35 @@ expect_tables_match_brute_force(const arch::Backend& backend)
         for (int other = 0; other < n; ++other) {
             const int d = backend.distance(q, other);
             total += d < 0 ? n : d;
-            if (backend.are_adjacent(q, other) && cal.has_link(q, other)) {
-                best = std::min(best, cal.link(q, other).cx_error);
+            const auto* link = backend.find_link(q, other);
+            ASSERT_EQ(link != nullptr, backend.are_adjacent(q, other))
+                << backend.name() << " pair " << q << ", " << other;
+            if (link == nullptr) {
+                EXPECT_EQ(backend.cx_error(q, other), 0.02);
+                EXPECT_EQ(backend.cx_duration_dt(q, other),
+                          circuit::LogicalDurations::kTwoQubitGate);
+                continue;
             }
+            EXPECT_EQ(link->neighbor, other);
+            EXPECT_EQ(link->id, backend.find_link(other, q)->id);
+            EXPECT_EQ(edges[static_cast<std::size_t>(link->id)],
+                      std::pair(std::min(q, other), std::max(q, other)));
+            const auto& record = cal.links[static_cast<std::size_t>(link->id)];
+            EXPECT_EQ(backend.cx_error(q, other), record.cx_error);
+            EXPECT_EQ(backend.cx_duration_dt(q, other),
+                      record.cx_duration_dt);
+            best = std::min(best, record.cx_error);
         }
         EXPECT_EQ(backend.total_distance(q), total)
             << backend.name() << " qubit " << q;
         EXPECT_EQ(backend.best_incident_cx_error(q), best)
             << backend.name() << " qubit " << q;
+    }
+    for (const auto& [a, b] :
+         {std::pair{-1, 0}, {0, -1}, {-3, -2}, {n, n + 1}, {1, n},
+          {n, 1}, {1, 1000}, {1 << 30, 0}, {0, 1 << 30}}) {
+        EXPECT_EQ(backend.find_link(a, b), nullptr)
+            << backend.name() << " pair " << a << ", " << b;
     }
 }
 
@@ -237,31 +265,47 @@ TEST(Backend, PlacementTablesMatchBruteForce)
 {
     expect_tables_match_brute_force(arch::Backend::fake_mumbai());
     expect_tables_match_brute_force(arch::Backend::scaled_heavy_hex(127));
+    expect_tables_match_brute_force(arch::Backend::scaled_heavy_hex(433));
 }
 
 TEST(Backend, PlacementTablesOnDisconnectedTopology)
 {
-    // Two islands and an isolated qubit 4; the 2-3 link is left out of
-    // the calibration, so qubits 2 and 3 have an edge but no link.
+    // Two islands and an isolated qubit 4.
     graph::UndirectedGraph topology(5);
     topology.add_edge(0, 1);
     topology.add_edge(2, 3);
-    graph::UndirectedGraph calibrated(5);
-    calibrated.add_edge(0, 1);
     const arch::Backend backend("split", topology,
-                                arch::Calibration::synthesize(calibrated));
+                                arch::Calibration::synthesize(topology));
     expect_tables_match_brute_force(backend);
     // Qubit 0 reaches qubit 1 in one hop; the other three count as 5.
     EXPECT_EQ(backend.total_distance(0), 1 + 3 * 5);
     EXPECT_EQ(backend.total_distance(4), 4 * 5);
-    EXPECT_EQ(backend.best_incident_cx_error(0),
-              backend.calibration().link(0, 1).cx_error);
-    EXPECT_EQ(backend.best_incident_cx_error(2), 1.0);
+    const auto& links = backend.calibration().links;
+    EXPECT_EQ(backend.best_incident_cx_error(0), links[0].cx_error);
+    EXPECT_EQ(backend.best_incident_cx_error(3), links[1].cx_error);
     EXPECT_EQ(backend.best_incident_cx_error(4), 1.0);
-    // The uncalibrated 2-3 link carries no error bias.
     ASSERT_EQ(backend.links(2).size(), 1u);
-    EXPECT_EQ(backend.links(2)[0].cx_error, 0.0);
+    EXPECT_EQ(backend.links(2)[0].id, 1);
     EXPECT_TRUE(backend.links(4).empty());
+    // Across the islands there is no link: the fallbacks apply.
+    EXPECT_EQ(backend.find_link(1, 2), nullptr);
+    EXPECT_EQ(backend.cx_error(1, 2), 0.02);
+}
+
+TEST(Backend, CalibrationMustCoverEveryQubitAndLink)
+{
+    graph::UndirectedGraph topology(3);
+    topology.add_edge(0, 1);
+    graph::UndirectedGraph wider(3);
+    wider.add_edge(0, 1);
+    wider.add_edge(1, 2);
+    EXPECT_DEATH(arch::Backend("short", wider,
+                               arch::Calibration::synthesize(topology)),
+                 "calibration does not cover the topology");
+    EXPECT_DEATH(arch::Backend("small", topology,
+                               arch::Calibration::synthesize(
+                                   graph::UndirectedGraph(2))),
+                 "calibration does not cover the topology");
 }
 
 }  // namespace

@@ -557,8 +557,9 @@ route_full_rescore(const circuit::Circuit& logical,
                              static_cast<double>(lookahead.size());
             }
             double link_bias = 0.0;
-            if (options.error_aware && backend.calibration().has_link(pa, pb)) {
-                link_bias = backend.calibration().link(pa, pb).cx_error;
+            const auto* link = backend.find_link(pa, pb);
+            if (options.error_aware && link != nullptr) {
+                link_bias = backend.calibration().links[link->id].cx_error;
             }
             const double score = transpile::combine_swap_score(
                 front_cost, look_cost, std::max(decay[pa], decay[pb]) + 1.0,
@@ -820,11 +821,7 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
                     score -= backend.calibration().qubit(p).readout_error;
                     double best_cx = 1.0;
                     for (int nb : backend.topology().neighbors(p)) {
-                        if (backend.calibration().has_link(p, nb)) {
-                            best_cx = std::min(
-                                best_cx,
-                                backend.calibration().link(p, nb).cx_error);
-                        }
+                        best_cx = std::min(best_cx, backend.cx_error(p, nb));
                     }
                     score -= best_cx;
                 }
@@ -861,10 +858,8 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
                 if (ever_used[p]) key += 0.5;
                 if (opt.error_aware) {
                     key += backend.calibration().qubit(p).readout_error;
-                    if (backend.are_adjacent(p, partner_phys)) {
-                        key += backend.calibration()
-                                   .link(p, partner_phys)
-                                   .cx_error;
+                    if (const auto* link = backend.find_link(p, partner_phys)) {
+                        key += backend.calibration().links[link->id].cx_error;
                     }
                 }
                 key += jitter();
@@ -1101,8 +1096,9 @@ sr_caqr_exhaustive(const circuit::Circuit& input,
                                  static_cast<double>(window.size());
                 }
                 double link_bias = 0.0;
-                if (opt.error_aware && backend.calibration().has_link(pa, pb)) {
-                    link_bias = backend.calibration().link(pa, pb).cx_error;
+                const auto* link = backend.find_link(pa, pb);
+                if (opt.error_aware && link != nullptr) {
+                    link_bias = backend.calibration().links[link->id].cx_error;
                 }
                 const double score =
                     transpile::combine_swap_score(

@@ -2,7 +2,9 @@
 /// dynamic-circuit `if (c[k] == v)` extension and round-trip fidelity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -498,8 +500,53 @@ TEST(Parser, RegisterSizeOutsideIntIsAParseError)
                        "register size must be an integer literal in int "
                        "range, got '1e10'");
     expect_parse_error("qreg q[99999999999];", "1", "got '99999999999'");
-    expect_parse_error("qreg q[2147483647];\nqreg r[1];", "2",
-                       "register 'r' overflows int");
+    expect_parse_error("qreg q[16384];\nqreg r[1];", "2",
+                       "register 'r' takes the program past 16384 qubits");
+}
+
+/// The size caps reject a program at the declaration or statement that
+/// crosses them, before anything for it is allocated: a 20-byte
+/// program cannot ask for millions of qubits or instructions.
+TEST(Parser, ProgramsPastTheSizeCapsAreParseErrors)
+{
+    static_assert(qasm::kMaxBits == 16384);
+    static_assert(qasm::kMaxInstructions == 262144);
+    for (const char* source :
+         {"qreg q[2000000]; h q;", "qreg q[2147483647]; h q;"}) {
+        double best_ms = 1e9;
+        for (int run = 0; run < 5; ++run) {
+            const auto start = std::chrono::steady_clock::now();
+            const auto result = qasm::parse_circuit(source);
+            best_ms = std::min(
+                best_ms, std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+            ASSERT_FALSE(result.ok()) << source;
+            EXPECT_EQ(result.status().code(), util::StatusCode::kParseError);
+            EXPECT_EQ(result.status().message(),
+                      "line 1: register 'q' takes the program past 16384 "
+                      "qubits");
+        }
+        EXPECT_LT(best_ms, 1.0) << source;
+    }
+    expect_parse_error("creg c[8];\ncreg d[16377];", "2",
+                       "register 'd' takes the program past 16384 clbits");
+
+    // 16 broadcasts over 16384 qubits reach the instruction cap
+    // exactly; any further statement crosses it.
+    std::string at_cap = "qreg q[16384];\ncreg c[1];\n";
+    for (int i = 0; i < 16; ++i) at_cap += "h q;\n";
+    const auto full = qasm::parse_circuit(at_cap);
+    ASSERT_TRUE(full.ok()) << full.status().to_string();
+    EXPECT_EQ(full->num_qubits(), 16384);
+    EXPECT_EQ(full->size(), 262144u);
+    for (const char* statement :
+         {"x q[0];", "h q;", "reset q[0];", "barrier q;",
+          "measure q[0] -> c[0];", "if (c[0] == 1) x q[0];"}) {
+        expect_parse_error(at_cap + statement, "19",
+                           "statement takes the program past 262144 "
+                           "instructions");
+    }
 }
 
 TEST(Parser, MalformedAnglesAreParseErrors)
@@ -828,14 +875,15 @@ class ProgramGenerator
 
 /// A failure the reference pipeline cannot share: it misreads these
 /// literals (`q[1.5]` as `q[1]`, `1.2.3` as 1.2, `q[1e10]` by an
-/// undefined cast) and aborts on repeated two-qubit operands.
+/// undefined cast), aborts on repeated two-qubit operands and caps no
+/// program's size.
 bool
 stricter_than_reference(const util::Status& status)
 {
     const std::string& message = status.message();
     for (const char* rule :
          {"must be an integer literal", "is malformed or out of range",
-          "needs distinct qubit operands", "overflows int"}) {
+          "needs distinct qubit operands", "takes the program past"}) {
         if (message.find(rule) != std::string::npos) return true;
     }
     return false;

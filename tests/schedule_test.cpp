@@ -1,18 +1,15 @@
 /// Tests for the ASAP Schedule artifact (against the reference
 /// dependency DAG), hand-checked depth, duration and dependence pins on
-/// the production timing and `GateGraph`, the flat calibration link
-/// table and calibration snapshot I/O.
+/// the production timing and `GateGraph`, and the backend's link lookup
+/// on ids outside the device.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/backend.h"
 #include "arch/calibration.h"
-#include "arch/heavy_hex.h"
 #include "circuit/circuit.h"
 #include "circuit/schedule.h"
 #include "circuit/timing.h"
@@ -284,155 +281,19 @@ TEST(Dependency, BuiltinResetIsSlower)
     EXPECT_DOUBLE_EQ(circuit::critical_path(c, model), 33'179.0);
 }
 
-TEST(CalibrationTable, SetLinkOverwrites)
-{
-    arch::Calibration cal;
-    cal.set_link(3, 1, {0.01, 1000});
-    cal.set_link(1, 3, {0.02, 2000});
-    EXPECT_EQ(cal.link(3, 1).cx_error, 0.02);
-    EXPECT_EQ(cal.link(1, 3).cx_duration_dt, 2000);
-    std::istringstream lines(cal.serialize());
-    std::string line;
-    int link_lines = 0;
-    while (std::getline(lines, line)) link_lines += line.rfind("link", 0) == 0;
-    EXPECT_EQ(link_lines, 1);
-}
-
 TEST(CalibrationTable, OutOfRangeIdsHaveNoLink)
 {
-    const auto cal = arch::Calibration::synthesize(arch::mumbai_coupling());
-    EXPECT_FALSE(cal.has_link(-1, 0));
-    EXPECT_FALSE(cal.has_link(0, -1));
-    EXPECT_FALSE(cal.has_link(-3, -2));
-    EXPECT_FALSE(cal.has_link(27, 28));
-    EXPECT_FALSE(cal.has_link(1, 1000));
-    EXPECT_FALSE(cal.has_link(1 << 30, 0));
-    EXPECT_FALSE(arch::Calibration().has_link(0, 1));
-}
-
-TEST(CalibrationTable, SerializeOrdersLinksByLowThenHigh)
-{
-    arch::Calibration cal;
-    cal.set_link(5, 2, {0.01, 900});
-    cal.set_link(0, 7, {0.01, 900});
-    cal.set_link(2, 1, {0.01, 900});
-    cal.set_link(4, 0, {0.01, 900});
-    cal.set_link(2, 3, {0.01, 900});
-    std::istringstream lines(cal.serialize());
-    std::string line;
-    std::vector<std::pair<int, int>> order;
-    while (std::getline(lines, line)) {
-        std::istringstream fields(line);
-        std::string kind;
-        int a = 0;
-        int b = 0;
-        if (fields >> kind >> a >> b && kind == "link") {
-            order.emplace_back(a, b);
-        }
-    }
-    const std::vector<std::pair<int, int>> expected = {
-        {0, 4}, {0, 7}, {1, 2}, {2, 3}, {2, 5}};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(CalibrationTable, SerializeRoundTripIsByteIdentical)
-{
-    for (const auto& topology :
-         {arch::mumbai_coupling(), arch::scaled_heavy_hex(433)}) {
-        const auto original = arch::Calibration::synthesize(topology, 3);
-        const std::string text = original.serialize();
-        std::string error;
-        const auto parsed = arch::Calibration::deserialize(text, &error);
-        ASSERT_TRUE(parsed.has_value()) << error;
-        EXPECT_EQ(parsed->serialize(), text);
-    }
-}
-
-TEST(CalibrationIo, RoundTripPreservesValues)
-{
-    const auto topology = arch::mumbai_coupling();
-    const auto original = arch::Calibration::synthesize(topology, 11);
-    std::string error;
-    const auto parsed =
-        arch::Calibration::deserialize(original.serialize(), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->num_qubits(), original.num_qubits());
-    for (int q = 0; q < original.num_qubits(); ++q) {
-        EXPECT_DOUBLE_EQ(parsed->qubit(q).readout_error,
-                         original.qubit(q).readout_error);
-        EXPECT_DOUBLE_EQ(parsed->qubit(q).t1_us, original.qubit(q).t1_us);
-        EXPECT_DOUBLE_EQ(parsed->qubit(q).sx_error,
-                         original.qubit(q).sx_error);
-    }
-    for (const auto& [a, b] : topology.edges()) {
-        ASSERT_TRUE(parsed->has_link(a, b));
-        EXPECT_DOUBLE_EQ(parsed->link(a, b).cx_error,
-                         original.link(a, b).cx_error);
-        EXPECT_DOUBLE_EQ(parsed->link(a, b).cx_duration_dt,
-                         original.link(a, b).cx_duration_dt);
-    }
-}
-
-TEST(CalibrationIo, CommentsAndBlanksIgnored)
-{
-    const std::string text =
-        "# header comment\n"
-        "\n"
-        "qubit 0 0.02 100 80 0.0003\n"
-        "# trailing comment\n"
-        "link 0 1 0.01 1500\n";
-    std::string error;
-    const auto parsed = arch::Calibration::deserialize(text, &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_DOUBLE_EQ(parsed->qubit(0).readout_error, 0.02);
-    EXPECT_TRUE(parsed->has_link(1, 0));
-}
-
-TEST(CalibrationIo, MalformedRecordsReportLine)
-{
-    std::string error;
-    EXPECT_FALSE(arch::Calibration::deserialize("qubit x y\n", &error)
-                     .has_value());
-    EXPECT_NE(error.find("line 1"), std::string::npos);
-    EXPECT_FALSE(
-        arch::Calibration::deserialize("link 0 0 0.1 100\n", &error)
-            .has_value());
-    EXPECT_FALSE(
-        arch::Calibration::deserialize("frobnicate 1\n", &error)
-            .has_value());
-}
-
-TEST(CalibrationIo, FileRoundTrip)
-{
-    const auto topology = arch::mumbai_coupling();
-    const auto original = arch::Calibration::synthesize(topology, 13);
-    const std::string path = "/tmp/caqr_calibration_test.txt";
-    ASSERT_TRUE(original.save_file(path));
-    std::string error;
-    const auto loaded = arch::Calibration::load_file(path, &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_DOUBLE_EQ(loaded->qubit(5).t1_us, original.qubit(5).t1_us);
-    std::remove(path.c_str());
-
-    EXPECT_FALSE(arch::Calibration::load_file("/nope/nope.txt", &error)
-                     .has_value());
-    EXPECT_NE(error.find("cannot open"), std::string::npos);
-}
-
-TEST(CalibrationIo, LoadedSnapshotDrivesABackend)
-{
-    // End-to-end: synthesize, snapshot, reload, and build a backend
-    // from the reloaded calibration.
-    const auto topology = arch::mumbai_coupling();
-    const auto snapshot = arch::Calibration::synthesize(topology, 17);
-    std::string error;
-    auto reloaded =
-        arch::Calibration::deserialize(snapshot.serialize(), &error);
-    ASSERT_TRUE(reloaded.has_value()) << error;
-    const arch::Backend backend("Reloaded", topology,
-                                std::move(*reloaded));
-    EXPECT_EQ(backend.num_qubits(), 27);
-    EXPECT_GT(backend.calibration().link(0, 1).cx_duration_dt, 0.0);
+    const auto backend = arch::Backend::fake_mumbai();
+    EXPECT_EQ(backend.find_link(-1, 0), nullptr);
+    EXPECT_EQ(backend.find_link(0, -1), nullptr);
+    EXPECT_EQ(backend.find_link(-3, -2), nullptr);
+    EXPECT_EQ(backend.find_link(27, 28), nullptr);
+    EXPECT_EQ(backend.find_link(1, 1000), nullptr);
+    EXPECT_EQ(backend.find_link(1 << 30, 0), nullptr);
+    graph::UndirectedGraph no_links(2);
+    const arch::Backend bare("bare", no_links,
+                             arch::Calibration::synthesize(no_links));
+    EXPECT_EQ(bare.find_link(0, 1), nullptr);
 }
 
 }  // namespace

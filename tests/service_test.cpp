@@ -141,6 +141,34 @@ TEST(ServiceCompile, RepeatedOperandsAreParseErrors)
     fs::remove_all(dir);
 }
 
+/// A program past the parser's size caps is a parse error whether it
+/// comes inline or from a file, with or without the cache.
+TEST(ServiceCompile, ProgramsPastTheSizeCapsAreParseErrors)
+{
+    const fs::path dir = fs::temp_directory_path() / "caqr_size_cap_test";
+    fs::create_directories(dir);
+    const fs::path path = dir / "huge.qasm";
+    for (const std::size_t cache : {std::size_t{0}, std::size_t{8}}) {
+        Service service({.num_threads = 1, .cache_capacity = cache});
+        for (const char* source :
+             {"qreg q[2000000]; h q;", "qreg q[2147483647]; h q;"}) {
+            std::ofstream(path) << source;
+            CompileRequest inline_qasm;
+            inline_qasm.qasm = source;
+            CompileRequest by_file;
+            by_file.qasm_file = path.string();
+            for (const auto* request : {&inline_qasm, &by_file}) {
+                const auto report = service.compile(*request);
+                EXPECT_EQ(report.status.code(), util::StatusCode::kParseError)
+                    << source;
+                EXPECT_EQ(report.status.message().rfind("line 1: ", 0), 0u)
+                    << report.status.to_string();
+            }
+        }
+    }
+    fs::remove_all(dir);
+}
+
 TEST(ServiceCompile, UnreachableTargetIsInfeasible)
 {
     Service service({.num_threads = 1});
@@ -370,7 +398,7 @@ TEST(QasmToolServe, StatsAnswersWithPercentilesAfterABatch)
     const std::string script = "help\nbatch " +
                                (dir / "batch.txt").string() +
                                "\nstats\nset strategy sr\nset trials 6\nset threads 2\n"
-                               "set trials 0\nbogus\nquit\n";
+                               "set trials 0\nset tenant team-a\nbogus\nquit\n";
     const std::string command = "printf '%s' '" + script + "' | " +
                                 std::string(CAQR_QASM_TOOL_BIN) +
                                 " --serve 2>/dev/null";
@@ -415,6 +443,10 @@ TEST(QasmToolServe, StatsAnswersWithPercentilesAfterABatch)
     EXPECT_NE(output.find("ok set threads 2"), std::string::npos)
         << output;
     EXPECT_NE(output.find("error set trials needs n >= 1"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("error set knows strategy|backend|trials|threads, "
+                          "not 'tenant'"),
               std::string::npos)
         << output;
     EXPECT_NE(output.find("error unknown command 'bogus'"),
@@ -485,7 +517,6 @@ TEST(RequestCacheKey, SemanticallyIdenticalRequestsShareAKey)
     // from the fingerprint.
     CompileRequest knobs = by_file;
     knobs.name = "renamed";
-    knobs.tenant = "team-a";
     knobs.qs.num_threads = 7;
     knobs.qs.seed = 42;
     knobs.qs_commuting.seed = 43;

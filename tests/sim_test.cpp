@@ -304,8 +304,18 @@ TEST(Noise, BackendModelUsesCalibration)
     circuit::Instruction cx;
     cx.kind = circuit::GateKind::kCx;
     cx.qubits = {0, 1};
+    const auto* link = backend.find_link(0, 1);
+    ASSERT_NE(link, nullptr);
     EXPECT_DOUBLE_EQ(model.gate_error(cx),
-                     backend.calibration().link(0, 1).cx_error);
+                     backend.calibration().links[link->id].cx_error);
+    // Qubits 0 and 5 share no link: the uncalibrated fallback, three
+    // times over for a SWAP.
+    cx.qubits = {0, 5};
+    EXPECT_DOUBLE_EQ(model.gate_error(cx), 0.02);
+    circuit::Instruction swap_instr;
+    swap_instr.kind = circuit::GateKind::kSwap;
+    swap_instr.qubits = {0, 5};
+    EXPECT_DOUBLE_EQ(model.gate_error(swap_instr), 3 * 0.02);
     EXPECT_DOUBLE_EQ(model.readout_error(5),
                      backend.calibration().qubit(5).readout_error);
     double t1, t2;

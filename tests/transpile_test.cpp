@@ -786,9 +786,7 @@ TEST(RouterOracle, ExactTiesPickLowestLink)
         auto topology = graph::random_graph(np, 0.3, rng);
         for (int v = 1; v < np; ++v) topology.add_edge(v - 1, v);
         auto calibration = arch::Calibration::synthesize(topology);
-        for (const auto& [a, b] : topology.edges()) {
-            calibration.set_link(a, b, {0.01, 1200.0});
-        }
+        for (auto& link : calibration.links) link = {0.01, 1200.0};
         const arch::Backend backend("uniform", topology, calibration);
         const Circuit logical = oracle::random_circuit(rng, 2 + i % (np - 1));
         transpile::RouterOptions options;
