@@ -4,10 +4,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "circuit/timing.h"
@@ -25,79 +27,73 @@ using circuit::Instruction;
 
 /**
  * The program order of one QS-CaQR search over a fixed node pool
- * (paper §3.2.1). Nodes 0..G-1 are the input's instructions; each
- * commit appends its reset nodes. Operands keep their original qubit
- * ids, and `wire_of(q)` names the wire qubit q runs on by that wire's
- * head, the first original qubit on it, so live wires keep their
- * relative order, as wire compaction does. StepTables numbers wires
- * 0..num_qubits-1 by head and gives clbit c wire num_qubits + c.
+ * (paper §3.2.1), kept as per-node wire links. Nodes 0..G-1 are the
+ * input's instructions; each commit appends its reset nodes. Operands
+ * keep their original qubit ids, and `wire_of(q)` names the wire qubit
+ * q runs on by that wire's head, the first original qubit on it, so
+ * live wires keep their relative order, as wire compaction does. Wires
+ * 0..num_qubits-1 are the heads; clbit c is wire num_qubits + c.
+ *
+ * A node holds one Link per distinct wire it is on: the previous and
+ * the next node on that wire, or -1. A barrier joins every head and
+ * every input clbit, its link on wire w at index w. It needs no link on
+ * a commit's scratch clbit: that wire holds only the measure and the
+ * reset, and both are on a head too. Only wire-order edges exist, which
+ * are the dependency DAG's edges up to transitivity. The order is a
+ * topological order of the links, the one a smallest-index-first sort
+ * of the spliced DAG emits, and each node knows its position in it.
  */
 class ReuseProgram
 {
   public:
-    /// What the last commit moved, for StepTables::update. Before the
-    /// first commit, the whole order.
+    /// One wire of a node: the previous and the next node on it, or -1.
+    struct Link
+    {
+        int wire = -1;
+        int prev = -1;
+        int next = -1;
+    };
+
+    /// What the last commit changed, for StepTables::update.
     struct Splice
     {
         /// order()[split, end): the reset nodes, then the splice's
-        /// descendants. Their forward values changed.
+        /// descendants. Before the first commit, the whole order.
         std::size_t split = 0;
-        /// order()[0, resume): the splice's non-descendants, then the
-        /// reset nodes. Their tails changed.
-        std::size_t resume = 0;
         /// The head the commit merged away, or -1.
         int target = -1;
     };
 
-    explicit ReuseProgram(const circuit::Circuit& input)
-        : input_(&input),
-          order_(input.size()),
-          wire_of_(static_cast<std::size_t>(input.num_qubits())),
-          num_clbits_(input.num_clbits())
-    {
-        std::iota(order_.begin(), order_.end(), 0);
-        std::iota(wire_of_.begin(), wire_of_.end(), 0);
-        // At most num_qubits - 1 commits, each appending at most two
-        // nodes and one scratch clbit: size every buffer once.
-        const auto qubits = static_cast<std::size_t>(num_qubits());
-        appended_.reserve(2 * qubits);
-        order_.reserve(node_capacity());
-        before_.reserve(node_capacity());
-        after_.reserve(node_capacity());
-        last_before_.assign(wire_capacity(), -1);
-        first_after_.assign(wire_capacity(), -1);
-        splice_.resume = order_.size();
-    }
+    explicit ReuseProgram(const circuit::Circuit& input);
 
     int num_qubits() const { return input_->num_qubits(); }
-    int num_wires() const { return num_qubits() + num_clbits_; }
     std::size_t num_nodes() const { return input_->size() + appended_.size(); }
     std::size_t
     node_capacity() const
     {
         return input_->size() + 2 * static_cast<std::size_t>(num_qubits());
     }
-    std::size_t
-    wire_capacity() const
-    {
-        return static_cast<std::size_t>(2 * num_qubits() +
-                                        input_->num_clbits());
-    }
     const std::vector<int>& order() const { return order_; }
+    std::size_t
+    position(int id) const
+    {
+        return position_[static_cast<std::size_t>(id)];
+    }
     int wire_of(int q) const { return wire_of_[static_cast<std::size_t>(q)]; }
+    /// First non-barrier node on head @p head's wire, or -1 (idle or
+    /// merged away).
+    int
+    first_gate(int head) const
+    {
+        return first_gate_[static_cast<std::size_t>(head)];
+    }
+    /// Last non-barrier node on head @p head's wire, or -1.
+    int
+    last_gate(int head) const
+    {
+        return last_gate_[static_cast<std::size_t>(head)];
+    }
     const Splice& last_splice() const { return splice_; }
-    /// Last node on wire @p w before last_splice().split, or -1.
-    int
-    last_before(int w) const
-    {
-        return last_before_[static_cast<std::size_t>(w)];
-    }
-    /// First node on wire @p w from last_splice().resume on, or -1.
-    int
-    first_after(int w) const
-    {
-        return first_after_[static_cast<std::size_t>(w)];
-    }
 
     const Instruction&
     node(int id) const
@@ -107,53 +103,140 @@ class ReuseProgram
                                       : appended_[index - input_->size()];
     }
 
-    /// Calls @p fn on every wire of non-barrier @p instr: its qubits'
-    /// wires, then its clbit and condition bit.
-    template <typename Fn>
-    void
-    for_each_wire(const Instruction& instr, Fn&& fn) const
+    /// Node @p id's links, one per distinct wire it is on; a barrier's
+    /// link on wire w is at index w.
+    std::span<const Link>
+    links(int id) const
     {
-        for (int q : instr.qubits) fn(wire_of(q));
-        if (instr.clbit >= 0) fn(num_qubits() + instr.clbit);
-        if (instr.condition_bit >= 0) {
-            fn(num_qubits() + instr.condition_bit);
-        }
+        const auto index = static_cast<std::size_t>(id);
+        return std::span<const Link>(links_).subspan(
+            link_begin_[index], link_begin_[index + 1] - link_begin_[index]);
     }
 
     void commit(ReusePair pair);
     circuit::Circuit build() const;
 
   private:
+    bool is_barrier(int id) const { return node(id).kind == GateKind::kBarrier; }
+
+    /// Node @p id's link on wire @p wire, which it must be on.
+    Link&
+    link_on(int id, int wire)
+    {
+        std::size_t k = link_begin_[static_cast<std::size_t>(id)];
+        if (is_barrier(id)) return links_[k + static_cast<std::size_t>(wire)];
+        while (links_[k].wire != wire) ++k;
+        return links_[k];
+    }
+
     int
-    append(Instruction instr)
+    append(Instruction instr, std::initializer_list<Link> links)
     {
         appended_.push_back(std::move(instr));
-        return static_cast<int>(input_->size() + appended_.size()) - 1;
+        links_.insert(links_.end(), links);
+        link_begin_.push_back(links_.size());
+        return static_cast<int>(num_nodes()) - 1;
+    }
+
+    /// True if @p id descends from the target of the running commit.
+    bool
+    descends(int id) const
+    {
+        return mark_[static_cast<std::size_t>(id)] == commits_;
     }
 
     const circuit::Circuit* input_;
     std::vector<Instruction> appended_;
+    std::vector<Link> links_;
+    std::vector<std::size_t> link_begin_;  ///< num_nodes() + 1 entries
     std::vector<int> order_;
+    std::vector<std::size_t> position_;
     std::vector<int> wire_of_;
+    std::vector<int> first_gate_;
+    std::vector<int> last_gate_;
     int num_clbits_;
     Splice splice_;
-    std::vector<int> last_before_;
-    std::vector<int> first_after_;
-    std::vector<int> before_;  ///< commit's scratch partition
-    std::vector<int> after_;
+    int commits_ = 0;
+    std::vector<int> mark_;    ///< commit that found the node a descendant
+    std::vector<int> stack_;   ///< commit's scratch: descendant walk
+    std::vector<int> after_;   ///< commit's scratch: descendants in order
 };
+
+ReuseProgram::ReuseProgram(const circuit::Circuit& input)
+    : input_(&input),
+      order_(input.size()),
+      wire_of_(static_cast<std::size_t>(input.num_qubits())),
+      first_gate_(wire_of_.size(), -1),
+      last_gate_(wire_of_.size(), -1),
+      num_clbits_(input.num_clbits())
+{
+    std::iota(order_.begin(), order_.end(), 0);
+    std::iota(wire_of_.begin(), wire_of_.end(), 0);
+    // At most num_qubits - 1 commits, each appending at most two nodes
+    // with two links each: size every buffer once.
+    const auto qubits = static_cast<std::size_t>(num_qubits());
+    appended_.reserve(2 * qubits);
+    order_.reserve(node_capacity());
+    position_.resize(node_capacity());
+    std::iota(position_.begin(), position_.end(), 0);
+    mark_.assign(node_capacity(), -1);
+    link_begin_.reserve(node_capacity() + 1);
+
+    const auto wires = qubits + static_cast<std::size_t>(num_clbits_);
+    std::vector<int> last(wires, -1);  // per wire: its last node so far
+    std::vector<std::size_t> last_link(wires);
+    const auto add = [&](int id, int wire) {
+        const auto w = static_cast<std::size_t>(wire);
+        if (last[w] >= 0) links_[last_link[w]].next = id;
+        last_link[w] = links_.size();
+        links_.push_back(Link{wire, last[w], -1});
+        last[w] = id;
+    };
+    for (int id = 0; id < static_cast<int>(input.size()); ++id) {
+        link_begin_.push_back(links_.size());
+        const Instruction& instr = node(id);
+        if (instr.kind == GateKind::kBarrier) {
+            for (int w = 0; w < static_cast<int>(wires); ++w) add(id, w);
+            continue;
+        }
+        // A wire the node is already on (an operand repeated, or a
+        // clbit that is also the condition) gets no second link.
+        const auto add_once = [&](int wire) {
+            const auto w = static_cast<std::size_t>(wire);
+            if (last[w] != id) add(id, wire);
+        };
+        for (int q : instr.qubits) {
+            add_once(q);
+            const auto head = static_cast<std::size_t>(q);
+            if (first_gate_[head] < 0) first_gate_[head] = id;
+            last_gate_[head] = id;
+        }
+        if (instr.clbit >= 0) add_once(num_qubits() + instr.clbit);
+        if (instr.condition_bit >= 0) {
+            add_once(num_qubits() + instr.condition_bit);
+        }
+    }
+    link_begin_.push_back(links_.size());
+    links_.reserve(links_.size() + 4 * qubits);
+}
 
 /**
  * Commits @p pair, given by wire heads: splices the source wire's reset
+ * (a measure unless the source wire already ends in one, then an x_if)
  * between its operations and the target wire's, then moves the target
- * wire's operations onto the source wire. The new order is the one a
- * smallest-index-first topological sort of the spliced DAG emits: the
- * splice's non-descendants in current order, the reset (a measure
- * unless the source wire already ends in one, then an x_if), then its
- * descendants, everything the target wire reaches, in current order.
- * A barrier joins every wire, as in `Schedule`. A wire is tainted, and
- * every later node on it a descendant, once its first descendant is
- * found; the first descendant of all is on the target wire.
+ * wire's operations onto the source wire. The descendants are what the
+ * target's first gate reaches over the links. The new order is the
+ * splice's non-descendants in current order, the reset, then the
+ * descendants in current order; the nodes before the target's first
+ * gate keep their positions. A commit relinks only:
+ *  - the source wire: its last non-descendant `lx`, then the reset,
+ *    then the target's first gate;
+ *  - the reset's clbit: between the bit's last non-descendant and its
+ *    first descendant (a scratch bit holds the measure and the x_if);
+ *  - the target wire's links, which move onto the source wire. A barrier
+ *    before the target's first gate drops its target link; one after it
+ *    hands its target-chain links over to its source link, since its
+ *    old source neighbours are lx and other barriers.
  */
 void
 ReuseProgram::commit(ReusePair pair)
@@ -161,80 +244,121 @@ ReuseProgram::commit(ReusePair pair)
     const int source = pair.source;
     const int target = pair.target;
     CAQR_CHECK(source != target && wire_of(source) == source &&
-                   wire_of(target) == target,
-               "commit needs two live wire heads");
-    std::fill(last_before_.begin(), last_before_.end(), -1);
-    std::fill(first_after_.begin(), first_after_.end(), -1);
-    const auto taint = [this](int w, int id) {
-        int& first = first_after_[static_cast<std::size_t>(w)];
-        if (first < 0) first = id;
-    };
-    before_.clear();
-    after_.clear();
-    bool all_tainted = false;  // a barrier descends from the target
-    int last_on_source = -1;
-    for (int id : order_) {
-        const Instruction& instr = node(id);
-        bool descendant = all_tainted;
-        if (instr.kind == GateKind::kBarrier) {
-            descendant = all_tainted = !after_.empty();
-            for (int w = 0; w < num_wires(); ++w) {
-                if (descendant) {
-                    taint(w, id);
-                } else {
-                    last_before_[static_cast<std::size_t>(w)] = id;
-                }
-            }
-        } else {
-            bool on_source = false;
-            for_each_wire(instr, [&](int w) {
-                descendant = descendant || w == target || first_after(w) >= 0;
-                on_source = on_source || w == source;
-            });
-            if (descendant) {
-                CAQR_CHECK(!on_source, "commit called with an invalid pair");
-                for_each_wire(instr, [&](int w) { taint(w, id); });
-            } else {
-                for_each_wire(instr, [&](int w) {
-                    last_before_[static_cast<std::size_t>(w)] = id;
-                });
-                if (on_source) last_on_source = id;
-            }
+                   wire_of(target) == target && first_gate(source) >= 0 &&
+                   first_gate(target) >= 0,
+               "commit needs two active wire heads");
+    ++commits_;
+    const int first = first_gate(target);
+    mark_[static_cast<std::size_t>(first)] = commits_;
+    stack_.assign(1, first);
+    while (!stack_.empty()) {
+        const int id = stack_.back();
+        stack_.pop_back();
+        for (const Link& link : links(id)) {
+            if (link.next < 0 || descends(link.next)) continue;
+            mark_[static_cast<std::size_t>(link.next)] = commits_;
+            stack_.push_back(link.next);
         }
-        (descendant ? after_ : before_).push_back(id);
     }
-    CAQR_CHECK(last_on_source >= 0, "commit called with an invalid pair");
-    splice_.split = before_.size();
-    splice_.target = target;
+    // A wire's descendants are a suffix of it, so a valid pair leaves
+    // the source's last gate a non-descendant.
+    const int last_on_source = last_gate(source);
+    CAQR_CHECK(!descends(last_on_source), "commit called with an invalid pair");
+    int lx = last_on_source;
+    for (int next; (next = link_on(lx, source).next) >= 0 && !descends(next);) {
+        lx = next;
+    }
+    int clbit = -1;
+    int bit_prev = -1;  // the reset's neighbours on its clbit's wire
+    int bit_next = -1;
+    if (node(last_on_source).kind == GateKind::kMeasure) {
+        clbit = node(last_on_source).clbit;
+        const int wire = num_qubits() + clbit;
+        bit_prev = last_on_source;
+        for (int next; (next = link_on(bit_prev, wire).next) >= 0 &&
+                       !descends(next);) {
+            bit_prev = next;
+        }
+        bit_next = link_on(bit_prev, wire).next;
+    }
 
-    int clbit = node(last_on_source).kind == GateKind::kMeasure
-                    ? node(last_on_source).clbit
-                    : -1;
-    if (clbit < 0) {
+    for (int id = link_on(first, target).prev; id >= 0;) {
+        Link& dead = link_on(id, target);
+        id = dead.prev;
+        dead.prev = dead.next = -1;
+    }
+    for (int id = first; id >= 0;) {
+        Link& link = link_on(id, target);
+        const int next = link.next;
+        if (is_barrier(id)) {
+            link_on(id, source) = Link{source, link.prev, link.next};
+            link.prev = link.next = -1;
+        } else {
+            link.wire = source;
+        }
+        id = next;
+    }
+
+    const bool measured = clbit >= 0;
+    int measure = -1;
+    if (!measured) {
         // Source wire never measured: measure into a scratch bit so the
         // conditional reset has a condition to read.
         clbit = num_clbits_++;
-        Instruction measure;
-        measure.kind = GateKind::kMeasure;
-        measure.qubits = {source};
-        measure.clbit = clbit;
-        before_.push_back(append(std::move(measure)));
+        measure = static_cast<int>(num_nodes());
     }
-    Instruction reset;
-    reset.kind = GateKind::kX;
-    reset.qubits = {source};
-    reset.condition_bit = clbit;
-    reset.condition_value = 1;
-    before_.push_back(append(std::move(reset)));
-    splice_.resume = before_.size();
-    before_.insert(before_.end(), after_.begin(), after_.end());
-    order_.swap(before_);
-    // The source wire continues with the target wire's operations, and
-    // the first of them is the first descendant of all.
-    first_after_[static_cast<std::size_t>(source)] = first_after(target);
+    const int bit_wire = num_qubits() + clbit;
+    const int reset = static_cast<int>(num_nodes()) + (measured ? 0 : 1);
+    if (!measured) {
+        Instruction instr;
+        instr.kind = GateKind::kMeasure;
+        instr.qubits = {source};
+        instr.clbit = clbit;
+        append(std::move(instr),
+               {Link{source, lx, reset}, Link{bit_wire, -1, reset}});
+        bit_prev = measure;
+    }
+    Instruction instr;
+    instr.kind = GateKind::kX;
+    instr.qubits = {source};
+    instr.condition_bit = clbit;
+    instr.condition_value = 1;
+    append(std::move(instr), {Link{source, measured ? lx : measure, first},
+                              Link{bit_wire, bit_prev, bit_next}});
+    link_on(lx, source).next = measured ? reset : measure;
+    link_on(first, source).prev = reset;
+    if (measured) {
+        link_on(bit_prev, bit_wire).next = reset;
+        if (bit_next >= 0) link_on(bit_next, bit_wire).prev = reset;
+    }
+
+    // Everything before the target's first gate is a non-descendant.
+    const std::size_t from = position(first);
+    std::size_t kept = from;
+    after_.clear();
+    for (std::size_t pos = from; pos < order_.size(); ++pos) {
+        const int id = order_[pos];
+        if (descends(id)) {
+            after_.push_back(id);
+        } else {
+            order_[kept++] = id;
+        }
+    }
+    order_.resize(kept);
+    splice_ = Splice{kept, target};
+    if (!measured) order_.push_back(measure);
+    order_.push_back(reset);
+    order_.insert(order_.end(), after_.begin(), after_.end());
+    for (std::size_t pos = from; pos < order_.size(); ++pos) {
+        position_[static_cast<std::size_t>(order_[pos])] = pos;
+    }
+
     for (int& wire : wire_of_) {
         if (wire == target) wire = source;
     }
+    last_gate_[static_cast<std::size_t>(source)] = last_gate(target);
+    first_gate_[static_cast<std::size_t>(target)] = -1;
+    last_gate_[static_cast<std::size_t>(target)] = -1;
 }
 
 /// Materializes the current order: live wires are numbered densely in
@@ -268,75 +392,82 @@ struct NodeWeights
 };
 
 /**
- * What one sweep step needs of @p program's current order, kept across
+ * What one sweep step needs of a program's current order, kept across
  * the sweep's commits. Per node: the forward values (unit and duration
  * finish, and the reach set: heads of the wires whose gates are, or
  * precede, the node) and the tail under the selection metric. Per head:
- * the tables select_pair reads. Only wire-order edges exist, which are
- * the dependency DAG's edges up to transitivity, so every time and set
- * is bit-identical to those of the tests' reference DAG.
+ * the tables select_pair reads. Both passes follow the program's links,
+ * so every time and set is bit-identical to those of the tests'
+ * reference DAG.
  *
- * update() re-times what the last commit moved: the forward pass runs
- * over the reset nodes and the splice's descendants, seeded from each
- * wire's last non-descendant; the backward pass over the non-descendants
- * and the reset, seeded from each wire's first descendant. Before the
- * first commit both cover the whole order. This is exact:
+ * update() re-times what the last commit changed: the forward pass runs
+ * over the reset nodes and the splice's descendants, reading each
+ * node's predecessors; the backward pass re-tails the reset nodes and
+ * then, latest position first, each predecessor of a node whose tail
+ * changed. Before the first commit both cover the whole order. This is
+ * exact:
  *  - A non-descendant's ancestors, and the previous node on each of its
  *    wires, are unchanged, so its finish and reach set are unchanged.
  *    It never holds the target's bit: any node that does descends from
  *    a gate on the target.
- *  - A descendant's successors are all descendants in the same relative
- *    order (no descendant is on the source wire), so its tail is
- *    unchanged.
- *  - Weights are >= 0, so finish rises and tail falls along a wire, in
- *    floating point too. A head's finish and reach row are therefore
- *    the values at its last gate, and its tail the value at its first
- *    gate: the running max over its gates. The passes overwrite them
- *    gate by gate, in order and in reverse order.
- *  - Likewise the critical path, the max over node finishes, is the max
- *    over each wire's last finish: every node of positive weight lies
- *    on a wire.
+ *  - A descendant reaches the same nodes as before, so its tail is
+ *    unchanged. Only the reset nodes' ancestors gain paths. Each link a
+ *    commit drops skips a path that its node keeps: lx's old source
+ *    link and a barrier's target link before the target's first gate
+ *    through lx and the reset, a later barrier's old source links
+ *    through the target's gates.
+ *  - Weights are >= 0, so finish rises and tail falls along every path,
+ *    in floating point too. A tail computed bit for bit as before
+ *    therefore leaves its predecessors' tails as they were, and the
+ *    worklist stops there. The critical path, the max over node
+ *    finishes, is a running max: a commit only adds paths, so no finish
+ *    falls.
+ *  - A head's finish and reach row are the values at its last gate, and
+ *    its tail the value at its first gate.
  * All buffers are sized for the pool's capacity once.
  */
 class StepTables
 {
   public:
     StepTables(const ReuseProgram& program, bool by_duration)
-        : by_duration_(by_duration),
+        : program_(&program),
+          by_duration_(by_duration),
           words_((static_cast<std::size_t>(program.num_qubits()) + 63) / 64),
           finish_(program.node_capacity()),
           tail_(program.node_capacity()),
           sets_(program.node_capacity() * words_),
-          wire_node_(program.wire_capacity()),
-          last_gate_(static_cast<std::size_t>(program.num_qubits()), -1),
+          queued_(program.node_capacity(), 0),
           active_(words_),
           touched_(words_)
     {
         weights_.reserve(program.node_capacity());
-        timing_.qubit_finish.assign(last_gate_.size(), 0.0);
-        timing_.qubit_tail.assign(last_gate_.size(), 0.0);
+        heap_.reserve(program.node_capacity());
+        const auto heads = static_cast<std::size_t>(program.num_qubits());
+        timing_.qubit_finish.assign(heads, 0.0);
+        timing_.qubit_tail.assign(heads, 0.0);
     }
 
-    /// Brings the tables to @p program's current order.
+    /// Brings the tables to the program's current order.
     void
-    update(const ReuseProgram& program)
+    update()
     {
         const circuit::UnitDepthModel unit;
         const circuit::LogicalDurations durations;
-        while (weights_.size() < program.num_nodes()) {
+        const std::size_t fresh = weights_.size();
+        while (weights_.size() < program_->num_nodes()) {
             const Instruction& instr =
-                program.node(static_cast<int>(weights_.size()));
+                program_->node(static_cast<int>(weights_.size()));
             weights_.push_back(
                 {unit.duration(instr), durations.duration(instr)});
         }
-        const auto& splice = program.last_splice();
+        const auto& splice = program_->last_splice();
         if (splice.target >= 0) {
             // The target's gates now run on the source wire.
             clear_bit(&active_, splice.target);
             clear_bit(&touched_, splice.target);
         }
-        forward(program, splice.split);
-        backward(program, splice.resume);
+        forward(splice.split);
+        backward(fresh);
     }
 
     int
@@ -358,12 +489,13 @@ class StepTables
     const std::uint64_t*
     reach(int head) const
     {
-        return &sets_[static_cast<std::size_t>(
-                          last_gate_[static_cast<std::size_t>(head)]) *
+        return &sets_[static_cast<std::size_t>(program_->last_gate(head)) *
                       words_];
     }
     /// Nodes whose forward values update() computed, summed.
     std::size_t nodes_timed() const { return nodes_timed_; }
+    /// Nodes whose tail update() computed, summed.
+    std::size_t nodes_tailed() const { return nodes_tailed_; }
 
   private:
     static void
@@ -379,52 +511,33 @@ class StepTables
         (*bits)[i >> 6] |= 1ULL << (i & 63);
     }
 
-    /// Visits every wire of @p instr; a barrier joins every wire.
-    template <typename Fn>
-    static void
-    visit_wires(const ReuseProgram& program, const Instruction& instr,
-                Fn&& fn)
-    {
-        if (instr.kind == GateKind::kBarrier) {
-            for (int w = 0; w < program.num_wires(); ++w) {
-                fn(static_cast<std::size_t>(w));
-            }
-        } else {
-            program.for_each_wire(
-                instr, [&](int w) { fn(static_cast<std::size_t>(w)); });
-        }
-    }
-
     void
-    forward(const ReuseProgram& program, std::size_t split)
+    forward(std::size_t split)
     {
-        const auto num_wires = static_cast<std::size_t>(program.num_wires());
-        for (std::size_t w = 0; w < num_wires; ++w) {
-            wire_node_[w] = program.last_before(static_cast<int>(w));
-        }
+        const ReuseProgram& program = *program_;
         const auto& order = program.order();
         for (std::size_t pos = split; pos < order.size(); ++pos) {
             const int id = order[pos];
             const auto node = static_cast<std::size_t>(id);
-            const Instruction& instr = program.node(id);
             NodeWeights start;
             std::uint64_t* set = &sets_[node * words_];
             std::fill(set, set + words_, 0);
-            visit_wires(program, instr, [&](std::size_t wire) {
-                const int prev = wire_node_[wire];
-                if (prev < 0) return;
-                const auto& before = finish_[static_cast<std::size_t>(prev)];
-                start.unit = std::max(start.unit, before.unit);
-                start.duration = std::max(start.duration, before.duration);
-                const std::uint64_t* prev_set =
-                    &sets_[static_cast<std::size_t>(prev) * words_];
+            for (const auto& link : program.links(id)) {
+                if (link.prev < 0) continue;
+                const auto prev = static_cast<std::size_t>(link.prev);
+                start.unit = std::max(start.unit, finish_[prev].unit);
+                start.duration =
+                    std::max(start.duration, finish_[prev].duration);
+                const std::uint64_t* prev_set = &sets_[prev * words_];
                 for (std::size_t k = 0; k < words_; ++k) set[k] |= prev_set[k];
-            });
+            }
             const auto& weight = weights_[node];
             finish_[node] = {start.unit + weight.unit,
                              start.duration + weight.duration};
-            visit_wires(program, instr,
-                        [&](std::size_t wire) { wire_node_[wire] = id; });
+            critical_.unit = std::max(critical_.unit, finish_[node].unit);
+            critical_.duration =
+                std::max(critical_.duration, finish_[node].duration);
+            const Instruction& instr = program.node(id);
             const bool barrier = instr.kind == GateKind::kBarrier;
             for (int q : instr.qubits) {
                 const auto head = static_cast<std::size_t>(program.wire_of(q));
@@ -432,53 +545,67 @@ class StepTables
                 if (barrier) continue;
                 set[head >> 6] |= 1ULL << (head & 63);
                 set_bit(&active_, head);
-                last_gate_[head] = id;
                 timing_.qubit_finish[head] =
                     by_duration_ ? finish_[node].duration : finish_[node].unit;
             }
         }
         nodes_timed_ += order.size() - split;
-        critical_ = NodeWeights{};
-        for (std::size_t w = 0; w < num_wires; ++w) {
-            if (wire_node_[w] < 0) continue;
-            const auto& last = finish_[static_cast<std::size_t>(wire_node_[w])];
-            critical_.unit = std::max(critical_.unit, last.unit);
-            critical_.duration = std::max(critical_.duration, last.duration);
-        }
         timing_.critical_path =
             by_duration_ ? critical_.duration : critical_.unit;
     }
 
+    /// Re-tails the nodes from id @p fresh on, which the tables have not
+    /// seen (the whole pool at first, then a commit's reset nodes), and
+    /// every ancestor of theirs whose tail changes.
     void
-    backward(const ReuseProgram& program, std::size_t resume)
+    backward(std::size_t fresh)
     {
-        const auto num_wires = static_cast<std::size_t>(program.num_wires());
-        for (std::size_t w = 0; w < num_wires; ++w) {
-            wire_node_[w] = program.first_after(static_cast<int>(w));
+        const ReuseProgram& program = *program_;
+        ++pass_;
+        heap_.clear();
+        for (std::size_t id = fresh; id < program.num_nodes(); ++id) {
+            queued_[id] = pass_;
+            heap_.push_back(program.position(static_cast<int>(id)));
         }
-        const auto& order = program.order();
-        for (std::size_t pos = resume; pos-- > 0;) {
-            const int id = order[pos];
+        std::make_heap(heap_.begin(), heap_.end());
+        while (!heap_.empty()) {
+            std::pop_heap(heap_.begin(), heap_.end());
+            const int id = program.order()[heap_.back()];
+            heap_.pop_back();
             const auto node = static_cast<std::size_t>(id);
-            const Instruction& instr = program.node(id);
             double best = 0.0;
-            visit_wires(program, instr, [&](std::size_t wire) {
-                const int next = wire_node_[wire];
-                if (next < 0) return;
-                best = std::max(best, tail_[static_cast<std::size_t>(next)]);
-            });
+            for (const auto& link : program.links(id)) {
+                if (link.next < 0) continue;
+                best = std::max(best, tail_[static_cast<std::size_t>(link.next)]);
+            }
             const auto& weight = weights_[node];
-            tail_[node] = best + (by_duration_ ? weight.duration : weight.unit);
-            visit_wires(program, instr,
-                        [&](std::size_t wire) { wire_node_[wire] = id; });
-            if (instr.kind == GateKind::kBarrier) continue;
-            for (int q : instr.qubits) {
-                timing_.qubit_tail[static_cast<std::size_t>(
-                    program.wire_of(q))] = tail_[node];
+            const double tail =
+                best + (by_duration_ ? weight.duration : weight.unit);
+            ++nodes_tailed_;
+            if (node < fresh && tail == tail_[node]) continue;
+            tail_[node] = tail;
+            const Instruction& instr = program.node(id);
+            if (instr.kind != GateKind::kBarrier) {
+                for (int q : instr.qubits) {
+                    const int head = program.wire_of(q);
+                    if (program.first_gate(head) == id) {
+                        timing_.qubit_tail[static_cast<std::size_t>(head)] =
+                            tail;
+                    }
+                }
+            }
+            for (const auto& link : program.links(id)) {
+                if (link.prev < 0) continue;
+                auto& queued = queued_[static_cast<std::size_t>(link.prev)];
+                if (queued == pass_) continue;
+                queued = pass_;
+                heap_.push_back(program.position(link.prev));
+                std::push_heap(heap_.begin(), heap_.end());
             }
         }
     }
 
+    const ReuseProgram* program_;
     bool by_duration_;
     std::size_t words_;
     // Per node, indexed by id.
@@ -486,16 +613,17 @@ class StepTables
     std::vector<NodeWeights> finish_;
     std::vector<double> tail_;
     std::vector<std::uint64_t> sets_;  ///< words_ per node
-    /// Per wire: the pass's last node so far (forward) or next node
-    /// (backward), or -1.
-    std::vector<int> wire_node_;
+    std::vector<std::uint64_t> queued_;  ///< backward pass that queued it
+    // The backward pass's worklist: a max-heap of positions.
+    std::vector<std::size_t> heap_;
+    std::uint64_t pass_ = 0;
     // Per head.
-    std::vector<int> last_gate_;
     SpliceTiming timing_;
     std::vector<std::uint64_t> active_;
     std::vector<std::uint64_t> touched_;  ///< any instruction's operand
     NodeWeights critical_;
     std::size_t nodes_timed_ = 0;
+    std::size_t nodes_tailed_ = 0;
 };
 
 /// Materializes @p program's current order as one version's circuit.
@@ -622,11 +750,22 @@ select_pair(const StepTables& tables, SweepPolicy policy, double dummy_weight)
     return selection;
 }
 
-/// One sweep's versions, and its program after the last commit: the
-/// last version's order, over the searched circuit.
+/// One version a sweep reached: its first `commits` pairs and their
+/// cost.
+struct SweepVersion
+{
+    std::size_t commits = 0;
+    int qubits = 0;
+    int depth = 0;
+    double duration_dt = 0.0;
+};
+
+/// One sweep's committed pairs, its versions, and its program after the
+/// last commit: the last version's order, over the searched circuit.
 struct Sweep
 {
-    std::vector<QsVersion> versions;
+    std::vector<ReusePair> applied;
+    std::vector<SweepVersion> versions;
     ReuseProgram program;
 };
 
@@ -634,9 +773,11 @@ struct Sweep
  * One greedy sweep (paper §3.2.1): each step prices the valid pairs in
  * closed form (select_pair) and commits the best one under @p policy.
  * A step is one commit over the same node pool and one StepTables
- * update that re-times what the commit moved; no version's circuit is
- * built. The step, candidate and re-timed node totals reach the metrics
- * registry once, at the end. The returned program reads @p circuit.
+ * update that re-times what the commit changed; no version's circuit is
+ * built, and a version records only how many of the sweep's pairs it
+ * applied. The step, candidate, re-timed and re-tailed node totals
+ * reach the metrics registry once, at the end. The returned program
+ * reads @p circuit.
  */
 Sweep
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
@@ -651,32 +792,32 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
 
     ReuseProgram program(circuit);
     StepTables tables(program, by_duration);
-    std::vector<QsVersion> versions;
+    std::vector<SweepVersion> versions;
     std::vector<ReusePair> applied;
-    std::size_t steps = 0;
     std::size_t candidates = 0;
     for (;;) {
-        tables.update(program);
+        tables.update();
         const int qubits = tables.qubits();
-        versions.push_back(QsVersion{applied, qubits, tables.depth(),
-                                     tables.duration_dt()});
+        versions.push_back(SweepVersion{applied.size(), qubits,
+                                        tables.depth(), tables.duration_dt()});
         if (options.target_qubits >= 0 && qubits <= options.target_qubits) {
             break;
         }
 
         const auto selection = select_pair(tables, policy, dummy_weight);
         if (selection.valid == 0) break;
-        ++steps;
         candidates += selection.valid;
         applied.push_back(selection.best);
         program.commit(selection.best);
     }
     auto& metrics = util::metrics::global();
-    metrics.add("qs_caqr.steps", static_cast<double>(steps));
+    metrics.add("qs_caqr.steps", static_cast<double>(applied.size()));
     metrics.add("qs_caqr.candidates", static_cast<double>(candidates));
     metrics.add("qs_caqr.nodes_timed",
                 static_cast<double>(tables.nodes_timed()));
-    return Sweep{std::move(versions), std::move(program)};
+    metrics.add("qs_caqr.nodes_tailed",
+                static_cast<double>(tables.nodes_tailed()));
+    return Sweep{std::move(applied), std::move(versions), std::move(program)};
 }
 
 /// Best-effort run (no target validation): squeezes as far as the
@@ -696,18 +837,24 @@ run_qs_caqr(circuit::Circuit circuit, const QsCaqrOptions& options)
         run_sweep(circuit, options, SweepPolicy::kOrderFirst);
 
     const bool by_duration = options.metric == ReuseMetric::kDuration;
-    auto metric_of = [by_duration](const QsVersion& version) {
+    auto metric_of = [by_duration](const SweepVersion& version) {
         return by_duration ? version.duration_dt
                            : static_cast<double>(version.depth);
     };
 
-    std::map<int, const QsVersion*> by_count;
+    struct Kept
+    {
+        const Sweep* sweep;
+        const SweepVersion* version;
+    };
+    std::map<int, Kept> by_count;
     for (const auto* sweep : {&metric_sweep, &order_sweep}) {
         for (const auto& version : sweep->versions) {
-            auto [it, inserted] = by_count.try_emplace(version.qubits,
-                                                       &version);
-            if (!inserted && metric_of(version) < metric_of(*it->second)) {
-                it->second = &version;
+            auto [it, inserted] =
+                by_count.try_emplace(version.qubits, Kept{sweep, &version});
+            if (!inserted &&
+                metric_of(version) < metric_of(*it->second.version)) {
+                it->second = Kept{sweep, &version};
             }
         }
     }
@@ -716,16 +863,18 @@ run_qs_caqr(circuit::Circuit circuit, const QsCaqrOptions& options)
     // last of the sweep that reached it, whose program holds its order:
     // build it now, while the program's input is still `circuit`.
     QsCaqrResult result;
-    const QsVersion* fewest = by_count.begin()->second;
-    const Sweep& owner = fewest == &metric_sweep.versions.back()
-                             ? metric_sweep
-                             : order_sweep;
-    CAQR_CHECK(fewest == &owner.versions.back(),
+    const Kept& fewest = by_count.begin()->second;
+    CAQR_CHECK(fewest.version == &fewest.sweep->versions.back(),
                "the max-reuse version ends a sweep");
-    result.max_reuse_circuit = build_version(owner.program);
+    result.max_reuse_circuit = build_version(fewest.sweep->program);
     result.input = std::move(circuit);
     for (auto it = by_count.rbegin(); it != by_count.rend(); ++it) {
-        result.versions.push_back(*it->second);
+        const auto& applied = it->second.sweep->applied;
+        const SweepVersion& version = *it->second.version;
+        result.versions.push_back(QsVersion{
+            {applied.begin(),
+             applied.begin() + static_cast<std::ptrdiff_t>(version.commits)},
+            version.qubits, version.depth, version.duration_dt});
     }
     result.reached_target =
         options.target_qubits < 0 ||

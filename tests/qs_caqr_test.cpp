@@ -387,6 +387,179 @@ positive_target_cases()
     return cases;
 }
 
+/// @p kind on @p qubits, run only when clbit @p bit reads 1.
+circuit::Instruction
+conditioned(circuit::GateKind kind, circuit::Qubits qubits, int bit)
+{
+    circuit::Instruction instr;
+    instr.kind = kind;
+    instr.qubits = std::move(qubits);
+    instr.condition_bit = bit;
+    return instr;
+}
+
+/// A measure of @p q into @p bit that runs only when @p bit reads 1:
+/// one instruction on the same clbit twice.
+circuit::Instruction
+self_conditioned_measure(int q, int bit)
+{
+    auto instr = conditioned(circuit::GateKind::kMeasure, {q}, bit);
+    instr.clbit = bit;
+    return instr;
+}
+
+/// Seeded circuits dense in what a commit relinks: barriers, measures
+/// into a few shared clbits with later readers, conditioned two-qubit
+/// gates and self-conditioned measures.
+circuit::Circuit
+link_edge_circuit(util::Rng& rng, int qubits)
+{
+    const int clbits = std::max(1, qubits / 3);
+    circuit::Circuit c(qubits, clbits);
+    const int gates = rng.next_int(2 * qubits, 5 * qubits);
+    for (int g = 0; g < gates; ++g) {
+        const int q = rng.next_int(0, qubits - 1);
+        const int r = (q + rng.next_int(1, qubits - 1)) % qubits;
+        const int bit = rng.next_int(0, clbits - 1);
+        const int kind = rng.next_int(0, 19);
+        if (kind < 4) {
+            c.h(q);
+        } else if (kind < 8) {
+            c.cx(q, r);
+        } else if (kind < 10) {
+            c.append(conditioned(circuit::GateKind::kCx, {q, r}, bit));
+        } else if (kind < 13) {
+            c.measure(q, bit);
+        } else if (kind < 16) {
+            c.x_if(q, bit, 1);
+        } else if (kind < 17) {
+            c.append(self_conditioned_measure(q, bit));
+        } else {
+            c.barrier();
+        }
+    }
+    return c;
+}
+
+/// Each pattern a commit relinks by hand, then seeded circuits dense in
+/// them, under both metrics.
+std::vector<OracleCase>
+link_edge_cases()
+{
+    std::vector<std::pair<circuit::Circuit, std::string>> inputs;
+    {
+        // A barrier right after the source's last gate: the reset
+        // follows the barrier.
+        circuit::Circuit c(4, 2);
+        c.h(0);
+        c.cx(0, 1);
+        c.measure(0, 0);
+        c.barrier();
+        c.h(2);
+        c.cx(2, 3);
+        c.h(3);
+        c.measure(3, 1);
+        c.h(1);
+        inputs.emplace_back(std::move(c), "barrier after source");
+    }
+    {
+        // Barriers between a target's gates, one after a long run on
+        // it: each barrier takes the target's links on the merged wire.
+        circuit::Circuit c(4, 1);
+        c.h(0);
+        for (int k = 0; k < 4; ++k) c.h(1);
+        c.barrier();
+        c.h(1);
+        c.cx(1, 2);
+        c.barrier();
+        c.h(2);
+        c.h(3);
+        c.barrier();
+        c.h(3);
+        c.measure(3, 0);
+        inputs.emplace_back(std::move(c), "barriers between target gates");
+    }
+    {
+        // The source ends in a measure whose bit a later, independent
+        // gate reads: the reset goes after that reader.
+        circuit::Circuit c(4, 1);
+        c.h(0);
+        c.measure(0, 0);
+        c.x_if(2, 0, 1);
+        c.h(2);
+        c.cx(2, 3);
+        for (int k = 0; k < 3; ++k) c.h(1);
+        c.cx(1, 3);
+        inputs.emplace_back(std::move(c), "later reader of the reset bit");
+    }
+    {
+        // Committing 0 -> 3 puts the reset after q1's first measure,
+        // which writes the bit again and now reaches q3's gates: q1's
+        // tail grows, and the next step prices pairs into q1 with it.
+        circuit::Circuit c(4, 1);
+        c.measure(2, 0);
+        c.measure(0, 0);
+        c.measure(1, 0);
+        c.x_if(3, 0, 1);
+        c.h(3);
+        c.measure(1, 0);
+        inputs.emplace_back(std::move(c), "later writer of the reset bit");
+    }
+    {
+        // One bit written by four wires: a commit's backward pass queues
+        // several ancestors, and the latest of them keeps its tail while
+        // an earlier one's grows.
+        circuit::Circuit c(5, 1);
+        c.measure(1, 0);
+        c.h(3);
+        c.cx(0, 4);
+        c.measure(1, 0);
+        c.h(3);
+        c.measure(2, 0);
+        c.cx(0, 1);
+        c.measure(4, 0);
+        c.h(1);
+        c.h(0);
+        inputs.emplace_back(std::move(c), "unchanged tail before a changed one");
+    }
+    {
+        circuit::Circuit c(4, 2);
+        c.h(0);
+        c.measure(0, 0);
+        c.append(conditioned(circuit::GateKind::kCx, {1, 2}, 0));
+        c.h(3);
+        c.measure(3, 1);
+        c.append(conditioned(circuit::GateKind::kCx, {2, 1}, 1));
+        c.h(1);
+        inputs.emplace_back(std::move(c), "conditioned two-qubit gates");
+    }
+    {
+        circuit::Circuit c(3, 1);
+        c.h(0);
+        c.measure(0, 0);
+        c.append(self_conditioned_measure(1, 0));
+        c.h(2);
+        c.append(self_conditioned_measure(2, 0));
+        c.h(1);
+        inputs.emplace_back(std::move(c), "self-conditioned measure");
+    }
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+        util::Rng rng(7000 + seed);
+        inputs.emplace_back(link_edge_circuit(rng, rng.next_int(3, 9)),
+                            "seed " + std::to_string(seed));
+    }
+    std::vector<OracleCase> cases;
+    for (const auto metric :
+         {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
+        for (const auto& [input, label] : inputs) {
+            cases.push_back({input, options_for(metric),
+                             label + " metric " +
+                                 std::to_string(static_cast<int>(metric))});
+        }
+    }
+    return cases;
+}
+
 void
 expect_cases_match_reference(const std::vector<OracleCase>& cases)
 {
@@ -420,6 +593,19 @@ TEST(QsCaqrOracle, PositiveTargetStopsWhereRebuildStops)
     expect_cases_match_reference(positive_target_cases());
 }
 
+TEST(QsCaqrOracle, LinkEdgeCasesMatchPerStepRebuild)
+{
+    const auto cases = link_edge_cases();
+    expect_cases_match_reference(cases);
+    for (const auto& c : cases) {
+        const auto result = core::qs_caqr_or(c.input, c.options);
+        ASSERT_TRUE(result.ok()) << c.label;
+        EXPECT_EQ(qasm::to_qasm(result->max_reuse_circuit),
+                  qasm::to_qasm(result->circuit(result->versions.size() - 1)))
+            << c.label;
+    }
+}
+
 TEST(QsCaqr, MaxReuseCircuitEqualsReplay)
 {
     // The search builds the max-reuse circuit from its last program
@@ -444,7 +630,9 @@ TEST(QsCaqr, MaxReuseCircuitEqualsReplay)
 TEST(QsCaqr, SweepRetimesOnlyWhatCommitsMove)
 {
     // Each step re-times the reset nodes and the splice's descendants,
-    // not the whole order: on sparse BV-127 under a tenth of it.
+    // not the whole order: on sparse BV-127 under a tenth of it. It
+    // re-tails the reset nodes and those ancestors whose tail changes,
+    // not every non-descendant: under a quarter of the order.
     const int n = 127;
     std::vector<int> secret(static_cast<std::size_t>(n - 1));
     for (std::size_t i = 0; i < secret.size(); ++i) {
@@ -458,13 +646,17 @@ TEST(QsCaqr, SweepRetimesOnlyWhatCommitsMove)
     };
     const double steps_before = counter("qs_caqr.steps");
     const double timed_before = counter("qs_caqr.nodes_timed");
+    const double tailed_before = counter("qs_caqr.nodes_tailed");
     ASSERT_TRUE(core::qs_caqr_or(input).ok());
     const double steps = counter("qs_caqr.steps") - steps_before;
     const double timed = counter("qs_caqr.nodes_timed") - timed_before;
+    const double tailed = counter("qs_caqr.nodes_tailed") - tailed_before;
+    const auto size = static_cast<double>(input.size());
     EXPECT_GT(steps, 0.0);
-    EXPECT_GE(timed, 2.0 * static_cast<double>(input.size()));
-    EXPECT_LT(timed,
-              (steps + 1.0) * static_cast<double>(input.size()) / 3.0);
+    EXPECT_GE(timed, 2.0 * size);
+    EXPECT_LT(timed, (steps + 1.0) * size / 3.0);
+    EXPECT_GE(tailed, 2.0 * size);
+    EXPECT_LT(tailed, (steps + 2.0) * size / 4.0);
 }
 
 TEST(QsCaqr, ReplayedCircuitIsTheSearchedInput)
