@@ -53,6 +53,7 @@
 #include "util/metrics.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace {

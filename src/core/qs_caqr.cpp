@@ -8,7 +8,6 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -905,10 +904,10 @@ qs_caqr_or(circuit::Circuit circuit, const QsCaqrOptions& options)
 namespace {
 
 /// One greedy commuting sweep. When @p evaluate_candidates is true
-/// every valid candidate (up to the budget) is scheduled — across
-/// `options.pool`, or @p spawned_pool, when there are threads to use —
-/// and the cheapest (by duration, ties to the heuristically-first
-/// candidate) wins, the paper's §3.2.2 evaluation. When false,
+/// every valid candidate (up to the budget) is scheduled — on the
+/// shared pool when there are threads to use — and the cheapest (by
+/// duration, ties to the heuristically-first candidate) wins, the
+/// paper's §3.2.2 evaluation. When false,
 /// candidates follow the *temporal order* of the current schedule —
 /// source retiring earliest, target retiring latest — and the first
 /// valid one is committed.
@@ -919,8 +918,7 @@ namespace {
 std::vector<QsCommutingVersion>
 run_commuting_sweep(const CommutingSpec& spec,
                     const QsCommutingOptions& options,
-                    bool evaluate_candidates,
-                    std::optional<util::ThreadPool>& spawned_pool)
+                    bool evaluate_candidates)
 {
     const auto& interaction = spec.interaction;
     const int n = interaction.num_nodes();
@@ -1026,8 +1024,7 @@ run_commuting_sweep(const CommutingSpec& spec,
             const bool parallel = threads > 1 && valid.size() >= 4;
             (parallel ? pool_tasks : serial_tasks) += valid.size();
             std::vector<CommutingSchedule> schedules = util::fan_out(
-                valid.size(), parallel ? threads : 1, options.pool,
-                spawned_pool, schedule_one);
+                valid.size(), parallel ? threads : 1, schedule_one);
             // Min duration, ties to the lowest candidate index — the
             // same winner the serial strict-< walk picked.
             std::size_t best_index = 0;
@@ -1084,11 +1081,10 @@ run_qs_caqr_commuting(const CommutingSpec& spec,
     QsCommutingResult result;
     result.coloring_bound = min_qubits_by_coloring(spec.interaction);
 
-    std::optional<util::ThreadPool> spawned_pool;
-    const auto eval_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/true, spawned_pool);
-    const auto chain_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/false, spawned_pool);
+    const auto eval_sweep =
+        run_commuting_sweep(spec, options, /*evaluate_candidates=*/true);
+    const auto chain_sweep =
+        run_commuting_sweep(spec, options, /*evaluate_candidates=*/false);
 
     // Budget-directed phase: the incremental sweeps dead-end once the
     // accumulated dependence graph makes every further pair cyclic;

@@ -48,7 +48,7 @@ struct QsVersion
 
 /// QS-CaQR options for regular circuits. The search itself is serial:
 /// each step prices every candidate in closed form, so the embedded
-/// CommonOptions' `num_threads` and `pool` are not read.
+/// CommonOptions' `num_threads` is not read.
 struct QsCaqrOptions : CommonOptions
 {
     /// Stop once this many qubits is reached; -1 = squeeze to minimum.
@@ -97,8 +97,8 @@ util::StatusOr<QsCaqrResult> qs_caqr_or(circuit::Circuit circuit,
                                         const QsCaqrOptions& options = {});
 
 /// Options for the commuting-workload search. The embedded
-/// CommonOptions supply `num_threads` and `pool` for candidate
-/// scheduling (results are bit-identical for any value).
+/// CommonOptions supply `num_threads` for candidate scheduling on the
+/// shared pool (results are bit-identical for any value).
 struct QsCommutingOptions : CommonOptions
 {
     int target_qubits = -1;

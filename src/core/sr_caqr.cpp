@@ -547,14 +547,12 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
 
     const int threads = std::min(
         util::ThreadPool::resolve_threads(options.num_threads), trials);
-    std::optional<util::ThreadPool> spawned;
     // Trials [first, last), in index order whatever the thread count.
     auto run_trials = [&](std::size_t first, std::size_t last,
                           const SrBound* bound) {
-        return util::fan_out(last - first, threads, options.pool, spawned,
-                             [&](std::size_t i) {
-                                 return run_variant(first + i, bound);
-                             });
+        return util::fan_out(last - first, threads, [&](std::size_t i) {
+            return run_variant(first + i, bound);
+        });
     };
 
     // Winner selection, in two index-ordered stages (fan_out returns

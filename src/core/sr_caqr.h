@@ -25,7 +25,7 @@
 namespace caqr::core {
 
 /// SR-CaQR options. The embedded CommonOptions supply the variant-trial
-/// thread count / borrowed pool and the seed of the jitter trials. The
+/// thread count and the seed of the jitter trials. The
 /// pass is deterministic: the first 8 trials are fixed heuristic
 /// variants of the placement and SWAP-scoring weights, trials 9 and up
 /// are jitter runs seeded from `seed` (see `trials`), and the winner

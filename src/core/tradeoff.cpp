@@ -58,12 +58,11 @@ map_versions(const VersionSet& versions, const arch::Backend& backend,
 {
     util::trace::Span span("tradeoff.map_versions");
 
-    std::optional<util::ThreadPool> spawned;
     auto results = util::fan_out(
         versions.size(),
         std::min(util::ThreadPool::resolve_threads(options.num_threads),
                  static_cast<int>(versions.size())),
-        options.pool, spawned, [&](std::size_t index) {
+        [&](std::size_t index) {
             return std::optional(transpile::transpile_or(
                 versions.circuit(index), backend, options));
         });

@@ -65,8 +65,9 @@ class VersionSet
 /**
  * Hardware-maps every version of @p versions on @p backend, each with
  * @p options as given; each result carries its ESP. The versions fan
- * out over `options.pool`, or a pool sized by `options.num_threads`;
- * results are index-aligned and identical at any thread count. The
+ * out over `options.num_threads` threads of the shared pool, and so do
+ * each version's routing trials; results are index-aligned and
+ * identical at any thread count. The
  * lowest-index failure is returned.
  */
 util::StatusOr<std::vector<transpile::TranspileResult>> map_versions(

@@ -13,6 +13,7 @@
 #include "qasm/parser.h"
 #include "qasm/printer.h"
 #include "service/cache.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace caqr {
@@ -244,9 +245,7 @@ canonical_backend_name(const std::string& name)
     return key->canonical;
 }
 
-Service::Service(ServiceOptions options)
-    : options_(std::move(options)),
-      pool_(util::ThreadPool::resolve_threads(options_.num_threads) - 1)
+Service::Service(ServiceOptions options) : options_(std::move(options))
 {
     if (options_.cache_capacity > 0) {
         cache_ = std::make_unique<Lru<std::shared_ptr<const CompileReport>>>(
@@ -475,20 +474,6 @@ Service::compile_uncached(const CompileRequest& request,
         });
     }
 
-    // Raced routing/variant trials and commuting candidate schedules
-    // borrow the service pool instead of spinning up transient workers
-    // per request. The pool is never part of a cache key and results
-    // are bit-identical with or without it, so this only changes wall
-    // time.
-    core::SrCaqrOptions sr_options = request.sr;
-    transpile::TranspileOptions transpile_options = request.transpile;
-    core::QsCommutingOptions commuting_options = request.qs_commuting;
-    if (pool_.size() > 0) {
-        sr_options.pool = &pool_;
-        transpile_options.pool = &pool_;
-        commuting_options.pool = &pool_;
-    }
-
     // Reuse pass (strategy dispatch). `reuse_level` is the logical
     // circuit the mapping and simulation stages consume; kSrCaqr maps
     // internally and fills the report directly.
@@ -546,7 +531,7 @@ Service::compile_uncached(const CompileRequest& request,
       case Strategy::kQsCommuting:
         run_stage("qs_commuting", [&]() -> util::Status {
             auto result = core::qs_caqr_commuting_or(*request.commuting,
-                                                      commuting_options);
+                                                      request.qs_commuting);
             if (!result.ok()) return result.status();
             take_versions(core::VersionSet(std::move(result).value()));
             return {};
@@ -557,9 +542,9 @@ Service::compile_uncached(const CompileRequest& request,
             auto result =
                 request.commuting.has_value()
                     ? core::sr_caqr_commuting_or(*request.commuting,
-                                                 *backend, sr_options,
+                                                 *backend, request.sr,
                                                  request.qs_commuting)
-                    : core::sr_caqr_or(input, *backend, sr_options);
+                    : core::sr_caqr_or(input, *backend, request.sr);
             if (!result.ok()) return result.status();
             report.compiled = std::move(result->circuit);
             report.qubits = result->physical_qubits_used;
@@ -579,7 +564,7 @@ Service::compile_uncached(const CompileRequest& request,
         // the request's own options, and keep the winner's mapping.
         run_stage("select_version", [&]() -> util::Status {
             auto versions =
-                core::map_versions(*candidates, *backend, transpile_options);
+                core::map_versions(*candidates, *backend, request.transpile);
             if (!versions.ok()) return versions.status();
             const std::size_t index = core::best_by_esp(*versions);
             reuse_level = candidates->circuit(index);
@@ -592,7 +577,7 @@ Service::compile_uncached(const CompileRequest& request,
         if (request.map_to_backend) {
             run_stage("map", [&]() -> util::Status {
                 auto result = transpile::transpile_or(
-                    reuse_level, *backend, transpile_options);
+                    reuse_level, *backend, request.transpile);
                 if (!result.ok()) return result.status();
                 take_mapped(std::move(result).value());
                 return {};
@@ -839,9 +824,10 @@ std::vector<CompileReport>
 Service::compile_batch(const std::vector<CompileRequest>& requests)
 {
     util::trace::Span span("service.compile_batch");
-    return pool_.map(requests.size(), [&](std::size_t index) {
-        return compile(requests[index]);
-    });
+    return util::fan_out(
+        requests.size(),
+        util::ThreadPool::resolve_threads(options_.num_threads),
+        [&](std::size_t index) { return compile(requests[index]); });
 }
 
 util::StatusOr<std::vector<CompileRequest>>

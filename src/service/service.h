@@ -21,11 +21,11 @@
  * frozen schedule in O(#params) without re-running reuse analysis,
  * layout, or routing.
  *
- * `Service` is a long-lived object: it owns the `util::ThreadPool`
- * that fans out `compile_batch`, a registry of backends (FakeMumbai
- * plus scaled heavy-hex sizes), and a per-backend cache of constructed
- * `arch::Backend`s — coupling graph and APSP distance matrix computed
- * once under a mutex, then shared read-only across requests. Batch
+ * `Service` is a long-lived object: it owns a registry of backends
+ * (FakeMumbai plus scaled heavy-hex sizes) and a per-backend cache of
+ * constructed `arch::Backend`s — coupling graph and APSP distance
+ * matrix computed once under a mutex, then shared read-only across
+ * requests. `compile_batch` fans out on the shared thread pool. Batch
  * results are index-stable and bit-identical at any thread count
  * (stage timings excepted; compare with `report_fingerprint`).
  */
@@ -54,7 +54,6 @@
 #include "transpile/transpiler.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace caqr::util::trace {
 class RequestCapture;
@@ -245,8 +244,9 @@ std::string batch_csv_row(const CompileReport& report);
 /// complete.
 struct ServiceOptions
 {
-    /// Threads compiling batch entries concurrently: 1 = serial,
-    /// 0/negative = one per hardware thread.
+    /// Threads compiling batch entries concurrently, on the shared
+    /// `util::ThreadPool`: 1 = serial, 0/negative = one per hardware
+    /// thread.
     int num_threads = 0;
 
     /// Entries in the content-addressed compile cache (LRU; see
@@ -278,7 +278,7 @@ struct ServiceOptions
 
 /**
  * Long-lived compilation driver. Thread-safe: `compile` may be called
- * from any thread, and `compile_batch` fans out over the owned pool.
+ * from any thread, and `compile_batch` fans out over the shared pool.
  */
 template <typename V>
 class Lru;
@@ -310,7 +310,8 @@ class Service
     CompileReport compile(const CompileRequest& request);
 
     /**
-     * Compiles every request concurrently on the owned pool. The
+     * Compiles up to `ServiceOptions::num_threads` requests at a time
+     * on the shared pool. The
      * result vector is index-aligned with @p requests, and each report
      * is bit-identical to a serial run (see `report_fingerprint`).
      */
@@ -392,7 +393,6 @@ class Service
     ServiceOptions options_;
     std::atomic<std::uint64_t> next_request_id_{1};
     std::atomic<std::size_t> slow_traces_written_{0};
-    util::ThreadPool pool_;
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<const arch::Backend>> backends_;
     util::metrics::Registry metrics_;

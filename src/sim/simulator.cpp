@@ -361,8 +361,17 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
         std::max<std::size_t>(shots, 1),
         static_cast<std::size_t>(
             util::ThreadPool::resolve_threads(options.num_threads))));
-    const std::size_t chunks = std::min<std::size_t>(
-        shots, static_cast<std::size_t>(threads) * 4);
+    // One chunk when serial; otherwise four per thread.
+    const std::size_t chunks =
+        threads <= 1 ? 1
+                     : std::min<std::size_t>(
+                           shots, static_cast<std::size_t>(threads) * 4);
+    auto run_chunks = [&](auto&& run_range) {
+        return util::fan_out(chunks, threads, [&](std::size_t chunk) {
+            return run_range(shots * chunk / chunks,
+                             shots * (chunk + 1) / chunks);
+        });
+    };
     Counts counts;
     if (num_clbits <= kDenseKeyBits) {
         using Histogram = std::vector<std::uint64_t>;
@@ -377,20 +386,11 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
             });
             return hist;
         };
-        Histogram hist;
-        if (threads <= 1) {
-            hist = run_range(0, shots);
-        } else {
-            util::ThreadPool pool(threads - 1);  // caller participates
-            auto partials = pool.map(chunks, [&](std::size_t chunk) {
-                return run_range(shots * chunk / chunks,
-                                 shots * (chunk + 1) / chunks);
-            });
-            hist.assign(std::size_t{1} << num_clbits, 0);
-            for (const auto& partial : partials) {
-                for (std::size_t i = 0; i < hist.size(); ++i) {
-                    hist[i] += partial[i];
-                }
+        std::vector<Histogram> partials = run_chunks(run_range);
+        Histogram hist = std::move(partials[0]);
+        for (std::size_t c = 1; c < partials.size(); ++c) {
+            for (std::size_t i = 0; i < hist.size(); ++i) {
+                hist[i] += partials[c][i];
             }
         }
         std::string key(num_clbits, '0');
@@ -413,17 +413,10 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
             });
             return local;
         };
-        if (threads <= 1) {
-            counts = run_range(0, shots);
-        } else {
-            util::ThreadPool pool(threads - 1);  // caller participates
-            auto partials = pool.map(chunks, [&](std::size_t chunk) {
-                return run_range(shots * chunk / chunks,
-                                 shots * (chunk + 1) / chunks);
-            });
-            for (auto& partial : partials) {
-                for (auto& [bits, count] : partial) counts[bits] += count;
-            }
+        std::vector<Counts> partials = run_chunks(run_range);
+        counts = std::move(partials[0]);
+        for (std::size_t c = 1; c < partials.size(); ++c) {
+            for (auto& [bits, count] : partials[c]) counts[bits] += count;
         }
     }
 

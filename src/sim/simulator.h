@@ -48,7 +48,7 @@ struct SimOptions
  * The instruction stream is compiled once per call (1q/2q segment
  * fusion, per-op noise probabilities, idle-noise wire remapping);
  * shots then
- * execute against the compiled program, batched across a
+ * execute against the compiled program, batched over the shared
  * util::ThreadPool when options.num_threads != 1.
  */
 Counts simulate(const circuit::Circuit& circuit, const SimOptions& options,

@@ -17,14 +17,14 @@ using circuit::Instruction;
 
 /// The baseline router's side of the SABRE loop: the initial layout
 /// places every operand, the escape force-routes the oldest blocked
-/// gate (lowest instruction index), and a racing incumbent's SWAP count
+/// gate (lowest instruction index), and an incumbent's SWAP count
 /// bounds the run.
 struct RouterPolicy
 {
     static constexpr bool kPlacesOnDemand = false;
     static constexpr bool kWindowStopsAtCap = true;
 
-    const std::atomic<int>* swap_bound;
+    int swap_bound;
 
     void on_execute(const Instruction&) {}
     void on_swap(int, int) {}
@@ -35,12 +35,7 @@ struct RouterPolicy
     }
     bool adds_noise() const { return false; }
     double noise() const { return 0.0; }
-    bool
-    over_budget(int swaps) const
-    {
-        return swap_bound != nullptr &&
-               swaps > swap_bound->load(std::memory_order_relaxed);
-    }
+    bool over_budget(int swaps) const { return swaps > swap_bound; }
 };
 
 }  // namespace
@@ -189,7 +184,7 @@ combine_swap_score(double front_cost, double look_cost,
 util::StatusOr<RoutingResult>
 route_or(const GateGraph& graph, const arch::Backend& backend,
          const Layout& initial, const RouterOptions& options,
-         RouterScratch* scratch, const std::atomic<int>* swap_bound)
+         RouterScratch* scratch, int swap_bound, SabreStats* stats_out)
 {
     const Circuit& logical = graph.circuit();
     if (!is_valid_layout(initial, logical, backend)) {
@@ -212,9 +207,10 @@ route_or(const GateGraph& graph, const arch::Backend& backend,
     RouterPolicy policy{swap_bound};
     SabreLoop loop(graph, backend, options, s, output, policy);
     util::Status status = loop.run();
+    const SabreStats& stats = loop.stats();
+    if (stats_out != nullptr) *stats_out = stats;
     if (!status.ok()) return status;
 
-    const SabreStats& stats = loop.stats();
     auto& metrics = util::metrics::global();
     metrics.add("router.swaps_added", stats.swaps_added);
     // Stall iterations = frontier passes that executed no gate and had

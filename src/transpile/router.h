@@ -21,10 +21,10 @@
 #ifndef CAQR_TRANSPILE_ROUTER_H
 #define CAQR_TRANSPILE_ROUTER_H
 
-#include <atomic>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -36,6 +36,7 @@
 namespace caqr::transpile {
 
 class GateGraph;
+struct SabreStats;
 
 /// Tunables for the SABRE loop. SR-CaQR sets its own; see `sr_caqr.cpp`.
 struct RouterOptions
@@ -194,19 +195,22 @@ struct RoutingResult
  * @p scratch optionally supplies reusable buffers (see RouterScratch);
  * pass the same instance to consecutive calls to avoid reallocation.
  *
- * @p swap_bound optionally supplies a racing incumbent for cost-bound
- * pruning: the run aborts with `kInfeasible` ("swap budget exceeded")
- * as soon as `swaps_added` strictly exceeds the bound's current value.
- * A trial whose final SWAP count would have tied or beaten the bound
- * is never pruned (its running count never *exceeds* the incumbent),
- * so raced multi-trial winner selection stays deterministic at any
- * thread count.
+ * @p swap_bound is an incumbent's SWAP count for cost-bound pruning:
+ * the run aborts with `kInfeasible` ("swap budget exceeded") as soon as
+ * `swaps_added` strictly exceeds it. A trial whose final SWAP count
+ * would have tied or beaten the bound is never pruned (its running
+ * count never *exceeds* it), so multi-trial winner selection stays
+ * deterministic at any thread count.
+ *
+ * @p stats optionally receives the loop's counters, on failure too:
+ * `stats->pruned` says the bound stopped the run.
  */
 util::StatusOr<RoutingResult> route_or(
     const GateGraph& graph, const arch::Backend& backend,
     const Layout& initial, const RouterOptions& options = {},
     RouterScratch* scratch = nullptr,
-    const std::atomic<int>* swap_bound = nullptr);
+    int swap_bound = std::numeric_limits<int>::max(),
+    SabreStats* stats = nullptr);
 
 /**
  * The SWAP score combiner, exposed for unit pinning: per-qubit decay

@@ -1,7 +1,6 @@
 #include "transpile/transpiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -60,17 +59,15 @@ struct TrialOutcome
 };
 
 /// The outcome of one route: on success, the routed circuit and its
-/// score.
+/// score; on failure, whether the SWAP bound (@p pruned) stopped it.
 TrialOutcome
-measure_trial(util::StatusOr<RoutingResult> routed,
+measure_trial(util::StatusOr<RoutingResult> routed, bool pruned,
               const arch::Backend& backend)
 {
     TrialOutcome outcome;
     if (!routed.ok()) {
         outcome.status = routed.status();
-        outcome.pruned =
-            outcome.status.message().find("swap budget exceeded") !=
-            std::string::npos;
+        outcome.pruned = pruned;
         return outcome;
     }
     outcome.completed = true;
@@ -146,28 +143,27 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
 
     // The anchor trial routes the plain greedy layout — the legacy
     // single-trial pipeline — and doubles as the pruning bound: it
-    // runs unpruned, and its SWAP count becomes the shared incumbent
-    // every other trial is cut against the moment its running count
+    // runs unpruned, and its SWAP count becomes the incumbent every
+    // other trial is cut against the moment its running count
     // *strictly* exceeds it. Every trial that ties or beats the anchor
     // therefore completes, which keeps the dominance-based winner
     // selection below bit-identical at any thread count. With two or
     // more trials it is routed first, on this thread: it is also
-    // refinement's first forward pass, and the incumbent is armed
+    // refinement's first forward pass, and the incumbent is fixed
     // before any other trial starts.
     const bool anchor_first = trials >= 2;
     const std::size_t anchor = anchor_first ? 1 : 0;
-    std::atomic<int> incumbent{std::numeric_limits<int>::max()};
+    int incumbent = std::numeric_limits<int>::max();
     RouterScratch scratch;
     TrialOutcome anchor_outcome;
     if (anchor_first) {
         anchor_outcome = measure_trial(
             route_or(in.native_graph, backend, in.base_layout,
                      options.router, &scratch),
-            backend);
+            /*pruned=*/false, backend);
         ++routes;
         if (anchor_outcome.completed) {
-            incumbent.store(anchor_outcome.routed.swaps_added,
-                            std::memory_order_relaxed);
+            incumbent = anchor_outcome.routed.swaps_added;
         }
     }
     const Layout refined_layout =
@@ -233,22 +229,22 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
             return TrialOutcome{};
         }
         RouterScratch trial_scratch;
-        return measure_trial(
-            route_or(in.native_graph, backend, layouts[t], options.router,
-                     &trial_scratch, anchor_first ? &incumbent : nullptr),
-            backend);
+        SabreStats stats;
+        auto routed = route_or(in.native_graph, backend, layouts[t],
+                               options.router, &trial_scratch, incumbent,
+                               &stats);
+        return measure_trial(std::move(routed), stats.pruned, backend);
     };
 
     // The trials still to route: every one but an anchor routed above
     // and the repeats.
     const std::size_t raced = num_trials - repeated - (anchor_first ? 1 : 0);
     routes += static_cast<int>(raced);
-    std::optional<util::ThreadPool> spawned;
     std::vector<TrialOutcome> outcomes = util::fan_out(
         num_trials,
         std::min(util::ThreadPool::resolve_threads(options.num_threads),
                  static_cast<int>(raced)),
-        options.pool, spawned, run_trial);
+        run_trial);
     if (anchor_first) outcomes[anchor] = std::move(anchor_outcome);
 
     // A repeat counts as its source's outcome.

@@ -5,15 +5,15 @@
  * greedy interaction-aware layout → bidirectional SABRE layout
  * refinement → raced multi-trial routing → metrics.
  *
- * Trials race on a thread pool with cost-bound pruning: the anchor
- * trial (the plain greedy layout, i.e. the legacy pipeline) runs
- * unpruned, and once it completes its SWAP count becomes the shared
- * atomic incumbent every other trial aborts against the moment its
- * running count strictly exceeds it. The anchor holds the win; a
- * challenger takes it only when it is no worse on every tracked
- * quality metric (SWAPs, depth, ESP) and strictly better on at least
- * one. Every trial that could win completes regardless of scheduling,
- * so the winner is bit-identical at any thread count.
+ * Trials race on the shared thread pool with cost-bound pruning: the
+ * anchor trial (the plain greedy layout, i.e. the legacy pipeline)
+ * runs unpruned and first, and its SWAP count becomes the fixed bound
+ * every other trial aborts against the moment its running count
+ * strictly exceeds it. The anchor holds the win; a challenger takes it
+ * only when it is no worse on every tracked quality metric (SWAPs,
+ * depth, ESP) and strictly better on at least one. Every trial that
+ * could win completes regardless of scheduling, so the winner is
+ * bit-identical at any thread count.
  *
  * The circuits' gate graphs are built once per request, and the
  * anchor's route doubles as the first refinement pass's forward route
@@ -49,7 +49,7 @@ struct TranspileResult
 };
 
 /// Pipeline options. The embedded CommonOptions supply the layout-
-/// perturbation seed and the trial thread count / borrowed pool.
+/// perturbation seed and the trial thread count.
 struct TranspileOptions : CommonOptions
 {
     RouterOptions router;

@@ -32,6 +32,13 @@ ThreadPool::resolve_threads(int requested)
     return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
+ThreadPool&
+ThreadPool::shared()
+{
+    static ThreadPool pool(resolve_threads(0) - 1);
+    return pool;
+}
+
 void
 ThreadPool::enqueue(std::function<void()> task)
 {

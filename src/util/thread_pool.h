@@ -10,12 +10,14 @@
  * threads executed the batch or how the scheduler interleaved them.
  * Exceptions thrown by tasks are captured and rethrown — the one with
  * the lowest task index wins, again independent of thread count.
- * Passes reach a pool through `fan_out`, which borrows the caller's
- * pool, spawns one, or stays serial.
+ * Passes reach a pool only through `fan_out`, which either loops on
+ * the calling thread or runs the batch on the one process-wide pool,
+ * `ThreadPool::shared()`.
  */
 #ifndef CAQR_UTIL_THREAD_POOL_H
 #define CAQR_UTIL_THREAD_POOL_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -23,9 +25,9 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -58,6 +60,11 @@ class ThreadPool
     /// hardware thread count (at least 1).
     static int resolve_threads(int requested);
 
+    /// The process-wide pool every pass fans out on, built on first use
+    /// with one worker per hardware thread but one (the caller is the
+    /// last thread). It lives until the process exits.
+    static ThreadPool& shared();
+
     /// Schedules @p fn and returns a future for its result. Exceptions
     /// propagate through the future.
     template <typename Fn>
@@ -73,9 +80,11 @@ class ThreadPool
     }
 
     /**
-     * Evaluates fn(0..n-1) across the workers plus the calling thread
-     * and returns the results indexed by task — result ordering never
-     * depends on thread count or scheduling. Every task runs bound to
+     * Evaluates fn(0..n-1) across at most @p max_helpers workers plus
+     * the calling thread and returns the results indexed by task —
+     * result ordering never depends on thread count or scheduling.
+     * The caller claims tasks too, so a task may itself call `map` on
+     * the same pool without deadlock. Every task runs bound to
      * the caller's `trace::current_request()`, so its spans reach that
      * request. Blocks until the whole batch finished; if any task
      * threw, the exception with the lowest task index is rethrown
@@ -83,7 +92,8 @@ class ThreadPool
      */
     template <typename Fn>
     auto
-    map(std::size_t n, Fn&& fn)
+    map(std::size_t n, Fn&& fn,
+        std::size_t max_helpers = std::numeric_limits<std::size_t>::max())
         -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
     {
         using R = std::invoke_result_t<std::decay_t<Fn>&, std::size_t>;
@@ -135,8 +145,8 @@ class ThreadPool
         // A straggler helper that wakes after the batch completed exits
         // via the index check without touching `out`, `fn` or the
         // request.
-        const std::size_t helpers =
-            std::min(n - 1, static_cast<std::size_t>(size()));
+        const std::size_t helpers = std::min(
+            {n - 1, static_cast<std::size_t>(size()), max_helpers});
         for (std::size_t h = 0; h < helpers; ++h) enqueue(run);
         run();
         {
@@ -172,14 +182,13 @@ class ThreadPool
  * and returns the results by index. With @p threads (already resolved
  * and capped by the caller) <= 1, or @p n <= 1, it is a plain loop on
  * the calling thread that touches no pool. Otherwise the batch runs on
- * @p borrowed when it has workers, else on @p spawned, which the first
- * parallel call fills with `threads - 1` workers and later calls
- * reuse. Either way the exception with the lowest index is rethrown.
+ * `ThreadPool::shared()` with at most `threads - 1` helpers, so at most
+ * @p threads threads run it. Either way the exception with the lowest
+ * index is rethrown.
  */
 template <typename Fn>
 auto
-fan_out(std::size_t n, int threads, ThreadPool* borrowed,
-        std::optional<ThreadPool>& spawned, Fn&& fn)
+fan_out(std::size_t n, int threads, Fn&& fn)
     -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
 {
     if (threads <= 1 || n <= 1) {
@@ -189,11 +198,8 @@ fan_out(std::size_t n, int threads, ThreadPool* borrowed,
         for (std::size_t i = 0; i < n; ++i) results.push_back(fn(i));
         return results;
     }
-    ThreadPool& pool = borrowed != nullptr && borrowed->size() > 0
-                           ? *borrowed
-                       : spawned ? *spawned
-                                 : spawned.emplace(threads - 1);
-    return pool.map(n, fn);
+    return ThreadPool::shared().map(n, fn,
+                                    static_cast<std::size_t>(threads - 1));
 }
 
 }  // namespace caqr::util

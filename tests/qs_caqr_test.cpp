@@ -29,7 +29,6 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace caqr {
 namespace {
@@ -1102,13 +1101,9 @@ TEST(QsCommutingDeterminism, ThreadCountDoesNotChangeResults)
     serial.num_threads = 1;
     const auto baseline = core::qs_caqr_commuting_or(spec, serial).value();
 
-    // The last run borrows a caller's pool, as Service::compile lends
-    // its own.
-    util::ThreadPool borrowed(3);
     for (int threads : {3, 0, 4}) {
         core::QsCommutingOptions options;
         options.num_threads = threads;
-        if (threads == 4) options.pool = &borrowed;
         const auto result = core::qs_caqr_commuting_or(spec, options).value();
         ASSERT_EQ(result.versions.size(), baseline.versions.size())
             << "threads=" << threads;

@@ -2,9 +2,11 @@
 /// task execution, deterministic result
 /// ordering, exception propagation, batch reuse, clean shutdown, and
 /// request binding on helper threads; and for `fan_out`, the passes'
-/// one way onto a pool.
+/// one way onto the process-wide shared pool: its thread cap, its
+/// serial path, nested fan-outs and request binding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -13,7 +15,6 @@
 #include <latch>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,12 @@
 #include <utility>
 #include <vector>
 
+#include "apps/benchmarks.h"
+#include "arch/backend.h"
+#include "core/qs_caqr.h"
+#include "core/tradeoff.h"
+#include "qasm/printer.h"
+#include "transpile/transpiler.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -220,141 +227,153 @@ TEST(ThreadPool, MapBindsHelpersToTheCallersRequest)
     }
 }
 
+TEST(FanOut, SharedPoolIsOnePerProcess)
+{
+    ThreadPool& pool = ThreadPool::shared();
+    EXPECT_EQ(&pool, &ThreadPool::shared());
+    EXPECT_EQ(pool.size(), ThreadPool::resolve_threads(0) - 1);
+}
+
 TEST(FanOut, BindsHelpersToTheCallersRequest)
 {
-    ThreadPool borrowed(3);
-    ThreadPool* const no_pool = nullptr;
-    std::optional<ThreadPool> spawned;
+    // As many threads as can run at once: the caller plus the shared
+    // pool's workers, up to four.
+    const int threads = std::min(4, 1 + ThreadPool::shared().size());
     const util::trace::RequestContext request{7, nullptr};
     util::trace::RequestScope scope(&request);
-    for (ThreadPool* pool : {&borrowed, no_pool}) {
-        std::latch all_running(4);
-        std::set<std::thread::id> threads;
-        for (const Binding& binding :
-             util::fan_out(4, 4, pool, spawned,
-                           bound_request_probe(all_running))) {
-            threads.insert(binding.thread);
-            EXPECT_EQ(binding.request, 7u);
-        }
-        EXPECT_EQ(threads.size(), 4u);
+    std::latch all_running(threads);
+    std::set<std::thread::id> seen;
+    for (const Binding& binding :
+         util::fan_out(static_cast<std::size_t>(threads), threads,
+                       bound_request_probe(all_running))) {
+        seen.insert(binding.thread);
+        EXPECT_EQ(binding.request, 7u);
     }
-    EXPECT_TRUE(spawned.has_value());
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(threads));
 }
 
 TEST(FanOut, SerialPathRunsOnTheCallingThread)
 {
     const auto caller = std::this_thread::get_id();
-    ThreadPool borrowed(2);
-    std::optional<ThreadPool> spawned;
-    // One thread: a plain loop, even with a pool on offer.
-    const auto serial = util::fan_out(
-        8, 1, &borrowed, spawned,
-        [](std::size_t) { return std::this_thread::get_id(); });
+    const auto thread_id = [](std::size_t) {
+        return std::this_thread::get_id();
+    };
+    // One thread: a plain loop.
+    const auto serial = util::fan_out(8, 1, thread_id);
     ASSERT_EQ(serial.size(), 8u);
     for (const auto id : serial) EXPECT_EQ(id, caller);
     // One task: no pool either, whatever the thread count.
-    const auto single = util::fan_out(
-        1, 4, nullptr, spawned,
-        [](std::size_t) { return std::this_thread::get_id(); });
+    const auto single = util::fan_out(1, 4, thread_id);
     ASSERT_EQ(single.size(), 1u);
     EXPECT_EQ(single[0], caller);
-    EXPECT_FALSE(spawned.has_value());
 }
 
-struct Rendezvous
+TEST(FanOut, PeakConcurrencyIsAtMostThreads)
 {
-    std::size_t threads = 0;  ///< distinct threads that ran the tasks
-    std::size_t fresh = 0;    ///< tasks on a thread no earlier call used
-};
+    for (const int threads : {2, 3, 8}) {
+        std::atomic<int> concurrent{0};
+        std::atomic<int> peak{0};
+        util::fan_out(64, threads, [&](std::size_t) {
+            const int now = ++concurrent;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            --concurrent;
+            return 0;
+        });
+        EXPECT_LE(peak.load(), threads) << "threads=" << threads;
+        EXPECT_GE(peak.load(), 1);
+    }
+}
 
 /// Each of @p n tasks waits until all @p n have started, so they can
-/// only finish if @p n threads run them at once.
-Rendezvous
-rendezvous(std::size_t n, int threads, ThreadPool* borrowed,
-           std::optional<ThreadPool>& spawned)
+/// only finish if @p n threads run them at once. Returns the distinct
+/// threads that ran them, and how many ran on a thread no earlier call
+/// used.
+std::pair<std::size_t, std::size_t>
+rendezvous(std::size_t n)
 {
     static thread_local bool used = false;
     std::mutex mutex;
     std::condition_variable all_in;
     std::size_t arrived = 0;
-    const auto runs = util::fan_out(n, threads, borrowed, spawned,
-                                    [&](std::size_t) {
-        std::unique_lock<std::mutex> lock(mutex);
-        if (++arrived == n) all_in.notify_all();
-        all_in.wait_for(lock, std::chrono::seconds(10),
-                        [&] { return arrived == n; });
-        return std::pair(std::this_thread::get_id(),
-                         !std::exchange(used, true));
-    });
+    const auto runs =
+        util::fan_out(n, static_cast<int>(n), [&](std::size_t) {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (++arrived == n) all_in.notify_all();
+            all_in.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return arrived == n; });
+            return std::pair(std::this_thread::get_id(),
+                             !std::exchange(used, true));
+        });
     std::set<std::thread::id> ids;
-    Rendezvous out;
-    for (const auto& [id, fresh] : runs) {
+    std::size_t fresh = 0;
+    for (const auto& [id, first_use] : runs) {
         ids.insert(id);
-        out.fresh += fresh ? 1 : 0;
+        fresh += first_use ? 1 : 0;
     }
-    out.threads = ids.size();
-    return out;
+    return {ids.size(), fresh};
 }
 
-TEST(FanOut, UsesABorrowedPoolWithWorkers)
+TEST(FanOut, LaterCallsReuseTheSharedWorkers)
 {
-    ThreadPool borrowed(2);
-    std::optional<ThreadPool> spawned;
-    // Two workers plus the caller run the three tasks together.
-    EXPECT_EQ(rendezvous(3, 3, &borrowed, spawned).threads, 3u);
-    EXPECT_FALSE(spawned.has_value());
-
-    // A borrowed pool without workers is no pool: one is spawned.
-    ThreadPool empty(0);
-    EXPECT_EQ(rendezvous(3, 3, &empty, spawned).threads, 3u);
-    ASSERT_TRUE(spawned.has_value());
-    EXPECT_EQ(spawned->size(), 2);
+    // As wide as the caller plus every shared worker, so the first
+    // call runs a task on each of them.
+    const auto n = static_cast<std::size_t>(1 + ThreadPool::shared().size());
+    EXPECT_EQ(rendezvous(n).first, n);
+    // Every thread of a later call already ran a task: no call starts
+    // a thread of its own.
+    const auto [threads, fresh] = rendezvous(n);
+    EXPECT_EQ(threads, n);
+    EXPECT_EQ(fresh, 0u);
 }
 
-TEST(FanOut, SpawnsOncePerOwnerAndReuses)
+TEST(FanOut, NestedFanOutMatchesSerial)
 {
-    std::optional<ThreadPool> spawned;
-    const auto first = rendezvous(3, 3, nullptr, spawned);
-    EXPECT_EQ(first.threads, 3u);
-    EXPECT_GE(first.fresh, 2u);  // the two spawned workers
-    ASSERT_TRUE(spawned.has_value());
-    EXPECT_EQ(spawned->size(), 2);
-    // Later calls run on the same two workers, a serial call between
-    // them included: no task lands on a new thread.
-    const auto second = rendezvous(3, 3, nullptr, spawned);
-    EXPECT_EQ(second.threads, 3u);
-    EXPECT_EQ(second.fresh, 0u);
-    util::fan_out(4, 1, nullptr, spawned, [](std::size_t i) { return i; });
-    EXPECT_EQ(rendezvous(3, 3, nullptr, spawned).fresh, 0u);
-    EXPECT_EQ(spawned->size(), 2);
+    // map_versions fans the versions out, and each version's 4-trial
+    // transpile_or fans its trials out again on the same shared pool,
+    // from inside a pool task.
+    const auto backend = arch::Backend::fake_mumbai();
+    const core::VersionSet versions(
+        core::qs_caqr_or(apps::bv_circuit(10)).value());
+    ASSERT_GE(versions.size(), 4u);
+    transpile::TranspileOptions serial;
+    serial.trials = 4;
+    serial.num_threads = 1;
+    transpile::TranspileOptions nested = serial;
+    nested.num_threads = 8;
+    const auto expected =
+        core::map_versions(versions, backend, serial).value();
+    const auto actual = core::map_versions(versions, backend, nested).value();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].swaps_added, expected[i].swaps_added) << i;
+        EXPECT_EQ(actual[i].depth, expected[i].depth) << i;
+        EXPECT_EQ(actual[i].esp, expected[i].esp) << i;
+        EXPECT_EQ(qasm::to_qasm(actual[i].circuit),
+                  qasm::to_qasm(expected[i].circuit))
+            << i;
+    }
 }
 
 TEST(FanOut, ResultsComeBackInIndexOrder)
 {
-    ThreadPool borrowed(3);
-    ThreadPool* const no_pool = nullptr;
-    std::optional<ThreadPool> spawned;
     const auto square = [](std::size_t i) {
         return static_cast<int>(i * i);
     };
     for (const int threads : {1, 4}) {
-        for (ThreadPool* pool : {&borrowed, no_pool}) {
-            const auto results =
-                util::fan_out(500, threads, pool, spawned, square);
-            ASSERT_EQ(results.size(), 500u);
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                EXPECT_EQ(results[i], square(i));
-            }
+        const auto results = util::fan_out(500, threads, square);
+        ASSERT_EQ(results.size(), 500u);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            EXPECT_EQ(results[i], square(i));
         }
     }
-    EXPECT_TRUE(util::fan_out(0, 4, nullptr, spawned, square).empty());
+    EXPECT_TRUE(util::fan_out(0, 4, square).empty());
 }
 
 TEST(FanOut, RethrowsTheLowestIndexException)
 {
-    ThreadPool borrowed(3);
-    ThreadPool* const no_pool = nullptr;
-    std::optional<ThreadPool> spawned;
     const auto fail = [](std::size_t i) -> int {
         if (i == 41 || i == 7 || i == 90) {
             throw std::runtime_error("task " + std::to_string(i));
@@ -362,13 +381,11 @@ TEST(FanOut, RethrowsTheLowestIndexException)
         return 0;
     };
     for (const int threads : {1, 4}) {
-        for (ThreadPool* pool : {&borrowed, no_pool}) {
-            try {
-                util::fan_out(100, threads, pool, spawned, fail);
-                ADD_FAILURE() << "fan_out should have rethrown";
-            } catch (const std::runtime_error& e) {
-                EXPECT_STREQ(e.what(), "task 7");
-            }
+        try {
+            util::fan_out(100, threads, fail);
+            ADD_FAILURE() << "fan_out should have rethrown";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "task 7");
         }
     }
 }

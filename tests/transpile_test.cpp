@@ -10,7 +10,6 @@
 #include "core/qs_caqr.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
-#include <atomic>
 #include <complex>
 #include <cstdint>
 #include <limits>
@@ -31,7 +30,6 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "util/status.h"
 #include "util/trace.h"
 
@@ -344,15 +342,52 @@ TEST(Router, SwapBoundPrunesHopelessRun)
     const auto backend = arch::Backend::fake_mumbai();
     Circuit c(27, 0);
     c.cx(0, 26);
-    std::atomic<int> bound{0};  // incumbent: a zero-SWAP solution exists
+    // Incumbent: a zero-SWAP solution exists.
+    transpile::SabreStats stats;
     const auto result = transpile::route_or(
         transpile::GateGraph(c), backend,
-        transpile::trivial_layout(c, backend), {}, nullptr,
-        &bound);
+        transpile::trivial_layout(c, backend), {}, nullptr, 0, &stats);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kInfeasible);
-    EXPECT_NE(result.status().message().find("swap budget"),
-              std::string::npos);
+    EXPECT_TRUE(stats.pruned);
+    EXPECT_EQ(stats.swaps_added, 1);
+
+    // The same route unbounded completes, and is not pruned.
+    transpile::SabreStats unbounded;
+    const auto routed = transpile::route_or(
+        transpile::GateGraph(c), backend,
+        transpile::trivial_layout(c, backend), {}, nullptr,
+        std::numeric_limits<int>::max(), &unbounded);
+    ASSERT_TRUE(routed.ok());
+    EXPECT_FALSE(unbounded.pruned);
+    EXPECT_EQ(unbounded.swaps_added, routed->swaps_added);
+}
+
+TEST(Transpiler, CountsPrunedTrialsAtAnyThreadCount)
+{
+    // BV-8 with eight trials: some trials' routes exceed the anchor's
+    // SWAP count and stop early. The loop's own flag counts them, and
+    // the bound is fixed before the trials start, so the count does not
+    // depend on the thread count.
+    const auto backend = arch::Backend::fake_mumbai();
+    const auto pruned = [&](int threads) {
+        const auto counter = [] {
+            const auto counters = util::metrics::global().snapshot().counters;
+            const auto it = counters.find("transpile.trials_pruned");
+            return it == counters.end() ? 0.0 : it->second;
+        };
+        transpile::TranspileOptions options;
+        options.trials = 8;
+        options.num_threads = threads;
+        const double before = counter();
+        EXPECT_TRUE(transpile::transpile_or(apps::bv_circuit(8), backend,
+                                            options)
+                        .ok());
+        return counter() - before;
+    };
+    const double serial = pruned(1);
+    EXPECT_GT(serial, 0.0);
+    EXPECT_EQ(pruned(8), serial);
 }
 
 TEST(Transpiler, PipelineProducesMetrics)
@@ -861,10 +896,9 @@ expect_transpile_matches_reference(const Circuit& logical,
 
 /// Pipeline settings variant @p which, cycling through every
 /// combination of trials {1, 2, 4, 8}, refinement passes {0, 1, 2},
-/// threads {1, 8} and error-aware scoring on / off. Eight threads
-/// borrow @p pool on odd cycles and spin up a transient pool otherwise.
+/// threads {1, 8} and error-aware scoring on / off.
 transpile::TranspileOptions
-transpile_variant(int which, util::ThreadPool& pool)
+transpile_variant(int which)
 {
     transpile::TranspileOptions options;
     constexpr int kTrials[] = {1, 2, 4, 8};
@@ -872,7 +906,6 @@ transpile_variant(int which, util::ThreadPool& pool)
     options.layout_refine_passes = which / 4 % 3;
     options.num_threads = which / 12 % 2 == 0 ? 1 : 8;
     options.router.error_aware = which / 24 % 2 == 0;
-    if (options.num_threads > 1 && which / 48 % 2 == 1) options.pool = &pool;
     options.seed = 500 + static_cast<std::uint64_t>(which);
     return options;
 }
@@ -890,11 +923,10 @@ variant_label(const transpile::TranspileOptions& options)
 TEST(TranspileOracle, RandomCircuitsOnFakeMumbai)
 {
     const auto backend = arch::Backend::fake_mumbai();
-    util::ThreadPool pool(3);
     for (int i = 0; i < 96; ++i) {
         util::Rng rng(12000 + i);
         const Circuit logical = oracle::random_circuit(rng, 2 + i % 26);
-        const auto options = transpile_variant(i, pool);
+        const auto options = transpile_variant(i);
         expect_transpile_matches_reference(
             logical, backend, options,
             "mumbai case " + std::to_string(i) + variant_label(options));
@@ -904,7 +936,6 @@ TEST(TranspileOracle, RandomCircuitsOnFakeMumbai)
 TEST(TranspileOracle, BenchmarksOnHeavyHex)
 {
     const auto hh127 = arch::Backend::scaled_heavy_hex(127);
-    util::ThreadPool pool(3);
     for (int i = 0; i < 48; ++i) {
         const int n = 16 + 37 * i % 112;
         Circuit logical;
@@ -923,7 +954,7 @@ TEST(TranspileOracle, BenchmarksOnHeavyHex)
             name = "qaoa_";
             break;
         }
-        const auto options = transpile_variant(i, pool);
+        const auto options = transpile_variant(i);
         expect_transpile_matches_reference(
             logical, hh127, options,
             name + std::to_string(n) + variant_label(options));
@@ -937,12 +968,11 @@ TEST(TranspileOracle, Qaoa256OnHeavyHex433)
     // distance-only scoring.
     const auto hh433 = arch::Backend::scaled_heavy_hex(433);
     const Circuit logical = qaoa_ring_circuit(256, 5);
-    util::ThreadPool pool(3);
     transpile::TranspileOptions defaults;
     defaults.num_threads = 1;
     for (const auto& options :
-         {defaults, transpile_variant(23, pool), transpile_variant(1, pool),
-          transpile_variant(29, pool)}) {
+         {defaults, transpile_variant(23), transpile_variant(1),
+          transpile_variant(29)}) {
         expect_transpile_matches_reference(
             logical, hh433, options, "qaoa_256" + variant_label(options));
     }
@@ -956,7 +986,6 @@ TEST(TranspileOracle, ReuseOutputsOnFakeMumbai)
     // routing every trial. Secrets have half their bits set, as in
     // caqrbench's reuse_sweep.
     const auto backend = arch::Backend::fake_mumbai();
-    util::ThreadPool pool(3);
     const auto counter = [](const char* name) {
         const auto counters = util::metrics::global().snapshot().counters;
         const auto it = counters.find(name);
@@ -976,7 +1005,6 @@ TEST(TranspileOracle, ReuseOutputsOnFakeMumbai)
                                       : apps::bv_circuit(n, bits))
                     .value()
                     .max_reuse_circuit;
-            int which = 0;
             for (const int trials : {1, 2, 4, 8, 32}) {
                 for (int passes = 0; passes <= 2; ++passes) {
                     for (const int threads : {1, 8}) {
@@ -984,9 +1012,6 @@ TEST(TranspileOracle, ReuseOutputsOnFakeMumbai)
                         options.trials = trials;
                         options.layout_refine_passes = passes;
                         options.num_threads = threads;
-                        if (threads > 1 && ++which % 2 == 0) {
-                            options.pool = &pool;
-                        }
                         const double routes_before =
                             counter("transpile.routes");
                         const double repeated_before =
@@ -1025,11 +1050,10 @@ TEST(TranspileOracle, DisconnectedDevice)
     for (int v = 6; v < 10; ++v) topology.add_edge(v - 1, v);
     const arch::Backend backend("split", topology,
                                 arch::Calibration::synthesize(topology));
-    util::ThreadPool pool(3);
     for (int i = 0; i < 24; ++i) {
         util::Rng rng(13000 + i);
         const Circuit logical = oracle::random_circuit(rng, 3 + i % 7);
-        const auto options = transpile_variant(5 * i, pool);
+        const auto options = transpile_variant(5 * i);
         expect_transpile_matches_reference(
             logical, backend, options,
             "split case " + std::to_string(i) + variant_label(options));
