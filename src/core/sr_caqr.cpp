@@ -83,6 +83,41 @@ SrPlan::SrPlan(const Circuit& input)
     }
 }
 
+/// Per-physical-qubit terms of the placement scores, computed once per
+/// request from the backend and shared read-only by every trial. Each
+/// is the exact value the scores used to compute per call, so the
+/// scores keep their order of floating-point operations.
+struct PlacementTerms
+{
+    explicit PlacementTerms(const arch::Backend& backend);
+
+    /// The seed score of a qubit with no placed partner, before noise:
+    /// `degree - total_distance / np^2`, with error awareness then
+    /// `- readout - best_cx` ([1]) or without it ([0]).
+    std::vector<double> lone_seed[2];
+    std::vector<double> quarter_degree;  ///< 0.25 * degree
+    std::vector<double> readout;         ///< readout error
+    std::vector<double> best_cx;         ///< best incident CX error
+};
+
+PlacementTerms::PlacementTerms(const arch::Backend& backend)
+{
+    const auto& topology = backend.topology();
+    const int np = backend.num_qubits();
+    for (int p = 0; p < np; ++p) {
+        const double central =
+            topology.degree(p) -
+            static_cast<double>(backend.total_distance(p)) / (np * np);
+        const double ro = backend.calibration().qubit(p).readout_error;
+        const double cx = backend.best_incident_cx_error(p);
+        lone_seed[0].push_back(central);
+        lone_seed[1].push_back(central - ro - cx);
+        quarter_degree.push_back(0.25 * topology.degree(p));
+        readout.push_back(ro);
+        best_cx.push_back(cx);
+    }
+}
+
 /// Base weight of the distance to already-placed partners when seeding
 /// a placement; it dominates connectivity, so new qubits land next to
 /// the qubits they will talk to.
@@ -178,6 +213,7 @@ struct SrState
     static constexpr bool kWindowStopsAtCap = false;
 
     const SrPlan* plan;
+    const PlacementTerms* terms;
     const arch::Backend* backend;
     const TrialConfig* config;
     const SrBound* bound = nullptr;  // none: run every trial to the end
@@ -191,8 +227,10 @@ struct SrState
     util::Rng* jitter_rng = nullptr;  // set when config->jitter > 0
     int reuses = 0;
     std::vector<int> to_map;  // place() worklist
+    /// Distance rows of the placed partners a placement scores against.
+    std::vector<const int*> rows;
 
-    bool place(const std::vector<int>& frontier,
+    bool place(const std::vector<int>& unplaced,
                const std::vector<int>& blocked);
     void on_execute(const Instruction& instr);
     void on_swap(int pa, int pb);
@@ -231,16 +269,18 @@ is_free(const SrState& state, int phys)
 /// well connected and close to the device center; lookahead pulls it
 /// toward already-mapped future partners.
 int
-pick_seed_phys(const SrState& state, int logical_q)
+pick_seed_phys(SrState& state, int logical_q)
 {
     const auto& backend = *state.backend;
-    const auto& topology = backend.topology();
+    const PlacementTerms& terms = *state.terms;
     const int np = backend.num_qubits();
     const auto& phys_of = state.routing.phys_of;
+    const bool error_aware = state.config->error_aware;
 
     // Distance rows of logical_q's future partners that are already
     // mapped (one per gate, so repeated partners weigh more).
-    std::vector<const int*> partner_rows;
+    auto& partner_rows = state.rows;
+    partner_rows.clear();
     for (int other : state.plan->partners[logical_q]) {
         if (phys_of[other] >= 0) {
             partner_rows.push_back(backend.distance_row(phys_of[other]));
@@ -254,9 +294,7 @@ pick_seed_phys(const SrState& state, int logical_q)
         double score;
         if (partner_rows.empty()) {
             // No placed partner: well-connected central qubit.
-            score = topology.degree(p) -
-                    static_cast<double>(backend.total_distance(p)) /
-                        (np * np);
+            score = terms.lone_seed[error_aware ? 1 : 0][p];
         } else {
             // Placed partners dominate: sit as close to them as
             // possible, with connectivity as a mild tie-break.
@@ -265,11 +303,11 @@ pick_seed_phys(const SrState& state, int logical_q)
                 total_dist += row[p] < 0 ? np : row[p];
             }
             score = -state.config->lookahead_weight * total_dist +
-                    0.25 * topology.degree(p);
-        }
-        if (state.config->error_aware) {
-            score -= backend.calibration().qubit(p).readout_error;
-            score -= backend.best_incident_cx_error(p);
+                    terms.quarter_degree[p];
+            if (error_aware) {
+                score -= terms.readout[p];
+                score -= terms.best_cx[p];
+            }
         }
         score -= state.noise();
         if (score > best_score) {
@@ -287,13 +325,14 @@ pick_seed_phys(const SrState& state, int logical_q)
 /// toward @p logical_q's already-placed *future* partners, trading a
 /// slightly longer first hop for fewer SWAPs later.
 int
-pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
+pick_adjacent_phys(SrState& state, int logical_q, int partner_phys)
 {
     const auto& backend = *state.backend;
     const int np = backend.num_qubits();
     const auto& phys_of = state.routing.phys_of;
 
-    std::vector<const int*> future_rows;
+    auto& future_rows = state.rows;
+    future_rows.clear();
     if (state.config->placement_pull > 0.0) {
         for (int other : state.plan->partners[logical_q]) {
             if (phys_of[other] >= 0 && phys_of[other] != partner_phys) {
@@ -321,7 +360,7 @@ pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
         // wire at equal distance, reuse when it is strictly closer.
         if (state.ever_used[p]) key += 0.5;
         if (state.config->error_aware) {
-            key += backend.calibration().qubit(p).readout_error;
+            key += state.terms->readout[p];
             if (d == 1) key += backend.cx_error(partner_phys, p);
         }
         key += state.noise();
@@ -361,11 +400,15 @@ void
 map_operands(SrState& state, const Instruction& instr)
 {
     const auto& phys_of = state.routing.phys_of;
-    std::vector<int> unmapped;
+    // The first two unplaced operands, and how many there are.
+    int unmapped[2] = {-1, -1};
+    int num_unmapped = 0;
     for (int q : instr.qubits) {
-        if (phys_of[q] < 0) unmapped.push_back(q);
+        if (phys_of[q] >= 0) continue;
+        if (num_unmapped < 2) unmapped[num_unmapped] = q;
+        ++num_unmapped;
     }
-    if (unmapped.size() == 2) {
+    if (num_unmapped == 2) {
         // Busier qubit first (it constrains the future more).
         int first = unmapped[0];
         int second = unmapped[1];
@@ -375,7 +418,7 @@ map_operands(SrState& state, const Instruction& instr)
         assign(state, first, pick_seed_phys(state, first));
         assign(state, second,
                pick_adjacent_phys(state, second, phys_of[first]));
-    } else if (unmapped.size() == 1) {
+    } else if (num_unmapped == 1) {
         const int lq = unmapped[0];
         int partner_phys = -1;
         for (int q : instr.qubits) {
@@ -388,25 +431,19 @@ map_operands(SrState& state, const Instruction& instr)
     }
 }
 
-/// Mapping decisions (paper Step 2): critical gates with unplaced
-/// operands are placed now; non-critical ones stay delayed while
-/// routed gates can still make progress. Returns whether anything was
-/// placed.
+/// Mapping decisions (paper Step 2) over the ready gates with an
+/// unplaced operand, in arrival order: critical gates are placed now;
+/// non-critical ones stay delayed while the placed @p blocked gates
+/// can still make progress. Returns whether anything was placed.
 bool
-SrState::place(const std::vector<int>& frontier,
+SrState::place(const std::vector<int>& unplaced,
                const std::vector<int>& blocked)
 {
     const auto& earliest = plan->earliest;
     const auto& latest = plan->latest;
     to_map.clear();
     int most_urgent = -1;
-    for (std::size_t i = 0, b = 0; i < frontier.size(); ++i) {
-        const int node = frontier[i];
-        // blocked is the placed subsequence of frontier.
-        if (b < blocked.size() && blocked[b] == node) {
-            ++b;
-            continue;
-        }
+    for (int node : unplaced) {
         if (!config->delay_noncritical ||
             std::abs(earliest[node] - latest[node]) < 1e-9) {
             to_map.push_back(node);
@@ -472,9 +509,9 @@ struct SrTrial
 /// with @p config's settings. With a @p bound, the trial is pruned as
 /// soon as it has more SWAPs or more physical qubits than the bound.
 SrTrial
-sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
-               const TrialConfig& config, std::uint64_t seed,
-               const SrBound* bound)
+sr_caqr_single(const SrPlan& plan, const PlacementTerms& terms,
+               const arch::Backend& backend, const TrialConfig& config,
+               std::uint64_t seed, const SrBound* bound)
 {
     const Circuit& logical = plan.logical;
     const int np = backend.num_qubits();
@@ -482,6 +519,7 @@ sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
 
     SrState state;
     state.plan = &plan;
+    state.terms = &terms;
     state.backend = &backend;
     state.config = &config;
     state.bound = bound;
@@ -538,11 +576,13 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     const SrPlan plan(input);
     CAQR_CHECK(plan.logical.num_qubits() <= backend.num_qubits(),
                "circuit does not fit the backend");
+    const PlacementTerms terms(backend);
 
     auto run_variant = [&](std::size_t trial, const SrBound* bound) {
         util::trace::Span trial_span("sr_caqr.trial");
-        return sr_caqr_single(plan, backend, trial_config(options, trial),
-                              options.seed, bound);
+        return sr_caqr_single(plan, terms, backend,
+                              trial_config(options, trial), options.seed,
+                              bound);
     };
 
     const int threads = std::min(
@@ -626,9 +666,11 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
 
     long long stall_iterations = 0;
     long long stall_escapes = 0;
+    long long frontier_visits = 0;
     for (const SrTrial& trial : results) {
         stall_iterations += trial.stats.stall_iterations;
         stall_escapes += trial.stats.stall_escapes;
+        frontier_visits += trial.stats.frontier_visits;
     }
     auto& metrics = util::metrics::global();
     metrics.add("sr_caqr.variant_trials", trials);
@@ -636,6 +678,8 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     metrics.add("sr_caqr.stall_iterations",
                 static_cast<double>(stall_iterations));
     metrics.add("sr_caqr.stall_escapes", static_cast<double>(stall_escapes));
+    metrics.add("sr_caqr.frontier_visits",
+                static_cast<double>(frontier_visits));
     metrics.add("sr_caqr.swaps_added", best.swaps_added);
     metrics.add("sr_caqr.reuses", best.reuses);
     return best;

@@ -144,12 +144,17 @@ struct RouterScratch
     /// @name Dependency walk state (per node)
     /// @{
     std::vector<int> remaining_preds;
+    /// Ready gates. Under on-demand placement, only those with every
+    /// operand placed; the rest wait in `unplaced`. Both lists keep
+    /// arrival order.
     std::vector<int> frontier;
+    std::vector<int> unplaced;
+    /// Per node, the order in which it became ready (on-demand
+    /// placement only).
+    std::vector<int> arrival;
     std::vector<int> still_blocked;
     std::vector<int> newly_ready;
-    /// Frontier gates with every operand placed (on-demand placement
-    /// only; otherwise the whole frontier).
-    std::vector<int> blocked;
+    std::vector<int> merged;  ///< arrival-order merge of the two lists
     std::vector<std::uint8_t> is_2q;  ///< precomputed per-node flag
     /// @}
 

@@ -14,9 +14,17 @@
  *
  *  - `kPlacesOnDemand`: operands start unplaced (`phys_of` -1). A gate
  *    runs, is scored and enters the window only once its operands are
- *    placed. `place(frontier, blocked)` runs on a stalled iteration
- *    after the stall-limit check and before the escape; when it places
- *    anything, the loop re-scans.
+ *    placed. The ready gates are then two lists, both in arrival order:
+ *    `frontier` holds those with every operand placed, `unplaced` the
+ *    rest, so the execute pass and the SWAP step never visit a gate
+ *    that is waiting to be placed. `place(unplaced, blocked)` runs on a
+ *    stalled iteration after the stall-limit check and before the
+ *    escape; when it places anything, the gates it placed move into
+ *    `frontier` by arrival (a merge), and the loop re-scans. A gate's
+ *    placed status changes only there: at most one ready gate sits on
+ *    a qubit, and a qubit is reclaimed only once it has no gates left.
+ *    The window's BFS starts from the arrival-order merge of both
+ *    lists, so every order is that of one combined frontier.
  *  - `kWindowStopsAtCap`: the window stops the moment it holds
  *    `lookahead_size` gates. Otherwise the cap is checked only before a
  *    node is expanded, so the window can overshoot it.
@@ -43,6 +51,7 @@
 #define CAQR_TRANSPILE_SABRE_H
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <utility>
@@ -100,6 +109,8 @@ struct SabreStats
     /// heuristic SWAPs.
     long long stall_iterations = 0;
     long long stall_escapes = 0;
+    /// Ready gates the execute passes examined, summed over passes.
+    long long frontier_visits = 0;
     bool pruned = false;  ///< the policy's budget stopped the run
 };
 
@@ -125,9 +136,11 @@ class SabreLoop
         s_.remaining_preds.resize(nn);
         s_.is_2q.resize(nn);
         s_.frontier.clear();
+        s_.unplaced.clear();
+        if constexpr (Policy::kPlacesOnDemand) s_.arrival.resize(nn);
         for (int node = 0; node < num_nodes; ++node) {
             s_.remaining_preds[node] = graph_.in_degree(node);
-            if (s_.remaining_preds[node] == 0) s_.frontier.push_back(node);
+            if (s_.remaining_preds[node] == 0) make_ready(node);
             s_.is_2q[node] = circuit::is_two_qubit(gate(node).kind) ? 1 : 0;
         }
         if (s_.seen_stamp.size() < nn) s_.seen_stamp.resize(nn, 0);
@@ -146,7 +159,7 @@ class SabreLoop
         int stall_streak = 0;
         const long long stall_limit =
             4LL * graph_.num_nodes() * backend_.num_qubits() + 1000;
-        while (!s_.frontier.empty()) {
+        while (has_ready()) {
             if (execute_ready()) {
                 s_.lookahead_valid = false;
                 stall_streak = 0;
@@ -159,12 +172,12 @@ class SabreLoop
                 return util::Status::infeasible(
                     "routing made no progress (disconnected device?)");
             }
+            // The blocked gates the step scores: the frontier, every
+            // operand of which is placed.
+            const std::vector<int>& blocked = s_.frontier;
             if constexpr (Policy::kPlacesOnDemand) {
-                s_.blocked.clear();
-                for (int node : s_.frontier) {
-                    if (placed(gate(node))) s_.blocked.push_back(node);
-                }
-                if (policy_.place(s_.frontier, s_.blocked)) {
+                if (policy_.place(s_.unplaced, blocked)) {
+                    admit_placed();
                     s_.lookahead_valid = false;
                     if (policy_.over_budget(stats_.swaps_added)) {
                         return pruned();
@@ -172,10 +185,6 @@ class SabreLoop
                     continue;
                 }
             }
-            // The blocked gates the step scores: those with every
-            // operand placed.
-            const std::vector<int>& blocked =
-                Policy::kPlacesOnDemand ? s_.blocked : s_.frontier;
 
             if (stall_streak >= std::max(0, options_.stall_escape_after)) {
                 // stall_streak heuristic SWAPs have unblocked nothing.
@@ -218,6 +227,60 @@ class SabreLoop
         return true;
     }
 
+    bool
+    has_ready() const
+    {
+        if constexpr (Policy::kPlacesOnDemand) {
+            if (!s_.unplaced.empty()) return true;
+        }
+        return !s_.frontier.empty();
+    }
+
+    bool
+    by_arrival(int a, int b) const
+    {
+        return s_.arrival[a] < s_.arrival[b];
+    }
+
+    /// Adds @p node, whose predecessors have all run, to the ready
+    /// gates: under on-demand placement, stamped with its arrival and
+    /// kept apart while an operand is unplaced.
+    void
+    make_ready(int node)
+    {
+        if constexpr (Policy::kPlacesOnDemand) {
+            s_.arrival[node] = arrivals_++;
+            if (!placed(gate(node))) {
+                s_.unplaced.push_back(node);
+                return;
+            }
+        }
+        s_.frontier.push_back(node);
+    }
+
+    /// Moves the unplaced gates that `place` placed into the frontier,
+    /// merged by arrival.
+    void
+    admit_placed()
+    {
+        s_.newly_ready.clear();
+        std::size_t kept = 0;
+        for (int node : s_.unplaced) {
+            if (placed(gate(node))) {
+                s_.newly_ready.push_back(node);
+            } else {
+                s_.unplaced[kept++] = node;
+            }
+        }
+        s_.unplaced.resize(kept);
+        s_.merged.clear();
+        std::merge(s_.frontier.begin(), s_.frontier.end(),
+                   s_.newly_ready.begin(), s_.newly_ready.end(),
+                   std::back_inserter(s_.merged),
+                   [this](int a, int b) { return by_arrival(a, b); });
+        s_.frontier.swap(s_.merged);
+    }
+
     util::Status
     pruned()
     {
@@ -233,14 +296,13 @@ class SabreLoop
     {
         s_.still_blocked.clear();
         s_.newly_ready.clear();
+        stats_.frontier_visits += static_cast<long long>(s_.frontier.size());
         for (int node : s_.frontier) {
             const auto& instr = gate(node);
-            bool runnable = true;
-            if constexpr (Policy::kPlacesOnDemand) runnable = placed(instr);
-            if (runnable && s_.is_2q[node]) {
-                runnable = backend_.are_adjacent(s_.phys_of[instr.qubits[0]],
-                                                 s_.phys_of[instr.qubits[1]]);
-            }
+            const bool runnable =
+                !s_.is_2q[node] ||
+                backend_.are_adjacent(s_.phys_of[instr.qubits[0]],
+                                      s_.phys_of[instr.qubits[1]]);
             if (!runnable) {
                 s_.still_blocked.push_back(node);
                 continue;
@@ -257,14 +319,13 @@ class SabreLoop
         }
         if (s_.still_blocked.size() == s_.frontier.size()) return false;
         s_.frontier.swap(s_.still_blocked);
-        s_.frontier.insert(s_.frontier.end(), s_.newly_ready.begin(),
-                           s_.newly_ready.end());
+        for (int node : s_.newly_ready) make_ready(node);
         return true;
     }
 
     /// Rebuilds the lookahead window — upcoming two-qubit gates with
-    /// every operand placed, reachable from the frontier, in BFS order —
-    /// and the stall index over @p blocked and the window.
+    /// every operand placed, reachable from the ready gates, in BFS
+    /// order — and the stall index over @p blocked and the window.
     void
     refresh_window(const std::vector<int>& blocked)
     {
@@ -279,10 +340,15 @@ class SabreLoop
             std::fill(s_.seen_stamp.begin(), s_.seen_stamp.end(), 0u);
             s_.generation = 1;
         }
-        for (int node : s_.frontier) {
-            s_.seen_stamp[node] = s_.generation;
-            s_.bfs_queue.push_back(node);
+        if constexpr (Policy::kPlacesOnDemand) {
+            std::merge(s_.frontier.begin(), s_.frontier.end(),
+                       s_.unplaced.begin(), s_.unplaced.end(),
+                       std::back_inserter(s_.bfs_queue),
+                       [this](int a, int b) { return by_arrival(a, b); });
+        } else {
+            s_.bfs_queue.assign(s_.frontier.begin(), s_.frontier.end());
         }
+        for (int node : s_.bfs_queue) s_.seen_stamp[node] = s_.generation;
         std::size_t head = 0;
         while (head < s_.bfs_queue.size() && !full()) {
             const int node = s_.bfs_queue[head++];
@@ -422,6 +488,7 @@ class SabreLoop
     circuit::Circuit& output_;
     Policy& policy_;
     SabreStats stats_;
+    int arrivals_ = 0;  ///< arrival stamps handed out
 };
 
 }  // namespace caqr::transpile

@@ -2,6 +2,7 @@
 /// behavior, and semantics preservation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -520,6 +521,146 @@ TEST(SrOracle, StallEscapeMatchesExhaustiveSearch)
     const double before = counter("sr_caqr.stall_escapes");
     expect_matches_oracle(logical, backend, options);
     EXPECT_GT(counter("sr_caqr.stall_escapes"), before);
+}
+
+/// A @p n-qubit line with synthesized calibration.
+arch::Backend
+line_backend(int n)
+{
+    graph::UndirectedGraph topology(n);
+    for (int v = 1; v < n; ++v) topology.add_edge(v - 1, v);
+    return arch::Backend("line", topology,
+                         arch::Calibration::synthesize(topology));
+}
+
+// The SABRE loop keeps the ready gates with an unplaced operand apart
+// from the placed frontier. The cases below were found by a search
+// over seeded random circuits for ones where the way the two lists
+// recombine changes the result.
+
+TEST(SrOracle, PlacedGateKeepsItsArrivalOrder)
+{
+    // Gates 9 and 10 become ready together; 10 is placed but blocked,
+    // 9 waits unplaced. A stall places 9 two hops from its partner, and
+    // one SWAP then lets both run in the same pass: 9 first, in arrival
+    // order. Appending 9 behind 10 instead emits them swapped.
+    util::Rng rng(286);
+    const Circuit logical = oracle::random_circuit(rng, 8);
+    core::SrCaqrOptions options;
+    options.trials = 1;
+    expect_matches_oracle(logical, line_backend(12), options);
+}
+
+TEST(SrOracle, WindowSeedsFromPlacedAndUnplacedGates)
+{
+    // At the first SWAP step, delayed gate 3 (unplaced) arrived before
+    // blocked gate 10; the window's BFS starts from both, 3 first.
+    // Starting from the placed frontier alone gives another window and
+    // other SWAPs.
+    util::Rng rng(4);
+    const Circuit logical = oracle::random_circuit(rng, 6);
+    core::SrCaqrOptions options;
+    options.trials = 1;
+    expect_matches_oracle(logical, arch::Backend::fake_mumbai(), options);
+}
+
+TEST(SrOracle, SplitFrontierCasesMatchAcrossOptions)
+{
+    // The cases above, and a line case where eager mapping matters,
+    // under each switch, jitter trials and both thread counts.
+    struct Case
+    {
+        std::uint64_t seed;
+        int qubits;
+        bool mumbai;
+    };
+    const Case cases[] = {{286, 8, false}, {103, 5, false}, {4, 6, true}};
+    const auto line = line_backend(12);
+    const auto mumbai = arch::Backend::fake_mumbai();
+    for (const Case& c : cases) {
+        util::Rng rng(c.seed);
+        const Circuit logical = oracle::random_circuit(rng, c.qubits);
+        for (int variant = 0; variant < 3; ++variant) {
+            for (int trials : {1, 12}) {
+                for (int threads : {1, 8}) {
+                    core::SrCaqrOptions options;
+                    options.trials = trials;
+                    options.num_threads = threads;
+                    options.seed = c.seed;
+                    options.error_aware = variant != 1;
+                    options.delay_noncritical = variant != 2;
+                    SCOPED_TRACE("seed " + std::to_string(c.seed) +
+                                 " variant " + std::to_string(variant) +
+                                 " trials " + std::to_string(trials) +
+                                 " threads " + std::to_string(threads));
+                    expect_matches_oracle(logical, c.mumbai ? mumbai : line,
+                                          options);
+                }
+            }
+        }
+    }
+}
+
+TEST(SrOracle, SeedScoreSubtractsEachErrorInTurn)
+{
+    // A 4-ring whose qubits 0 and 1 have equal connectivity and swapped
+    // error terms: readout 0.01 and best CX 0.0252 on qubit 0, the
+    // reverse on qubit 1. As doubles, (1.75 - 0.0252) - 0.01 exceeds
+    // (1.75 - 0.01) - 0.0252, so the seed lands on qubit 1; summing
+    // the two errors first makes them tie and picks qubit 0.
+    graph::UndirectedGraph topology(4);
+    for (int v = 0; v < 4; ++v) topology.add_edge(v, (v + 1) % 4);
+    arch::Calibration calibration = arch::Calibration::synthesize(topology);
+    const double readout[] = {0.01, 0.0252, 0.3, 0.3};
+    for (int q = 0; q < 4; ++q) {
+        calibration.qubits[static_cast<std::size_t>(q)].readout_error =
+            readout[q];
+    }
+    for (std::size_t id = 0; id < topology.edges().size(); ++id) {
+        const auto [a, b] = topology.edges()[id];
+        const int lo = std::min(a, b);
+        const int hi = std::max(a, b);
+        double error = 0.5;
+        if (lo == 1 && hi == 2) error = 0.01;
+        if (lo == 0 && hi == 3) error = 0.0252;
+        calibration.links[id].cx_error = error;
+    }
+    const arch::Backend backend("ring", topology, calibration);
+    ASSERT_EQ(backend.best_incident_cx_error(0), 0.0252);
+    ASSERT_EQ(backend.best_incident_cx_error(1), 0.01);
+
+    Circuit logical(2, 2);
+    logical.h(0);
+    logical.cx(0, 1);
+    logical.measure(0, 0);
+    logical.measure(1, 1);
+    core::SrCaqrOptions options;
+    options.trials = 1;
+    expect_matches_oracle(logical, backend, options);
+    const auto result = core::sr_caqr_or(logical, backend, options).value();
+    EXPECT_EQ(result.circuit.at(0).qubits, std::vector<int>{1});
+}
+
+TEST(SrCaqr, ExecutePassVisitsEachReadyGateOnce)
+{
+    // Sparse BV-127 needs no SWAP, so every placed gate runs in the
+    // first pass that sees it: each trial's execute passes visit about
+    // one gate per instruction. A loop that rescans the delayed gates
+    // on every pass visits about 87 times as many.
+    const auto backend = arch::Backend::scaled_heavy_hex(127);
+    std::vector<int> secret(126);
+    for (std::size_t i = 0; i < secret.size(); ++i) {
+        secret[i] = i % 3 == 0 ? 1 : 0;
+    }
+    const Circuit bv = apps::bv_circuit(127, secret);
+    core::SrCaqrOptions options;
+    options.trials = 4;
+    const double before = counter("sr_caqr.frontier_visits");
+    const auto result = core::sr_caqr_or(bv, backend, options).value();
+    EXPECT_EQ(result.swaps_added, 0);
+    const double visits = counter("sr_caqr.frontier_visits") - before;
+    EXPECT_GE(visits, 4.0 * static_cast<double>(bv.size()));
+    EXPECT_LE(visits, 2 * 4.0 * static_cast<double>(bv.size()));
 }
 
 TEST(SrCaqr, BoundedTrialsArePrunedOnWideBv)
