@@ -51,6 +51,13 @@ Backend::Backend(std::string name, graph::UndirectedGraph topology,
                 std::min(best_cx_error_[q],
                          calibration_.links[link.id].cx_error);
         }
+        const double central =
+            topology_.degree(q) -
+            static_cast<double>(total_distance_[q]) / (n * n);
+        seed_score_[0].push_back(central);
+        seed_score_[1].push_back(central -
+                                 calibration_.qubits[q].readout_error -
+                                 best_cx_error_[q]);
     }
 }
 

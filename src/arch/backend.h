@@ -93,6 +93,19 @@ class Backend
         return best_cx_error_[static_cast<std::size_t>(q)];
     }
 
+    /// Score of @p q as the seed of a placement with no placed
+    /// partner: `degree - total_distance / num_qubits^2` (well
+    /// connected and central scores high), then, if @p error_aware,
+    /// minus the readout error and minus best_incident_cx_error(), one
+    /// subtraction after the other. SR-CaQR seed placement reads it.
+    double
+    seed_score(int q, bool error_aware) const
+    {
+        CAQR_CHECK(q >= 0 && q < num_qubits(),
+                   "physical qubit id out of range");
+        return seed_score_[error_aware ? 1 : 0][static_cast<std::size_t>(q)];
+    }
+
     /// The links incident to @p q, one per topology neighbor, built
     /// once at construction: routing reads a candidate SWAP's id here
     /// and its calibration at `calibration().links[id]`.
@@ -149,6 +162,7 @@ class Backend
     std::vector<std::vector<int>> distances_;
     std::vector<long long> total_distance_;
     std::vector<double> best_cx_error_;
+    std::vector<double> seed_score_[2];  ///< [error_aware]
     /// Links of qubit q: links_[link_start_[q] .. link_start_[q + 1]).
     std::vector<int> link_start_;
     std::vector<Link> links_;

@@ -83,41 +83,6 @@ SrPlan::SrPlan(const Circuit& input)
     }
 }
 
-/// Per-physical-qubit terms of the placement scores, computed once per
-/// request from the backend and shared read-only by every trial. Each
-/// is the exact value the scores used to compute per call, so the
-/// scores keep their order of floating-point operations.
-struct PlacementTerms
-{
-    explicit PlacementTerms(const arch::Backend& backend);
-
-    /// The seed score of a qubit with no placed partner, before noise:
-    /// `degree - total_distance / np^2`, with error awareness then
-    /// `- readout - best_cx` ([1]) or without it ([0]).
-    std::vector<double> lone_seed[2];
-    std::vector<double> quarter_degree;  ///< 0.25 * degree
-    std::vector<double> readout;         ///< readout error
-    std::vector<double> best_cx;         ///< best incident CX error
-};
-
-PlacementTerms::PlacementTerms(const arch::Backend& backend)
-{
-    const auto& topology = backend.topology();
-    const int np = backend.num_qubits();
-    for (int p = 0; p < np; ++p) {
-        const double central =
-            topology.degree(p) -
-            static_cast<double>(backend.total_distance(p)) / (np * np);
-        const double ro = backend.calibration().qubit(p).readout_error;
-        const double cx = backend.best_incident_cx_error(p);
-        lone_seed[0].push_back(central);
-        lone_seed[1].push_back(central - ro - cx);
-        quarter_degree.push_back(0.25 * topology.degree(p));
-        readout.push_back(ro);
-        best_cx.push_back(cx);
-    }
-}
-
 /// Base weight of the distance to already-placed partners when seeding
 /// a placement; it dominates connectivity, so new qubits land next to
 /// the qubits they will talk to.
@@ -213,7 +178,6 @@ struct SrState
     static constexpr bool kWindowStopsAtCap = false;
 
     const SrPlan* plan;
-    const PlacementTerms* terms;
     const arch::Backend* backend;
     const TrialConfig* config;
     const SrBound* bound = nullptr;  // none: run every trial to the end
@@ -272,7 +236,7 @@ int
 pick_seed_phys(SrState& state, int logical_q)
 {
     const auto& backend = *state.backend;
-    const PlacementTerms& terms = *state.terms;
+    const auto& topology = backend.topology();
     const int np = backend.num_qubits();
     const auto& phys_of = state.routing.phys_of;
     const bool error_aware = state.config->error_aware;
@@ -294,7 +258,7 @@ pick_seed_phys(SrState& state, int logical_q)
         double score;
         if (partner_rows.empty()) {
             // No placed partner: well-connected central qubit.
-            score = terms.lone_seed[error_aware ? 1 : 0][p];
+            score = backend.seed_score(p, error_aware);
         } else {
             // Placed partners dominate: sit as close to them as
             // possible, with connectivity as a mild tie-break.
@@ -303,10 +267,10 @@ pick_seed_phys(SrState& state, int logical_q)
                 total_dist += row[p] < 0 ? np : row[p];
             }
             score = -state.config->lookahead_weight * total_dist +
-                    terms.quarter_degree[p];
+                    0.25 * topology.degree(p);
             if (error_aware) {
-                score -= terms.readout[p];
-                score -= terms.best_cx[p];
+                score -= backend.calibration().qubit(p).readout_error;
+                score -= backend.best_incident_cx_error(p);
             }
         }
         score -= state.noise();
@@ -360,7 +324,7 @@ pick_adjacent_phys(SrState& state, int logical_q, int partner_phys)
         // wire at equal distance, reuse when it is strictly closer.
         if (state.ever_used[p]) key += 0.5;
         if (state.config->error_aware) {
-            key += state.terms->readout[p];
+            key += backend.calibration().qubit(p).readout_error;
             if (d == 1) key += backend.cx_error(partner_phys, p);
         }
         key += state.noise();
@@ -509,9 +473,9 @@ struct SrTrial
 /// with @p config's settings. With a @p bound, the trial is pruned as
 /// soon as it has more SWAPs or more physical qubits than the bound.
 SrTrial
-sr_caqr_single(const SrPlan& plan, const PlacementTerms& terms,
-               const arch::Backend& backend, const TrialConfig& config,
-               std::uint64_t seed, const SrBound* bound)
+sr_caqr_single(const SrPlan& plan, const arch::Backend& backend,
+               const TrialConfig& config, std::uint64_t seed,
+               const SrBound* bound)
 {
     const Circuit& logical = plan.logical;
     const int np = backend.num_qubits();
@@ -519,7 +483,6 @@ sr_caqr_single(const SrPlan& plan, const PlacementTerms& terms,
 
     SrState state;
     state.plan = &plan;
-    state.terms = &terms;
     state.backend = &backend;
     state.config = &config;
     state.bound = bound;
@@ -576,13 +539,11 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
     const SrPlan plan(input);
     CAQR_CHECK(plan.logical.num_qubits() <= backend.num_qubits(),
                "circuit does not fit the backend");
-    const PlacementTerms terms(backend);
 
     auto run_variant = [&](std::size_t trial, const SrBound* bound) {
         util::trace::Span trial_span("sr_caqr.trial");
-        return sr_caqr_single(plan, terms, backend,
-                              trial_config(options, trial), options.seed,
-                              bound);
+        return sr_caqr_single(plan, backend, trial_config(options, trial),
+                              options.seed, bound);
     };
 
     const int threads = std::min(

@@ -109,7 +109,8 @@ struct SabreStats
     /// heuristic SWAPs.
     long long stall_iterations = 0;
     long long stall_escapes = 0;
-    /// Ready gates the execute passes examined, summed over passes.
+    /// Ready gates the execute passes examined, summed over passes
+    /// (on-demand placement only).
     long long frontier_visits = 0;
     bool pruned = false;  ///< the policy's budget stopped the run
 };
@@ -296,7 +297,10 @@ class SabreLoop
     {
         s_.still_blocked.clear();
         s_.newly_ready.clear();
-        stats_.frontier_visits += static_cast<long long>(s_.frontier.size());
+        if constexpr (Policy::kPlacesOnDemand) {
+            stats_.frontier_visits +=
+                static_cast<long long>(s_.frontier.size());
+        }
         for (int node : s_.frontier) {
             const auto& instr = gate(node);
             const bool runnable =
@@ -319,7 +323,12 @@ class SabreLoop
         }
         if (s_.still_blocked.size() == s_.frontier.size()) return false;
         s_.frontier.swap(s_.still_blocked);
-        for (int node : s_.newly_ready) make_ready(node);
+        if constexpr (Policy::kPlacesOnDemand) {
+            for (int node : s_.newly_ready) make_ready(node);
+        } else {
+            s_.frontier.insert(s_.frontier.end(), s_.newly_ready.begin(),
+                               s_.newly_ready.end());
+        }
         return true;
     }
 
@@ -345,10 +354,13 @@ class SabreLoop
                        s_.unplaced.begin(), s_.unplaced.end(),
                        std::back_inserter(s_.bfs_queue),
                        [this](int a, int b) { return by_arrival(a, b); });
+            for (int node : s_.bfs_queue) s_.seen_stamp[node] = s_.generation;
         } else {
-            s_.bfs_queue.assign(s_.frontier.begin(), s_.frontier.end());
+            for (int node : s_.frontier) {
+                s_.seen_stamp[node] = s_.generation;
+                s_.bfs_queue.push_back(node);
+            }
         }
-        for (int node : s_.bfs_queue) s_.seen_stamp[node] = s_.generation;
         std::size_t head = 0;
         while (head < s_.bfs_queue.size() && !full()) {
             const int node = s_.bfs_queue[head++];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -22,14 +21,18 @@ namespace caqr::transpile {
 namespace {
 
 /// What every route of one request shares, built once: the native
-/// circuit, its `GateGraph` and the greedy layout. The graph points
-/// into the circuit, so the object is neither copied nor moved.
+/// circuit, its reverse (only when refinement runs: the backward
+/// direction of bidirectional layout refinement), the `GateGraph` of
+/// each, and the greedy layout. The graphs point into the circuits, so
+/// the object is neither copied nor moved.
 struct RoutingInputs
 {
     RoutingInputs(circuit::Circuit native_circuit,
-                  const arch::Backend& backend)
+                  const arch::Backend& backend, bool with_reversed)
         : native(std::move(native_circuit)),
+          reversed(with_reversed ? native.reversed() : circuit::Circuit()),
           native_graph(native),
+          reversed_graph(reversed),
           base_layout(greedy_layout(native, backend))
     {
     }
@@ -38,7 +41,9 @@ struct RoutingInputs
     RoutingInputs& operator=(const RoutingInputs&) = delete;
 
     const circuit::Circuit native;
+    const circuit::Circuit reversed;
     const GateGraph native_graph;
+    const GateGraph reversed_graph;
     const Layout base_layout;
 };
 
@@ -82,18 +87,13 @@ measure_trial(util::StatusOr<RoutingResult> routed, bool pruned,
 /// the reversed circuit has the same gates, so every later route is
 /// SWAP-free too and hands that layout back. Falls back to the greedy
 /// layout if a pass fails (e.g. a pathological device); the caller's
-/// trials surface the real error. The reversed circuit and its graph
-/// are built on the first backward pass, so a refinement that ends on
-/// a SWAP-free forward pass never builds them. Adds each route it runs
-/// to @p routes.
+/// trials surface the real error. Adds each route it runs to @p routes.
 Layout
 refine_layout(const RoutingInputs& in, const arch::Backend& backend,
               const TranspileOptions& options, const TrialOutcome* anchor,
               RouterScratch& scratch, int& routes)
 {
     Layout layout = in.base_layout;
-    std::optional<circuit::Circuit> reversed;
-    std::optional<GateGraph> reversed_graph;  // over *reversed
     for (int pass = 0; pass < options.layout_refine_passes; ++pass) {
         Layout forward_final;
         if (pass == 0 && anchor != nullptr) {
@@ -108,10 +108,7 @@ refine_layout(const RoutingInputs& in, const arch::Backend& backend,
             if (forward->swaps_added == 0) return layout;
             forward_final = std::move(forward->final_layout);
         }
-        if (!reversed_graph) {
-            reversed_graph.emplace(reversed.emplace(in.native.reversed()));
-        }
-        auto backward = route_or(*reversed_graph, backend, forward_final,
+        auto backward = route_or(in.reversed_graph, backend, forward_final,
                                  options.router, &scratch);
         ++routes;
         if (!backward.ok()) return in.base_layout;
@@ -136,7 +133,8 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
                                       ? decompose_ccx(logical)
                                       : decompose_to_native(logical);
         if (options.peephole) native = peephole_optimize(native);
-        return RoutingInputs(std::move(native), backend);
+        return RoutingInputs(std::move(native), backend,
+                             options.layout_refine_passes > 0);
     }();
 
     const int trials = std::max(1, options.trials);
